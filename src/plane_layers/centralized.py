@@ -7,9 +7,10 @@ around a vertex whose incident-edge gaps are all below pi (ratio 2), one
 around a four-vertex path when every vertex has a gap above pi (ratio 3,
 with at most one edge above ratio 2).
 
-Every assembly step re-checks planarity with the exact crossing predicate
-and raises InternalAssertionError with a reproducer payload on violation:
-the case analysis is the likeliest defect site, so it fails fast and loud.
+Each assembled tree is checked for planarity with the exact sweep, and a
+crossing raises InternalAssertionError with a reproducer payload, labelled
+with the assembly stage that added the offending edge: the case analysis is
+the likeliest defect site, so it fails loud.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .geometry import (
     Segment,
     ccw_order_around,
     convex_hull,
+    crossing_pairs,
     orientation_ids,
     point_strictly_inside_polygon,
     properly_cross,
-    _proper_cross_scaled,
 )
 from .mst import BottleneckInfo, RootedMst, bottleneck, build_emst, root_at_leaf
 from .unionfind import UnionFind
@@ -296,7 +297,7 @@ def find_flat_vertex(edges: Sequence[Segment], ps: PointSet) -> int | None:
     return None
 
 
-# --- incremental assembly with planarity asserts ---------------------------
+# --- assembly with planarity asserts ----------------------------------------
 
 
 class _Assembler:
@@ -307,36 +308,36 @@ class _Assembler:
         self.blue: list[Segment] = []
         # blue edge whose crossings are repaired after assembly (v3v0)
         self.deferred: Segment | None = None
-        self._coords: dict[Segment, tuple] = {}
-        self._all: set[Segment] = set()
-
-    def _coord(self, e: Segment):
-        c = self._coords.get(e)
-        if c is None:
-            c = (*self.ps.scaled(e.a), *self.ps.scaled(e.b))
-            self._coords[e] = c
-        return c
+        self._stage: dict[Segment, str] = {}
 
     def add(self, color: str, new_edges: Iterable[Segment], stage: str) -> None:
         existing = self.red if color == "red" else self.blue
         for e in sorted(new_edges):
-            if e in self._all:
+            if e in self._stage:
                 self._fail(stage, f"edge {e} added twice ({color})")
-            ce = self._coord(e)
-            for f in existing:
-                if e.shares_endpoint(f):
-                    continue
-                if self.deferred is not None and self.deferred in (e, f):
-                    continue
-                if _proper_cross_scaled(*ce, *self._coord(f)):
-                    self._fail(stage, f"{color} edges {e} and {f} cross")
             existing.append(e)
-            self._all.add(e)
+            self._stage[e] = stage
+
+    def check_plane(self) -> None:
+        """Fail on the crossing an edge-by-edge check in insertion order would
+        meet first: the pair whose later edge was added earliest, then that
+        edge's earliest partner, reported at the later edge's stage.  The
+        deferred edge is left to its own repair."""
+        for color, edges in (("red", self.red), ("blue", self.blue)):
+            edges = [e for e in edges if e != self.deferred]
+            pairs = crossing_pairs(edges, self.ps)
+            if pairs:
+                order = {e: i for i, e in enumerate(edges)}
+                f, e = min(pairs, key=lambda p: (order[p[1]], order[p[0]]))
+                self._fail(self._stage[e], f"{color} edges {e} and {f} cross")
 
     def replace_blue(self, old: Segment, new: Segment, stage: str) -> None:
         self.blue.remove(old)
-        self._all.discard(old)
+        del self._stage[old]
         self.add("blue", [new], stage)
+        for f in self.blue[:-1]:
+            if properly_cross(new, f, self.ps):
+                self._fail(stage, f"blue edges {new} and {f} cross")
 
     def _fail(self, stage: str, message: str) -> None:
         raise InternalAssertionError(
@@ -473,6 +474,7 @@ def disjoint_trees_flat(
         asm.add("red", red, f"flat-subtree-{i + 1}")
         asm.add("blue", blue, f"flat-subtree-{i + 1}")
 
+    asm.check_plane()
     _verify_disjoint_pair(asm, ps, be.length_sq, 2, "flat-final")
     return _make_two_trees(asm.red, asm.blue, None, ps, be.length_sq, bound=2)
 
@@ -683,14 +685,17 @@ def disjoint_trees_pointed(
             )
             asm.add("red", red, f"pointed-T{anchor_idx}")
             asm.add("blue", blue, f"pointed-T{anchor_idx}")
+        asm.check_plane()
         _fix_three_hop_edge(asm, wps, pv, be)
-    elif pc.tag == "2a":
-        red, blue = _subtree_contribution(
-            wps, adj, pv[0], pv[2], Recoloring.INVERTED, blocks={pv[2]}
-        )
-        asm.add("red", red, "pointed-T0")
-        asm.add("blue", blue, "pointed-T0")
-    # case 2b: n == 4, the base coloring is already complete
+    else:
+        if pc.tag == "2a":
+            red, blue = _subtree_contribution(
+                wps, adj, pv[0], pv[2], Recoloring.INVERTED, blocks={pv[2]}
+            )
+            asm.add("red", red, "pointed-T0")
+            asm.add("blue", blue, "pointed-T0")
+        # case 2b: n == 4, the base coloring is already complete
+        asm.check_plane()
 
     bound = 3 if pc.tag.startswith("1") else 2
     _verify_disjoint_pair(asm, wps, be.length_sq, bound, "pointed-final")

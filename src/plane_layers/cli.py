@@ -46,14 +46,52 @@ def _dump_json(path: str, payload: dict) -> None:
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_layers_file(path: str) -> tuple[dict, list[list[Segment]]]:
-    data = json.loads(_read(path))
+def _load_layers_file(path: str, n: int) -> tuple[dict, list[list[Segment]]]:
+    """Read a layers file and check every edge is a pair of distinct ids in
+    0..n-1; anything else is a usage error."""
+    try:
+        data = json.loads(_read(path))
+    except ValueError as exc:
+        raise UsageError(f"{path}: not a JSON layers file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object")
     if "red" in data and "blue" in data:
         layers = [data["red"], data["blue"]]
     else:
         layers = data.get("layers", [])
-    segs = [[Segment(int(u), int(v)) for u, v in layer] for layer in layers]
+    if not isinstance(layers, list) or not all(isinstance(l, list) for l in layers):
+        raise UsageError(f"{path}: layers must be lists of [u, v] id pairs")
+    segs = []
+    for j, layer in enumerate(layers):
+        for entry in layer:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and all(type(v) is int for v in entry)
+            ):
+                raise UsageError(f"{path}: layer {j}: {entry!r} is not a pair of point ids")
+            if not all(0 <= v < n for v in entry):
+                raise UsageError(f"{path}: layer {j}: edge {entry} has an id outside 0..{n - 1}")
+            if entry[0] == entry[1]:
+                raise UsageError(f"{path}: layer {j}: edge {entry} is a self-loop")
+        segs.append([Segment(u, v) for u, v in layer])
     return data, segs
+
+
+def _positive_int(meta: dict, key: str, default=None) -> int:
+    value = meta.get(key, default)
+    if type(value) is not int or value < 1:
+        raise UsageError(f"layers file: {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _beta_sq(meta: dict) -> Fraction:
+    text = meta.get("betaSq")
+    try:
+        num, den = map(int, text.split("/"))
+        return Fraction(num, den)
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"layers file: 'betaSq' must be 'num/den', got {text!r}") from exc
 
 
 def cmd_gen(args) -> int:
@@ -106,17 +144,20 @@ def cmd_build(args) -> int:
         print(f"layers=2 maxRatio={max_ratio:.6f} bound={trees.bound}")
         return 0
     beta = Fraction(args.beta) if args.beta else None
+    be_sq = None
     if beta is not None and len(ps) >= 2:
         be = bottleneck(build_emst(ps), ps)
         if beta * beta < be.length_sq:
             raise PreconditionError(
                 f"--beta {args.beta} is below the MST bottleneck {be.length:.6f}"
             )
+        be_sq = be.length_sq
     ls = build_k_layers(ps, args.k, beta)
     payload = ls.to_json_dict()
     payload["n"] = len(ps)
     _dump_json(args.out, payload)
-    be_sq = bottleneck(build_emst(ps), ps).length_sq
+    if be_sq is None:  # no --beta: the build used the MST bottleneck
+        be_sq = ls.beta_sq
     max_ratio = max(
         (math.sqrt(ps.seg_len_sq(e) / be_sq) for layer in ls.layers for e in layer),
         default=0.0,
@@ -128,25 +169,23 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     ps = _load_points(args.points)
-    meta, layers = _load_layers_file(args.layers)
+    meta, layers = _load_layers_file(args.layers, len(ps))
     report = verify_layers(layers, ps, flag_overlaps=args.flag_overlaps)
     payload = report.to_json_dict()
     if args.out:
         _dump_json(args.out, payload)
     allow_shared = 0
-    max_ratio = None
+    max_len_sq = None
     if meta.get("kind") == "two-tree":
-        max_ratio = float(meta.get("bound", 3))
+        bound = _positive_int(meta, "bound", default=3)
+        if report.beta_sq is not None:
+            max_len_sq = bound * bound * report.beta_sq
         if meta.get("shared"):
             allow_shared = 1
     elif meta.get("kind") == "distributed":
-        num, den = map(int, meta["betaSq"].split("/"))
-        be_sq = bottleneck(build_emst(ps), ps).length_sq if len(ps) >= 2 else None
-        if be_sq:
-            max_ratio = 12 * math.sqrt(2) * meta["k"] * math.sqrt(
-                Fraction(num, den) / be_sq
-            )
-    ok = report.ok(max_ratio=max_ratio, allow_shared=allow_shared)
+        k = _positive_int(meta, "k")
+        max_len_sq = 288 * k * k * _beta_sq(meta)  # (12*sqrt(2)*k*beta)^2
+    ok = report.ok(max_len_sq=max_len_sq, allow_shared=allow_shared)
     print(f"plane={report.all_plane} spanning={report.all_spanning} "
           f"disjoint={len(report.duplicate_edges) <= allow_shared} "
           f"maxRatio={report.overall_max_ratio:.6f}")
@@ -155,11 +194,10 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     ps = _load_points(args.points)
-    meta, layers = _load_layers_file(args.layers)
+    meta, layers = _load_layers_file(args.layers, len(ps))
     cell = None
     if args.grid and meta.get("kind") == "distributed":
-        num, den = map(int, meta["betaSq"].split("/"))
-        cell = 6 * meta["k"] * math.sqrt(num / den)
+        cell = 6 * _positive_int(meta, "k") * math.sqrt(_beta_sq(meta))
     svg = render_svg(ps, layers, cell_side=cell, grid=args.grid)
     _write(args.out, svg)
     return 0
@@ -167,7 +205,7 @@ def cmd_render(args) -> int:
 
 def cmd_stats(args) -> int:
     ps = _load_points(args.points)
-    meta, layers = _load_layers_file(args.layers)
+    meta, layers = _load_layers_file(args.layers, len(ps))
     be = bottleneck(build_emst(ps), ps) if len(ps) >= 2 else None
     stats = {
         "n": len(ps),

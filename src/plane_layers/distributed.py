@@ -755,8 +755,8 @@ class LayerSet:
 
 def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     """The full pipeline: grid, per-box layers, sparse attachment, box
-    connectors; asserts hull disjointness, 8-neighbor connectivity, and the
-    edge-length budget 12*sqrt(2)*k*beta."""
+    connectors; asserts hull disjointness, 8-neighbor connectivity, the
+    edge-length budget 12*sqrt(2)*k*beta, and that every layer is plane."""
     beta_sq = _as_beta_sq(beta, ps)
     gi = grid_partition(ps, k, beta_sq)
     boxes = sorted(gi.dense)
@@ -777,6 +777,20 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
                 raise InternalAssertionError(
                     "length-budget", f"edge {e} exceeds 12*sqrt(2)*k*beta in layer {j}"
                 )
+        bad = crossing_pairs(merged, ps)
+        if bad:
+            a, b = bad[0]
+            raise InternalAssertionError(
+                "layer-planarity",
+                f"layer {j}: edges {a} and {b} cross",
+                {
+                    "points": ps.to_text(),
+                    "k": k,
+                    "betaSq": f"{beta_sq.numerator}/{beta_sq.denominator}",
+                    "layer": j,
+                    "crossing": [a.as_pair(), b.as_pair()],
+                },
+            )
         layers.append(tuple(merged))
     seen: dict[Segment, int] = {}
     for j, layer in enumerate(layers):

@@ -298,8 +298,85 @@ def _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
     return d3 * d4 < 0
 
 
+def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
+    """True iff some pair in the edge list properly crosses (Shamos-Hoey sweep).
+
+    Exact on the scaled integer grid, with O(m log m) orientation tests.
+    Events run in lexicographic (x, y) order: at each event point the
+    segments ending there leave the status first, and every pair of
+    neighbours that becomes adjacent is tested; then the segments starting
+    there enter.  The status lists the active segments bottom to top along a
+    sweep line turned infinitesimally counterclockwise from vertical, so
+    vertical segments need no special case.  A new segment sits above an
+    active one when its left endpoint lies left of that one's directed line,
+    or, with the endpoint on the line, when its right endpoint does; collinear
+    segments tie.  Shared endpoints, T-junctions and collinear overlaps never
+    cross, exactly as in `properly_cross`.
+
+    Why nothing is missed: before the lexicographically first crossing point
+    p the status order is exact and the segments through p are consecutive
+    in it.  Once those ending at p have left, two consecutive ones with p
+    inside them and different directions cross at p, and every pair was
+    tested when it became adjacent.
+    """
+    segs = []
+    events = []
+    for i, e in enumerate(edges):
+        p, q = ps.scaled(e.a), ps.scaled(e.b)
+        if q < p:
+            p, q = q, p
+        segs.append((*p, *q, e.a, e.b))
+        events.append((*q, 0, i))  # at one point, endings sort before starts
+        events.append((*p, 1, i))
+    events.sort()
+
+    def cross(i: int, j: int) -> bool:
+        ax, ay, bx, by, ia, ib = segs[i]
+        cx, cy, dx, dy, ja, jb = segs[j]
+        if ia == ja or ia == jb or ib == ja or ib == jb:
+            return False
+        return _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy)
+
+    status: list[int] = []  # active segments, bottom to top
+    for ex, ey, start, i in events:
+        if start:
+            rx, ry = segs[i][2], segs[i][3]
+            lo, hi = 0, len(status)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                ax, ay, bx, by, _, _ = segs[status[mid]]
+                s = (bx - ax) * (ey - ay) - (by - ay) * (ex - ax)
+                if not s:
+                    s = (bx - ax) * (ry - ay) - (by - ay) * (rx - ax)
+                if s > 0:  # segment i enters above status[mid]
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo and cross(status[lo - 1], i):
+                return True
+            if lo < len(status) and cross(i, status[lo]):
+                return True
+            status.insert(lo, i)
+        else:
+            k = status.index(i)
+            del status[k]
+            if 0 < k < len(status) and cross(status[k - 1], status[k]):
+                return True
+    return False
+
+
 def crossing_pairs(edges: Sequence[Segment], ps: PointSet) -> list[tuple[Segment, Segment]]:
-    """All properly crossing pairs within one edge list (O(m^2) exact check)."""
+    """All properly crossing pairs within one edge list, in list order.
+
+    The sweep decides whether any pair crosses; only then does the exact
+    all-pairs scan run to list them."""
+    if not has_crossing(edges, ps):
+        return []
+    return _all_crossing_pairs(edges, ps)
+
+
+def _all_crossing_pairs(edges: Sequence[Segment], ps: PointSet) -> list[tuple[Segment, Segment]]:
+    """The exact O(m^2) scan behind `crossing_pairs`, and the sweep's oracle."""
     coords = [(*(ps.scaled(e.a)), *(ps.scaled(e.b))) for e in edges]
     out = []
     for i in range(len(edges)):

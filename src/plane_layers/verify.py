@@ -1,9 +1,9 @@
 """Independent verification of layer properties, the line-instance counting
 bound, and adversarial instance generation.
 
-verify_layers re-derives everything from scratch (exact all-pairs crossing
-checks, union-find spanning, a fresh MST bottleneck) and reports; it never
-raises on a property failure.
+verify_layers re-derives everything from scratch (an exact sweep for
+crossings, listing the pairs only when one exists; union-find spanning; a
+fresh MST bottleneck) and reports; it never raises on a property failure.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ class LayerReport:
     bottleneck: float
     ratio: float
     edges: int
+    longest_sq: Fraction  # exact square of `bottleneck`; not serialised
     overlaps: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
 
 
@@ -39,6 +40,7 @@ class VerificationReport:
     duplicate_edges: tuple[tuple[int, int], ...]
     overall_max_ratio: float
     over_twice_bottleneck: int
+    beta_sq: Fraction | None  # exact squared MST bottleneck; not serialised
 
     @property
     def all_plane(self) -> bool:
@@ -50,19 +52,19 @@ class VerificationReport:
 
     def ok(
         self,
-        max_ratio: float | None = None,
+        max_len_sq: Fraction | None = None,
         allow_shared: int = 0,
         max_over_twice: int | None = None,
     ) -> bool:
         """True when every layer is plane and spanning, at most
-        `allow_shared` distinct edges repeat across layers, the worst ratio
-        stays within `max_ratio` (with 1e-9 relative slack), and at most
-        `max_over_twice` edges exceed twice the MST bottleneck."""
+        `allow_shared` distinct edges repeat across layers, no edge is
+        longer than sqrt(`max_len_sq`) (compared exactly, in squares), and at
+        most `max_over_twice` edges exceed twice the MST bottleneck."""
         if not (self.all_plane and self.all_spanning):
             return False
         if len(self.duplicate_edges) > allow_shared:
             return False
-        if max_ratio is not None and self.overall_max_ratio > max_ratio * (1 + 1e-9):
+        if max_len_sq is not None and any(l.longest_sq > max_len_sq for l in self.per_layer):
             return False
         if max_over_twice is not None and self.over_twice_bottleneck > max_over_twice:
             return False
@@ -132,6 +134,7 @@ def verify_layers(
                 bottleneck=bott,
                 ratio=ratio,
                 edges=len(layer),
+                longest_sq=top_sq,
                 overlaps=overlaps,
             )
         )
@@ -153,6 +156,7 @@ def verify_layers(
         duplicate_edges=tuple(sorted(dups)),
         overall_max_ratio=max((r.ratio for r in reports), default=0.0),
         over_twice_bottleneck=over_twice,
+        beta_sq=be_sq,
     )
 
 

@@ -196,7 +196,7 @@ def test_criterion_9_mutation_sensitivity():
         for _ in range(100):
             mutated = random_edge_mutation(base, ps, rng)
             rep = verify_layers(mutated, ps)
-            if not rep.ok(max_ratio=float(tt.bound), max_over_twice=over):
+            if not rep.ok(max_len_sq=tt.bound**2 * rep.beta_sq, max_over_twice=over):
                 tripped += 1
         assert tripped >= 99
     print("\nPASS criterion 9: >=99/100 mutations tripped on each golden instance")

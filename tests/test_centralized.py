@@ -1,5 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from plane_layers import centralized
 from plane_layers.centralized import (
     Recoloring,
     build_two_disjoint_trees,
@@ -11,8 +15,8 @@ from plane_layers.centralized import (
     select_P,
     side_split,
 )
-from plane_layers.errors import PreconditionError
-from plane_layers.geometry import PointSet, Segment
+from plane_layers.errors import InternalAssertionError, PreconditionError
+from plane_layers.geometry import PointSet, Segment, properly_cross
 from plane_layers.mst import bottleneck, build_emst, root_at_leaf
 from plane_layers.verify import gen_line_instance, verify_layers
 
@@ -378,3 +382,37 @@ def test_line_family_ratio_bounds():
         worst = max(tt.max_ratio_red, tt.max_ratio_blue)
         assert worst <= 3 + 1e-9
         assert worst >= 2 - 1e-2
+
+
+# Stage and message the former edge-by-edge check in _Assembler.add gave for
+# the same injections: one caught in the stage that adds the crossing edge, one
+# only when a later subtree adds the first edge it crosses.
+@pytest.mark.parametrize(
+    "seed, stage, message",
+    [
+        (2, "flat-subtree-2", "flat construction at 5: red edges Segment(a=3, b=11) "
+         "and Segment(a=5, b=10) cross"),
+        (7, "flat-subtree-3", "flat construction at 1: red edges Segment(a=12, b=17) "
+         "and Segment(a=14, b=22) cross"),
+    ],
+)
+def test_injected_crossing_names_first_crossing_stage(monkeypatch, seed, stage, message):
+    ps = random_point_set(random.Random(seed), 30)
+    good = build_two_disjoint_trees(ps)
+    used = set(good.red) | set(good.blue)
+    by_length = sorted((ps.sdist_sq(a, b), Segment(a, b)) for a, b in combinations(ps.ids, 2))
+    inject = next(e for _, e in by_length if e not in used
+                  and sum(properly_cross(e, r, ps) for r in good.red) >= 2)
+    original = centralized._subtree_contribution
+    calls = []
+
+    def with_injection(*args, **kwargs):
+        red, blue = original(*args, **kwargs)
+        calls.append(None)
+        return (red + [inject] if len(calls) == 2 else red), blue
+
+    monkeypatch.setattr(centralized, "_subtree_contribution", with_injection)
+    with pytest.raises(InternalAssertionError) as info:
+        build_two_disjoint_trees(ps)
+    assert info.value.stage == stage
+    assert str(info.value) == f"[{stage}] {message}"

@@ -1,5 +1,9 @@
 import json
+from fractions import Fraction
 
+import pytest
+
+from plane_layers import cli, distributed, mst, verify
 from plane_layers.cli import main
 from plane_layers.geometry import PointSet
 
@@ -148,3 +152,100 @@ def test_build_outputs_byte_identical(tmp_path):
                    "--out", str(out)) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+BAD_EDGES = [
+    [[-1, 3]],  # negative id: would index from the end of the point list
+    [[0, 5]],  # out of range for five points
+    [[2, 2]],  # self-loop
+    [[0, 1, 2]],
+    [[0]],
+    [["0", "1"]],
+    [[0.5, 1]],
+    [[True, 1]],
+    [7],
+]
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["{not json", "[]", json.dumps({"kind": "distributed", "k": 1, "layers": {"0": []}})]
+    + [json.dumps({"kind": "distributed", "k": 1, "layers": [edges]}) for edges in BAD_EDGES]
+    + [json.dumps({"kind": "two-tree", "red": [[0, 1]], "blue": edges}) for edges in BAD_EDGES],
+)
+@pytest.mark.parametrize("command", ["verify", "stats", "render"])
+def test_malformed_layer_files_are_usage_errors(tmp_path, capsys, content, command):
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0 0\n1 1 0\n2 1 1\n3 0 1\n4 2 0\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    argv = [command, str(pts), str(bad)]
+    if command == "render":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"kind": "two-tree", "bound": "2", "red": [], "blue": []},
+        {"kind": "distributed", "k": 1, "betaSq": "1/0", "layers": []},
+        {"kind": "distributed", "k": 1, "betaSq": 0.5, "layers": []},
+        {"kind": "distributed", "betaSq": "1/1", "layers": []},
+    ],
+)
+def test_malformed_layer_metadata_is_usage_error(tmp_path, meta):
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0 0\n1 1 0\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(meta))
+    assert run("verify", str(pts), str(bad)) == 2
+
+
+@pytest.mark.parametrize("kind", ["two-tree", "distributed"])
+def test_verify_length_bound_is_exact(tmp_path, kind):
+    """An edge longer than the bound by far less than 1e-9 relative fails."""
+    pts = tmp_path / "p.txt"
+    # MST 0-1-2-3 has bottleneck 1; edge 0-3 has length 2 + 1e-10
+    pts.write_text("0 0 0\n1 1 0\n2 2 0\n3 2.0000000001 0\n")
+    layers = tmp_path / "layers.json"
+
+    def verify_with(**meta):
+        if kind == "two-tree":
+            data = {"kind": kind, "shared": None,
+                    "red": [[0, 1], [1, 2], [2, 3]], "blue": [[0, 2], [1, 3], [0, 3]], **meta}
+        else:  # the longest layer edge, 0-2, has length 2
+            data = {"kind": kind, "k": 1, "layers": [[[0, 1], [0, 2], [2, 3]]], **meta}
+        layers.write_text(json.dumps(data))
+        return run("verify", str(pts), str(layers))
+
+    if kind == "two-tree":
+        assert verify_with(bound=3) == 0
+        assert verify_with(bound=2) == 4  # (2 + 1e-10)^2 > 2^2 * 1
+    else:
+        # 288 * betaSq is the squared length limit
+        assert verify_with(betaSq="4/288") == 0
+        below = Fraction(2 * 10**12 - 1, 10**12) ** 2 / 288  # limit 2 - 1e-12
+        assert verify_with(betaSq=f"{below.numerator}/{below.denominator}") == 4
+
+
+def test_one_emst_per_cli_call(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(ps):
+        calls.append(None)
+        return mst.build_emst(ps)
+
+    for module in (cli, distributed, verify):
+        monkeypatch.setattr(module, "build_emst", counted)
+    pts = tmp_path / "p.txt"
+    assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "4", "--out", str(pts)) == 0
+    out = tmp_path / "layers.json"
+    for extra in ([], ["--beta", "400"]):
+        for command in (["build", str(pts), "--mode", "distributed", "--k", "1",
+                         *extra, "--out", str(out)],
+                        ["verify", str(pts), str(out)]):
+            calls.clear()
+            assert run(*command) == 0
+            assert len(calls) == 1, command

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import cmp_to_key
+from itertools import chain, combinations
 
 import pytest
 
+from plane_layers import distributed
 from plane_layers.distributed import (
     QuadVal,
     _cell_index,
@@ -16,8 +19,8 @@ from plane_layers.distributed import (
     locality_certificate,
     tukey_depth,
 )
-from plane_layers.errors import PreconditionError
-from plane_layers.geometry import PointSet, crossing_pairs
+from plane_layers.errors import InternalAssertionError, PreconditionError
+from plane_layers.geometry import PointSet, Segment, crossing_pairs, properly_cross
 from plane_layers.mst import bottleneck, build_emst
 from plane_layers.unionfind import UnionFind
 from plane_layers.verify import verify_layers
@@ -103,38 +106,40 @@ def test_grid_dense_cell_keeps_own_points(rng):
 
 
 def brute_depth(cx, cy, pts):
-    """Independent O(m^3)-flavored oracle: closed-halfplane counts over all
-    point-pair directions and all candidate-to-point directions."""
-    dirs = []
-    for (ax, ay), (bx, by) in combinations(pts, 2):
-        dirs.append((bx - ax, by - ay))
-    for px, py in pts:
-        dirs.append((px - cx, py - cy))
-    cleaned = [d for d in dirs if d != (0, 0)]
-    # probe strictly between consecutive directions as well
+    """Independent exact oracle: closed-halfplane counts through the candidate
+    over all point-pair and candidate-to-point directions, and over one
+    direction strictly between each pair of angular neighbours.
+
+    Everything is scaled to integers by the common denominator of the
+    candidate and the points; directions are gcd-normalised into the upper
+    half-plane and sorted exactly by cross products."""
+    cx, cy = Fraction(cx), Fraction(cy)
+    scale = math.lcm(*(Fraction(v).denominator for v in (cx, cy, *chain(*pts))))
+    ox, oy = int(cx * scale), int(cy * scale)
+    rel = [(int(Fraction(px) * scale) - ox, int(Fraction(py) * scale) - oy) for px, py in pts]
     canon = set()
-    for dx, dy in cleaned:
+    for (ax, ay), (bx, by) in combinations([(0, 0), *rel], 2):
+        dx, dy = bx - ax, by - ay
+        if dx == dy == 0:
+            continue
+        g = math.gcd(dx, dy)
+        dx, dy = dx // g, dy // g
         if dy < 0 or (dy == 0 and dx < 0):
             dx, dy = -dx, -dy
-        canon.add((dx / dy, Fraction(1)) if dy > 0 else (Fraction(1), Fraction(0)))
-    ordered = sorted(canon, key=lambda d: (float(d[0]) if d[1] else float("inf")))
+        canon.add((dx, dy))
+    # counterclockwise from the positive x-axis, all within [0, pi)
+    ordered = sorted(canon, key=cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1]))
     probes = list(ordered)
     for a, b in zip(ordered, ordered[1:]):
         probes.append((a[0] + b[0], a[1] + b[1]))
     if len(ordered) > 1:
         probes.append((ordered[-1][0] - ordered[0][0], ordered[-1][1] - ordered[0][1]))
     best = len(pts)
-    for d in probes:
-        left = right = on = 0
-        for px, py in pts:
-            s = d[0] * (py - cy) - d[1] * (px - cx)
-            if s > 0:
-                left += 1
-            elif s < 0:
-                right += 1
-            else:
-                on += 1
-        best = min(best, min(left, right) + on)
+    for dx, dy in probes:
+        sides = [dx * qy - dy * qx for qx, qy in rel]
+        left = sum(1 for v in sides if v > 0)
+        right = sum(1 for v in sides if v < 0)
+        best = min(best, min(left, right) + len(sides) - left - right)
     return best
 
 
@@ -305,6 +310,34 @@ def test_build_k_layers_uniform_hundred(rng):
     for layer in ls.layers:
         for e in layer:
             assert ps.seg_len_sq(e) <= limit
+
+
+def test_build_k_layers_asserts_plane_layers(monkeypatch):
+    ps = random_point_set(random.Random(3), 100)
+    layer = build_k_layers(ps, 1).layers[0]
+    by_length = sorted((ps.sdist_sq(a, b), Segment(a, b)) for a, b in combinations(ps.ids, 2))
+    inject = next(e for _, e in by_length
+                  if e not in layer and any(properly_cross(e, f, ps) for f in layer))
+    original = distributed.connect_boxes
+
+    def with_crossing_connector(*args):
+        connectors = original(*args)
+        connectors[0].append(inject)
+        return connectors
+
+    monkeypatch.setattr(distributed, "connect_boxes", with_crossing_connector)
+    with pytest.raises(InternalAssertionError) as info:
+        build_k_layers(ps, 1)
+    dump = info.value.dump
+    assert info.value.stage == dump["stage"] == "layer-planarity"
+    first = crossing_pairs(sorted([*layer, inject]), ps)[0]
+    assert dump["crossing"] == [first[0].as_pair(), first[1].as_pair()]
+    assert (dump["k"], dump["layer"]) == (1, 0)
+    # the dump alone reproduces the crossing
+    replay = PointSet.from_text(dump["points"])
+    assert replay.coords() == ps.coords()
+    assert Fraction(dump["betaSq"]) == bottleneck(build_emst(replay), replay).length_sq
+    assert properly_cross(Segment(*dump["crossing"][0]), Segment(*dump["crossing"][1]), replay)
 
 
 def test_build_k_layers_rejects_small_n(rng):

@@ -13,7 +13,10 @@ from plane_layers.geometry import (
     ccw_order_around,
     collinear_overlap,
     convex_hull,
+    _all_crossing_pairs,
+    crossing_pairs,
     format_coord,
+    has_crossing,
     orientation,
     orientation_ids,
     properly_cross,
@@ -91,6 +94,43 @@ def test_properly_cross_against_rational_oracle():
         s1, s2 = Segment(a, b), Segment(c, d)
         assert properly_cross(s1, s2, ps) == _cross_via_rational_solve(s1, s2, ps)
         checked += 1
+
+
+def test_sweep_matches_all_pairs_on_small_grids():
+    """Dense points on 3x3..10x10 grids make collinear overlaps, T-junctions,
+    axis-parallel edges, repeated edges and shared endpoints common."""
+    rng = random.Random(20261018)
+    outcomes = {True: 0, False: 0}
+    for _ in range(20000):
+        g = rng.randint(3, 10)
+        cells = [(x, y) for x in range(g) for y in range(g)]
+        ps = PointSet(rng.sample(cells, rng.randint(2, min(len(cells), 14))))
+        edges = [Segment(*rng.sample(ps.ids, 2)) for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.2:
+            edges.append(rng.choice(edges))
+        expected = _all_crossing_pairs(edges, ps)
+        assert has_crossing(edges, ps) == bool(expected), (ps.coords(), edges)
+        assert crossing_pairs(edges, ps) == expected
+        outcomes[bool(expected)] += 1
+    assert min(outcomes.values()) > 5000
+
+
+def test_sweep_on_plane_sets_plus_one_edge():
+    """Maximal-ish plane edge sets on small grids, then one more edge."""
+    rng = random.Random(7)
+    for _ in range(1500):
+        g = rng.randint(3, 8)
+        cells = [(x, y) for x in range(g) for y in range(g)]
+        ps = PointSet(rng.sample(cells, rng.randint(3, min(len(cells), 20))))
+        edges = []
+        for _ in range(40):
+            e = Segment(*rng.sample(ps.ids, 2))
+            if not any(properly_cross(e, f, ps) for f in edges):
+                edges.append(e)
+        rng.shuffle(edges)
+        assert not has_crossing(edges, ps)
+        extra = Segment(*rng.sample(ps.ids, 2))
+        assert has_crossing(edges + [extra], ps) == bool(_all_crossing_pairs(edges + [extra], ps))
 
 
 def test_convex_hull_square_and_collinear():

@@ -1,8 +1,9 @@
 import pytest
 
 from plane_layers.centralized import build_two_disjoint_trees, construction1
+from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
-from plane_layers.geometry import PointSet, Segment
+from plane_layers.geometry import PointSet, Segment, _all_crossing_pairs, has_crossing
 from plane_layers.mst import build_emst, root_at_leaf
 from plane_layers.verify import (
     counting_lower_bound,
@@ -23,7 +24,7 @@ def test_verify_construction1_output(rng):
         rep = verify_layers(tt.layers(), ps)
         assert rep.all_plane and rep.all_spanning
         assert rep.duplicate_edges == (tt.shared.as_pair(),)
-        assert rep.ok(max_ratio=2.0, allow_shared=1)
+        assert rep.ok(max_len_sq=4 * rep.beta_sq, allow_shared=1)
 
 
 def test_verify_detects_corruption(rng):
@@ -102,11 +103,31 @@ def test_mutations_trip_checks(rng):
     tt = build_two_disjoint_trees(ps)
     base = tt.layers()
     over = 0 if tt.bound == 2 else 1
-    assert verify_layers(base, ps).ok(max_ratio=float(tt.bound), max_over_twice=over)
+    rep = verify_layers(base, ps)
+    assert rep.ok(max_len_sq=tt.bound**2 * rep.beta_sq, max_over_twice=over)
     tripped = 0
     for _ in range(100):
         mutated = random_edge_mutation(base, ps, rng)
         rep = verify_layers(mutated, ps)
-        if not rep.ok(max_ratio=float(tt.bound), max_over_twice=over):
+        if not rep.ok(max_len_sq=tt.bound**2 * rep.beta_sq, max_over_twice=over):
             tripped += 1
     assert tripped >= 99
+
+
+def test_sweep_matches_all_pairs_on_mutated_layers(rng):
+    """Criterion-9-style endpoint swaps on built two-tree and k-layer layers."""
+    built = []
+    for ps in (gen_line_instance(33, "0.001"), random_point_set(rng, 60)):
+        built.append((ps, build_two_disjoint_trees(ps).layers()))
+    ps = random_point_set(rng, 120)
+    built.append((ps, [list(layer) for layer in build_k_layers(ps, 2).layers]))
+    crossing = 0
+    for ps, layers in built:
+        for layer in layers:
+            assert not has_crossing(layer, ps) and not _all_crossing_pairs(layer, ps)
+        for _ in range(150):
+            for layer in random_edge_mutation(layers, ps, rng):
+                expected = bool(_all_crossing_pairs(layer, ps))
+                assert has_crossing(layer, ps) == expected
+                crossing += expected
+    assert crossing >= 150
