@@ -38,7 +38,6 @@ from .errors import (
     InternalAssertionError,
     PlaneLayersError,
     PreconditionError,
-    PropertyViolationError,
     UsageError,
 )
 from .geometry import (

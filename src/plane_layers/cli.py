@@ -94,6 +94,13 @@ def _beta_sq(meta: dict) -> Fraction:
         raise UsageError(f"layers file: 'betaSq' must be 'num/den', got {text!r}") from exc
 
 
+def _number_arg(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{flag} must be a number, got {text!r}") from exc
+
+
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise UsageError("n must be >= 1")
@@ -132,8 +139,9 @@ def _distinct_points(rng, n, sample):
 
 def cmd_build(args) -> int:
     ps = _load_points(args.input)
+    beta = _number_arg("--beta", args.beta) if args.beta else None
     if args.perturb is not None:
-        eps = Fraction(args.perturb) if args.perturb else None
+        eps = _number_arg("--perturb", args.perturb) if args.perturb else None
         ps = ps.perturbed(eps)
     if args.mode == "two-tree":
         trees = build_two_disjoint_trees(ps)
@@ -143,7 +151,6 @@ def cmd_build(args) -> int:
         max_ratio = max(trees.max_ratio_red, trees.max_ratio_blue)
         print(f"layers=2 maxRatio={max_ratio:.6f} bound={trees.bound}")
         return 0
-    beta = Fraction(args.beta) if args.beta else None
     be_sq = None
     if beta is not None and len(ps) >= 2:
         be = bottleneck(build_emst(ps), ps)

@@ -258,12 +258,6 @@ class _ScaledPoints:
         return [(px * f - icx, py * f - icy) for px, py in self.ints]
 
 
-def _int_offsets(cx: Fraction, cy: Fraction, pts) -> list[tuple[int, int]]:
-    """Scale the point offsets from (cx, cy) to a common integer grid so the
-    sign arithmetic below runs on machine integers."""
-    return _ScaledPoints(pts).offsets(cx, cy)
-
-
 def tukey_depth(cx: Fraction, cy: Fraction, pts: Sequence[tuple[Fraction, Fraction]],
                 stop_below: int | None = None,
                 scaled: "_ScaledPoints | None" = None) -> int:

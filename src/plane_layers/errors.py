@@ -25,10 +25,6 @@ class GeneralPositionError(PreconditionError):
     constructions cannot handle without perturbation."""
 
 
-class PropertyViolationError(PlaneLayersError):
-    """A verified property failed on otherwise well-formed data (exit code 4)."""
-
-
 class InternalAssertionError(PlaneLayersError):
     """A case-analysis invariant failed during construction (exit code 5).
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .geometry import PointSet, Segment, collinear_overlap, crossing_pairs
+from .geometry import PHI, PointSet, Segment, collinear_overlap, crossing_pairs
 from .mst import bottleneck, build_emst
 from .unionfind import UnionFind
 
@@ -194,10 +194,9 @@ def gen_line_instance(n: int, epsilon) -> PointSet:
     eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
     if eps <= 0:
         raise PreconditionError("epsilon must be positive")
-    phi = Fraction("0.6180339887")
     pts = []
     for i in range(n):
-        frac = (i * phi) % 1
+        frac = (i * PHI) % 1
         pts.append((Fraction(i), eps * (frac - Fraction(1, 2))))
     return PointSet(pts)
 

@@ -28,7 +28,7 @@ from plane_layers.verify import (
     verify_layers,
 )
 
-from conftest import random_point_set
+from conftest import acceptance_line_pool, acceptance_uniform_pool, random_point_set
 from test_distributed import brute_depth
 
 RATIO_SLACK = 1 + 1e-9
@@ -44,14 +44,12 @@ def _leaf_root(edges):
 
 @pytest.fixture(scope="module")
 def uniform_pool():
-    rng = random.Random(510)
-    return [random_point_set(rng, rng.randint(4, 64)) for _ in range(500)]
+    return acceptance_uniform_pool()
 
 
 @pytest.fixture(scope="module")
 def line_pool():
-    rng = random.Random(511)
-    return [gen_line_instance(rng.randint(4, 64), "0.001") for _ in range(100)]
+    return acceptance_line_pool()
 
 
 def test_criterion_1_construction1_suite(uniform_pool):

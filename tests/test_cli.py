@@ -71,6 +71,18 @@ def test_build_distributed_beta_override(tmp_path):
                "--beta", "0.001", "--out", str(out)) == 3
 
 
+@pytest.mark.parametrize("flag", ["--beta", "--perturb"])
+@pytest.mark.parametrize("mode", ["two-tree", "distributed"])
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_build_rejects_bad_numbers(tmp_path, capsys, flag, mode, value):
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0 0\n1 1 0\n2 1 1\n3 0 1\n")
+    out = tmp_path / "out.json"
+    assert run("build", str(pts), "--mode", mode, flag, value, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} must be a number")
+    assert not out.exists()
+
+
 def test_build_distributed_k_too_large(tmp_path):
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "20", "--seed", "5", "--out", str(pts)) == 0

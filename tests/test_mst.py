@@ -1,15 +1,17 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from plane_layers.errors import PreconditionError
-from plane_layers.geometry import PointSet, Segment, properly_cross
+from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
 from plane_layers.mst import (
     Mst2Kind,
     adjacent_edges_at_least_sixty_degrees,
     bottleneck,
     build_emst,
+    delaunay_triangles,
     format_tree,
     lemma_mst2_cross,
     lemma_triangle_empty,
@@ -19,8 +21,47 @@ from plane_layers.mst import (
     root_at_leaf,
 )
 from plane_layers.unionfind import UnionFind
+from plane_layers.verify import gen_line_instance
 
-from conftest import random_point_set
+from conftest import acceptance_line_pool, acceptance_uniform_pool, random_point_set
+
+
+def prim_emst(ps):
+    """Reference EMST: Prim over the complete graph, O(n^2).
+
+    Equal-weight candidates tie-break on the (min id, max id) edge key, so
+    this is the unique MST under the (squared length, min id, max id) order;
+    `build_emst` must return exactly its edges.
+    """
+    n = len(ps)
+    if n == 1:
+        return []
+    best_d = [None] * n
+    best_edge = [None] * n
+    in_tree = [False] * n
+    in_tree[0] = True
+    for w in range(1, n):
+        best_d[w] = ps.sdist_sq(0, w)
+        best_edge[w] = (0, w)
+    edges = []
+    for _ in range(n - 1):
+        pick = -1
+        for w in range(n):
+            if in_tree[w]:
+                continue
+            if pick < 0 or (best_d[w], best_edge[w]) < (best_d[pick], best_edge[pick]):
+                pick = w
+        edges.append(Segment(*best_edge[pick]))
+        in_tree[pick] = True
+        for w in range(n):
+            if in_tree[w]:
+                continue
+            nd = ps.sdist_sq(pick, w)
+            key = (min(pick, w), max(pick, w))
+            if nd < best_d[w] or (nd == best_d[w] and key < best_edge[w]):
+                best_d[w] = nd
+                best_edge[w] = key
+    return sorted(edges)
 
 
 def kruskal_weight(ps):
@@ -52,6 +93,111 @@ def test_emst_weight_matches_kruskal(rng):
         assert len(edges) == 11
         got = sum(ps.seg_len_sq(e) for e in edges)
         assert got == kruskal_weight(ps)
+
+
+def _shuffled(rng, coords):
+    """A point set whose ids are a random permutation of `coords`."""
+    coords = list(coords)
+    rng.shuffle(coords)
+    return PointSet(coords)
+
+
+def test_emst_equals_prim_on_acceptance_pools():
+    for ps in acceptance_uniform_pool() + acceptance_line_pool():
+        assert build_emst(ps) == prim_emst(ps)
+
+
+def test_emst_equals_prim_on_small_integer_grids():
+    """Many collinear triples, equal lengths and co-circular quadruples."""
+    rng = random.Random(71)
+    for _ in range(300):
+        side = rng.randint(2, 8)
+        cells = [(x, y) for x in range(side) for y in range(side)]
+        ps = _shuffled(rng, rng.sample(cells, rng.randint(1, min(30, len(cells)))))
+        assert build_emst(ps) == prim_emst(ps)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_emst_equals_prim_on_full_lattices(k):
+    ps = PointSet([(x, y) for x in range(k) for y in range(k)])
+    assert build_emst(ps) == prim_emst(ps)
+
+
+def test_emst_of_collinear_sets_is_the_path():
+    rng = random.Random(72)
+    for n in (2, 3, 4, 9, 40):
+        for make in (lambda t: (t, 5), lambda t: (-3, t)):
+            ps = _shuffled(rng, [make(t) for t in rng.sample(range(-50, 50), n)])
+            order = sorted(ps.ids, key=ps.scaled)
+            path = sorted(Segment(a, b) for a, b in zip(order, order[1:]))
+            assert delaunay_triangles(ps) == []
+            assert build_emst(ps) == prim_emst(ps) == path
+
+
+def test_emst_of_one_two_three_points():
+    with pytest.raises(PreconditionError):
+        build_emst(PointSet([]))
+    for coords in ([(3, 4)], [(3, 4), (0, 0)], [(0, 0), (2, 0), (1, 0)],
+                   [(0, 0), (2, 0), (1, 1)], [(2, 0), (0, 0), (1, -3)]):
+        ps = PointSet(coords)
+        assert build_emst(ps) == prim_emst(ps)
+
+
+@pytest.mark.parametrize("n", [5, 17, 100, 501])
+def test_emst_equals_prim_on_line_instances(n):
+    ps = gen_line_instance(n, "0.001")
+    assert build_emst(ps) == prim_emst(ps)
+
+
+def test_emst_equals_prim_on_jittered_lattices():
+    """22 x 22 lattices, spacing 10, each coordinate moved by up to +-3."""
+    for seed in range(5):
+        rng = random.Random(seed)
+        ps = PointSet([
+            (f"{i * 10 + rng.uniform(-3, 3):.6f}", f"{j * 10 + rng.uniform(-3, 3):.6f}")
+            for i in range(22)
+            for j in range(22)
+        ])
+        assert build_emst(ps) == prim_emst(ps)
+
+
+def _strictly_in_circumcircle(ps, tri, p):
+    """Exact circumcenter test with rationals, independent of the incircle
+    determinant."""
+    (ax, ay), (bx, by), (cx, cy) = (ps.scaled(i) for i in tri)
+    px, py = ps.scaled(p)
+    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    ux = Fraction(a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by), d)
+    uy = Fraction(a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax), d)
+    return (px - ux) ** 2 + (py - uy) ** 2 < (ax - ux) ** 2 + (ay - uy) ** 2
+
+
+def test_delaunay_triangles_have_empty_circumcircles():
+    rng = random.Random(73)
+    for trial in range(120):
+        if trial % 2:
+            ps = random_point_set(rng, rng.randint(3, 25), extent=20)
+        else:
+            side = rng.randint(2, 6)
+            cells = [(x, y) for x in range(side) for y in range(side)]
+            ps = _shuffled(rng, rng.sample(cells, rng.randint(3, len(cells))))
+        tris = delaunay_triangles(ps)
+        area2 = 0
+        for tri in tris:
+            (ax, ay), (bx, by), (cx, cy) = (ps.scaled(i) for i in tri)
+            twice = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            assert twice > 0, tri  # strictly ccw
+            area2 += twice
+            for p in ps.ids:
+                assert not _strictly_in_circumcircle(ps, tri, p), (tri, p)
+        # the triangles cover the convex hull once and use every point
+        hull = [ps.scaled(i) for i in convex_hull(list(ps.ids), ps)]
+        hull_area2 = sum(x0 * y1 - x1 * y0
+                         for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))
+        assert area2 == hull_area2
+        if tris:
+            assert {v for tri in tris for v in tri} == set(ps.ids)
 
 
 def test_bottleneck_unit_line():
