@@ -7,9 +7,14 @@ depth-n/3 center point of its in-box points, assigned outside points attach
 to the representative of the sector containing them, and adjacent dense
 boxes are joined through mutually-contained representative pairs.
 
-beta is typically the MST bottleneck, an irrational square root, so all grid
-arithmetic runs in the field extension Q[sqrt(q)] with q = beta^2 rational:
-cell indices, center distances and tie-breaks are exact.
+beta is typically the MST bottleneck, an irrational square root, yet every
+predicate stays exact and integer-only.  With q = beta^2 = N/M and the point
+set's integer grid of scale S, a cell index is an integer square root of a
+ratio of integers, and the nearer of two dense-cell centers is the sign of
+A*sqrt(N*M) - B for integers A and B, decided by comparing A^2*N*M with B^2.
+Center points, angular orders and sector tests run on integer offsets from a
+rational center (`PointSet.offsets`); Tukey depth is one angular sort and a
+linear sweep.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -29,6 +35,7 @@ from .geometry import (
     Point,
     PointSet,
     Segment,
+    angular_order,
     convex_hull,
     crossing_pairs,
     cw_order_around,
@@ -42,81 +49,22 @@ from .unionfind import UnionFind
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class QuadVal:
-    """Exact number a + b*sqrt(q) with rational a, b and fixed rational q > 0."""
+def _cell_index(v: int, scale: int, sm: int, q: Fraction) -> int:
+    """Exact floor(x / (sm * sqrt(q))) for the coordinate x = v / scale.
 
-    a: Fraction
-    b: Fraction
-    q: Fraction
-
-    def __add__(self, o: "QuadVal") -> "QuadVal":
-        return QuadVal(self.a + o.a, self.b + o.b, self.q)
-
-    def __sub__(self, o: "QuadVal") -> "QuadVal":
-        return QuadVal(self.a - o.a, self.b - o.b, self.q)
-
-    def __mul__(self, o: "QuadVal") -> "QuadVal":
-        return QuadVal(
-            self.a * o.a + self.b * o.b * self.q,
-            self.a * o.b + self.b * o.a,
-            self.q,
-        )
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2*q
-        lhs, rhs = a * a, b * b * self.q
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
-
-    def __lt__(self, o: "QuadVal") -> bool:
-        return (self - o).sign() < 0
-
-    def __eq__(self, o: object) -> bool:
-        return isinstance(o, QuadVal) and (self - o).a == 0 and (self - o).b == 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(float(self.q))
+    (x / side)^2 = v^2 * M / (scale^2 * sm^2 * N) with q = N / M, so the
+    index is an integer square root; a point on a cell boundary belongs to
+    the higher-index cell, matching the floor convention."""
+    num = v * v * q.denominator
+    den = (scale * sm) ** 2 * q.numerator
+    if v >= 0:
+        return math.isqrt(num // den)
+    return -(math.isqrt(-(-num // den) - 1) + 1)  # -ceil(sqrt(num / den))
 
 
-def _rat(x, q: Fraction) -> QuadVal:
-    return QuadVal(Fraction(x), Fraction(0), q)
-
-
-def _cell_index(x: Fraction, side_mult: int, q: Fraction) -> int:
-    """Exact floor(x / (side_mult * sqrt(q))); boundary points stay in the
-    higher-index cell, matching the floor convention."""
-    est = float(x) / (side_mult * math.sqrt(float(q)))
-    m = math.floor(est)
-    ray = QuadVal(Fraction(x), Fraction(-side_mult) * (m + 1), q)
-    while ray.sign() >= 0:  # x >= (m+1)*side
-        m += 1
-        ray = QuadVal(Fraction(x), Fraction(-side_mult) * (m + 1), q)
-    low = QuadVal(Fraction(x), Fraction(-side_mult) * m, q)
-    while low.sign() < 0:  # x < m*side
-        m -= 1
-        low = QuadVal(Fraction(x), Fraction(-side_mult) * m, q)
-    return m
-
-
-def _center_dist_sq(ps: PointSet, p: int, cell: Cell, side_mult: int, q: Fraction) -> QuadVal:
-    """Exact squared distance from point p to the center of `cell`, whose
-    coordinates are (i + 1/2, j + 1/2) times side_mult*sqrt(q)."""
-    total = _rat(0, q)
-    for coord, idx in ((ps.x(p), cell[0]), (ps.y(p), cell[1])):
-        d = QuadVal(coord, -Fraction(2 * idx + 1, 2) * side_mult, q)
-        total = total + d * d
-    return total
+def _cell_of(ps: PointSet, p: int, sm: int, q: Fraction) -> Cell:
+    x, y = ps.scaled(p)
+    return (_cell_index(x, ps.scale, sm, q), _cell_index(y, ps.scale, sm, q))
 
 
 @dataclass(frozen=True)
@@ -139,8 +87,16 @@ class GridIndex:
     def cell_side(self) -> float:
         return self.side_mult * math.sqrt(float(self.beta_sq))
 
+    @cached_property
+    def _assigned_by_box(self) -> dict[Cell, list[int]]:
+        by_box: dict[Cell, list[int]] = {}
+        for p in sorted(self.assignment):
+            by_box.setdefault(self.assignment[p], []).append(p)
+        return by_box
+
     def assigned_to(self, box: Cell) -> list[int]:
-        return sorted(p for p, b in self.assignment.items() if b == box)
+        """Ids assigned to `box`, ascending."""
+        return list(self._assigned_by_box.get(box, ()))
 
 
 def _as_beta_sq(beta, ps: PointSet | None = None) -> Fraction:
@@ -174,7 +130,7 @@ def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
     cell_of: dict[int, Cell] = {}
     cells: dict[Cell, list[int]] = {}
     for p in ps.ids:
-        c = (_cell_index(ps.x(p), sm, q), _cell_index(ps.y(p), sm, q))
+        c = _cell_of(ps, p, sm, q)
         cell_of[p] = c
         cells.setdefault(c, []).append(p)
     dense = frozenset(c for c, members in cells.items() if len(members) >= 3 * k)
@@ -184,12 +140,7 @@ def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
         )
     assignment: dict[int, Cell] = {}
     for p in ps.ids:
-        ci, cj = cell_of[p]
-        candidates = [
-            c
-            for c in dense
-            if abs(c[0] - ci) <= 2 and abs(c[1] - cj) <= 2
-        ]
+        candidates = _dense_near(dense, cell_of[p])
         if not candidates:
             raise PreconditionError(
                 f"point {p} has no dense box within two cells; "
@@ -212,115 +163,114 @@ def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
     return gi
 
 
+def _dense_near(dense: frozenset[Cell], cell: Cell, radius: int = 2) -> list[Cell]:
+    """Dense cells within Chebyshev distance `radius` of `cell`, ascending."""
+    ci, cj = cell
+    return [
+        (ci + di, cj + dj)
+        for di in range(-radius, radius + 1)
+        for dj in range(-radius, radius + 1)
+        if (ci + di, cj + dj) in dense
+    ]
+
+
 def _nearest_center(
     ps: PointSet, p: int, candidates: Sequence[Cell], own: Cell, sm: int, q: Fraction
 ) -> Cell:
+    """The candidate cell whose center is nearest to p; exact ties go to p's
+    own cell, then to the lexicographically smallest cell.
+
+    Cell (i, j) has center (a, b) * sm * sqrt(q) / 2 with a = 2i+1, b = 2j+1.
+    Against the current best (a', b'), the squared distance of the point
+    (X, Y) / scale differs by a positive multiple of A*sqrt(N*M) - B, where
+    q = N/M, A = sm * scale * ((a^2 + b^2) - (a'^2 + b'^2)) and
+    B = 4*M*(X*(a - a') + Y*(b - b'))."""
+    x, y = ps.scaled(p)
+    f = sm * ps.scale
+    m4 = 4 * q.denominator
+    nm = q.numerator * q.denominator
     best: Cell | None = None
-    best_d: QuadVal | None = None
     for c in sorted(candidates):
-        d = _center_dist_sq(ps, p, c, sm, q)
         if best is None:
-            best, best_d = c, d
+            best = c
             continue
-        s = (d - best_d).sign()
-        if s < 0:
-            best, best_d = c, d
-        elif s == 0:
-            # exact tie: the point's own cell wins, then lexicographic order
-            if c == own:
-                best, best_d = c, d
-            elif best != own and c < best:
-                best, best_d = c, d
+        a, b = 2 * c[0] + 1, 2 * c[1] + 1
+        a0, b0 = 2 * best[0] + 1, 2 * best[1] + 1
+        big_a = f * (a * a + b * b - a0 * a0 - b0 * b0)
+        big_b = m4 * (x * (a - a0) + y * (b - b0))
+        s = _sign_sqrt_diff(big_a, big_b, nm)
+        # exact tie: the point's own cell wins, then lexicographic order
+        if s < 0 or (s == 0 and (c == own or (best != own and c < best))):
+            best = c
     return best
+
+
+def _sign_sqrt_diff(a: int, b: int, r: int) -> int:
+    """Sign of a*sqrt(r) - b for integers a, b and r > 0."""
+    if a >= 0 >= b:
+        return 1 if a or b else 0
+    if b >= 0 >= a:  # not both zero
+        return -1
+    c = a * a * r - b * b
+    s = (c > 0) - (c < 0)
+    return s if a > 0 else -s
 
 
 # --- center points ----------------------------------------------------------
 
 
-class _ScaledPoints:
-    """Points pre-scaled to a common integer grid; offsets from a rational
-    query point are produced with integer multiplies only."""
+def tukey_depth(
+    cx: Fraction, cy: Fraction, ids: Sequence[int], ps: PointSet,
+    stop_below: int | None = None,
+) -> int:
+    """Exact Tukey depth of (cx, cy) among the points `ids`: the minimum
+    number of them in a closed halfplane bounded by a line through it.
 
-    def __init__(self, pts: Sequence[tuple[Fraction, Fraction]]):
-        den = 1
-        for px, py in pts:
-            den = den * px.denominator // math.gcd(den, px.denominator)
-            den = den * py.denominator // math.gcd(den, py.denominator)
-        self.den = den
-        self.ints = [(int(px * den), int(py * den)) for px, py in pts]
-
-    def offsets(self, cx: Fraction, cy: Fraction) -> list[tuple[int, int]]:
-        cden = cx.denominator
-        cden = cden * cy.denominator // math.gcd(cden, cy.denominator)
-        full = self.den * cden // math.gcd(self.den, cden)
-        f = full // self.den
-        icx, icy = int(cx * full), int(cy * full)
-        return [(px * f - icx, py * f - icy) for px, py in self.ints]
-
-
-def tukey_depth(cx: Fraction, cy: Fraction, pts: Sequence[tuple[Fraction, Fraction]],
-                stop_below: int | None = None,
-                scaled: "_ScaledPoints | None" = None) -> int:
-    """Exact Tukey depth of (cx, cy): the minimum number of points in a
-    closed halfplane bounded by a line through it.
-
-    Candidate lines pass through the input points; strictly-between lines are
-    probed with exact direction sums.  `stop_below` allows early rejection.
+    O(m log m): the nonzero integer offsets from the center are sorted by
+    angle and grouped by ray.  Just past each ray a_i, the open halfplane to
+    the left of the line holds L_i = #offsets in (a_i, a_i + pi], found with a
+    second pointer that only moves forward, and the one to its right holds
+    m' - L_i; every generic line direction is just past some a_i or a_i + pi.
+    Points on the center lie in every closed halfplane, and the closed
+    halfplane minimum is reached at a generic direction, so the depth is
+    #zeros + min_i min(L_i, m' - L_i).  With `stop_below`, the sweep returns
+    as soon as the depth is known to be below it, with a value below it.
     """
-    vecs = (scaled or _ScaledPoints(pts)).offsets(cx, cy)
-    seen: set[tuple[int, int]] = set()
-    for dx, dy in vecs:
-        if dx == 0 and dy == 0:
-            continue
-        if dy < 0 or (dy == 0 and dx < 0):
-            dx, dy = -dx, -dy
-        g = math.gcd(dx, dy)
-        seen.add((dx // g, dy // g))  # canonical per line direction in [0, pi)
-    if not seen:
-        return len(pts)
-    dirs = _sort_halfplane_dirs(list(seen))
-    probes = list(dirs)
-    for i in range(len(dirs) - 1):
-        a, b = dirs[i], dirs[i + 1]
-        probes.append((a[0] + b[0], a[1] + b[1]))
-    if len(dirs) > 1:
-        a, b = dirs[-1], dirs[0]
-        probes.append((a[0] - b[0], a[1] - b[1]))  # between last and first+pi
-    else:
-        d = dirs[0]
-        probes.append((-d[1], d[0]))  # a single critical line: probe across it
-    depth = len(pts)
-    for dx, dy in probes:
-        left = right = on = 0
-        for vx, vy in vecs:
-            s = dx * vy - dy * vx
-            if s > 0:
-                left += 1
-            elif s < 0:
-                right += 1
+    vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
+    zeros = len(ids) - len(vecs)
+    m = len(vecs)
+    rays: list[tuple[int, int]] = []
+    counts: list[int] = []
+    for i in angular_order(vecs):
+        v = vecs[i]
+        if rays and rays[-1][0] * v[1] == rays[-1][1] * v[0] and (
+            rays[-1][0] * v[0] + rays[-1][1] * v[1] > 0
+        ):
+            counts[-1] += 1
+        else:
+            rays.append(v)
+            counts.append(1)
+    r = len(rays)
+    best = m
+    end, inside = 1, 0  # rays t+1 .. end-1 (mod r) lie in (a_t, a_t + pi]
+    for t in range(r):
+        ux, uy = rays[t]
+        while end < t + r:
+            wx, wy = rays[end % r]
+            c = ux * wy - uy * wx
+            if c > 0 or (c == 0 and ux * wx + uy * wy < 0):
+                inside += counts[end % r]
+                end += 1
             else:
-                on += 1
-        depth = min(depth, min(left, right) + on)
-        if stop_below is not None and depth < stop_below:
-            return depth
-    return depth
-
-
-def _sort_halfplane_dirs(dirs):
-    """Sort direction vectors lying in the half-plane [0, pi) by angle,
-    using exact cross-product comparisons."""
-    res: list = []
-    for d in dirs:
-        lo, hi = 0, len(res)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = res[mid][0] * d[1] - res[mid][1] * d[0]
-            if c > 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        res.insert(lo, d)
-    return res
+                break
+        best = min(best, inside, m - inside)
+        if stop_below is not None and zeros + best < stop_below:
+            break
+        if end > t + 1:
+            inside -= counts[(t + 1) % r]
+        else:
+            end = t + 2
+    return zeros + best
 
 
 def center_point(
@@ -342,49 +292,50 @@ def center_point(
     """
     if len(ids) < 3:
         raise PreconditionError("center point needs at least 3 points")
-    pts = [(ps.x(i), ps.y(i)) for i in ids]
-    m = len(pts)
-    ray_pts = [(ps.x(i), ps.y(i)) for i in (ray_ids if ray_ids is not None else ids)]
-    scaled = _ScaledPoints(pts)
-    rays_scaled = _ScaledPoints(ray_pts)
+    m = len(ids)
+    ray_ids = ids if ray_ids is None else ray_ids
     for target in ((m + 2) // 3, m // 3):
-        for cx, cy in _center_candidates(pts, target):
-            if tukey_depth(cx, cy, pts, stop_below=target, scaled=scaled) >= target:
-                nudged = _nudge_center(cx, cy, pts, target, ray_pts, scaled, rays_scaled)
+        for cx, cy in _center_candidates(ids, ps, target):
+            if tukey_depth(cx, cy, ids, ps, stop_below=target) >= target:
+                nudged = _nudge_center(cx, cy, ids, ps, target, ray_ids)
                 if nudged is not None:
                     return nudged
     raise InternalAssertionError("center-point", "no candidate reached the depth bound")
 
 
-def _center_candidates(pts, target):
+def _center_candidates(ids, ps, target):
     """Deterministic candidate stream: cheap high-yield guesses, then the
     depth region itself (a convex polygon cut out by point-pair-supported
     halfplanes, O(m^3)), then triple centroids and pair-line intersections as
-    a final fallback."""
-    m = len(pts)
-    sx = sum(p[0] for p in pts)
-    sy = sum(p[1] for p in pts)
-    yield (sx / m, sy / m)
-    xs = sorted(p[0] for p in pts)
-    ys = sorted(p[1] for p in pts)
-    yield (xs[(m - 1) // 2], ys[(m - 1) // 2])
-    for p in pts:
-        yield p
+    a final fallback.  Candidates are exact rationals, formed on the point
+    set's integer grid."""
+    m = len(ids)
+    sc = ps.scale
+    xs, ys = zip(*(ps.scaled(i) for i in ids))
+    yield (Fraction(sum(xs), m * sc), Fraction(sum(ys), m * sc))
+    yield (
+        Fraction(sorted(xs)[(m - 1) // 2], sc),
+        Fraction(sorted(ys)[(m - 1) // 2], sc),
+    )
+    for i in ids:
+        yield (ps.x(i), ps.y(i))
+
+    def triple(i, j, l):
+        return (
+            Fraction(xs[i] + xs[j] + xs[l], 3 * sc),
+            Fraction(ys[i] + ys[j] + ys[l], 3 * sc),
+        )
+
     third, two_thirds = m // 3, (2 * m) // 3
     if third:
         for t in range(m):  # spread triples reach deep points early
             i, j, l = t % m, (third + t) % m, (two_thirds + t) % m
             if len({i, j, l}) == 3:
-                yield (
-                    (pts[i][0] + pts[j][0] + pts[l][0]) / 3,
-                    (pts[i][1] + pts[j][1] + pts[l][1]) / 3,
-                )
-    yield from _depth_region_candidates(pts, target)
+                yield triple(i, j, l)
+    yield from _depth_region_candidates(ids, ps, target)
     for i, j, l in combinations(range(m), 3):
-        yield (
-            (pts[i][0] + pts[j][0] + pts[l][0]) / 3,
-            (pts[i][1] + pts[j][1] + pts[l][1]) / 3,
-        )
+        yield triple(i, j, l)
+    pts = [(ps.x(i), ps.y(i)) for i in ids]
     lines = list(combinations(range(m), 2))
     for (i, j), (k, l) in combinations(lines, 2):
         hit = _line_intersection(pts[i], pts[j], pts[k], pts[l])
@@ -392,7 +343,7 @@ def _center_candidates(pts, target):
             yield hit
 
 
-def _depth_region_candidates(pts, target):
+def _depth_region_candidates(ids, ps, target):
     """Interior point and vertices of the depth-`target` region.
 
     For every direction the center must not project beyond the target-th
@@ -402,9 +353,14 @@ def _depth_region_candidates(pts, target):
     at directions between transitions rotate around a single point and are
     implied by the two adjacent pair lines.  Clipping a bounding box by all
     binding pair-supported halfplanes therefore yields the region exactly.
+
+    The work runs on the points' coordinates over their own least common
+    denominator `den`, which is the unit of the bounding box's margin.
     """
-    scaled = _ScaledPoints(pts)
-    ints = scaled.ints
+    scaled = [ps.scaled(i) for i in ids]
+    g = math.gcd(ps.scale, *(c for v in scaled for c in v))
+    den = ps.scale // g
+    ints = [(x // g, y // g) for x, y in scaled]
     m = len(ints)
     minx = min(p[0] for p in ints) - 1
     maxx = max(p[0] for p in ints) + 1
@@ -434,7 +390,6 @@ def _depth_region_candidates(pts, target):
                 poly = _clip_polygon(poly, ax, ay, dx, dy, keep_left=False)
             if not poly:
                 return
-    den = scaled.den
     cx = sum(v[0] for v in poly) / (len(poly) * den)
     cy = sum(v[1] for v in poly) / (len(poly) * den)
     yield (cx, cy)
@@ -497,23 +452,21 @@ def _rays_collide(offsets: Sequence[tuple[int, int]]) -> bool:
     return False
 
 
-def _nudge_center(cx, cy, pts, target, ray_pts, scaled=None, rays_scaled=None):
-    """Move the candidate by tiny deterministic offsets until no ray
-    collision remains and the depth bound still holds; None when this
-    candidate cannot be salvaged (the caller tries the next one)."""
-    scaled = scaled or _ScaledPoints(pts)
-    rays_scaled = rays_scaled or _ScaledPoints(ray_pts)
-    spread = max(
-        max(p[0] for p in pts) - min(p[0] for p in pts),
-        max(p[1] for p in pts) - min(p[1] for p in pts),
-    )
+def _nudge_center(cx, cy, ids, ps, target, ray_ids):
+    """Move a candidate of depth >= `target` by tiny deterministic offsets
+    until no two `ray_ids` points share a ray from it and the depth bound
+    still holds; None when this candidate cannot be salvaged (the caller
+    tries the next one).  The unmoved candidate's depth is not re-evaluated:
+    the caller has just checked it."""
+    xs, ys = zip(*(ps.scaled(i) for i in ids))
+    spread = Fraction(max(max(xs) - min(xs), max(ys) - min(ys)), ps.scale)
     phi = Fraction(987, 1597)
     directions = [(1, phi), (-phi, 1), (-1, -phi), (phi, -1)]
     x, y = cx, cy
     for t in range(48):
-        if not _rays_collide(rays_scaled.offsets(x, y)) and tukey_depth(
-            x, y, pts, stop_below=target, scaled=scaled
-        ) >= target:
+        if not _rays_collide(ps.offsets(ray_ids, x, y)) and (
+            t == 0 or tukey_depth(x, y, ids, ps, stop_below=target) >= target
+        ):
             return (x, y)
         dx, dy = directions[t % 4]
         delta = spread / (1 << (14 + t // 4))
@@ -553,9 +506,7 @@ def _sector_index(
 ) -> int:
     """Index of the clockwise sector containing the direction to `target`;
     boundary rays belong to the sector they anchor."""
-    cx, cy = center
-    dirs = [(ps.x(r) - cx, ps.y(r) - cy) for r in reps]
-    d = (ps.x(target) - cx, ps.y(target) - cy)
+    *dirs, d = ps.offsets([*reps, target], *center)
     for i in range(3):
         if same_ray(d, dirs[i]):
             return i
@@ -635,8 +586,7 @@ def layers_in_box(
 
 
 def _sector_spans_reflex(ps: PointSet, sec: SectorStructure) -> bool:
-    cx, cy = sec.center
-    dirs = [(ps.x(r) - cx, ps.y(r) - cy) for r in sec.reps]
+    dirs = ps.offsets(sec.reps, *sec.center)
     for i in range(3):
         a, b = dirs[i], dirs[(i + 1) % 3]
         # clockwise span from a to b above pi <=> cross(a, b) > 0
@@ -759,7 +709,9 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     _assert_eight_neighbor_connected(gi)
     connectors = connect_boxes(gi, box_layers, ps, k)
     layers: list[tuple[Segment, ...]] = []
-    limit_sq = 288 * k * k * beta_sq  # (12*sqrt(2)*k*beta)^2
+    # (12*sqrt(2)*k*beta)^2 on the scaled grid, as a fraction num / den
+    limit_sq = 288 * k * k * beta_sq * ps.scale**2
+    num, den = limit_sq.numerator, limit_sq.denominator
     for j in range(k):
         merged: list[Segment] = []
         for box in boxes:
@@ -767,7 +719,7 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
         merged.extend(connectors[j])
         merged.sort()
         for e in merged:
-            if ps.seg_len_sq(e) > limit_sq:
+            if ps.sdist_sq(e.a, e.b) * den > num:
                 raise InternalAssertionError(
                     "length-budget", f"edge {e} exceeds 12*sqrt(2)*k*beta in layer {j}"
                 )
@@ -806,11 +758,20 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
 
 
 def _assert_hulls_disjoint(ps: PointSet, gi: GridIndex) -> None:
+    """No two boxes' assigned hulls intersect.  A pair whose integer
+    bounding boxes are disjoint is rejected exactly without the hull test."""
     hulls = {}
+    bboxes = {}
     for box in gi.dense:
         members = gi.assigned_to(box)
         hulls[box] = convex_hull(members, ps)
+        xs, ys = zip(*(ps.scaled(p) for p in members))
+        bboxes[box] = (min(xs), min(ys), max(xs), max(ys))
     for a, b in combinations(sorted(hulls), 2):
+        ax0, ay0, ax1, ay1 = bboxes[a]
+        bx0, by0, bx1, by1 = bboxes[b]
+        if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
+            continue
         if _convex_hulls_intersect(ps, hulls[a], hulls[b]):
             raise InternalAssertionError(
                 "hull-disjointness", f"assigned hulls of {a} and {b} intersect"
@@ -918,10 +879,7 @@ class _LocalReplay:
         self.k = k
         self.q = q
         self.sm = 6 * k
-        self.cell_of: dict[int, Cell] = {
-            p: (_cell_index(ps.x(p), self.sm, q), _cell_index(ps.y(p), self.sm, q))
-            for p in ps.ids
-        }
+        self.cell_of: dict[int, Cell] = {p: _cell_of(ps, p, self.sm, q) for p in ps.ids}
         self.members: dict[Cell, list[int]] = {}
         for p in ps.ids:
             self.members.setdefault(self.cell_of[p], []).append(p)
@@ -931,19 +889,12 @@ class _LocalReplay:
         self._assign: dict[int, Cell] = {}
         self._boxes: dict[Cell, BoxLayers] = {}
 
-    def dense_near(self, cell: Cell, radius: int = 2) -> list[Cell]:
-        return sorted(
-            c
-            for c in self.dense
-            if abs(c[0] - cell[0]) <= radius and abs(c[1] - cell[1]) <= radius
-        )
-
     def assign(self, p: int) -> Cell:
         """p's box choice: nearest dense center among the dense cells within
         distance 2 of p's own cell."""
         if p not in self._assign:
             pc = self.cell_of[p]
-            candidates = self.dense_near(pc)
+            candidates = _dense_near(self.dense, pc)
             if not candidates:
                 raise PreconditionError(f"point {p} finds no dense box within two cells")
             self._assign[p] = _nearest_center(self.ps, p, candidates, pc, self.sm, self.q)
@@ -955,9 +906,9 @@ class _LocalReplay:
         if box not in self._boxes:
             near_ids = [
                 p
-                for c, members in self.members.items()
-                if abs(c[0] - box[0]) <= 2 and abs(c[1] - box[1]) <= 2
-                for p in members
+                for di in range(-2, 3)
+                for dj in range(-2, 3)
+                for p in self.members.get((box[0] + di, box[1] + dj), ())
             ]
             assigned = sorted(p for p in near_ids if self.assign(p) == box)
             sub = GridIndex(
@@ -1004,11 +955,11 @@ def _replay_incident(
         if is_rep:
             # connectors touch p only through pairs involving p's box; the
             # rules need the density of the cells adjacent to either box
-            for other in ctx.dense_near(pc, radius=1):
+            for other in _dense_near(ctx.dense, pc, radius=1):
                 if other == home:
                     continue
                 pair = (home, other) if home < other else (other, home)
-                if not _pair_selected(pair, frozenset(ctx.dense_near(pair[0]))):
+                if not _pair_selected(pair, frozenset(_dense_near(ctx.dense, pair[0]))):
                     continue
                 la = ctx.box_layers(pair[0])
                 lb = ctx.box_layers(pair[1])

@@ -120,6 +120,20 @@ class PointSet:
     def coords(self) -> list[tuple[Fraction, Fraction]]:
         return [(self.x(i), self.y(i)) for i in self.ids]
 
+    def offsets(self, ids: Iterable[int], cx: Fraction, cy: Fraction) -> list[tuple[int, int]]:
+        """Integer offsets of the points `ids` from the rational point
+        (cx, cy), all multiplied by one positive common denominator.
+
+        The common factor leaves every sign of a cross or dot product, every
+        equality of rays and every comparison of squared lengths among the
+        offsets as it is for the exact differences."""
+        den = math.lcm(self._scale, cx.denominator, cy.denominator)
+        f = den // self._scale
+        ox = cx.numerator * (den // cx.denominator)
+        oy = cy.numerator * (den // cy.denominator)
+        sx, sy = self._sx, self._sy
+        return [(sx[i] * f - ox, sy[i] * f - oy) for i in ids]
+
     def dist_sq(self, i: int, j: int) -> Fraction:
         dx = self._sx[i] - self._sx[j]
         dy = self._sy[i] - self._sy[j]
@@ -448,14 +462,14 @@ def convex_hull(ids: Sequence[int], ps: PointSet) -> list[int]:
 def point_strictly_inside_polygon(
     poly: Sequence[int], ps: PointSet, qx: Fraction, qy: Fraction
 ) -> bool:
-    """Strict interior test against a counterclockwise convex polygon."""
+    """Strict interior test against a counterclockwise convex polygon: the
+    query lies strictly left of every edge, i.e. each pair of consecutive
+    vertex offsets from it turns counterclockwise."""
     if len(poly) < 3:
         return False
-    for k in range(len(poly)):
-        ax, ay = ps.x(poly[k]), ps.y(poly[k])
-        nxt = poly[(k + 1) % len(poly)]
-        bx, by = ps.x(nxt), ps.y(nxt)
-        if cross_sign(ax, ay, bx, by, qx, qy) <= 0:
+    vecs = ps.offsets(poly, qx, qy)
+    for (ax, ay), (bx, by) in zip(vecs, vecs[1:] + vecs[:1]):
+        if ax * by - ay * bx <= 0:
             return False
     return True
 
@@ -469,44 +483,36 @@ def point_strictly_inside_triangle(
     return s1 == s2 == s3 and s1 != 0
 
 
-def _angular_cmp(dirs: dict[int, tuple[Fraction, Fraction]], ps: PointSet, mirror: bool):
-    """Comparator ordering ids by angle from the positive x-axis; `mirror`
-    flips to clockwise order.  Ties (same ray) break by distance then id."""
-
-    def half(d: tuple[Fraction, Fraction]) -> int:
-        dx, dy = d
-        if mirror:
-            dy = -dy
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+def angular_order(vecs: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices of the nonzero integer vectors `vecs` sorted counterclockwise
+    by angle from the positive x-axis; vectors on one ray sort by length,
+    then by index.  Exact: half-plane, then the sign of a cross product."""
+    halves = [0 if dy > 0 or (dy == 0 and dx > 0) else 1 for dx, dy in vecs]
 
     def cmp(i: int, j: int) -> int:
-        di, dj = dirs[i], dirs[j]
-        hi, hj = half(di), half(dj)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        c = di[0] * dj[1] - di[1] * dj[0]
-        if mirror:
-            c = -c
-        if c != 0:
+        if halves[i] != halves[j]:
+            return halves[i] - halves[j]
+        (ax, ay), (bx, by) = vecs[i], vecs[j]
+        c = ax * by - ay * bx
+        if c:
             return -1 if c > 0 else 1
-        li = di[0] * di[0] + di[1] * di[1]
-        lj = dj[0] * dj[0] + dj[1] * dj[1]
+        li, lj = ax * ax + ay * ay, bx * bx + by * by
         if li != lj:
             return -1 if li < lj else 1
-        return -1 if i < j else 1
+        return i - j
 
-    return cmp
+    return sorted(range(len(vecs)), key=cmp_to_key(cmp))
 
 
 def _order_around(pivot: Point, ids: Sequence[int], ps: PointSet, mirror: bool) -> list[int]:
-    dirs: dict[int, tuple[Fraction, Fraction]] = {}
-    for i in ids:
-        dx = ps.x(i) - pivot.x
-        dy = ps.y(i) - pivot.y
+    """Ids by angle around pivot; `mirror` flips y, giving clockwise order."""
+    vecs = ps.offsets(ids, pivot.x, pivot.y)
+    for i, (dx, dy) in zip(ids, vecs):
         if dx == 0 and dy == 0:
             raise PreconditionError(f"pivot coincides with point {i}")
-        dirs[i] = (dx, dy)
-    return sorted(ids, key=cmp_to_key(_angular_cmp(dirs, ps, mirror)))
+    if mirror:
+        vecs = [(dx, -dy) for dx, dy in vecs]
+    return [ids[k] for k in angular_order(vecs)]
 
 
 def ccw_order_around(pivot: Point, ids: Sequence[int], ps: PointSet) -> list[int]:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, combinations
@@ -8,9 +9,8 @@ import pytest
 
 from plane_layers import distributed
 from plane_layers.distributed import (
-    QuadVal,
     _cell_index,
-    _center_dist_sq,
+    _nearest_center,
     build_k_layers,
     center_point,
     connect_boxes,
@@ -35,6 +35,112 @@ def cluster(rng, n, x0, y0, w=4.0):
     return sorted(pts)
 
 
+# --- exact oracles: the grid and depth arithmetic in Q[sqrt(q)] and on
+# Fractions that the integer predicates replaced ---------------------------
+
+
+@dataclass(frozen=True)
+class QuadVal:
+    """Exact number a + b*sqrt(q) with rational a, b and fixed rational q > 0."""
+
+    a: Fraction
+    b: Fraction
+    q: Fraction
+
+    def __add__(self, o):
+        return QuadVal(self.a + o.a, self.b + o.b, self.q)
+
+    def __sub__(self, o):
+        return QuadVal(self.a - o.a, self.b - o.b, self.q)
+
+    def __mul__(self, o):
+        return QuadVal(self.a * o.a + self.b * o.b * self.q, self.a * o.b + self.b * o.a, self.q)
+
+    def sign(self):
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        lhs, rhs = a * a, b * b * self.q  # opposite signs: compare a^2 with b^2*q
+        if a > 0:
+            return (lhs > rhs) - (lhs < rhs)
+        return (rhs > lhs) - (rhs < lhs)
+
+    def __lt__(self, o):
+        return (self - o).sign() < 0
+
+
+def cell_index_oracle(x, side_mult, q):
+    """floor(x / (side_mult*sqrt(q))) from a float guess corrected in Q[sqrt(q)]."""
+    m = math.floor(float(x) / (side_mult * math.sqrt(float(q))))
+    while QuadVal(Fraction(x), Fraction(-side_mult) * (m + 1), q).sign() >= 0:
+        m += 1
+    while QuadVal(Fraction(x), Fraction(-side_mult) * m, q).sign() < 0:
+        m -= 1
+    return m
+
+
+def center_dist_sq(ps, p, cell, side_mult, q):
+    """Squared distance from point p to the center of `cell`, in Q[sqrt(q)]."""
+    total = QuadVal(Fraction(0), Fraction(0), q)
+    for coord, idx in ((ps.x(p), cell[0]), (ps.y(p), cell[1])):
+        d = QuadVal(coord, -Fraction(2 * idx + 1, 2) * side_mult, q)
+        total = total + d * d
+    return total
+
+
+def nearest_center_oracle(ps, p, candidates, own, sm, q):
+    best = best_d = None
+    for c in sorted(candidates):
+        d = center_dist_sq(ps, p, c, sm, q)
+        if best is None:
+            best, best_d = c, d
+            continue
+        s = (d - best_d).sign()
+        if s < 0 or (s == 0 and (c == own or (best != own and c < best))):
+            best, best_d = c, d
+    return best
+
+
+def probe_depth(cx, cy, pts, stop_below=None):
+    """Tukey depth by probing every critical line direction through (cx, cy)
+    and one direction between each pair of angular neighbours: O(m^2)."""
+    den = math.lcm(cx.denominator, cy.denominator, *(v.denominator for v in chain(*pts)))
+    ox, oy = int(cx * den), int(cy * den)
+    vecs = [(int(px * den) - ox, int(py * den) - oy) for px, py in pts]
+    seen = set()
+    for dx, dy in vecs:
+        if dx == 0 and dy == 0:
+            continue
+        if dy < 0 or (dy == 0 and dx < 0):
+            dx, dy = -dx, -dy
+        g = math.gcd(dx, dy)
+        seen.add((dx // g, dy // g))
+    if not seen:
+        return len(pts)
+    dirs = sorted(seen, key=cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1]))
+    probes = list(dirs)
+    probes += [(a[0] + b[0], a[1] + b[1]) for a, b in zip(dirs, dirs[1:])]
+    if len(dirs) > 1:
+        probes.append((dirs[-1][0] - dirs[0][0], dirs[-1][1] - dirs[0][1]))
+    else:
+        probes.append((-dirs[0][1], dirs[0][0]))
+    depth = len(pts)
+    for dx, dy in probes:
+        sides = [dx * vy - dy * vx for vx, vy in vecs]
+        left = sum(1 for v in sides if v > 0)
+        right = sum(1 for v in sides if v < 0)
+        depth = min(depth, min(left, right) + len(sides) - left - right)
+        if stop_below is not None and depth < stop_below:
+            return depth
+    return depth
+
+
 def test_quadval_sign_and_order():
     q = Fraction(2)
     a = QuadVal(Fraction(-7), Fraction(5), q)  # 5*sqrt(2) - 7 > 0
@@ -48,13 +154,75 @@ def test_quadval_sign_and_order():
 
 def test_cell_index_floor_convention():
     # k=1, beta=1 -> side 6; boundary multiples stay in the higher cell
-    assert _cell_index(Fraction(7), 6, Fraction(1)) == 1
-    assert _cell_index(Fraction(6), 6, Fraction(1)) == 1
-    assert _cell_index(Fraction(0), 6, Fraction(1)) == 0
-    assert _cell_index(Fraction(-1), 6, Fraction(1)) == -1
+    assert _cell_index(7, 1, 6, Fraction(1)) == 1
+    assert _cell_index(6, 1, 6, Fraction(1)) == 1
+    assert _cell_index(0, 1, 6, Fraction(1)) == 0
+    assert _cell_index(-1, 1, 6, Fraction(1)) == -1
+    assert _cell_index(-6, 1, 6, Fraction(1)) == -1
+    assert _cell_index(-60001, 10**4, 6, Fraction(1)) == -2
     # irrational side: 6*sqrt(2) ~ 8.485
-    assert _cell_index(Fraction(8), 6, Fraction(2)) == 0
-    assert _cell_index(Fraction(9), 6, Fraction(2)) == 1
+    assert _cell_index(8, 1, 6, Fraction(2)) == 0
+    assert _cell_index(9, 1, 6, Fraction(2)) == 1
+    assert _cell_index(-9, 1, 6, Fraction(2)) == -2
+
+
+def test_cell_index_matches_quadval_oracle():
+    rng = random.Random(41)
+    cases = 0
+    # perfect squares, with cell boundaries landing on the integer grid
+    for u, w in ((1, 1), (2, 1), (3, 2), (1, 7), (5, 3), (10**6 + 3, 10**3)):
+        q = Fraction(u * u, w * w)
+        for sm in (6, 12):
+            for scale in (w, 10 * w, 7 * w):
+                step = sm * u * scale // w  # one cell side on the scaled grid
+                for t in range(-4, 5):
+                    for v in (t * step - 1, t * step, t * step + 1):
+                        assert _cell_index(v, scale, sm, q) == cell_index_oracle(
+                            Fraction(v, scale), sm, q
+                        ), (v, scale, sm, q)
+                        cases += 1
+    # irrational sides and random coordinates of both signs
+    for _ in range(3000):
+        q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
+        sm = 6 * rng.randint(1, 3)
+        scale = rng.choice((1, 10, 10**6, 3 * 10**4))
+        v = rng.randint(-(10**9), 10**9) if rng.random() < 0.5 else rng.randint(-50, 50)
+        assert _cell_index(v, scale, sm, q) == cell_index_oracle(Fraction(v, scale), sm, q)
+        cases += 1
+    assert cases > 3000
+
+
+def test_nearest_center_matches_distance_oracle():
+    rng = random.Random(42)
+    # q = 1, sm = 6: centers sit at odd multiples of 3, so half-integer
+    # points on the bisectors between centers are exactly equidistant
+    for q in (Fraction(1), Fraction(9, 4), Fraction(2)):
+        sm = 6
+        ps = PointSet([(Fraction(i, 2), Fraction(j, 2)) for i in range(-18, 19, 3)
+                       for j in range(-18, 19, 3)])
+        ties = 0
+        for p in ps.ids:
+            x, y = ps.scaled(p)
+            own = (_cell_index(x, ps.scale, sm, q), _cell_index(y, ps.scale, sm, q))
+            near = [(own[0] + a, own[1] + b) for a in range(-2, 3) for b in range(-2, 3)]
+            for _ in range(2):
+                cands = rng.sample(near, rng.randint(1, 9))
+                got = _nearest_center(ps, p, cands, own, sm, q)
+                assert got == nearest_center_oracle(ps, p, cands, own, sm, q), (p, cands, q)
+                dists = [center_dist_sq(ps, p, c, sm, q) for c in cands]
+                ties += sum(1 for d in dists if (d - min(dists)).sign() == 0) > 1
+        if q == 1:
+            assert ties > 20  # the tie rules ran
+    for _ in range(40):
+        ps = random_point_set(rng, 4, extent=40)
+        q = Fraction(rng.randint(1, 400), rng.randint(1, 30))
+        for p in ps.ids:
+            x, y = ps.scaled(p)
+            own = (_cell_index(x, ps.scale, 6, q), _cell_index(y, ps.scale, 6, q))
+            cands = [(own[0] + a, own[1] + b) for a in range(-2, 3) for b in range(-2, 3)]
+            assert _nearest_center(ps, p, cands, own, 6, q) == nearest_center_oracle(
+                ps, p, cands, own, 6, q
+            )
 
 
 def test_grid_partition_single_dense_box(rng):
@@ -87,7 +255,7 @@ def test_grid_assignment_matches_global_scan(rng):
         best = None
         best_d = None
         for c in sorted(gi.dense):
-            d = _center_dist_sq(ps, p, c, 6, Fraction(1))
+            d = center_dist_sq(ps, p, c, 6, Fraction(1))
             if best is None or (d - best_d).sign() < 0:
                 best, best_d = c, d
             elif (d - best_d).sign() == 0 and c == gi.cell_of[p]:
@@ -143,15 +311,49 @@ def brute_depth(cx, cy, pts):
     return best
 
 
+def test_tukey_depth_matches_oracles():
+    """The sweep against the probe scan and `brute_depth` on small integer
+    sets full of repeated rays, collinear runs and points on the center."""
+    rng = random.Random(43)
+    grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    for trial in range(3000):
+        m = rng.randint(1, 12)
+        if trial % 5 == 0:  # collinear set
+            a, b = rng.choice(((1, 0), (0, 1), (1, 1), (2, -1)))
+            pts = [(a * t, b * t) for t in rng.sample(range(-6, 7), m)]
+        else:
+            pts = rng.sample(grid, m)
+        ps = PointSet(pts)
+        ids = list(ps.ids)
+        if trial % 3 == 0:  # the center is an input point
+            cx, cy = ps.x(rng.randrange(m)), ps.y(rng.randrange(m))
+        else:
+            cx = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+            cy = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        coords = ps.coords()
+        depth = tukey_depth(cx, cy, ids, ps)
+        assert depth == probe_depth(cx, cy, coords), (pts, cx, cy)
+        rel = [(x - cx, y - cy) for x, y in coords]
+        on_one_line = all(a[0] * b[1] == a[1] * b[0] for a, b in combinations(rel, 2))
+        if trial % 4 == 0 and not on_one_line:  # brute_depth probes no line across one
+            assert depth == brute_depth(cx, cy, coords)
+        stop = rng.randint(0, m + 1)
+        early = tukey_depth(cx, cy, ids, ps, stop_below=stop)
+        if depth >= stop:
+            assert early == depth
+        else:
+            assert depth <= early < stop
+
+
 def test_center_point_triangle_and_hexagon():
     tri = PointSet([(0, 0), (4, 0), (0, 4)])
     cx, cy = center_point([0, 1, 2], tri)
-    assert tukey_depth(cx, cy, tri.coords()) >= 1
+    assert tukey_depth(cx, cy, [0, 1, 2], tri) >= 1
     hexa = PointSet(
         [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
     )
     cx, cy = center_point(list(hexa.ids), hexa)
-    assert tukey_depth(cx, cy, hexa.coords()) >= 2
+    assert tukey_depth(cx, cy, list(hexa.ids), hexa) >= 2
 
 
 def test_center_point_random_oracle(rng):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -15,10 +16,13 @@ from plane_layers.geometry import (
     convex_hull,
     _all_crossing_pairs,
     crossing_pairs,
+    cross_sign,
+    cw_order_around,
     format_coord,
     has_crossing,
     orientation,
     orientation_ids,
+    point_strictly_inside_polygon,
     properly_cross,
 )
 
@@ -217,6 +221,57 @@ def test_ccw_order_matches_atan2_oracle(rng):
             return (ang, dx * dx + dy * dy, i)
 
         assert got == sorted(ids, key=key)
+
+
+def fraction_order_around(pivot, ids, ps, mirror):
+    """Angular order on exact `Fraction` differences from the pivot: the
+    comparator that the integer offsets replaced."""
+    dirs = {i: (ps.x(i) - pivot.x, ps.y(i) - pivot.y) for i in ids}
+
+    def half(d):
+        dx, dy = d[0], -d[1] if mirror else d[1]
+        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+
+    def cmp(i, j):
+        di, dj = dirs[i], dirs[j]
+        if half(di) != half(dj):
+            return -1 if half(di) < half(dj) else 1
+        c = di[0] * dj[1] - di[1] * dj[0]
+        if mirror:
+            c = -c
+        if c != 0:
+            return -1 if c > 0 else 1
+        li, lj = di[0] ** 2 + di[1] ** 2, dj[0] ** 2 + dj[1] ** 2
+        if li != lj:
+            return -1 if li < lj else 1
+        return -1 if i < j else 1
+
+    return sorted(ids, key=cmp_to_key(cmp))
+
+
+def test_orders_around_rational_pivots_match_fraction_comparator():
+    rng = random.Random(44)
+    for trial in range(400):
+        den = rng.choice((1, 2, 4, 10))  # points on a small grid: many shared rays
+        pts = {(Fraction(rng.randint(-8, 8), den), Fraction(rng.randint(-8, 8), den))
+               for _ in range(rng.randint(2, 14))}
+        ps = PointSet(sorted(pts))
+        ids = list(ps.ids)
+        rng.shuffle(ids)
+        pivot = pt(-1, Fraction(rng.randint(-20, 20), rng.choice((1, 3, 7, 10))),
+                   Fraction(rng.randint(-20, 20), rng.choice((1, 2, 9))))
+        if (pivot.x, pivot.y) in pts:
+            continue
+        assert cw_order_around(pivot, ids, ps) == fraction_order_around(pivot, ids, ps, True)
+        assert ccw_order_around(pivot, ids, ps) == fraction_order_around(pivot, ids, ps, False)
+        hull = convex_hull(ids, ps)
+        inside = len(hull) >= 3 and all(
+            cross_sign(ps.x(a), ps.y(a), ps.x(b), ps.y(b), pivot.x, pivot.y) > 0
+            for a, b in zip(hull, hull[1:] + hull[:1])
+        )
+        assert point_strictly_inside_polygon(hull, ps, pivot.x, pivot.y) == inside
+        for v in hull:  # a hull vertex is never strictly inside
+            assert not point_strictly_inside_polygon(hull, ps, ps.x(v), ps.y(v))
 
 
 def test_pointset_rejects_duplicates():
