@@ -19,7 +19,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,14 +30,14 @@ from .geometry import (
     Orientation,
     PointSet,
     Segment,
-    ccw_order_around,
+    ccw_order_around_id,
     convex_hull,
     crossing_pairs,
+    id_strictly_inside_polygon,
     orientation_ids,
-    point_strictly_inside_polygon,
     properly_cross,
 )
-from .mst import BottleneckInfo, RootedMst, bottleneck, build_emst, root_at_leaf
+from .mst import BottleneckInfo, RootedMst, adjacency, bottleneck, build_emst, root_at_leaf
 from .unionfind import UnionFind
 
 
@@ -81,22 +80,20 @@ class TwoTrees:
         }
 
 
-def _max_len_sq(edges: Iterable[Segment], ps: PointSet) -> Fraction:
-    return max((ps.seg_len_sq(e) for e in edges), default=Fraction(0))
+def _ratio(edges: Iterable[Segment], ps: PointSet, be_grid: int) -> float:
+    """Longest edge over the bottleneck; one int/int division, correctly
+    rounded like the float of the exact ratio."""
+    return math.sqrt(max((ps.sdist_sq(e.a, e.b) for e in edges), default=0) / be_grid)
 
 
-def _ratio(edges: Iterable[Segment], ps: PointSet, be_sq: Fraction) -> float:
-    top = _max_len_sq(edges, ps)
-    return math.sqrt(top / be_sq) if be_sq else 0.0
-
-
-def _make_two_trees(red, blue, shared, ps, be_sq, bound=2) -> TwoTrees:
+def _make_two_trees(red, blue, shared, ps, be: BottleneckInfo, bound=2) -> TwoTrees:
+    be_grid = ps.sdist_sq(be.edge.a, be.edge.b)
     return TwoTrees(
         red=tuple(sorted(red)),
         blue=tuple(sorted(blue)),
         shared=shared,
-        max_ratio_red=_ratio(red, ps, be_sq),
-        max_ratio_blue=_ratio(blue, ps, be_sq),
+        max_ratio_red=_ratio(red, ps, be_grid),
+        max_ratio_blue=_ratio(blue, ps, be_grid),
         bound=bound,
     )
 
@@ -108,6 +105,13 @@ def construction1(rm: RootedMst) -> TwoTrees:
     blue; even-level vertices (except the root) do the opposite.  Both trees
     are plane and spanning and share exactly the root edge.
     """
+    red, blue = _root_edge_coloring(rm)
+    be = bottleneck(rm.edges, rm.ps)
+    return _make_two_trees(red, blue, Segment(rm.root, rm.root_child), rm.ps, be, bound=2)
+
+
+def _root_edge_coloring(rm: RootedMst) -> tuple[set[Segment], set[Segment]]:
+    """The red and blue edge sets of `construction1`."""
     red: set[Segment] = set()
     blue: set[Segment] = set()
     for v in rm.vertices:
@@ -129,8 +133,7 @@ def construction1(rm: RootedMst) -> TwoTrees:
             f"shared edges {sorted(shared)} != {{{rs}}}",
             _dump_payload(rm.ps, red=red, blue=blue),
         )
-    be_sq = bottleneck(rm.edges, rm.ps).length_sq
-    return _make_two_trees(red, blue, rs, rm.ps, be_sq, bound=2)
+    return red, blue
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,13 @@ class SideSplit:
 def side_split(rm: RootedMst, trees: TwoTrees) -> SideSplit:
     """Classify the neighbors of s (other than r) by orientation(r, s, .) and
     split both edge sets accordingly."""
+    return _split_sides(rm, trees.red, trees.blue)
+
+
+def _split_sides(rm: RootedMst, red: Iterable[Segment], blue: Iterable[Segment]) -> SideSplit:
+    """`side_split` of a root-edge coloring given as its two edge sets."""
     r, s = rm.root, rm.root_child
+    shared = Segment(r, s)
     minus_branch: set[int] = set()
     plus_branch: set[int] = set()
     for w in rm.adjacency[s]:
@@ -168,7 +177,7 @@ def side_split(rm: RootedMst, trees: TwoTrees) -> SideSplit:
     def split(edge_list: Sequence[Segment]) -> tuple[set[Segment], set[Segment]]:
         mset, pset = set(), set()
         for e in edge_list:
-            if e == trees.shared:
+            if e == shared:
                 continue
             if e.a in minus_branch or e.b in minus_branch:
                 mset.add(e)
@@ -180,8 +189,8 @@ def side_split(rm: RootedMst, trees: TwoTrees) -> SideSplit:
                 )
         return mset, pset
 
-    erm, erp = split(trees.red)
-    ebm, ebp = split(trees.blue)
+    erm, erp = split(red)
+    ebm, ebp = split(blue)
     return SideSplit(
         rm=rm,
         s_minus=s_minus,
@@ -190,7 +199,7 @@ def side_split(rm: RootedMst, trees: TwoTrees) -> SideSplit:
         e_r_plus=frozenset(erp),
         e_b_minus=frozenset(ebm),
         e_b_plus=frozenset(ebp),
-        shared=trees.shared,
+        shared=shared,
     )
 
 
@@ -209,6 +218,13 @@ def _branch_from(rm: RootedMst, start: int, block: int) -> set[int]:
 def recolor(split: SideSplit, variant: Recoloring) -> TwoTrees:
     """One of the four side-inversion colorings; all include the root edge in
     both colors and keep the three root-edge-construction properties."""
+    red, blue = _side_inversion(split, variant)
+    rm = split.rm
+    return _make_two_trees(red, blue, split.shared, rm.ps, bottleneck(rm.edges, rm.ps), bound=2)
+
+
+def _side_inversion(split: SideSplit, variant: Recoloring) -> tuple[frozenset, frozenset]:
+    """The red and blue edge sets of `recolor`."""
     rs = {split.shared}
     erm, erp = split.e_r_minus, split.e_r_plus
     ebm, ebp = split.e_b_minus, split.e_b_plus
@@ -220,9 +236,7 @@ def recolor(split: SideSplit, variant: Recoloring) -> TwoTrees:
         red, blue = ebm | erp | rs, erm | ebp | rs
     else:
         red, blue = erm | ebp | rs, ebm | erp | rs
-    rm = split.rm
-    be_sq = bottleneck(rm.edges, rm.ps).length_sq
-    return _make_two_trees(red, blue, split.shared, rm.ps, be_sq, bound=2)
+    return red, blue
 
 
 # --- gap analysis -----------------------------------------------------------
@@ -231,7 +245,7 @@ def recolor(split: SideSplit, variant: Recoloring) -> TwoTrees:
 def _ccw_ring(ps: PointSet, v: int, nbrs: Sequence[int]) -> list[int]:
     if len(nbrs) == 1:
         return list(nbrs)
-    return ccw_order_around(ps.point(v), list(nbrs), ps)
+    return ccw_order_around_id(v, list(nbrs), ps)
 
 
 def _gap_signs(ps: PointSet, v: int, ring: Sequence[int]) -> list[int]:
@@ -283,10 +297,7 @@ def big_angle_pair(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[int, int]
 def find_flat_vertex(edges: Sequence[Segment], ps: PointSet) -> int | None:
     """Smallest-id vertex whose consecutive incident-edge gaps are all below
     pi, or None when every vertex has a gap above pi."""
-    adj: dict[int, list[int]] = {}
-    for e in edges:
-        adj.setdefault(e.a, []).append(e.b)
-        adj.setdefault(e.b, []).append(e.a)
+    adj = adjacency(edges)
     for v in sorted(adj):
         nbrs = adj[v]
         if len(nbrs) < 3:
@@ -355,7 +366,7 @@ def _dump_payload(ps: PointSet, **edge_sets) -> dict:
 
 
 def _verify_disjoint_pair(
-    asm: _Assembler, ps: PointSet, be_sq: Fraction, bound: int, stage: str
+    asm: _Assembler, ps: PointSet, be_grid: int, bound: int, stage: str
 ) -> None:
     n = len(ps)
     for name, edges in (("red", asm.red), ("blue", asm.blue)):
@@ -368,13 +379,14 @@ def _verify_disjoint_pair(
             asm._fail(stage, f"{name} is not spanning")
     if set(asm.red) & set(asm.blue):
         asm._fail(stage, "red and blue share an edge")
-    limit_sq = bound * bound * be_sq
+    limit = bound * bound * be_grid
+    twice = 4 * be_grid
     over2 = 0
     for e in asm.red + asm.blue:
-        sq = ps.seg_len_sq(e)
-        if sq > limit_sq:
+        sq = ps.sdist_sq(e.a, e.b)
+        if sq > limit:
             asm._fail(stage, f"edge {e} exceeds {bound}x bottleneck")
-        if sq > 4 * be_sq:
+        if sq > twice:
             over2 += 1
     if over2 > bound - 2:
         asm._fail(stage, f"{over2} edges exceed twice the bottleneck")
@@ -410,21 +422,11 @@ def _subtree_contribution(
     ]
     edges.append(Segment(root, anchor))
     rm = root_at_leaf(edges, ps, root, vertices=verts)
-    trees = construction1(rm)
+    red, blue = _root_edge_coloring(rm)
     if variant is not Recoloring.ORIGINAL:
-        trees = recolor(side_split(rm, trees), variant)
-    rs = trees.shared
-    red = [e for e in trees.red if e != rs]
-    blue = [e for e in trees.blue if e != rs]
-    return red, blue
-
-
-def _adjacency(edges: Sequence[Segment]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for e in edges:
-        adj.setdefault(e.a, []).append(e.b)
-        adj.setdefault(e.b, []).append(e.a)
-    return adj
+        red, blue = _side_inversion(_split_sides(rm, red, blue), variant)
+    rs = Segment(root, anchor)
+    return sorted(e for e in red if e != rs), sorted(e for e in blue if e != rs)
 
 
 def disjoint_trees_flat(
@@ -436,7 +438,7 @@ def disjoint_trees_flat(
     """Disjoint pair around a vertex with no gap above pi: spoke/hull base
     trees on the neighbors of v, plus recolored subtree constructions."""
     be = be or bottleneck(mst_edges, ps)
-    adj = _adjacency(mst_edges)
+    adj = adjacency(mst_edges)
     nbrs = adj.get(v, [])
     if len(nbrs) < 3:
         raise PreconditionError(f"vertex {v} has degree {len(nbrs)} < 3")
@@ -475,8 +477,8 @@ def disjoint_trees_flat(
         asm.add("blue", blue, f"flat-subtree-{i + 1}")
 
     asm.check_plane()
-    _verify_disjoint_pair(asm, ps, be.length_sq, 2, "flat-final")
-    return _make_two_trees(asm.red, asm.blue, None, ps, be.length_sq, bound=2)
+    _verify_disjoint_pair(asm, ps, ps.sdist_sq(be.edge.a, be.edge.b), 2, "flat-final")
+    return _make_two_trees(asm.red, asm.blue, None, ps, be, bound=2)
 
 
 # --- the all-pointed construction -------------------------------------------
@@ -549,7 +551,7 @@ def select_P(ps: PointSet, mst_edges: Sequence[Segment]) -> PCase:
 
 
 def _select_oriented(ps: PointSet, mst_edges: Sequence[Segment]):
-    adj = _adjacency(mst_edges)
+    adj = adjacency(mst_edges)
     leaves = sorted(u for u, ns in adj.items() if len(ns) == 1)
     if not leaves:
         raise InternalAssertionError("select-p", "tree without leaves")
@@ -663,8 +665,9 @@ def disjoint_trees_pointed(
     the complete graph on P plus recolored subtree constructions, with the
     three-hop blue edge swapped for a hull-path edge when crossed."""
     be = be or bottleneck(mst_edges, ps)
+    be_grid = ps.sdist_sq(be.edge.a, be.edge.b)
     wps = ps.reflected() if pc.mirrored else ps
-    adj = _adjacency(mst_edges)
+    adj = adjacency(mst_edges)
     pv = {3: pc.v3, 2: pc.v2, 1: pc.v1, 0: pc.v0}
 
     red_pairs, blue_pairs = _BASE_COLORINGS[pc.tag]
@@ -686,7 +689,7 @@ def disjoint_trees_pointed(
             asm.add("red", red, f"pointed-T{anchor_idx}")
             asm.add("blue", blue, f"pointed-T{anchor_idx}")
         asm.check_plane()
-        _fix_three_hop_edge(asm, wps, pv, be)
+        _fix_three_hop_edge(asm, wps, pv, be_grid)
     else:
         if pc.tag == "2a":
             red, blue = _subtree_contribution(
@@ -698,11 +701,11 @@ def disjoint_trees_pointed(
         asm.check_plane()
 
     bound = 3 if pc.tag.startswith("1") else 2
-    _verify_disjoint_pair(asm, wps, be.length_sq, bound, "pointed-final")
-    return _make_two_trees(asm.red, asm.blue, None, ps, be.length_sq, bound=3)
+    _verify_disjoint_pair(asm, wps, be_grid, bound, "pointed-final")
+    return _make_two_trees(asm.red, asm.blue, None, ps, be, bound=3)
 
 
-def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int], be) -> None:
+def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int], be_grid: int) -> None:
     """Replace the blue v3v0 edge by a hull-path edge when other blue edges
     cross it.  The replacement connects the two components of blue - v3v0 and
     is unique along the hull path through the points inside conv(P)."""
@@ -716,7 +719,7 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int], be) -
     inside = [
         q
         for q in ps.ids
-        if q not in p_ids and point_strictly_inside_polygon(hull, ps, ps.x(q), ps.y(q))
+        if q not in p_ids and id_strictly_inside_polygon(hull, ps, q)
     ]
     if not inside:
         asm._fail("pointed-replace", "v3v0 crossed but conv(P) holds no points")
@@ -742,7 +745,7 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int], be) -
     if len(joining) != 1:
         asm._fail("pointed-replace", f"{len(joining)} hull-path edges join the components")
     e = joining[0]
-    if ps.seg_len_sq(e) > 9 * be.length_sq:
+    if ps.sdist_sq(e.a, e.b) > 9 * be_grid:
         asm._fail("pointed-replace", f"replacement edge {e} exceeds 3x bottleneck")
     if e in asm.red:
         asm._fail("pointed-replace", f"replacement edge {e} already red")

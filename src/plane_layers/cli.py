@@ -165,10 +165,10 @@ def cmd_build(args) -> int:
     _dump_json(args.out, payload)
     if be_sq is None:  # no --beta: the build used the MST bottleneck
         be_sq = ls.beta_sq
-    max_ratio = max(
-        (math.sqrt(ps.seg_len_sq(e) / be_sq) for layer in ls.layers for e in layer),
-        default=0.0,
-    )
+    # the MST bottleneck is a grid length: be_sq * scale^2 is an integer
+    be_grid = be_sq.numerator * ps.scale**2 // be_sq.denominator
+    top = max((ps.sdist_sq(e.a, e.b) for layer in ls.layers for e in layer), default=0)
+    max_ratio = math.sqrt(top / be_grid) if top else 0.0
     bound = 12 * math.sqrt(2) * args.k
     print(f"layers={ls.k} maxRatio={max_ratio:.6f} bound={bound:.6f}")
     return 0

@@ -39,7 +39,7 @@ from .geometry import (
     convex_hull,
     crossing_pairs,
     cw_order_around,
-    point_strictly_inside_polygon,
+    id_strictly_inside_polygon,
     properly_cross,
     same_ray,
 )
@@ -788,7 +788,7 @@ def _convex_hulls_intersect(ps: PointSet, ha: list[int], hb: list[int]) -> bool:
     for box_pts, other in ((ha, hb), (hb, ha)):
         if len(other) >= 3:
             for v in box_pts:
-                if point_strictly_inside_polygon(other, ps, ps.x(v), ps.y(v)):
+                if id_strictly_inside_polygon(other, ps, v):
                     return True
     return False
 

@@ -1,15 +1,19 @@
 """Exact planar primitives: orientation, proper crossing, hulls, angular order.
 
-Coordinates are read as decimal strings and held exactly (a common scaled
-integer grid per point set), so every predicate in this module is computed
-with integer or rational arithmetic and is never wrong due to rounding.
-Lengths only ever leave the exact world as squared rationals; square roots
-appear solely in reported float values.
+Each point set holds its coordinates exactly on one scaled integer grid
+(scale: the lcm of the coordinates' denominators).  `read_coord` reads plain
+decimals straight onto integers and every other form through Fraction;
+mirroring and printing work on the grid integers.  Every predicate in this
+module is computed with integer or rational arithmetic and is never wrong
+due to rounding.  Lengths are compared as squared grid integers and only
+leave the exact world as squared rationals; square roots appear solely in
+reported float values.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -78,19 +82,21 @@ class PointSet:
     def __init__(self, coords: Sequence[tuple[Fraction | int | str, Fraction | int | str]]):
         xs = [Fraction(c[0]) for c in coords]
         ys = [Fraction(c[1]) for c in coords]
-        scale = 1
-        for f in xs:
-            scale = scale * f.denominator // math.gcd(scale, f.denominator)
-        for f in ys:
-            scale = scale * f.denominator // math.gcd(scale, f.denominator)
+        self._place([(f.numerator, f.denominator) for f in xs],
+                    [(f.numerator, f.denominator) for f in ys])
+
+    def _place(self, xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> None:
+        """Put reduced (numerator, denominator) coordinates on the grid whose
+        scale is the lcm of all denominators."""
+        scale = math.lcm(*{d for _, d in xs}, *{d for _, d in ys})
         self._scale = scale
-        self._sx = [int(f * scale) for f in xs]
-        self._sy = [int(f * scale) for f in ys]
+        self._sx = [n * (scale // d) for n, d in xs]
+        self._sy = [n * (scale // d) for n, d in ys]
         seen: dict[tuple[int, int], int] = {}
         for i, key in enumerate(zip(self._sx, self._sy)):
             if key in seen:
                 raise PreconditionError(
-                    f"points {seen[key]} and {i} share coordinates {xs[i]}, {ys[i]}"
+                    f"points {seen[key]} and {i} share coordinates {self.x(i)}, {self.y(i)}"
                 )
             seen[key] = i
 
@@ -134,6 +140,13 @@ class PointSet:
         sx, sy = self._sx, self._sy
         return [(sx[i] * f - ox, sy[i] * f - oy) for i in ids]
 
+    def vectors_from(self, v: int, ids: Iterable[int]) -> list[tuple[int, int]]:
+        """Grid offsets of the points `ids` from the point v: `offsets` from
+        v's coordinates, with no Fraction."""
+        x, y = self._sx[v], self._sy[v]
+        sx, sy = self._sx, self._sy
+        return [(sx[i] - x, sy[i] - y) for i in ids]
+
     def dist_sq(self, i: int, j: int) -> Fraction:
         dx = self._sx[i] - self._sx[j]
         dy = self._sy[i] - self._sy[j]
@@ -160,8 +173,13 @@ class PointSet:
         )
 
     def reflected(self) -> "PointSet":
-        """Mirror image across the x-axis (y -> -y); ids are preserved."""
-        return PointSet([(self.x(i), -self.y(i)) for i in self.ids])
+        """Mirror image across the x-axis (y -> -y) on the same grid; ids are
+        preserved."""
+        mirror = PointSet.__new__(PointSet)
+        mirror._scale = self._scale
+        mirror._sx = self._sx
+        mirror._sy = [-y for y in self._sy]
+        return mirror
 
     def perturbed(self, eps: Fraction | None = None) -> "PointSet":
         """Deterministic general-position perturbation: point i moves by
@@ -210,7 +228,7 @@ class PointSet:
 
     @classmethod
     def from_text(cls, text: str) -> "PointSet":
-        rows: dict[int, tuple[str, str]] = {}
+        rows: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -220,8 +238,7 @@ class PointSet:
                 raise UsageError(f"line {lineno}: expected `id x y`, got {raw!r}")
             try:
                 pid = int(parts[0])
-                x, y = parts[1], parts[2]
-                Fraction(x), Fraction(y)
+                x, y = read_coord(parts[1]), read_coord(parts[2])
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"line {lineno}: {exc}") from exc
             if pid in rows:
@@ -232,33 +249,98 @@ class PointSet:
         n = len(rows)
         if sorted(rows) != list(range(n)):
             raise UsageError(f"ids must be contiguous 0..{n - 1}")
-        return cls([rows[i] for i in range(n)])
+        ps = cls.__new__(cls)
+        ps._place([rows[i][0] for i in range(n)], [rows[i][1] for i in range(n)])
+        return ps
 
     def to_text(self) -> str:
-        lines = [f"{i} {format_coord(self.x(i))} {format_coord(self.y(i))}" for i in self.ids]
-        return "\n".join(lines) + "\n"
+        fmt = _grid_formatter(self._scale, max(map(abs, self._sx + self._sy), default=0))
+        return "".join(
+            f"{i} {fmt(x)} {fmt(y)}\n" for i, (x, y) in enumerate(zip(self._sx, self._sy))
+        )
+
+
+# int() and str() apply their digit limit only above this many digits (the
+# limit cannot be set lower), so shorter conversions raise nothing that the
+# Fraction path would not.
+_SAFE_DIGITS = 640
+_PLAIN_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
+
+
+def read_coord(text: str) -> tuple[int, int]:
+    """Exact value of a coordinate string as a reduced (numerator,
+    denominator) pair, denominator positive.
+
+    Plain ASCII decimals (`[-]digits[.digits]`) are read with int(); every
+    other form (`p/q`, exponents, a leading `+`, `5.` or `.5`, underscores,
+    surrounding spaces, non-ASCII digits, very long strings, malformed text)
+    goes through Fraction, so values, errors and messages are Fraction's."""
+    m = _PLAIN_DECIMAL.fullmatch(text)
+    if m is None or len(text) > _SAFE_DIGITS:
+        f = Fraction(text)
+        return f.numerator, f.denominator
+    whole, frac = m.groups()
+    if frac is None:
+        return int(whole), 1
+    num, den = int(whole + frac), 10 ** len(frac)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _twos_fives(den: int) -> tuple[int, int, int]:
+    """den = 2**twos * 5**fives * rest, with rest prime to 10."""
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    return twos, fives, den
+
+
+def _format_decimal(scaled: int, digits: int) -> str:
+    """The text of scaled / 10**digits with no trailing fractional zeros."""
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    frac = text[len(text) - digits:].rstrip("0")
+    whole = text[: len(text) - digits]
+    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+
+
+def _grid_formatter(scale: int, largest: int):
+    """`format_coord` of v / scale for grid values v with |v| <= largest.
+
+    When the scale divides a power of ten 10**d and every v * 10**d / scale
+    is short enough for str(), each value is written from that integer,
+    with no gcd; otherwise from its reduced fraction, as `format_coord`
+    writes it."""
+    twos, fives, rest = _twos_fives(scale)
+    if rest == 1:
+        digits = max(twos, fives)
+        cofactor = 10**digits // scale
+        if largest * cofactor < 10**_SAFE_DIGITS:
+            return lambda v: _format_decimal(v * cofactor, digits)
+
+    def fmt(v: int) -> str:
+        g = math.gcd(v, scale)
+        return _format_ratio(v // g, scale // g)
+
+    return fmt
 
 
 def format_coord(f: Fraction) -> str:
     """Exact textual form: decimal when the denominator is 2^a*5^b, else p/q."""
-    den = f.denominator
-    if den == 1:
-        return str(f.numerator)
-    twos = fives = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        return f"{f.numerator}/{f.denominator}"
+    return _format_ratio(f.numerator, f.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """`format_coord` of the reduced fraction num / den."""
+    twos, fives, rest = _twos_fives(den)
+    if rest != 1:
+        return f"{num}/{den}"
     digits = max(twos, fives)
-    scaled = f.numerator * 10**digits // den
-    sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+    return _format_decimal(num * 10**digits // den, digits)
 
 
 def _sign(v) -> int:
@@ -465,13 +547,17 @@ def point_strictly_inside_polygon(
     """Strict interior test against a counterclockwise convex polygon: the
     query lies strictly left of every edge, i.e. each pair of consecutive
     vertex offsets from it turns counterclockwise."""
-    if len(poly) < 3:
-        return False
-    vecs = ps.offsets(poly, qx, qy)
-    for (ax, ay), (bx, by) in zip(vecs, vecs[1:] + vecs[:1]):
-        if ax * by - ay * bx <= 0:
-            return False
-    return True
+    return len(poly) >= 3 and _turns_left(ps.offsets(poly, qx, qy))
+
+
+def id_strictly_inside_polygon(poly: Sequence[int], ps: PointSet, q: int) -> bool:
+    """`point_strictly_inside_polygon` for the point q of the set, on grid
+    offsets."""
+    return len(poly) >= 3 and _turns_left(ps.vectors_from(q, poly))
+
+
+def _turns_left(vecs: list[tuple[int, int]]) -> bool:
+    return all(ax * by - ay * bx > 0 for (ax, ay), (bx, by) in zip(vecs, vecs[1:] + vecs[:1]))
 
 
 def point_strictly_inside_triangle(
@@ -504,9 +590,9 @@ def angular_order(vecs: Sequence[tuple[int, int]]) -> list[int]:
     return sorted(range(len(vecs)), key=cmp_to_key(cmp))
 
 
-def _order_around(pivot: Point, ids: Sequence[int], ps: PointSet, mirror: bool) -> list[int]:
-    """Ids by angle around pivot; `mirror` flips y, giving clockwise order."""
-    vecs = ps.offsets(ids, pivot.x, pivot.y)
+def _by_angle(ids: Sequence[int], vecs: list[tuple[int, int]], mirror: bool) -> list[int]:
+    """Ids by the angle of their offsets from a pivot; `mirror` flips y,
+    giving clockwise order."""
     for i, (dx, dy) in zip(ids, vecs):
         if dx == 0 and dy == 0:
             raise PreconditionError(f"pivot coincides with point {i}")
@@ -517,12 +603,17 @@ def _order_around(pivot: Point, ids: Sequence[int], ps: PointSet, mirror: bool) 
 
 def ccw_order_around(pivot: Point, ids: Sequence[int], ps: PointSet) -> list[int]:
     """Ids sorted counterclockwise by angle from the positive x-axis at pivot."""
-    return _order_around(pivot, ids, ps, mirror=False)
+    return _by_angle(ids, ps.offsets(ids, pivot.x, pivot.y), mirror=False)
 
 
 def cw_order_around(pivot: Point, ids: Sequence[int], ps: PointSet) -> list[int]:
     """Ids sorted clockwise by angle from the positive x-axis at pivot."""
-    return _order_around(pivot, ids, ps, mirror=True)
+    return _by_angle(ids, ps.offsets(ids, pivot.x, pivot.y), mirror=True)
+
+
+def ccw_order_around_id(v: int, ids: Sequence[int], ps: PointSet) -> list[int]:
+    """`ccw_order_around` the point v of the set, on grid offsets."""
+    return _by_angle(ids, ps.vectors_from(v, ids), mirror=False)
 
 
 def same_ray(d1: tuple, d2: tuple) -> bool:

@@ -28,7 +28,7 @@ from .errors import GeneralPositionError, PreconditionError, UsageError
 from .geometry import (
     PointSet,
     Segment,
-    ccw_order_around,
+    ccw_order_around_id,
     point_strictly_inside_triangle,
     same_ray,
     strictly_inside_cone,
@@ -225,6 +225,15 @@ class RootedMst:
         return frozenset(self.edges)
 
 
+def adjacency(edges: Sequence[Segment]) -> dict[int, list[int]]:
+    """Neighbour lists of the edge endpoints, in edge order."""
+    adj: dict[int, list[int]] = {}
+    for e in edges:
+        adj.setdefault(e.a, []).append(e.b)
+        adj.setdefault(e.b, []).append(e.a)
+    return adj
+
+
 def root_at_leaf(
     edges: Sequence[Segment],
     ps: PointSet,
@@ -237,16 +246,15 @@ def root_at_leaf(
     root is not a leaf or the edges do not form a tree on `vertices`.
     """
     verts = frozenset(vertices) if vertices is not None else frozenset(ps.ids)
-    adj: dict[int, list[int]] = {v: [] for v in verts}
     for e in edges:
         if e.a not in verts or e.b not in verts:
             raise PreconditionError(f"edge {e} leaves the vertex set")
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
+    adj = adjacency(edges)
     if root not in verts:
         raise PreconditionError(f"root {root} not in vertex set")
-    if len(adj[root]) != 1:
-        raise PreconditionError(f"root {root} has degree {len(adj[root])}, not a leaf")
+    degree = len(adj.get(root, ()))
+    if degree != 1:
+        raise PreconditionError(f"root {root} has degree {degree}, not a leaf")
     if len(edges) != len(verts) - 1:
         raise PreconditionError("edge count does not match a spanning tree")
     level = {root: 0}
@@ -266,11 +274,10 @@ def root_at_leaf(
     }
     children: dict[int, tuple[int, ...]] = {}
     for v in verts:
-        kids = [w for w in adj[v] if parent.get(w) == v]
+        kids = [w for w in adj.get(v, ()) if parent.get(w) == v]
         if len(kids) > 1:
-            kids = ccw_order_around(ps.point(v), kids, ps)
+            kids = ccw_order_around_id(v, kids, ps)
         children[v] = tuple(kids)
-    adjacency = {v: tuple(sorted(adj[v])) for v in verts}
     return RootedMst(
         ps=ps,
         vertices=verts,
@@ -280,7 +287,7 @@ def root_at_leaf(
         parent=parent,
         grandparent=grandparent,
         children=children,
-        adjacency=adjacency,
+        adjacency={v: tuple(sorted(adj.get(v, ()))) for v in verts},
     )
 
 
@@ -417,7 +424,7 @@ def neighbors_stay_in_wedge(rm: RootedMst, v: int) -> bool:
     nbrs = rm.adjacency[v]
     if len(nbrs) < 3:
         raise PreconditionError("wedge property needs degree >= 3")
-    ring = ccw_order_around(rm.ps.point(v), list(nbrs), rm.ps)
+    ring = ccw_order_around_id(v, list(nbrs), rm.ps)
     k = len(ring)
     for i, vi in enumerate(ring):
         prv = ring[(i - 1) % k]

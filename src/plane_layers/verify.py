@@ -4,6 +4,9 @@ bound, and adversarial instance generation.
 verify_layers re-derives everything from scratch (an exact sweep for
 crossings, listing the pairs only when one exists; union-find spanning; a
 fresh MST bottleneck) and reports; it never raises on a property failure.
+Edge lengths are compared as squared integers on the point set's grid; each
+reported length or ratio is one int/int division of them, which rounds
+correctly, like the float of the exact fraction.
 """
 
 from __future__ import annotations
@@ -101,9 +104,11 @@ def verify_layers(
     pairwise edge-disjointness, and measure bottlenecks against a freshly
     computed MST."""
     n = len(ps)
-    be_sq = None
+    be_sq = be_grid = None
     if n >= 2:
-        be_sq = bottleneck(build_emst(ps), ps).length_sq
+        be = bottleneck(build_emst(ps), ps)
+        be_sq, be_grid = be.length_sq, ps.sdist_sq(be.edge.a, be.edge.b)
+    grid_sq = ps.scale * ps.scale
     reports = []
     for layer in layers:
         crossings = tuple(
@@ -122,9 +127,9 @@ def verify_layers(
         for e in layer:
             uf.union(e.a, e.b)
         components = uf.component_count()
-        top_sq = max((ps.seg_len_sq(e) for e in layer), default=Fraction(0))
-        bott = math.sqrt(top_sq)
-        ratio = math.sqrt(top_sq / be_sq) if be_sq else 0.0
+        top = max((ps.sdist_sq(e.a, e.b) for e in layer), default=0)
+        bott = math.sqrt(top / grid_sq)
+        ratio = math.sqrt(top / be_grid) if be_grid else 0.0
         reports.append(
             LayerReport(
                 plane=not crossings,
@@ -134,7 +139,7 @@ def verify_layers(
                 bottleneck=bott,
                 ratio=ratio,
                 edges=len(layer),
-                longest_sq=top_sq,
+                longest_sq=Fraction(top, grid_sq),
                 overlaps=overlaps,
             )
         )
@@ -148,7 +153,7 @@ def verify_layers(
                     dups.append(e.as_pair())
             else:
                 seen[e] = 1
-                if be_sq is not None and ps.seg_len_sq(e) > 4 * be_sq:
+                if be_grid is not None and ps.sdist_sq(e.a, e.b) > 4 * be_grid:
                     over_twice += 1
     return VerificationReport(
         per_layer=tuple(reports),

@@ -261,7 +261,8 @@ def test_select_p_case_2a():
 
 
 def test_select_p_tag_predicates_recomputed(rng):
-    from plane_layers.centralized import _adjacency, _cw_angle_below_pi, big_angle_pair
+    from plane_layers.centralized import _cw_angle_below_pi, big_angle_pair
+    from plane_layers.mst import adjacency
 
     done = 0
     trials = 0
@@ -273,7 +274,7 @@ def test_select_p_tag_predicates_recomputed(rng):
             continue
         pc = select_P(ps, edges)
         wps = ps.reflected() if pc.mirrored else ps
-        adj = _adjacency(edges)
+        adj = adjacency(edges)
         # the canonical conventions hold in the working orientation
         assert _cw_angle_below_pi(wps, pc.v2, pc.v3, pc.v1)
         if pc.tag.startswith("1"):

@@ -261,3 +261,36 @@ def test_one_emst_per_cli_call(tmp_path, monkeypatch):
             calls.clear()
             assert run(*command) == 0
             assert len(calls) == 1, command
+
+
+@pytest.mark.parametrize("coord", ["abc", "1/0", "1..5", "--1", "1e", "0x1", "1,5", ".", "7" * 4301])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_malformed_coordinates_are_usage_errors(tmp_path, capsys, coord, command):
+    """Exit 2 with the message that reading the coordinate as a Fraction gives."""
+    with pytest.raises((ValueError, ZeroDivisionError)) as exc:
+        Fraction(coord)
+    pts = tmp_path / "p.txt"
+    pts.write_text(f"0 0 0\n1 1 0\n2 1 {coord}\n3 0 1\n")
+    out = tmp_path / "tt.json"
+    out.write_text(json.dumps({"kind": "two-tree", "red": [], "blue": []}))
+    argv = ["build", str(pts), "--out", str(out)] if command == "build" else [
+        "verify", str(pts), str(out)]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"usage error: line 3: {exc.value}\n"
+
+
+def test_coordinate_forms_read_as_their_values(tmp_path):
+    """Signs, exponents, fractions, underscores and non-ASCII digits in a
+    point file build the same trees as the plain decimals they stand for."""
+    forms = tmp_path / "forms.txt"
+    forms.write_text("0 +0.5 0\n1 1e1 .5\n2 3/7 1_0\n3 -.25 ７\n4 5. -0.0\n")
+    plain = tmp_path / "plain.txt"
+    plain.write_text(PointSet.from_text(forms.read_text()).to_text())
+    assert plain.read_text() == "0 0.5 0\n1 10 0.5\n2 3/7 10\n3 -0.25 7\n4 5 0\n"
+    outs = []
+    for pts in (forms, plain):
+        out = tmp_path / f"{pts.stem}.json"
+        assert run("build", str(pts), "--out", str(out)) == 0
+        assert run("verify", str(pts), str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

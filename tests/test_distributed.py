@@ -302,6 +302,8 @@ def brute_depth(cx, cy, pts):
         probes.append((a[0] + b[0], a[1] + b[1]))
     if len(ordered) > 1:
         probes.append((ordered[-1][0] - ordered[0][0], ordered[-1][1] - ordered[0][1]))
+    elif ordered:  # the candidate and all points on one line: probe across it
+        probes.append((-ordered[0][1], ordered[0][0]))
     best = len(pts)
     for dx, dy in probes:
         sides = [dx * qy - dy * qx for qx, qy in rel]
@@ -333,9 +335,7 @@ def test_tukey_depth_matches_oracles():
         coords = ps.coords()
         depth = tukey_depth(cx, cy, ids, ps)
         assert depth == probe_depth(cx, cy, coords), (pts, cx, cy)
-        rel = [(x - cx, y - cy) for x, y in coords]
-        on_one_line = all(a[0] * b[1] == a[1] * b[0] for a, b in combinations(rel, 2))
-        if trial % 4 == 0 and not on_one_line:  # brute_depth probes no line across one
+        if trial % 4 == 0:
             assert depth == brute_depth(cx, cy, coords)
         stop = rng.randint(0, m + 1)
         early = tukey_depth(cx, cy, ids, ps, stop_below=stop)

@@ -12,6 +12,7 @@ from plane_layers.geometry import (
     PointSet,
     Segment,
     ccw_order_around,
+    ccw_order_around_id,
     collinear_overlap,
     convex_hull,
     _all_crossing_pairs,
@@ -20,10 +21,12 @@ from plane_layers.geometry import (
     cw_order_around,
     format_coord,
     has_crossing,
+    id_strictly_inside_polygon,
     orientation,
     orientation_ids,
     point_strictly_inside_polygon,
     properly_cross,
+    read_coord,
 )
 
 from conftest import random_point_set
@@ -272,6 +275,143 @@ def test_orders_around_rational_pivots_match_fraction_comparator():
         assert point_strictly_inside_polygon(hull, ps, pivot.x, pivot.y) == inside
         for v in hull:  # a hull vertex is never strictly inside
             assert not point_strictly_inside_polygon(hull, ps, ps.x(v), ps.y(v))
+        # the same tests with a point of the set as pivot, on grid offsets
+        v = ids[0]
+        others = ids[1:]
+        assert ps.vectors_from(v, others) == ps.offsets(others, ps.x(v), ps.y(v))
+        assert ccw_order_around_id(v, others, ps) == fraction_order_around(
+            ps.point(v), others, ps, False
+        )
+        for q in ids:
+            assert id_strictly_inside_polygon(hull, ps, q) == point_strictly_inside_polygon(
+                hull, ps, ps.x(q), ps.y(q)
+            )
+
+
+def fraction_grid(coords):
+    """The `Fraction` constructor that the integer reader replaced: the scale
+    (lcm of the reduced denominators) and the scaled integer coordinates."""
+    xs = [Fraction(c[0]) for c in coords]
+    ys = [Fraction(c[1]) for c in coords]
+    scale = 1
+    for f in xs + ys:
+        scale = scale * f.denominator // math.gcd(scale, f.denominator)
+    return scale, [int(f * scale) for f in xs], [int(f * scale) for f in ys]
+
+
+def fraction_format_coord(f):
+    """`format_coord` as written on `Fraction` before it moved to integers."""
+    den = f.denominator
+    if den == 1:
+        return str(f.numerator)
+    twos = fives = 0
+    d = den
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    if d != 1:
+        return f"{f.numerator}/{f.denominator}"
+    digits = max(twos, fives)
+    scaled = f.numerator * 10**digits // den
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+
+
+def fraction_to_text(coords):
+    return "\n".join(
+        f"{i} {fraction_format_coord(Fraction(x))} {fraction_format_coord(Fraction(y))}"
+        for i, (x, y) in enumerate(coords)
+    ) + "\n"
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _fraction_read(text):
+    f = Fraction(text)
+    return f.numerator, f.denominator
+
+
+READER_CASES = [
+    "0", "-0", "-0.0", "007", "-007.50", "5.", ".5", "-.5", "+1.5", " 1.5", "1.5 ", "\t2\n",
+    "1e3", "1E-3", "-2.5e+2", "1_0", "1_000.5", "1__0", "_1", "1/3", "-6/4", "6/-4", "1/0",
+    "0/5", "３.５", "-１２", "٣", "1.2.3", "", "-", ".", "+", "1-", "--1", "0x10", "nan",
+    "inf", "1,5", "1 5", "½", "9" * 639, "-" + "9" * 638 + ".5", "9" * 641, "7" * 4300,
+    "7" * 4301, "0." + "1" * 5000, "1" * 300 + "." + "3" * 700,
+]
+
+
+def test_read_coord_matches_fraction_oracle():
+    """Same value, or the same error type and message, as `Fraction`."""
+    rng = random.Random(45)
+    pieces = ["", "-", "+", " ", "0", "00", "7", "12", ".", "5", "e", "e2", "E-1", "_", "/",
+              "3", "0", "９", "a"]
+    cases = list(READER_CASES)
+    for _ in range(4000):
+        cases.append("".join(rng.choice(pieces) for _ in range(rng.randint(1, 6))))
+    for _ in range(1000):  # plain decimals with signs and leading or trailing zeros
+        whole = "0" * rng.randint(0, 2) + str(rng.randint(0, 10**rng.randint(0, 15)))
+        frac = "." + str(rng.randint(0, 10**rng.randint(0, 15))) + "0" * rng.randint(0, 2)
+        cases.append(rng.choice(("", "-")) + whole + rng.choice(("", frac)))
+    for text in cases:
+        got = _outcome(read_coord, text)
+        assert got == _outcome(_fraction_read, text), text
+        if not isinstance(got[0], type):
+            assert math.gcd(*got) == 1 and got[1] > 0, text
+
+
+def test_pointset_grid_matches_fraction_constructor():
+    """Scale, scaled integers, text and mirror image as the `Fraction` path
+    gave them, for strings, ints and Fractions mixed."""
+    rng = random.Random(46)
+    accepted = [t for t in READER_CASES if not isinstance(_outcome(_fraction_read, t)[0], type)]
+    for _ in range(300):
+        values = {}
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.randrange(5)
+            if kind == 0:
+                v = rng.choice(accepted)
+            elif kind == 1:
+                v = rng.randint(-10**12, 10**12)
+            elif kind == 2:
+                v = Fraction(rng.randint(-999, 999), rng.choice((1, 3, 7, 8, 10**13)))
+            else:
+                v = f"{rng.uniform(-1000, 1000):.{rng.randint(0, 8)}f}"
+            values.setdefault(Fraction(v), v)
+        vals = list(values.values())
+        rng.shuffle(vals)
+        coords = [(vals[i], vals[-1 - i]) for i in range(len(vals))]
+        scale, sx, sy = fraction_grid(coords)
+        text = "".join(f"{i} {str(x).strip()} {str(y).strip()}\n" for i, (x, y) in enumerate(coords))
+        for ps in (PointSet(coords), PointSet.from_text(text)):
+            assert ps.scale == scale
+            assert [ps.scaled(i) for i in ps.ids] == list(zip(sx, sy))
+        written = _outcome(PointSet.to_text, ps)
+        assert written == _outcome(fraction_to_text, coords)
+        mirror = [(x, -Fraction(y)) for x, y in coords]
+        scale, sx, sy = fraction_grid(mirror)
+        reflected = ps.reflected()
+        assert reflected.scale == scale
+        assert [reflected.scaled(i) for i in ps.ids] == list(zip(sx, sy))
+        assert _outcome(PointSet.to_text, reflected) == _outcome(fraction_to_text, mirror)
+        if isinstance(written, str):
+            again = PointSet.from_text(written)
+            assert again.scale == ps.scale and again.coords() == ps.coords()
+
+
+def test_format_coord_matches_fraction_oracle():
+    rng = random.Random(47)
+    for _ in range(2000):
+        f = Fraction(rng.randint(-10**9, 10**9), rng.choice((1, 2, 3, 8, 25, 40, 10**6, 7 * 10**3)))
+        assert format_coord(f) == fraction_format_coord(f)
 
 
 def test_pointset_rejects_duplicates():
