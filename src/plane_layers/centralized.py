@@ -30,7 +30,7 @@ from .geometry import (
     Orientation,
     PointSet,
     Segment,
-    ccw_order_around_id,
+    ccw_order_around,
     convex_hull,
     crossing_pairs,
     id_strictly_inside_polygon,
@@ -245,7 +245,7 @@ def _side_inversion(split: SideSplit, variant: Recoloring) -> tuple[frozenset, f
 def _ccw_ring(ps: PointSet, v: int, nbrs: Sequence[int]) -> list[int]:
     if len(nbrs) == 1:
         return list(nbrs)
-    return ccw_order_around_id(v, list(nbrs), ps)
+    return ccw_order_around(v, list(nbrs), ps)
 
 
 def _gap_signs(ps: PointSet, v: int, ring: Sequence[int]) -> list[int]:

@@ -126,26 +126,28 @@ class PointSet:
     def coords(self) -> list[tuple[Fraction, Fraction]]:
         return [(self.x(i), self.y(i)) for i in self.ids]
 
-    def offsets(self, ids: Iterable[int], cx: Fraction, cy: Fraction) -> list[tuple[int, int]]:
-        """Integer offsets of the points `ids` from the rational point
-        (cx, cy), all multiplied by one positive common denominator.
+    def offsets(
+        self, ids: Iterable[int], cx: Fraction | int, cy: Fraction | int, den: int | None = None
+    ) -> list[tuple[int, int]]:
+        """Integer offsets of the points `ids` from a pivot, all multiplied by
+        one positive common denominator.
+
+        The pivot is the rational point (cx, cy); with `den` given it is
+        (cx / den, cy / den) for integers cx, cy, so `offsets(ids,
+        *ps.scaled(v), ps.scale)` gives the plain grid offsets from the point v.
 
         The common factor leaves every sign of a cross or dot product, every
         equality of rays and every comparison of squared lengths among the
         offsets as it is for the exact differences."""
-        den = math.lcm(self._scale, cx.denominator, cy.denominator)
-        f = den // self._scale
-        ox = cx.numerator * (den // cx.denominator)
-        oy = cy.numerator * (den // cy.denominator)
+        if den is None:
+            den = math.lcm(cx.denominator, cy.denominator)
+            cx = cx.numerator * (den // cx.denominator)
+            cy = cy.numerator * (den // cy.denominator)
+        common = math.lcm(self._scale, den)
+        f, g = common // self._scale, common // den
+        ox, oy = cx * g, cy * g
         sx, sy = self._sx, self._sy
         return [(sx[i] * f - ox, sy[i] * f - oy) for i in ids]
-
-    def vectors_from(self, v: int, ids: Iterable[int]) -> list[tuple[int, int]]:
-        """Grid offsets of the points `ids` from the point v: `offsets` from
-        v's coordinates, with no Fraction."""
-        x, y = self._sx[v], self._sy[v]
-        sx, sy = self._sx, self._sy
-        return [(sx[i] - x, sy[i] - y) for i in ids]
 
     def dist_sq(self, i: int, j: int) -> Fraction:
         dx = self._sx[i] - self._sx[j]
@@ -254,15 +256,20 @@ class PointSet:
         return ps
 
     def to_text(self) -> str:
-        fmt = _grid_formatter(self._scale, max(map(abs, self._sx + self._sy), default=0))
+        scale = self._scale
+
+        def fmt(v: int) -> str:
+            g = math.gcd(v, scale)
+            return _format_ratio(v // g, scale // g)
+
         return "".join(
             f"{i} {fmt(x)} {fmt(y)}\n" for i, (x, y) in enumerate(zip(self._sx, self._sy))
         )
 
 
-# int() and str() apply their digit limit only above this many digits (the
-# limit cannot be set lower), so shorter conversions raise nothing that the
-# Fraction path would not.
+# int() applies its digit limit only above this many digits (the limit
+# cannot be set lower), so shorter strings raise nothing that the Fraction
+# path would not.
 _SAFE_DIGITS = 640
 _PLAIN_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
 
@@ -287,60 +294,26 @@ def read_coord(text: str) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _twos_fives(den: int) -> tuple[int, int, int]:
-    """den = 2**twos * 5**fives * rest, with rest prime to 10."""
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    return twos, fives, den
-
-
-def _format_decimal(scaled: int, digits: int) -> str:
-    """The text of scaled / 10**digits with no trailing fractional zeros."""
-    sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
-    frac = text[len(text) - digits:].rstrip("0")
-    whole = text[: len(text) - digits]
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
-
-
-def _grid_formatter(scale: int, largest: int):
-    """`format_coord` of v / scale for grid values v with |v| <= largest.
-
-    When the scale divides a power of ten 10**d and every v * 10**d / scale
-    is short enough for str(), each value is written from that integer,
-    with no gcd; otherwise from its reduced fraction, as `format_coord`
-    writes it."""
-    twos, fives, rest = _twos_fives(scale)
-    if rest == 1:
-        digits = max(twos, fives)
-        cofactor = 10**digits // scale
-        if largest * cofactor < 10**_SAFE_DIGITS:
-            return lambda v: _format_decimal(v * cofactor, digits)
-
-    def fmt(v: int) -> str:
-        g = math.gcd(v, scale)
-        return _format_ratio(v // g, scale // g)
-
-    return fmt
-
-
-def format_coord(f: Fraction) -> str:
-    """Exact textual form: decimal when the denominator is 2^a*5^b, else p/q."""
-    return _format_ratio(f.numerator, f.denominator)
-
-
 def _format_ratio(num: int, den: int) -> str:
-    """`format_coord` of the reduced fraction num / den."""
-    twos, fives, rest = _twos_fives(den)
-    if rest != 1:
+    """Exact text of the reduced fraction num / den (den > 0): decimal when
+    den is 2^a*5^b, else p/q."""
+    if den == 1:
+        return str(num)
+    twos = fives = 0
+    d = den
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    if d != 1:
         return f"{num}/{den}"
     digits = max(twos, fives)
-    return _format_decimal(num * 10**digits // den, digits)
+    scaled = num * 10**digits // den
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 def _sign(v) -> int:
@@ -541,22 +514,13 @@ def convex_hull(ids: Sequence[int], ps: PointSet) -> list[int]:
     return hull[start:] + hull[:start]
 
 
-def point_strictly_inside_polygon(
-    poly: Sequence[int], ps: PointSet, qx: Fraction, qy: Fraction
-) -> bool:
-    """Strict interior test against a counterclockwise convex polygon: the
-    query lies strictly left of every edge, i.e. each pair of consecutive
-    vertex offsets from it turns counterclockwise."""
-    return len(poly) >= 3 and _turns_left(ps.offsets(poly, qx, qy))
-
-
 def id_strictly_inside_polygon(poly: Sequence[int], ps: PointSet, q: int) -> bool:
-    """`point_strictly_inside_polygon` for the point q of the set, on grid
-    offsets."""
-    return len(poly) >= 3 and _turns_left(ps.vectors_from(q, poly))
-
-
-def _turns_left(vecs: list[tuple[int, int]]) -> bool:
+    """Strict interior test of the point q of the set against a
+    counterclockwise convex polygon: q lies strictly left of every edge, i.e.
+    each pair of consecutive vertex offsets from it turns counterclockwise."""
+    if len(poly) < 3:
+        return False
+    vecs = ps.offsets(poly, *ps.scaled(q), ps.scale)
     return all(ax * by - ay * bx > 0 for (ax, ay), (bx, by) in zip(vecs, vecs[1:] + vecs[:1]))
 
 
@@ -590,9 +554,13 @@ def angular_order(vecs: Sequence[tuple[int, int]]) -> list[int]:
     return sorted(range(len(vecs)), key=cmp_to_key(cmp))
 
 
-def _by_angle(ids: Sequence[int], vecs: list[tuple[int, int]], mirror: bool) -> list[int]:
-    """Ids by the angle of their offsets from a pivot; `mirror` flips y,
-    giving clockwise order."""
+def _by_angle(pivot: Point | int, ids: Sequence[int], ps: PointSet, mirror: bool) -> list[int]:
+    """Ids by the angle of their offsets from the pivot, a point or the id of
+    a point of the set; `mirror` flips y, giving clockwise order."""
+    if isinstance(pivot, Point):
+        vecs = ps.offsets(ids, pivot.x, pivot.y)
+    else:
+        vecs = ps.offsets(ids, *ps.scaled(pivot), ps.scale)
     for i, (dx, dy) in zip(ids, vecs):
         if dx == 0 and dy == 0:
             raise PreconditionError(f"pivot coincides with point {i}")
@@ -601,19 +569,16 @@ def _by_angle(ids: Sequence[int], vecs: list[tuple[int, int]], mirror: bool) -> 
     return [ids[k] for k in angular_order(vecs)]
 
 
-def ccw_order_around(pivot: Point, ids: Sequence[int], ps: PointSet) -> list[int]:
-    """Ids sorted counterclockwise by angle from the positive x-axis at pivot."""
-    return _by_angle(ids, ps.offsets(ids, pivot.x, pivot.y), mirror=False)
+def ccw_order_around(pivot: Point | int, ids: Sequence[int], ps: PointSet) -> list[int]:
+    """Ids sorted counterclockwise by angle from the positive x-axis at the
+    pivot (a point, or the id of a point of the set)."""
+    return _by_angle(pivot, ids, ps, mirror=False)
 
 
-def cw_order_around(pivot: Point, ids: Sequence[int], ps: PointSet) -> list[int]:
-    """Ids sorted clockwise by angle from the positive x-axis at pivot."""
-    return _by_angle(ids, ps.offsets(ids, pivot.x, pivot.y), mirror=True)
-
-
-def ccw_order_around_id(v: int, ids: Sequence[int], ps: PointSet) -> list[int]:
-    """`ccw_order_around` the point v of the set, on grid offsets."""
-    return _by_angle(ids, ps.vectors_from(v, ids), mirror=False)
+def cw_order_around(pivot: Point | int, ids: Sequence[int], ps: PointSet) -> list[int]:
+    """Ids sorted clockwise by angle from the positive x-axis at the pivot
+    (a point, or the id of a point of the set)."""
+    return _by_angle(pivot, ids, ps, mirror=True)
 
 
 def same_ray(d1: tuple, d2: tuple) -> bool:

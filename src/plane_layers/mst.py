@@ -28,7 +28,7 @@ from .errors import GeneralPositionError, PreconditionError, UsageError
 from .geometry import (
     PointSet,
     Segment,
-    ccw_order_around_id,
+    ccw_order_around,
     point_strictly_inside_triangle,
     same_ray,
     strictly_inside_cone,
@@ -276,7 +276,7 @@ def root_at_leaf(
     for v in verts:
         kids = [w for w in adj.get(v, ()) if parent.get(w) == v]
         if len(kids) > 1:
-            kids = ccw_order_around_id(v, kids, ps)
+            kids = ccw_order_around(v, kids, ps)
         children[v] = tuple(kids)
     return RootedMst(
         ps=ps,
@@ -424,7 +424,7 @@ def neighbors_stay_in_wedge(rm: RootedMst, v: int) -> bool:
     nbrs = rm.adjacency[v]
     if len(nbrs) < 3:
         raise PreconditionError("wedge property needs degree >= 3")
-    ring = ccw_order_around_id(v, list(nbrs), rm.ps)
+    ring = ccw_order_around(v, list(nbrs), rm.ps)
     k = len(ring)
     for i, vi in enumerate(ring):
         prv = ring[(i - 1) % k]

@@ -11,20 +11,18 @@ from plane_layers.geometry import (
     Point,
     PointSet,
     Segment,
+    _format_ratio,
     ccw_order_around,
-    ccw_order_around_id,
     collinear_overlap,
     convex_hull,
     _all_crossing_pairs,
     crossing_pairs,
     cross_sign,
     cw_order_around,
-    format_coord,
     has_crossing,
     id_strictly_inside_polygon,
     orientation,
     orientation_ids,
-    point_strictly_inside_polygon,
     properly_cross,
     read_coord,
 )
@@ -267,25 +265,23 @@ def test_orders_around_rational_pivots_match_fraction_comparator():
             continue
         assert cw_order_around(pivot, ids, ps) == fraction_order_around(pivot, ids, ps, True)
         assert ccw_order_around(pivot, ids, ps) == fraction_order_around(pivot, ids, ps, False)
-        hull = convex_hull(ids, ps)
-        inside = len(hull) >= 3 and all(
-            cross_sign(ps.x(a), ps.y(a), ps.x(b), ps.y(b), pivot.x, pivot.y) > 0
-            for a, b in zip(hull, hull[1:] + hull[:1])
-        )
-        assert point_strictly_inside_polygon(hull, ps, pivot.x, pivot.y) == inside
-        for v in hull:  # a hull vertex is never strictly inside
-            assert not point_strictly_inside_polygon(hull, ps, ps.x(v), ps.y(v))
-        # the same tests with a point of the set as pivot, on grid offsets
+        # the same orders with a point of the set as pivot, on grid offsets
         v = ids[0]
         others = ids[1:]
-        assert ps.vectors_from(v, others) == ps.offsets(others, ps.x(v), ps.y(v))
-        assert ccw_order_around_id(v, others, ps) == fraction_order_around(
+        assert ps.offsets(others, *ps.scaled(v), ps.scale) == ps.offsets(others, ps.x(v), ps.y(v))
+        assert ccw_order_around(v, others, ps) == fraction_order_around(
             ps.point(v), others, ps, False
         )
-        for q in ids:
-            assert id_strictly_inside_polygon(hull, ps, q) == point_strictly_inside_polygon(
-                hull, ps, ps.x(q), ps.y(q)
+        assert cw_order_around(v, others, ps) == fraction_order_around(
+            ps.point(v), others, ps, True
+        )
+        hull = convex_hull(ids, ps)
+        for q in ids:  # hull vertices are never strictly inside
+            inside = len(hull) >= 3 and all(
+                cross_sign(ps.x(a), ps.y(a), ps.x(b), ps.y(b), ps.x(q), ps.y(q)) > 0
+                for a, b in zip(hull, hull[1:] + hull[:1])
             )
+            assert id_strictly_inside_polygon(hull, ps, q) == inside
 
 
 def fraction_grid(coords):
@@ -300,7 +296,8 @@ def fraction_grid(coords):
 
 
 def fraction_format_coord(f):
-    """`format_coord` as written on `Fraction` before it moved to integers."""
+    """The coordinate format as written on `Fraction` before it moved to
+    integers."""
     den = f.denominator
     if den == 1:
         return str(f.numerator)
@@ -411,7 +408,7 @@ def test_format_coord_matches_fraction_oracle():
     rng = random.Random(47)
     for _ in range(2000):
         f = Fraction(rng.randint(-10**9, 10**9), rng.choice((1, 2, 3, 8, 25, 40, 10**6, 7 * 10**3)))
-        assert format_coord(f) == fraction_format_coord(f)
+        assert _format_ratio(f.numerator, f.denominator) == fraction_format_coord(f)
 
 
 def test_pointset_rejects_duplicates():
@@ -438,10 +435,12 @@ def test_point_file_errors():
 
 
 def test_format_coord_exact():
-    assert format_coord(Fraction(5)) == "5"
-    assert format_coord(Fraction(-3, 8)) == "-0.375"
-    assert format_coord(Fraction(1, 3)) == "1/3"
-    assert Fraction(format_coord(Fraction(123456, 10**6))) == Fraction(123456, 10**6)
+    assert _format_ratio(5, 1) == "5"
+    assert _format_ratio(-3, 8) == "-0.375"
+    assert _format_ratio(1, 3) == "1/3"
+    assert Fraction(_format_ratio(1929, 15625)) == Fraction(123456, 10**6)
+    ps = PointSet([("0.123456", "-2/6"), (-7, "1.50")])
+    assert ps.to_text() == "0 0.123456 -1/3\n1 -7 1.5\n"
 
 
 def test_perturbation_removes_collinearity():
