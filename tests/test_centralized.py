@@ -18,6 +18,7 @@ from plane_layers.centralized import (
 from plane_layers.errors import InternalAssertionError, PreconditionError
 from plane_layers.geometry import PointSet, Segment, properly_cross
 from plane_layers.mst import bottleneck, build_emst, root_at_leaf
+from plane_layers.unionfind import UnionFind
 from plane_layers.verify import gen_line_instance, verify_layers
 
 from conftest import random_point_set
@@ -417,3 +418,107 @@ def test_injected_crossing_names_first_crossing_stage(monkeypatch, seed, stage, 
         build_two_disjoint_trees(ps)
     assert info.value.stage == stage
     assert str(info.value) == f"[{stage}] {message}"
+
+
+# --- the final self-checks, each fault injected after the planarity check ---
+
+
+def _swap_across_cut(ps, edges, pool):
+    """`edges`, a spanning tree, with one edge replaced by the first pair of
+    `pool` that joins the two parts its removal leaves: still spanning."""
+    for i, e in enumerate(edges):
+        uf = UnionFind(ps.ids)
+        for f in edges[:i] + edges[i + 1:]:
+            uf.union(f.a, f.b)
+        for s in pool:
+            if s != e and not uf.connected(s.a, s.b):
+                return edges[:i] + [s] + edges[i + 1:]
+    raise AssertionError("no pool pair joins the parts")
+
+
+def _fault(kind, ps, red, blue, be_grid, bound):
+    """The faulty red list of one injection and the message it must raise."""
+    n = len(ps)
+    pairs = [s for _, s in sorted((ps.sdist_sq(a, b), Segment(a, b))
+                                  for a, b in combinations(ps.ids, 2))]
+    fresh = [s for s in pairs if s not in red and s not in blue]
+    if kind == "count":
+        return red + fresh[:1], f"red has {n} edges, expected {n - 1}"
+    if kind == "spanning":
+        uf = UnionFind(ps.ids)
+        for f in red[1:]:
+            uf.union(f.a, f.b)
+        cycle = next(s for s in fresh if uf.connected(s.a, s.b))
+        return red[1:] + [cycle], "red is not spanning"
+    if kind == "share":
+        return _swap_across_cut(ps, red, blue), "red and blue share an edge"
+    if kind == "over":
+        over = [s for s in fresh if ps.sdist_sq(s.a, s.b) > bound * bound * be_grid]
+        faulty = _swap_across_cut(ps, red, over)
+        (long,) = set(faulty) - set(red)
+        return faulty, f"edge {long} exceeds {bound}x bottleneck"
+    # "twice": two more edges above twice the bottleneck, none above the bound
+    between = [s for s in fresh if 4 * be_grid < ps.sdist_sq(s.a, s.b) <= 9 * be_grid]
+    faulty = _swap_across_cut(ps, _swap_across_cut(ps, red, between), between)
+    over2 = sum(ps.sdist_sq(e.a, e.b) > 4 * be_grid for e in faulty + blue)
+    assert over2 >= 2
+    return faulty, f"{over2} edges exceed twice the bottleneck"
+
+
+# With bound 2 the length limit is twice the bottleneck, so the flat branch
+# cannot reach the over-twice count without failing the length check first.
+@pytest.mark.parametrize(
+    "branch, kind",
+    [("flat", k) for k in ("count", "spanning", "share", "over")]
+    + [("pointed", k) for k in ("count", "spanning", "share", "over", "twice")],
+)
+def test_final_self_check_faults(monkeypatch, branch, kind):
+    if branch == "flat":
+        ps = random_point_set(random.Random(2), 30)
+        stage, label, bound = "flat-final", "flat construction at 5", 2
+    else:
+        ps = gen_line_instance(12, "0.001")
+        stage, label, bound = "pointed-final", "pointed construction, case 1b", 3
+    be = bottleneck(build_emst(ps), ps)
+    be_grid = ps.sdist_sq(be.edge.a, be.edge.b)
+    expected = []
+    original = centralized._Assembler.check_plane
+
+    def check_then_inject(asm):
+        original(asm)
+        faulty, message = _fault(kind, asm.ps, asm.red, asm.blue, be_grid, bound)
+        asm.red[:] = faulty
+        expected.append(message)
+
+    monkeypatch.setattr(centralized._Assembler, "check_plane", check_then_inject)
+    with pytest.raises(InternalAssertionError) as info:
+        build_two_disjoint_trees(ps)
+    assert info.value.stage == stage
+    assert str(info.value) == f"[{stage}] {label}: {expected[0]}"
+
+
+# One pinned instance per hull layout of P: both layouts of case 1 and the
+# two star cases.  Their outputs pin the base coloring each tag gets.
+@pytest.mark.parametrize(
+    "coords, tag, red, blue",
+    [
+        ([("0", "0"), ("1", "-0.22"), ("1.0985", "-0.2026"), ("1.0811", "-0.1041"),
+          ("1.03", "-0.115"), ("1.025", "-0.107"), ("1.025", "-0.085")], "1a",
+         [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (4, 6)],
+         [(0, 4), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)]),
+        (gen_line_instance(6, "0.001").coords(), "1b",
+         [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)], [(0, 2), (0, 3), (1, 3), (3, 4), (3, 5)]),
+        ([(0, 1), (0, 0), ("0.9063", "0.4226"), ("0.766", "-0.6428"), ("1.4", "-1.2")], "2a",
+         [(0, 1), (0, 3), (2, 3), (3, 4)], [(0, 2), (1, 2), (1, 3), (1, 4)]),
+        ([(0, 1), (0, 0), ("0.9063", "0.4226"), ("-0.9063", "0.4226")], "2b",
+         [(0, 1), (0, 2), (1, 3)], [(0, 3), (1, 2), (2, 3)]),
+    ],
+)
+def test_pointed_output_per_hull_layout(coords, tag, red, blue):
+    ps = PointSet(coords)
+    edges = build_emst(ps)
+    pc = select_P(ps, edges)
+    assert pc.tag == tag and pc.path == (0, 1, 2, 3)
+    tt = disjoint_trees_pointed(ps, edges, pc)
+    assert [e.as_pair() for e in tt.red] == red
+    assert [e.as_pair() for e in tt.blue] == blue

@@ -10,7 +10,10 @@ import pytest
 from plane_layers import distributed
 from plane_layers.distributed import (
     _cell_index,
+    _connector_pairs,
+    _dense_near,
     _nearest_center,
+    _pair_selected,
     build_k_layers,
     center_point,
     connect_boxes,
@@ -567,3 +570,84 @@ def test_locality_certificate_multibox(rng):
     ls = build_k_layers(ps, 1, beta=1)
     for p in ps.ids:
         assert locality_certificate(ps, 1, p, beta=1, layer_set=ls).ok
+
+
+def strip_point_set(seed, n=200):
+    """Uniform points in a 3000 x 100 strip: far pairs exceed the k=1 budget."""
+    rng = random.Random(seed)
+    return PointSet(sorted({(f"{rng.uniform(0, 3000):.3f}", f"{rng.uniform(0, 100):.3f}")
+                            for _ in range(n)}))
+
+
+def inject_connector(monkeypatch, layer, edge):
+    """Make connect_boxes add `edge` to the connectors of `layer`."""
+    original = distributed.connect_boxes
+
+    def with_connector(*args):
+        connectors = original(*args)
+        connectors[layer].append(edge)
+        return connectors
+
+    monkeypatch.setattr(distributed, "connect_boxes", with_connector)
+
+
+def test_build_k_layers_asserts_length_budget(monkeypatch):
+    ps = strip_point_set(0)
+    far = Segment(*max(combinations(ps.ids, 2), key=lambda p: ps.sdist_sq(*p)))
+    inject_connector(monkeypatch, 0, far)
+    with pytest.raises(InternalAssertionError) as info:
+        build_k_layers(ps, 1)
+    assert info.value.stage == "length-budget"
+    assert str(info.value) == (
+        f"[length-budget] edge {far} exceeds 12*sqrt(2)*k*beta in layer 0")
+
+
+def test_build_k_layers_asserts_disjoint_layers(monkeypatch):
+    ps = random_point_set(random.Random(0), 200)
+    first, second = build_k_layers(ps, 2).layers
+    shared = next(e for e in first if e not in second
+                  and not any(properly_cross(e, f, ps) for f in second))
+    inject_connector(monkeypatch, 1, shared)
+    with pytest.raises(InternalAssertionError) as info:
+        build_k_layers(ps, 2)
+    assert info.value.stage == "layer-disjointness"
+    assert str(info.value) == f"[layer-disjointness] edge {shared} in layers 0 and 1"
+
+
+def connector_pairs_oracle(dense):
+    """The four box-connection rules as a loop over the dense boxes: a box
+    joins the dense box below it and the one left of it, and the dense box
+    diagonally below-left (above-left) when neither box between them is
+    dense."""
+    pairs = set()
+    for i, j in sorted(dense):
+        below, left, above = (i, j - 1), (i - 1, j), (i, j + 1)
+        if below in dense:
+            pairs.add(tuple(sorted(((i, j), below))))
+        if left in dense:
+            pairs.add(tuple(sorted(((i, j), left))))
+        if below not in dense and left not in dense and (i - 1, j - 1) in dense:
+            pairs.add(tuple(sorted(((i, j), (i - 1, j - 1)))))
+        if above not in dense and left not in dense and (i - 1, j + 1) in dense:
+            pairs.add(tuple(sorted(((i, j), (i - 1, j + 1)))))
+    return sorted(pairs)
+
+
+def test_connector_pairs_match_rule_loop():
+    """Every subset of a 3x3 block and random dense sets on a 5x5 grid, over
+    the whole dense set and over the locality replay's view of each pair."""
+    block = [(i, j) for i in range(3) for j in range(3)]
+    cases = [frozenset(c for b, c in enumerate(block) if mask >> b & 1) for mask in range(512)]
+    rng = random.Random(618)
+    grid = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+    cases += [frozenset(c for c in grid if rng.random() < p)
+              for p in (0.3, 0.5, 0.7) for _ in range(400)]
+    for dense in cases:
+        expected = connector_pairs_oracle(dense)
+        assert _connector_pairs(dense) == expected
+        for a in dense:
+            for b in _dense_near(dense, a, radius=1):
+                if a < b:
+                    view = frozenset(_dense_near(dense, a))
+                    assert _pair_selected((a, b), view) == ((a, b) in expected)
+                    assert ((a, b) in _connector_pairs(view)) == ((a, b) in expected)
