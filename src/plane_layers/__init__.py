@@ -52,14 +52,9 @@ from .geometry import (
 )
 from .mst import (
     BottleneckInfo,
-    Mst2Edge,
-    Mst2Kind,
     RootedMst,
     bottleneck,
     build_emst,
-    lemma_mst2_cross,
-    lemma_triangle_empty,
-    mst_square,
     root_at_leaf,
 )
 from .verify import (
@@ -67,7 +62,6 @@ from .verify import (
     VerificationReport,
     counting_lower_bound,
     gen_line_instance,
-    random_edge_mutation,
     verify_layers,
 )
 

@@ -10,7 +10,9 @@ with at most one edge above ratio 2).
 Each assembled tree is checked for planarity with the exact sweep, and a
 crossing raises InternalAssertionError with a reproducer payload, labelled
 with the assembly stage that added the offending edge: the case analysis is
-the likeliest defect site, so it fails loud.
+the likeliest defect site, so it fails loud.  The finished pair is then
+checked exactly by `verify.count_layers`, the core of `verify_layers`:
+spanning, disjointness and the length bound.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .geometry import (
 )
 from .mst import BottleneckInfo, RootedMst, adjacency, bottleneck, build_emst, root_at_leaf
 from .unionfind import UnionFind
+from .verify import LayerCounts, count_layers
 
 
 class Recoloring(Enum):
@@ -80,22 +83,18 @@ class TwoTrees:
         }
 
 
-def _ratio(edges: Iterable[Segment], ps: PointSet, be_grid: int) -> float:
-    """Longest edge over the bottleneck; one int/int division, correctly
-    rounded like the float of the exact ratio."""
-    return math.sqrt(max((ps.sdist_sq(e.a, e.b) for e in edges), default=0) / be_grid)
+def _make_two_trees(red, blue, shared, counts: LayerCounts, be_grid: int, bound: int) -> TwoTrees:
+    # each ratio is one int/int division, correctly rounded like the float of the exact ratio
+    ratios = (math.sqrt(c.longest_sq / be_grid) for c in counts.per_layer)
+    return TwoTrees(tuple(sorted(red)), tuple(sorted(blue)), shared, *ratios, bound)
 
 
-def _make_two_trees(red, blue, shared, ps, be: BottleneckInfo, bound=2) -> TwoTrees:
-    be_grid = ps.sdist_sq(be.edge.a, be.edge.b)
-    return TwoTrees(
-        red=tuple(sorted(red)),
-        blue=tuple(sorted(blue)),
-        shared=shared,
-        max_ratio_red=_ratio(red, ps, be_grid),
-        max_ratio_blue=_ratio(blue, ps, be_grid),
-        bound=bound,
-    )
+def _trees_of_tree(rm: RootedMst, red, blue) -> TwoTrees:
+    """A root-edge coloring of rm, measured against rm's own bottleneck."""
+    be = bottleneck(rm.edges, rm.ps).edge
+    counts = count_layers([red, blue], rm.ps)
+    rs = Segment(rm.root, rm.root_child)
+    return _make_two_trees(red, blue, rs, counts, rm.ps.sdist_sq(be.a, be.b), 2)
 
 
 def construction1(rm: RootedMst) -> TwoTrees:
@@ -105,9 +104,7 @@ def construction1(rm: RootedMst) -> TwoTrees:
     blue; even-level vertices (except the root) do the opposite.  Both trees
     are plane and spanning and share exactly the root edge.
     """
-    red, blue = _root_edge_coloring(rm)
-    be = bottleneck(rm.edges, rm.ps)
-    return _make_two_trees(red, blue, Segment(rm.root, rm.root_child), rm.ps, be, bound=2)
+    return _trees_of_tree(rm, *_root_edge_coloring(rm))
 
 
 def _root_edge_coloring(rm: RootedMst) -> tuple[set[Segment], set[Segment]]:
@@ -218,9 +215,7 @@ def _branch_from(rm: RootedMst, start: int, block: int) -> set[int]:
 def recolor(split: SideSplit, variant: Recoloring) -> TwoTrees:
     """One of the four side-inversion colorings; all include the root edge in
     both colors and keep the three root-edge-construction properties."""
-    red, blue = _side_inversion(split, variant)
-    rm = split.rm
-    return _make_two_trees(red, blue, split.shared, rm.ps, bottleneck(rm.edges, rm.ps), bound=2)
+    return _trees_of_tree(split.rm, *_side_inversion(split, variant))
 
 
 def _side_inversion(split: SideSplit, variant: Recoloring) -> tuple[frozenset, frozenset]:
@@ -346,9 +341,7 @@ class _Assembler:
         self.blue.remove(old)
         del self._stage[old]
         self.add("blue", [new], stage)
-        for f in self.blue[:-1]:
-            if properly_cross(new, f, self.ps):
-                self._fail(stage, f"blue edges {new} and {f} cross")
+        self.check_plane()
 
     def _fail(self, stage: str, message: str) -> None:
         raise InternalAssertionError(
@@ -365,31 +358,25 @@ def _dump_payload(ps: PointSet, **edge_sets) -> dict:
     return payload
 
 
-def _verify_disjoint_pair(
-    asm: _Assembler, ps: PointSet, be_grid: int, bound: int, stage: str
-) -> None:
-    n = len(ps)
-    for name, edges in (("red", asm.red), ("blue", asm.blue)):
-        if len(edges) != n - 1:
-            asm._fail(stage, f"{name} has {len(edges)} edges, expected {n - 1}")
-        uf = UnionFind(ps.ids)
-        for e in edges:
-            uf.union(e.a, e.b)
-        if uf.component_count() != 1:
+def _verify_disjoint_pair(asm: _Assembler, be_grid: int, bound: int, stage: str) -> LayerCounts:
+    """Fail unless red and blue are edge-disjoint spanning trees, no edge is
+    above `bound` times the bottleneck and at most bound - 2 above twice it."""
+    counts = count_layers([asm.red, asm.blue], asm.ps)
+    n = len(asm.ps)
+    for name, c in zip(("red", "blue"), counts.per_layer):
+        if c.edges != n - 1:
+            asm._fail(stage, f"{name} has {c.edges} edges, expected {n - 1}")
+        if c.components != 1:
             asm._fail(stage, f"{name} is not spanning")
-    if set(asm.red) & set(asm.blue):
+    if counts.repeats:
         asm._fail(stage, "red and blue share an edge")
-    limit = bound * bound * be_grid
-    twice = 4 * be_grid
-    over2 = 0
-    for e in asm.red + asm.blue:
-        sq = ps.sdist_sq(e.a, e.b)
-        if sq > limit:
-            asm._fail(stage, f"edge {e} exceeds {bound}x bottleneck")
-        if sq > twice:
-            over2 += 1
+    for c in counts.per_layer:
+        if c.longest_sq > bound * bound * be_grid:
+            asm._fail(stage, f"edge {c.longest} exceeds {bound}x bottleneck")
+    over2 = counts.longer_than(4 * be_grid)
     if over2 > bound - 2:
         asm._fail(stage, f"{over2} edges exceed twice the bottleneck")
+    return counts
 
 
 def _subtree_contribution(
@@ -477,8 +464,9 @@ def disjoint_trees_flat(
         asm.add("blue", blue, f"flat-subtree-{i + 1}")
 
     asm.check_plane()
-    _verify_disjoint_pair(asm, ps, ps.sdist_sq(be.edge.a, be.edge.b), 2, "flat-final")
-    return _make_two_trees(asm.red, asm.blue, None, ps, be, bound=2)
+    be_grid = ps.sdist_sq(be.edge.a, be.edge.b)
+    counts = _verify_disjoint_pair(asm, be_grid, 2, "flat-final")
+    return _make_two_trees(asm.red, asm.blue, None, counts, be_grid, 2)
 
 
 # --- the all-pointed construction -------------------------------------------
@@ -624,23 +612,28 @@ def _choose_v0(ps: PointSet, adj, v1: int, v2: int) -> int:
     return _ccw_successor(ps, v1, adj[v1], v2)
 
 
-# Base colorings of the complete graph on P, reconstructed from the proof's
-# constraints: both colorings split the crossing diagonal pair, the blue tree
-# carries the three-hop edge v3v0 in case 1, and the edges that subtree
-# attachments may cross end up in the opposite color.
+# Base colorings of the complete graph on P by hull layout, reconstructed
+# from the proof's constraints: both colorings split the crossing diagonal
+# pair, the blue tree carries the three-hop edge v3v0 in case 1, and the
+# edges that subtree attachments may cross end up in the opposite color.
 _BASE_COLORINGS: dict[str, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]] = {
     # convex layout with hull order v3,v2,v1,v0 (diagonals v3v1 x v2v0)
-    "1a": (((3, 2), (1, 0), (3, 1)), ((2, 1), (2, 0), (3, 0))),
-    "1d": (((3, 2), (1, 0), (3, 1)), ((2, 1), (2, 0), (3, 0))),
+    "v3 v2 v1 v0": (((3, 2), (1, 0), (3, 1)), ((2, 1), (2, 0), (3, 0))),
     # hull order v3,v2,v0,v1 (diagonals v2v1 x v3v0): red keeps the tree path
-    "1b": (((3, 2), (2, 1), (1, 0)), ((2, 0), (3, 1), (3, 0))),
-    "1c": (((3, 2), (2, 1), (1, 0)), ((2, 0), (3, 1), (3, 0))),
-    "1e": (((3, 2), (2, 1), (1, 0)), ((2, 0), (3, 1), (3, 0))),
-    "1f": (((3, 2), (2, 1), (1, 0)), ((2, 0), (3, 1), (3, 0))),
+    "v3 v2 v0 v1": (((3, 2), (2, 1), (1, 0)), ((2, 0), (3, 1), (3, 0))),
     # star cases: every edge is a square-graph edge, no replacement needed
     "2a": (((2, 3), (1, 0), (3, 0)), ((2, 1), (2, 0), (3, 1))),
     "2b": (((2, 3), (2, 0), (3, 1)), ((2, 1), (3, 0), (1, 0))),
 }
+
+
+def _hull_layout(tag: str) -> str:
+    """The `_BASE_COLORINGS` key of a case tag: case 1 splits on whether the
+    clockwise angle at v1 from v2 to v0 is below pi (1a, 1d); each star case
+    is its own."""
+    if tag in ("1a", "1d"):
+        return "v3 v2 v1 v0"
+    return "v3 v2 v0 v1" if tag.startswith("1") else tag
 
 # Subtree table per case-1 tag: (anchor index, root index, coloring variant).
 # T0 hangs below v0, T1 beside v1, T2 beside v2; roots and colorings follow
@@ -670,7 +663,7 @@ def disjoint_trees_pointed(
     adj = adjacency(mst_edges)
     pv = {3: pc.v3, 2: pc.v2, 1: pc.v1, 0: pc.v0}
 
-    red_pairs, blue_pairs = _BASE_COLORINGS[pc.tag]
+    red_pairs, blue_pairs = _BASE_COLORINGS[_hull_layout(pc.tag)]
     asm = _Assembler(wps, f"pointed construction, case {pc.tag}")
     asm.add("red", [Segment(pv[a], pv[b]) for a, b in red_pairs], "pointed-base")
     asm.add("blue", [Segment(pv[a], pv[b]) for a, b in blue_pairs], "pointed-base")
@@ -689,7 +682,7 @@ def disjoint_trees_pointed(
             asm.add("red", red, f"pointed-T{anchor_idx}")
             asm.add("blue", blue, f"pointed-T{anchor_idx}")
         asm.check_plane()
-        _fix_three_hop_edge(asm, wps, pv, be_grid)
+        _fix_three_hop_edge(asm, wps, pv)
     else:
         if pc.tag == "2a":
             red, blue = _subtree_contribution(
@@ -701,11 +694,11 @@ def disjoint_trees_pointed(
         asm.check_plane()
 
     bound = 3 if pc.tag.startswith("1") else 2
-    _verify_disjoint_pair(asm, wps, be_grid, bound, "pointed-final")
-    return _make_two_trees(asm.red, asm.blue, None, ps, be, bound=3)
+    counts = _verify_disjoint_pair(asm, be_grid, bound, "pointed-final")
+    return _make_two_trees(asm.red, asm.blue, None, counts, be_grid, 3)
 
 
-def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int], be_grid: int) -> None:
+def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> None:
     """Replace the blue v3v0 edge by a hull-path edge when other blue edges
     cross it.  The replacement connects the two components of blue - v3v0 and
     is unique along the hull path through the points inside conv(P)."""
@@ -744,12 +737,8 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int], be_gr
     ]
     if len(joining) != 1:
         asm._fail("pointed-replace", f"{len(joining)} hull-path edges join the components")
-    e = joining[0]
-    if ps.sdist_sq(e.a, e.b) > 9 * be_grid:
-        asm._fail("pointed-replace", f"replacement edge {e} exceeds 3x bottleneck")
-    if e in asm.red:
-        asm._fail("pointed-replace", f"replacement edge {e} already red")
-    asm.replace_blue(e30, e, "pointed-replace")
+    # a red edge fails as added twice; the length is checked with the finished pair
+    asm.replace_blue(e30, joining[0], "pointed-replace")
 
 
 def build_two_disjoint_trees(ps: PointSet) -> TwoTrees:

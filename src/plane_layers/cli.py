@@ -25,7 +25,7 @@ from .errors import (
 from .geometry import PointSet, Segment
 from .mst import bottleneck, build_emst
 from .render import render_svg
-from .verify import gen_line_instance, verify_layers
+from .verify import count_layers, gen_line_instance, verify_layers
 
 
 def _write(path: str, text: str) -> None:
@@ -163,12 +163,10 @@ def cmd_build(args) -> int:
     payload = ls.to_json_dict()
     payload["n"] = len(ps)
     _dump_json(args.out, payload)
-    if be_sq is None:  # no --beta: the build used the MST bottleneck
-        be_sq = ls.beta_sq
+    be_sq = be_sq or ls.beta_sq  # without --beta the build used the MST bottleneck
     # the MST bottleneck is a grid length: be_sq * scale^2 is an integer
     be_grid = be_sq.numerator * ps.scale**2 // be_sq.denominator
-    top = max((ps.sdist_sq(e.a, e.b) for layer in ls.layers for e in layer), default=0)
-    max_ratio = math.sqrt(top / be_grid) if top else 0.0
+    max_ratio = math.sqrt(max(ls.longest_sq) / be_grid)
     bound = 12 * math.sqrt(2) * args.k
     print(f"layers={ls.k} maxRatio={max_ratio:.6f} bound={bound:.6f}")
     return 0
@@ -219,11 +217,8 @@ def cmd_stats(args) -> int:
         "k": len(layers),
         "mstBottleneck": be.length if be else 0.0,
         "layers": [
-            {
-                "edges": len(layer),
-                "bottleneck": (bottleneck(layer, ps).length if layer else 0.0),
-            }
-            for layer in layers
+            {"edges": c.edges, "bottleneck": c.length}
+            for c in count_layers(layers, ps).per_layer
         ],
     }
     print(json.dumps(stats, indent=2, sort_keys=True))

@@ -39,12 +39,13 @@ from .geometry import (
     convex_hull,
     crossing_pairs,
     cw_order_around,
+    has_crossing,
     id_strictly_inside_polygon,
-    properly_cross,
     same_ray,
 )
 from .mst import bottleneck, build_emst
 from .unionfind import UnionFind
+from .verify import count_layers
 
 Cell = tuple[int, int]
 
@@ -60,11 +61,6 @@ def _cell_index(v: int, scale: int, sm: int, q: Fraction) -> int:
     if v >= 0:
         return math.isqrt(num // den)
     return -(math.isqrt(-(-num // den) - 1) + 1)  # -ceil(sqrt(num / den))
-
-
-def _cell_of(ps: PointSet, p: int, sm: int, q: Fraction) -> Cell:
-    x, y = ps.scaled(p)
-    return (_cell_index(x, ps.scale, sm, q), _cell_index(y, ps.scale, sm, q))
 
 
 @dataclass(frozen=True)
@@ -127,26 +123,12 @@ def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
     if q <= 0:
         raise PreconditionError("beta^2 must be positive")
     sm = 6 * k
-    cell_of: dict[int, Cell] = {}
-    cells: dict[Cell, list[int]] = {}
-    for p in ps.ids:
-        c = _cell_of(ps, p, sm, q)
-        cell_of[p] = c
-        cells.setdefault(c, []).append(p)
-    dense = frozenset(c for c, members in cells.items() if len(members) >= 3 * k)
+    cell_of, cells, dense = _bucket(ps, k, q)
     if not dense:
         raise PreconditionError(
             "no dense box: beta is below the MST bottleneck or n is too small"
         )
-    assignment: dict[int, Cell] = {}
-    for p in ps.ids:
-        candidates = _dense_near(dense, cell_of[p])
-        if not candidates:
-            raise PreconditionError(
-                f"point {p} has no dense box within two cells; "
-                "beta below the MST bottleneck breaks the adjacency guarantee"
-            )
-        assignment[p] = _nearest_center(ps, p, candidates, cell_of[p], sm, q)
+    assignment = {p: _choose_box(ps, p, cell_of[p], dense, sm, q) for p in ps.ids}
     gi = GridIndex(
         k=k,
         beta_sq=q,
@@ -161,6 +143,34 @@ def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
                 "grid", f"point {p} in dense cell {cell_of[p]} assigned to {assignment[p]}"
             )
     return gi
+
+
+def _bucket(
+    ps: PointSet, k: int, q: Fraction
+) -> tuple[dict[int, Cell], dict[Cell, list[int]], frozenset[Cell]]:
+    """Each point's cell, each cell's points in id order, and the dense
+    cells: those holding at least 3k points."""
+    cell_of: dict[int, Cell] = {}
+    cells: dict[Cell, list[int]] = {}
+    for p in ps.ids:
+        x, y = ps.scaled(p)
+        c = cell_of[p] = _cell_index(x, ps.scale, 6 * k, q), _cell_index(y, ps.scale, 6 * k, q)
+        cells.setdefault(c, []).append(p)
+    return cell_of, cells, frozenset(c for c, members in cells.items() if len(members) >= 3 * k)
+
+
+def _choose_box(
+    ps: PointSet, p: int, cell: Cell, dense: frozenset[Cell], sm: int, q: Fraction
+) -> Cell:
+    """Point p's box: the nearest dense center among the dense cells within
+    Chebyshev distance 2 of its cell."""
+    candidates = _dense_near(dense, cell)
+    if not candidates:
+        raise PreconditionError(
+            f"point {p} has no dense box within two cells; "
+            "beta below the MST bottleneck breaks the adjacency guarantee"
+        )
+    return _nearest_center(ps, p, candidates, cell, sm, q)
 
 
 def _dense_near(dense: frozenset[Cell], cell: Cell, radius: int = 2) -> list[Cell]:
@@ -616,27 +626,37 @@ def _check_sector_convexity(ps: PointSet, bl: BoxLayers, k: int) -> None:
 
 
 def _connector_pairs(dense: frozenset[Cell]) -> list[tuple[Cell, Cell]]:
-    pairs: set[tuple[Cell, Cell]] = set()
-    for i, j in sorted(dense):
-        below = (i, j - 1)
-        left = (i - 1, j)
-        above = (i, j + 1)
-        if below in dense:
-            pairs.add(tuple(sorted(((i, j), below))))
-        if left in dense:
-            pairs.add(tuple(sorted(((i, j), left))))
-        if below not in dense and left not in dense and (i - 1, j - 1) in dense:
-            pairs.add(tuple(sorted(((i, j), (i - 1, j - 1)))))
-        if above not in dense and left not in dense and (i - 1, j + 1) in dense:
-            pairs.add(tuple(sorted(((i, j), (i - 1, j + 1)))))
-    return sorted(pairs)
+    """The 8-neighbour dense box pairs the connection rules select, sorted."""
+    return sorted(
+        (a, b)
+        for a in dense
+        for b in _dense_near(dense, a, radius=1)
+        if a < b and _pair_selected((a, b), dense)
+    )
+
+
+def _pair_selected(pair: tuple[Cell, Cell], dense: frozenset[Cell]) -> bool:
+    """The four connection rules for two 8-neighbour dense boxes: a box joins
+    the box below it and the box left of it, and the box diagonally
+    below-left (above-left) of it when neither box between them is dense.
+    They read only cells adjacent to the pair."""
+    a, b = pair
+    for (i, j), other in ((a, b), (b, a)):
+        below, left, above = (i, j - 1), (i - 1, j), (i, j + 1)
+        if other == below or other == left:
+            return True
+        if other == (i - 1, j - 1) and below not in dense and left not in dense:
+            return True
+        if other == (i - 1, j + 1) and above not in dense and left not in dense:
+            return True
+    return False
 
 
 def _pick_connector(
     ps: PointSet,
     sa: SectorStructure,
     sb: SectorStructure,
-    used: set[Segment],
+    used: Sequence[Segment],
 ) -> Segment:
     """First mutually-contained representative pair in lexicographic scan
     order, skipping edges already taken by earlier layers of this box pair."""
@@ -665,12 +685,17 @@ def connect_boxes(
     below/left/diagonal rules."""
     connectors: list[list[Segment]] = [[] for _ in range(k)]
     for a, b in _connector_pairs(gi.dense):
-        used: set[Segment] = set()
-        for j in range(k):
-            e = _pick_connector(ps, box_layers[a].sectors[j], box_layers[b].sectors[j], used)
-            used.add(e)
+        for j, e in enumerate(_pair_connectors(ps, box_layers[a], box_layers[b], k)):
             connectors[j].append(e)
     return [sorted(c) for c in connectors]
+
+
+def _pair_connectors(ps: PointSet, la: BoxLayers, lb: BoxLayers, k: int) -> list[Segment]:
+    """Each layer's connector between two boxes, skipping earlier layers'."""
+    used: list[Segment] = []
+    for j in range(k):
+        used.append(_pick_connector(ps, la.sectors[j], lb.sectors[j], used))
+    return used
 
 
 # --- whole-construction entry points ----------------------------------------
@@ -685,6 +710,7 @@ class LayerSet:
     beta_sq: Fraction
     layers: tuple[tuple[Segment, ...], ...]
     stats: tuple[dict, ...]
+    longest_sq: tuple[int, ...]  # squared grid length of each layer's longest edge; not serialised
 
     def to_json_dict(self) -> dict:
         return {
@@ -699,8 +725,10 @@ class LayerSet:
 
 def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     """The full pipeline: grid, per-box layers, sparse attachment, box
-    connectors; asserts hull disjointness, 8-neighbor connectivity, the
-    edge-length budget 12*sqrt(2)*k*beta, and that every layer is plane."""
+    connectors.  Asserts hull disjointness and 8-neighbor connectivity, then
+    each layer's edge-length budget 12*sqrt(2)*k*beta, planarity and spanning,
+    then pairwise edge-disjointness; these last failures dump the points, k,
+    betaSq and the layer."""
     beta_sq = _as_beta_sq(beta, ps)
     gi = grid_partition(ps, k, beta_sq)
     boxes = sorted(gi.dense)
@@ -708,53 +736,35 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     _assert_hulls_disjoint(ps, gi)
     _assert_eight_neighbor_connected(gi)
     connectors = connect_boxes(gi, box_layers, ps, k)
-    layers: list[tuple[Segment, ...]] = []
+    layers = [
+        tuple(sorted([e for box in boxes for e in box_layers[box].layer_edges(j)] + connectors[j]))
+        for j in range(k)
+    ]
+    counts = count_layers(layers, ps)
+
+    def fail(stage: str, message: str, layer: int, **extra) -> None:
+        dump = {"points": ps.to_text(), "k": k, "layer": layer,
+                "betaSq": f"{beta_sq.numerator}/{beta_sq.denominator}"}
+        raise InternalAssertionError(stage, message, dump | extra)
+
     # (12*sqrt(2)*k*beta)^2 on the scaled grid, as a fraction num / den
     limit_sq = 288 * k * k * beta_sq * ps.scale**2
-    num, den = limit_sq.numerator, limit_sq.denominator
-    for j in range(k):
-        merged: list[Segment] = []
-        for box in boxes:
-            merged.extend(box_layers[box].layer_edges(j))
-        merged.extend(connectors[j])
-        merged.sort()
-        for e in merged:
-            if ps.sdist_sq(e.a, e.b) * den > num:
-                raise InternalAssertionError(
-                    "length-budget", f"edge {e} exceeds 12*sqrt(2)*k*beta in layer {j}"
-                )
-        bad = crossing_pairs(merged, ps)
+    for j, (layer, c) in enumerate(zip(layers, counts.per_layer)):
+        if c.longest_sq * limit_sq.denominator > limit_sq.numerator:
+            fail("length-budget", f"edge {c.longest} exceeds 12*sqrt(2)*k*beta in layer {j}", j)
+        bad = crossing_pairs(layer, ps)
         if bad:
             a, b = bad[0]
-            raise InternalAssertionError(
-                "layer-planarity",
-                f"layer {j}: edges {a} and {b} cross",
-                {
-                    "points": ps.to_text(),
-                    "k": k,
-                    "betaSq": f"{beta_sq.numerator}/{beta_sq.denominator}",
-                    "layer": j,
-                    "crossing": [a.as_pair(), b.as_pair()],
-                },
-            )
-        layers.append(tuple(merged))
-    seen: dict[Segment, int] = {}
-    for j, layer in enumerate(layers):
-        for e in layer:
-            if e in seen:
-                raise InternalAssertionError(
-                    "layer-disjointness", f"edge {e} in layers {seen[e]} and {j}"
-                )
-            seen[e] = j
-    beta_f = math.sqrt(float(beta_sq))
-    stats = tuple(
-        {
-            "edges": len(layer),
-            "bottleneck": (bottleneck(layer, ps).length if layer else 0.0),
-        }
-        for layer in layers
-    )
-    return LayerSet(k=k, beta=beta_f, beta_sq=beta_sq, layers=tuple(layers), stats=stats)
+            fail("layer-planarity", f"layer {j}: edges {a} and {b} cross", j,
+                 crossing=[a.as_pair(), b.as_pair()])
+        if c.components != 1:
+            fail("layer-spanning", f"layer {j} has {c.components} components", j)
+    for e, i, j in counts.repeats[:1]:
+        fail("layer-disjointness", f"edge {e} in layers {i} and {j}", j)
+    stats = tuple({"edges": c.edges, "bottleneck": c.length} for c in counts.per_layer)
+    longest_sq = tuple(c.longest_sq for c in counts.per_layer)
+    return LayerSet(k=k, beta=math.sqrt(float(beta_sq)), beta_sq=beta_sq, layers=tuple(layers),
+                    stats=stats, longest_sq=longest_sq)
 
 
 def _assert_hulls_disjoint(ps: PointSet, gi: GridIndex) -> None:
@@ -779,12 +789,9 @@ def _assert_hulls_disjoint(ps: PointSet, gi: GridIndex) -> None:
 
 
 def _convex_hulls_intersect(ps: PointSet, ha: list[int], hb: list[int]) -> bool:
-    ea = [Segment(ha[i], ha[(i + 1) % len(ha)]) for i in range(len(ha))] if len(ha) > 1 else []
-    eb = [Segment(hb[i], hb[(i + 1) % len(hb)]) for i in range(len(hb))] if len(hb) > 1 else []
-    for sa in ea:
-        for sb in eb:
-            if properly_cross(sa, sb, ps):
-                return True
+    edges = [Segment(h[i - 1], h[i]) for h in (ha, hb) if len(h) > 1 for i in range(len(h))]
+    if has_crossing(edges, ps):  # the edges of one convex polygon never cross
+        return True
     for box_pts, other in ((ha, hb), (hb, ha)):
         if len(other) >= 3:
             for v in box_pts:
@@ -797,11 +804,8 @@ def _assert_eight_neighbor_connected(gi: GridIndex) -> None:
     boxes = sorted(gi.dense)
     uf = UnionFind(boxes)
     for a in boxes:
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                b = (a[0] + dx, a[1] + dy)
-                if b != a and b in gi.dense:
-                    uf.union(a, b)
+        for b in _dense_near(gi.dense, a, radius=1):
+            uf.union(a, b)
     if uf.component_count() != 1:
         raise InternalAssertionError(
             "eight-neighbor", "dense boxes are not 8-neighbor connected"
@@ -879,13 +883,7 @@ class _LocalReplay:
         self.k = k
         self.q = q
         self.sm = 6 * k
-        self.cell_of: dict[int, Cell] = {p: _cell_of(ps, p, self.sm, q) for p in ps.ids}
-        self.members: dict[Cell, list[int]] = {}
-        for p in ps.ids:
-            self.members.setdefault(self.cell_of[p], []).append(p)
-        self.dense = frozenset(
-            c for c, m in self.members.items() if len(m) >= 3 * k
-        )
+        self.cell_of, self.members, self.dense = _bucket(ps, k, q)
         self._assign: dict[int, Cell] = {}
         self._boxes: dict[Cell, BoxLayers] = {}
 
@@ -893,11 +891,7 @@ class _LocalReplay:
         """p's box choice: nearest dense center among the dense cells within
         distance 2 of p's own cell."""
         if p not in self._assign:
-            pc = self.cell_of[p]
-            candidates = _dense_near(self.dense, pc)
-            if not candidates:
-                raise PreconditionError(f"point {p} finds no dense box within two cells")
-            self._assign[p] = _nearest_center(self.ps, p, candidates, pc, self.sm, self.q)
+            self._assign[p] = _choose_box(self.ps, p, self.cell_of[p], self.dense, self.sm, self.q)
         return self._assign[p]
 
     def box_layers(self, box: Cell) -> BoxLayers:
@@ -951,39 +945,13 @@ def _replay_incident(
                 incident[j].add(e)
 
     if pc == home:  # p is an in-box point; it may be a representative
-        is_rep = any(p in home_layers.sectors[j].reps for j in range(k))
-        if is_rep:
+        if any(p in home_layers.sectors[j].reps for j in range(k)):
             # connectors touch p only through pairs involving p's box; the
-            # rules need the density of the cells adjacent to either box
-            for other in _dense_near(ctx.dense, pc, radius=1):
-                if other == home:
-                    continue
-                pair = (home, other) if home < other else (other, home)
-                if not _pair_selected(pair, frozenset(_dense_near(ctx.dense, pair[0]))):
-                    continue
-                la = ctx.box_layers(pair[0])
-                lb = ctx.box_layers(pair[1])
-                used: set[Segment] = set()
-                for j in range(k):
-                    e = _pick_connector(ps, la.sectors[j], lb.sectors[j], used)
-                    used.add(e)
-                    if e.touches(p):
-                        incident[j].add(e)
+            # rules read the cells adjacent to either box, all within two of p's
+            for a, b in _connector_pairs(frozenset(_dense_near(ctx.dense, pc))):
+                if home in (a, b):
+                    edges = _pair_connectors(ps, ctx.box_layers(a), ctx.box_layers(b), k)
+                    for j, e in enumerate(edges):
+                        if e.touches(p):
+                            incident[j].add(e)
     return tuple(tuple(sorted(s)) for s in incident)
-
-
-def _pair_selected(pair: tuple[Cell, Cell], dense: frozenset[Cell]) -> bool:
-    """Replay the four connection rules for a candidate box pair."""
-    a, b = pair
-    for box, other in ((a, b), (b, a)):
-        i, j = box
-        below = (i, j - 1)
-        left = (i - 1, j)
-        above = (i, j + 1)
-        if other == below or other == left:
-            return True
-        if other == (i - 1, j - 1) and below not in dense and left not in dense:
-            return True
-        if other == (i - 1, j + 1) and above not in dense and left not in dense:
-            return True
-    return False

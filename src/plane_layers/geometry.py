@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .errors import GeneralPositionError, PreconditionError, UsageError
+from .errors import PreconditionError, UsageError
 
 # Rational stand-in for 1/phi used by the deterministic perturbation.
 PHI = Fraction("0.6180339887")
@@ -205,26 +205,6 @@ class PointSet:
                 for i in self.ids
             ]
         )
-
-    def collinear_triple(self) -> tuple[int, int, int] | None:
-        """Return some collinear id triple, or None.  O(n^2) per anchor point."""
-        n = len(self)
-        for i in range(n):
-            buckets: dict[tuple[int, int], int] = {}
-            for j in range(n):
-                if j == i:
-                    continue
-                dx = self._sx[j] - self._sx[i]
-                dy = self._sy[j] - self._sy[i]
-                g = math.gcd(abs(dx), abs(dy))
-                dx //= g
-                dy //= g
-                if dy < 0 or (dy == 0 and dx < 0):
-                    dx, dy = -dx, -dy
-                if (dx, dy) in buckets:
-                    return (i, buckets[(dx, dy)], j)
-                buckets[(dx, dy)] = j
-        return None
 
     # --- point set file format: one `id x y` per line, `#` comments ---
 
@@ -524,15 +504,6 @@ def id_strictly_inside_polygon(poly: Sequence[int], ps: PointSet, q: int) -> boo
     return all(ax * by - ay * bx > 0 for (ax, ay), (bx, by) in zip(vecs, vecs[1:] + vecs[:1]))
 
 
-def point_strictly_inside_triangle(
-    ax, ay, bx, by, cx, cy, qx, qy
-) -> bool:
-    s1 = cross_sign(ax, ay, bx, by, qx, qy)
-    s2 = cross_sign(bx, by, cx, cy, qx, qy)
-    s3 = cross_sign(cx, cy, ax, ay, qx, qy)
-    return s1 == s2 == s3 and s1 != 0
-
-
 def angular_order(vecs: Sequence[tuple[int, int]]) -> list[int]:
     """Indices of the nonzero integer vectors `vecs` sorted counterclockwise
     by angle from the positive x-axis; vectors on one ray sort by length,
@@ -587,14 +558,3 @@ def same_ray(d1: tuple, d2: tuple) -> bool:
     if cross != 0:
         return False
     return d1[0] * d2[0] + d1[1] * d2[1] > 0
-
-
-def strictly_inside_cone(da: tuple, db: tuple, d: tuple) -> bool:
-    """Strict membership of direction d in the convex (< pi) cone spanned by
-    da and db.  Directions on a bounding ray are outside."""
-    c = da[0] * db[1] - da[1] * db[0]
-    if c == 0:
-        raise GeneralPositionError("cone boundary rays are collinear")
-    if c < 0:
-        da, db = db, da
-    return (da[0] * d[1] - da[1] * d[0]) > 0 and (d[0] * db[1] - d[1] * db[0]) > 0

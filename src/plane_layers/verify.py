@@ -2,8 +2,10 @@
 bound, and adversarial instance generation.
 
 verify_layers re-derives everything from scratch (an exact sweep for
-crossings, listing the pairs only when one exists; union-find spanning; a
-fresh MST bottleneck) and reports; it never raises on a property failure.
+crossings, listing the pairs only when one exists; a fresh MST bottleneck;
+`count_layers` for spanning, repeated edges and longest edges) and reports;
+it never raises on a property failure.  The self-checks of both builds call
+the same `count_layers` and raise on what it finds.
 Edge lengths are compared as squared integers on the point set's grid; each
 reported length or ratio is one int/int division of them, which rounds
 correctly, like the float of the exact fraction.
@@ -12,9 +14,9 @@ correctly, like the float of the exact fraction.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -95,6 +97,58 @@ class VerificationReport:
         }
 
 
+@dataclass(frozen=True)
+class LayerCount:
+    """One layer's edge and component counts and its longest edge: squared
+    grid length, the lexicographically smallest edge of that length, and the
+    length as a float (0, None and 0.0 for an empty layer)."""
+
+    edges: int
+    components: int
+    longest_sq: int
+    longest: Segment | None
+    length: float
+
+
+@dataclass(frozen=True)
+class LayerCounts:
+    per_layer: tuple[LayerCount, ...]
+    # (edge, first layer, this layer) per repeated occurrence, in scan order
+    repeats: tuple[tuple[Segment, int, int], ...]
+    lengths: dict[Segment, int]  # squared grid length of every distinct edge
+
+    def longer_than(self, limit_sq: int) -> int:
+        """Distinct edges whose squared grid length exceeds `limit_sq`."""
+        return sum(sq > limit_sq for sq in self.lengths.values())
+
+
+def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCounts:
+    """The spanning, disjointness and length facts of a layer list in one
+    pass, with no EMST and no planarity sweep: each caller (`verify_layers`,
+    the self-checks of both builds) compares them with its own limits."""
+    lengths: dict[Segment, int] = {}
+    first: dict[Segment, int] = {}
+    repeats = []
+    per_layer = []
+    grid_sq = ps.scale * ps.scale
+    for j, layer in enumerate(layers):
+        uf = UnionFind(ps.ids)
+        top, longest = 0, None
+        for e in layer:
+            sq = lengths.get(e)
+            if sq is None:
+                sq = lengths[e] = ps.sdist_sq(e.a, e.b)
+                first[e] = j
+            else:
+                repeats.append((e, first[e], j))
+            uf.union(e.a, e.b)
+            if sq > top or (sq == top and e < longest):
+                top, longest = sq, e
+        length = math.sqrt(top / grid_sq)
+        per_layer.append(LayerCount(len(layer), uf.component_count(), top, longest, length))
+    return LayerCounts(tuple(per_layer), tuple(repeats), lengths)
+
+
 def verify_layers(
     layers: Sequence[Sequence[Segment]],
     ps: PointSet,
@@ -103,66 +157,56 @@ def verify_layers(
     """Check each layer for planarity and spanning-ness, all layers for
     pairwise edge-disjointness, and measure bottlenecks against a freshly
     computed MST."""
-    n = len(ps)
     be_sq = be_grid = None
-    if n >= 2:
+    if len(ps) >= 2:
         be = bottleneck(build_emst(ps), ps)
         be_sq, be_grid = be.length_sq, ps.sdist_sq(be.edge.a, be.edge.b)
+    counts = count_layers(layers, ps)
     grid_sq = ps.scale * ps.scale
     reports = []
-    for layer in layers:
+    for layer, c in zip(layers, counts.per_layer):
         crossings = tuple(
             (a.as_pair(), b.as_pair()) for a, b in crossing_pairs(list(layer), ps)
         )
-        overlaps: tuple = ()
-        if flag_overlaps:
-            found = []
-            edges = list(layer)
-            for i in range(len(edges)):
-                for j in range(i + 1, len(edges)):
-                    if collinear_overlap(edges[i], edges[j], ps):
-                        found.append((edges[i].as_pair(), edges[j].as_pair()))
-            overlaps = tuple(found)
-        uf = UnionFind(ps.ids)
-        for e in layer:
-            uf.union(e.a, e.b)
-        components = uf.component_count()
-        top = max((ps.sdist_sq(e.a, e.b) for e in layer), default=0)
-        bott = math.sqrt(top / grid_sq)
-        ratio = math.sqrt(top / be_grid) if be_grid else 0.0
         reports.append(
             LayerReport(
                 plane=not crossings,
                 crossings=crossings,
-                spanning=components == 1,
-                components=components,
-                bottleneck=bott,
-                ratio=ratio,
-                edges=len(layer),
-                longest_sq=Fraction(top, grid_sq),
-                overlaps=overlaps,
+                spanning=c.components == 1,
+                components=c.components,
+                bottleneck=c.length,
+                ratio=math.sqrt(c.longest_sq / be_grid) if be_grid else 0.0,
+                edges=c.edges,
+                longest_sq=Fraction(c.longest_sq, grid_sq),
+                overlaps=_overlapping_pairs(layer, ps) if flag_overlaps else (),
             )
         )
-    seen: dict[Segment, int] = {}
-    dups: list[tuple[int, int]] = []
-    over_twice = 0
-    for layer in layers:
-        for e in layer:
-            if e in seen:
-                if e.as_pair() not in dups:
-                    dups.append(e.as_pair())
-            else:
-                seen[e] = 1
-                if be_grid is not None and ps.sdist_sq(e.a, e.b) > 4 * be_grid:
-                    over_twice += 1
+    dups = sorted({e.as_pair() for e, _, _ in counts.repeats})
     return VerificationReport(
         per_layer=tuple(reports),
         pairwise_disjoint=not dups,
-        duplicate_edges=tuple(sorted(dups)),
+        duplicate_edges=tuple(dups),
         overall_max_ratio=max((r.ratio for r in reports), default=0.0),
-        over_twice_bottleneck=over_twice,
+        over_twice_bottleneck=counts.longer_than(4 * be_grid) if be_grid else 0,
         beta_sq=be_sq,
     )
+
+
+def _overlapping_pairs(layer: Sequence[Segment], ps: PointSet) -> tuple:
+    """Collinear pairs overlapping in more than one point, ordered by index
+    pair (i, j), i < j.  Only edges on one supporting line are compared: the
+    key is the reduced direction, sign fixed, and its cross with a point."""
+    lines: dict[tuple[int, int, int], list[int]] = {}
+    for i, e in enumerate(layer):
+        (ax, ay), (bx, by) = ps.scaled(e.a), ps.scaled(e.b)
+        g = math.gcd(bx - ax, by - ay)
+        dx, dy = (bx - ax) // g, (by - ay) // g
+        if dy < 0 or (dy == 0 and dx < 0):
+            dx, dy = -dx, -dy
+        lines.setdefault((dx, dy, dx * ay - dy * ax), []).append(i)
+    found = sorted((i, j) for group in lines.values() for i, j in combinations(group, 2)
+                   if collinear_overlap(layer[i], layer[j], ps))
+    return tuple((layer[i].as_pair(), layer[j].as_pair()) for i, j in found)
 
 
 @dataclass(frozen=True)
@@ -204,29 +248,3 @@ def gen_line_instance(n: int, epsilon) -> PointSet:
         frac = (i * PHI) % 1
         pts.append((Fraction(i), eps * (frac - Fraction(1, 2))))
     return PointSet(pts)
-
-
-def random_edge_mutation(
-    layers: Sequence[Sequence[Segment]], ps: PointSet, rng: random.Random
-) -> list[list[Segment]]:
-    """Replace one endpoint of one random edge with a random other vertex,
-    avoiding exact duplicates within the layer.  Used for mutation-sensitivity
-    testing of verify_layers."""
-    out = [list(layer) for layer in layers]
-    nonempty = [i for i, l in enumerate(out) if l]
-    if not nonempty or len(ps) < 3:
-        raise PreconditionError("nothing to mutate")
-    for _ in range(1000):
-        li = rng.choice(nonempty)
-        ei = rng.randrange(len(out[li]))
-        edge = out[li][ei]
-        keep = rng.choice([edge.a, edge.b])
-        swap = rng.randrange(len(ps))
-        if swap == edge.a or swap == edge.b:
-            continue
-        candidate = Segment(keep, swap)
-        if candidate in out[li]:
-            continue
-        out[li][ei] = candidate
-        return out
-    raise PreconditionError("failed to generate a mutation")

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
-from plane_layers.geometry import PointSet
+from plane_layers.errors import PreconditionError
+from plane_layers.geometry import PointSet, Segment
 from plane_layers.verify import gen_line_instance
 
 
@@ -24,6 +26,52 @@ def acceptance_line_pool() -> list[PointSet]:
     """The 100 near-line instances of acceptance criterion 2."""
     rng = random.Random(511)
     return [gen_line_instance(rng.randint(4, 64), "0.001") for _ in range(100)]
+
+
+def collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
+    """Some collinear id triple, or None.  O(n^2) per anchor point."""
+    n = len(ps)
+    for i in range(n):
+        xi, yi = ps.scaled(i)
+        buckets: dict[tuple[int, int], int] = {}
+        for j in range(n):
+            if j == i:
+                continue
+            xj, yj = ps.scaled(j)
+            dx, dy = xj - xi, yj - yi
+            g = math.gcd(dx, dy)
+            dx //= g
+            dy //= g
+            if dy < 0 or (dy == 0 and dx < 0):
+                dx, dy = -dx, -dy
+            if (dx, dy) in buckets:
+                return (i, buckets[(dx, dy)], j)
+            buckets[(dx, dy)] = j
+    return None
+
+
+def random_edge_mutation(layers, ps: PointSet, rng: random.Random) -> list[list[Segment]]:
+    """Replace one endpoint of one random edge with a random other vertex,
+    avoiding exact duplicates within the layer.  Used for mutation-sensitivity
+    testing of verify_layers."""
+    out = [list(layer) for layer in layers]
+    nonempty = [i for i, l in enumerate(out) if l]
+    if not nonempty or len(ps) < 3:
+        raise PreconditionError("nothing to mutate")
+    for _ in range(1000):
+        li = rng.choice(nonempty)
+        ei = rng.randrange(len(out[li]))
+        edge = out[li][ei]
+        keep = rng.choice([edge.a, edge.b])
+        swap = rng.randrange(len(ps))
+        if swap == edge.a or swap == edge.b:
+            continue
+        candidate = Segment(keep, swap)
+        if candidate in out[li]:
+            continue
+        out[li][ei] = candidate
+        return out
+    raise PreconditionError("failed to generate a mutation")
 
 
 @pytest.fixture

@@ -20,15 +20,20 @@ from plane_layers.centralized import (
 )
 from plane_layers.distributed import build_k_layers, center_point, locality_certificate
 from plane_layers.geometry import Segment, properly_cross
-from plane_layers.mst import build_emst, lemma_mst2_cross, mst_square, root_at_leaf
+from plane_layers.mst import build_emst, root_at_leaf
 from plane_layers.verify import (
     counting_lower_bound,
     gen_line_instance,
-    random_edge_mutation,
     verify_layers,
 )
 
-from conftest import acceptance_line_pool, acceptance_uniform_pool, random_point_set
+from conftest import (
+    acceptance_line_pool,
+    acceptance_uniform_pool,
+    random_edge_mutation,
+    random_point_set,
+)
+from square_graph import lemma_mst2_cross, mst_square
 from test_distributed import brute_depth
 
 RATIO_SLACK = 1 + 1e-9

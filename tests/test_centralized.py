@@ -522,3 +522,23 @@ def test_pointed_output_per_hull_layout(coords, tag, red, blue):
     tt = disjoint_trees_pointed(ps, edges, pc)
     assert [e.as_pair() for e in tt.red] == red
     assert [e.as_pair() for e in tt.blue] == blue
+
+
+# The base colorings as a table keyed by case tag, before it was keyed by
+# hull layout: 1a = 1d and 1b = 1c = 1e = 1f.
+BASE_COLORINGS_BY_TAG = {
+    "1a": (((3, 2), (1, 0), (3, 1)), ((2, 1), (2, 0), (3, 0))),
+    "1d": (((3, 2), (1, 0), (3, 1)), ((2, 1), (2, 0), (3, 0))),
+    "1b": (((3, 2), (2, 1), (1, 0)), ((2, 0), (3, 1), (3, 0))),
+    "1c": (((3, 2), (2, 1), (1, 0)), ((2, 0), (3, 1), (3, 0))),
+    "1e": (((3, 2), (2, 1), (1, 0)), ((2, 0), (3, 1), (3, 0))),
+    "1f": (((3, 2), (2, 1), (1, 0)), ((2, 0), (3, 1), (3, 0))),
+    "2a": (((2, 3), (1, 0), (3, 0)), ((2, 1), (2, 0), (3, 1))),
+    "2b": (((2, 3), (2, 0), (3, 1)), ((2, 1), (3, 0), (1, 0))),
+}
+
+
+def test_base_coloring_of_each_tag_unchanged():
+    for tag, coloring in BASE_COLORINGS_BY_TAG.items():
+        assert centralized._BASE_COLORINGS[centralized._hull_layout(tag)] == coloring
+    assert len(centralized._BASE_COLORINGS) == len(set(BASE_COLORINGS_BY_TAG.values()))

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -23,7 +24,14 @@ from plane_layers.distributed import (
     tukey_depth,
 )
 from plane_layers.errors import InternalAssertionError, PreconditionError
-from plane_layers.geometry import PointSet, Segment, crossing_pairs, properly_cross
+from plane_layers.geometry import (
+    PointSet,
+    Segment,
+    convex_hull,
+    crossing_pairs,
+    id_strictly_inside_polygon,
+    properly_cross,
+)
 from plane_layers.mst import bottleneck, build_emst
 from plane_layers.unionfind import UnionFind
 from plane_layers.verify import verify_layers
@@ -635,7 +643,7 @@ def connector_pairs_oracle(dense):
 
 def test_connector_pairs_match_rule_loop():
     """Every subset of a 3x3 block and random dense sets on a 5x5 grid, over
-    the whole dense set and over the locality replay's view of each pair."""
+    the whole dense set and over the locality replay's view from either box."""
     block = [(i, j) for i in range(3) for j in range(3)]
     cases = [frozenset(c for b, c in enumerate(block) if mask >> b & 1) for mask in range(512)]
     rng = random.Random(618)
@@ -645,9 +653,106 @@ def test_connector_pairs_match_rule_loop():
     for dense in cases:
         expected = connector_pairs_oracle(dense)
         assert _connector_pairs(dense) == expected
+        # the replay sees the dense cells within two of the representative's box
+        replayed = {home: _connector_pairs(frozenset(_dense_near(dense, home))) for home in dense}
         for a in dense:
             for b in _dense_near(dense, a, radius=1):
                 if a < b:
-                    view = frozenset(_dense_near(dense, a))
-                    assert _pair_selected((a, b), view) == ((a, b) in expected)
-                    assert ((a, b) in _connector_pairs(view)) == ((a, b) in expected)
+                    selected = (a, b) in expected
+                    assert _pair_selected((a, b), dense) == selected
+                    assert ((a, b) in replayed[a]) == ((a, b) in replayed[b]) == selected
+
+
+def _k_layer_fault(monkeypatch, stage):
+    """Point set, k, beta and an injected fault that the build's per-layer
+    or cross-layer self-check `stage` catches."""
+    if stage == "length-budget":
+        ps = strip_point_set(0)
+        inject_connector(monkeypatch, 0, Segment(*max(combinations(ps.ids, 2),
+                                                      key=lambda p: ps.sdist_sq(*p))))
+        return ps, 1, None
+    if stage == "layer-spanning":  # two dense boxes, and no connector between them
+        rng = random.Random(4)
+        ps = PointSet(cluster(rng, 6, 1.0, 1.0) + cluster(rng, 6, 7.5, 1.0))
+        monkeypatch.setattr(distributed, "connect_boxes", lambda gi, bl, ps, k: [[]])
+        return ps, 1, 1
+    ps = random_point_set(random.Random(0), 200)
+    first, second = build_k_layers(ps, 2).layers
+    if stage == "layer-planarity":
+        inject_connector(monkeypatch, 1, next(e for e in first if e not in second and any(
+            properly_cross(e, f, ps) for f in second)))
+    else:
+        inject_connector(monkeypatch, 1, next(e for e in first if e not in second and not any(
+            properly_cross(e, f, ps) for f in second)))
+    return ps, 2, None
+
+
+def test_build_k_layers_asserts_spanning_layers(monkeypatch):
+    ps, k, beta = _k_layer_fault(monkeypatch, "layer-spanning")
+    with pytest.raises(InternalAssertionError) as info:
+        build_k_layers(ps, k, beta)
+    assert str(info.value) == "[layer-spanning] layer 0 has 2 components"
+
+
+@pytest.mark.parametrize(
+    "stage", ["length-budget", "layer-planarity", "layer-spanning", "layer-disjointness"]
+)
+def test_k_layer_self_check_dumps_reproduce(monkeypatch, stage):
+    ps, k, beta = _k_layer_fault(monkeypatch, stage)
+    with pytest.raises(InternalAssertionError) as info:
+        build_k_layers(ps, k, beta)
+    dump = info.value.dump
+    assert info.value.stage == dump["stage"] == stage
+    assert dump["k"] == k and dump["layer"] == (0 if k == 1 else 1)
+    assert PointSet.from_text(dump["points"]).coords() == ps.coords()
+    be_sq = Fraction(beta) ** 2 if beta else bottleneck(build_emst(ps), ps).length_sq
+    assert Fraction(dump["betaSq"]) == be_sq
+
+
+def test_k_layer_dump_replays_through_the_cli(monkeypatch, tmp_path):
+    from plane_layers.cli import main
+
+    ps, k, beta = _k_layer_fault(monkeypatch, "length-budget")
+    with pytest.raises(InternalAssertionError) as info:
+        build_k_layers(ps, k, beta)
+    dump = info.value.dump
+    points = tmp_path / "points.txt"
+    points.write_text(dump["points"])
+    monkeypatch.setenv("PLANE_LAYERS_DUMP_DIR", str(tmp_path / "dumps"))
+    argv = ["build", str(points), "--mode", "distributed", "--k", str(dump["k"]),
+            "--out", str(tmp_path / "layers.json")]
+    assert main(argv) == 5
+    (replayed,) = (tmp_path / "dumps").iterdir()
+    assert json.loads(replayed.read_text()) == dump
+
+
+def hulls_intersect_oracle(ps, ha, hb):
+    """The hull test with its crossing part as a scan over all edge pairs."""
+    ea = [Segment(ha[i], ha[(i + 1) % len(ha)]) for i in range(len(ha))] if len(ha) > 1 else []
+    eb = [Segment(hb[i], hb[(i + 1) % len(hb)]) for i in range(len(hb))] if len(hb) > 1 else []
+    if any(properly_cross(sa, sb, ps) for sa in ea for sb in eb):
+        return True
+    return any(id_strictly_inside_polygon(other, ps, v)
+               for own, other in ((ha, hb), (hb, ha)) if len(other) >= 3 for v in own)
+
+
+def test_convex_hulls_intersect_matches_edge_scan():
+    """Two hulls of a random split of a small integer point set: crossing,
+    touching, nested, collinear and apart."""
+    rng = random.Random(77)
+    crossing = 0
+    for _ in range(2000):
+        pts = {(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(2, 12))}
+        if len(pts) < 2:
+            continue
+        ps = PointSet(sorted(pts))
+        ids = list(ps.ids)
+        rng.shuffle(ids)
+        cut = rng.randint(1, len(ids) - 1)
+        ha, hb = convex_hull(ids[:cut], ps), convex_hull(ids[cut:], ps)
+        expected = hulls_intersect_oracle(ps, ha, hb)
+        assert distributed._convex_hulls_intersect(ps, ha, hb) == expected
+        crossing += any(properly_cross(Segment(ha[i - 1], ha[i]), Segment(hb[j - 1], hb[j]), ps)
+                        for i in range(len(ha)) for j in range(len(hb))
+                        if len(ha) > 1 and len(hb) > 1)
+    assert crossing > 200

@@ -27,7 +27,7 @@ from plane_layers.geometry import (
     read_coord,
 )
 
-from conftest import random_point_set
+from conftest import collinear_triple, random_point_set
 
 
 def pt(i, x, y):
@@ -445,9 +445,9 @@ def test_format_coord_exact():
 
 def test_perturbation_removes_collinearity():
     ps = PointSet([(0, 0), (1, 0), (2, 0), (3, 0)])
-    assert ps.collinear_triple() is not None
+    assert collinear_triple(ps) is not None
     moved = ps.perturbed()
-    assert moved.collinear_triple() is None
+    assert collinear_triple(moved) is None
     assert len(moved) == 4
 
 

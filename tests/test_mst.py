@@ -6,24 +6,21 @@ import pytest
 
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
-from plane_layers.mst import (
+from plane_layers.mst import bottleneck, build_emst, delaunay_triangles, root_at_leaf
+from plane_layers.unionfind import UnionFind
+from plane_layers.verify import gen_line_instance
+
+from conftest import acceptance_line_pool, acceptance_uniform_pool, random_point_set
+from square_graph import (
     Mst2Kind,
     adjacent_edges_at_least_sixty_degrees,
-    bottleneck,
-    build_emst,
-    delaunay_triangles,
     format_tree,
     lemma_mst2_cross,
     lemma_triangle_empty,
     mst_square,
     neighbors_stay_in_wedge,
     parse_tree,
-    root_at_leaf,
 )
-from plane_layers.unionfind import UnionFind
-from plane_layers.verify import gen_line_instance
-
-from conftest import acceptance_line_pool, acceptance_uniform_pool, random_point_set
 
 
 def prim_emst(ps):

@@ -1,18 +1,26 @@
+from fractions import Fraction
+
 import pytest
 
 from plane_layers.centralized import build_two_disjoint_trees, construction1
 from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
-from plane_layers.geometry import PointSet, Segment, _all_crossing_pairs, has_crossing
+from plane_layers.geometry import (
+    PointSet,
+    Segment,
+    _all_crossing_pairs,
+    collinear_overlap,
+    has_crossing,
+)
 from plane_layers.mst import build_emst, root_at_leaf
 from plane_layers.verify import (
+    count_layers,
     counting_lower_bound,
     gen_line_instance,
-    random_edge_mutation,
     verify_layers,
 )
 
-from conftest import random_point_set
+from conftest import collinear_triple, random_edge_mutation, random_point_set
 
 
 def test_verify_construction1_output(rng):
@@ -88,7 +96,7 @@ def test_gen_line_instance_shape():
     # so arithmetic-progression triples like (3,4,5) stay collinear; the
     # constructions never orient exactly those triples (verified at scale in
     # the acceptance suite)
-    assert gen_line_instance(8, "0.001").collinear_triple() is not None
+    assert collinear_triple(gen_line_instance(8, "0.001")) is not None
     with pytest.raises(PreconditionError):
         gen_line_instance(4, 0)
     with pytest.raises(PreconditionError):
@@ -131,3 +139,62 @@ def test_sweep_matches_all_pairs_on_mutated_layers(rng):
                 assert has_crossing(layer, ps) == expected
                 crossing += expected
     assert crossing >= 150
+
+
+def test_count_layers_counts_repeats_and_longest_edges():
+    ps = PointSet([(0, 0), (1, 0), (0, 1), (1, 1), (3, 0)])
+    layers = [
+        [Segment(2, 3), Segment(0, 1), Segment(0, 2)],
+        [Segment(0, 2), Segment(1, 4), Segment(1, 4)],
+        [],
+    ]
+    counts = count_layers(layers, ps)
+    assert [(c.edges, c.components) for c in counts.per_layer] == [(3, 2), (3, 3), (0, 5)]
+    # equal lengths: the lexicographically smallest edge witnesses the longest
+    assert [(c.longest_sq, c.longest) for c in counts.per_layer] == [
+        (1, Segment(0, 1)), (4, Segment(1, 4)), (0, None)]
+    assert counts.repeats == ((Segment(0, 2), 0, 1), (Segment(1, 4), 1, 1))
+    assert counts.longer_than(1) == 1 and counts.longer_than(0) == 4
+
+
+def overlapping_pairs_oracle(layer, ps):
+    """The O(m^2) scan over every pair of the layer's edges."""
+    edges = list(layer)
+    return tuple(
+        (edges[i].as_pair(), edges[j].as_pair())
+        for i in range(len(edges))
+        for j in range(i + 1, len(edges))
+        if collinear_overlap(edges[i], edges[j], ps)
+    )
+
+
+def test_flag_overlaps_matches_pair_scan(rng):
+    """Random layers on shuffled full grids (scaled by a random denominator),
+    with collinear chains of overlapping and touching edges."""
+    overlapping = 0
+    for _ in range(300):
+        side = rng.randint(2, 6)
+        den = rng.choice([1, 3, 10])
+        coords = [(Fraction(x, den), Fraction(y, den)) for x in range(side) for y in range(side)]
+        rng.shuffle(coords)  # edges then run both ways along a line
+        ps = PointSet(coords)
+        index = {c: i for i, c in enumerate(coords)}
+        layer = []
+        for _ in range(rng.randint(0, 12)):
+            a, b = rng.sample(range(len(ps)), 2)
+            layer.append(Segment(a, b))
+        for _ in range(rng.randint(0, 3)):  # a chain along one grid line
+            dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, -1)])
+            x, y = rng.randrange(side), rng.randrange(side)
+            line = []
+            while 0 <= x < side and 0 <= y < side:
+                line.append(index[(Fraction(x, den), Fraction(y, den))])
+                x, y = x + dx, y + dy
+            for _ in range(rng.randint(0, 4) if len(line) > 1 else 0):
+                a, b = rng.sample(line, 2)
+                layer.append(Segment(a, b))
+        rng.shuffle(layer)
+        expected = overlapping_pairs_oracle(layer, ps)
+        overlapping += bool(expected)
+        assert verify_layers([layer], ps, flag_overlaps=True).per_layer[0].overlaps == expected
+    assert overlapping >= 100
