@@ -115,19 +115,19 @@ class LayerCounts:
     per_layer: tuple[LayerCount, ...]
     # (edge, first layer, this layer) per repeated occurrence, in scan order
     repeats: tuple[tuple[Segment, int, int], ...]
-    lengths: dict[Segment, int]  # squared grid length of every distinct edge
+    lengths: list[int]  # squared grid length of every distinct edge
 
     def longer_than(self, limit_sq: int) -> int:
         """Distinct edges whose squared grid length exceeds `limit_sq`."""
-        return sum(sq > limit_sq for sq in self.lengths.values())
+        return sum(sq > limit_sq for sq in self.lengths)
 
 
 def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCounts:
     """The spanning, disjointness and length facts of a layer list in one
     pass, with no EMST and no planarity sweep: each caller (`verify_layers`,
     the self-checks of both builds) compares them with its own limits."""
-    lengths: dict[Segment, int] = {}
     first: dict[Segment, int] = {}
+    lengths = []
     repeats = []
     per_layer = []
     grid_sq = ps.scale * ps.scale
@@ -135,12 +135,13 @@ def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCoun
         uf = UnionFind(ps.ids)
         top, longest = 0, None
         for e in layer:
-            sq = lengths.get(e)
-            if sq is None:
-                sq = lengths[e] = ps.sdist_sq(e.a, e.b)
+            sq = ps.sdist_sq(e.a, e.b)
+            seen = first.get(e)
+            if seen is None:
                 first[e] = j
+                lengths.append(sq)
             else:
-                repeats.append((e, first[e], j))
+                repeats.append((e, seen, j))
             uf.union(e.a, e.b)
             if sq > top or (sq == top and e < longest):
                 top, longest = sq, e

@@ -9,6 +9,7 @@ from itertools import chain, combinations
 import pytest
 
 from plane_layers import distributed
+from plane_layers.cli import main
 from plane_layers.distributed import (
     _cell_index,
     _connector_pairs,
@@ -710,8 +711,6 @@ def test_k_layer_self_check_dumps_reproduce(monkeypatch, stage):
 
 
 def test_k_layer_dump_replays_through_the_cli(monkeypatch, tmp_path):
-    from plane_layers.cli import main
-
     ps, k, beta = _k_layer_fault(monkeypatch, "length-budget")
     with pytest.raises(InternalAssertionError) as info:
         build_k_layers(ps, k, beta)
