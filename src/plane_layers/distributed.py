@@ -122,13 +122,12 @@ def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
     q = Fraction(beta_sq)
     if q <= 0:
         raise PreconditionError("beta^2 must be positive")
-    sm = 6 * k
     cell_of, cells, dense = _bucket(ps, k, q)
     if not dense:
         raise PreconditionError(
             "no dense box: beta is below the MST bottleneck or n is too small"
         )
-    assignment = {p: _choose_box(ps, p, cell_of[p], dense, sm, q) for p in ps.ids}
+    assignment = {p: _choose_box(ps, p, cell_of[p], dense, k, q) for p in ps.ids}
     gi = GridIndex(
         k=k,
         beta_sq=q,
@@ -160,7 +159,7 @@ def _bucket(
 
 
 def _choose_box(
-    ps: PointSet, p: int, cell: Cell, dense: frozenset[Cell], sm: int, q: Fraction
+    ps: PointSet, p: int, cell: Cell, dense: frozenset[Cell], k: int, q: Fraction
 ) -> Cell:
     """Point p's box: the nearest dense center among the dense cells within
     Chebyshev distance 2 of its cell."""
@@ -170,7 +169,7 @@ def _choose_box(
             f"point {p} has no dense box within two cells; "
             "beta below the MST bottleneck breaks the adjacency guarantee"
         )
-    return _nearest_center(ps, p, candidates, cell, sm, q)
+    return _nearest_center(ps, p, candidates, cell, 6 * k, q)
 
 
 def _dense_near(dense: frozenset[Cell], cell: Cell, radius: int = 2) -> list[Cell]:
@@ -882,7 +881,6 @@ class _LocalReplay:
         self.ps = ps
         self.k = k
         self.q = q
-        self.sm = 6 * k
         self.cell_of, self.members, self.dense = _bucket(ps, k, q)
         self._assign: dict[int, Cell] = {}
         self._boxes: dict[Cell, BoxLayers] = {}
@@ -891,7 +889,7 @@ class _LocalReplay:
         """p's box choice: nearest dense center among the dense cells within
         distance 2 of p's own cell."""
         if p not in self._assign:
-            self._assign[p] = _choose_box(self.ps, p, self.cell_of[p], self.dense, self.sm, self.q)
+            self._assign[p] = _choose_box(self.ps, p, self.cell_of[p], self.dense, self.k, self.q)
         return self._assign[p]
 
     def box_layers(self, box: Cell) -> BoxLayers:

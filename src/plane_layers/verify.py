@@ -115,7 +115,7 @@ class LayerCounts:
     per_layer: tuple[LayerCount, ...]
     # (edge, first layer, this layer) per repeated occurrence, in scan order
     repeats: tuple[tuple[Segment, int, int], ...]
-    lengths: list[int]  # squared grid length of every distinct edge
+    lengths: tuple[int, ...]  # squared grid length of every distinct edge
 
     def longer_than(self, limit_sq: int) -> int:
         """Distinct edges whose squared grid length exceeds `limit_sq`."""
@@ -147,7 +147,7 @@ def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCoun
                 top, longest = sq, e
         length = math.sqrt(top / grid_sq)
         per_layer.append(LayerCount(len(layer), uf.component_count(), top, longest, length))
-    return LayerCounts(tuple(per_layer), tuple(repeats), lengths)
+    return LayerCounts(tuple(per_layer), tuple(repeats), tuple(lengths))
 
 
 def verify_layers(
