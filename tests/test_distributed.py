@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -37,7 +38,7 @@ from plane_layers.mst import bottleneck, build_emst
 from plane_layers.unionfind import UnionFind
 from plane_layers.verify import verify_layers
 
-from conftest import random_point_set
+from conftest import acceptance_k_layer_instances, random_point_set
 
 
 def cluster(rng, n, x0, y0, w=4.0):
@@ -579,6 +580,92 @@ def test_locality_certificate_multibox(rng):
     ls = build_k_layers(ps, 1, beta=1)
     for p in ps.ids:
         assert locality_certificate(ps, 1, p, beta=1, layer_set=ls).ok
+
+
+def test_locality_certificate_rejects_a_different_beta(rng):
+    rows = cluster(rng, 6, 1.0, 1.0) + cluster(rng, 6, 7.5, 1.0)
+    ps = PointSet(rows)
+    ls = build_k_layers(ps, 1, beta=1)
+    with pytest.raises(PreconditionError, match="different beta"):
+        locality_certificate(ps, 1, 0, beta=2, layer_set=ls)
+    emst_ls = build_k_layers(ps, 1)
+    assert emst_ls.beta_sq != 1
+    with pytest.raises(PreconditionError, match="different beta"):
+        locality_certificate(ps, 1, 0, beta=1, layer_set=emst_ls)
+    # without an explicit beta the certificate takes the layer set's
+    assert locality_certificate(ps, 1, 0, layer_set=ls).ok
+
+
+def certificate_digest(certs):
+    text = "\n".join(
+        f"{c.point} {c.cheby_cells} {c.euclid_radius!r} {c.ok} "
+        + ";".join(",".join(f"{e.a}-{e.b}" for e in layer) for layer in c.layer_edges)
+        for c in certs
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_locality_certificates_match_pinned_digest():
+    """Every certificate on the criterion-7 builds, and one per build made
+    without a layer set, hash as they did when the certificate took beta
+    from an EMST of its own."""
+    certs, fresh = [], []
+    for ps, k in acceptance_k_layer_instances():
+        ls = build_k_layers(ps, k)
+        certs += [locality_certificate(ps, k, p, layer_set=ls) for p in ps.ids]
+        fresh.append(locality_certificate(ps, k, len(ps) - 1))
+    assert len(certs) == 1449
+    assert certificate_digest(certs) == (
+        "6d2ad80874e21131edc510cc8d1b59f38e0c9905294dcf2e0f59fb468a9c500d")
+    assert certificate_digest(fresh) == (
+        "7a4ea92a99db0721c90831be787598485ef4ca9d4820e90c85c94c357ed92309")
+
+
+def test_one_emst_per_build_and_certificate(monkeypatch, rng):
+    calls = []
+
+    def counted(ps):
+        calls.append(ps)
+        return build_emst(ps)
+
+    monkeypatch.setattr(distributed, "build_emst", counted)
+    ps = random_point_set(rng, 80)
+    ls = build_k_layers(ps, 1)
+    for p in (0, 40, 79):
+        assert locality_certificate(ps, 1, p, layer_set=ls).ok
+    assert len(calls) == 1
+    calls.clear()
+    assert locality_certificate(ps, 1, 5).ok  # builds its own layer set
+    assert len(calls) == 1
+    calls.clear()
+    beta = math.ceil(ls.beta)
+    ls = build_k_layers(ps, 1, beta=beta)
+    assert locality_certificate(ps, 1, 5, beta=beta, layer_set=ls).ok
+    assert calls == []  # an explicit beta needs no EMST
+
+
+def _cli_line_points(tmp_path, n):
+    """The points `plane-layers gen --kind line --n N` writes."""
+    path = tmp_path / f"line{n}.txt"
+    assert main(["gen", "--kind", "line", "--n", str(n), "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.xfail(strict=True, raises=InternalAssertionError,
+                   reason="center_point finds no candidate of the depth bound")
+@pytest.mark.parametrize("n", [60, 101])
+def test_near_line_two_layers_build(tmp_path, n):
+    ps = PointSet.from_text(_cli_line_points(tmp_path, n).read_text())
+    build_k_layers(ps, 2)
+
+
+@pytest.mark.parametrize("n", [60, 101])
+@pytest.mark.parametrize("k", [1, 3])
+def test_near_line_one_and_three_layers_build(tmp_path, monkeypatch, n, k):
+    points = _cli_line_points(tmp_path, n)
+    monkeypatch.setenv("PLANE_LAYERS_DUMP_DIR", str(tmp_path / "dumps"))
+    assert main(["build", str(points), "--mode", "distributed", "--k", str(k),
+                 "--out", str(tmp_path / "layers.json")]) == 0
 
 
 def strip_point_set(seed, n=200):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -59,6 +60,94 @@ def prim_emst(ps):
                 best_d[w] = nd
                 best_edge[w] = key
     return sorted(edges)
+
+
+def _orient(a, b, c):
+    """Twice the signed area of abc: > 0 ccw, < 0 cw, 0 collinear."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _incircle(a, b, c, d):
+    """> 0 iff d lies strictly inside the circle through the ccw triangle abc."""
+    adx, ady = a[0] - d[0], a[1] - d[1]
+    bdx, bdy = b[0] - d[0], b[1] - d[1]
+    cdx, cdy = c[0] - d[0], c[1] - d[1]
+    ad = adx * adx + ady * ady
+    bd = bdx * bdx + bdy * bdy
+    cd = cdx * cdx + cdy * cdy
+    return (
+        adx * (bdy * cd - bd * cdy)
+        - ady * (bdx * cd - bd * cdx)
+        + ad * (bdx * cdy - bdy * cdx)
+    )
+
+
+def tuple_delaunay_triangles(ps):
+    """Reference triangulation: the same lexicographic insertion, hull walk
+    and flips as `delaunay_triangles`, written with coordinate tuples, a
+    tuple-keyed edge map and predicate calls.  Both must return the same
+    list, co-circular ties included."""
+    n = len(ps)
+    pts = [ps.scaled(i) for i in ps.ids]
+    order = sorted(ps.ids, key=pts.__getitem__)
+    k = 2
+    while k < n and _orient(pts[order[0]], pts[order[1]], pts[order[k]]) == 0:
+        k += 1
+    if k >= n:
+        return []
+    apex = order[k]
+    run = order[:k]
+    if _orient(pts[run[0]], pts[run[1]], pts[apex]) < 0:
+        run.reverse()
+    opp = {}
+    for a, b in zip(run, run[1:]):
+        opp[(a, b)] = apex
+        opp[(b, apex)] = a
+        opp[(apex, a)] = b
+    ring = run + [apex]
+    nxt = [0] * n
+    prv = [0] * n
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        nxt[a] = b
+        prv[b] = a
+    last = apex
+    for p in order[k + 1:]:
+        pp = pts[p]
+        a = last
+        while _orient(pts[a], pts[nxt[a]], pp) < 0:
+            a = nxt[a]
+        b = last
+        while _orient(pts[prv[b]], pts[b], pp) < 0:
+            b = prv[b]
+        stack = []
+        u = b
+        while u != a:
+            v = nxt[u]
+            opp[(u, p)] = v
+            opp[(p, v)] = u
+            opp[(v, u)] = p
+            stack.append((u, v))
+            u = v
+        nxt[b] = p
+        prv[p] = b
+        nxt[p] = a
+        prv[a] = p
+        while stack:
+            u, v = stack.pop()
+            d = opp.get((u, v))
+            if d is None or _incircle(pts[u], pts[v], pts[d], pp) <= 0:
+                continue
+            del opp[(u, v)], opp[(v, u)]
+            opp[(p, v)] = d
+            opp[(v, d)] = p
+            opp[(d, p)] = v
+            opp[(p, d)] = u
+            opp[(d, u)] = p
+            opp[(u, p)] = d
+            stack.append((d, v))
+            stack.append((u, d))
+        last = p
+    return sorted((a, b, c) for (a, b), c in opp.items() if a < b and a < c)
 
 
 def kruskal_weight(ps):
@@ -156,6 +245,64 @@ def test_emst_equals_prim_on_jittered_lattices():
             for j in range(22)
         ])
         assert build_emst(ps) == prim_emst(ps)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_emst_equals_prim_on_lattices_with_shuffled_ids(k):
+    """Equal lengths everywhere, so the (min id, max id) tie-break decides."""
+    ps = _shuffled(random.Random(k), [(x, y) for x in range(k) for y in range(k)])
+    assert build_emst(ps) == prim_emst(ps)
+
+
+def _small_integer_grids():
+    rng = random.Random(74)
+    for _ in range(300):
+        side = rng.randint(2, 8)
+        cells = [(x, y) for x in range(side) for y in range(side)]
+        yield _shuffled(rng, rng.sample(cells, rng.randint(1, min(30, len(cells)))))
+
+
+def _jittered_lattices():
+    for seed in range(5):
+        rng = random.Random(seed)
+        yield PointSet([
+            (f"{i * 10 + rng.uniform(-3, 3):.6f}", f"{j * 10 + rng.uniform(-3, 3):.6f}")
+            for i in range(22)
+            for j in range(22)
+        ])
+
+
+def _circle_points(r):
+    """The integer points of the circle of radius r about the origin."""
+    pts = []
+    for x in range(-r, r + 1):
+        y = math.isqrt(r * r - x * x)
+        if y * y + x * x == r * r:
+            pts += [(x, y), (x, -y)] if y else [(x, 0)]
+    return pts
+
+
+@pytest.mark.parametrize("family", ["pools", "small-grids", "lattices", "line", "jittered",
+                                    "parabola", "circle"])
+def test_delaunay_triangles_equal_tuple_reference(family):
+    if family == "pools":
+        sets = acceptance_uniform_pool() + acceptance_line_pool()
+    elif family == "small-grids":
+        sets = _small_integer_grids()
+    elif family == "lattices":
+        sets = (PointSet([(x, y) for x in range(k) for y in range(k)]) for k in range(1, 21))
+    elif family == "line":
+        sets = (gen_line_instance(n, "0.001") for n in range(5, 502))
+    elif family == "jittered":
+        sets = _jittered_lattices()
+    elif family == "parabola":
+        sets = [PointSet([(i, i * i) for i in range(600)])]
+    else:
+        circle = _circle_points(5525)
+        assert len(circle) == 180
+        sets = [_shuffled(random.Random(75), circle)]
+    for ps in sets:
+        assert delaunay_triangles(ps) == tuple_delaunay_triangles(ps)
 
 
 def _strictly_in_circumcircle(ps, tri, p):
