@@ -356,17 +356,17 @@ def _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
 def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     """True iff some pair in the edge list properly crosses (Shamos-Hoey sweep).
 
-    Exact on the integer grid, with O(m log m) orientation tests.  Events run
-    in lexicographic (x, y) order: at each event point the segments ending
-    there leave the status first, and every pair of neighbours that becomes
-    adjacent is tested; then the segments starting there enter.  The status
-    lists the active segments bottom to top along a sweep line turned
-    infinitesimally counterclockwise from vertical, so vertical segments need
-    no special case.  A new segment sits above an active one when its left
-    endpoint lies left of that one's directed line, or, with the endpoint on
-    the line, when its right endpoint does; collinear segments tie.  Shared
-    endpoints, T-junctions and collinear overlaps never cross, exactly as in
-    `properly_cross`.
+    Exact on the scaled integer grid, with O(m log m) orientation tests.
+    Events run in lexicographic (x, y) order: at each event point the
+    segments ending there leave the status first, and every pair of
+    neighbours that becomes adjacent is tested; then the segments starting
+    there enter.  The status lists the active segments bottom to top along a
+    sweep line turned infinitesimally counterclockwise from vertical, so
+    vertical segments need no special case.  A new segment sits above an
+    active one when its left endpoint lies left of that one's directed line,
+    or, with the endpoint on the line, when its right endpoint does; collinear
+    segments tie.  Shared endpoints, T-junctions and collinear overlaps never
+    cross, exactly as in `properly_cross`.
 
     Why nothing is missed: before the lexicographically first crossing point
     p the status order is exact and the segments through p are consecutive

@@ -193,13 +193,18 @@ def test_emst_equals_prim_on_acceptance_pools():
         assert build_emst(ps) == prim_emst(ps)
 
 
-def test_emst_equals_prim_on_small_integer_grids():
-    """Many collinear triples, equal lengths and co-circular quadruples."""
+def _small_integer_grids():
+    """300 point sets with many collinear triples, equal lengths and
+    co-circular quadruples."""
     rng = random.Random(71)
     for _ in range(300):
         side = rng.randint(2, 8)
         cells = [(x, y) for x in range(side) for y in range(side)]
-        ps = _shuffled(rng, rng.sample(cells, rng.randint(1, min(30, len(cells)))))
+        yield _shuffled(rng, rng.sample(cells, rng.randint(1, min(30, len(cells)))))
+
+
+def test_emst_equals_prim_on_small_integer_grids():
+    for ps in _small_integer_grids():
         assert build_emst(ps) == prim_emst(ps)
 
 
@@ -235,15 +240,19 @@ def test_emst_equals_prim_on_line_instances(n):
     assert build_emst(ps) == prim_emst(ps)
 
 
-def test_emst_equals_prim_on_jittered_lattices():
+def _jittered_lattices():
     """22 x 22 lattices, spacing 10, each coordinate moved by up to +-3."""
     for seed in range(5):
         rng = random.Random(seed)
-        ps = PointSet([
+        yield PointSet([
             (f"{i * 10 + rng.uniform(-3, 3):.6f}", f"{j * 10 + rng.uniform(-3, 3):.6f}")
             for i in range(22)
             for j in range(22)
         ])
+
+
+def test_emst_equals_prim_on_jittered_lattices():
+    for ps in _jittered_lattices():
         assert build_emst(ps) == prim_emst(ps)
 
 
@@ -252,24 +261,6 @@ def test_emst_equals_prim_on_lattices_with_shuffled_ids(k):
     """Equal lengths everywhere, so the (min id, max id) tie-break decides."""
     ps = _shuffled(random.Random(k), [(x, y) for x in range(k) for y in range(k)])
     assert build_emst(ps) == prim_emst(ps)
-
-
-def _small_integer_grids():
-    rng = random.Random(74)
-    for _ in range(300):
-        side = rng.randint(2, 8)
-        cells = [(x, y) for x in range(side) for y in range(side)]
-        yield _shuffled(rng, rng.sample(cells, rng.randint(1, min(30, len(cells)))))
-
-
-def _jittered_lattices():
-    for seed in range(5):
-        rng = random.Random(seed)
-        yield PointSet([
-            (f"{i * 10 + rng.uniform(-3, 3):.6f}", f"{j * 10 + rng.uniform(-3, 3):.6f}")
-            for i in range(22)
-            for j in range(22)
-        ])
 
 
 def _circle_points(r):
