@@ -151,6 +151,8 @@ def cmd_build(args) -> int:
         max_ratio = max(trees.max_ratio_red, trees.max_ratio_blue)
         print(f"layers=2 maxRatio={max_ratio:.6f} bound={trees.bound}")
         return 0
+    if beta is not None and beta <= 0:
+        raise PreconditionError("beta must be positive")
     be_sq = None
     if beta is not None and len(ps) >= 2:
         be = bottleneck(build_emst(ps), ps)

@@ -77,6 +77,9 @@ class PointSet:
     Internally all coordinates are scaled to a common integer grid; fast
     predicates run on the integer coordinates, exact rationals are exposed
     through :meth:`x`, :meth:`y` and :meth:`point`.
+
+    The grid never changes after construction, so `mst.build_emst` keeps the
+    tree it computes in the private `_emst` attribute for later calls.
     """
 
     def __init__(self, coords: Sequence[tuple[Fraction | int | str, Fraction | int | str]]):
@@ -92,6 +95,7 @@ class PointSet:
         self._scale = scale
         self._sx = [n * (scale // d) for n, d in xs]
         self._sy = [n * (scale // d) for n, d in ys]
+        self._emst: tuple[Segment, ...] | None = None
         seen: dict[tuple[int, int], int] = {}
         for i, key in enumerate(zip(self._sx, self._sy)):
             if key in seen:
@@ -187,6 +191,7 @@ class PointSet:
         mirror._scale = self._scale
         mirror._sx = self._sx
         mirror._sy = [-y for y in self._sy]
+        mirror._emst = None
         return mirror
 
     def perturbed(self, eps: Fraction | None = None) -> "PointSet":

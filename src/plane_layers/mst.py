@@ -14,6 +14,14 @@ sorts one int per edge, len^2 * n^2 + a*n + b, which orders exactly like
 (len^2, a, b) since a*n + b < n^2.  The insertion order stays lexicographic,
 which keeps the flips linear on convex position (see `delaunay_triangles`).
 
+The tree is computed once per point set: `build_emst` keeps it on the
+`PointSet` and returns a copy on every call, so the build, `verify`, the
+locality certificate and each CLI command share one triangulation.  This
+keeps `verify` exact, not merely consistent with the build: the grid of a
+point set never changes, the tree is a function of that grid alone, and
+only `build_emst` writes the kept tree, so every caller gets the true EMST of the
+point set it holds, never a beta passed in by a caller.
+
 A rooted tree records levels, parents and grandparents for the two-tree
 colorings.
 """
@@ -199,7 +207,20 @@ def build_emst(ps: PointSet) -> list[Segment]:
     squared length and the ids a < b: since a*n + b < n^2, these ints sort
     exactly like the tuples (len^2, a, b).  The union-find runs on a list,
     and only the n - 1 tree edges become `Segment`s.
+
+    The tree is computed on the first call for a point set only and kept on
+    it as a tuple; every call returns a new list, so a caller that edits its
+    list changes no later result.  A point set's grid is immutable, so the
+    kept tree is still exactly the EMST of the points `ps` holds.
     """
+    tree = ps._emst
+    if tree is None:
+        tree = ps._emst = _delaunay_kruskal(ps)
+    return list(tree)
+
+
+def _delaunay_kruskal(ps: PointSet) -> tuple[Segment, ...]:
+    """The sorted EMST edges of `ps`; see `build_emst`."""
     xs, ys = ps.grid
     n = len(xs)
     if n == 0:
@@ -207,7 +228,7 @@ def build_emst(ps: PointSet) -> list[Segment]:
     opp = _triangulate(xs, ys)
     if not opp:
         order = sorted(range(n), key=list(zip(xs, ys)).__getitem__)
-        return sorted(Segment(a, b) for a, b in zip(order, order[1:]))
+        return tuple(sorted(Segment(a, b) for a, b in zip(order, order[1:])))
     nn = n * n
     keys = []
     for key in opp:
@@ -236,7 +257,7 @@ def build_emst(ps: PointSet) -> list[Segment]:
             if len(tree) == n - 1:
                 break
     tree.sort()
-    return [Segment(*divmod(key, n)) for key in tree]
+    return tuple(Segment(*divmod(key, n)) for key in tree)
 
 
 def bottleneck(edges: Sequence[Segment], ps: PointSet) -> BottleneckInfo:

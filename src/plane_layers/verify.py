@@ -156,8 +156,9 @@ def verify_layers(
     flag_overlaps: bool = False,
 ) -> VerificationReport:
     """Check each layer for planarity and spanning-ness, all layers for
-    pairwise edge-disjointness, and measure bottlenecks against a freshly
-    computed MST."""
+    pairwise edge-disjointness, and measure bottlenecks against the exact
+    EMST of `ps` (`build_emst`: computed on the point set's first call and
+    kept on it, so a verify after a build reuses the build's tree)."""
     be_sq = be_grid = None
     if len(ps) >= 2:
         be = bottleneck(build_emst(ps), ps)

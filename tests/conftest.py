@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from plane_layers import mst
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import PointSet, Segment
 from plane_layers.verify import gen_line_instance
@@ -37,6 +38,20 @@ def acceptance_k_layer_instances() -> list[tuple[PointSet, int]]:
         n = rng.randint(max(12 * k - 3, 60), 90)
         out.append((random_point_set(rng, n), k))
     return out
+
+
+def count_triangulations(monkeypatch) -> list[int]:
+    """Patch `mst._triangulate` to record the point count of each call; the
+    returned list grows as the triangulations run."""
+    calls: list[int] = []
+    triangulate = mst._triangulate
+
+    def counted(xs, ys):
+        calls.append(len(xs))
+        return triangulate(xs, ys)
+
+    monkeypatch.setattr(mst, "_triangulate", counted)
+    return calls
 
 
 def collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:

@@ -21,7 +21,7 @@ from plane_layers.mst import bottleneck, build_emst, root_at_leaf
 from plane_layers.unionfind import UnionFind
 from plane_layers.verify import gen_line_instance, verify_layers
 
-from conftest import random_point_set
+from conftest import count_triangulations, random_point_set
 
 
 def rooted_mst(ps, root=None):
@@ -343,6 +343,19 @@ def test_build_two_disjoint_trees_random(rng):
         ps = random_point_set(rng, rng.randint(4, 48))
         tt = build_two_disjoint_trees(ps)
         check_disjoint(tt, ps, 3)
+
+
+@pytest.mark.parametrize("make, bound", [(lambda rng: random_point_set(rng, 90), 2),
+                                         (lambda rng: gen_line_instance(40, "0.001"), 3)],
+                         ids=["flat", "pointed"])
+def test_one_triangulation_per_build_and_verify(monkeypatch, rng, make, bound):
+    calls = count_triangulations(monkeypatch)
+    ps = make(rng)
+    trees = build_two_disjoint_trees(ps)
+    assert trees.bound == bound
+    report = verify_layers(trees.layers(), ps)
+    assert report.ok(max_len_sq=bound * bound * report.beta_sq)
+    assert calls == [len(ps)]
 
 
 def test_outputs_stay_in_mst_square(rng):

@@ -7,6 +7,8 @@ from plane_layers import cli, distributed, mst, verify
 from plane_layers.cli import main
 from plane_layers.geometry import PointSet
 
+from conftest import count_triangulations
+
 
 def run(*argv):
     return main(list(argv))
@@ -261,6 +263,37 @@ def test_one_emst_per_cli_call(tmp_path, monkeypatch):
             calls.clear()
             assert run(*command) == 0
             assert len(calls) == 1, command
+
+
+def test_one_triangulation_per_cli_command(tmp_path, monkeypatch):
+    calls = count_triangulations(monkeypatch)
+    pts = tmp_path / "p.txt"
+    assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "4", "--out", str(pts)) == 0
+    tt, dist = tmp_path / "tt.json", tmp_path / "layers.json"
+    for command in (["build", str(pts), "--mode", "two-tree", "--out", str(tt)],
+                    ["verify", str(pts), str(tt)],
+                    ["stats", str(pts), str(tt)],
+                    ["build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(dist)],
+                    ["build", str(pts), "--mode", "distributed", "--k", "1", "--beta", "400",
+                     "--out", str(dist)],
+                    ["verify", str(pts), str(dist)],
+                    ["stats", str(pts), str(dist)]):
+        calls.clear()
+        assert run(*command) == 0
+        assert calls == [60], command
+
+
+@pytest.mark.parametrize("beta", ["-1", "0", "-40", "-0.5"])
+def test_non_positive_beta_rejected_before_the_bottleneck_check(tmp_path, capsys, beta):
+    """The square's MST bottleneck is 10: a beta of -1 or 0 once failed as
+    below it, while -40 (whose square is above it) failed as not positive."""
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0 0\n1 10 0\n2 10 10\n3 0 10\n")
+    out = tmp_path / "layers.json"
+    assert run("build", str(pts), "--mode", "distributed", "--k", "1",
+               f"--beta={beta}", "--out", str(out)) == 3
+    assert capsys.readouterr().err == "precondition failed: beta must be positive\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("coord", ["abc", "1/0", "1..5", "--1", "1e", "0x1", "1,5", ".", "7" * 4301])

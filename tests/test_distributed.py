@@ -38,7 +38,7 @@ from plane_layers.mst import bottleneck, build_emst
 from plane_layers.unionfind import UnionFind
 from plane_layers.verify import verify_layers
 
-from conftest import acceptance_k_layer_instances, random_point_set
+from conftest import acceptance_k_layer_instances, count_triangulations, random_point_set
 
 
 def cluster(rng, n, x0, y0, w=4.0):
@@ -642,6 +642,17 @@ def test_one_emst_per_build_and_certificate(monkeypatch, rng):
     ls = build_k_layers(ps, 1, beta=beta)
     assert locality_certificate(ps, 1, 5, beta=beta, layer_set=ls).ok
     assert calls == []  # an explicit beta needs no EMST
+
+
+def test_one_triangulation_per_build_verify_and_certificates(monkeypatch, rng):
+    calls = count_triangulations(monkeypatch)
+    ps = random_point_set(rng, 80)
+    ls = build_k_layers(ps, 1)
+    report = verify_layers([list(layer) for layer in ls.layers], ps)
+    assert report.beta_sq == ls.beta_sq
+    for p in (0, 40, 79):
+        assert locality_certificate(ps, 1, p, layer_set=ls).ok
+    assert calls == [80]
 
 
 def _cli_line_points(tmp_path, n):

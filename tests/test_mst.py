@@ -5,13 +5,19 @@ from itertools import combinations
 
 import pytest
 
+from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
 from plane_layers.mst import bottleneck, build_emst, delaunay_triangles, root_at_leaf
 from plane_layers.unionfind import UnionFind
-from plane_layers.verify import gen_line_instance
+from plane_layers.verify import gen_line_instance, verify_layers
 
-from conftest import acceptance_line_pool, acceptance_uniform_pool, random_point_set
+from conftest import (
+    acceptance_line_pool,
+    acceptance_uniform_pool,
+    count_triangulations,
+    random_point_set,
+)
 from square_graph import (
     Mst2Kind,
     adjacent_edges_at_least_sixty_degrees,
@@ -333,6 +339,46 @@ def test_delaunay_triangles_have_empty_circumcircles():
         assert area2 == hull_area2
         if tris:
             assert {v for tri in tris for v in tri} == set(ps.ids)
+
+
+def test_emst_kept_per_point_set_and_returned_as_a_new_list(monkeypatch, rng):
+    calls = count_triangulations(monkeypatch)
+    ps = random_point_set(rng, 60)
+    edges = build_emst(ps)
+    want = list(edges)
+    assert want == prim_emst(ps)
+    edges.clear()
+    again = build_emst(ps)
+    assert again == want and again is not edges
+    again.append(Segment(0, 1))
+    again.reverse()
+    assert build_emst(ps) == want
+    layers = [want[: len(want) // 2], want[len(want) // 2:]]
+    assert verify_layers(layers, ps).beta_sq == bottleneck(want, ps).length_sq
+    assert calls == [60]
+
+
+def test_perturbed_and_reflected_sets_get_their_own_emst(monkeypatch):
+    calls = count_triangulations(monkeypatch)
+    # a full lattice: every MST edge ties in length, so the perturbation
+    # breaks the ties in another order than the ids do
+    ps = PointSet([(x, y) for x in range(6) for y in range(6)])
+    tree = build_emst(ps)
+    moved = ps.perturbed()
+    assert build_emst(moved) == prim_emst(moved) != tree
+    skew = PointSet([(0, 0), (3, 1), (4, 5), (9, 2), (7, 7), (2, 8)])
+    build_emst(skew)
+    mirror = skew.reflected()
+    assert build_emst(mirror) == prim_emst(mirror) == build_emst(skew)
+    assert calls == [36, 36, 6, 6]
+
+
+def test_verify_reports_the_mst_beta_after_a_build_with_a_large_beta(rng):
+    ps = random_point_set(rng, 70)
+    ls = build_k_layers(ps, 1, beta=10**4)
+    assert ls.beta_sq == 10**8
+    report = verify_layers([list(layer) for layer in ls.layers], ps)
+    assert report.beta_sq == bottleneck(prim_emst(ps), ps).length_sq < 10**8
 
 
 def test_bottleneck_unit_line():
