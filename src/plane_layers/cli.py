@@ -140,6 +140,8 @@ def _distinct_points(rng, n, sample):
 def cmd_build(args) -> int:
     ps = _load_points(args.input)
     beta = _number_arg("--beta", args.beta) if args.beta else None
+    if args.mode == "two-tree" and args.beta is not None:
+        raise UsageError("--beta applies to --mode distributed only")
     if args.perturb is not None:
         eps = _number_arg("--perturb", args.perturb) if args.perturb else None
         ps = ps.perturbed(eps)
@@ -248,7 +250,8 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("input")
     b.add_argument("--mode", choices=["two-tree", "distributed"], default="two-tree")
     b.add_argument("--k", type=int, default=2)
-    b.add_argument("--beta", default=None, help="override beta (default: MST bottleneck)")
+    b.add_argument("--beta", default=None,
+                   help="override beta, --mode distributed only (default: MST bottleneck)")
     b.add_argument(
         "--perturb",
         nargs="?",

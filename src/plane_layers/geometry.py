@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, UsageError
@@ -39,20 +40,30 @@ class Point:
     y: Fraction
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
-    """Undirected edge between two point ids, stored with a < b."""
+class Segment(tuple):
+    """Undirected edge between two point ids, stored with a < b.
 
-    a: int
-    b: int
+    A plain (a, b) tuple underneath, so hashing, equality and ordering run in
+    C and agree with `as_pair()`; a Segment also equals the bare tuple.
+    """
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"degenerate segment {self.a}-{self.b}")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int):
+        if a < b:
+            return tuple.__new__(cls, (a, b))
+        if a > b:
+            return tuple.__new__(cls, (b, a))
+        raise ValueError(f"degenerate segment {a}-{b}")
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"Segment(a={self[0]!r}, b={self[1]!r})"
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
 
     def other(self, v: int) -> int:
         if v == self.a:
@@ -68,7 +79,7 @@ class Segment:
         return self.a == s.a or self.a == s.b or self.b == s.a or self.b == s.b
 
     def as_pair(self) -> tuple[int, int]:
-        return (self.a, self.b)
+        return tuple(self)
 
 
 class PointSet:

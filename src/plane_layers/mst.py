@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .geometry import PointSet, Segment, ccw_order_around
+from .geometry import PointSet, Segment
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,6 @@ class RootedMst:
     level: dict[int, int]
     parent: dict[int, int]
     grandparent: dict[int, int]
-    children: dict[int, tuple[int, ...]]
     adjacency: dict[int, tuple[int, ...]] = field(repr=False)
 
     @property
@@ -310,8 +309,8 @@ def root_at_leaf(
 ) -> RootedMst:
     """Root a tree at a leaf and compute levels/parents/grandparents.
 
-    Children are ordered counterclockwise around each vertex.  Raises if the
-    root is not a leaf or the edges do not form a tree on `vertices`.
+    Raises if the root is not a leaf or the edges do not form a tree on
+    `vertices`.
     """
     verts = frozenset(vertices) if vertices is not None else frozenset(ps.ids)
     for e in edges:
@@ -340,20 +339,13 @@ def root_at_leaf(
     grandparent = {
         v: (parent[parent[v]] if level[v] >= 2 else root) for v in parent
     }
-    children: dict[int, tuple[int, ...]] = {}
-    for v in verts:
-        kids = [w for w in adj.get(v, ()) if parent.get(w) == v]
-        if len(kids) > 1:
-            kids = ccw_order_around(v, kids, ps)
-        children[v] = tuple(kids)
     return RootedMst(
         ps=ps,
         vertices=verts,
-        edges=tuple(sorted(Segment(e.a, e.b) for e in edges)),
+        edges=tuple(sorted(edges)),
         root=root,
         level=level,
         parent=parent,
         grandparent=grandparent,
-        children=children,
         adjacency={v: tuple(sorted(adj.get(v, ()))) for v in verts},
     )

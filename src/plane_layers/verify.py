@@ -1,11 +1,13 @@
 """Independent verification of layer properties, the line-instance counting
 bound, and adversarial instance generation.
 
-verify_layers re-derives everything from scratch (an exact sweep for
-crossings, listing the pairs only when one exists; a fresh MST bottleneck;
-`count_layers` for spanning, repeated edges and longest edges) and reports;
-it never raises on a property failure.  The self-checks of both builds call
-the same `count_layers` and raise on what it finds.
+verify_layers re-derives every layer property from the edges (an exact
+sweep for crossings, listing the pairs only when one exists; `count_layers`
+for spanning, repeated edges and longest edges) and measures them against
+the MST bottleneck of the point set's EMST, which `build_emst` computes once
+per point set and keeps on it, so a verify after a build reuses the build's
+tree.  It reports and never raises on a property failure.  The self-checks
+of both builds call the same `count_layers` and raise on what it finds.
 Edge lengths are compared as squared integers on the point set's grid; each
 reported length or ratio is one int/int division of them, which rounds
 correctly, like the float of the exact fraction.
@@ -22,7 +24,6 @@ from typing import Sequence
 from .errors import PreconditionError
 from .geometry import PHI, PointSet, Segment, collinear_overlap, crossing_pairs
 from .mst import bottleneck, build_emst
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -125,28 +126,42 @@ class LayerCounts:
 def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCounts:
     """The spanning, disjointness and length facts of a layer list in one
     pass, with no EMST and no planarity sweep: each caller (`verify_layers`,
-    the self-checks of both builds) compares them with its own limits."""
+    the self-checks of both builds) compares them with its own limits.
+
+    Components are counted by a list union-find over the point ids, one per
+    layer: n minus the unions that joined two components."""
+    xs, ys = ps.grid
+    n = len(xs)
     first: dict[Segment, int] = {}
     lengths = []
     repeats = []
     per_layer = []
     grid_sq = ps.scale * ps.scale
     for j, layer in enumerate(layers):
-        uf = UnionFind(ps.ids)
+        parent = list(range(n))
+        joined = 0
         top, longest = 0, None
         for e in layer:
-            sq = ps.sdist_sq(e.a, e.b)
+            a, b = e
+            dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+            sq = dx * dx + dy * dy
             seen = first.get(e)
             if seen is None:
                 first[e] = j
                 lengths.append(sq)
             else:
                 repeats.append((e, seen, j))
-            uf.union(e.a, e.b)
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                joined += 1
             if sq > top or (sq == top and e < longest):
                 top, longest = sq, e
         length = math.sqrt(top / grid_sq)
-        per_layer.append(LayerCount(len(layer), uf.component_count(), top, longest, length))
+        per_layer.append(LayerCount(len(layer), n - joined, top, longest, length))
     return LayerCounts(tuple(per_layer), tuple(repeats), tuple(lengths))
 
 

@@ -1,0 +1,67 @@
+"""Regression guard: edges stay C-level int pairs in the two-tree build and verify.
+
+`Segment` is a tuple, so sorting, hashing and comparing edges run in C, and
+`count_layers` counts components with a list union-find over the point ids.
+A build plus a verify then calls no Python-level `Segment` comparison, hash
+or initialiser, no `UnionFind` from `count_layers`, and `ccw_order_around`
+only for the few vertices the construction fans around, whatever n is.  A
+per-edge Python dunder or a per-vertex angular sort creeping back shows up
+here as a count above zero or one that grows with n.
+"""
+
+import cProfile
+import pstats
+import random
+from pathlib import Path
+
+import pytest
+
+from plane_layers.centralized import build_two_disjoint_trees
+from plane_layers.geometry import Segment
+from plane_layers.verify import verify_layers
+
+from conftest import random_point_set
+
+SEGMENT_DUNDERS = (
+    "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__", "__hash__",
+    "__init__", "__post_init__",
+)
+CCW_BUDGET = 8
+
+
+def python_method_keys(cls: type, names) -> set:
+    """cProfile keys (file, first line, name) of the methods of `cls` among
+    `names` that are Python functions; C slots have no code object."""
+    codes = (getattr(getattr(cls, name, None), "__code__", None) for name in names)
+    return {(c.co_filename, c.co_firstlineno, c.co_name) for c in codes if c is not None}
+
+
+@pytest.mark.parametrize("n", [100, 400, 1600])
+def test_library_build_and_verify_keep_edges_in_c(n):
+    ps = random_point_set(random.Random(n), n)
+    trees = []
+
+    def build_and_verify():
+        trees.append(build_two_disjoint_trees(ps))
+        assert verify_layers(trees[0].layers(), ps).ok()
+
+    prof = cProfile.Profile()
+    prof.runcall(build_and_verify)
+    stats = pstats.Stats(prof).stats
+    assert trees[0].bound == 2  # uniform points take the flat branch
+
+    dunders = python_method_keys(Segment, SEGMENT_DUNDERS)
+    assert sum(stats[key][1] for key in dunders if key in stats) == 0
+    from_count_layers = [
+        name
+        for (file, _, name), (*_, callers) in stats.items()
+        if Path(file).name == "unionfind.py"
+        and any(caller[2] == "count_layers" for caller in callers)
+    ]
+    assert from_count_layers == []
+    ccw = sum(
+        calls
+        for (file, _, name), (_, calls, *_) in stats.items()
+        if Path(file).name == "geometry.py" and name == "ccw_order_around"
+    )
+    assert ccw <= CCW_BUDGET

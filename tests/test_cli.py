@@ -85,6 +85,17 @@ def test_build_rejects_bad_numbers(tmp_path, capsys, flag, mode, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beta", ["-1", "0", "1", "400", ""])
+def test_two_tree_build_rejects_beta(tmp_path, capsys, beta):
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0 0\n1 1 0\n2 1 1\n3 0 1\n")
+    out = tmp_path / "out.json"
+    assert run("build", str(pts), "--mode", "two-tree", f"--beta={beta}", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "usage error: --beta applies to --mode distributed only\n"
+    assert not out.exists()
+    assert run("build", str(pts), "--mode", "two-tree", "--out", str(out)) == 0
+
+
 def test_build_distributed_k_too_large(tmp_path):
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "20", "--seed", "5", "--out", str(pts)) == 0

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -458,6 +460,44 @@ def test_reflected_flips_orientation():
 
 
 def test_segment_normalizes_and_rejects_loops():
-    assert Segment(5, 2) == Segment(2, 5)
-    with pytest.raises(ValueError):
+    s = Segment(5, 2)
+    assert s == Segment(2, 5) == Segment(b=2, a=5)
+    assert (s.a, s.b) == (2, 5) and s.as_pair() == (2, 5) and type(s.as_pair()) is tuple
+    with pytest.raises(ValueError, match=r"^degenerate segment 3-3$"):
         Segment(3, 3)
+
+
+def test_segment_repr_names_both_fields():
+    s = Segment(7, 3)
+    assert repr(s) == str(s) == f"{s}" == "Segment(a=3, b=7)"
+    assert f"edge {s} added twice" == "edge Segment(a=3, b=7) added twice"
+
+
+def test_segment_order_hash_and_equality_follow_its_pair(rng):
+    segs = [Segment(*rng.sample(range(30), 2)) for _ in range(400)]  # with repeats
+    pairs = [s.as_pair() for s in segs]
+    assert [s.as_pair() for s in sorted(segs)] == sorted(pairs)
+    assert [hash(s) for s in segs] == [hash(p) for p in pairs]
+    for (s, p), (t, q) in zip(zip(segs, pairs), zip(segs[1:], pairs[1:])):
+        assert (s == t, s != t, s < t, s <= t, s > t) == (p == q, p != q, p < q, p <= q, p > q)
+    # equal hashes and insertion order: sets and dicts iterate as with pairs
+    assert [s.as_pair() for s in set(segs)] == list(set(pairs))
+    assert [s.as_pair() for s in dict.fromkeys(segs)] == list(dict.fromkeys(pairs))
+
+
+def test_segment_copies_and_pickles_as_a_segment():
+    s = Segment(9, 4)
+    copies = [copy.copy(s), copy.deepcopy(s)]
+    copies += [pickle.loads(pickle.dumps(s, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for t in copies:
+        assert type(t) is Segment and t == s and (t.a, t.b) == (4, 9)
+
+
+def test_segment_is_immutable():
+    s = Segment(1, 2)
+    with pytest.raises(AttributeError):
+        s.a = 5
+    with pytest.raises(AttributeError):
+        s.c = 5
+    assert (s.a, s.b) == (1, 2)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,10 @@ from plane_layers.geometry import (
     has_crossing,
 )
 from plane_layers.mst import build_emst, root_at_leaf
+from plane_layers.unionfind import UnionFind
 from plane_layers.verify import (
+    LayerCount,
+    LayerCounts,
     count_layers,
     counting_lower_bound,
     gen_line_instance,
@@ -155,6 +159,71 @@ def test_count_layers_counts_repeats_and_longest_edges():
         (1, Segment(0, 1)), (4, Segment(1, 4)), (0, None)]
     assert counts.repeats == ((Segment(0, 2), 0, 1), (Segment(1, 4), 1, 1))
     assert counts.longer_than(1) == 1 and counts.longer_than(0) == 4
+
+
+def count_layers_oracle(layers, ps):
+    """`count_layers` written with a `UnionFind` per layer and
+    `PointSet.sdist_sq`: the reference for its flat union-find."""
+    first, lengths, repeats, per_layer = {}, [], [], []
+    for j, layer in enumerate(layers):
+        uf = UnionFind(ps.ids)
+        top, longest = 0, None
+        for e in layer:
+            sq = ps.sdist_sq(e.a, e.b)
+            if e in first:
+                repeats.append((e, first[e], j))
+            else:
+                first[e] = j
+                lengths.append(sq)
+            uf.union(e.a, e.b)
+            if sq > top or (sq == top and e < longest):
+                top, longest = sq, e
+        length = math.sqrt(top / (ps.scale * ps.scale))
+        per_layer.append(LayerCount(len(layer), uf.component_count(), top, longest, length))
+    return LayerCounts(tuple(per_layer), tuple(repeats), tuple(lengths))
+
+
+def random_layer(rng, ps):
+    """An empty layer, a spanning tree, a forest, or edges drawn with
+    repetition (each with the chance of an extra copy of one edge)."""
+    n = len(ps)
+    kind = rng.choice(["empty", "tree", "forest", "any"]) if n >= 2 else "empty"
+    if kind == "empty":
+        return []
+    order = rng.sample(range(n), n)
+    tree = [Segment(v, order[rng.randrange(i)]) for i, v in enumerate(order) if i]
+    if kind == "tree":
+        layer = tree
+    elif kind == "forest":
+        layer = rng.sample(tree, rng.randint(0, len(tree) - 1))
+    else:
+        layer = [Segment(*rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2 * n))]
+    if layer and rng.random() < 0.5:
+        layer.append(rng.choice(layer))
+    rng.shuffle(layer)
+    return layer
+
+
+def test_count_layers_matches_union_find_oracle(rng):
+    """Random layer lists, sharing edges across layers, on point sets whose
+    grid coordinates tie some lengths; n = 1 and empty layers included."""
+    kinds = set()
+    for trial in range(400):
+        n = 1 if trial % 25 == 0 else rng.randint(2, 24)
+        side = rng.choice([5, 8, 1000])
+        ps = PointSet([divmod(c, side) for c in rng.sample(range(side * side), n)])
+        layers = [random_layer(rng, ps) for _ in range(rng.randint(0, 4))]
+        if len(layers) >= 2 and rng.random() < 0.3:
+            layers[1] = layers[1] + rng.sample(layers[0], min(2, len(layers[0])))
+        expected = count_layers_oracle(layers, ps)
+        assert count_layers(layers, ps) == expected
+        for c in expected.per_layer:
+            kinds.add("empty" if not c.edges else "spanning" if c.components == 1 else "split")
+        if expected.repeats:
+            kinds.add("repeats")
+        if n == 1 and layers:
+            kinds.add("n=1")
+    assert kinds == {"empty", "spanning", "split", "repeats", "n=1"}
 
 
 def overlapping_pairs_oracle(layer, ps):
