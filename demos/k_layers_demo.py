@@ -52,6 +52,6 @@ print(f"locality certificate for point {probe}: ok={cert.ok}, "
       f"{deg} incident edges reproduced from data within "
       f"{cert.cheby_cells} cells (euclidean {cert.euclid_radius:.1f})")
 
-svg = render_svg(ps, [list(l) for l in ls.layers], cell_side=gi.cell_side, grid=True)
+svg = render_svg(ps, [list(l) for l in ls.layers], cell_side=gi.cell_side)
 (outdir / "k_layers.svg").write_text(svg)
 print(f"wrote {outdir / 'k_layers.svg'}")

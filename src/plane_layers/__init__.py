@@ -22,6 +22,7 @@ from .centralized import (
     side_split,
 )
 from .distributed import (
+    Certifier,
     GridIndex,
     LayerSet,
     SectorStructure,

@@ -39,7 +39,7 @@ from .geometry import (
     orientation_ids,
     properly_cross,
 )
-from .mst import BottleneckInfo, RootedMst, adjacency, bottleneck, build_emst, root_at_leaf
+from .mst import RootedMst, adjacency, bottleneck, build_emst, root_at_leaf
 from .unionfind import UnionFind
 from .verify import LayerCounts, count_layers
 
@@ -420,11 +420,9 @@ def disjoint_trees_flat(
     ps: PointSet,
     mst_edges: Sequence[Segment],
     v: int,
-    be: BottleneckInfo | None = None,
 ) -> TwoTrees:
     """Disjoint pair around a vertex with no gap above pi: spoke/hull base
     trees on the neighbors of v, plus recolored subtree constructions."""
-    be = be or bottleneck(mst_edges, ps)
     adj = adjacency(mst_edges)
     nbrs = adj.get(v, [])
     if len(nbrs) < 3:
@@ -464,7 +462,8 @@ def disjoint_trees_flat(
         asm.add("blue", blue, f"flat-subtree-{i + 1}")
 
     asm.check_plane()
-    be_grid = ps.sdist_sq(be.edge.a, be.edge.b)
+    be = bottleneck(mst_edges, ps).edge
+    be_grid = ps.sdist_sq(be.a, be.b)
     counts = _verify_disjoint_pair(asm, be_grid, 2, "flat-final")
     return _make_two_trees(asm.red, asm.blue, None, counts, be_grid, 2)
 
@@ -652,13 +651,12 @@ def disjoint_trees_pointed(
     ps: PointSet,
     mst_edges: Sequence[Segment],
     pc: PCase,
-    be: BottleneckInfo | None = None,
 ) -> TwoTrees:
     """Disjoint pair when every vertex has a gap above pi: base coloring of
     the complete graph on P plus recolored subtree constructions, with the
     three-hop blue edge swapped for a hull-path edge when crossed."""
-    be = be or bottleneck(mst_edges, ps)
-    be_grid = ps.sdist_sq(be.edge.a, be.edge.b)
+    be = bottleneck(mst_edges, ps).edge
+    be_grid = ps.sdist_sq(be.a, be.b)
     wps = ps.reflected() if pc.mirrored else ps
     adj = adjacency(mst_edges)
     pv = {3: pc.v3, 2: pc.v2, 1: pc.v1, 0: pc.v0}
@@ -751,9 +749,8 @@ def build_two_disjoint_trees(ps: PointSet) -> TwoTrees:
             f"two disjoint spanning trees need 2(n-1) <= n(n-1)/2 edges; impossible for n={n}"
         )
     mst_edges = build_emst(ps)
-    be = bottleneck(mst_edges, ps)
     v = find_flat_vertex(mst_edges, ps)
     if v is not None:
-        return disjoint_trees_flat(ps, mst_edges, v, be)
+        return disjoint_trees_flat(ps, mst_edges, v)
     pc = select_P(ps, mst_edges)
-    return disjoint_trees_pointed(ps, mst_edges, pc, be)
+    return disjoint_trees_pointed(ps, mst_edges, pc)

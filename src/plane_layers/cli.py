@@ -139,7 +139,9 @@ def _distinct_points(rng, n, sample):
 
 def cmd_build(args) -> int:
     ps = _load_points(args.input)
-    beta = _number_arg("--beta", args.beta) if args.beta else None
+    beta = None
+    if args.beta is not None and (args.beta or args.mode == "distributed"):
+        beta = _number_arg("--beta", args.beta)  # a malformed number before a misplaced one
     if args.mode == "two-tree" and args.beta is not None:
         raise UsageError("--beta applies to --mode distributed only")
     if args.perturb is not None:
@@ -184,17 +186,19 @@ def cmd_verify(args) -> int:
     if args.out:
         _dump_json(args.out, payload)
     allow_shared = 0
-    max_len_sq = None
+    max_len_sq = max_over_twice = None
     if meta.get("kind") == "two-tree":
         bound = _positive_int(meta, "bound", default=3)
         if report.beta_sq is not None:
             max_len_sq = bound * bound * report.beta_sq
+        max_over_twice = max(bound - 2, 0)  # bound 3 allows one edge above ratio 2
         if meta.get("shared"):
             allow_shared = 1
     elif meta.get("kind") == "distributed":
         k = _positive_int(meta, "k")
         max_len_sq = 288 * k * k * _beta_sq(meta)  # (12*sqrt(2)*k*beta)^2
-    ok = report.ok(max_len_sq=max_len_sq, allow_shared=allow_shared)
+    ok = report.ok(max_len_sq=max_len_sq, allow_shared=allow_shared,
+                   max_over_twice=max_over_twice)
     print(f"plane={report.all_plane} spanning={report.all_spanning} "
           f"disjoint={len(report.duplicate_edges) <= allow_shared} "
           f"maxRatio={report.overall_max_ratio:.6f}")
@@ -207,7 +211,7 @@ def cmd_render(args) -> int:
     cell = None
     if args.grid and meta.get("kind") == "distributed":
         cell = 6 * _positive_int(meta, "k") * math.sqrt(_beta_sq(meta))
-    svg = render_svg(ps, layers, cell_side=cell, grid=args.grid)
+    svg = render_svg(ps, layers, cell_side=cell)
     _write(args.out, svg)
     return 0
 

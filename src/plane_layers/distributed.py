@@ -548,11 +548,12 @@ def _strictly_inside_cw(a, b, d) -> bool:
 
 
 def layers_in_box(
-    box: Cell, gi: GridIndex, ps: PointSet, k: int
+    box: Cell, gi: GridIndex | Certifier, ps: PointSet, k: int
 ) -> BoxLayers:
     """Extract k rotated-sector layers for one dense box: in-box points are
     numbered clockwise around the center point; layer j uses representatives
-    j, floor(m/3)+j, floor(2m/3)+j; everyone else joins its sector anchor."""
+    j, floor(m/3)+j, floor(2m/3)+j; everyone else joins its sector anchor.
+    Of the grid it reads only `gi.cells[box]` and `gi.assigned_to(box)`."""
     members = list(gi.cells[box])
     m = len(members)
     if m < 3 * k:
@@ -831,129 +832,112 @@ def locality_certificate(
     layer_set: LayerSet | None = None,
 ) -> LocalityCertificate:
     """Recompute every edge incident to `point_id` from local data only and
-    compare with the global build.
+    compare with the global build; a mismatch raises, since locality would
+    be violated.  One point's `Certifier`; to certify many points of one
+    layer set, make one `Certifier` and call `certify` on each.
+
+    With `beta` None, beta is the one `layer_set` was built with, or the MST
+    bottleneck that the build run here computes; an explicit `beta` must
+    equal the layer set's, and `k` its number of layers.
+    """
+    ls = layer_set or build_k_layers(ps, k, beta)
+    if beta is not None and _as_beta_sq(beta) != ls.beta_sq:
+        raise PreconditionError("layer_set was built with a different beta")
+    if k != ls.k:
+        raise PreconditionError(f"layer_set has {ls.k} layers, not k={k}")
+    return Certifier(ps, ls).certify(point_id)
+
+
+class Certifier:
+    """Replays, point by point, the computations that decide a point's
+    incident edges, from local data only, and compares them with one layer
+    set built globally.
 
     Each deciding party (a point choosing its box, a box building its
     sectors) sees only the cells within Chebyshev distance 2 of itself; a
     representative's incident set therefore draws on its neighbors'
-    2-neighborhoods as well, exactly like the per-node computation it models.
-    A mismatch raises: locality would be violated.
-
-    With `beta` None, beta is the one `layer_set` was built with, or the MST
-    bottleneck that the build run here computes; an explicit `beta` must
-    equal the layer set's.
-    """
-    ls = layer_set or build_k_layers(ps, k, beta)
-    beta_sq = ls.beta_sq
-    if beta is not None and _as_beta_sq(beta) != beta_sq:
-        raise PreconditionError("layer_set was built with a different beta")
-    global_incident = tuple(
-        tuple(sorted(e for e in layer if e.touches(point_id))) for layer in ls.layers
-    )
-    local_incident = _replay_incident(ps, k, beta_sq, point_id)
-    if local_incident != global_incident:
-        raise InternalAssertionError(
-            "locality",
-            f"incident edges of {point_id} differ between local and global builds",
-            {
-                "point": point_id,
-                "local": [[e.as_pair() for e in l] for l in local_incident],
-                "global": [[e.as_pair() for e in l] for l in global_incident],
-            },
-        )
-    sm = 6 * k
-    radius = 3 * sm * math.sqrt(float(beta_sq)) * math.sqrt(2)
-    return LocalityCertificate(
-        point=point_id,
-        cheby_cells=2,
-        euclid_radius=radius,
-        layer_edges=global_incident,
-        ok=True,
-    )
-
-
-class _LocalReplay:
-    """Replays the per-point and per-box computations against restricted
-    views, caching results so certifying many points stays affordable.
-
-    Every cached value is a function of data within Chebyshev distance 2 of
-    its owner (a point's cell for assignments, the box for sector builds): a
-    cell's population and hence its density is intrinsic to the cell.
+    2-neighborhoods as well, exactly like the per-node computation it
+    models.  Box choices and box layers are kept on the instance: each is a
+    function of data within distance 2 of its owner, since a cell's
+    population and hence its density is intrinsic to the cell.  The
+    certifier is itself the grid `layers_in_box` reads: `cells[box]` and
+    `assigned_to(box)`.
     """
 
-    def __init__(self, ps: PointSet, k: int, q: Fraction):
+    def __init__(self, ps: PointSet, layer_set: LayerSet):
         self.ps = ps
-        self.k = k
-        self.q = q
-        self.cell_of, self.members, self.dense = _bucket(ps, k, q)
-        self._assign: dict[int, Cell] = {}
-        self._boxes: dict[Cell, BoxLayers] = {}
+        self.k = layer_set.k
+        self.q = layer_set.beta_sq
+        self.cell_of, self.cells, self.dense = _bucket(ps, self.k, self.q)
+        self._incident: list[dict[int, list[Segment]]] = []
+        for layer in layer_set.layers:
+            by_end: dict[int, list[Segment]] = {}
+            for e in layer:
+                by_end.setdefault(e.a, []).append(e)
+                by_end.setdefault(e.b, []).append(e)
+            self._incident.append(by_end)
+        self._radius = 3 * 6 * self.k * math.sqrt(float(self.q)) * math.sqrt(2)
+        self._homes: dict[int, Cell] = {}
+        self._box_layers: dict[Cell, BoxLayers] = {}
 
-    def assign(self, p: int) -> Cell:
-        """p's box choice: nearest dense center among the dense cells within
-        distance 2 of p's own cell."""
-        if p not in self._assign:
-            self._assign[p] = _choose_box(self.ps, p, self.cell_of[p], self.dense, self.k, self.q)
-        return self._assign[p]
-
-    def box_layers(self, box: Cell) -> BoxLayers:
-        """One box's sector structure: in-box members plus the points of the
-        2-neighborhood whose own local assignment lands in this box."""
-        if box not in self._boxes:
-            near_ids = [
-                p
-                for di in range(-2, 3)
-                for dj in range(-2, 3)
-                for p in self.members.get((box[0] + di, box[1] + dj), ())
-            ]
-            assigned = sorted(p for p in near_ids if self.assign(p) == box)
-            sub = GridIndex(
-                k=self.k,
-                beta_sq=self.q,
-                cells={box: tuple(sorted(self.members[box]))},
-                dense=frozenset([box]),
-                cell_of={p: self.cell_of[p] for p in near_ids},
-                assignment={p: box for p in assigned},
+    def certify(self, p: int) -> LocalityCertificate:
+        """p's certificate: its incident edges in each layer, recomputed from
+        local data; raises `[locality]` when they differ from the layer set's."""
+        global_incident = tuple(tuple(sorted(by_end.get(p, ()))) for by_end in self._incident)
+        local_incident = self._local_incident(p)
+        if local_incident != global_incident:
+            raise InternalAssertionError(
+                "locality",
+                f"incident edges of {p} differ between local and global builds",
+                {
+                    "point": p,
+                    "local": [[e.as_pair() for e in l] for l in local_incident],
+                    "global": [[e.as_pair() for e in l] for l in global_incident],
+                },
             )
-            self._boxes[box] = layers_in_box(box, sub, self.ps, self.k)
-        return self._boxes[box]
+        return LocalityCertificate(
+            point=p,
+            cheby_cells=2,
+            euclid_radius=self._radius,
+            layer_edges=global_incident,
+            ok=True,
+        )
 
+    def assigned_to(self, box: Cell) -> list[int]:
+        """The points of the 5x5 cells around `box` whose own local choice
+        is `box`, ascending."""
+        bi, bj = box
+        return sorted(
+            p
+            for di in range(-2, 3)
+            for dj in range(-2, 3)
+            for p in self.cells.get((bi + di, bj + dj), ())
+            if self._home(p) == box
+        )
 
-_replay_contexts: dict[tuple[int, int, Fraction], _LocalReplay] = {}
+    def _home(self, p: int) -> Cell:
+        if p not in self._homes:
+            self._homes[p] = _choose_box(self.ps, p, self.cell_of[p], self.dense, self.k, self.q)
+        return self._homes[p]
 
+    def _layers(self, box: Cell) -> BoxLayers:
+        if box not in self._box_layers:
+            self._box_layers[box] = layers_in_box(box, self, self.ps, self.k)
+        return self._box_layers[box]
 
-def _replay_context(ps: PointSet, k: int, q: Fraction) -> _LocalReplay:
-    key = (id(ps), k, q)
-    ctx = _replay_contexts.get(key)
-    if ctx is None or ctx.ps is not ps:
-        ctx = _LocalReplay(ps, k, q)
-        _replay_contexts.clear()
-        _replay_contexts[key] = ctx
-    return ctx
-
-
-def _replay_incident(
-    ps: PointSet, k: int, q: Fraction, p: int
-) -> tuple[tuple[Segment, ...], ...]:
-    ctx = _replay_context(ps, k, q)
-    home = ctx.assign(p)
-    pc = ctx.cell_of[p]
-    incident: list[set[Segment]] = [set() for _ in range(k)]
-
-    home_layers = ctx.box_layers(home)
-    for j in range(k):
-        for e in home_layers.layer_edges(j):
-            if e.touches(p):
-                incident[j].add(e)
-
-    if pc == home:  # p is an in-box point; it may be a representative
-        if any(p in home_layers.sectors[j].reps for j in range(k)):
-            # connectors touch p only through pairs involving p's box; the
-            # rules read the cells adjacent to either box, all within two of p's
-            for a, b in _connector_pairs(frozenset(_dense_near(ctx.dense, pc))):
+    def _local_incident(self, p: int) -> tuple[tuple[Segment, ...], ...]:
+        k = self.k
+        home = self._home(p)
+        home_layers = self._layers(home)
+        incident = [{e for e in home_layers.layer_edges(j) if e.touches(p)} for j in range(k)]
+        if self.cell_of[p] == home and any(p in s.reps for s in home_layers.sectors):
+            # p is an in-box representative; connectors touch it only through
+            # pairs involving its box, and the rules read the cells adjacent
+            # to either box, all within two of p's
+            for a, b in _connector_pairs(frozenset(_dense_near(self.dense, home))):
                 if home in (a, b):
-                    edges = _pair_connectors(ps, ctx.box_layers(a), ctx.box_layers(b), k)
+                    edges = _pair_connectors(self.ps, self._layers(a), self._layers(b), k)
                     for j, e in enumerate(edges):
                         if e.touches(p):
                             incident[j].add(e)
-    return tuple(tuple(sorted(s)) for s in incident)
+        return tuple(tuple(sorted(s)) for s in incident)

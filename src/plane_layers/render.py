@@ -23,9 +23,10 @@ def render_svg(
     ps: PointSet,
     layers: Sequence[Sequence[Segment]],
     cell_side: float | None = None,
-    grid: bool = False,
     width: int = 800,
 ) -> str:
+    """The points and each layer's edges in its palette colour, over the
+    bucketing grid of side `cell_side` when one is given."""
     minx, miny, maxx, maxy = (float(v) for v in ps.bbox())
     span = max(maxx - minx, maxy - miny, 1e-9)
     margin = 0.05 * span
@@ -45,7 +46,7 @@ def render_svg(
         f'viewBox="0 0 {width} {width}">',
         f'<rect width="{width}" height="{width}" fill="white"/>',
     ]
-    if grid and cell_side:
+    if cell_side:
         i0 = math.floor(minx / cell_side)
         i1 = math.ceil((minx + span) / cell_side)
         for i in range(i0, i1 + 1):

@@ -18,7 +18,7 @@ from plane_layers.centralized import (
     recolor,
     side_split,
 )
-from plane_layers.distributed import build_k_layers, center_point, locality_certificate
+from plane_layers.distributed import Certifier, build_k_layers, center_point
 from plane_layers.geometry import Segment, properly_cross
 from plane_layers.mst import build_emst, root_at_leaf
 from plane_layers.verify import (
@@ -162,9 +162,9 @@ def test_criterion_7_locality_certificates():
     builds = 0
     points = 0
     for ps, k in acceptance_k_layer_instances():
-        ls = build_k_layers(ps, k)
+        certifier = Certifier(ps, build_k_layers(ps, k))
         for p in ps.ids:
-            cert = locality_certificate(ps, k, p, layer_set=ls)
+            cert = certifier.certify(p)
             assert cert.ok and cert.cheby_cells == 2
             points += 1
         builds += 1

@@ -85,6 +85,15 @@ def test_build_rejects_bad_numbers(tmp_path, capsys, flag, mode, value):
     assert not out.exists()
 
 
+def test_distributed_build_rejects_empty_beta(tmp_path, capsys):
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0 0\n1 1 0\n2 1 1\n3 0 1\n")
+    out = tmp_path / "out.json"
+    assert run("build", str(pts), "--mode", "distributed", "--beta=", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "usage error: --beta must be a number, got ''\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("beta", ["-1", "0", "1", "400", ""])
 def test_two_tree_build_rejects_beta(tmp_path, capsys, beta):
     pts = tmp_path / "p.txt"
@@ -121,6 +130,25 @@ def test_verify_catches_bad_layers(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert run("verify", str(pts), str(bad)) == 4
+
+
+def test_verify_allows_one_edge_above_twice_the_bottleneck(tmp_path, capsys):
+    """A bound-3 two-tree file may hold one edge longer than twice the MST
+    bottleneck, not two."""
+    pts = tmp_path / "p.txt"
+    pts.write_text("".join(f"{i} {i} 0\n" for i in range(5)))
+    path = [[0, 1], [1, 2], [2, 3], [3, 4]]
+    layers = tmp_path / "tt.json"
+
+    def verify_with(blue):
+        layers.write_text(json.dumps(
+            {"kind": "two-tree", "shared": None, "bound": 3, "red": path, "blue": blue}))
+        report = tmp_path / "report.json"
+        code = run("verify", str(pts), str(layers), "--out", str(report))
+        return code, json.loads(report.read_text())["overTwiceBottleneck"]
+
+    assert verify_with([[0, 3], [0, 2], [2, 4], [1, 3]]) == (0, 1)
+    assert verify_with([[0, 3], [1, 4], [0, 2], [2, 4]]) == (4, 2)
 
 
 def test_render_two_tree_and_grid(tmp_path):

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, combinations
@@ -12,6 +14,7 @@ import pytest
 from plane_layers import distributed
 from plane_layers.cli import main
 from plane_layers.distributed import (
+    Certifier,
     _cell_index,
     _connector_pairs,
     _dense_near,
@@ -564,8 +567,9 @@ def test_build_k_layers_rejects_small_n(rng):
 def test_locality_certificate_all_points(rng):
     ps = random_point_set(rng, 60)
     ls = build_k_layers(ps, 2)
+    certifier = Certifier(ps, ls)
     for p in ps.ids:
-        cert = locality_certificate(ps, 2, p, layer_set=ls)
+        cert = certifier.certify(p)
         assert cert.ok and cert.cheby_cells == 2
         incident = tuple(
             tuple(sorted(e for e in layer if e.touches(p))) for layer in ls.layers
@@ -578,9 +582,25 @@ def test_locality_certificate_multibox(rng):
     rows += [("13.4", "2.0")]  # sparse point hanging off the right box
     ps = PointSet(rows)
     ls = build_k_layers(ps, 1, beta=1)
+    certifier = Certifier(ps, ls)
     for p in ps.ids:
-        assert locality_certificate(ps, 1, p, beta=1, layer_set=ls).ok
+        assert certifier.certify(p).ok
+    assert locality_certificate(ps, 1, len(ps) - 1, beta=1, layer_set=ls).ok
 
+
+def test_certifier_sees_a_point_two_cells_from_its_box(rng):
+    """Cells have side 6 at k=1, beta=1: the last point lies in cell (2, 0)
+    and joins box (0, 0), the farthest a box's view reaches; a point in
+    cell (3, 0) has no box within reach."""
+    rows = cluster(rng, 8, 1.0, 1.0)
+    ps = PointSet(rows + [("12.5", "2.0")])
+    ls = build_k_layers(ps, 1, beta=1)
+    certifier = Certifier(ps, ls)
+    assert certifier.assigned_to((0, 0)) == list(ps.ids)
+    for p in ps.ids:
+        assert certifier.certify(p).ok
+    with pytest.raises(PreconditionError, match="no dense box within two cells"):
+        build_k_layers(PointSet(rows + [("18.5", "2.0")]), 1, beta=1)
 
 def test_locality_certificate_rejects_a_different_beta(rng):
     rows = cluster(rng, 6, 1.0, 1.0) + cluster(rng, 6, 7.5, 1.0)
@@ -595,6 +615,59 @@ def test_locality_certificate_rejects_a_different_beta(rng):
     # without an explicit beta the certificate takes the layer set's
     assert locality_certificate(ps, 1, 0, layer_set=ls).ok
 
+
+
+def test_locality_certificate_rejects_a_different_k(rng):
+    ps = random_point_set(rng, 60)
+    ls = build_k_layers(ps, 1)
+    with pytest.raises(PreconditionError, match="not k=2"):
+        locality_certificate(ps, 2, 0, layer_set=ls)
+
+
+def test_certifier_raises_on_an_edge_the_replay_does_not_make(rng):
+    ps = random_point_set(rng, 60)
+    ls = build_k_layers(ps, 1)
+    e = ls.layers[0][0]
+    tampered = replace(ls, layers=(tuple(f for f in ls.layers[0] if f != e),))
+    with pytest.raises(InternalAssertionError) as exc:
+        Certifier(ps, tampered).certify(e.a)
+    assert exc.value.stage == "locality"
+    assert exc.value.dump["point"] == e.a
+    assert e.as_pair() in exc.value.dump["local"][0]
+
+
+def test_certifier_buckets_once_and_builds_each_box_once(monkeypatch, rng):
+    ps = random_point_set(rng, 400)
+    ls = build_k_layers(ps, 1)
+    buckets, boxes = [], []
+
+    def counted_bucket(*args):
+        buckets.append(args)
+        return bucket(*args)
+
+    def counted_layers_in_box(box, *args):
+        boxes.append(box)
+        return lib(box, *args)
+
+    bucket, lib = distributed._bucket, distributed.layers_in_box
+    monkeypatch.setattr(distributed, "_bucket", counted_bucket)
+    monkeypatch.setattr(distributed, "layers_in_box", counted_layers_in_box)
+    certifier = Certifier(ps, ls)
+    for p in ps.ids:
+        assert certifier.certify(p).ok
+    assert len(buckets) == 1
+    assert len(boxes) == len(set(boxes)) and set(boxes) <= certifier.dense
+    assert len(certifier.dense) > 1
+
+
+def test_certificate_keeps_no_point_set_alive(rng):
+    ps = random_point_set(rng, 60)
+    ls = build_k_layers(ps, 1)
+    assert locality_certificate(ps, 1, 0, layer_set=ls).ok
+    ref = weakref.ref(ps)
+    del ps, ls
+    gc.collect()
+    assert ref() is None
 
 def certificate_digest(certs):
     text = "\n".join(
@@ -612,7 +685,8 @@ def test_locality_certificates_match_pinned_digest():
     certs, fresh = [], []
     for ps, k in acceptance_k_layer_instances():
         ls = build_k_layers(ps, k)
-        certs += [locality_certificate(ps, k, p, layer_set=ls) for p in ps.ids]
+        certifier = Certifier(ps, ls)
+        certs += [certifier.certify(p) for p in ps.ids]
         fresh.append(locality_certificate(ps, k, len(ps) - 1))
     assert len(certs) == 1449
     assert certificate_digest(certs) == (

@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 
 from plane_layers.errors import DUMP_DIR_ENV, InternalAssertionError, write_dump
 
@@ -14,8 +16,11 @@ def test_write_dump_honors_env_dir(tmp_path, monkeypatch):
     assert data["points"] == "0 0 0\n"
 
 
-def test_write_dump_defaults_to_tempdir(monkeypatch):
+def test_write_dump_defaults_to_tempdir(monkeypatch, tmp_path):
     monkeypatch.delenv(DUMP_DIR_ENV, raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     err = InternalAssertionError("unit", "boom")
     path = write_dump(err)
     assert path.endswith(".json")
+    assert os.path.dirname(os.path.dirname(path)) == str(tmp_path)
+    assert os.path.basename(os.path.dirname(path)).startswith("plane-layers-dump-")
