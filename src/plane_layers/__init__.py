@@ -25,7 +25,6 @@ from .distributed import (
     Certifier,
     GridIndex,
     LayerSet,
-    SectorStructure,
     build_k_layers,
     center_point,
     connect_boxes,

@@ -106,15 +106,19 @@ def cmd_gen(args) -> int:
         raise UsageError("n must be >= 1")
     rng = random.Random(args.seed)
     if args.kind == "uniform":
-        pts = _distinct_points(rng, args.n, lambda: (rng.uniform(0, 1000), rng.uniform(0, 1000)))
+        pts = _distinct_points(args.n, lambda: (rng.uniform(0, 1000), rng.uniform(0, 1000)))
     elif args.kind == "clusters":
+        if args.clusters < 1:
+            raise UsageError("--clusters must be >= 1")
+        if not (math.isfinite(args.sigma) and args.sigma > 0):
+            raise UsageError(f"--sigma must be finite and positive, got {args.sigma!r}")
         centers = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(args.clusters)]
         def sample():
             cx, cy = centers[rng.randrange(len(centers))]
             return (rng.gauss(cx, args.sigma), rng.gauss(cy, args.sigma))
-        pts = _distinct_points(rng, args.n, sample)
+        pts = _distinct_points(args.n, sample)
     else:  # line
-        ps = gen_line_instance(args.n, Fraction(args.eps)) if args.n >= 2 else None
+        ps = gen_line_instance(args.n, _number_arg("--eps", args.eps)) if args.n >= 2 else None
         if ps is None:
             raise UsageError("line instances need n >= 2")
         _write(args.out, ps.to_text())
@@ -124,14 +128,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _distinct_points(rng, n, sample):
+# consecutive draws that bring no new point before gen gives up
+_MAX_STALE_DRAWS = 10_000
+
+
+def _distinct_points(n, sample):
+    """n distinct samples rounded to 6 decimals, in draw order."""
     pts: list[tuple[str, str]] = []
     seen = set()
+    stale = 0
     while len(pts) < n:
         x, y = sample()
         key = (f"{x:.6f}", f"{y:.6f}")
         if key in seen:
+            stale += 1
+            if stale == _MAX_STALE_DRAWS:
+                raise UsageError(
+                    f"found only {len(pts)} distinct points at 6 decimals, not n={n}"
+                )
             continue
+        stale = 0
         seen.add(key)
         pts.append(key)
     return pts
@@ -182,9 +198,6 @@ def cmd_verify(args) -> int:
     ps = _load_points(args.points)
     meta, layers = _load_layers_file(args.layers, len(ps))
     report = verify_layers(layers, ps, flag_overlaps=args.flag_overlaps)
-    payload = report.to_json_dict()
-    if args.out:
-        _dump_json(args.out, payload)
     allow_shared = 0
     max_len_sq = max_over_twice = None
     if meta.get("kind") == "two-tree":
@@ -196,7 +209,11 @@ def cmd_verify(args) -> int:
             allow_shared = 1
     elif meta.get("kind") == "distributed":
         k = _positive_int(meta, "k")
+        if k != len(layers):
+            raise UsageError(f"layers file: 'k' is {k} but the file has {len(layers)} layers")
         max_len_sq = 288 * k * k * _beta_sq(meta)  # (12*sqrt(2)*k*beta)^2
+    if args.out:  # only once the file's metadata has passed its checks
+        _dump_json(args.out, report.to_json_dict())
     ok = report.ok(max_len_sq=max_len_sq, allow_shared=allow_shared,
                    max_over_twice=max_over_twice)
     print(f"plane={report.all_plane} spanning={report.all_spanning} "

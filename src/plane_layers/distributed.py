@@ -1,11 +1,12 @@
 """Grid-based construction of k edge-disjoint plane spanning layers.
 
 The plane is bucketed into cells of side 6*k*beta; cells holding at least 3k
-points are dense.  Every point is assigned to the nearest dense-cell center,
-each dense box extracts k layers by rotating three angular sectors around a
-depth-n/3 center point of its in-box points, assigned outside points attach
-to the representative of the sector containing them, and adjacent dense
-boxes are joined through mutually-contained representative pairs.
+points are dense.  Every point is assigned to the nearest dense-cell center
+within two cells, each dense box extracts k layers by rotating three angular
+sectors around a depth-n/3 center point of its in-box points, assigned
+outside points attach to the representative of the sector containing them,
+and adjacent dense boxes are joined through mutually-contained
+representative pairs.
 
 beta is typically the MST bottleneck, an irrational square root, yet every
 predicate stays exact and integer-only.  With q = beta^2 = N/M and the point
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -63,36 +63,60 @@ def _cell_index(v: int, scale: int, sm: int, q: Fraction) -> int:
     return -(math.isqrt(-(-num // den) - 1) + 1)  # -ceil(sqrt(num / den))
 
 
-@dataclass(frozen=True)
 class GridIndex:
-    """Cell decomposition with dense/sparse classification and the
-    point-to-dense-box assignment."""
+    """The cell decomposition of one point set at side 6*k*sqrt(beta_sq):
+    each point's cell, each cell's points in id order, the dense cells (at
+    least 3k points), every point's box, and each dense box's layers, built
+    on first use.
 
-    k: int
-    beta_sq: Fraction
-    cells: dict[Cell, tuple[int, ...]]
-    dense: frozenset[Cell]
-    cell_of: dict[int, Cell]
-    assignment: dict[int, Cell]
+    A point in a dense cell belongs to that cell's box: a cell is the Voronoi
+    region of its own center among all cell centers, so no dense center is
+    nearer.  Any other point goes to the nearest dense center within
+    Chebyshev distance 2."""
 
-    @property
-    def side_mult(self) -> int:
-        return 6 * self.k
+    def __init__(self, ps: PointSet, k: int, beta_sq: Fraction):
+        self.ps = ps
+        self.k = k
+        self.beta_sq = beta_sq
+        self.cell_of, self.cells, self.dense = _bucket(ps, k, beta_sq)
+        if not self.dense:
+            raise PreconditionError(
+                "no dense box: beta is below the MST bottleneck or n is too small"
+            )
+        self.assignment: dict[int, Cell] = {}
+        for p, cell in self.cell_of.items():
+            if cell not in self.dense:
+                candidates = _dense_near(self.dense, cell)
+                if not candidates:
+                    raise PreconditionError(
+                        f"point {p} has no dense box within two cells; "
+                        "beta below the MST bottleneck breaks the adjacency guarantee"
+                    )
+                cell = _nearest_center(ps, p, candidates, 6 * k, beta_sq)
+            self.assignment[p] = cell
+        self._layers: dict[Cell, BoxLayers] = {}
 
     @property
     def cell_side(self) -> float:
-        return self.side_mult * math.sqrt(float(self.beta_sq))
-
-    @cached_property
-    def _assigned_by_box(self) -> dict[Cell, list[int]]:
-        by_box: dict[Cell, list[int]] = {}
-        for p in sorted(self.assignment):
-            by_box.setdefault(self.assignment[p], []).append(p)
-        return by_box
+        return 6 * self.k * math.sqrt(float(self.beta_sq))
 
     def assigned_to(self, box: Cell) -> list[int]:
-        """Ids assigned to `box`, ascending."""
-        return list(self._assigned_by_box.get(box, ()))
+        """The points of the 5x5 cells around `box` assigned to it, ascending;
+        no point is assigned farther than two cells from its own."""
+        bi, bj = box
+        return sorted(
+            p
+            for di in range(-2, 3)
+            for dj in range(-2, 3)
+            for p in self.cells.get((bi + di, bj + dj), ())
+            if self.assignment[p] == box
+        )
+
+    def layers(self, box: Cell) -> BoxLayers:
+        """`layers_in_box(box, self)`, computed once per box."""
+        if box not in self._layers:
+            self._layers[box] = layers_in_box(box, self)
+        return self._layers[box]
 
 
 def _as_beta_sq(beta, ps: PointSet | None = None) -> Fraction:
@@ -111,9 +135,8 @@ def _as_beta_sq(beta, ps: PointSet | None = None) -> Fraction:
 
 
 def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
-    """Bucket points into cells of side 6*k*sqrt(beta_sq), classify dense
-    cells (>= 3k points), and assign every point to its nearest dense-cell
-    center among the dense cells within Chebyshev distance 2."""
+    """The `GridIndex` of ps at cell side 6*k*sqrt(beta_sq), once k, n and
+    beta_sq meet the construction's preconditions."""
     n = len(ps)
     if k < 1:
         raise PreconditionError("k must be >= 1")
@@ -122,26 +145,7 @@ def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
     q = Fraction(beta_sq)
     if q <= 0:
         raise PreconditionError("beta^2 must be positive")
-    cell_of, cells, dense = _bucket(ps, k, q)
-    if not dense:
-        raise PreconditionError(
-            "no dense box: beta is below the MST bottleneck or n is too small"
-        )
-    assignment = {p: _choose_box(ps, p, cell_of[p], dense, k, q) for p in ps.ids}
-    gi = GridIndex(
-        k=k,
-        beta_sq=q,
-        cells={c: tuple(sorted(m)) for c, m in cells.items()},
-        dense=dense,
-        cell_of=cell_of,
-        assignment=assignment,
-    )
-    for p in ps.ids:  # points in a dense cell stay in it
-        if cell_of[p] in dense and assignment[p] != cell_of[p]:
-            raise InternalAssertionError(
-                "grid", f"point {p} in dense cell {cell_of[p]} assigned to {assignment[p]}"
-            )
-    return gi
+    return GridIndex(ps, k, q)
 
 
 def _bucket(
@@ -158,20 +162,6 @@ def _bucket(
     return cell_of, cells, frozenset(c for c, members in cells.items() if len(members) >= 3 * k)
 
 
-def _choose_box(
-    ps: PointSet, p: int, cell: Cell, dense: frozenset[Cell], k: int, q: Fraction
-) -> Cell:
-    """Point p's box: the nearest dense center among the dense cells within
-    Chebyshev distance 2 of its cell."""
-    candidates = _dense_near(dense, cell)
-    if not candidates:
-        raise PreconditionError(
-            f"point {p} has no dense box within two cells; "
-            "beta below the MST bottleneck breaks the adjacency guarantee"
-        )
-    return _nearest_center(ps, p, candidates, cell, 6 * k, q)
-
-
 def _dense_near(dense: frozenset[Cell], cell: Cell, radius: int = 2) -> list[Cell]:
     """Dense cells within Chebyshev distance `radius` of `cell`, ascending."""
     ci, cj = cell
@@ -184,10 +174,10 @@ def _dense_near(dense: frozenset[Cell], cell: Cell, radius: int = 2) -> list[Cel
 
 
 def _nearest_center(
-    ps: PointSet, p: int, candidates: Sequence[Cell], own: Cell, sm: int, q: Fraction
+    ps: PointSet, p: int, candidates: Sequence[Cell], sm: int, q: Fraction
 ) -> Cell:
-    """The candidate cell whose center is nearest to p; exact ties go to p's
-    own cell, then to the lexicographically smallest cell.
+    """The candidate cell whose center is nearest to p; an exact tie goes to
+    the lexicographically smallest cell.
 
     Cell (i, j) has center (a, b) * sm * sqrt(q) / 2 with a = 2i+1, b = 2j+1.
     Against the current best (a', b'), the squared distance of the point
@@ -199,7 +189,7 @@ def _nearest_center(
     m4 = 4 * q.denominator
     nm = q.numerator * q.denominator
     best: Cell | None = None
-    for c in sorted(candidates):
+    for c in sorted(candidates):  # ascending, so a tie keeps the current best
         if best is None:
             best = c
             continue
@@ -207,9 +197,7 @@ def _nearest_center(
         a0, b0 = 2 * best[0] + 1, 2 * best[1] + 1
         big_a = f * (a * a + b * b - a0 * a0 - b0 * b0)
         big_b = m4 * (x * (a - a0) + y * (b - b0))
-        s = _sign_sqrt_diff(big_a, big_b, nm)
-        # exact tie: the point's own cell wins, then lexicographic order
-        if s < 0 or (s == 0 and (c == own or (best != own and c < best))):
+        if _sign_sqrt_diff(big_a, big_b, nm) < 0:
             best = c
     return best
 
@@ -486,23 +474,11 @@ def _nudge_center(cx, cy, ids, ps, target, ray_ids):
 # --- per-box layers ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SectorStructure:
-    """One layer's three clockwise sectors at a box's center point; `reps`
-    are the sector anchors in clockwise order."""
-
-    box: Cell
-    layer: int
-    center: tuple[Fraction, Fraction]
-    reps: tuple[int, int, int]
-
-
 @dataclass
 class BoxLayers:
     box: Cell
     center: tuple[Fraction, Fraction]
-    order: tuple[int, ...]  # in-box points, clockwise around the center
-    sectors: list[SectorStructure]
+    reps: list[tuple[int, int, int]]  # per layer, the sector anchors clockwise
     tree_edges: list[list[Segment]]  # per layer, in-box star/chain edges
     attach_edges: list[list[Segment]]  # per layer, assigned outside points
 
@@ -547,13 +523,13 @@ def _strictly_inside_cw(a, b, d) -> bool:
     )
 
 
-def layers_in_box(
-    box: Cell, gi: GridIndex | Certifier, ps: PointSet, k: int
-) -> BoxLayers:
+def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     """Extract k rotated-sector layers for one dense box: in-box points are
     numbered clockwise around the center point; layer j uses representatives
     j, floor(m/3)+j, floor(2m/3)+j; everyone else joins its sector anchor.
-    Of the grid it reads only `gi.cells[box]` and `gi.assigned_to(box)`."""
+    Of the grid it reads only `ps`, `k`, `gi.cells[box]` and
+    `gi.assigned_to(box)`."""
+    ps, k = gi.ps, gi.k
     members = list(gi.cells[box])
     m = len(members)
     if m < 3 * k:
@@ -564,7 +540,7 @@ def layers_in_box(
     order = cw_order_around(Point(-1, cx, cy), members, ps)
     member_set = set(members)
     sparse = [p for p in assigned if p not in member_set]
-    sectors: list[SectorStructure] = []
+    all_reps: list[tuple[int, int, int]] = []
     tree_edges: list[list[Segment]] = []
     attach_edges: list[list[Segment]] = []
     third, two_thirds = m // 3, (2 * m) // 3
@@ -574,7 +550,7 @@ def layers_in_box(
             order[(third + j) % m],
             order[(two_thirds + j) % m],
         )
-        sectors.append(SectorStructure(box, j, center, reps))
+        all_reps.append(reps)
         edges = []
         for t in range(1, m):
             p = order[(j + t) % m]
@@ -590,13 +566,15 @@ def layers_in_box(
             Segment(qpt, reps[_sector_index(ps, center, reps, qpt)]) for qpt in sparse
         ]
         attach_edges.append(sorted(attach))
-    bl = BoxLayers(box, center, tuple(order), sectors, tree_edges, attach_edges)
+    bl = BoxLayers(box, center, all_reps, tree_edges, attach_edges)
     _check_sector_convexity(ps, bl, k)
     return bl
 
 
-def _sector_spans_reflex(ps: PointSet, sec: SectorStructure) -> bool:
-    dirs = ps.offsets(sec.reps, *sec.center)
+def _sector_spans_reflex(
+    ps: PointSet, center: tuple[Fraction, Fraction], reps: Sequence[int]
+) -> bool:
+    dirs = ps.offsets(reps, *center)
     for i in range(3):
         a, b = dirs[i], dirs[(i + 1) % 3]
         # clockwise span from a to b above pi <=> cross(a, b) > 0
@@ -611,7 +589,7 @@ def _check_sector_convexity(ps: PointSet, bl: BoxLayers, k: int) -> None:
     leaves a sector open beyond pi, fall back to checking the layer's
     planarity outright."""
     for j in range(k):
-        if not _sector_spans_reflex(ps, bl.sectors[j]):
+        if not _sector_spans_reflex(ps, bl.center, bl.reps[j]):
             continue
         bad = crossing_pairs(bl.layer_edges(j), ps)
         if bad:
@@ -653,48 +631,46 @@ def _pair_selected(pair: tuple[Cell, Cell], dense: frozenset[Cell]) -> bool:
 
 
 def _pick_connector(
-    ps: PointSet,
-    sa: SectorStructure,
-    sb: SectorStructure,
-    used: Sequence[Segment],
+    ps: PointSet, la: BoxLayers, lb: BoxLayers, j: int, used: Sequence[Segment]
 ) -> Segment:
-    """First mutually-contained representative pair in lexicographic scan
-    order, skipping edges already taken by earlier layers of this box pair."""
+    """Layer j's first mutually-contained representative pair in
+    lexicographic scan order, skipping edges already taken by earlier layers
+    of this box pair."""
+    ra, rb = la.reps[j], lb.reps[j]
     for ia in range(3):
-        p = sa.reps[ia]
+        p = ra[ia]
         for ib in range(3):
-            qpt = sb.reps[ib]
+            qpt = rb[ib]
             e = Segment(p, qpt)
             if e in used:
                 continue
             if (
-                _sector_index(ps, sb.center, sb.reps, p) == ib
-                and _sector_index(ps, sa.center, sa.reps, qpt) == ia
+                _sector_index(ps, lb.center, rb, p) == ib
+                and _sector_index(ps, la.center, ra, qpt) == ia
             ):
                 return e
     raise InternalAssertionError(
         "connector",
-        f"no unused mutually-contained pair between boxes {sa.box} and {sb.box}",
+        f"no unused mutually-contained pair between boxes {la.box} and {lb.box}",
     )
 
 
-def connect_boxes(
-    gi: GridIndex, box_layers: dict[Cell, BoxLayers], ps: PointSet, k: int
-) -> list[list[Segment]]:
+def connect_boxes(gi: GridIndex) -> list[list[Segment]]:
     """Connector edges per layer for every box pair selected by the
     below/left/diagonal rules."""
-    connectors: list[list[Segment]] = [[] for _ in range(k)]
+    connectors: list[list[Segment]] = [[] for _ in range(gi.k)]
     for a, b in _connector_pairs(gi.dense):
-        for j, e in enumerate(_pair_connectors(ps, box_layers[a], box_layers[b], k)):
+        for j, e in enumerate(_pair_connectors(gi, a, b)):
             connectors[j].append(e)
     return [sorted(c) for c in connectors]
 
 
-def _pair_connectors(ps: PointSet, la: BoxLayers, lb: BoxLayers, k: int) -> list[Segment]:
-    """Each layer's connector between two boxes, skipping earlier layers'."""
+def _pair_connectors(gi: GridIndex, a: Cell, b: Cell) -> list[Segment]:
+    """Each layer's connector between boxes a and b, skipping earlier layers'."""
+    la, lb = gi.layers(a), gi.layers(b)
     used: list[Segment] = []
-    for j in range(k):
-        used.append(_pick_connector(ps, la.sectors[j], lb.sectors[j], used))
+    for j in range(gi.k):
+        used.append(_pick_connector(gi.ps, la, lb, j, used))
     return used
 
 
@@ -731,13 +707,12 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     betaSq and the layer."""
     beta_sq = _as_beta_sq(beta, ps)
     gi = grid_partition(ps, k, beta_sq)
-    boxes = sorted(gi.dense)
-    box_layers = {box: layers_in_box(box, gi, ps, k) for box in boxes}
+    box_layers = [gi.layers(box) for box in sorted(gi.dense)]
     _assert_hulls_disjoint(ps, gi)
     _assert_eight_neighbor_connected(gi)
-    connectors = connect_boxes(gi, box_layers, ps, k)
+    connectors = connect_boxes(gi)
     layers = [
-        tuple(sorted([e for box in boxes for e in box_layers[box].layer_edges(j)] + connectors[j]))
+        tuple(sorted([e for bl in box_layers for e in bl.layer_edges(j)] + connectors[j]))
         for j in range(k)
     ]
     counts = count_layers(layers, ps)
@@ -857,18 +832,15 @@ class Certifier:
     sectors) sees only the cells within Chebyshev distance 2 of itself; a
     representative's incident set therefore draws on its neighbors'
     2-neighborhoods as well, exactly like the per-node computation it
-    models.  Box choices and box layers are kept on the instance: each is a
-    function of data within distance 2 of its owner, since a cell's
-    population and hence its density is intrinsic to the cell.  The
-    certifier is itself the grid `layers_in_box` reads: `cells[box]` and
-    `assigned_to(box)`.
+    models.  The replay runs on a `GridIndex` of its own, which shares the
+    build's code and none of its state: every box choice and box layer set
+    there is a function of data within distance 2 of its owner, since a
+    cell's population and hence its density is intrinsic to the cell.
     """
 
     def __init__(self, ps: PointSet, layer_set: LayerSet):
-        self.ps = ps
-        self.k = layer_set.k
-        self.q = layer_set.beta_sq
-        self.cell_of, self.cells, self.dense = _bucket(ps, self.k, self.q)
+        k, q = layer_set.k, layer_set.beta_sq
+        self.grid = GridIndex(ps, k, q)
         self._incident: list[dict[int, list[Segment]]] = []
         for layer in layer_set.layers:
             by_end: dict[int, list[Segment]] = {}
@@ -876,9 +848,7 @@ class Certifier:
                 by_end.setdefault(e.a, []).append(e)
                 by_end.setdefault(e.b, []).append(e)
             self._incident.append(by_end)
-        self._radius = 3 * 6 * self.k * math.sqrt(float(self.q)) * math.sqrt(2)
-        self._homes: dict[int, Cell] = {}
-        self._box_layers: dict[Cell, BoxLayers] = {}
+        self._radius = 3 * 6 * k * math.sqrt(float(q)) * math.sqrt(2)
 
     def certify(self, p: int) -> LocalityCertificate:
         """p's certificate: its incident edges in each layer, recomputed from
@@ -903,41 +873,18 @@ class Certifier:
             ok=True,
         )
 
-    def assigned_to(self, box: Cell) -> list[int]:
-        """The points of the 5x5 cells around `box` whose own local choice
-        is `box`, ascending."""
-        bi, bj = box
-        return sorted(
-            p
-            for di in range(-2, 3)
-            for dj in range(-2, 3)
-            for p in self.cells.get((bi + di, bj + dj), ())
-            if self._home(p) == box
-        )
-
-    def _home(self, p: int) -> Cell:
-        if p not in self._homes:
-            self._homes[p] = _choose_box(self.ps, p, self.cell_of[p], self.dense, self.k, self.q)
-        return self._homes[p]
-
-    def _layers(self, box: Cell) -> BoxLayers:
-        if box not in self._box_layers:
-            self._box_layers[box] = layers_in_box(box, self, self.ps, self.k)
-        return self._box_layers[box]
-
     def _local_incident(self, p: int) -> tuple[tuple[Segment, ...], ...]:
-        k = self.k
-        home = self._home(p)
-        home_layers = self._layers(home)
-        incident = [{e for e in home_layers.layer_edges(j) if e.touches(p)} for j in range(k)]
-        if self.cell_of[p] == home and any(p in s.reps for s in home_layers.sectors):
+        gi = self.grid
+        home = gi.assignment[p]
+        home_layers = gi.layers(home)
+        incident = [{e for e in home_layers.layer_edges(j) if e.touches(p)} for j in range(gi.k)]
+        if gi.cell_of[p] == home and any(p in reps for reps in home_layers.reps):
             # p is an in-box representative; connectors touch it only through
             # pairs involving its box, and the rules read the cells adjacent
             # to either box, all within two of p's
-            for a, b in _connector_pairs(frozenset(_dense_near(self.dense, home))):
+            for a, b in _connector_pairs(frozenset(_dense_near(gi.dense, home))):
                 if home in (a, b):
-                    edges = _pair_connectors(self.ps, self._layers(a), self._layers(b), k)
-                    for j, e in enumerate(edges):
+                    for j, e in enumerate(_pair_connectors(gi, a, b)):
                         if e.touches(p):
                             incident[j].add(e)
         return tuple(tuple(sorted(s)) for s in incident)

@@ -210,9 +210,11 @@ class PointSet:
         eps*((i*PHI) mod 1, (i*PHI^2) mod 1).  Default eps is 1e-7 times the
         larger bbox side.
 
-        The golden-ratio folding keeps the offsets quasi-random, so evenly
-        spaced collinear inputs (the canonical degenerate case) scatter off
-        their common line; a straight i*eps shift would leave them on one.
+        This does not guarantee general position.  PHI is the rational
+        0.6180339887, so both offsets are affine in i along any run of i
+        where neither wraps, and evenly spaced collinear points of such a run
+        stay on a common line: the n=60, eps=1/1000 line instance keeps 1244
+        of its 1320 collinear triples.
         """
         if eps is None:
             minx, miny, maxx, maxy = self.bbox()

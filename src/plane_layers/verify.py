@@ -250,10 +250,11 @@ def counting_lower_bound(n: int, k: int) -> CountingBound:
 def gen_line_instance(n: int, epsilon) -> PointSet:
     """Near-collinear adversary: points (i, eps*((i*phi) mod 1 - 1/2)).
 
-    Deterministic and exactly rational; the golden-ratio multiplier keeps
-    triples out of collinearity for generic eps.  eps must be positive;
-    exactly collinear inputs are rejected elsewhere unless perturbation is
-    requested explicitly.
+    Deterministic and exactly rational.  The instance is not in general
+    position: PHI is the rational 0.6180339887, so (i*PHI) mod 1 is affine in
+    i along any run of i where it does not wrap, and the points of such a run
+    are exactly collinear (n=60, eps=1/1000 has 1320 collinear triples).
+    eps must be positive.
     """
     if n < 2:
         raise PreconditionError("line instance needs n >= 2")

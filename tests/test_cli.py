@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +37,54 @@ def test_gen_line_and_clusters(tmp_path):
     assert run("gen", "--kind", "clusters", "--n", "60", "--clusters", "3",
                "--seed", "3", "--out", str(blobs)) == 0
     assert len(PointSet.from_text(blobs.read_text())) == 60
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "clusters", "--clusters", "0"],
+        ["--kind", "clusters", "--clusters", "-2"],
+        ["--kind", "line", "--eps", "abc"],
+        ["--kind", "line", "--eps", "1/0"],
+        ["--kind", "clusters", "--sigma", "0"],
+        ["--kind", "clusters", "--sigma", "-1"],
+        ["--kind", "clusters", "--sigma", "nan"],
+        ["--kind", "clusters", "--sigma", "inf"],
+        ["--kind", "clusters", "--sigma", "1e-300"],  # too few distinct 6-decimal points
+        ["--kind", "clusters", "--clusters", "1", "--sigma", "1e-7"],
+    ],
+)
+def test_gen_rejects_bad_arguments(tmp_path, flags):
+    """Exit 2 with a usage error, not a traceback and not an endless loop."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "plane_layers.cli", "gen", "--n", "10", *flags,
+         "--out", str(tmp_path / "p.txt")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (["--kind", "line", "--n", "60", "--eps", "1/1000"],
+         "1569d121d2874eab1a604e40d018d9294072d91c04ab5f5db2c7f07e542c699d"),
+        (["--kind", "line", "--n", "60"],
+         "1569d121d2874eab1a604e40d018d9294072d91c04ab5f5db2c7f07e542c699d"),
+        (["--kind", "clusters", "--n", "200", "--seed", "3"],
+         "7b53f6daf64e1ccadf4463b55e1c08746e59234c1112bd35d6344bb5f3fda79d"),
+        (["--kind", "clusters", "--n", "200", "--seed", "5", "--sigma", "0.5", "--clusters", "1"],
+         "12fa4ac782bfb03e39741c2390000d3902c1a29782b31a54bf60bbce37486fcb"),
+    ],
+)
+def test_gen_output_bytes_pinned(tmp_path, flags, digest):
+    """The argument checks leave every valid gen call's bytes as they were."""
+    out = tmp_path / "p.txt"
+    assert run("gen", *flags, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_build_two_tree_square(tmp_path):
@@ -246,6 +299,8 @@ def test_malformed_layer_files_are_usage_errors(tmp_path, capsys, content, comma
         {"kind": "distributed", "k": 1, "betaSq": "1/0", "layers": []},
         {"kind": "distributed", "k": 1, "betaSq": 0.5, "layers": []},
         {"kind": "distributed", "betaSq": "1/1", "layers": []},
+        {"kind": "distributed", "k": 3, "betaSq": "1/1", "layers": [[[0, 1]]]},
+        {"kind": "distributed", "k": 1, "betaSq": "1/1", "layers": [[[0, 1]], []]},
     ],
 )
 def test_malformed_layer_metadata_is_usage_error(tmp_path, meta):
@@ -253,7 +308,9 @@ def test_malformed_layer_metadata_is_usage_error(tmp_path, meta):
     pts.write_text("0 0 0\n1 1 0\n")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(meta))
-    assert run("verify", str(pts), str(bad)) == 2
+    report = tmp_path / "report.json"
+    assert run("verify", str(pts), str(bad), "--out", str(report)) == 2
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("kind", ["two-tree", "distributed"])

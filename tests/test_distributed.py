@@ -15,6 +15,7 @@ from plane_layers import distributed
 from plane_layers.cli import main
 from plane_layers.distributed import (
     Certifier,
+    GridIndex,
     _cell_index,
     _connector_pairs,
     _dense_near,
@@ -110,7 +111,9 @@ def center_dist_sq(ps, p, cell, side_mult, q):
     return total
 
 
-def nearest_center_oracle(ps, p, candidates, own, sm, q):
+def nearest_center_oracle(ps, p, candidates, sm, q, own=None):
+    """The candidate with the nearest center; an exact tie goes to `own`,
+    then to the lexicographically smallest cell."""
     best = best_d = None
     for c in sorted(candidates):
         d = center_dist_sq(ps, p, c, sm, q)
@@ -223,8 +226,8 @@ def test_nearest_center_matches_distance_oracle():
             near = [(own[0] + a, own[1] + b) for a in range(-2, 3) for b in range(-2, 3)]
             for _ in range(2):
                 cands = rng.sample(near, rng.randint(1, 9))
-                got = _nearest_center(ps, p, cands, own, sm, q)
-                assert got == nearest_center_oracle(ps, p, cands, own, sm, q), (p, cands, q)
+                got = _nearest_center(ps, p, cands, sm, q)
+                assert got == nearest_center_oracle(ps, p, cands, sm, q), (p, cands, q)
                 dists = [center_dist_sq(ps, p, c, sm, q) for c in cands]
                 ties += sum(1 for d in dists if (d - min(dists)).sign() == 0) > 1
         if q == 1:
@@ -236,9 +239,7 @@ def test_nearest_center_matches_distance_oracle():
             x, y = ps.scaled(p)
             own = (_cell_index(x, ps.scale, 6, q), _cell_index(y, ps.scale, 6, q))
             cands = [(own[0] + a, own[1] + b) for a in range(-2, 3) for b in range(-2, 3)]
-            assert _nearest_center(ps, p, cands, own, 6, q) == nearest_center_oracle(
-                ps, p, cands, own, 6, q
-            )
+            assert _nearest_center(ps, p, cands, 6, q) == nearest_center_oracle(ps, p, cands, 6, q)
 
 
 def test_grid_partition_single_dense_box(rng):
@@ -259,24 +260,78 @@ def test_grid_partition_preconditions(rng):
         grid_partition(ps, 2, Fraction(1))  # n below 12k-3
 
 
+def clustered_point_set(rng, n, extent=100.0):
+    """Four Gaussian clusters over a uniform background, 6 decimals."""
+    centers = [(rng.uniform(0, extent), rng.uniform(0, extent)) for _ in range(4)]
+    pts = set()
+    while len(pts) < n:
+        if rng.random() < 0.6:
+            cx, cy = rng.choice(centers)
+            x, y = rng.gauss(cx, extent / 8), rng.gauss(cy, extent / 8)
+        else:
+            x, y = rng.uniform(0, extent), rng.uniform(0, extent)
+        pts.add((f"{x:.6f}", f"{y:.6f}"))
+    return PointSet(sorted(pts))
+
+
+def assignment_oracle(ps, gi):
+    """Every point's nearest dense center by a scan over all dense cells
+    within the rule's reach of two cells, in Q[sqrt(q)]; an exact tie goes
+    to the point's own cell, then to the lexicographically smallest cell.
+    Below the MST bottleneck the nearest dense center overall can lie three
+    cells away, past what a point may look at."""
+    out = {}
+    for p in ps.ids:
+        own = gi.cell_of[p]
+        reach = [c for c in gi.dense if max(abs(c[0] - own[0]), abs(c[1] - own[1])) <= 2]
+        out[p] = nearest_center_oracle(ps, p, reach, 6 * gi.k, gi.beta_sq, own)
+    return out
+
+
 def test_grid_assignment_matches_global_scan(rng):
+    """Dense-cell points stay in their own cell, every other point joins its
+    nearest dense center, and `assigned_to` returns each box's points."""
     # two dense clusters in vertically adjacent cells plus stragglers between
-    k = 1
-    rows = cluster(rng, 3 * k, 1.0, 1.0) + cluster(rng, 3 * k, 1.0, 7.0)
+    rows = cluster(rng, 3, 1.0, 1.0) + cluster(rng, 3, 1.0, 7.0)
     rows += [("5.5", "3.1"), ("4.2", "8.3"), ("0.3", "11.5")]
     ps = PointSet(rows)
-    gi = grid_partition(ps, k, Fraction(1))
-    assert gi.dense == {(0, 0), (0, 1)}
+    assert grid_partition(ps, 1, Fraction(1)).dense == {(0, 0), (0, 1)}
+    cases = [(ps, 1, Fraction(1))]
+    # seeded sets with beta = 5/k: cells of side 30, dense and sparse mixed
+    for seed in range(4):
+        for k in (1, 2):
+            cases.append((random_point_set(random.Random(seed), 200, extent=100.0),
+                          k, Fraction(25, k * k)))
+            cases.append((clustered_point_set(random.Random(seed), 200), k, Fraction(25, k * k)))
+    sparse = 0
+    for ps, k, q in cases:
+        gi = grid_partition(ps, k, q)
+        assert gi.assignment == assignment_oracle(ps, gi)
+        for box in gi.dense:
+            assert gi.assigned_to(box) == [p for p in ps.ids if gi.assignment[p] == box]
+        sparse += sum(gi.cell_of[p] not in gi.dense for p in ps.ids)
+    assert sparse > 100
+
+
+def test_nearest_center_runs_once_per_sparse_point_per_grid(monkeypatch):
+    """A build and a certifier of every point each search the nearest dense
+    center for the sparse-cell points only, once per point."""
+    ps = random_point_set(random.Random(1), 120)
+    calls = []
+
+    def counted(ps, p, *args):
+        calls.append(p)
+        return nearest(ps, p, *args)
+
+    nearest = distributed._nearest_center
+    monkeypatch.setattr(distributed, "_nearest_center", counted)
+    ls = build_k_layers(ps, 1)
+    certifier = Certifier(ps, ls)
     for p in ps.ids:
-        best = None
-        best_d = None
-        for c in sorted(gi.dense):
-            d = center_dist_sq(ps, p, c, 6, Fraction(1))
-            if best is None or (d - best_d).sign() < 0:
-                best, best_d = c, d
-            elif (d - best_d).sign() == 0 and c == gi.cell_of[p]:
-                best, best_d = c, d
-        assert gi.assignment[p] == best
+        assert certifier.certify(p).ok
+    gi = certifier.grid
+    sparse = [p for p in ps.ids if gi.cell_of[p] not in gi.dense]
+    assert sparse and sorted(calls) == sorted(sparse * 2)
 
 
 def test_grid_dense_cell_keeps_own_points(rng):
@@ -392,25 +447,19 @@ def test_center_point_no_two_points_per_ray(rng):
         seen.add(key)
 
 
-def hand_grid(ps, k, box=(0, 0)):
-    """GridIndex with every point in one dense box; lets the per-box tests
-    run below the full pipeline's n >= 12k-3 gate."""
-    from plane_layers.distributed import GridIndex
-
-    return GridIndex(
-        k=k,
-        beta_sq=Fraction(1),
-        cells={box: tuple(ps.ids)},
-        dense=frozenset([box]),
-        cell_of={p: box for p in ps.ids},
-        assignment={p: box for p in ps.ids},
-    )
+def hand_grid(ps, k):
+    """GridIndex of a few points inside cell (0, 0) at beta = 1, all in one
+    dense box; lets the per-box tests run below the full pipeline's
+    n >= 12k-3 gate."""
+    gi = GridIndex(ps, k, Fraction(1))
+    assert gi.dense == {(0, 0)} and gi.assigned_to((0, 0)) == list(ps.ids)
+    return gi
 
 
 def test_layers_in_box_minimal():
     ps = PointSet([(1, 1), (2, "1.1"), ("1.4", "2.2")])
     gi = hand_grid(ps, 1)
-    bl = layers_in_box((0, 0), gi, ps, 1)
+    bl = layers_in_box((0, 0), gi)
     assert len(bl.tree_edges[0]) == 2  # a two-edge path over three points
     rep = verify_layers([bl.layer_edges(0)], ps)
     assert rep.per_layer[0].plane
@@ -420,12 +469,12 @@ def test_layers_in_box_hexagon_two_layers():
     pts = [(4, 1), (5, 3), (4, 5), (2, 5), (1, 3), (2, 1)]
     ps = PointSet(pts)
     gi = hand_grid(ps, 2)
-    bl = layers_in_box((0, 0), gi, ps, 2)  # needs m >= 6
+    bl = layers_in_box((0, 0), gi)  # needs m >= 6
     e0 = set(bl.layer_edges(0))
     e1 = set(bl.layer_edges(1))
     assert not (e0 & e1)
-    reps0 = set(bl.sectors[0].reps)
-    reps1 = set(bl.sectors[1].reps)
+    reps0 = set(bl.reps[0])
+    reps1 = set(bl.reps[1])
     assert not (reps0 & reps1)
     for layer in (e0, e1):
         uf = UnionFind(ps.ids)
@@ -441,7 +490,7 @@ def test_layers_in_box_random_dense(rng):
     gi = grid_partition(ps, 3, Fraction(1))
     box = next(iter(gi.dense))
     assert gi.dense == {box}
-    bl = layers_in_box(box, gi, ps, 3)
+    bl = layers_in_box(box, gi)
     seen = set()
     for j in range(3):
         edges = bl.layer_edges(j)
@@ -461,14 +510,11 @@ def test_connect_boxes_horizontal_pair(rng):
     ps = PointSet(rows)
     gi = grid_partition(ps, k, Fraction(1))
     assert gi.dense == {(0, 0), (1, 0)}
-    from plane_layers.distributed import layers_in_box as lib
-
-    box_layers = {b: lib(b, gi, ps, k) for b in gi.dense}
-    connectors = connect_boxes(gi, box_layers, ps, k)
+    connectors = connect_boxes(gi)
     assert len(connectors[0]) == 1
     e = connectors[0][0]
-    reps_a = set(box_layers[(0, 0)].sectors[0].reps)
-    reps_b = set(box_layers[(1, 0)].sectors[0].reps)
+    reps_a = set(gi.layers((0, 0)).reps[0])
+    reps_b = set(gi.layers((1, 0)).reps[0])
     assert (e.a in reps_a and e.b in reps_b) or (e.a in reps_b and e.b in reps_a)
 
 
@@ -480,10 +526,7 @@ def test_connect_boxes_diagonal_rule(rng):
     ps = PointSet(rows)
     gi = grid_partition(ps, k, Fraction(1))
     assert gi.dense == {(0, 0), (1, 1)}
-    from plane_layers.distributed import layers_in_box as lib
-
-    box_layers = {b: lib(b, gi, ps, k) for b in gi.dense}
-    connectors = connect_boxes(gi, box_layers, ps, k)
+    connectors = connect_boxes(gi)
     assert len(connectors[0]) == 1
 
 
@@ -496,10 +539,7 @@ def test_connect_boxes_three_by_three(rng):
     ps = PointSet(rows)
     gi = grid_partition(ps, k, Fraction(1))
     assert len(gi.dense) == 9
-    from plane_layers.distributed import layers_in_box as lib
-
-    box_layers = {b: lib(b, gi, ps, k) for b in gi.dense}
-    connectors = connect_boxes(gi, box_layers, ps, k)
+    connectors = connect_boxes(gi)
     # below/left rules produce 12 adjacent pairs on a 3x3 block, no diagonals
     assert len(connectors[0]) == 12
     uf = UnionFind(gi.dense)
@@ -596,7 +636,7 @@ def test_certifier_sees_a_point_two_cells_from_its_box(rng):
     ps = PointSet(rows + [("12.5", "2.0")])
     ls = build_k_layers(ps, 1, beta=1)
     certifier = Certifier(ps, ls)
-    assert certifier.assigned_to((0, 0)) == list(ps.ids)
+    assert certifier.grid.assigned_to((0, 0)) == list(ps.ids)
     for p in ps.ids:
         assert certifier.certify(p).ok
     with pytest.raises(PreconditionError, match="no dense box within two cells"):
@@ -656,8 +696,8 @@ def test_certifier_buckets_once_and_builds_each_box_once(monkeypatch, rng):
     for p in ps.ids:
         assert certifier.certify(p).ok
     assert len(buckets) == 1
-    assert len(boxes) == len(set(boxes)) and set(boxes) <= certifier.dense
-    assert len(certifier.dense) > 1
+    assert len(boxes) == len(set(boxes)) and set(boxes) <= certifier.grid.dense
+    assert len(certifier.grid.dense) > 1
 
 
 def test_certificate_keeps_no_point_set_alive(rng):
@@ -847,7 +887,7 @@ def _k_layer_fault(monkeypatch, stage):
     if stage == "layer-spanning":  # two dense boxes, and no connector between them
         rng = random.Random(4)
         ps = PointSet(cluster(rng, 6, 1.0, 1.0) + cluster(rng, 6, 7.5, 1.0))
-        monkeypatch.setattr(distributed, "connect_boxes", lambda gi, bl, ps, k: [[]])
+        monkeypatch.setattr(distributed, "connect_boxes", lambda gi: [[]])
         return ps, 1, 1
     ps = random_point_set(random.Random(0), 200)
     first, second = build_k_layers(ps, 2).layers
