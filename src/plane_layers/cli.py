@@ -55,7 +55,9 @@ def _load_layers_file(path: str, n: int) -> tuple[dict, list[list[Segment]]]:
         raise UsageError(f"{path}: not a JSON layers file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
-    if "red" in data and "blue" in data:
+    if ("red" in data) != ("blue" in data):
+        raise UsageError(f"{path}: a two-tree file needs both 'red' and 'blue'")
+    if "red" in data:
         layers = [data["red"], data["blue"]]
     else:
         layers = data.get("layers", [])
@@ -197,13 +199,12 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     ps = _load_points(args.points)
     meta, layers = _load_layers_file(args.layers, len(ps))
-    report = verify_layers(layers, ps, flag_overlaps=args.flag_overlaps)
+    if not layers:
+        raise UsageError(f"{args.layers}: the file has no layers")
     allow_shared = 0
-    max_len_sq = max_over_twice = None
+    bound = max_len_sq = max_over_twice = None
     if meta.get("kind") == "two-tree":
         bound = _positive_int(meta, "bound", default=3)
-        if report.beta_sq is not None:
-            max_len_sq = bound * bound * report.beta_sq
         max_over_twice = max(bound - 2, 0)  # bound 3 allows one edge above ratio 2
         if meta.get("shared"):
             allow_shared = 1
@@ -212,6 +213,9 @@ def cmd_verify(args) -> int:
         if k != len(layers):
             raise UsageError(f"layers file: 'k' is {k} but the file has {len(layers)} layers")
         max_len_sq = 288 * k * k * _beta_sq(meta)  # (12*sqrt(2)*k*beta)^2
+    report = verify_layers(layers, ps, flag_overlaps=args.flag_overlaps)
+    if bound is not None and report.beta_sq is not None:
+        max_len_sq = bound * bound * report.beta_sq
     if args.out:  # only once the file's metadata has passed its checks
         _dump_json(args.out, report.to_json_dict())
     ok = report.ok(max_len_sq=max_len_sq, allow_shared=allow_shared,

@@ -275,9 +275,11 @@ def center_point(
     ps: PointSet,
     ray_ids: Sequence[int] | None = None,
 ) -> tuple[Fraction, Fraction]:
-    """A point of Tukey depth >= floor(m/3), aiming for ceil(m/3), nudged so
-    that no two `ray_ids` points (default: the ids) share a ray from it.
-    Deterministic: first qualifying candidate in a fixed scan.
+    """A point of Tukey depth >= floor(m/3), aiming for ceil(m/3), from which
+    no two `ray_ids` points (default: the ids) share a ray.  Deterministic:
+    for each target depth, the first of the mean, the coordinate-wise median
+    and the m spread triples that qualifies, else a point of the exact depth
+    region (`_region_point`).
 
     The ceiling depth (the classical centerpoint guarantee) makes every
     sector provably convex, so it is tried first.  It can be unachievable
@@ -291,20 +293,24 @@ def center_point(
         raise PreconditionError("center point needs at least 3 points")
     m = len(ids)
     ray_ids = ids if ray_ids is None else ray_ids
-    for target in ((m + 2) // 3, m // 3):
-        for cx, cy in _center_candidates(ids, ps, target):
-            if tukey_depth(cx, cy, ids, ps, stop_below=target) >= target:
-                nudged = _nudge_center(cx, cy, ids, ps, target, ray_ids)
-                if nudged is not None:
-                    return nudged
+    if len(set(ray_ids)) < len(ray_ids):  # a repeated id shares a ray from every point
+        raise PreconditionError("center point needs distinct ray ids")
+    for target in dict.fromkeys(((m + 2) // 3, m // 3)):  # ceiling, then floor
+        for cx, cy in _center_candidates(ids, ps):
+            if tukey_depth(cx, cy, ids, ps, stop_below=target) >= target and (
+                not _rays_collide(ps.offsets(ray_ids, cx, cy))
+            ):
+                return (cx, cy)
+        point = _region_point(_depth_region(ids, ps, target), ps, ray_ids)
+        if point is not None:
+            return point
     raise InternalAssertionError("center-point", "no candidate reached the depth bound")
 
 
-def _center_candidates(ids, ps, target):
-    """Deterministic candidate stream: cheap high-yield guesses, then the
-    depth region itself (a convex polygon cut out by point-pair-supported
-    halfplanes, O(m^3)), then triple centroids and pair-line intersections as
-    a final fallback.  Candidates are exact rationals, formed on the point
+def _center_candidates(ids, ps):
+    """The mean, the coordinate-wise median, then for t = 0..m-1 the centroid
+    of the points t, t + floor(m/3) and t + floor(2m/3) (indices mod m),
+    which reaches deep points early.  Exact rationals, formed on the point
     set's integer grid."""
     m = len(ids)
     sc = ps.scale
@@ -314,34 +320,45 @@ def _center_candidates(ids, ps, target):
         Fraction(sorted(xs)[(m - 1) // 2], sc),
         Fraction(sorted(ys)[(m - 1) // 2], sc),
     )
-    for i in ids:
-        yield (ps.x(i), ps.y(i))
-
-    def triple(i, j, l):
-        return (
+    third, two_thirds = m // 3, (2 * m) // 3
+    for t in range(m):
+        i, j, l = t, (third + t) % m, (two_thirds + t) % m
+        yield (
             Fraction(xs[i] + xs[j] + xs[l], 3 * sc),
             Fraction(ys[i] + ys[j] + ys[l], 3 * sc),
         )
 
-    third, two_thirds = m // 3, (2 * m) // 3
-    if third:
-        for t in range(m):  # spread triples reach deep points early
-            i, j, l = t % m, (third + t) % m, (two_thirds + t) % m
-            if len({i, j, l}) == 3:
-                yield triple(i, j, l)
-    yield from _depth_region_candidates(ids, ps, target)
-    for i, j, l in combinations(range(m), 3):
-        yield triple(i, j, l)
-    pts = [(ps.x(i), ps.y(i)) for i in ids]
-    lines = list(combinations(range(m), 2))
-    for (i, j), (k, l) in combinations(lines, 2):
-        hit = _line_intersection(pts[i], pts[j], pts[k], pts[l])
-        if hit is not None:
-            yield hit
+
+def _region_point(poly, ps, ray_ids):
+    """A point of the convex polygon `poly` with no two `ray_ids` points on
+    one ray from it, or None.  That is the vertex centroid c, else the first
+    c + s(u - c) + s^2(v - c), s = 1/2, 1/4, ..., for the first vertices u, v
+    spanning a triangle with c.  It lies inside that triangle (weights
+    1 - s - s^2, s, s^2), and the parabola meets each line through two
+    points at most twice, so the scan ends."""
+    if not poly:
+        return None
+    cx = sum(x for x, _ in poly) / len(poly)
+    cy = sum(y for _, y in poly) / len(poly)
+    if not _rays_collide(ps.offsets(ray_ids, cx, cy)):
+        return (cx, cy)
+    for (ux, uy), (vx, vy) in combinations(poly, 2):
+        ux, uy, vx, vy = ux - cx, uy - cy, vx - cx, vy - cy
+        if ux * vy != uy * vx:
+            break
+    else:
+        return None
+    s = Fraction(1, 2)
+    while True:
+        x, y = cx + s * ux + s * s * vx, cy + s * uy + s * s * vy
+        if not _rays_collide(ps.offsets(ray_ids, x, y)):
+            return (x, y)
+        s /= 2
 
 
-def _depth_region_candidates(ids, ps, target):
-    """Interior point and vertices of the depth-`target` region.
+def _depth_region(ids, ps, target):
+    """Vertices of the depth-`target` region, a convex polygon; empty when
+    no point reaches the depth.
 
     For every direction the center must not project beyond the target-th
     extreme point.  The binding boundary lines pass through two data points
@@ -349,7 +366,8 @@ def _depth_region_candidates(ids, ps, target):
     when fewer than `target` points lie strictly beyond it; the constraints
     at directions between transitions rotate around a single point and are
     implied by the two adjacent pair lines.  Clipping a bounding box by all
-    binding pair-supported halfplanes therefore yields the region exactly.
+    binding pair-supported halfplanes therefore yields the region exactly,
+    in O(m^3).
 
     The work runs on the points' coordinates over their own least common
     denominator `den`, which is the unit of the bounding box's margin.
@@ -386,12 +404,8 @@ def _depth_region_candidates(ids, ps, target):
             if left < target:
                 poly = _clip_polygon(poly, ax, ay, dx, dy, keep_left=False)
             if not poly:
-                return
-    cx = sum(v[0] for v in poly) / (len(poly) * den)
-    cy = sum(v[1] for v in poly) / (len(poly) * den)
-    yield (cx, cy)
-    for vx, vy in poly:
-        yield (vx / den, vy / den)
+                return []
+    return [(vx / den, vy / den) for vx, vy in poly]
 
 
 def _clip_polygon(poly, ax, ay, dx, dy, keep_left):
@@ -418,16 +432,6 @@ def _clip_polygon(poly, ax, ay, dx, dy, keep_left):
     return out
 
 
-def _line_intersection(p1, p2, p3, p4):
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (p4[0] - p3[0], p4[1] - p3[1])
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if den == 0:
-        return None
-    t = ((p3[0] - p1[0]) * d2[1] - (p3[1] - p1[1]) * d2[0]) / den
-    return (p1[0] + t * d1[0], p1[1] + t * d1[1])
-
-
 def _rays_collide(offsets: Sequence[tuple[int, int]]) -> bool:
     """True when two of the offset vectors share a ray from the origin, or
     one is zero: either breaks the clockwise circular order.
@@ -447,28 +451,6 @@ def _rays_collide(offsets: Sequence[tuple[int, int]]) -> bool:
             return True
         seen.add(key)
     return False
-
-
-def _nudge_center(cx, cy, ids, ps, target, ray_ids):
-    """Move a candidate of depth >= `target` by tiny deterministic offsets
-    until no two `ray_ids` points share a ray from it and the depth bound
-    still holds; None when this candidate cannot be salvaged (the caller
-    tries the next one).  The unmoved candidate's depth is not re-evaluated:
-    the caller has just checked it."""
-    xs, ys = zip(*(ps.scaled(i) for i in ids))
-    spread = Fraction(max(max(xs) - min(xs), max(ys) - min(ys)), ps.scale)
-    phi = Fraction(987, 1597)
-    directions = [(1, phi), (-phi, 1), (-1, -phi), (phi, -1)]
-    x, y = cx, cy
-    for t in range(48):
-        if not _rays_collide(ps.offsets(ray_ids, x, y)) and (
-            t == 0 or tukey_depth(x, y, ids, ps, stop_below=target) >= target
-        ):
-            return (x, y)
-        dx, dy = directions[t % 4]
-        delta = spread / (1 << (14 + t // 4))
-        x, y = cx + delta * dx, cy + delta * dy
-    return None
 
 
 # --- per-box layers ---------------------------------------------------------

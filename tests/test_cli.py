@@ -277,7 +277,8 @@ BAD_EDGES = [
     "content",
     ["{not json", "[]", json.dumps({"kind": "distributed", "k": 1, "layers": {"0": []}})]
     + [json.dumps({"kind": "distributed", "k": 1, "layers": [edges]}) for edges in BAD_EDGES]
-    + [json.dumps({"kind": "two-tree", "red": [[0, 1]], "blue": edges}) for edges in BAD_EDGES],
+    + [json.dumps({"kind": "two-tree", "red": [[0, 1]], "blue": edges}) for edges in BAD_EDGES]
+    + [json.dumps({"red": [[0, 1]]}), json.dumps({"kind": "two-tree", "blue": [[0, 1]]})],
 )
 @pytest.mark.parametrize("command", ["verify", "stats", "render"])
 def test_malformed_layer_files_are_usage_errors(tmp_path, capsys, content, command):
@@ -293,23 +294,33 @@ def test_malformed_layer_files_are_usage_errors(tmp_path, capsys, content, comma
 
 
 @pytest.mark.parametrize(
-    "meta",
+    "meta, message",
     [
-        {"kind": "two-tree", "bound": "2", "red": [], "blue": []},
-        {"kind": "distributed", "k": 1, "betaSq": "1/0", "layers": []},
-        {"kind": "distributed", "k": 1, "betaSq": 0.5, "layers": []},
-        {"kind": "distributed", "betaSq": "1/1", "layers": []},
-        {"kind": "distributed", "k": 3, "betaSq": "1/1", "layers": [[[0, 1]]]},
-        {"kind": "distributed", "k": 1, "betaSq": "1/1", "layers": [[[0, 1]], []]},
+        ({"kind": "two-tree", "bound": "2", "red": [], "blue": []}, "'bound' must be"),
+        ({"kind": "distributed", "k": 1, "betaSq": "1/0", "layers": [[[0, 1]]]}, "betaSq"),
+        ({"kind": "distributed", "k": 1, "betaSq": 0.5, "layers": [[[0, 1]]]}, "betaSq"),
+        ({"kind": "distributed", "betaSq": "1/1", "layers": [[[0, 1]]]}, "'k' must be"),
+        ({"kind": "distributed", "k": 3, "betaSq": "1/1", "layers": [[[0, 1]]]}, "'k' is 3"),
+        ({"kind": "distributed", "k": 1, "betaSq": "1/1", "layers": [[[0, 1]], []]}, "'k' is 1"),
+        ({}, "no layers"),
+        ({"layers": []}, "no layers"),
+        ({"kind": "distributed", "k": 1, "betaSq": "1/1", "layers": []}, "no layers"),
     ],
 )
-def test_malformed_layer_metadata_is_usage_error(tmp_path, meta):
+def test_malformed_layer_metadata_is_usage_error(tmp_path, monkeypatch, capsys, meta, message):
+    """Exit 2 with no report, decided before `verify_layers` runs."""
+    def no_verification(*args, **kwargs):
+        raise AssertionError("verify_layers ran before the metadata checks")
+
+    monkeypatch.setattr(cli, "verify_layers", no_verification)
     pts = tmp_path / "p.txt"
     pts.write_text("0 0 0\n1 1 0\n")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(meta))
     report = tmp_path / "report.json"
     assert run("verify", str(pts), str(bad), "--out", str(report)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
     assert not report.exists()
 
 

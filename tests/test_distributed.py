@@ -427,6 +427,14 @@ def test_center_point_triangle_and_hexagon():
     assert tukey_depth(cx, cy, list(hexa.ids), hexa) >= 2
 
 
+def test_center_point_rejects_repeated_ray_ids():
+    """A repeated id shares a ray from every point, so no center exists."""
+    ps = PointSet([(0, 0), (4, 0), (0, 4), (4, 4)])
+    for ids, ray_ids in (([0, 1, 2, 0], None), ([0, 1, 2, 3], [0, 1, 1])):
+        with pytest.raises(PreconditionError, match="distinct ray ids"):
+            center_point(ids, ps, ray_ids=ray_ids)
+
+
 def test_center_point_random_oracle(rng):
     for _ in range(10):
         ps = random_point_set(rng, 30, extent=50)
@@ -445,6 +453,33 @@ def test_center_point_no_two_points_per_ray(rng):
         key = (dx / dy, 1) if dy else (1, 0)
         assert key not in seen  # no line through c holds two points
         seen.add(key)
+    # the region's centroid (2, 2) is an input point, so this is a point on
+    # the curve inside the depth-3 region
+    assert tukey_depth(cx, cy, list(ps.ids), ps) >= 3
+
+
+def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
+    """The 828-point box of `gen --kind clusters --n 1000 --seed 6` at k=2
+    takes at most one `tukey_depth` call per candidate, m + 2; trying every
+    input point before the spread triples took 834."""
+    path = tmp_path / "clusters.txt"
+    assert main(["gen", "--kind", "clusters", "--n", "1000", "--seed", "6",
+                 "--out", str(path)]) == 0
+    ps = PointSet.from_text(path.read_text())
+    gi = grid_partition(ps, 2, bottleneck(build_emst(ps), ps).length_sq)
+    box = max(gi.dense, key=lambda b: len(gi.cells[b]))
+    members = list(gi.cells[box])
+    assert len(members) == 828
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tukey_depth(*args, **kwargs)
+
+    monkeypatch.setattr(distributed, "tukey_depth", counted)
+    cx, cy = center_point(members, ps, ray_ids=gi.assigned_to(box))
+    assert len(calls) <= len(members) + 2
+    assert tukey_depth(cx, cy, members, ps) >= 276  # ceil(828 / 3)
 
 
 def hand_grid(ps, k):
