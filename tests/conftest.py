@@ -40,18 +40,45 @@ def acceptance_k_layer_instances() -> list[tuple[PointSet, int]]:
     return out
 
 
-def count_triangulations(monkeypatch) -> list[int]:
-    """Patch `mst._triangulate` to record the point count of each call; the
-    returned list grows as the triangulations run."""
+def count_tree_computations(monkeypatch) -> list[int]:
+    """Patch `mst._compute_emst`, the one function that computes a point
+    set's tree (grid pairs or Delaunay edges), to record the point count of
+    each call; the returned list grows as the trees are computed."""
     calls: list[int] = []
-    triangulate = mst._triangulate
+    compute = mst._compute_emst
 
-    def counted(xs, ys):
-        calls.append(len(xs))
-        return triangulate(xs, ys)
+    def counted(ps):
+        calls.append(len(ps))
+        return compute(ps)
 
-    monkeypatch.setattr(mst, "_triangulate", counted)
+    monkeypatch.setattr(mst, "_compute_emst", counted)
     return calls
+
+
+def grid_checks(ps) -> int:
+    """The number of pair checks `mst._grid_tree` makes on `ps`, counted
+    from the kernel: each check subtracts two x coordinates once, and the
+    kernel subtracts x otherwise only to measure the width and to bucket the
+    points, n + 1 times.  The x coordinates go in as an int subclass that
+    counts the subtractions it is the left side of."""
+    subtractions = 0
+
+    class Counted(int):
+        __slots__ = ()
+
+        def __sub__(self, other):
+            nonlocal subtractions
+            subtractions += 1
+            return int(self) - other
+
+    xs, ys = ps.grid
+    assert mst._grid_tree([Counted(x) for x in xs], ys) == mst._grid_tree(xs, ys)
+    return subtractions - len(ps) - 1
+
+
+def grid_check_budget(n: int) -> float:
+    """The most pair checks the grid source may make on n points."""
+    return mst.GRID_CHECK_BUDGET * n * (math.log(n) + mst.GRID_LOG_SLACK) / math.pi
 
 
 def collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:

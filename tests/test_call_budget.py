@@ -1,4 +1,5 @@
-"""Regression guard: edges stay C-level int pairs in the two-tree build and verify.
+"""Regression guards: edges stay C-level int pairs in the two-tree build and
+verify, and the EMST of uniform points keeps to the grid's check budget.
 
 `Segment` is a tuple, so sorting, hashing and comparing edges run in C, and
 `count_layers` counts components with a list union-find over the point ids.
@@ -7,6 +8,11 @@ or initialiser, no `UnionFind` from `count_layers`, and `ccw_order_around`
 only for the few vertices the construction fans around, whatever n is.  A
 per-edge Python dunder or a per-vertex angular sort creeping back shows up
 here as a count above zero or one that grows with n.
+
+On uniform points the grid's short pairs give the EMST: its pair checks stay
+within their budget, counted from the kernel rather than timed, no Delaunay
+triangulation runs when the grid accepts, and a point set computes its tree
+once however many builds and verifies read it.
 """
 
 import cProfile
@@ -16,11 +22,13 @@ from pathlib import Path
 
 import pytest
 
+from plane_layers import mst
 from plane_layers.centralized import build_two_disjoint_trees
+from plane_layers.distributed import build_k_layers
 from plane_layers.geometry import Segment
 from plane_layers.verify import verify_layers
 
-from conftest import random_point_set
+from conftest import count_tree_computations, grid_check_budget, grid_checks, random_point_set
 
 SEGMENT_DUNDERS = (
     "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__", "__hash__",
@@ -65,3 +73,27 @@ def test_library_build_and_verify_keep_edges_in_c(n):
         if Path(file).name == "geometry.py" and name == "ccw_order_around"
     )
     assert ccw <= CCW_BUDGET
+
+
+@pytest.mark.parametrize("n", [100, 400, 1600])
+def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
+    ps = random_point_set(random.Random(n), n)
+    checks = grid_checks(ps)
+    assert 0 < checks <= grid_check_budget(n)
+    accepted = mst._grid_tree(*ps.grid) is not None
+    triangulations = []
+    triangulate = mst._triangulate
+
+    def counted(xs, ys):
+        triangulations.append(len(xs))
+        return triangulate(xs, ys)
+
+    monkeypatch.setattr(mst, "_triangulate", counted)
+    trees = count_tree_computations(monkeypatch)
+    assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok()
+    assert verify_layers([list(layer) for layer in build_k_layers(ps, 1).layers], ps).ok()
+    assert trees == [n]
+    # the uniform set at n = 400 has its longest MST edge at the boundary,
+    # beyond the grid radius, and takes the Delaunay edges
+    assert accepted == (n != 400)
+    assert triangulations == ([] if accepted else [n])

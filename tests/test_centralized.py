@@ -21,7 +21,7 @@ from plane_layers.mst import bottleneck, build_emst, root_at_leaf
 from plane_layers.unionfind import UnionFind
 from plane_layers.verify import gen_line_instance, verify_layers
 
-from conftest import count_triangulations, random_point_set
+from conftest import count_tree_computations, random_point_set
 
 
 def rooted_mst(ps, root=None):
@@ -348,8 +348,8 @@ def test_build_two_disjoint_trees_random(rng):
 @pytest.mark.parametrize("make, bound", [(lambda rng: random_point_set(rng, 90), 2),
                                          (lambda rng: gen_line_instance(40, "0.001"), 3)],
                          ids=["flat", "pointed"])
-def test_one_triangulation_per_build_and_verify(monkeypatch, rng, make, bound):
-    calls = count_triangulations(monkeypatch)
+def test_one_tree_computation_per_build_and_verify(monkeypatch, rng, make, bound):
+    calls = count_tree_computations(monkeypatch)
     ps = make(rng)
     trees = build_two_disjoint_trees(ps)
     assert trees.bound == bound

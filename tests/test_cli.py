@@ -12,7 +12,7 @@ from plane_layers import cli, distributed, mst, verify
 from plane_layers.cli import main
 from plane_layers.geometry import PointSet
 
-from conftest import count_triangulations
+from conftest import count_tree_computations
 
 
 def run(*argv):
@@ -372,8 +372,8 @@ def test_one_emst_per_cli_call(tmp_path, monkeypatch):
             assert len(calls) == 1, command
 
 
-def test_one_triangulation_per_cli_command(tmp_path, monkeypatch):
-    calls = count_triangulations(monkeypatch)
+def test_one_tree_computation_per_cli_command(tmp_path, monkeypatch):
+    calls = count_tree_computations(monkeypatch)
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "4", "--out", str(pts)) == 0
     tt, dist = tmp_path / "tt.json", tmp_path / "layers.json"

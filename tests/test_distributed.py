@@ -42,7 +42,7 @@ from plane_layers.mst import bottleneck, build_emst
 from plane_layers.unionfind import UnionFind
 from plane_layers.verify import verify_layers
 
-from conftest import acceptance_k_layer_instances, count_triangulations, random_point_set
+from conftest import acceptance_k_layer_instances, count_tree_computations, random_point_set
 
 
 def cluster(rng, n, x0, y0, w=4.0):
@@ -793,8 +793,8 @@ def test_one_emst_per_build_and_certificate(monkeypatch, rng):
     assert calls == []  # an explicit beta needs no EMST
 
 
-def test_one_triangulation_per_build_verify_and_certificates(monkeypatch, rng):
-    calls = count_triangulations(monkeypatch)
+def test_one_tree_computation_per_build_verify_and_certificates(monkeypatch, rng):
+    calls = count_tree_computations(monkeypatch)
     ps = random_point_set(rng, 80)
     ls = build_k_layers(ps, 1)
     report = verify_layers([list(layer) for layer in ls.layers], ps)
