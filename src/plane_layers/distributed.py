@@ -155,8 +155,7 @@ def _bucket(
     cells: those holding at least 3k points."""
     cell_of: dict[int, Cell] = {}
     cells: dict[Cell, list[int]] = {}
-    for p in ps.ids:
-        x, y = ps.scaled(p)
+    for p, (x, y) in enumerate(zip(*ps.grid)):
         c = cell_of[p] = _cell_index(x, ps.scale, 6 * k, q), _cell_index(y, ps.scale, 6 * k, q)
         cells.setdefault(c, []).append(p)
     return cell_of, cells, frozenset(c for c, members in cells.items() if len(members) >= 3 * k)
@@ -685,10 +684,25 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     """The full pipeline: grid, per-box layers, sparse attachment, box
     connectors.  Asserts hull disjointness and 8-neighbor connectivity, then
     each layer's edge-length budget 12*sqrt(2)*k*beta, planarity and spanning,
-    then pairwise edge-disjointness; these last failures dump the points, k,
-    betaSq and the layer."""
+    then pairwise edge-disjointness.  Every internal assertion raised on the
+    way, these checks and those of the boxes' center points, sectors and
+    connectors alike, carries a dump of the points, k and betaSq (and the
+    layer, for the per-layer checks) that replays through `plane-layers
+    build`."""
     beta_sq = _as_beta_sq(beta, ps)
     gi = grid_partition(ps, k, beta_sq)
+    try:
+        return _assemble(gi)
+    except InternalAssertionError as err:
+        err.dump = {"points": ps.to_text(), "k": k,
+                    "betaSq": f"{beta_sq.numerator}/{beta_sq.denominator}"} | err.dump
+        raise
+
+
+def _assemble(gi: GridIndex) -> LayerSet:
+    """The layer set of the grid `gi`, after the checks `build_k_layers`
+    lists."""
+    ps, k, beta_sq = gi.ps, gi.k, gi.beta_sq
     box_layers = [gi.layers(box) for box in sorted(gi.dense)]
     _assert_hulls_disjoint(ps, gi)
     _assert_eight_neighbor_connected(gi)
@@ -700,9 +714,7 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     counts = count_layers(layers, ps)
 
     def fail(stage: str, message: str, layer: int, **extra) -> None:
-        dump = {"points": ps.to_text(), "k": k, "layer": layer,
-                "betaSq": f"{beta_sq.numerator}/{beta_sq.denominator}"}
-        raise InternalAssertionError(stage, message, dump | extra)
+        raise InternalAssertionError(stage, message, {"layer": layer} | extra)
 
     # (12*sqrt(2)*k*beta)^2 on the scaled grid, as a fraction num / den
     limit_sq = 288 * k * k * beta_sq * ps.scale**2
@@ -727,13 +739,13 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
 def _assert_hulls_disjoint(ps: PointSet, gi: GridIndex) -> None:
     """No two boxes' assigned hulls intersect.  A pair whose integer
     bounding boxes are disjoint is rejected exactly without the hull test."""
+    xs, ys = ps.grid
     hulls = {}
     bboxes = {}
     for box in gi.dense:
-        members = gi.assigned_to(box)
-        hulls[box] = convex_hull(members, ps)
-        xs, ys = zip(*(ps.scaled(p) for p in members))
-        bboxes[box] = (min(xs), min(ys), max(xs), max(ys))
+        hull = hulls[box] = convex_hull(gi.assigned_to(box), ps)
+        hx, hy = [xs[p] for p in hull], [ys[p] for p in hull]
+        bboxes[box] = (min(hx), min(hy), max(hx), max(hy))
     for a, b in combinations(sorted(hulls), 2):
         ax0, ay0, ax1, ay1 = bboxes[a]
         bx0, by0, bx1, by1 = bboxes[b]

@@ -7,7 +7,8 @@ mirroring and printing work on the grid integers.  Every predicate in this
 module is computed with integer or rational arithmetic and is never wrong
 due to rounding.  Lengths are compared as squared grid integers and only
 leave the exact world as squared rationals; square roots appear solely in
-reported float values.
+reported float values.  The one other float is the angle `angular_order`
+sorts on, and an exact comparator pass certifies that order.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
+from math import atan2, tau
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -513,24 +515,28 @@ def collinear_overlap(s1: Segment, s2: Segment, ps: PointSet) -> bool:
 
 def convex_hull(ids: Sequence[int], ps: PointSet) -> list[int]:
     """Counterclockwise hull of the given ids; collinear mid-edge points are
-    dropped; the walk starts at the lowest-y (then lowest-x) vertex."""
+    dropped; the walk starts at the lowest-y (then lowest-x) vertex.
+
+    Andrew's monotone chain on the grid-integer lists (`PointSet.grid`): the
+    ids are sorted by (x, y) with two C-level key sorts, and the exact
+    orientation test is inlined in the chain loop."""
     if not ids:
         raise PreconditionError("convex hull of empty id list")
-    pts = sorted(ids, key=lambda i: ps.scaled(i))
+    xs, ys = ps.grid
+    pts = sorted(sorted(ids, key=ys.__getitem__), key=xs.__getitem__)  # by (x, y)
     if len(pts) == 1:
         return [pts[0]]
 
     def build(seq: Iterable[int]) -> list[int]:
         chain: list[int] = []
         for i in seq:
+            cx, cy = xs[i], ys[i]
             while len(chain) >= 2:
-                ax, ay = ps.scaled(chain[-2])
-                bx, by = ps.scaled(chain[-1])
-                cx, cy = ps.scaled(i)
-                if cross_sign(ax, ay, bx, by, cx, cy) <= 0:
-                    chain.pop()
-                else:
+                a, b = chain[-2], chain[-1]
+                ax, ay = xs[a], ys[a]
+                if (xs[b] - ax) * (cy - ay) - (ys[b] - ay) * (cx - ax) > 0:
                     break
+                chain.pop()
             chain.append(i)
         return chain
 
@@ -539,7 +545,7 @@ def convex_hull(ids: Sequence[int], ps: PointSet) -> list[int]:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 2:  # all points collinear: keep the two extremes
         hull = [pts[0], pts[-1]]
-    start = min(range(len(hull)), key=lambda k: (ps.scaled(hull[k])[1], ps.scaled(hull[k])[0]))
+    start = min(range(len(hull)), key=lambda k: (ys[hull[k]], xs[hull[k]]))
     return hull[start:] + hull[:start]
 
 
@@ -556,7 +562,19 @@ def id_strictly_inside_polygon(poly: Sequence[int], ps: PointSet, q: int) -> boo
 def angular_order(vecs: Sequence[tuple[int, int]]) -> list[int]:
     """Indices of the nonzero integer vectors `vecs` sorted counterclockwise
     by angle from the positive x-axis; vectors on one ray sort by length,
-    then by index.  Exact: half-plane, then the sign of a cross product."""
+    then by index.
+
+    Exact: the order is the one of the comparator `cmp` (half-plane, then
+    the sign of a cross product, then squared length, then index), a strict
+    total order.  The sort itself runs in C on a float key, the angle from
+    `math.atan2` taken into [0, 2*pi), which is the half-plane and then the
+    angle within it; one pass of `cmp` over the adjacent pairs then certifies
+    the result, since a sequence whose adjacent pairs are all in order under
+    a strict total order is sorted.  A pair that fails (a same-ray run, a
+    float tie, or a misorder from rounding) sends the keyed order through the
+    comparator sort, which Timsort finishes in about one comparison per
+    vector when only a few neighbours are out of place; components too large
+    for a float raise OverflowError and sort by the comparator alone."""
     halves = [0 if dy > 0 or (dy == 0 and dx > 0) else 1 for dx, dy in vecs]
 
     def cmp(i: int, j: int) -> int:
@@ -571,7 +589,15 @@ def angular_order(vecs: Sequence[tuple[int, int]]) -> list[int]:
             return -1 if li < lj else 1
         return i - j
 
-    return sorted(range(len(vecs)), key=cmp_to_key(cmp))
+    try:
+        angles = [atan2(dy, dx) % tau for dx, dy in vecs]
+    except OverflowError:
+        return sorted(range(len(vecs)), key=cmp_to_key(cmp))
+    order = sorted(range(len(vecs)), key=angles.__getitem__)
+    for t in range(1, len(order)):
+        if cmp(order[t - 1], order[t]) > 0:
+            return sorted(order, key=cmp_to_key(cmp))
+    return order
 
 
 def _by_angle(pivot: Point | int, ids: Sequence[int], ps: PointSet, mirror: bool) -> list[int]:

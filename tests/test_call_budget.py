@@ -13,18 +13,24 @@ On uniform points the grid's short pairs give the EMST: its pair checks stay
 within their budget, counted from the kernel rather than timed, no Delaunay
 triangulation runs when the grid accepts, and a point set computes its tree
 once however many builds and verifies read it.
+
+`angular_order` sorts on a float key in C and certifies the result with one
+pass of its exact comparator over adjacent pairs, so across a k-layer build
+and a certificate the comparator runs at most once per sorted vector; a
+comparator sort would run it about log m times per vector.
 """
 
 import cProfile
 import pstats
 import random
+import types
 from pathlib import Path
 
 import pytest
 
-from plane_layers import mst
+from plane_layers import distributed, geometry, mst
 from plane_layers.centralized import build_two_disjoint_trees
-from plane_layers.distributed import build_k_layers
+from plane_layers.distributed import build_k_layers, locality_certificate
 from plane_layers.geometry import Segment
 from plane_layers.verify import verify_layers
 
@@ -97,3 +103,28 @@ def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
     # beyond the grid radius, and takes the Delaunay edges
     assert accepted == (n != 400)
     assert triangulations == ([] if accepted else [n])
+
+
+def test_angular_order_compares_at_most_once_per_vector(monkeypatch):
+    ps = random_point_set(random.Random(300), 300)
+    angular_order = geometry.angular_order
+    (cmp,) = (c for c in angular_order.__code__.co_consts
+              if isinstance(c, types.CodeType) and c.co_name == "cmp")
+    sorted_vectors = []
+
+    def counted(vecs):
+        sorted_vectors.append(len(vecs))
+        return angular_order(vecs)
+
+    monkeypatch.setattr(geometry, "angular_order", counted)
+    monkeypatch.setattr(distributed, "angular_order", counted)
+
+    def build_and_certify():
+        locality_certificate(ps, 1, 0, layer_set=build_k_layers(ps, 1))
+
+    prof = cProfile.Profile()
+    prof.runcall(build_and_certify)
+    stats = pstats.Stats(prof).stats
+    comparisons = stats.get((cmp.co_filename, cmp.co_firstlineno, "cmp"), (0, 0))[1]
+    assert sum(sorted_vectors) > 500
+    assert 0 < comparisons <= sum(sorted_vectors)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -911,9 +912,40 @@ def test_connector_pairs_match_rule_loop():
                     assert ((a, b) in replayed[a]) == ((a, b) in replayed[b]) == selected
 
 
+BOX_STAGES = ["hull-disjointness", "eight-neighbor", "center-point", "sector", "box-planarity"]
+
+
+def _inject_box_fault(monkeypatch, stage, ps):
+    """Make the k=1 build of `ps` fail the box-level assertion `stage`."""
+    if stage == "hull-disjointness":  # other boxes' hulls reach into the first box
+        gi = grid_partition(ps, 1, bottleneck(build_emst(ps), ps).length_sq)
+        members = gi.cells[min(gi.dense)]
+        inner = next(p for p in members if p not in convex_hull(members, ps))
+        monkeypatch.setattr(distributed, "convex_hull", lambda ids, ps: convex_hull(
+            ids if inner in ids else [*ids, inner], ps))
+    elif stage == "eight-neighbor":  # no box sees its 8-neighbours
+        dense_near = distributed._dense_near
+        monkeypatch.setattr(distributed, "_dense_near", lambda dense, cell, radius=2: (
+            [] if radius == 1 else dense_near(dense, cell, radius)))
+    elif stage == "center-point":  # no candidate is deep, and the region is empty
+        monkeypatch.setattr(distributed, "tukey_depth", lambda *args, **kwargs: 0)
+        monkeypatch.setattr(distributed, "_depth_region", lambda *args: [])
+    elif stage == "sector":  # no direction falls in any sector
+        monkeypatch.setattr(distributed, "same_ray", lambda *args: False)
+        monkeypatch.setattr(distributed, "_strictly_inside_cw", lambda *args: False)
+    elif stage == "box-planarity":  # every sector opens beyond pi over a crossing
+        monkeypatch.setattr(distributed, "_sector_spans_reflex", lambda *args: True)
+        monkeypatch.setattr(distributed, "crossing_pairs", lambda edges, ps: [tuple(edges[:2])])
+
+
 def _k_layer_fault(monkeypatch, stage):
-    """Point set, k, beta and an injected fault that the build's per-layer
-    or cross-layer self-check `stage` catches."""
+    """Point set, k, beta and an injected fault that the build's internal
+    assertion `stage` catches: a per-layer or cross-layer self-check, or one
+    of the box-level assertions below them."""
+    if stage in BOX_STAGES:
+        ps = random_point_set(random.Random(0), 200)
+        _inject_box_fault(monkeypatch, stage, ps)
+        return ps, 1, None
     if stage == "length-budget":
         ps = strip_point_set(0)
         inject_connector(monkeypatch, 0, Segment(*max(combinations(ps.ids, 2),
@@ -943,18 +975,31 @@ def test_build_k_layers_asserts_spanning_layers(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "stage", ["length-budget", "layer-planarity", "layer-spanning", "layer-disjointness"]
+    "stage", ["length-budget", "layer-planarity", "layer-spanning", "layer-disjointness",
+              *BOX_STAGES]
 )
 def test_k_layer_self_check_dumps_reproduce(monkeypatch, stage):
+    """Every internal assertion of the build dumps the points, k and betaSq
+    (and the layer, for the per-layer checks), and a build from the dump
+    fails at the same stage."""
     ps, k, beta = _k_layer_fault(monkeypatch, stage)
     with pytest.raises(InternalAssertionError) as info:
         build_k_layers(ps, k, beta)
     dump = info.value.dump
     assert info.value.stage == dump["stage"] == stage
-    assert dump["k"] == k and dump["layer"] == (0 if k == 1 else 1)
-    assert PointSet.from_text(dump["points"]).coords() == ps.coords()
-    be_sq = Fraction(beta) ** 2 if beta else bottleneck(build_emst(ps), ps).length_sq
+    assert dump["k"] == k
+    if stage not in BOX_STAGES:
+        assert dump["layer"] == (0 if k == 1 else 1)
+    replay = PointSet.from_text(dump["points"])
+    assert replay.coords() == ps.coords()
+    be_sq = Fraction(beta) ** 2 if beta else bottleneck(build_emst(replay), replay).length_sq
     assert Fraction(dump["betaSq"]) == be_sq
+    with pytest.raises(InternalAssertionError) as again:
+        build_k_layers(replay, dump["k"], beta)
+    assert again.value.stage == stage
+    if stage == "hull-disjointness":  # both boxes are named
+        assert re.fullmatch(r"\[hull-disjointness\] assigned hulls of \(-?\d+, -?\d+\) "
+                            r"and \(-?\d+, -?\d+\) intersect", str(info.value))
 
 
 def test_k_layer_dump_replays_through_the_cli(monkeypatch, tmp_path):
@@ -983,22 +1028,29 @@ def hulls_intersect_oracle(ps, ha, hb):
 
 
 def test_convex_hulls_intersect_matches_edge_scan():
-    """Two hulls of a random split of a small integer point set: crossing,
-    touching, nested, collinear and apart."""
+    """Random splits of a small integer point set into two to five boxes: on
+    every pair of box hulls the pairwise test agrees with the oracle,
+    crossing, touching, nested, collinear and apart."""
     rng = random.Random(77)
-    crossing = 0
-    for _ in range(2000):
-        pts = {(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(2, 12))}
+    crossing = nested = 0
+    for _ in range(1500):
+        pts = {(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(rng.randint(2, 16))}
         if len(pts) < 2:
             continue
         ps = PointSet(sorted(pts))
         ids = list(ps.ids)
         rng.shuffle(ids)
-        cut = rng.randint(1, len(ids) - 1)
-        ha, hb = convex_hull(ids[:cut], ps), convex_hull(ids[cut:], ps)
-        expected = hulls_intersect_oracle(ps, ha, hb)
-        assert distributed._convex_hulls_intersect(ps, ha, hb) == expected
-        crossing += any(properly_cross(Segment(ha[i - 1], ha[i]), Segment(hb[j - 1], hb[j]), ps)
-                        for i in range(len(ha)) for j in range(len(hb))
-                        if len(ha) > 1 and len(hb) > 1)
-    assert crossing > 200
+        cuts = sorted(rng.sample(range(1, len(ids)), rng.randint(1, min(4, len(ids) - 1))))
+        hulls = [convex_hull(ids[a:b], ps) for a, b in zip([0, *cuts], [*cuts, len(ids)])]
+        for ha, hb in combinations(hulls, 2):
+            expected = hulls_intersect_oracle(ps, ha, hb)
+            assert distributed._convex_hulls_intersect(ps, ha, hb) == expected
+            if expected:
+                crosses = any(
+                    properly_cross(Segment(ha[s - 1], ha[s]), Segment(hb[t - 1], hb[t]), ps)
+                    for s in range(len(ha)) for t in range(len(hb))
+                    if len(ha) > 1 and len(hb) > 1
+                )
+                crossing += crosses
+                nested += not crosses
+    assert crossing > 200 and nested > 50

@@ -7,6 +7,7 @@ from functools import cmp_to_key
 
 import pytest
 
+from plane_layers import geometry
 from plane_layers.errors import PreconditionError, UsageError
 from plane_layers.geometry import (
     Orientation,
@@ -224,6 +225,80 @@ def test_ccw_order_matches_atan2_oracle(rng):
             return (ang, dx * dx + dy * dy, i)
 
         assert got == sorted(ids, key=key)
+
+
+def comparator_order(vecs):
+    """The comparator sort that `angular_order` replaced, kept as its oracle:
+    half-plane, then the sign of a cross product, then squared length, then
+    index."""
+    halves = [0 if dy > 0 or (dy == 0 and dx > 0) else 1 for dx, dy in vecs]
+
+    def cmp(i, j):
+        if halves[i] != halves[j]:
+            return halves[i] - halves[j]
+        (ax, ay), (bx, by) = vecs[i], vecs[j]
+        c = ax * by - ay * bx
+        if c:
+            return -1 if c > 0 else 1
+        li, lj = ax * ax + ay * ay, bx * bx + by * by
+        if li != lj:
+            return -1 if li < lj else 1
+        return i - j
+
+    return sorted(range(len(vecs)), key=cmp_to_key(cmp))
+
+
+def angular_order_cases(rng):
+    """Random and adversarial vector lists for `angular_order`."""
+    axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for _ in range(300):  # small integers: same-ray runs of mixed lengths, repeats
+        yield [v for v in ((rng.randint(-4, 4), rng.randint(-4, 4))
+                           for _ in range(rng.randint(1, 30))) if v != (0, 0)] or [(1, 0)]
+    for _ in range(100):  # a few rays, each with its opposite, and the four axes
+        rays = rng.sample([(1, 2), (3, -1), (-2, 5), (7, 7), *axes], 3)
+        vecs = [(t * dx * s, t * dy * s) for dx, dy in rays for s in (1, -1)
+                for t in rng.sample(range(1, 9), rng.randint(1, 4))]
+        rng.shuffle(vecs)
+        yield vecs
+    for _ in range(100):  # angles closer than float resolution
+        big = 10**17
+        vecs = [(big + rng.randint(0, 6), rng.choice((1, -1))) for _ in range(6)]
+        vecs += [(-big - rng.randint(0, 6), rng.choice((1, -1))) for _ in range(6)]
+        vecs += [(rng.choice((1, -1)), big + rng.randint(0, 6)) for _ in range(6)]
+        rng.shuffle(vecs)
+        yield vecs
+    for _ in range(40):  # 400-digit components
+        huge = 10**400
+        yield [(rng.choice((1, -1)) * (huge + rng.randint(0, 3)), rng.randint(-huge, huge))
+               for _ in range(rng.randint(1, 10))]
+    for _ in range(200):  # offsets of random points from rational centers
+        pts = {(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(2, 20))}
+        ps = PointSet(sorted(pts))
+        cx = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7)))
+        cy = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 5)))
+        yield [v for v in ps.offsets(ps.ids, cx, cy) if v != (0, 0)] or [(0, 1)]
+
+
+def test_angular_order_matches_comparator_oracle(monkeypatch):
+    """The keyed sort, certified by one comparator pass, gives the
+    comparator's order; the keyed path, the repair of a failed check and the
+    comparator sort for components beyond float range each run."""
+    fallbacks = []
+    to_key = geometry.cmp_to_key
+    monkeypatch.setattr(geometry, "cmp_to_key", lambda cmp: fallbacks.append(1) or to_key(cmp))
+    with pytest.raises(OverflowError):
+        math.atan2(1, 10**400)
+    keyed = repaired = overflowed = 0
+    for vecs in angular_order_cases(random.Random(52)):
+        before = len(fallbacks)
+        assert geometry.angular_order(vecs) == comparator_order(vecs)
+        if len(fallbacks) == before:
+            keyed += 1
+        elif max(abs(c) for v in vecs for c in v) > 10**308:
+            overflowed += 1
+        else:
+            repaired += 1
+    assert keyed > 300 and repaired > 100 and overflowed == 40
 
 
 def fraction_order_around(pivot, ids, ps, mirror):
