@@ -5,7 +5,10 @@ Three stages: the parent/grandparent two-coloring of a leaf-rooted tree
 coloring, and the two full constructions that remove the shared edge: one
 around a vertex whose incident-edge gaps are all below pi (ratio 2), one
 around a four-vertex path when every vertex has a gap above pi (ratio 3,
-with at most one edge above ratio 2).
+with at most one edge above ratio 2).  Each per-vertex question they ask
+(is a gap above pi, which neighbors bound it, which neighbor follows which)
+is read off one ring scan of that vertex, `_ring`, and each reachability
+question off one component search, `_component`.
 
 Each assembled tree is checked for planarity with the exact sweep, and a
 crossing raises InternalAssertionError with a reproducer payload, labelled
@@ -18,7 +21,6 @@ spanning, disjointness and the length bound.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -40,7 +42,6 @@ from .geometry import (
     properly_cross,
 )
 from .mst import RootedMst, adjacency, bottleneck, build_emst, root_at_leaf
-from .unionfind import UnionFind
 from .verify import LayerCounts, count_layers
 
 
@@ -167,7 +168,7 @@ def _split_sides(rm: RootedMst, red: Iterable[Segment], blue: Iterable[Segment])
         if o is Orientation.COLLINEAR:
             raise GeneralPositionError(f"{r}, {s}, {w} are collinear")
         bucket = minus_branch if o is Orientation.CLOCKWISE else plus_branch
-        bucket.update(_branch_from(rm, w, block=s))
+        bucket.update(_component(rm.adjacency, w, {s}))
     s_minus = frozenset(minus_branch | {r, s})
     s_plus = frozenset(plus_branch | {r, s})
 
@@ -200,15 +201,16 @@ def _split_sides(rm: RootedMst, red: Iterable[Segment], blue: Iterable[Segment])
     )
 
 
-def _branch_from(rm: RootedMst, start: int, block: int) -> set[int]:
+def _component(adj: dict[int, list[int]], start: int, blocks: set[int]) -> set[int]:
+    """The vertices reachable from `start` along `adj` without entering
+    `blocks`, found breadth first."""
     seen = {start}
-    todo = deque([start])
-    while todo:
-        v = todo.popleft()
-        for w in rm.adjacency[v]:
-            if w != block and w not in seen:
+    order = [start]
+    for v in order:  # the loop also visits the vertices appended below
+        for w in adj.get(v, ()):
+            if w not in blocks and w not in seen:
                 seen.add(w)
-                todo.append(w)
+                order.append(w)
     return seen
 
 
@@ -237,56 +239,37 @@ def _side_inversion(split: SideSplit, variant: Recoloring) -> tuple[frozenset, f
 # --- gap analysis -----------------------------------------------------------
 
 
-def _ccw_ring(ps: PointSet, v: int, nbrs: Sequence[int]) -> list[int]:
+def _ring(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[list[int], int | None]:
+    """The neighbors of v in ccw order, and the index i of the gap above pi,
+    the one from ring[i] ccw to ring[i + 1], or None when every gap is below
+    pi.  The gaps sum to 2pi, so at most one is above pi; a single neighbor
+    leaves one gap of 2pi.
+
+    A gap is above pi when its cross product is negative.  A zero cross
+    product, two neighbors on one ray or an exact-pi gap, violates general
+    position."""
     if len(nbrs) == 1:
-        return list(nbrs)
-    return ccw_order_around(v, list(nbrs), ps)
-
-
-def _gap_signs(ps: PointSet, v: int, ring: Sequence[int]) -> list[int]:
-    """Sign of each consecutive ccw gap: +1 below pi, -1 above pi.
-
-    An exact-pi gap (or two neighbors on one ray) violates general position.
-    """
-    vx, vy = ps.scaled(v)
-    dirs = []
-    for w in ring:
-        wx, wy = ps.scaled(w)
-        dirs.append((wx - vx, wy - vy))
-    signs = []
-    k = len(ring)
-    for i in range(k):
-        a = dirs[i]
-        b = dirs[(i + 1) % k]
-        c = a[0] * b[1] - a[1] * b[0]
+        return list(nbrs), 0
+    ring = ccw_order_around(v, nbrs, ps)
+    dirs = ps.offsets(ring, *ps.scaled(v), ps.scale)
+    big = None
+    for i, ((ax, ay), (bx, by)) in enumerate(zip(dirs, dirs[1:] + dirs[:1])):
+        c = ax * by - ay * bx
         if c == 0:
             raise GeneralPositionError(
-                f"neighbors {ring[i]} and {ring[(i + 1) % k]} of {v} are collinear with it"
+                f"neighbors {ring[i]} and {ring[(i + 1) % len(ring)]} of {v} are collinear with it"
             )
-        signs.append(1 if c > 0 else -1)
-    return signs
+        if c < 0:
+            big = i
+    return ring, big
 
 
 def big_angle_pair(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[int, int] | None:
-    """The two neighbor rays bounding the unique gap above pi at v, or None
-    when every gap is below pi.  Degree-1 vertices trivially have one."""
-    if len(nbrs) == 1:
-        return (nbrs[0], nbrs[0])
-    ring = _ccw_ring(ps, v, nbrs)
-    if len(ring) == 2:
-        o = orientation_ids(ps, v, ring[0], ring[1])
-        if o is Orientation.COLLINEAR:
-            raise GeneralPositionError(f"neighbors of {v} are collinear with it")
-        # the reflex side runs ccw from the later ray back to the earlier one
-        return (ring[1], ring[0]) if o is Orientation.COUNTERCLOCKWISE else (ring[0], ring[1])
-    signs = _gap_signs(ps, v, ring)
-    big = [i for i, s in enumerate(signs) if s < 0]
-    if not big:
-        return None
-    if len(big) > 1:
-        raise InternalAssertionError("gap-analysis", f"two gaps above pi at {v}")
-    i = big[0]
-    return (ring[i], ring[(i + 1) % len(ring)])
+    """The two neighbor rays bounding the unique gap above pi at v, in ccw
+    order, or None when every gap is below pi.  Degree-1 vertices trivially
+    have one."""
+    ring, i = _ring(ps, v, nbrs)
+    return None if i is None else (ring[i], ring[(i + 1) % len(ring)])
 
 
 def find_flat_vertex(edges: Sequence[Segment], ps: PointSet) -> int | None:
@@ -294,11 +277,8 @@ def find_flat_vertex(edges: Sequence[Segment], ps: PointSet) -> int | None:
     pi, or None when every vertex has a gap above pi."""
     adj = adjacency(edges)
     for v in sorted(adj):
-        nbrs = adj[v]
-        if len(nbrs) < 3:
-            continue  # one or two incident edges always leave a gap >= pi
-        ring = _ccw_ring(ps, v, nbrs)
-        if all(s > 0 for s in _gap_signs(ps, v, ring)):
+        # one or two incident edges always leave a gap >= pi
+        if len(adj[v]) >= 3 and _ring(ps, v, adj[v])[1] is None:
             return v
     return None
 
@@ -389,15 +369,7 @@ def _subtree_contribution(
 ) -> tuple[list[Segment], list[Segment]]:
     """Root the component of `anchor` (cut at `blocks`) at `root`, apply the
     root-edge coloring plus a side inversion, and drop the doubled root edge."""
-    comp = set()
-    todo = deque([anchor])
-    comp.add(anchor)
-    while todo:
-        v = todo.popleft()
-        for w in mst_adj[v]:
-            if w not in blocks and w not in comp:
-                comp.add(w)
-                todo.append(w)
+    comp = _component(mst_adj, anchor, blocks)
     if comp == {anchor}:
         return [], []  # single-edge subtree contributes nothing beyond rs
     verts = comp | {root}
@@ -427,8 +399,8 @@ def disjoint_trees_flat(
     nbrs = adj.get(v, [])
     if len(nbrs) < 3:
         raise PreconditionError(f"vertex {v} has degree {len(nbrs)} < 3")
-    ring = _ccw_ring(ps, v, nbrs)
-    if any(s < 0 for s in _gap_signs(ps, v, ring)):
+    ring, big = _ring(ps, v, nbrs)
+    if big is not None:
         raise PreconditionError(f"vertex {v} has a gap above pi")
     start = ring.index(min(ring))
     ring = ring[start:] + ring[:start]  # v1 = smallest-id neighbor, ccw labels
@@ -495,18 +467,6 @@ class _WlogViolation(Exception):
     """Selection ran against the canonical orientation; mirror and retry."""
 
 
-def _cw_successor(ps: PointSet, v: int, nbrs: Sequence[int], of: int) -> int:
-    ring = _ccw_ring(ps, v, nbrs)
-    i = ring.index(of)
-    return ring[(i - 1) % len(ring)]
-
-
-def _ccw_successor(ps: PointSet, v: int, nbrs: Sequence[int], of: int) -> int:
-    ring = _ccw_ring(ps, v, nbrs)
-    i = ring.index(of)
-    return ring[(i + 1) % len(ring)]
-
-
 def _cw_angle_below_pi(ps: PointSet, apex: int, frm: int, to: int) -> bool:
     """Clockwise angle from ray apex->frm to ray apex->to below pi."""
     o = orientation_ids(ps, apex, frm, to)
@@ -544,31 +504,33 @@ def _select_oriented(ps: PointSet, mst_edges: Sequence[Segment]):
         raise InternalAssertionError("select-p", "tree without leaves")
     v3 = leaves[0]
     v2 = adj[v3][0]
-    big2 = big_angle_pair(ps, v2, adj[v2])
-    if big2 is None:
+    ring2, i2 = _ring(ps, v2, adj[v2])
+    if i2 is None:
         raise PreconditionError(f"vertex {v2} has no gap above pi")
+    big2 = {ring2[i2], ring2[(i2 + 1) % len(ring2)]}
+    cw_of_v3 = ring2[ring2.index(v3) - 1]  # v3's clockwise successor at v2
     children2 = sorted(w for w in adj[v2] if w != v3)
     if not children2:
         raise PreconditionError("n >= 4 expected")
-    C = [c for c in children2 if {v3, c} != set(big2)]
+    C = [c for c in children2 if {v3, c} != big2]
 
     single_child = len(children2) == 1
     non_leaves = [c for c in C if len(adj[c]) > 1]
     if single_child or non_leaves:
         v1 = children2[0] if single_child else non_leaves[0]
-        if len(adj[v2]) >= 3 and _cw_successor(ps, v2, adj[v2], v3) != v1:
+        # at a degree-2 v2 the clockwise successor of v3 is its one child
+        if cw_of_v3 != v1 or not _cw_angle_below_pi(ps, v2, v3, v1):
             raise _WlogViolation
-        if not _cw_angle_below_pi(ps, v2, v3, v1):
-            raise _WlogViolation
-        v0 = _choose_v0(ps, adj, v1, v2)
+        ring1, i1 = _ring(ps, v1, adj[v1])
+        if i1 is None:
+            raise PreconditionError(f"vertex {v1} has no gap above pi")
+        big1 = {ring1[i1], ring1[(i1 + 1) % len(ring1)]}
+        v0 = _choose_v0(adj, v1, v2, ring1, big1)
         t1 = v3 in big2
         t2 = _cw_angle_below_pi(ps, v1, v2, v0)
         if t2:
             tag = "1a" if t1 else "1d"
         else:
-            big1 = big_angle_pair(ps, v1, adj[v1])
-            if big1 is None:
-                raise PreconditionError(f"vertex {v1} has no gap above pi")
             t3 = v2 in big1
             tag = ("1b" if t3 else "1c") if t1 else ("1e" if t3 else "1f")
         return v3, v2, v1, v0, tag
@@ -578,10 +540,9 @@ def _select_oriented(ps: PointSet, mst_edges: Sequence[Segment]):
         raise InternalAssertionError(
             "select-p", f"leaf-only candidates but degree {len(adj[v2])} at {v2}"
         )
-    succ = _cw_successor(ps, v2, adj[v2], v3)
-    if succ not in C:
+    if cw_of_v3 not in C:
         raise _WlogViolation
-    v1 = succ
+    v1 = cw_of_v3
     v0 = next(c for c in children2 if c != v1)
     if _cw_angle_below_pi(ps, v2, v1, v0):
         if v3 not in big2:
@@ -594,21 +555,20 @@ def _select_oriented(ps: PointSet, mst_edges: Sequence[Segment]):
     return v3, v2, v1, v0, "2b"
 
 
-def _choose_v0(ps: PointSet, adj, v1: int, v2: int) -> int:
+def _choose_v0(adj, v1: int, v2: int, ring1: list[int], big1: set[int]) -> int:
+    """v1's child that serves as v0, given v1's ccw ring and the two
+    neighbors bounding its gap above pi."""
     children1 = sorted(w for w in adj[v1] if w != v2)
     if not children1:
         raise InternalAssertionError("select-p", f"{v1} has no child to serve as v0")
     if len(children1) == 1:
         return children1[0]
-    big1 = big_angle_pair(ps, v1, adj[v1])
-    if big1 is None:
-        raise PreconditionError(f"vertex {v1} has no gap above pi")
-    eligible = [c for c in children1 if {v2, c} != set(big1)]
+    eligible = [c for c in children1 if {v2, c} != big1]
     if not eligible:
         raise InternalAssertionError("select-p", f"no eligible v0 under {v1}")
     if len(eligible) == 1:
         return eligible[0]
-    return _ccw_successor(ps, v1, adj[v1], v2)
+    return ring1[(ring1.index(v2) + 1) % len(ring1)]  # v2's ccw successor at v1
 
 
 # Base colorings of the complete graph on P by hull layout, reconstructed
@@ -724,14 +684,11 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> No
     # now rep_hull[i3] directly follows rep_hull[i0]; the path through the
     # interior points walks the cycle the long way, from i3 back around to i0
     path = [rep_hull[(i3 + t) % k] for t in range(k)]
-    uf = UnionFind(ps.ids)
-    for f in asm.blue:
-        if f != e30:
-            uf.union(f.a, f.b)
+    side3 = _component(adjacency([f for f in asm.blue if f != e30]), pv[3], set())
     joining = [
         Segment(path[t], path[t + 1])
         for t in range(len(path) - 1)
-        if not uf.connected(path[t], path[t + 1])
+        if (path[t] in side3) != (path[t + 1] in side3)
     ]
     if len(joining) != 1:
         asm._fail("pointed-replace", f"{len(joining)} hull-path edges join the components")

@@ -84,7 +84,8 @@ class GridIndex:
                 "no dense box: beta is below the MST bottleneck or n is too small"
             )
         self.assignment: dict[int, Cell] = {}
-        for p, cell in self.cell_of.items():
+        self._assigned: dict[Cell, list[int]] = {}
+        for p, cell in self.cell_of.items():  # ascending ids
             if cell not in self.dense:
                 candidates = _dense_near(self.dense, cell)
                 if not candidates:
@@ -94,6 +95,7 @@ class GridIndex:
                     )
                 cell = _nearest_center(ps, p, candidates, 6 * k, beta_sq)
             self.assignment[p] = cell
+            self._assigned.setdefault(cell, []).append(p)
         self._layers: dict[Cell, BoxLayers] = {}
 
     @property
@@ -101,16 +103,10 @@ class GridIndex:
         return 6 * self.k * math.sqrt(float(self.beta_sq))
 
     def assigned_to(self, box: Cell) -> list[int]:
-        """The points of the 5x5 cells around `box` assigned to it, ascending;
-        no point is assigned farther than two cells from its own."""
-        bi, bj = box
-        return sorted(
-            p
-            for di in range(-2, 3)
-            for dj in range(-2, 3)
-            for p in self.cells.get((bi + di, bj + dj), ())
-            if self.assignment[p] == box
-        )
+        """The points assigned to `box`, ascending: the grid's own list, so
+        callers must not modify it.  All lie in the 5x5 cells around `box`,
+        since no point is assigned farther than two cells from its own."""
+        return self._assigned.get(box, [])
 
     def layers(self, box: Cell) -> BoxLayers:
         """`layers_in_box(box, self)`, computed once per box."""
@@ -847,6 +843,9 @@ class Certifier:
     def certify(self, p: int) -> LocalityCertificate:
         """p's certificate: its incident edges in each layer, recomputed from
         local data; raises `[locality]` when they differ from the layer set's."""
+        n = len(self.grid.ps)
+        if not 0 <= p < n:
+            raise PreconditionError(f"point id {p} is out of range 0..{n - 1}")
         global_incident = tuple(tuple(sorted(by_end.get(p, ()))) for by_end in self._incident)
         local_incident = self._local_incident(p)
         if local_incident != global_incident:

@@ -6,6 +6,7 @@ import pytest
 from plane_layers import centralized
 from plane_layers.centralized import (
     Recoloring,
+    big_angle_pair,
     build_two_disjoint_trees,
     construction1,
     disjoint_trees_flat,
@@ -15,12 +16,13 @@ from plane_layers.centralized import (
     select_P,
     side_split,
 )
-from plane_layers.errors import InternalAssertionError, PreconditionError
+from plane_layers.errors import GeneralPositionError, InternalAssertionError, PreconditionError
 from plane_layers.geometry import PointSet, Segment, properly_cross
-from plane_layers.mst import bottleneck, build_emst, root_at_leaf
+from plane_layers.mst import adjacency, bottleneck, build_emst, root_at_leaf
 from plane_layers.unionfind import UnionFind
 from plane_layers.verify import gen_line_instance, verify_layers
 
+import gap_oracle
 from conftest import count_tree_computations, random_point_set
 
 
@@ -135,18 +137,101 @@ def test_find_flat_vertex_absent_on_line():
 
 
 def test_find_flat_vertex_gaps_below_pi(rng):
-    from plane_layers.centralized import _ccw_ring, _gap_signs
-
+    """The vertex found is the smallest-id one of degree >= 3 whose gaps the
+    oracle finds all below pi."""
+    found = 0
     for _ in range(20):
         ps = random_point_set(rng, 40)
         edges = build_emst(ps)
+        adj = adjacency(edges)
+        flat = [
+            v for v in sorted(adj)
+            if len(adj[v]) >= 3
+            and all(s > 0 for s in gap_oracle.gap_signs(ps, v, gap_oracle.ccw_ring(ps, v, adj[v])))
+        ]
         v = find_flat_vertex(edges, ps)
-        if v is None:
-            continue
-        nbrs = [e.other(v) for e in edges if e.touches(v)]
-        assert len(nbrs) >= 3
-        ring = _ccw_ring(ps, v, nbrs)
-        assert all(s > 0 for s in _gap_signs(ps, v, ring))
+        assert v == (flat[0] if flat else None)
+        found += v is not None
+    assert found > 0
+
+
+def _oracle_ring(ps, v, nbrs):
+    """`_ring` from the oracle's ring and gap signs."""
+    ring = gap_oracle.ccw_ring(ps, v, nbrs)
+    if len(ring) == 1:
+        return ring, 0
+    big = [i for i, s in enumerate(gap_oracle.gap_signs(ps, v, ring)) if s < 0]
+    assert len(big) <= 1
+    return ring, (big[0] if big else None)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except GeneralPositionError:
+        return GeneralPositionError
+
+
+def test_ring_matches_oracle(rng):
+    """`_ring` and `big_angle_pair` agree with the helper-by-helper oracle on
+    random stars of degree 1-8, on both turns of degree 2 and on neighbors
+    on one ray or on opposite rays, which raise."""
+    stars = [
+        [(0, 0), (3, 1), (-1, 2)],  # degree 2, the gap from the first ray below pi
+        [(0, 0), (1, 1), (1, -1)],  # degree 2, the gap from the first ray above pi
+        [(0, 0), (1, 1), (2, 2)],  # one ray
+        [(0, 0), (1, 1), (-3, -3)],  # opposite rays
+        [(0, 0), (1, 0), (0, 1), (-2, 0)],  # opposite rays among three
+        [(0, 0), (2, 1), (-1, 1), (4, 2)],  # one ray among three
+    ]
+    for _ in range(1500):
+        extent = rng.choice([3, 1000])
+        pts = {(0, 0)}
+        size = rng.randint(2, 9)
+        while len(pts) < size:
+            pts.add((rng.randint(-extent, extent), rng.randint(-extent, extent)))
+        cx, cy = rng.randint(-50, 50), rng.randint(-50, 50)
+        pts.discard((0, 0))
+        stars.append([(cx, cy)] + [(cx + x, cy + y) for x, y in sorted(pts)])
+    seen = {"raise": 0, "flat": 0, "deg1": 0, "deg2-first-below": 0, "deg2-first-above": 0,
+            "pointed": 0}
+    for coords in stars:
+        ps = PointSet(coords)
+        nbrs = list(range(1, len(coords)))
+        rng.shuffle(nbrs)
+        expected = _outcome(_oracle_ring, ps, 0, nbrs)
+        assert _outcome(centralized._ring, ps, 0, nbrs) == expected
+        assert _outcome(big_angle_pair, ps, 0, nbrs) == _outcome(
+            gap_oracle.big_angle_pair, ps, 0, nbrs
+        )
+        if expected is GeneralPositionError:
+            seen["raise"] += 1
+        elif len(nbrs) == 1:
+            seen["deg1"] += 1
+        elif len(nbrs) == 2:
+            seen["deg2-first-below" if expected[1] == 1 else "deg2-first-above"] += 1
+        else:
+            seen["flat" if expected[1] is None else "pointed"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_component_matches_unionfind(rng):
+    """`_component` is the set a `UnionFind` over the unblocked edges joins
+    to the start, on random forests with blocked vertices."""
+    isolated = 0
+    for _ in range(500):
+        n = rng.randint(1, 30)
+        edges = [Segment(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8]
+        blocks = set(rng.sample(range(n), rng.randint(0, n // 3)))
+        start = rng.choice([v for v in range(n) if v not in blocks])
+        uf = UnionFind(range(n))
+        for e in edges:
+            if e.a not in blocks and e.b not in blocks:
+                uf.union(e.a, e.b)
+        expected = {u for u in range(n) if u not in blocks and uf.connected(u, start)}
+        assert centralized._component(adjacency(edges), start, blocks) == expected
+        isolated += expected == {start}
+    assert 0 < isolated < 250
 
 
 def check_disjoint(tt, ps, max_ratio):
@@ -262,8 +347,7 @@ def test_select_p_case_2a():
 
 
 def test_select_p_tag_predicates_recomputed(rng):
-    from plane_layers.centralized import _cw_angle_below_pi, big_angle_pair
-    from plane_layers.mst import adjacency
+    from plane_layers.centralized import _cw_angle_below_pi
 
     done = 0
     trials = 0
@@ -323,6 +407,21 @@ def test_disjoint_pointed_replacement_instance():
     assert Segment(0, 3) not in all_edges  # v3v0 was replaced
     assert Segment(0, 4) in tt.blue  # by the hull-path edge through X
     check_disjoint(tt, ps, 3)
+
+
+def test_three_hop_repair_joins_mid_path():
+    """The replacement is the one hull-path pair with exactly one end on
+    v3's side of blue - v3v0, here the middle pair a-b: v3's side holds
+    the first interior point a as well."""
+    # v3, v2, v1, v0, then a and b inside conv(P), and c below v3v0
+    ps = PointSet([(0, 0), (0, 10), (10, 10), (10, 0), (3, 2), (7, 2), (5, -3)])
+    asm = centralized._Assembler(ps, "repair")
+    e30 = asm.deferred = Segment(0, 3)
+    asm.add("blue", [e30, Segment(0, 4), Segment(1, 4), Segment(1, 2), Segment(3, 5),
+                     Segment(5, 6)], "pointed-base")  # 5-6 crosses v3v0
+    centralized._fix_three_hop_edge(asm, ps, {3: 0, 2: 1, 1: 2, 0: 3})
+    assert e30 not in asm.blue and Segment(4, 5) in asm.blue
+    assert asm.deferred is None
 
 
 def test_build_two_disjoint_trees_square():

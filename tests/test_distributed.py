@@ -700,6 +700,18 @@ def test_locality_certificate_rejects_a_different_k(rng):
         locality_certificate(ps, 2, 0, layer_set=ls)
 
 
+def test_certificate_rejects_an_out_of_range_point(rng):
+    ps = random_point_set(rng, 40)
+    ls = build_k_layers(ps, 1)
+    certifier = Certifier(ps, ls)
+    for p in (-1, len(ps)):
+        message = re.escape(f"point id {p} is out of range 0..{len(ps) - 1}")
+        with pytest.raises(PreconditionError, match=message):
+            certifier.certify(p)
+        with pytest.raises(PreconditionError, match=message):
+            locality_certificate(ps, 1, p, layer_set=ls)
+
+
 def test_certifier_raises_on_an_edge_the_replay_does_not_make(rng):
     ps = random_point_set(rng, 60)
     ls = build_k_layers(ps, 1)
