@@ -13,9 +13,11 @@ question off one component search, `_component`.
 Each assembled tree is checked for planarity with the exact sweep, and a
 crossing raises InternalAssertionError with a reproducer payload, labelled
 with the assembly stage that added the offending edge: the case analysis is
-the likeliest defect site, so it fails loud.  The finished pair is then
-checked exactly by `verify.count_layers`, the core of `verify_layers`:
-spanning, disjointness and the length bound.
+the likeliest defect site, so it fails loud.  In case 1 blue is swept with
+the three-hop edge v3v0 in it, so a plane blue needs no search for edges
+crossing v3v0; only a crossed v3v0 is scanned and repaired.  The finished
+pair is then checked exactly by `verify.count_layers`, the core of
+`verify_layers`: spanning, disjointness and the length bound.
 """
 
 from __future__ import annotations
@@ -264,14 +266,6 @@ def _ring(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[list[int], int | N
     return ring, big
 
 
-def big_angle_pair(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[int, int] | None:
-    """The two neighbor rays bounding the unique gap above pi at v, in ccw
-    order, or None when every gap is below pi.  Degree-1 vertices trivially
-    have one."""
-    ring, i = _ring(ps, v, nbrs)
-    return None if i is None else (ring[i], ring[(i + 1) % len(ring)])
-
-
 def find_flat_vertex(edges: Sequence[Segment], ps: PointSet) -> int | None:
     """Smallest-id vertex whose consecutive incident-edge gaps are all below
     pi, or None when every vertex has a gap above pi."""
@@ -307,11 +301,20 @@ class _Assembler:
     def check_plane(self) -> None:
         """Fail on the crossing an edge-by-edge check in insertion order would
         meet first: the pair whose later edge was added earliest, then that
-        edge's earliest partner, reported at the later edge's stage.  The
-        deferred edge is left to its own repair."""
+        edge's earliest partner, reported at the later edge's stage.
+
+        Blue is swept with the deferred edge included.  A plane blue shows at
+        once that blue minus that edge is plane and that the edge needs no
+        repair, so it stops being deferred.  Otherwise only the crossings
+        among the other blue edges fail here: the deferred edge is left to
+        its own repair."""
         for color, edges in (("red", self.red), ("blue", self.blue)):
-            edges = [e for e in edges if e != self.deferred]
             pairs = crossing_pairs(edges, self.ps)
+            if color == "blue" and self.deferred is not None:
+                if pairs:
+                    pairs = [p for p in pairs if self.deferred not in p]
+                else:
+                    self.deferred = None
             if pairs:
                 order = {e: i for i, e in enumerate(edges)}
                 f, e = min(pairs, key=lambda p: (order[p[1]], order[p[0]]))
@@ -659,7 +662,10 @@ def disjoint_trees_pointed(
 def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> None:
     """Replace the blue v3v0 edge by a hull-path edge when other blue edges
     cross it.  The replacement connects the two components of blue - v3v0 and
-    is unique along the hull path through the points inside conv(P)."""
+    is unique along the hull path through the points inside conv(P).  Nothing
+    to do once `check_plane` has found blue plane with v3v0 in it."""
+    if asm.deferred is None:
+        return
     e30 = Segment(pv[3], pv[0])
     crossers = [f for f in asm.blue if f != e30 and properly_cross(e30, f, ps)]
     asm.deferred = None

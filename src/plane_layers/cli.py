@@ -2,6 +2,12 @@
 
 Exit codes: 0 ok, 2 usage, 3 precondition, 4 property violation, 5 internal
 assertion (a reproducer dump is written and its path printed).
+
+Layers files, `verify --out` reports and `stats` output are written as
+`json.dumps(value, indent=2, sort_keys=True)` would write them, plus a final
+newline in files; `_json_text` produces that text directly.  A layers file
+records the point count `n`, and reading it against a point file of another
+size is a usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .centralized import build_two_disjoint_trees
 from .distributed import build_k_layers
@@ -42,19 +49,59 @@ def _load_points(path: str) -> PointSet:
     return PointSet.from_text(_read(path))
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`; `newline`
+    is the line break plus the indent of the level `value` sits at.
+
+    Lists of plain ints, and lists of such lists, are joined directly; every
+    other scalar and every key is left to `json.dumps`.  Keys must be str:
+    json would convert other keys and sort them after converting, which this
+    writer does not copy."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+            items.append(json.dumps(key) + ": " + _json_text(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        types = set(map(type, value))
+        if types == {int}:
+            items = map(str, value)
+        elif types <= {list, tuple} and all(value) and set(
+            map(type, chain.from_iterable(value))
+        ) == {int}:
+            # rows of plain ints, such as the edges of a layer
+            start, sep, end = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+            items = [start + sep.join(map(str, row)) + end for row in value]
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
+
+
 def _dump_json(path: str, payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(path, _json_text(payload) + "\n")
 
 
 def _load_layers_file(path: str, n: int) -> tuple[dict, list[list[Segment]]]:
-    """Read a layers file and check every edge is a pair of distinct ids in
-    0..n-1; anything else is a usage error."""
+    """Read a layers file against a set of n points: a recorded 'n' must be
+    n, and every edge a pair of distinct ids in 0..n-1, checked entry by
+    entry in one pass; anything else is a usage error."""
     try:
         data = json.loads(_read(path))
     except ValueError as exc:
         raise UsageError(f"{path}: not a JSON layers file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
+    if "n" in data and (type(data["n"]) is not int or data["n"] != n):
+        raise UsageError(f"{path}: 'n' is {data['n']!r} but the point file has {n} points")
     if ("red" in data) != ("blue" in data):
         raise UsageError(f"{path}: a two-tree file needs both 'red' and 'blue'")
     if "red" in data:
@@ -65,18 +112,18 @@ def _load_layers_file(path: str, n: int) -> tuple[dict, list[list[Segment]]]:
         raise UsageError(f"{path}: layers must be lists of [u, v] id pairs")
     segs = []
     for j, layer in enumerate(layers):
+        edges = []
         for entry in layer:
-            if not (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(type(v) is int for v in entry)
-            ):
+            if not (type(entry) is list and len(entry) == 2
+                    and type(entry[0]) is int and type(entry[1]) is int):
                 raise UsageError(f"{path}: layer {j}: {entry!r} is not a pair of point ids")
-            if not all(0 <= v < n for v in entry):
+            u, v = entry
+            if not (0 <= u < n and 0 <= v < n):
                 raise UsageError(f"{path}: layer {j}: edge {entry} has an id outside 0..{n - 1}")
-            if entry[0] == entry[1]:
+            if u == v:
                 raise UsageError(f"{path}: layer {j}: edge {entry} is a self-loop")
-        segs.append([Segment(u, v) for u, v in layer])
+            edges.append(Segment(u, v))
+        segs.append(edges)
     return data, segs
 
 
@@ -250,7 +297,7 @@ def cmd_stats(args) -> int:
             for c in count_layers(layers, ps).per_layer
         ],
     }
-    print(json.dumps(stats, indent=2, sort_keys=True))
+    print(_json_text(stats))
     return 0
 
 

@@ -831,13 +831,8 @@ class Certifier:
     def __init__(self, ps: PointSet, layer_set: LayerSet):
         k, q = layer_set.k, layer_set.beta_sq
         self.grid = GridIndex(ps, k, q)
-        self._incident: list[dict[int, list[Segment]]] = []
-        for layer in layer_set.layers:
-            by_end: dict[int, list[Segment]] = {}
-            for e in layer:
-                by_end.setdefault(e.a, []).append(e)
-                by_end.setdefault(e.b, []).append(e)
-            self._incident.append(by_end)
+        self._incident = [_by_endpoint(layer) for layer in layer_set.layers]
+        self._by_box: dict[Cell, list[dict[int, list[Segment]]]] = {}
         self._radius = 3 * 6 * k * math.sqrt(float(q)) * math.sqrt(2)
 
     def certify(self, p: int) -> LocalityCertificate:
@@ -866,11 +861,21 @@ class Certifier:
             ok=True,
         )
 
+    def _box_index(self, box: Cell) -> list[dict[int, list[Segment]]]:
+        """Per layer, the edges of `box`'s replayed layers by endpoint,
+        indexed once per box."""
+        if box not in self._by_box:
+            box_layers = self.grid.layers(box)
+            self._by_box[box] = [
+                _by_endpoint(box_layers.layer_edges(j)) for j in range(self.grid.k)
+            ]
+        return self._by_box[box]
+
     def _local_incident(self, p: int) -> tuple[tuple[Segment, ...], ...]:
         gi = self.grid
         home = gi.assignment[p]
         home_layers = gi.layers(home)
-        incident = [{e for e in home_layers.layer_edges(j) if e.touches(p)} for j in range(gi.k)]
+        incident = [set(by_end.get(p, ())) for by_end in self._box_index(home)]
         if gi.cell_of[p] == home and any(p in reps for reps in home_layers.reps):
             # p is an in-box representative; connectors touch it only through
             # pairs involving its box, and the rules read the cells adjacent
@@ -881,3 +886,12 @@ class Certifier:
                         if e.touches(p):
                             incident[j].add(e)
         return tuple(tuple(sorted(s)) for s in incident)
+
+
+def _by_endpoint(edges: Sequence[Segment]) -> dict[int, list[Segment]]:
+    """Each endpoint's edges, in list order."""
+    by_end: dict[int, list[Segment]] = {}
+    for e in edges:
+        by_end.setdefault(e.a, []).append(e)
+        by_end.setdefault(e.b, []).append(e)
+    return by_end

@@ -4,13 +4,15 @@
 each consecutive gap's sign (+1 below pi, -1 above pi) and `big_angle_pair`
 names the two rays bounding the gap above pi, with its own branch for
 degree 2.  The package answers the same questions with one ring scan,
-`centralized._ring`; the tests compare the two.
+`centralized._ring`; the tests compare the two.  `ring_big_angle_pair` is
+`big_angle_pair` read off that scan.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from plane_layers import centralized
 from plane_layers.errors import GeneralPositionError, InternalAssertionError
 from plane_layers.geometry import Orientation, PointSet, ccw_order_around, orientation_ids
 
@@ -65,3 +67,11 @@ def big_angle_pair(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[int, int]
         raise InternalAssertionError("gap-analysis", f"two gaps above pi at {v}")
     i = big[0]
     return (ring[i], ring[(i + 1) % len(ring)])
+
+
+def ring_big_angle_pair(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[int, int] | None:
+    """The two neighbor rays bounding the unique gap above pi at v, in ccw
+    order, or None when every gap is below pi, from `centralized._ring`.
+    Degree-1 vertices trivially have one."""
+    ring, i = centralized._ring(ps, v, nbrs)
+    return None if i is None else (ring[i], ring[(i + 1) % len(ring)])

@@ -6,7 +6,6 @@ import pytest
 from plane_layers import centralized
 from plane_layers.centralized import (
     Recoloring,
-    big_angle_pair,
     build_two_disjoint_trees,
     construction1,
     disjoint_trees_flat,
@@ -173,9 +172,9 @@ def _outcome(f, *args):
 
 
 def test_ring_matches_oracle(rng):
-    """`_ring` and `big_angle_pair` agree with the helper-by-helper oracle on
-    random stars of degree 1-8, on both turns of degree 2 and on neighbors
-    on one ray or on opposite rays, which raise."""
+    """`_ring` and the pair read off it agree with the helper-by-helper
+    oracle on random stars of degree 1-8, on both turns of degree 2 and on
+    neighbors on one ray or on opposite rays, which raise."""
     stars = [
         [(0, 0), (3, 1), (-1, 2)],  # degree 2, the gap from the first ray below pi
         [(0, 0), (1, 1), (1, -1)],  # degree 2, the gap from the first ray above pi
@@ -201,7 +200,7 @@ def test_ring_matches_oracle(rng):
         rng.shuffle(nbrs)
         expected = _outcome(_oracle_ring, ps, 0, nbrs)
         assert _outcome(centralized._ring, ps, 0, nbrs) == expected
-        assert _outcome(big_angle_pair, ps, 0, nbrs) == _outcome(
+        assert _outcome(gap_oracle.ring_big_angle_pair, ps, 0, nbrs) == _outcome(
             gap_oracle.big_angle_pair, ps, 0, nbrs
         )
         if expected is GeneralPositionError:
@@ -363,7 +362,7 @@ def test_select_p_tag_predicates_recomputed(rng):
         # the canonical conventions hold in the working orientation
         assert _cw_angle_below_pi(wps, pc.v2, pc.v3, pc.v1)
         if pc.tag.startswith("1"):
-            t1 = pc.v3 in big_angle_pair(wps, pc.v2, adj[pc.v2])
+            t1 = pc.v3 in gap_oracle.ring_big_angle_pair(wps, pc.v2, adj[pc.v2])
             assert t1 == (pc.tag in ("1a", "1b", "1c"))
             t2 = _cw_angle_below_pi(wps, pc.v1, pc.v2, pc.v0)
             assert t2 == (pc.tag in ("1a", "1d"))
@@ -422,6 +421,72 @@ def test_three_hop_repair_joins_mid_path():
     centralized._fix_three_hop_edge(asm, ps, {3: 0, 2: 1, 1: 2, 0: 3})
     assert e30 not in asm.blue and Segment(4, 5) in asm.blue
     assert asm.deferred is None
+
+
+def _repair_star(*extra):
+    """The blue edges of the repair test above, v3v0 = 0-3 deferred, with
+    `extra` added at a later stage."""
+    ps = PointSet([(0, 0), (0, 10), (10, 10), (10, 0), (3, 2), (7, 2), (5, -3)])
+    asm = centralized._Assembler(ps, "sweep")
+    asm.deferred = Segment(0, 3)
+    asm.add("blue", [Segment(0, 3), Segment(0, 4), Segment(1, 4), Segment(1, 2),
+                     Segment(3, 5)], "pointed-base")
+    asm.add("blue", extra, "extra")
+    return asm
+
+
+def test_check_plane_sweeps_blue_with_the_three_hop_edge(monkeypatch):
+    """One blue sweep with v3v0 in it: a plane blue clears the deferred
+    edge, so the repair scans nothing; a crossed v3v0 stays deferred and is
+    scanned and replaced; a crossing between two other blue edges still
+    fails, even beside a crossed v3v0."""
+    scanned = []
+
+    def spy(s1, s2, ps):
+        scanned.append(s2)
+        return properly_cross(s1, s2, ps)
+
+    monkeypatch.setattr(centralized, "properly_cross", spy)
+    pv = {3: 0, 2: 1, 1: 2, 0: 3}
+    asm = _repair_star(Segment(4, 5))
+    asm.check_plane()
+    assert asm.deferred is None
+    centralized._fix_three_hop_edge(asm, asm.ps, pv)
+    assert scanned == [] and Segment(0, 3) in asm.blue
+
+    asm = _repair_star(Segment(5, 6))  # 5-6 crosses v3v0
+    asm.check_plane()
+    assert asm.deferred == Segment(0, 3)
+    centralized._fix_three_hop_edge(asm, asm.ps, pv)
+    assert len(scanned) == 5 and Segment(0, 3) not in asm.blue and asm.deferred is None
+
+    asm = _repair_star(Segment(5, 6), Segment(0, 2))  # 0-2 crosses 1-4
+    with pytest.raises(InternalAssertionError) as err:
+        asm.check_plane()
+    assert err.value.stage == "extra"
+    assert str(err.value).endswith(
+        "sweep: blue edges Segment(a=0, b=2) and Segment(a=1, b=4) cross")
+
+
+@pytest.mark.parametrize("n", [4, 40, 200, 501])
+def test_case_one_line_build_calls_no_properly_cross(monkeypatch, n):
+    """On the near-line family (case 1b) blue is plane with v3v0 in it, and
+    the build decides that in its planarity sweep, with no crosser scan."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return properly_cross(*args)
+
+    monkeypatch.setattr(centralized, "properly_cross", spy)
+    ps = gen_line_instance(n, "0.001")
+    edges = build_emst(ps)
+    assert find_flat_vertex(edges, ps) is None
+    pc = select_P(ps, edges)
+    assert pc.tag == "1b"
+    tt = build_two_disjoint_trees(ps)
+    assert Segment(pc.v3, pc.v0) in tt.blue
+    assert calls == []
 
 
 def test_build_two_disjoint_trees_square():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -85,6 +86,87 @@ def test_gen_output_bytes_pinned(tmp_path, flags, digest):
     out = tmp_path / "p.txt"
     assert run("gen", *flags, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "gen_flags, build_flags, digests",
+    [
+        (["--kind", "line", "--n", "200"], ["--mode", "two-tree"],
+         ("80b832196793cd184c865da3e7794f29418c167b8ad15af34062c6c685216618",
+          "a1500d9897c2e6c7131cce04fa4b9f235ccc6cdd33a93d72fb716b1577a5c899",
+          "ad7a20d13a2f57346aa1e9cbf4f3bd9f7580ae21ba5c1909dd6421643d4f3c02")),
+        (["--kind", "uniform", "--n", "300"], ["--mode", "distributed", "--k", "2"],
+         ("f62646234106f8c73409babb1aec8de390b51e79c723b53eb2c74987ce11b795",
+          "c41b52c6c7c30149f3d790a0a4b6cfc2bc26e27e8886ee312844f26cf181a656",
+          "f8df7b32390aeaec5f1f04dc51a68457171dc4cdc67aef002f95bd2b3b649d47")),
+    ],
+    ids=["two-tree", "distributed"],
+)
+def test_layers_report_and_stats_bytes_pinned(tmp_path, capsys, gen_flags, build_flags, digests):
+    """The layers file, the `verify --out` report and the `stats` output keep
+    the bytes `json.dumps(indent=2, sort_keys=True)` wrote."""
+    pts, layers, report = tmp_path / "p.txt", tmp_path / "l.json", tmp_path / "r.json"
+    assert run("gen", *gen_flags, "--out", str(pts)) == 0
+    assert run("build", str(pts), *build_flags, "--out", str(layers)) == 0
+    assert run("verify", str(pts), str(layers), "--out", str(report)) == 0
+    capsys.readouterr()
+    assert run("stats", str(pts), str(layers)) == 0
+    stats = capsys.readouterr().out.encode()
+    got = tuple(hashlib.sha256(b).hexdigest()
+                for b in (layers.read_bytes(), report.read_bytes(), stats))
+    assert got == digests
+
+
+def _random_json_value(rng, depth):
+    """A random JSON payload: nested dicts and lists over ints (huge and
+    negative), bools, None, floats (inf and nan too) and strings with
+    non-ASCII characters and escapes."""
+    kind = rng.randrange(12 if depth < 4 else 7)
+    if kind == 0:
+        return rng.randint(-10, 10)
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.randrange(10 ** rng.randint(1, 60))
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([0.0, -0.0, 1e300, -2.5e-300, float("inf"), float("-inf"),
+                           float("nan"), rng.uniform(-1e6, 1e6), 1 / 3])
+    if kind in (4, 5):
+        return _random_json_text(rng)
+    if kind == 6:
+        return [rng.randint(-1000, 10 ** 20) for _ in range(rng.randint(0, 5))]
+    if kind == 7:
+        return [[rng.randint(0, 99) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 4))]
+    if kind in (8, 9):
+        return [_random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {_random_json_text(rng): _random_json_value(rng, depth + 1)
+            for _ in range(rng.randint(0, 4))}
+
+
+def _random_json_text(rng):
+    alphabet = "ab \"\\/\b\f\n\r\t\x00\x1fé€\u2028😀"
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+
+def test_json_text_matches_json_dumps():
+    rng = random.Random(16)
+    fixed = [
+        {}, [], [[]], [[], [1]], [1, True], [[1, 2], [3, False]], [[1, 2], (3, 4)],
+        {"a": [[0, 1], [2, 3]], "b": {"c": None}}, (1, 2), [1, 2.0], [[1, None]],
+        [-(10 ** 40), 0, 10 ** 40], "é\n", 7, 0.1, float("nan"), None,
+    ]
+    payloads = fixed + [_random_json_value(rng, 0) for _ in range(2000)]
+    for value in payloads:
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
+    kinds = {type(v) for v in payloads}
+    assert {dict, list, int, float, str, bool, type(None)} <= kinds
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{("a",): 1}]])
+def test_json_text_rejects_keys_that_are_not_str(value):
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._json_text(value)
 
 
 def test_build_two_tree_square(tmp_path):
@@ -322,6 +404,66 @@ def test_malformed_layer_metadata_is_usage_error(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{not json", "not a JSON layers file: Expecting property name enclosed in "
+                      "double quotes: line 1 column 2 (char 1)"),
+        ("[]", "expected a JSON object"),
+        (json.dumps({"n": 4, "layers": [[[0, 1]]]}), "'n' is 4 but the point file has 5 points"),
+        (json.dumps({"n": "5", "layers": [[[0, 1]]]}),
+         "'n' is '5' but the point file has 5 points"),
+        (json.dumps({"n": 5.0, "layers": [[[0, 1]]]}),
+         "'n' is 5.0 but the point file has 5 points"),
+        (json.dumps({"red": [[0, 1]]}), "a two-tree file needs both 'red' and 'blue'"),
+        (json.dumps({"layers": {"0": []}}), "layers must be lists of [u, v] id pairs"),
+        (json.dumps({"layers": [[[0, 1]], [7]]}), "layer 1: 7 is not a pair of point ids"),
+        (json.dumps({"red": [[0, 1]], "blue": [[0, 1, 2]]}),
+         "layer 1: [0, 1, 2] is not a pair of point ids"),
+        (json.dumps({"layers": [[["0", "1"]]]}), "layer 0: ['0', '1'] is not a pair of point ids"),
+        (json.dumps({"layers": [[[True, 1]]]}), "layer 0: [True, 1] is not a pair of point ids"),
+        (json.dumps({"layers": [[[0, 1], [-1, 3]]]}),
+         "layer 0: edge [-1, 3] has an id outside 0..4"),
+        (json.dumps({"layers": [[[0, 5]]]}), "layer 0: edge [0, 5] has an id outside 0..4"),
+        (json.dumps({"layers": [[[3, -1]]]}), "layer 0: edge [3, -1] has an id outside 0..4"),
+        (json.dumps({"layers": [[[0, 1]], [[2, 2]]]}), "layer 1: edge [2, 2] is a self-loop"),
+    ],
+)
+def test_layer_file_messages(tmp_path, capsys, content, message):
+    """Each message of the layers-file reader, word for word."""
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0 0\n1 1 0\n2 1 1\n3 0 1\n4 2 0\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    assert run("stats", str(pts), str(bad)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"usage error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["two-tree", "distributed"])
+@pytest.mark.parametrize("command", ["verify", "stats", "render"])
+def test_layers_file_of_another_point_count_is_a_usage_error(tmp_path, capsys, mode, command):
+    """A layers file built on 60 points, read against the 80-point set of
+    the same seed, exits 2 and writes nothing: neither a property
+    violation from verify nor statistics of the wrong set."""
+    small, large = tmp_path / "p60.txt", tmp_path / "p80.txt"
+    assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "1", "--out", str(small)) == 0
+    assert run("gen", "--kind", "uniform", "--n", "80", "--seed", "1", "--out", str(large)) == 0
+    layers = tmp_path / "l.json"
+    assert run("build", str(small), "--mode", mode, "--k", "1", "--out", str(layers)) == 0
+    out = tmp_path / "out"
+    argv = [command, str(large), str(layers)]
+    if command != "stats":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr() == (
+        "", f"usage error: {layers}: 'n' is 60 but the point file has 80 points\n")
+    assert not out.exists()
+    argv[1] = str(small)
+    assert run(*argv) == 0
 
 
 @pytest.mark.parametrize("kind", ["two-tree", "distributed"])

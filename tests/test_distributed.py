@@ -748,6 +748,32 @@ def test_certifier_buckets_once_and_builds_each_box_once(monkeypatch, rng):
     assert len(certifier.grid.dense) > 1
 
 
+def test_certifier_box_index_matches_the_edge_scan(rng):
+    """The certifier's endpoint index of each replayed box layer holds, for
+    every point, exactly the edges a `touches` scan of that layer finds, in
+    layer order; it is built once per box."""
+    checked = 0
+    for trial in range(10):
+        k = 1 + trial % 2
+        if trial % 3:
+            ps = random_point_set(rng, rng.randint(60, 240))
+        else:
+            rows = cluster(rng, 40, 0.0, 0.0, w=20.0) + cluster(rng, 30, 15.0, 25.0, w=10.0)
+            ps = PointSet(rows)
+        certifier = Certifier(ps, build_k_layers(ps, k))
+        for box in sorted(certifier.grid.dense):
+            index = certifier._box_index(box)
+            assert certifier._box_index(box) is index and len(index) == k
+            box_layers = certifier.grid.layers(box)
+            for j, by_end in enumerate(index):
+                edges = box_layers.layer_edges(j)
+                assert set(by_end) <= set(ps.ids)
+                for p in ps.ids:
+                    assert by_end.get(p, []) == [e for e in edges if e.touches(p)]
+                checked += len(edges)
+    assert checked > 1000
+
+
 def test_certificate_keeps_no_point_set_alive(rng):
     ps = random_point_set(rng, 60)
     ls = build_k_layers(ps, 1)
