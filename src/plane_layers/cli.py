@@ -138,9 +138,12 @@ def _beta_sq(meta: dict) -> Fraction:
     text = meta.get("betaSq")
     try:
         num, den = map(int, text.split("/"))
-        return Fraction(num, den)
+        value = Fraction(num, den)
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"layers file: 'betaSq' must be 'num/den', got {text!r}") from exc
+    if value <= 0:
+        raise UsageError(f"layers file: 'betaSq' must be positive, got {text!r}")
+    return value
 
 
 def _number_arg(flag: str, text: str) -> Fraction:
@@ -278,7 +281,14 @@ def cmd_render(args) -> int:
     meta, layers = _load_layers_file(args.layers, len(ps))
     cell = None
     if args.grid and meta.get("kind") == "distributed":
-        cell = 6 * _positive_int(meta, "k") * math.sqrt(_beta_sq(meta))
+        k, beta_sq = _positive_int(meta, "k"), _beta_sq(meta)
+        try:
+            cell = 6 * k * math.sqrt(beta_sq)
+        except OverflowError:
+            cell = math.inf
+        if not math.isfinite(cell):
+            raise UsageError("layers file: the grid's cell side 6*k*sqrt(betaSq) "
+                             "is too large for a float")
     svg = render_svg(ps, layers, cell_side=cell)
     _write(args.out, svg)
     return 0

@@ -2,20 +2,21 @@
 
 The plane is bucketed into cells of side 6*k*beta; cells holding at least 3k
 points are dense.  Every point is assigned to the nearest dense-cell center
-within two cells, each dense box extracts k layers by rotating three angular
-sectors around a depth-n/3 center point of its in-box points, assigned
-outside points attach to the representative of the sector containing them,
-and adjacent dense boxes are joined through mutually-contained
-representative pairs.
+within two cells.  Each dense box orders its assigned points clockwise
+around a depth-n/3 center point of its in-box points, once, and reads each
+of its k layers off one walk along that order: three in-box
+representatives, rotating with the layer, cut three sectors, and every
+other point joins the representative of its sector.  Adjacent dense boxes
+are joined through mutually-contained representative pairs.
 
 beta is typically the MST bottleneck, an irrational square root, yet every
 predicate stays exact and integer-only.  With q = beta^2 = N/M and the point
 set's integer grid of scale S, a cell index is an integer square root of a
 ratio of integers, and the nearer of two dense-cell centers is the sign of
 A*sqrt(N*M) - B for integers A and B, decided by comparing A^2*N*M with B^2.
-Center points, angular orders and sector tests run on integer offsets from a
-rational center (`PointSet.offsets`); Tukey depth is one angular sort and a
-linear sweep.
+Center points, the clockwise walk and sector tests run on integer offsets
+from a rational center (`PointSet.offsets`); Tukey depth is one angular sort
+and a linear sweep.
 """
 
 from __future__ import annotations
@@ -26,25 +27,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import (
-    GeneralPositionError,
-    InternalAssertionError,
-    PreconditionError,
-)
+from .errors import InternalAssertionError, PreconditionError
 from .geometry import (
-    Point,
     PointSet,
     Segment,
     angular_order,
     convex_hull,
     crossing_pairs,
-    cw_order_around,
     has_crossing,
     id_strictly_inside_polygon,
-    same_ray,
 )
 from .mst import bottleneck, build_emst
-from .unionfind import UnionFind
 from .verify import count_layers
 
 Cell = tuple[int, int]
@@ -463,118 +456,87 @@ class BoxLayers:
         return self.tree_edges[j] + self.attach_edges[j]
 
 
-def _sector_index(
-    ps: PointSet, center: tuple[Fraction, Fraction], reps: Sequence[int], target: int
-) -> int:
-    """Index of the clockwise sector containing the direction to `target`;
-    boundary rays belong to the sector they anchor."""
-    *dirs, d = ps.offsets([*reps, target], *center)
-    for i in range(3):
-        if same_ray(d, dirs[i]):
+def _sector(dirs: Sequence[tuple[int, int]], d: tuple[int, int]) -> int:
+    """Index i of the clockwise sector from ray dirs[i] up to ray dirs[i + 1]
+    (mod 3) that holds the direction d, for three directions on distinct
+    rays in clockwise order; each boundary ray belongs to the sector it
+    opens.  Exact on integer offsets: d lies before dirs[i + 1] in the
+    clockwise turn from dirs[i] when it lies in an earlier half-turn, or in
+    the same one and counterclockwise of it.  A zero d has no sector."""
+    if d == (0, 0):
+        raise InternalAssertionError("sector", "a direction from a box's center is zero")
+    for i in range(2):
+        a, b = dirs[i], dirs[i + 1]
+        hd, hb = _cw_half(a, d), _cw_half(a, b)
+        if hd < hb or (hd == hb and d[0] * b[1] - d[1] * b[0] < 0):
             return i
-    for i in range(3):
-        a, b = dirs[i], dirs[(i + 1) % 3]
-        if _strictly_inside_cw(a, b, d):
-            return i
-    raise InternalAssertionError(
-        "sector", f"direction of {target} escaped all three sectors"
-    )
+    return 2
 
 
-def _strictly_inside_cw(a, b, d) -> bool:
-    """Strict membership of d in the sector swept clockwise from ray a to
-    ray b (equivalently counterclockwise from b to a)."""
-    c = b[0] * a[1] - b[1] * a[0]  # ccw span sign from b to a
-    if c == 0:
-        if a[0] * b[0] + a[1] * b[1] > 0:
-            raise GeneralPositionError("sector boundary rays coincide")
-        # opposite rays: the sector is the closed-left halfplane of b=(-a)
-        return a[0] * d[1] - a[1] * d[0] < 0
-    inside_convex = (
-        lambda x: (b[0] * x[1] - b[1] * x[0]) > 0 and (x[0] * a[1] - x[1] * a[0]) > 0
-    )
-    if c > 0:
-        return inside_convex(d)
-    return not (
-        (a[0] * d[1] - a[1] * d[0]) >= 0 and (d[0] * b[1] - d[1] * b[0]) >= 0
-    )
+def _cw_half(a: tuple[int, int], v: tuple[int, int]) -> int:
+    """0 when v lies in the half-turn [0, pi) clockwise from ray a, else 1."""
+    c = a[0] * v[1] - a[1] * v[0]
+    return 0 if c < 0 or (c == 0 and a[0] * v[0] + a[1] * v[1] > 0) else 1
+
+
+def _spans_reflex(dirs: Sequence[tuple[int, int]]) -> bool:
+    """A clockwise sector between consecutive directions of `dirs` opens
+    beyond pi: the clockwise turn from a to b exceeds pi exactly when
+    cross(a, b) > 0."""
+    return any(a[0] * b[1] - a[1] * b[0] > 0 for a, b in zip(dirs, [*dirs[1:], dirs[0]]))
 
 
 def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
-    """Extract k rotated-sector layers for one dense box: in-box points are
-    numbered clockwise around the center point; layer j uses representatives
-    j, floor(m/3)+j, floor(2m/3)+j; everyone else joins its sector anchor.
-    Of the grid it reads only `ps`, `k`, `gi.cells[box]` and
-    `gi.assigned_to(box)`."""
+    """Extract k rotated-sector layers for one dense box in one clockwise
+    walk per layer around its center point.
+
+    The points assigned to the box are ordered clockwise around the center
+    once.  Layer j takes the in-box points of ranks j, floor(m/3)+j and
+    floor(2m/3)+j in that order as its representatives and walks the order
+    from just past the first: each point joins the current representative,
+    and a representative then becomes the current one.  In-box points give
+    the star and chain edges, the others the attachments.  The walk places
+    every point in its sector exactly, since no two assigned points share a
+    ray from the center (`center_point`).  Where a sector opens beyond pi,
+    the layer's planarity is checked outright.  Of the grid it reads only
+    `ps`, `k`, `gi.cells[box]`, `gi.cell_of` and `gi.assigned_to(box)`."""
     ps, k = gi.ps, gi.k
-    members = list(gi.cells[box])
+    members = gi.cells[box]
     m = len(members)
     if m < 3 * k:
         raise PreconditionError(f"box {box} holds {m} < 3k points")
     assigned = gi.assigned_to(box)
     center = center_point(members, ps, ray_ids=assigned)
-    cx, cy = center
-    order = cw_order_around(Point(-1, cx, cy), members, ps)
-    member_set = set(members)
-    sparse = [p for p in assigned if p not in member_set]
+    offsets = ps.offsets(assigned, *center)
+    order = angular_order([(dx, -dy) for dx, dy in offsets])  # mirrored: clockwise
+    ids = [assigned[i] for i in order]
+    dirs = [offsets[i] for i in order]
+    in_box = [gi.cell_of[p] == box for p in ids]
+    ranks = [t for t, inside in enumerate(in_box) if inside]
     all_reps: list[tuple[int, int, int]] = []
     tree_edges: list[list[Segment]] = []
     attach_edges: list[list[Segment]] = []
-    third, two_thirds = m // 3, (2 * m) // 3
     for j in range(k):
-        reps = (
-            order[j % m],
-            order[(third + j) % m],
-            order[(two_thirds + j) % m],
-        )
+        at = (ranks[j], ranks[m // 3 + j], ranks[(2 * m) // 3 + j])
+        reps = tuple(ids[t] for t in at)
+        tree, attach = [], []
+        current = reps[0]
+        for t in [*range(at[0] + 1, len(ids)), *range(at[0])]:
+            (tree if in_box[t] else attach).append(Segment(ids[t], current))
+            if t in at:
+                current = ids[t]
         all_reps.append(reps)
-        edges = []
-        for t in range(1, m):
-            p = order[(j + t) % m]
-            if t <= third:
-                anchor = reps[0]
-            elif t <= two_thirds:
-                anchor = reps[1]
-            else:
-                anchor = reps[2]
-            edges.append(Segment(p, anchor))
-        tree_edges.append(sorted(edges))
-        attach = [
-            Segment(qpt, reps[_sector_index(ps, center, reps, qpt)]) for qpt in sparse
-        ]
+        tree_edges.append(sorted(tree))
         attach_edges.append(sorted(attach))
-    bl = BoxLayers(box, center, all_reps, tree_edges, attach_edges)
-    _check_sector_convexity(ps, bl, k)
-    return bl
-
-
-def _sector_spans_reflex(
-    ps: PointSet, center: tuple[Fraction, Fraction], reps: Sequence[int]
-) -> bool:
-    dirs = ps.offsets(reps, *center)
-    for i in range(3):
-        a, b = dirs[i], dirs[(i + 1) % 3]
-        # clockwise span from a to b above pi <=> cross(a, b) > 0
-        if a[0] * b[1] - a[1] * b[0] > 0:
-            return True
-    return False
-
-
-def _check_sector_convexity(ps: PointSet, bl: BoxLayers, k: int) -> None:
-    """Convex (<= pi) sectors make the per-box layers plane by construction.
-    A ceiling-depth center guarantees that; when the floor-depth fallback
-    leaves a sector open beyond pi, fall back to checking the layer's
-    planarity outright."""
-    for j in range(k):
-        if not _sector_spans_reflex(ps, bl.center, bl.reps[j]):
-            continue
-        bad = crossing_pairs(bl.layer_edges(j), ps)
-        if bad:
-            raise InternalAssertionError(
-                "box-planarity",
-                f"box {bl.box} layer {j}: crossing pairs {bad[:3]} "
-                "behind a sector spanning above pi",
-            )
+        if _spans_reflex([dirs[t] for t in at]):
+            bad = crossing_pairs(tree_edges[j] + attach_edges[j], ps)
+            if bad:
+                raise InternalAssertionError(
+                    "box-planarity",
+                    f"box {box} layer {j}: crossing pairs {bad[:3]} "
+                    "behind a sector spanning above pi",
+                )
+    return BoxLayers(box, center, all_reps, tree_edges, attach_edges)
 
 
 # --- connectors -------------------------------------------------------------
@@ -614,16 +576,16 @@ def _pick_connector(
     lexicographic scan order, skipping edges already taken by earlier layers
     of this box pair."""
     ra, rb = la.reps[j], lb.reps[j]
+    from_a = ps.offsets([*ra, *rb], *la.center)  # a's rays, then b's representatives
+    from_b = ps.offsets([*rb, *ra], *lb.center)
     for ia in range(3):
-        p = ra[ia]
         for ib in range(3):
-            qpt = rb[ib]
-            e = Segment(p, qpt)
+            e = Segment(ra[ia], rb[ib])
             if e in used:
                 continue
             if (
-                _sector_index(ps, lb.center, rb, p) == ib
-                and _sector_index(ps, la.center, ra, qpt) == ia
+                _sector(from_b[:3], from_b[3 + ia]) == ib
+                and _sector(from_a[:3], from_a[3 + ib]) == ia
             ):
                 return e
     raise InternalAssertionError(
@@ -766,12 +728,15 @@ def _convex_hulls_intersect(ps: PointSet, ha: list[int], hb: list[int]) -> bool:
 
 
 def _assert_eight_neighbor_connected(gi: GridIndex) -> None:
-    boxes = sorted(gi.dense)
-    uf = UnionFind(boxes)
-    for a in boxes:
-        for b in _dense_near(gi.dense, a, radius=1):
-            uf.union(a, b)
-    if uf.component_count() != 1:
+    """A breadth-first search over 8-neighbour dense boxes reaches them all."""
+    reached = [min(gi.dense)]
+    seen = set(reached)
+    for box in reached:  # the list grows while it is read
+        for b in _dense_near(gi.dense, box, radius=1):
+            if b not in seen:
+                seen.add(b)
+                reached.append(b)
+    if len(reached) != len(gi.dense):
         raise InternalAssertionError(
             "eight-neighbor", "dense boxes are not 8-neighbor connected"
         )

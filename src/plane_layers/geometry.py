@@ -600,36 +600,11 @@ def angular_order(vecs: Sequence[tuple[int, int]]) -> list[int]:
     return order
 
 
-def _by_angle(pivot: Point | int, ids: Sequence[int], ps: PointSet, mirror: bool) -> list[int]:
-    """Ids by the angle of their offsets from the pivot, a point or the id of
-    a point of the set; `mirror` flips y, giving clockwise order."""
-    if isinstance(pivot, Point):
-        vecs = ps.offsets(ids, pivot.x, pivot.y)
-    else:
-        vecs = ps.offsets(ids, *ps.scaled(pivot), ps.scale)
-    for i, (dx, dy) in zip(ids, vecs):
-        if dx == 0 and dy == 0:
-            raise PreconditionError(f"pivot coincides with point {i}")
-    if mirror:
-        vecs = [(dx, -dy) for dx, dy in vecs]
+def ccw_order_around(pivot: int, ids: Sequence[int], ps: PointSet) -> list[int]:
+    """Ids sorted counterclockwise by angle from the positive x-axis at the
+    point `pivot` of the set."""
+    if pivot in ids:
+        raise PreconditionError(f"pivot coincides with point {pivot}")
+    vecs = ps.offsets(ids, *ps.scaled(pivot), ps.scale)
     return [ids[k] for k in angular_order(vecs)]
 
-
-def ccw_order_around(pivot: Point | int, ids: Sequence[int], ps: PointSet) -> list[int]:
-    """Ids sorted counterclockwise by angle from the positive x-axis at the
-    pivot (a point, or the id of a point of the set)."""
-    return _by_angle(pivot, ids, ps, mirror=False)
-
-
-def cw_order_around(pivot: Point | int, ids: Sequence[int], ps: PointSet) -> list[int]:
-    """Ids sorted clockwise by angle from the positive x-axis at the pivot
-    (a point, or the id of a point of the set)."""
-    return _by_angle(pivot, ids, ps, mirror=True)
-
-
-def same_ray(d1: tuple, d2: tuple) -> bool:
-    """Both direction vectors point the same way from a shared apex."""
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    if cross != 0:
-        return False
-    return d1[0] * d2[0] + d1[1] * d2[1] > 0

@@ -25,7 +25,7 @@ The kernels are flat integer loops over the two coordinate lists of
 u*n + v and writes its predicates out as integer arithmetic, and Kruskal
 sorts one int per edge, len^2 * n^2 + a*n + b, which orders exactly like
 (len^2, a, b) since a*n + b < n^2.  The insertion order stays lexicographic,
-which keeps the flips linear on convex position (see `delaunay_triangles`).
+which keeps the flips linear on convex position (see `_triangulate`).
 
 The tree is computed once per point set: `build_emst` keeps it on the
 `PointSet` and returns a copy on every call, so the build, `verify`, the
@@ -65,7 +65,27 @@ def _triangulate(xs: list[int], ys: list[int]) -> dict[int, int]:
     """The exact Delaunay triangulation of the grid points (xs[i], ys[i]) as
     a map from the directed edge u->v, keyed u*n + v, to the third vertex of
     its ccw triangle; {} when there are fewer than three points or all are
-    collinear.  See `delaunay_triangles`."""
+    collinear.  Its edges are the EMST candidates wherever the grid's short
+    pairs decline (see `build_emst`).
+
+    Points are inserted in lexicographic (x, y) order, so each new point
+    lies strictly outside the hull of the earlier ones and sees the previous
+    point: the hull edges it sees are found by walking the ccw hull ring out
+    from there, with no point location.  Lawson flips then restore the
+    empty-circumcircle property, flipping only when the new point is
+    strictly inside (incircle determinant > 0).  Both predicates are inlined
+    as integer arithmetic.  The sort costs O(n log n) and the hull walks
+    O(n) in all; the flips are O(n^2) in the worst case.  Measured per
+    point: none on the parabola (i, i^2), 4.6 at uniform n=500 rising to 10
+    at n=51200 (about log n), and about 0.47*sqrt(n) on a full
+    sqrt(n) x sqrt(n) lattice (38 at 80 x 80).
+
+    The insertion stays lexicographic because of points in convex
+    position.  A prototype that inserted by distance from a seed point
+    (S-hull order, with an integer angle hash for the hull) built the
+    uniform n=500 EMST about 20% faster and a 60x60 lattice in 63 ms
+    instead of 305 ms, but made the flips quadratic on the parabola: about
+    0.4*n flips per point, so 2000 points took 3.9 s instead of 26 ms."""
     n = len(xs)
     if n < 3:
         return {}
@@ -166,46 +186,10 @@ def _triangulate(xs: list[int], ys: list[int]) -> dict[int, int]:
     return opp
 
 
-def delaunay_triangles(ps: PointSet) -> list[tuple[int, int, int]]:
-    """Exact Delaunay triangulation, as ccw id triples starting at their
-    smallest id, sorted; [] when there are fewer than three points or all are
-    collinear.  Its edges are the EMST candidates wherever the grid's short
-    pairs decline (see `build_emst`).
-
-    Points are inserted in lexicographic (x, y) order of their grid
-    coordinates, so each new point lies strictly outside the hull of the
-    earlier ones and sees the previous point: the hull edges it sees are
-    found by walking the ccw hull ring out from there, with no point
-    location.  Lawson flips then restore the empty-circumcircle property,
-    flipping only when the new point is strictly inside (incircle
-    determinant > 0).  The kernel reads the point set's two grid-integer
-    lists (`PointSet.grid`), inlines both predicates as integer arithmetic
-    and keys each directed edge u->v by the one int u*n + v.  The sort costs
-    O(n log n) and the hull walks O(n) in all; the flips are O(n^2) in the
-    worst case.  Measured per point: none on the parabola (i, i^2), 4.6 at
-    uniform n=500 rising to 10 at n=51200 (about log n), and about
-    0.47*sqrt(n) on a full sqrt(n) x sqrt(n) lattice (38 at 80 x 80).
-
-    The insertion stays lexicographic because of points in convex
-    position.  A prototype that inserted by distance from a seed point
-    (S-hull order, with an integer angle hash for the hull) built the
-    uniform n=500 EMST about 20% faster and a 60x60 lattice in 63 ms
-    instead of 305 ms, but made the flips quadratic on the parabola: about
-    0.4*n flips per point, so 2000 points took 3.9 s instead of 26 ms.
-    """
-    n = len(ps)
-    tris = []
-    for key, c in _triangulate(*ps.grid).items():
-        a, b = divmod(key, n)
-        if a < b and a < c:
-            tris.append((a, b, c))
-    return sorted(tris)
-
-
 def build_emst(ps: PointSet) -> list[Segment]:
     """Euclidean MST: one Kruskal over candidate edges that contain it, the
     grid's short pairs (`_grid_tree`) on spread-out points and the O(n)
-    edges of the exact Delaunay triangulation (`delaunay_triangles`)
+    edges of the exact Delaunay triangulation (`_triangulate`)
     wherever the grid declines.
 
     Edges are ordered by (squared length, min id, max id), a strict total

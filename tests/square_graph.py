@@ -17,8 +17,13 @@ from itertools import combinations
 from typing import Sequence
 
 from plane_layers.errors import GeneralPositionError, PreconditionError, UsageError
-from plane_layers.geometry import PointSet, Segment, ccw_order_around, cross_sign, same_ray
+from plane_layers.geometry import PointSet, Segment, ccw_order_around, cross_sign
 from plane_layers.mst import RootedMst
+
+
+def same_ray(d1: tuple, d2: tuple) -> bool:
+    """Both direction vectors point the same way from a shared apex."""
+    return d1[0] * d2[1] == d1[1] * d2[0] and d1[0] * d2[0] + d1[1] * d2[1] > 0
 
 
 def strictly_inside_cone(da: tuple, db: tuple, d: tuple) -> bool:

@@ -18,11 +18,11 @@ from plane_layers.centralized import (
 from plane_layers.errors import GeneralPositionError, InternalAssertionError, PreconditionError
 from plane_layers.geometry import PointSet, Segment, properly_cross
 from plane_layers.mst import adjacency, bottleneck, build_emst, root_at_leaf
-from plane_layers.unionfind import UnionFind
 from plane_layers.verify import gen_line_instance, verify_layers
 
 import gap_oracle
 from conftest import count_tree_computations, random_point_set
+from unionfind import UnionFind
 
 
 def rooted_mst(ps, root=None):

@@ -303,6 +303,33 @@ def test_render_two_tree_and_grid(tmp_path):
     assert "#cccccc" in svg2.read_text()  # grid lines present
 
 
+@pytest.mark.parametrize(
+    "beta_sq, message",
+    [("-1/1", "'betaSq' must be positive, got '-1/1'"),
+     ("0/1", "'betaSq' must be positive, got '0/1'"),
+     (f"{10**400}/1", "the grid's cell side 6*k*sqrt(betaSq) is too large for a float")],
+    ids=["negative", "zero", "huge"],
+)
+def test_malformed_beta_sq_is_a_usage_error(tmp_path, capsys, beta_sq, message):
+    """A betaSq of zero or below fails `verify` and `render --grid` with exit
+    2, as one too large for the grid's float cell side fails `render --grid`;
+    `stats` ignores betaSq."""
+    pts, layers = tmp_path / "p.txt", tmp_path / "l.json"
+    assert run("gen", "--kind", "uniform", "--n", "300", "--seed", "1", "--out", str(pts)) == 0
+    assert run("build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(layers)) == 0
+    data = json.loads(layers.read_text())
+    data["betaSq"] = beta_sq
+    layers.write_text(json.dumps(data))
+    capsys.readouterr()
+    render = ["render", str(pts), str(layers), "--grid", "--out", str(tmp_path / "x.svg")]
+    for argv, code in ((["verify", str(pts), str(layers)], 0 if "float" in message else 2),
+                       (render, 2), (["stats", str(pts), str(layers)], 0)):
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert err == (f"usage error: layers file: {message}\n" if code else "")
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_render_empty_layers(tmp_path):
     pts = tmp_path / "p.txt"
     pts.write_text("0 0 0\n1 1 0\n")

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import weakref
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
@@ -40,10 +41,11 @@ from plane_layers.geometry import (
     properly_cross,
 )
 from plane_layers.mst import bottleneck, build_emst
-from plane_layers.unionfind import UnionFind
 from plane_layers.verify import verify_layers
 
 from conftest import acceptance_k_layer_instances, count_tree_computations, random_point_set
+from sector_oracle import clockwise_around, index_star_layers, sector_index, strictly_inside_cw
+from unionfind import UnionFind
 
 
 def cluster(rng, n, x0, y0, w=4.0):
@@ -540,6 +542,71 @@ def test_layers_in_box_random_dense(rng):
             seen.add(e)
 
 
+def test_sector_matches_the_per_sector_oracle():
+    """`_sector` agrees with `sector_index` on random representative triples
+    around rational centers: convex triples, a reflex sector, opposite rays,
+    directions on a representative's ray or opposite it, and the center
+    itself, which both rules reject with `[sector]`; `_spans_reflex` finds
+    exactly the triples with a sector beyond pi."""
+    rng = random.Random(1717)
+    kinds = Counter()
+    for _ in range(1000):
+        c = (Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7))),
+             Fraction(rng.randint(-30, 30), rng.choice((1, 4, 5))))
+        coords = [(Fraction(rng.randint(-40, 40)), Fraction(rng.randint(-40, 40)))
+                  for _ in range(3)]
+        if rng.random() < 0.25:  # the second representative opposite the first
+            coords[1] = tuple(2 * ci - a for ci, a in zip(c, coords[0]))
+        for a in coords[:3]:
+            for s in (Fraction(1, 2), 3, -1, Fraction(-5, 2)):  # on a ray, or opposite
+                coords.append(tuple(ci + s * (ai - ci) for ci, ai in zip(c, a)))
+        coords += [c] + [(Fraction(rng.randint(-40, 40)), Fraction(rng.randint(-40, 40)))
+                         for _ in range(8)]
+        coords = list(dict.fromkeys(coords))
+        if len(coords) < 4 or c in coords[:3]:
+            continue
+        ps = PointSet(coords)
+        reps = clockwise_around(c, [0, 1, 2], ps)
+        dirs = ps.offsets(reps, *c)
+        if distributed._rays_collide(dirs):
+            continue
+        sectors = list(zip(dirs, dirs[1:] + dirs[:1]))
+        # a sector spans beyond pi when the ray opposite its first one lies inside it
+        reflex = any(strictly_inside_cw(a, b, (-a[0], -a[1])) for a, b in sectors)
+        assert distributed._spans_reflex(dirs) == reflex
+        opposite = any(a[0] * b[1] == a[1] * b[0] for a, b in sectors)
+        kinds["reflex" if reflex else "opposite" if opposite else "convex"] += 1
+        for t in ps.ids:
+            d = ps.offsets([t], *c)[0]
+            if d == (0, 0):
+                kinds["zero"] += 1
+                for rule in (lambda: distributed._sector(dirs, d),
+                             lambda: sector_index(ps, c, reps, t)):
+                    with pytest.raises(InternalAssertionError) as info:
+                        rule()
+                    assert info.value.stage == "sector"
+                continue
+            on_ray = any(a[0] * d[1] == a[1] * d[0] for a in dirs)
+            kinds["on a ray or opposite" if on_ray else "inside"] += 1
+            assert distributed._sector(dirs, d) == sector_index(ps, c, reps, t)
+    assert min(kinds.values()) > 100, kinds
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_box_walk_matches_the_index_star(k):
+    """Every box of clustered sets, with its points outside the box: the
+    walk gives the index-based star and the per-point attachments."""
+    rng = random.Random(90 + k)
+    sparse = 0
+    for _ in range(15):
+        ps = clustered_point_set(rng, 200)
+        gi = grid_partition(ps, k, bottleneck(build_emst(ps), ps).length_sq)
+        for box in sorted(gi.dense):
+            assert layers_in_box(box, gi) == index_star_layers(box, gi)
+            sparse += len(gi.assigned_to(box)) - len(gi.cells[box])
+    assert sparse >= 15
+
+
 def test_connect_boxes_horizontal_pair(rng):
     k = 1
     rows = cluster(rng, 5, 1.0, 1.0) + cluster(rng, 5, 7.5, 1.0)
@@ -968,11 +1035,11 @@ def _inject_box_fault(monkeypatch, stage, ps):
     elif stage == "center-point":  # no candidate is deep, and the region is empty
         monkeypatch.setattr(distributed, "tukey_depth", lambda *args, **kwargs: 0)
         monkeypatch.setattr(distributed, "_depth_region", lambda *args: [])
-    elif stage == "sector":  # no direction falls in any sector
-        monkeypatch.setattr(distributed, "same_ray", lambda *args: False)
-        monkeypatch.setattr(distributed, "_strictly_inside_cw", lambda *args: False)
+    elif stage == "sector":  # every representative seems to lie on its neighbour's center
+        sector = distributed._sector
+        monkeypatch.setattr(distributed, "_sector", lambda dirs, d: sector(dirs, (0, 0)))
     elif stage == "box-planarity":  # every sector opens beyond pi over a crossing
-        monkeypatch.setattr(distributed, "_sector_spans_reflex", lambda *args: True)
+        monkeypatch.setattr(distributed, "_spans_reflex", lambda dirs: True)
         monkeypatch.setattr(distributed, "crossing_pairs", lambda edges, ps: [tuple(edges[:2])])
 
 

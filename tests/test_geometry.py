@@ -21,7 +21,6 @@ from plane_layers.geometry import (
     _all_crossing_pairs,
     crossing_pairs,
     cross_sign,
-    cw_order_around,
     has_crossing,
     id_strictly_inside_polygon,
     orientation,
@@ -201,26 +200,27 @@ def test_convex_hull_matches_brute_force(rng):
 
 def test_ccw_order_cardinal_directions():
     ps = PointSet([(5, 5), (6, 5), (5, 6), (4, 5), (5, 4)])
-    out = ccw_order_around(ps.point(0), [1, 2, 3, 4], ps)
+    out = ccw_order_around(0, [1, 2, 3, 4], ps)
     assert out == [1, 2, 3, 4]  # E, N, W, S
+    with pytest.raises(PreconditionError, match="pivot coincides with point 0"):
+        ccw_order_around(0, [1, 0], ps)
 
 
 def test_ccw_order_same_ray_tiebreak():
     ps = PointSet([(0, 0), (2, 2), (1, 1)])
-    out = ccw_order_around(ps.point(0), [1, 2], ps)
+    out = ccw_order_around(0, [1, 2], ps)
     assert out == [2, 1]  # nearer point first
 
 
 def test_ccw_order_matches_atan2_oracle(rng):
     for _ in range(30):
         ps = random_point_set(rng, 9, extent=100)
-        pivot = ps.point(0)
         ids = list(range(1, 9))
-        got = ccw_order_around(pivot, ids, ps)
+        got = ccw_order_around(0, ids, ps)
 
         def key(i):
-            dx = float(ps.x(i) - pivot.x)
-            dy = float(ps.y(i) - pivot.y)
+            dx = float(ps.x(i) - ps.x(0))
+            dy = float(ps.y(i) - ps.y(0))
             ang = math.atan2(dy, dx) % (2 * math.pi)
             return (ang, dx * dx + dy * dy, i)
 
@@ -301,10 +301,10 @@ def test_angular_order_matches_comparator_oracle(monkeypatch):
     assert keyed > 300 and repaired > 100 and overflowed == 40
 
 
-def fraction_order_around(pivot, ids, ps, mirror):
-    """Angular order on exact `Fraction` differences from the pivot: the
-    comparator that the integer offsets replaced."""
-    dirs = {i: (ps.x(i) - pivot.x, ps.y(i) - pivot.y) for i in ids}
+def fraction_order_around(px, py, ids, ps, mirror):
+    """Angular order on exact `Fraction` differences from the pivot (px, py):
+    the comparator that the integer offsets replaced."""
+    dirs = {i: (ps.x(i) - px, ps.y(i) - py) for i in ids}
 
     def half(d):
         dx, dy = d[0], -d[1] if mirror else d[1]
@@ -328,6 +328,9 @@ def fraction_order_around(pivot, ids, ps, mirror):
 
 
 def test_orders_around_rational_pivots_match_fraction_comparator():
+    """The clockwise order of the integer offsets from a rational pivot, the
+    one `layers_in_box` walks, and the counterclockwise order around a point
+    of the set agree with the comparator on exact Fraction differences."""
     rng = random.Random(44)
     for trial in range(400):
         den = rng.choice((1, 2, 4, 10))  # points on a small grid: many shared rays
@@ -336,21 +339,21 @@ def test_orders_around_rational_pivots_match_fraction_comparator():
         ps = PointSet(sorted(pts))
         ids = list(ps.ids)
         rng.shuffle(ids)
-        pivot = pt(-1, Fraction(rng.randint(-20, 20), rng.choice((1, 3, 7, 10))),
-                   Fraction(rng.randint(-20, 20), rng.choice((1, 2, 9))))
-        if (pivot.x, pivot.y) in pts:
+        px = Fraction(rng.randint(-20, 20), rng.choice((1, 3, 7, 10)))
+        py = Fraction(rng.randint(-20, 20), rng.choice((1, 2, 9)))
+        if (px, py) in pts:
             continue
-        assert cw_order_around(pivot, ids, ps) == fraction_order_around(pivot, ids, ps, True)
-        assert ccw_order_around(pivot, ids, ps) == fraction_order_around(pivot, ids, ps, False)
-        # the same orders with a point of the set as pivot, on grid offsets
+        offsets = ps.offsets(ids, px, py)
+        cw = [ids[k] for k in geometry.angular_order([(dx, -dy) for dx, dy in offsets])]
+        assert cw == fraction_order_around(px, py, ids, ps, True)
+        ccw = [ids[k] for k in geometry.angular_order(offsets)]
+        assert ccw == fraction_order_around(px, py, ids, ps, False)
+        # the counterclockwise order with a point of the set as pivot, on grid offsets
         v = ids[0]
         others = ids[1:]
         assert ps.offsets(others, *ps.scaled(v), ps.scale) == ps.offsets(others, ps.x(v), ps.y(v))
         assert ccw_order_around(v, others, ps) == fraction_order_around(
-            ps.point(v), others, ps, False
-        )
-        assert cw_order_around(v, others, ps) == fraction_order_around(
-            ps.point(v), others, ps, True
+            ps.x(v), ps.y(v), others, ps, False
         )
         hull = convex_hull(ids, ps)
         for q in ids:  # hull vertices are never strictly inside

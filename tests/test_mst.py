@@ -9,8 +9,7 @@ from plane_layers import mst
 from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
-from plane_layers.mst import bottleneck, build_emst, delaunay_triangles, root_at_leaf
-from plane_layers.unionfind import UnionFind
+from plane_layers.mst import bottleneck, build_emst, root_at_leaf
 from plane_layers.verify import gen_line_instance, verify_layers
 
 from conftest import (
@@ -31,6 +30,16 @@ from square_graph import (
     neighbors_stay_in_wedge,
     parse_tree,
 )
+from unionfind import UnionFind
+
+
+def delaunay_triangles(ps):
+    """The exact Delaunay triangulation of `mst._triangulate`, as ccw id
+    triples starting at their smallest id, sorted; [] when there are fewer
+    than three points or all are collinear."""
+    n = len(ps)
+    return sorted((a, b, c) for key, c in mst._triangulate(*ps.grid).items()
+                  for a, b in [divmod(key, n)] if a < b and a < c)
 
 
 def prim_emst(ps):

@@ -14,7 +14,6 @@ from plane_layers.geometry import (
     has_crossing,
 )
 from plane_layers.mst import build_emst, root_at_leaf
-from plane_layers.unionfind import UnionFind
 from plane_layers.verify import (
     LayerCount,
     LayerCounts,
@@ -25,6 +24,7 @@ from plane_layers.verify import (
 )
 
 from conftest import collinear_triple, random_edge_mutation, random_point_set
+from unionfind import UnionFind
 
 
 def test_verify_construction1_output(rng):

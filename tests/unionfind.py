@@ -1,4 +1,4 @@
-"""Small union-find used by the spanning and connectivity checks."""
+"""Small union-find: the tests' oracle for spanning and connectivity checks."""
 
 from __future__ import annotations
 
