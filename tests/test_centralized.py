@@ -701,6 +701,214 @@ def test_pointed_output_per_hull_layout(coords, tag, red, blue):
     assert [e.as_pair() for e in tt.blue] == blue
 
 
+# One seeded instance per branch the hull-layout goldens above leave out:
+# cases 1c-1f, and every tag on the mirrored side (a mirrored 2b cannot
+# occur).  Each was found by scanning seeded sets of 4-14 distinct points on
+# 10 x 10, 100 x 100 and 1000 x 1000 integer grids (the seed is named per
+# case); each pins the path, the mirroring and both finished trees.
+BRANCH_GOLDENS = [
+    # seed 1096
+    ("1a", True, (12, 11, 8, 6),
+        [
+         (10, 38), (12, 34), (13, 76), (14, 11), (15, 53), (19, 49), (26, 87), (34, 0),
+         (52, 68), (56, 27), (59, 25), (61, 70), (64, 93), (83, 2),
+        ],
+        [
+         (0, 5), (1, 3), (1, 5), (1, 7), (2, 4), (2, 5), (2, 8), (6, 8), (7, 9), (7, 10),
+         (8, 12), (10, 13), (11, 12),
+        ],
+        [
+         (0, 1), (0, 3), (0, 4), (2, 6), (3, 7), (3, 9), (4, 5), (4, 6), (6, 11), (6, 12),
+         (8, 11), (9, 10), (9, 13),
+        ]),
+    # seed 38
+    ("1b", True, (0, 1, 2, 3),
+        [
+         (8, 46), (21, 75), (28, 78), (34, 90), (42, 79), (44, 41), (47, 5), (54, 96),
+         (60, 97), (74, 51), (77, 85), (89, 59), (92, 13), (93, 39),
+        ],
+        [
+         (0, 1), (1, 2), (2, 3), (2, 4), (4, 7), (4, 8), (5, 6), (5, 11), (8, 10), (8, 11),
+         (9, 11), (11, 12), (11, 13),
+        ],
+        [
+         (0, 2), (0, 3), (1, 3), (3, 4), (3, 7), (5, 9), (6, 9), (7, 8), (7, 10), (9, 10),
+         (10, 11), (10, 13), (12, 13),
+        ]),
+    # seed 22210
+    ("1c", False, (3, 5, 6, 7),
+        [
+         (73, 669), (88, 828), (158, 591), (168, 439), (223, 755), (255, 465), (274, 549),
+         (315, 532), (342, 905), (591, 650), (599, 611), (614, 435), (722, 81), (869, 307),
+        ],
+        [
+         (0, 2), (1, 2), (1, 4), (1, 8), (2, 5), (3, 5), (5, 6), (6, 7), (6, 10), (9, 10),
+         (10, 11), (10, 13), (12, 13),
+        ],
+        [
+         (0, 1), (0, 4), (0, 6), (2, 6), (3, 6), (3, 7), (4, 8), (5, 7), (7, 9), (7, 10),
+         (7, 11), (11, 12), (11, 13),
+        ]),
+    # seed 13867
+    ("1c", True, (5, 2, 1, 0),
+        [
+         (65, 154), (97, 354), (188, 321), (226, 751), (244, 37), (288, 305), (508, 128),
+         (534, 799), (610, 824), (642, 128), (827, 277), (900, 457), (916, 352), (927, 284),
+        ],
+        [
+         (0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (3, 7), (3, 8), (4, 6), (4, 9), (9, 10),
+         (9, 13), (11, 13), (12, 13),
+        ],
+        [
+         (0, 2), (0, 4), (0, 5), (0, 6), (1, 3), (1, 5), (1, 7), (6, 9), (6, 10), (7, 8),
+         (10, 12), (10, 13), (11, 12),
+        ]),
+    # seed 6770
+    ("1d", False, (7, 1, 0, 2),
+        [
+         (0, 1), (0, 3), (1, 0), (1, 6), (2, 0), (2, 7), (3, 0), (3, 3), (3, 7), (4, 0),
+         (5, 0), (7, 1), (8, 0), (9, 0),
+        ],
+        [
+         (0, 2), (0, 4), (0, 7), (1, 3), (1, 5), (1, 7), (4, 6), (4, 9), (5, 8), (9, 10),
+         (9, 11), (11, 12), (11, 13),
+        ],
+        [
+         (0, 1), (1, 2), (2, 4), (2, 6), (2, 7), (3, 5), (3, 7), (3, 8), (6, 9), (6, 10),
+         (10, 11), (10, 12), (12, 13),
+        ]),
+    # seed 7887
+    ("1d", True, (3, 0, 1, 4),
+        [
+         (17, 50), (24, 75), (26, 33), (39, 51), (39, 88), (44, 82), (51, 93), (54, 25),
+         (59, 2), (64, 83), (68, 60), (77, 57), (85, 44), (91, 20),
+        ],
+        [
+         (0, 2), (0, 3), (0, 7), (1, 3), (1, 4), (1, 5), (1, 6), (6, 9), (6, 10), (7, 8),
+         (10, 11), (10, 12), (12, 13),
+        ],
+        [
+         (0, 1), (0, 4), (2, 3), (2, 7), (2, 8), (3, 4), (4, 5), (4, 6), (4, 9), (9, 10),
+         (9, 11), (11, 12), (11, 13),
+        ]),
+    # seed 2315
+    ("1e", False, (0, 3, 1, 2),
+        [
+         (3, 17), (10, 48), (14, 70), (21, 28), (25, 90), (27, 7), (55, 6), (57, 16),
+         (59, 59), (61, 46), (63, 78), (68, 6), (68, 78), (95, 23),
+        ],
+        [
+         (0, 3), (1, 2), (1, 3), (1, 4), (3, 5), (3, 6), (6, 7), (6, 9), (6, 11), (6, 13),
+         (8, 9), (9, 10), (10, 12),
+        ],
+        [
+         (0, 1), (0, 2), (0, 5), (2, 3), (2, 4), (5, 6), (5, 7), (5, 11), (7, 8), (7, 9),
+         (8, 10), (8, 12), (11, 13),
+        ]),
+    # seed 5882
+    ("1e", True, (5, 6, 0, 1),
+        [
+         (156, 586), (234, 107), (255, 77), (371, 56), (566, 60), (584, 915), (615, 770),
+         (679, 115), (730, 869), (792, 674), (908, 810), (972, 569), (993, 722), (998, 700),
+        ],
+        [
+         (0, 1), (0, 2), (0, 6), (2, 3), (2, 4), (4, 7), (5, 6), (6, 8), (6, 10), (9, 10),
+         (10, 12), (10, 13), (11, 13),
+        ],
+        [
+         (0, 5), (1, 2), (1, 3), (1, 5), (1, 6), (3, 4), (3, 7), (5, 8), (8, 9), (8, 10),
+         (8, 12), (11, 12), (12, 13),
+        ]),
+    # seed 132364
+    ("1f", False, (0, 2, 4, 5),
+        [
+         (144, 737), (222, 368), (400, 495), (609, 901), (727, 804), (983, 352),
+        ],
+        [
+         (0, 2), (1, 2), (2, 3), (2, 4), (4, 5),
+        ],
+        [
+         (0, 1), (0, 4), (0, 5), (2, 5), (3, 4),
+        ]),
+    # seed 67450
+    ("1f", True, (0, 3, 2, 6),
+        [
+         (0, 559), (76, 159), (284, 67), (320, 340), (362, 738), (426, 917), (497, 127),
+         (537, 124), (660, 863), (959, 612), (980, 651),
+        ],
+        [
+         (0, 3), (1, 3), (2, 3), (2, 6), (2, 7), (3, 4), (3, 5), (5, 8), (5, 10), (9, 10),
+        ],
+        [
+         (0, 2), (0, 4), (0, 6), (1, 2), (3, 6), (4, 5), (4, 8), (6, 7), (8, 9), (8, 10),
+        ]),
+    # seed 16192
+    ("2a", True, (0, 1, 2, 3),
+        [
+         (4, 35), (7, 41), (15, 34), (35, 68), (50, 54), (54, 9), (57, 68), (72, 69),
+         (78, 37), (78, 38), (81, 1), (83, 14), (95, 65), (99, 84),
+        ],
+        [
+         (0, 1), (0, 3), (2, 3), (3, 4), (3, 6), (5, 11), (6, 7), (6, 9), (6, 12), (8, 9),
+         (9, 11), (10, 11), (12, 13),
+        ],
+        [
+         (0, 2), (1, 2), (1, 3), (1, 4), (4, 6), (4, 7), (5, 10), (7, 8), (7, 9), (7, 12),
+         (7, 13), (8, 10), (8, 11),
+        ]),
+]
+
+
+@pytest.mark.parametrize(
+    "tag, mirrored, path, coords, red, blue",
+    BRANCH_GOLDENS,
+    ids=[f"{g[0]}{'-mirrored' if g[1] else ''}" for g in BRANCH_GOLDENS],
+)
+def test_pointed_output_per_branch(tag, mirrored, path, coords, red, blue):
+    ps = PointSet(coords)
+    edges = build_emst(ps)
+    assert find_flat_vertex(edges, ps) is None
+    pc = select_P(ps, edges)
+    assert (pc.tag, pc.mirrored, pc.path) == (tag, mirrored, path)
+    tt = build_two_disjoint_trees(ps)
+    assert [e.as_pair() for e in tt.red] == red
+    assert [e.as_pair() for e in tt.blue] == blue
+
+
+# A flat instance, 40 points on a 1000 x 1000 integer grid (seed 64), whose
+# side-inverted subtrees hang on both sides of their root edge.
+FLAT_GOLDEN_COORDS = [
+    (17, 208), (25, 85), (30, 788), (51, 1), (81, 882), (90, 834), (140, 562), (164, 218),
+    (178, 107), (203, 738), (224, 57), (236, 476), (270, 224), (275, 721), (302, 760),
+    (412, 695), (413, 549), (426, 450), (437, 367), (469, 406), (487, 127), (521, 314),
+    (531, 183), (552, 201), (600, 46), (645, 627), (647, 822), (656, 287), (704, 498),
+    (715, 839), (765, 372), (782, 206), (796, 668), (913, 218), (933, 5), (934, 823),
+    (942, 703), (949, 65), (972, 603), (998, 150),
+]
+FLAT_GOLDEN_RED = [
+    (0, 7), (1, 3), (1, 7), (2, 9), (4, 5), (5, 9), (5, 13), (6, 9), (7, 8), (7, 10),
+    (7, 18), (9, 11), (12, 18), (13, 14), (13, 15), (15, 16), (15, 17), (17, 18), (17, 19),
+    (18, 21), (18, 23), (20, 23), (20, 24), (22, 23), (23, 27), (23, 30), (23, 31),
+    (25, 29), (25, 30), (25, 32), (25, 36), (26, 29), (28, 30), (31, 33), (31, 39),
+    (34, 39), (35, 36), (36, 38), (37, 39),
+]
+FLAT_GOLDEN_BLUE = [
+    (0, 1), (0, 3), (0, 12), (2, 4), (2, 5), (4, 9), (5, 6), (6, 11), (7, 12), (8, 10),
+    (8, 12), (9, 13), (9, 14), (12, 19), (14, 15), (14, 16), (16, 17), (16, 19), (18, 19),
+    (19, 21), (20, 22), (21, 22), (21, 23), (21, 27), (22, 24), (25, 28), (26, 32),
+    (27, 28), (27, 30), (27, 31), (27, 33), (28, 32), (29, 32), (32, 35), (32, 36),
+    (32, 38), (33, 37), (33, 39), (34, 37),
+]
+
+
+def test_flat_output_pinned():
+    ps = PointSet(FLAT_GOLDEN_COORDS)
+    assert find_flat_vertex(build_emst(ps), ps) == 5
+    tt = build_two_disjoint_trees(ps)
+    assert [e.as_pair() for e in tt.red] == FLAT_GOLDEN_RED
+    assert [e.as_pair() for e in tt.blue] == FLAT_GOLDEN_BLUE
+
+
 # The base colorings as a table keyed by case tag, before it was keyed by
 # hull layout: 1a = 1d and 1b = 1c = 1e = 1f.
 BASE_COLORINGS_BY_TAG = {
