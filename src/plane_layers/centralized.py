@@ -7,8 +7,11 @@ around a vertex whose incident-edge gaps are all below pi (ratio 2), one
 around a four-vertex path when every vertex has a gap above pi (ratio 3,
 with at most one edge above ratio 2).  Each per-vertex question they ask
 (is a gap above pi, which neighbors bound it, which neighbor follows which)
-is read off one ring scan of that vertex, `_ring`, and each reachability
-question off one component search, `_component`.
+is read off one ring scan of that vertex, `_ring`.  The constructions color
+each hanging subtree in one breadth-first pass over the MST adjacency,
+`_subtree_contribution`, which the build computes once; the parity rule
+and the side rule it applies are the ones `construction1`, `side_split`
+and `recolor` apply to a rooted tree.
 
 Each assembled tree is checked for planarity with the exact sweep, and a
 crossing raises InternalAssertionError with a reproducer payload, labelled
@@ -43,7 +46,7 @@ from .geometry import (
     orientation_ids,
     properly_cross,
 )
-from .mst import RootedMst, adjacency, bottleneck, build_emst, root_at_leaf
+from .mst import RootedMst, adjacency, bottleneck, build_emst
 from .verify import LayerCounts, count_layers
 
 
@@ -107,24 +110,14 @@ def construction1(rm: RootedMst) -> TwoTrees:
     blue; even-level vertices (except the root) do the opposite.  Both trees
     are plane and spanning and share exactly the root edge.
     """
-    return _trees_of_tree(rm, *_root_edge_coloring(rm))
-
-
-def _root_edge_coloring(rm: RootedMst) -> tuple[set[Segment], set[Segment]]:
-    """The red and blue edge sets of `construction1`."""
-    red: set[Segment] = set()
-    blue: set[Segment] = set()
+    red, blue = set(), set()
     for v in rm.vertices:
-        if v == rm.root:
-            continue
-        pe = Segment(v, rm.parent[v])
-        ge = Segment(v, rm.grandparent[v])
-        if rm.level[v] % 2 == 1:
+        if v != rm.root:
+            pe, ge = Segment(v, rm.parent[v]), Segment(v, rm.grandparent[v])
+            if not _parent_edge_red(rm.level[v], False):
+                pe, ge = ge, pe
             red.add(pe)
             blue.add(ge)
-        else:
-            red.add(ge)
-            blue.add(pe)
     rs = Segment(rm.root, rm.root_child)
     shared = red & blue
     if shared != {rs}:
@@ -133,7 +126,24 @@ def _root_edge_coloring(rm: RootedMst) -> tuple[set[Segment], set[Segment]]:
             f"shared edges {sorted(shared)} != {{{rs}}}",
             _dump_payload(rm.ps, red=red, blue=blue),
         )
-    return red, blue
+    return _trees_of_tree(rm, red, blue)
+
+
+def _parent_edge_red(level: int, swapped: bool) -> bool:
+    """The parity rule: an odd-level vertex puts its parent edge in red and
+    its grandparent edge in blue, an even-level one the opposite; a swapped
+    side inverts both."""
+    return (level % 2 == 1) != swapped
+
+
+def _on_minus_side(ps: PointSet, r: int, s: int, w: int) -> bool:
+    """The side rule: a neighbor w of s hangs on the minus side of the
+    directed root edge r->s when orientation(r, s, w) is clockwise, else on
+    the plus side; collinear violates general position."""
+    o = orientation_ids(ps, r, s, w)
+    if o is Orientation.COLLINEAR:
+        raise GeneralPositionError(f"{r}, {s}, {w} are collinear")
+    return o is Orientation.CLOCKWISE
 
 
 @dataclass(frozen=True)
@@ -154,27 +164,15 @@ class SideSplit:
 def side_split(rm: RootedMst, trees: TwoTrees) -> SideSplit:
     """Classify the neighbors of s (other than r) by orientation(r, s, .) and
     split both edge sets accordingly."""
-    return _split_sides(rm, trees.red, trees.blue)
-
-
-def _split_sides(rm: RootedMst, red: Iterable[Segment], blue: Iterable[Segment]) -> SideSplit:
-    """`side_split` of a root-edge coloring given as its two edge sets."""
     r, s = rm.root, rm.root_child
     shared = Segment(r, s)
-    minus_branch: set[int] = set()
-    plus_branch: set[int] = set()
+    minus_branch, plus_branch = set(), set()
     for w in rm.adjacency[s]:
-        if w == r:
-            continue
-        o = orientation_ids(rm.ps, r, s, w)
-        if o is Orientation.COLLINEAR:
-            raise GeneralPositionError(f"{r}, {s}, {w} are collinear")
-        bucket = minus_branch if o is Orientation.CLOCKWISE else plus_branch
-        bucket.update(_component(rm.adjacency, w, {s}))
-    s_minus = frozenset(minus_branch | {r, s})
-    s_plus = frozenset(plus_branch | {r, s})
+        if w != r:
+            bucket = minus_branch if _on_minus_side(rm.ps, r, s, w) else plus_branch
+            bucket.update(_component(rm.adjacency, w, {s}))
 
-    def split(edge_list: Sequence[Segment]) -> tuple[set[Segment], set[Segment]]:
+    def split(edge_list: Sequence[Segment]) -> tuple[frozenset, frozenset]:
         mset, pset = set(), set()
         for e in edge_list:
             if e == shared:
@@ -184,23 +182,13 @@ def _split_sides(rm: RootedMst, red: Iterable[Segment], blue: Iterable[Segment])
             elif e.a in plus_branch or e.b in plus_branch:
                 pset.add(e)
             else:
-                raise InternalAssertionError(
-                    "side-split", f"edge {e} touches neither side"
-                )
-        return mset, pset
+                raise InternalAssertionError("side-split", f"edge {e} touches neither side")
+        return frozenset(mset), frozenset(pset)
 
-    erm, erp = split(red)
-    ebm, ebp = split(blue)
-    return SideSplit(
-        rm=rm,
-        s_minus=s_minus,
-        s_plus=s_plus,
-        e_r_minus=frozenset(erm),
-        e_r_plus=frozenset(erp),
-        e_b_minus=frozenset(ebm),
-        e_b_plus=frozenset(ebp),
-        shared=shared,
-    )
+    erm, erp = split(trees.red)
+    ebm, ebp = split(trees.blue)
+    return SideSplit(rm, frozenset(minus_branch | {r, s}), frozenset(plus_branch | {r, s}),
+                     erm, erp, ebm, ebp, shared)
 
 
 def _component(adj: dict[int, list[int]], start: int, blocks: set[int]) -> set[int]:
@@ -216,26 +204,25 @@ def _component(adj: dict[int, list[int]], start: int, blocks: set[int]) -> set[i
     return seen
 
 
+# The sides of the directed root edge that each recoloring swaps: (minus, plus).
+_SWAPS = {
+    Recoloring.ORIGINAL: (False, False),
+    Recoloring.INVERTED: (True, True),
+    Recoloring.MINUS_INVERTED: (True, False),
+    Recoloring.PLUS_INVERTED: (False, True),
+}
+
+
 def recolor(split: SideSplit, variant: Recoloring) -> TwoTrees:
     """One of the four side-inversion colorings; all include the root edge in
     both colors and keep the three root-edge-construction properties."""
-    return _trees_of_tree(split.rm, *_side_inversion(split, variant))
-
-
-def _side_inversion(split: SideSplit, variant: Recoloring) -> tuple[frozenset, frozenset]:
-    """The red and blue edge sets of `recolor`."""
     rs = {split.shared}
-    erm, erp = split.e_r_minus, split.e_r_plus
-    ebm, ebp = split.e_b_minus, split.e_b_plus
-    if variant is Recoloring.ORIGINAL:
-        red, blue = erm | erp | rs, ebm | ebp | rs
-    elif variant is Recoloring.INVERTED:
-        red, blue = ebm | ebp | rs, erm | erp | rs
-    elif variant is Recoloring.MINUS_INVERTED:
-        red, blue = ebm | erp | rs, erm | ebp | rs
-    else:
-        red, blue = erm | ebp | rs, ebm | erp | rs
-    return red, blue
+    red, blue = set(rs), set(rs)
+    sides = ((split.e_r_minus, split.e_b_minus), (split.e_r_plus, split.e_b_plus))
+    for (er, eb), swapped in zip(sides, _SWAPS[variant]):
+        red |= eb if swapped else er
+        blue |= er if swapped else eb
+    return _trees_of_tree(split.rm, red, blue)
 
 
 # --- gap analysis -----------------------------------------------------------
@@ -266,10 +253,13 @@ def _ring(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[list[int], int | N
     return ring, big
 
 
-def find_flat_vertex(edges: Sequence[Segment], ps: PointSet) -> int | None:
+def find_flat_vertex(
+    edges: Sequence[Segment], ps: PointSet, *, adj: dict[int, list[int]] | None = None
+) -> int | None:
     """Smallest-id vertex whose consecutive incident-edge gaps are all below
-    pi, or None when every vertex has a gap above pi."""
-    adj = adjacency(edges)
+    pi, or None when every vertex has a gap above pi.  `adj`, when given, is
+    `adjacency(edges)`, as for the other stages of the two-tree build."""
+    adj = adjacency(edges) if adj is None else adj
     for v in sorted(adj):
         # one or two incident edges always leave a gap >= pi
         if len(adj[v]) >= 3 and _ring(ps, v, adj[v])[1] is None:
@@ -370,35 +360,51 @@ def _subtree_contribution(
     variant: Recoloring,
     blocks: set[int],
 ) -> tuple[list[Segment], list[Segment]]:
-    """Root the component of `anchor` (cut at `blocks`) at `root`, apply the
-    root-edge coloring plus a side inversion, and drop the doubled root edge."""
-    comp = _component(mst_adj, anchor, blocks)
-    if comp == {anchor}:
-        return [], []  # single-edge subtree contributes nothing beyond rs
-    verts = comp | {root}
-    edges = [
-        Segment(v, w)
-        for v in comp
-        for w in mst_adj[v]
-        if w in comp and v < w
-    ]
-    edges.append(Segment(root, anchor))
-    rm = root_at_leaf(edges, ps, root, vertices=verts)
-    red, blue = _root_edge_coloring(rm)
-    if variant is not Recoloring.ORIGINAL:
-        red, blue = _side_inversion(_split_sides(rm, red, blue), variant)
-    rs = Segment(root, anchor)
-    return sorted(e for e in red if e != rs), sorted(e for e in blue if e != rs)
+    """The sorted red and blue edges that the component of `anchor`, cut at
+    `blocks` (which hold `root`), adds when rooted at `root`: `construction1`
+    and the side inversion of `recolor`, less the doubled root edge.
+
+    One breadth-first pass, level by level: a vertex y reached from x emits
+    its parent edge yx and grandparent edge y parent(x), colored by the
+    parity rule and the swap of its side.  Any inversion reads each child's
+    side once, in sorted order, so a collinear child fails as in `side_split`."""
+    kids = [w for w in mst_adj[anchor] if w not in blocks]
+    swap_minus, swap_plus = _SWAPS[variant]
+    if variant is Recoloring.ORIGINAL:
+        groups = [(kids, False)]
+    else:
+        minus, plus = [], []
+        for w in sorted(kids):
+            (minus if _on_minus_side(ps, root, anchor, w) else plus).append(w)
+        groups = [(minus, swap_minus), (plus, swap_plus)]
+    red, blue = [], []
+    for group, swapped in groups:
+        level = 2  # the anchor is at level 1, its children below it
+        layer = [(w, anchor, root) for w in group]  # (vertex, parent, grandparent)
+        while layer:
+            pe, ge = (red, blue) if _parent_edge_red(level, swapped) else (blue, red)
+            below = []
+            for y, x, g in layer:
+                pe.append(Segment(y, x))
+                ge.append(Segment(y, g))
+                for z in mst_adj[y]:
+                    if z != x and z not in blocks:
+                        below.append((z, y, x))
+            layer = below
+            level += 1
+    return sorted(red), sorted(blue)
 
 
 def disjoint_trees_flat(
     ps: PointSet,
     mst_edges: Sequence[Segment],
     v: int,
+    *,
+    adj: dict[int, list[int]] | None = None,
 ) -> TwoTrees:
     """Disjoint pair around a vertex with no gap above pi: spoke/hull base
     trees on the neighbors of v, plus recolored subtree constructions."""
-    adj = adjacency(mst_edges)
+    adj = adjacency(mst_edges) if adj is None else adj
     nbrs = adj.get(v, [])
     if len(nbrs) < 3:
         raise PreconditionError(f"vertex {v} has degree {len(nbrs)} < 3")
@@ -429,9 +435,8 @@ def disjoint_trees_flat(
     asm.add("red", [Segment(v, ring[i]) for i in range(1, k)] + [v1v2], "flat-base")
     asm.add("blue", hull_edges[1:] + [Segment(v, ring[0])], "flat-base")
 
-    variants = {0: Recoloring.PLUS_INVERTED, 1: Recoloring.MINUS_INVERTED}
-    for i, vi in enumerate(ring):
-        variant = variants.get(i, Recoloring.ORIGINAL)
+    variants = [Recoloring.PLUS_INVERTED, Recoloring.MINUS_INVERTED] + [Recoloring.ORIGINAL] * k
+    for i, (vi, variant) in enumerate(zip(ring, variants)):
         red, blue = _subtree_contribution(ps, adj, vi, v, variant, blocks={v})
         asm.add("red", red, f"flat-subtree-{i + 1}")
         asm.add("blue", blue, f"flat-subtree-{i + 1}")
@@ -478,19 +483,22 @@ def _cw_angle_below_pi(ps: PointSet, apex: int, frm: int, to: int) -> bool:
     return o is Orientation.CLOCKWISE
 
 
-def select_P(ps: PointSet, mst_edges: Sequence[Segment]) -> PCase:
+def select_P(
+    ps: PointSet, mst_edges: Sequence[Segment], *, adj: dict[int, list[int]] | None = None
+) -> PCase:
     """Choose the path v3,v2,v1,v0 and its case tag for the all-pointed
     construction, mirroring the point set when the canonical clockwise
     conventions require it."""
     if len(ps) < 4:
         raise PreconditionError("the all-pointed construction needs n >= 4")
+    adj = adjacency(mst_edges) if adj is None else adj
     try:
-        v3, v2, v1, v0, tag = _select_oriented(ps, mst_edges)
+        v3, v2, v1, v0, tag = _select_oriented(ps, adj)
         return PCase(v3, v2, v1, v0, tag, mirrored=False)
     except _WlogViolation:
         pass
     try:
-        v3, v2, v1, v0, tag = _select_oriented(ps.reflected(), mst_edges)
+        v3, v2, v1, v0, tag = _select_oriented(ps.reflected(), adj)
         return PCase(v3, v2, v1, v0, tag, mirrored=True)
     except _WlogViolation:
         # mirroring must satisfy the clockwise conventions; reaching this is a bug
@@ -500,8 +508,7 @@ def select_P(ps: PointSet, mst_edges: Sequence[Segment]) -> PCase:
         )
 
 
-def _select_oriented(ps: PointSet, mst_edges: Sequence[Segment]):
-    adj = adjacency(mst_edges)
+def _select_oriented(ps: PointSet, adj: dict[int, list[int]]):
     leaves = sorted(u for u, ns in adj.items() if len(ns) == 1)
     if not leaves:
         raise InternalAssertionError("select-p", "tree without leaves")
@@ -597,16 +604,19 @@ def _hull_layout(tag: str) -> str:
         return "v3 v2 v1 v0"
     return "v3 v2 v0 v1" if tag.startswith("1") else tag
 
-# Subtree table per case-1 tag: (anchor index, root index, coloring variant).
-# T0 hangs below v0, T1 beside v1, T2 beside v2; roots and colorings follow
-# the proof's per-case prescription.
-_SUBTREES_CASE1: dict[str, list[tuple[int, int, Recoloring]]] = {
+# Subtree table per case tag: (anchor index, root index, coloring variant).
+# T0 hangs below v0, T1 beside v1, T2 beside v2, each cut at the rest of P;
+# roots and colorings follow the proof's per-case prescription.  In case 2b
+# n == 4, so the base coloring is already complete.
+_SUBTREES: dict[str, list[tuple[int, int, Recoloring]]] = {
     "1a": [(0, 1, Recoloring.ORIGINAL), (1, 0, Recoloring.INVERTED), (2, 1, Recoloring.ORIGINAL)],
     "1b": [(0, 1, Recoloring.ORIGINAL), (1, 0, Recoloring.INVERTED), (2, 1, Recoloring.ORIGINAL)],
     "1c": [(0, 1, Recoloring.ORIGINAL), (1, 2, Recoloring.ORIGINAL), (2, 1, Recoloring.ORIGINAL)],
     "1d": [(0, 1, Recoloring.ORIGINAL), (1, 0, Recoloring.INVERTED), (2, 3, Recoloring.INVERTED)],
     "1e": [(0, 1, Recoloring.ORIGINAL), (1, 0, Recoloring.INVERTED), (2, 3, Recoloring.INVERTED)],
     "1f": [(0, 1, Recoloring.ORIGINAL), (1, 2, Recoloring.ORIGINAL), (2, 3, Recoloring.INVERTED)],
+    "2a": [(0, 2, Recoloring.INVERTED)],
+    "2b": [],
 }
 
 
@@ -614,6 +624,8 @@ def disjoint_trees_pointed(
     ps: PointSet,
     mst_edges: Sequence[Segment],
     pc: PCase,
+    *,
+    adj: dict[int, list[int]] | None = None,
 ) -> TwoTrees:
     """Disjoint pair when every vertex has a gap above pi: base coloring of
     the complete graph on P plus recolored subtree constructions, with the
@@ -621,7 +633,7 @@ def disjoint_trees_pointed(
     be = bottleneck(mst_edges, ps).edge
     be_grid = ps.sdist_sq(be.a, be.b)
     wps = ps.reflected() if pc.mirrored else ps
-    adj = adjacency(mst_edges)
+    adj = adjacency(mst_edges) if adj is None else adj
     pv = {3: pc.v3, 2: pc.v2, 1: pc.v1, 0: pc.v0}
 
     red_pairs, blue_pairs = _BASE_COLORINGS[_hull_layout(pc.tag)]
@@ -631,28 +643,13 @@ def disjoint_trees_pointed(
 
     if pc.tag.startswith("1"):
         asm.deferred = Segment(pv[3], pv[0])  # repaired by _fix_three_hop_edge
-        blocks = {
-            0: {pv[1]},
-            1: {pv[0], pv[2]},
-            2: {pv[1], pv[3]},
-        }
-        for anchor_idx, root_idx, variant in _SUBTREES_CASE1[pc.tag]:
-            red, blue = _subtree_contribution(
-                wps, adj, pv[anchor_idx], pv[root_idx], variant, blocks[anchor_idx]
-            )
-            asm.add("red", red, f"pointed-T{anchor_idx}")
-            asm.add("blue", blue, f"pointed-T{anchor_idx}")
-        asm.check_plane()
-        _fix_three_hop_edge(asm, wps, pv)
-    else:
-        if pc.tag == "2a":
-            red, blue = _subtree_contribution(
-                wps, adj, pv[0], pv[2], Recoloring.INVERTED, blocks={pv[2]}
-            )
-            asm.add("red", red, "pointed-T0")
-            asm.add("blue", blue, "pointed-T0")
-        # case 2b: n == 4, the base coloring is already complete
-        asm.check_plane()
+    for i, root_idx, variant in _SUBTREES[pc.tag]:
+        rest = {pv[j] for j in pv if j != i}
+        red, blue = _subtree_contribution(wps, adj, pv[i], pv[root_idx], variant, rest)
+        asm.add("red", red, f"pointed-T{i}")
+        asm.add("blue", blue, f"pointed-T{i}")
+    asm.check_plane()
+    _fix_three_hop_edge(asm, wps, pv)
 
     bound = 3 if pc.tag.startswith("1") else 2
     counts = _verify_disjoint_pair(asm, be_grid, bound, "pointed-final")
@@ -663,7 +660,8 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> No
     """Replace the blue v3v0 edge by a hull-path edge when other blue edges
     cross it.  The replacement connects the two components of blue - v3v0 and
     is unique along the hull path through the points inside conv(P).  Nothing
-    to do once `check_plane` has found blue plane with v3v0 in it."""
+    to do in case 2, or once `check_plane` has found blue plane with v3v0 in
+    it."""
     if asm.deferred is None:
         return
     e30 = Segment(pv[3], pv[0])
@@ -712,8 +710,9 @@ def build_two_disjoint_trees(ps: PointSet) -> TwoTrees:
             f"two disjoint spanning trees need 2(n-1) <= n(n-1)/2 edges; impossible for n={n}"
         )
     mst_edges = build_emst(ps)
-    v = find_flat_vertex(mst_edges, ps)
+    adj = adjacency(mst_edges)
+    v = find_flat_vertex(mst_edges, ps, adj=adj)
     if v is not None:
-        return disjoint_trees_flat(ps, mst_edges, v)
-    pc = select_P(ps, mst_edges)
-    return disjoint_trees_pointed(ps, mst_edges, pc)
+        return disjoint_trees_flat(ps, mst_edges, v, adj=adj)
+    pc = select_P(ps, mst_edges, adj=adj)
+    return disjoint_trees_pointed(ps, mst_edges, pc, adj=adj)

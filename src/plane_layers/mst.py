@@ -7,10 +7,13 @@ one of two sources:
   than a radius s set by the bounding box and n, found by bucketing the
   points into cells of side about s and checking each cell against itself
   and its neighbours.  On spread-out points, such as uniform sensor fields,
-  these pairs span with high probability and number about 5.6 per point at
-  n = 500.  The grid declines when they do not span, or when the cell counts
-  alone show more checks than a budget of O(log n) per point, as in
-  clustered input;
+  these pairs number about 5.6 per point at n = 500 and span on about nine
+  sets in ten.  Where they do not, the longest tree edges lie near the
+  boundary, and a repair checks each point outside the largest component of
+  their forest against every point within twice the radius; the tree is
+  exact whenever the repaired pairs span.  The grid declines when even they
+  do not span, or when the cell counts alone show more checks, repair
+  included, than a budget of O(log n) per point, as in clustered input;
 - the edges of an exact Delaunay triangulation (`_delaunay_tree`): always
   O(n) edges, found in O(n log n) on spread-out inputs.
 
@@ -18,7 +21,7 @@ Both run on the grid integers of the point set, so no rounding can change an
 edge or an edge order, and both give exactly the tree that an O(n^2) Prim
 scan over the complete graph returns (see `build_emst`); that scan is kept in
 the tests as the reference.  On uniform points at n = 300 to 12800 the
-grid's tree, declines included, costs 0.3-0.5x the Delaunay one.
+grid's tree costs 0.3-0.5x the Delaunay one.
 
 The kernels are flat integer loops over the two coordinate lists of
 `PointSet.grid`: the triangulation keys each directed edge u->v by the int
@@ -42,7 +45,7 @@ colorings.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -196,8 +199,9 @@ def build_emst(ps: PointSet) -> list[Segment]:
     order, so the tree is the unique MST under it and is returned sorted;
     Kruskal over any edge set that holds that tree returns it.  The grid's
     pairs hold it when they connect the points: each MST edge is then no
-    longer than the longest edge of a spanning tree among them.  The
-    Delaunay edges always hold it.  Each MST edge uv has an empty closed
+    longer than the longest edge of a spanning tree among them.  So do the
+    repaired pairs when they connect them (see `_grid_tree`).  The Delaunay
+    edges always hold it.  Each MST edge uv has an empty closed
     diametral disk: a point w in that disk has |uw|^2 + |wv|^2 <= |uv|^2, so
     uv would be strictly the longest edge of the cycle u-w-v and not in the
     tree.  Such an edge is in every Delaunay triangulation, so neither the
@@ -227,19 +231,18 @@ def _compute_emst(ps: PointSet) -> tuple[Segment, ...]:
     return _delaunay_tree(xs, ys) if tree is None else tree
 
 
-def _kruskal(keys: list[int], n: int) -> tuple[Segment, ...]:
-    """The minimum spanning forest of the candidate edges `keys`, sorted.
+def _kruskal(keys: list[int], n: int, parent: list[int], tree: list[int]) -> None:
+    """Grow the minimum spanning forest `tree` by the candidate edges `keys`.
 
     A candidate a-b with a < b is the one int len^2 * n^2 + a*n + b for its
     grid squared length: since a*n + b < n^2, these ints sort exactly like
-    the tuples (len^2, a, b).  The union-find runs on a list, and only the
-    forest edges become `Segment`s; the forest spans the points iff it has
-    n - 1 edges.
+    the tuples (len^2, a, b).  `tree` holds the a*n + b of the forest edges
+    taken so far and `parent` their union-find, a list over the points; a
+    later call with candidates all longer than the earlier ones continues
+    the same Kruskal.  The forest spans the points iff it has n - 1 edges.
     """
     keys.sort()
     nn = n * n
-    parent = list(range(n))
-    tree = []
     for key in keys:
         key %= nn
         ra = key // n
@@ -253,8 +256,18 @@ def _kruskal(keys: list[int], n: int) -> tuple[Segment, ...]:
             tree.append(key)
             if len(tree) == n - 1:
                 break
-    tree.sort()
-    return tuple(Segment(*divmod(key, n)) for key in tree)
+
+
+def _find(parent: list[int], a: int) -> int:
+    """The union-find root of a, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
+
+
+def _forest_edges(tree: list[int], n: int) -> tuple[Segment, ...]:
+    """The sorted `Segment`s of the forest edges a*n + b of `_kruskal`."""
+    return tuple(Segment(*divmod(key, n)) for key in sorted(tree))
 
 
 def _delaunay_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...]:
@@ -277,7 +290,9 @@ def _delaunay_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...]:
                 continue
         dx, dy = xs[a] - xs[b], ys[a] - ys[b]
         keys.append((dx * dx + dy * dy) * nn + key)
-    return _kruskal(keys, n)
+    tree: list[int] = []
+    _kruskal(keys, n, list(range(n)), tree)
+    return _forest_edges(tree, n)
 
 
 # The grid's squared radius is at least area * (ln n + GRID_LOG_SLACK) / (pi n),
@@ -290,9 +305,10 @@ _FIXED_POINT = 1 << 20
 
 def _grid_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...] | None:
     """The sorted EMST of the n >= 1 grid points (xs[i], ys[i]) as Kruskal
-    over every pair of squared length <= s2, or None when those pairs do not
-    span the points or take more than GRID_CHECK_BUDGET * n * (ln n +
-    GRID_LOG_SLACK) / pi checks to find.
+    over every pair of squared length <= s2, repaired when those pairs do
+    not span; None when the repair does not span either, or when the pairs
+    take more than GRID_CHECK_BUDGET * n * (ln n + GRID_LOG_SLACK) / pi
+    checks to find.
 
     For n uniform points in area A the longest MST edge has squared length
     about A * (ln n + O(1)) / (pi n) (Penrose 1997), so s2 is that with
@@ -306,6 +322,19 @@ def _grid_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...] | None:
     number of checks follows from the cell counts alone and is compared
     with the budget before any distance is computed, so clustered input,
     where these pairs are dense, declines after O(n) work.
+
+    The repair: on uniform points the longest MST edges lie near the
+    boundary, where a point has half the neighbours the radius assumes, and
+    one of them can exceed sqrt(s2).  Then each point outside the largest
+    component of the forest is checked against every point within 2 sqrt(s2),
+    two cells each way, and Kruskal continues over those longer pairs.  A
+    tree edge above sqrt(s2) never joins two points of one component (it
+    would be the longest edge of a cycle), so one of its ends is outside the
+    largest component and the repair finds it if it is within 2 sqrt(s2).
+    And if the repaired forest spans, no tree edge is longer: by the cut
+    property, the tree's edge across any cut is no longer than the forest's.
+    The repair's checks count against the same budget, again before any
+    distance.
     """
     n = len(xs)
     xmin = min(xs)
@@ -313,15 +342,19 @@ def _grid_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...] | None:
     w = max(xs) - xmin
     h = max(ys) - ymin
     per_cell = round((math.log(n) + GRID_LOG_SLACK) / math.pi * _FIXED_POINT)
+    budget = GRID_CHECK_BUDGET * n * per_cell
     s2 = max(-(-w * h * per_cell // (n * _FIXED_POINT)), (2 * max(w, h) // n + 1) ** 2)
     side = math.isqrt(s2 - 1) + 1
-    # cell (cx, cy) is cx * rows + cy; row rows - 1 is always empty, so the
-    # forward neighbour (cx + 1, cy - 1) of a cell in row 0 finds nothing
-    rows = h // side + 2
+    # cell (cx, cy) is cx * rows + cy + 2; the two rows at either end of a
+    # column are always empty, so a cell's neighbours up to two rows away
+    # never wrap into the next column
+    rows = h // side + 5
     forward = (rows - 1, rows, rows + 1, 1)
     cells: dict[int, list[int]] = {}
+    where = []
     for i, (x, y) in enumerate(zip(xs, ys)):
-        key = (x - xmin) // side * rows + (y - ymin) // side
+        key = (x - xmin) // side * rows + (y - ymin) // side + 2
+        where.append(key)
         cell = cells.get(key)
         if cell is None:
             cells[key] = [i]
@@ -340,7 +373,7 @@ def _grid_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...] | None:
         m = len(cell)
         checks += m * len(near) - m * (m + 1) // 2
         blocks.append((cell, near))
-    if checks * _FIXED_POINT > GRID_CHECK_BUDGET * n * per_cell:
+    if checks * _FIXED_POINT > budget:
         return None
     nn = n * n
     keys = []
@@ -354,15 +387,50 @@ def _grid_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...] | None:
                 d = dx * dx + dy * dy
                 if d <= s2:
                     keys.append(d * nn + (i * n + j if i < j else j * n + i))
-    tree = _kruskal(keys, n)
-    return tree if len(tree) == n - 1 else None
+    parent = list(range(n))
+    tree: list[int] = []
+    _kruskal(keys, n, parent, tree)
+    if len(tree) < n - 1:
+        roots = [_find(parent, i) for i in range(n)]
+        largest = Counter(roots).most_common(1)[0][0]
+        window = [dx * rows + dy for dx in range(-2, 3) for dy in range(-2, 3)]
+        repair = []
+        for i, root in enumerate(roots):
+            if root != largest:
+                near = [j for step in window for j in cells.get(where[i] + step, ()) if j != i]
+                checks += len(near)
+                repair.append((i, near))
+        if checks * _FIXED_POINT > budget:
+            return None
+        r2 = 4 * s2
+        keys = []
+        for i, near in repair:
+            xi = xs[i]
+            yi = ys[i]
+            for j in near:
+                dx = xi - xs[j]
+                dy = yi - ys[j]
+                d = dx * dx + dy * dy
+                if s2 < d <= r2:
+                    keys.append(d * nn + (i * n + j if i < j else j * n + i))
+        _kruskal(keys, n, parent, tree)
+    return _forest_edges(tree, n) if len(tree) == n - 1 else None
 
 
 def bottleneck(edges: Sequence[Segment], ps: PointSet) -> BottleneckInfo:
-    """Max edge length with a deterministic witnessing edge."""
+    """Max edge length with a deterministic witnessing edge: the longest
+    squared grid length, ties to the smallest edge."""
     if not edges:
         raise PreconditionError("bottleneck of empty edge list")
-    best = min(edges, key=lambda e: (-ps.sdist_sq(e.a, e.b), e.as_pair()))
+    xs, ys = ps.grid
+    best, best_d = None, -1
+    for e in edges:
+        a, b = e
+        dx = xs[a] - xs[b]
+        dy = ys[a] - ys[b]
+        d = dx * dx + dy * dy
+        if d > best_d or (d == best_d and e < best):
+            best, best_d = e, d
     sq = ps.seg_len_sq(best)
     return BottleneckInfo(math.sqrt(sq), sq, best)
 

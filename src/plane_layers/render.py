@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .errors import UsageError
 from .geometry import PointSet, Segment
 
 PALETTE = [
@@ -26,7 +27,9 @@ def render_svg(
     width: int = 800,
 ) -> str:
     """The points and each layer's edges in its palette colour, over the
-    bucketing grid of side `cell_side` when one is given."""
+    bucketing grid of side `cell_side` when one is given.  A grid with more
+    lines than the picture is wide in pixels is a usage error: it would draw
+    nothing legible, and a tiny side would take unbounded time."""
     minx, miny, maxx, maxy = (float(v) for v in ps.bbox())
     span = max(maxx - minx, maxy - miny, 1e-9)
     margin = 0.05 * span
@@ -46,7 +49,10 @@ def render_svg(
         f'viewBox="0 0 {width} {width}">',
         f'<rect width="{width}" height="{width}" fill="white"/>',
     ]
-    if cell_side:
+    if cell_side is not None:
+        if not span <= width * cell_side:
+            raise UsageError(f"the grid's cell side {cell_side:.6g} draws more lines "
+                             f"than the {width}-pixel picture is wide")
         i0 = math.floor(minx / cell_side)
         i1 = math.ceil((minx + span) / cell_side)
         for i in range(i0, i1 + 1):

@@ -76,6 +76,25 @@ def grid_checks(ps) -> int:
     return subtractions - len(ps) - 1
 
 
+def grid_repaired(ps) -> bool:
+    """Whether `mst._grid_tree` needs its repair to span `ps`: it then runs
+    Kruskal a second time, over the pairs the repair finds, and accepts.
+    Told apart by counting the calls to `mst._kruskal`."""
+    passes = []
+    kruskal = mst._kruskal
+
+    def counted(*args):
+        passes.append(None)
+        return kruskal(*args)
+
+    mst._kruskal = counted
+    try:
+        tree = mst._grid_tree(*ps.grid)
+    finally:
+        mst._kruskal = kruskal
+    return tree is not None and len(passes) == 2
+
+
 def grid_check_budget(n: int) -> float:
     """The most pair checks the grid source may make on n points."""
     return mst.GRID_CHECK_BUDGET * n * (math.log(n) + mst.GRID_LOG_SLACK) / math.pi

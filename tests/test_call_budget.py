@@ -9,10 +9,15 @@ only for the few vertices the construction fans around, whatever n is.  A
 per-edge Python dunder or a per-vertex angular sort creeping back shows up
 here as a count above zero or one that grows with n.
 
-On uniform points the grid's short pairs give the EMST: its pair checks stay
-within their budget, counted from the kernel rather than timed, no Delaunay
-triangulation runs when the grid accepts, and a point set computes its tree
-once however many builds and verifies read it.
+On uniform points the grid's short pairs give the EMST, repaired where the
+longest tree edge lies beyond the grid's radius: its pair checks, the
+repair's included, stay within their budget, counted from the kernel rather
+than timed, no Delaunay triangulation runs, and a point set computes its
+tree once however many builds and verifies read it.
+
+The two-tree build computes the MST's adjacency once, roots no tree with
+`root_at_leaf`, and colors the subtrees hanging off the flat vertex in
+passes that read each vertex's neighbours once.
 
 `angular_order` sorts on a float key in C and certifies the result with one
 pass of its exact comparator over adjacent pairs, so across a k-layer build
@@ -24,17 +29,24 @@ import cProfile
 import pstats
 import random
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from plane_layers import distributed, geometry, mst
-from plane_layers.centralized import build_two_disjoint_trees
+from plane_layers import centralized, distributed, geometry, mst
+from plane_layers.centralized import build_two_disjoint_trees, find_flat_vertex
 from plane_layers.distributed import build_k_layers, locality_certificate
 from plane_layers.geometry import Segment
 from plane_layers.verify import verify_layers
 
-from conftest import count_tree_computations, grid_check_budget, grid_checks, random_point_set
+from conftest import (
+    count_tree_computations,
+    grid_check_budget,
+    grid_checks,
+    grid_repaired,
+    random_point_set,
+)
 
 SEGMENT_DUNDERS = (
     "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__", "__hash__",
@@ -81,6 +93,49 @@ def test_library_build_and_verify_keep_edges_in_c(n):
     assert ccw <= CCW_BUDGET
 
 
+class CountingAdjacency(dict):
+    """An adjacency dict that counts, per vertex, the reads of its list."""
+
+    def __init__(self, adj, reads: Counter):
+        super().__init__(adj)
+        self.reads = reads
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return super().__getitem__(v)
+
+    def get(self, v, default=None):
+        self.reads[v] += 1
+        return super().get(v, default)
+
+
+@pytest.mark.parametrize("n", [100, 400, 1600])
+def test_flat_build_reads_each_subtree_vertex_once(monkeypatch, n):
+    ps = random_point_set(random.Random(n), n)
+    v = find_flat_vertex(mst.build_emst(ps), ps)
+    assert v is not None
+    reads = Counter()
+    contribution = centralized._subtree_contribution
+
+    def counted(ps, mst_adj, *args, **kwargs):
+        return contribution(ps, CountingAdjacency(mst_adj, reads), *args, **kwargs)
+
+    monkeypatch.setattr(centralized, "_subtree_contribution", counted)
+    prof = cProfile.Profile()
+    trees = prof.runcall(build_two_disjoint_trees, ps)
+    assert trees.bound == 2
+    calls = {
+        name: stats[1]
+        for (file, _, name), stats in pstats.Stats(prof).stats.items()
+        if Path(file).name == "mst.py"
+    }
+    assert calls.get("root_at_leaf", 0) == 0
+    assert calls["adjacency"] == 1
+    # the subtrees hang off v and partition the other vertices
+    assert sorted(reads) == [u for u in ps.ids if u != v]
+    assert set(reads.values()) == {1}
+
+
 @pytest.mark.parametrize("n", [100, 400, 1600])
 def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
     ps = random_point_set(random.Random(n), n)
@@ -99,10 +154,11 @@ def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
     assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok()
     assert verify_layers([list(layer) for layer in build_k_layers(ps, 1).layers], ps).ok()
     assert trees == [n]
+    assert accepted
+    assert triangulations == []
     # the uniform set at n = 400 has its longest MST edge at the boundary,
-    # beyond the grid radius, and takes the Delaunay edges
-    assert accepted == (n != 400)
-    assert triangulations == ([] if accepted else [n])
+    # beyond the grid radius, and the repair finds it
+    assert grid_repaired(ps) == (n == 400)
 
 
 def test_angular_order_compares_at_most_once_per_vector(monkeypatch):

@@ -909,6 +909,28 @@ def test_flat_output_pinned():
     assert [e.as_pair() for e in tt.blue] == FLAT_GOLDEN_BLUE
 
 
+# A side inversion meets a child collinear with its root edge, in the flat
+# branch (a minus or plus inversion) and in case 2a (the full inversion of
+# T0, also on the mirror image).  Found in the scan of the branch goldens
+# (seeds 23 and 2720).
+FLAT_COLLINEAR = [(0, 9), (1, 1), (3, 4), (3, 9), (4, 6), (5, 2), (6, 8), (7, 0)]
+CASE_2A_COLLINEAR = [(1, 2), (3, 3), (4, 0), (6, 3), (7, 3), (7, 5), (8, 5)]
+
+
+@pytest.mark.parametrize(
+    "coords, mirror, message",
+    [(FLAT_COLLINEAR, False, "2, 5, 7 are collinear"),
+     (CASE_2A_COLLINEAR, False, "1, 3, 4 are collinear"),
+     (CASE_2A_COLLINEAR, True, "1, 3, 4 are collinear")],
+    ids=["flat", "2a", "2a-mirror"],
+)
+def test_side_inversion_rejects_a_collinear_child(coords, mirror, message):
+    ps = PointSet(coords).reflected() if mirror else PointSet(coords)
+    with pytest.raises(GeneralPositionError) as info:
+        build_two_disjoint_trees(ps)
+    assert str(info.value) == message
+
+
 # The base colorings as a table keyed by case tag, before it was keyed by
 # hull layout: 1a = 1d and 1b = 1c = 1e = 1f.
 BASE_COLORINGS_BY_TAG = {

@@ -330,6 +330,35 @@ def test_malformed_beta_sq_is_a_usage_error(tmp_path, capsys, beta_sq, message):
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("exponent, side", [(300, "6e-150"), (400, "0")],
+                         ids=["tiny", "underflow"])
+def test_render_grid_finer_than_a_pixel_is_a_usage_error(tmp_path, exponent, side):
+    """A betaSq so small that the grid would draw more lines than the SVG is
+    wide fails `render --grid` with exit 2 at once, also when the cell side
+    underflows to 0.0; the same file renders without `--grid`.  The render
+    runs in a subprocess with a timeout, since drawing such a grid line by
+    line would not finish."""
+    pts, layers = tmp_path / "p.txt", tmp_path / "l.json"
+    assert run("gen", "--kind", "uniform", "--n", "300", "--seed", "1", "--out", str(pts)) == 0
+    assert run("build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(layers)) == 0
+    data = json.loads(layers.read_text())
+    data["betaSq"] = f"1/{10**exponent}"
+    layers.write_text(json.dumps(data))
+    svg = tmp_path / "x.svg"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "plane_layers.cli", "render", str(pts), str(layers), "--grid",
+         "--out", str(svg)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (f"usage error: the grid's cell side {side} draws more "
+                           "lines than the 800-pixel picture is wide\n")
+    assert not svg.exists()
+    assert run("render", str(pts), str(layers), "--out", str(svg)) == 0
+    assert "#cccccc" not in svg.read_text()
+
+
 def test_render_empty_layers(tmp_path):
     pts = tmp_path / "p.txt"
     pts.write_text("0 0 0\n1 1 0\n")

@@ -18,6 +18,7 @@ from conftest import (
     count_tree_computations,
     grid_check_budget,
     grid_checks,
+    grid_repaired,
     random_point_set,
 )
 from square_graph import (
@@ -219,10 +220,13 @@ def each_source_is_prim(ps) -> bool:
 
 
 def test_emst_equals_prim_on_acceptance_pools():
-    accepted = [each_source_is_prim(ps) for ps in acceptance_uniform_pool()]
-    # at n = 4-64 the boundary holds the longest edges, so the grid declines
-    # about a third of the uniform sets and both sources run
+    pool = acceptance_uniform_pool()
+    accepted = [each_source_is_prim(ps) for ps in pool]
+    # at n = 4-64 the boundary holds the longest edges: the repair completes
+    # the grid's tree on about a third of the uniform sets, and a few still
+    # decline, so both sources and the repair run
     assert 0 < sum(accepted) < len(accepted)
+    assert 0 < sum(map(grid_repaired, pool)) < sum(accepted)
     assert all(each_source_is_prim(ps) for ps in acceptance_line_pool())
 
 
@@ -237,8 +241,9 @@ def _small_integer_grids():
 
 
 def test_emst_equals_prim_on_small_integer_grids():
-    accepted = [each_source_is_prim(ps) for ps in _small_integer_grids()]
-    assert 0 < sum(accepted) < len(accepted)
+    assert all(each_source_is_prim(ps) for ps in _small_integer_grids())
+    repaired = [grid_repaired(ps) for ps in _small_integer_grids()]
+    assert 0 < sum(repaired) < len(repaired)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -248,29 +253,30 @@ def test_emst_equals_prim_on_full_lattices(k):
 
 def test_emst_of_collinear_sets_is_the_path():
     rng = random.Random(72)
-    accepted = []
+    repaired = []
     for n in (2, 3, 4, 9, 40):
         for make in (lambda t: (t, 5), lambda t: (-3, t)):
             ps = _shuffled(rng, [make(t) for t in rng.sample(range(-50, 50), n)])
             order = sorted(ps.ids, key=ps.scaled)
             path = sorted(Segment(a, b) for a, b in zip(order, order[1:]))
             assert delaunay_triangles(ps) == []
-            accepted.append(each_source_is_prim(ps))
+            assert each_source_is_prim(ps)
+            repaired.append(grid_repaired(ps))
             assert build_emst(ps) == path
-    assert 0 < sum(accepted) < len(accepted)
+    assert 0 < sum(repaired) < len(repaired)
 
 
 def test_emst_of_one_two_three_points():
     with pytest.raises(PreconditionError):
         build_emst(PointSet([]))
-    accepted = [
-        each_source_is_prim(PointSet(coords))
-        for coords in ([(3, 4)], [(3, 4), (0, 0)], [(0, 0), (2, 0), (1, 0)],
-                       [(0, 0), (2, 0), (1, 1)], [(2, 0), (0, 0), (1, -3)])
-    ]
+    sets = [PointSet(coords)
+            for coords in ([(3, 4)], [(3, 4), (0, 0)], [(0, 0), (2, 0), (1, 0)],
+                           [(0, 0), (2, 0), (1, 1)], [(2, 0), (0, 0), (1, -3)])]
+    assert all(each_source_is_prim(ps) for ps in sets)
     # the grid's squared radius for the last is (2 * 3 // 3 + 1)^2 = 9, and
-    # (1, -3) is at squared distance 10 from both other points
-    assert accepted == [True, True, True, True, False]
+    # (1, -3) is at squared distance 10 from both other points: the repair
+    # finds it within twice the radius
+    assert [grid_repaired(ps) for ps in sets] == [False, False, False, False, True]
 
 
 @pytest.mark.parametrize("n", [5, 17, 100, 501])
@@ -340,7 +346,9 @@ def test_grid_declines_clusters_and_gapped_sets_and_accepts_uniform(rng):
     ps = PointSet(sorted(pts))
     assert bottleneck(prim_emst(ps), ps).length_sq >= 100**2
     assert each_source_is_prim(ps) is False
-    assert 0 < grid_checks(ps) <= grid_check_budget(500)  # within budget, no span
+    # the pairs within the radius keep to the budget but do not span, and
+    # the repair, every point of one band against 25 cells, would exceed it
+    assert 0 < grid_checks(ps) <= grid_check_budget(500)
     accepted = []
     for _ in range(10):
         ps = random_point_set(rng, 500)
@@ -348,8 +356,18 @@ def test_grid_declines_clusters_and_gapped_sets_and_accepts_uniform(rng):
         if tree is not None:
             assert tree == mst._delaunay_tree(*ps.grid)
             accepted.append(ps)
-    assert len(accepted) >= 8
+    assert len(accepted) == 10
     assert each_source_is_prim(accepted[0])
+
+
+def test_grid_repair_declines_a_gap_beyond_twice_the_radius():
+    """Two groups whose closest pair is longer than twice the grid radius:
+    the repair finds no pair across the gap and declines.  A repair that
+    took pairs up to three radii within its two-cell window joined the
+    groups here by a longer pair than the tree's."""
+    ps = PointSet([(45, 19), (48, 29), (57, 1), (66, 10), (68, 7), (75, 16), (78, 29),
+                   (156, 2), (181, 19), (187, 16), (192, 29)])
+    assert each_source_is_prim(ps) is False
 
 
 def test_emst_of_300_digit_coordinates():
@@ -490,6 +508,9 @@ def test_bottleneck_unit_line():
     info = bottleneck(edges, ps)
     assert info.length_sq == 1
     assert info.length == 1.0
+    # four edges tie for the longest: the smallest one witnesses, in any order
+    for order in (edges, edges[::-1], edges[2:] + edges[:2]):
+        assert bottleneck(order, ps).edge == Segment(0, 1)
 
 
 def test_bottleneck_single_edge():
