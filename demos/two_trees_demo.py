@@ -1,7 +1,8 @@
 """Walk through the centralized two-tree constructions on one point set.
 
-Builds the shared-edge coloring, the four recolorings, and the fully
-disjoint pair, verifying each stage and rendering the final result to SVG.
+Builds the shared-edge coloring of the MST rooted at a leaf in each of its
+four recolorings, and the fully disjoint pair, verifying each stage and
+rendering the final result to SVG.
 
 Run:  python3 demos/two_trees_demo.py [outdir]
 """
@@ -14,9 +15,6 @@ from plane_layers import (
     build_emst,
     build_two_disjoint_trees,
     construction1,
-    recolor,
-    root_at_leaf,
-    side_split,
     verify_layers,
     Recoloring,
     PointSet,
@@ -33,19 +31,14 @@ print(f"point set: n={len(ps)}")
 
 edges = build_emst(ps)
 root = min(v for v in ps.ids if sum(1 for e in edges if e.touches(v)) == 1)
-rm = root_at_leaf(edges, ps, root)
-print(f"MST built, rooted at leaf {root}; child s = {rm.root_child}")
+print(f"MST built, rooted at leaf {root}")
 
-trees = construction1(rm)
-print(f"shared-edge coloring: shared = {trees.shared.as_pair()}, "
-      f"ratios = ({trees.max_ratio_red:.3f}, {trees.max_ratio_blue:.3f})")
-
-split = side_split(rm, trees)
 for variant in Recoloring:
-    tt = recolor(split, variant)
+    tt = construction1(ps, root, variant)
     rep = verify_layers(tt.layers(), ps)
-    print(f"  recoloring {variant.value:>14}: plane={rep.all_plane} "
-          f"spanning={rep.all_spanning} maxRatio={rep.overall_max_ratio:.3f}")
+    print(f"  root-edge coloring {variant.value:>14}: shared={tt.shared.as_pair()} "
+          f"plane={rep.all_plane} spanning={rep.all_spanning} "
+          f"ratios=({tt.max_ratio_red:.3f}, {tt.max_ratio_blue:.3f})")
 
 disjoint = build_two_disjoint_trees(ps)
 rep = verify_layers(disjoint.layers(), ps)

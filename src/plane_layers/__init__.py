@@ -10,16 +10,13 @@ computation only needs data within O(k * beta) distance.
 from .centralized import (
     PCase,
     Recoloring,
-    SideSplit,
     TwoTrees,
     build_two_disjoint_trees,
     construction1,
     disjoint_trees_flat,
     disjoint_trees_pointed,
     find_flat_vertex,
-    recolor,
     select_P,
-    side_split,
 )
 from .distributed import (
     Certifier,
@@ -42,20 +39,16 @@ from .errors import (
 )
 from .geometry import (
     Orientation,
-    Point,
     PointSet,
     Segment,
     ccw_order_around,
     convex_hull,
-    orientation,
     properly_cross,
 )
 from .mst import (
     BottleneckInfo,
-    RootedMst,
     bottleneck,
     build_emst,
-    root_at_leaf,
 )
 from .verify import (
     CountingBound,

@@ -1,17 +1,18 @@
 """Two edge-disjoint plane spanning trees with bounded bottleneck.
 
-Three stages: the parent/grandparent two-coloring of a leaf-rooted tree
-(which shares exactly the root edge), the side-split recolorings of that
-coloring, and the two full constructions that remove the shared edge: one
-around a vertex whose incident-edge gaps are all below pi (ratio 2), one
-around a four-vertex path when every vertex has a gap above pi (ratio 3,
-with at most one edge above ratio 2).  Each per-vertex question they ask
-(is a gap above pi, which neighbors bound it, which neighbor follows which)
-is read off one ring scan of that vertex, `_ring`.  The constructions color
-each hanging subtree in one breadth-first pass over the MST adjacency,
-`_subtree_contribution`, which the build computes once; the parity rule
-and the side rule it applies are the ones `construction1`, `side_split`
-and `recolor` apply to a rooted tree.
+Two stages: the root-edge coloring of the EMST rooted at a leaf, each
+vertex's parent edge in one color and its grandparent edge in the other
+(the two trees share exactly the root edge), with the four recolorings
+that swap a side of the root edge; and the two full constructions that
+remove the shared edge: one around a vertex whose incident-edge gaps are
+all below pi (ratio 2), one around a four-vertex path when every vertex has
+a gap above pi (ratio 3, with at most one edge above ratio 2).  Each
+per-vertex question they ask (is a gap above pi, which neighbors bound it,
+which neighbor follows which) is read off one ring scan of that vertex,
+`_ring`.  One breadth-first pass over the MST adjacency,
+`_subtree_contribution`, states the coloring: `construction1` runs it from
+the root's neighbor, and the full constructions run it on each hanging
+subtree, with the adjacency the build computes once.
 
 Each assembled tree is checked for planarity with the exact sweep, and a
 crossing raises InternalAssertionError with a reproducer payload, labelled
@@ -46,7 +47,7 @@ from .geometry import (
     orientation_ids,
     properly_cross,
 )
-from .mst import RootedMst, adjacency, bottleneck, build_emst
+from .mst import adjacency, bottleneck, build_emst
 from .verify import LayerCounts, count_layers
 
 
@@ -95,100 +96,36 @@ def _make_two_trees(red, blue, shared, counts: LayerCounts, be_grid: int, bound:
     return TwoTrees(tuple(sorted(red)), tuple(sorted(blue)), shared, *ratios, bound)
 
 
-def _trees_of_tree(rm: RootedMst, red, blue) -> TwoTrees:
-    """A root-edge coloring of rm, measured against rm's own bottleneck."""
-    be = bottleneck(rm.edges, rm.ps).edge
-    counts = count_layers([red, blue], rm.ps)
-    rs = Segment(rm.root, rm.root_child)
-    return _make_two_trees(red, blue, rs, counts, rm.ps.sdist_sq(be.a, be.b), 2)
-
-
-def construction1(rm: RootedMst) -> TwoTrees:
-    """Parent/grandparent coloring of a leaf-rooted tree.
-
-    Odd-level vertices put their parent edge in red and grandparent edge in
-    blue; even-level vertices (except the root) do the opposite.  Both trees
-    are plane and spanning and share exactly the root edge.
-    """
-    red, blue = set(), set()
-    for v in rm.vertices:
-        if v != rm.root:
-            pe, ge = Segment(v, rm.parent[v]), Segment(v, rm.grandparent[v])
-            if not _parent_edge_red(rm.level[v], False):
-                pe, ge = ge, pe
-            red.add(pe)
-            blue.add(ge)
-    rs = Segment(rm.root, rm.root_child)
-    shared = red & blue
+def construction1(ps: PointSet, root: int, variant: Recoloring = Recoloring.ORIGINAL) -> TwoTrees:
+    """The root-edge construction on the EMST of `ps`, rooted at the leaf
+    `root`: every other vertex puts its parent edge in one color and its
+    grandparent edge in the other by the parity rule, each side of the
+    directed root edge swapped as `variant` says, and the root edge is in
+    both.  Both trees are plane and spanning and share exactly the root
+    edge.  The colors are the build's own subtree pass,
+    `_subtree_contribution`, from the root's one neighbor."""
+    mst_edges = build_emst(ps)
+    adj = adjacency(mst_edges)
+    if root not in ps.ids:
+        raise PreconditionError(f"root {root} not in vertex set")
+    degree = len(adj.get(root, ()))
+    if degree != 1:
+        raise PreconditionError(f"root {root} has degree {degree}, not a leaf")
+    s = adj[root][0]
+    rs = Segment(root, s)
+    red, blue = _subtree_contribution(ps, adj, s, root, variant, {root})
+    red.append(rs)
+    blue.append(rs)
+    shared = set(red) & set(blue)
     if shared != {rs}:
         raise InternalAssertionError(
             "construction1",
             f"shared edges {sorted(shared)} != {{{rs}}}",
-            _dump_payload(rm.ps, red=red, blue=blue),
+            _dump_payload(ps, red=red, blue=blue),
         )
-    return _trees_of_tree(rm, red, blue)
-
-
-def _parent_edge_red(level: int, swapped: bool) -> bool:
-    """The parity rule: an odd-level vertex puts its parent edge in red and
-    its grandparent edge in blue, an even-level one the opposite; a swapped
-    side inverts both."""
-    return (level % 2 == 1) != swapped
-
-
-def _on_minus_side(ps: PointSet, r: int, s: int, w: int) -> bool:
-    """The side rule: a neighbor w of s hangs on the minus side of the
-    directed root edge r->s when orientation(r, s, w) is clockwise, else on
-    the plus side; collinear violates general position."""
-    o = orientation_ids(ps, r, s, w)
-    if o is Orientation.COLLINEAR:
-        raise GeneralPositionError(f"{r}, {s}, {w} are collinear")
-    return o is Orientation.CLOCKWISE
-
-
-@dataclass(frozen=True)
-class SideSplit:
-    """Partition of a root-edge coloring by the side of the directed root
-    edge on which each subtree of s hangs."""
-
-    rm: RootedMst
-    s_minus: frozenset[int]
-    s_plus: frozenset[int]
-    e_r_minus: frozenset[Segment]
-    e_r_plus: frozenset[Segment]
-    e_b_minus: frozenset[Segment]
-    e_b_plus: frozenset[Segment]
-    shared: Segment
-
-
-def side_split(rm: RootedMst, trees: TwoTrees) -> SideSplit:
-    """Classify the neighbors of s (other than r) by orientation(r, s, .) and
-    split both edge sets accordingly."""
-    r, s = rm.root, rm.root_child
-    shared = Segment(r, s)
-    minus_branch, plus_branch = set(), set()
-    for w in rm.adjacency[s]:
-        if w != r:
-            bucket = minus_branch if _on_minus_side(rm.ps, r, s, w) else plus_branch
-            bucket.update(_component(rm.adjacency, w, {s}))
-
-    def split(edge_list: Sequence[Segment]) -> tuple[frozenset, frozenset]:
-        mset, pset = set(), set()
-        for e in edge_list:
-            if e == shared:
-                continue
-            if e.a in minus_branch or e.b in minus_branch:
-                mset.add(e)
-            elif e.a in plus_branch or e.b in plus_branch:
-                pset.add(e)
-            else:
-                raise InternalAssertionError("side-split", f"edge {e} touches neither side")
-        return frozenset(mset), frozenset(pset)
-
-    erm, erp = split(trees.red)
-    ebm, ebp = split(trees.blue)
-    return SideSplit(rm, frozenset(minus_branch | {r, s}), frozenset(plus_branch | {r, s}),
-                     erm, erp, ebm, ebp, shared)
+    be = bottleneck(mst_edges, ps).edge
+    counts = count_layers([red, blue], ps)
+    return _make_two_trees(red, blue, rs, counts, ps.sdist_sq(be.a, be.b), 2)
 
 
 def _component(adj: dict[int, list[int]], start: int, blocks: set[int]) -> set[int]:
@@ -211,18 +148,6 @@ _SWAPS = {
     Recoloring.MINUS_INVERTED: (True, False),
     Recoloring.PLUS_INVERTED: (False, True),
 }
-
-
-def recolor(split: SideSplit, variant: Recoloring) -> TwoTrees:
-    """One of the four side-inversion colorings; all include the root edge in
-    both colors and keep the three root-edge-construction properties."""
-    rs = {split.shared}
-    red, blue = set(rs), set(rs)
-    sides = ((split.e_r_minus, split.e_b_minus), (split.e_r_plus, split.e_b_plus))
-    for (er, eb), swapped in zip(sides, _SWAPS[variant]):
-        red |= eb if swapped else er
-        blue |= er if swapped else eb
-    return _trees_of_tree(split.rm, red, blue)
 
 
 # --- gap analysis -----------------------------------------------------------
@@ -361,13 +286,15 @@ def _subtree_contribution(
     blocks: set[int],
 ) -> tuple[list[Segment], list[Segment]]:
     """The sorted red and blue edges that the component of `anchor`, cut at
-    `blocks` (which hold `root`), adds when rooted at `root`: `construction1`
-    and the side inversion of `recolor`, less the doubled root edge.
+    `blocks` (which hold `root`), adds when rooted at `root`: the root-edge
+    coloring with the side inversion `variant`, less the doubled root edge.
 
     One breadth-first pass, level by level: a vertex y reached from x emits
-    its parent edge yx and grandparent edge y parent(x), colored by the
-    parity rule and the swap of its side.  Any inversion reads each child's
-    side once, in sorted order, so a collinear child fails as in `side_split`."""
+    its parent edge yx and grandparent edge y parent(x).  The parity rule
+    colors them: at an odd level the parent edge is red and the grandparent
+    edge blue, at an even level the opposite, and a swapped side inverts
+    both.  Any inversion reads each child's side once, in sorted order, so
+    a collinear child fails; ORIGINAL reads no side."""
     kids = [w for w in mst_adj[anchor] if w not in blocks]
     swap_minus, swap_plus = _SWAPS[variant]
     if variant is Recoloring.ORIGINAL:
@@ -375,14 +302,17 @@ def _subtree_contribution(
     else:
         minus, plus = [], []
         for w in sorted(kids):
-            (minus if _on_minus_side(ps, root, anchor, w) else plus).append(w)
+            # the side rule: w hangs on the minus side of the directed root
+            # edge root->anchor when root, anchor, w turn clockwise, which is
+            # when the clockwise angle at anchor from root to w is above pi
+            (plus if _cw_angle_below_pi(ps, anchor, root, w) else minus).append(w)
         groups = [(minus, swap_minus), (plus, swap_plus)]
     red, blue = [], []
     for group, swapped in groups:
         level = 2  # the anchor is at level 1, its children below it
         layer = [(w, anchor, root) for w in group]  # (vertex, parent, grandparent)
         while layer:
-            pe, ge = (red, blue) if _parent_edge_red(level, swapped) else (blue, red)
+            pe, ge = (red, blue) if (level % 2 == 1) != swapped else (blue, red)
             below = []
             for y, x, g in layer:
                 pe.append(Segment(y, x))
@@ -703,7 +633,10 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> No
 def build_two_disjoint_trees(ps: PointSet) -> TwoTrees:
     """Two fully edge-disjoint plane spanning trees, ratio <= 2 when some
     vertex has all gaps below pi, else ratio <= 3 with at most one edge above
-    ratio 2.  Impossible for n < 4 by edge counting."""
+    ratio 2.  Impossible for n < 4 by edge counting.  Every internal
+    assertion raised on the way carries the points in its dump (the point
+    set a stage worked on, when it recorded one) and the mode, so that it
+    replays through `plane-layers build --mode two-tree`."""
     n = len(ps)
     if n < 4:
         raise PreconditionError(
@@ -711,8 +644,12 @@ def build_two_disjoint_trees(ps: PointSet) -> TwoTrees:
         )
     mst_edges = build_emst(ps)
     adj = adjacency(mst_edges)
-    v = find_flat_vertex(mst_edges, ps, adj=adj)
-    if v is not None:
-        return disjoint_trees_flat(ps, mst_edges, v, adj=adj)
-    pc = select_P(ps, mst_edges, adj=adj)
-    return disjoint_trees_pointed(ps, mst_edges, pc, adj=adj)
+    try:
+        v = find_flat_vertex(mst_edges, ps, adj=adj)
+        if v is not None:
+            return disjoint_trees_flat(ps, mst_edges, v, adj=adj)
+        pc = select_P(ps, mst_edges, adj=adj)
+        return disjoint_trees_pointed(ps, mst_edges, pc, adj=adj)
+    except InternalAssertionError as err:
+        err.dump = {"points": ps.to_text(), "mode": "two-tree"} | err.dump
+        raise

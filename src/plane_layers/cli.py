@@ -280,7 +280,9 @@ def cmd_render(args) -> int:
     ps = _load_points(args.points)
     meta, layers = _load_layers_file(args.layers, len(ps))
     cell = None
-    if args.grid and meta.get("kind") == "distributed":
+    if args.grid:
+        if meta.get("kind") != "distributed":
+            raise UsageError(f"{args.layers}: --grid applies to distributed layers files only")
         k, beta_sq = _positive_int(meta, "k"), _beta_sq(meta)
         try:
             cell = 6 * k * math.sqrt(beta_sq)
@@ -355,7 +357,8 @@ def _parser() -> argparse.ArgumentParser:
     r = sub.add_parser("render", help="render points and layers to SVG")
     r.add_argument("points")
     r.add_argument("layers")
-    r.add_argument("--grid", action="store_true", help="overlay the bucketing grid")
+    r.add_argument("--grid", action="store_true",
+                   help="overlay the bucketing grid (distributed layers files only)")
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_render)
 

@@ -644,17 +644,24 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     each layer's edge-length budget 12*sqrt(2)*k*beta, planarity and spanning,
     then pairwise edge-disjointness.  Every internal assertion raised on the
     way, these checks and those of the boxes' center points, sectors and
-    connectors alike, carries a dump of the points, k and betaSq (and the
-    layer, for the per-layer checks) that replays through `plane-layers
-    build`."""
+    connectors alike, carries a dump of the points, the mode, k and betaSq
+    (and the layer, for the per-layer checks) that replays through
+    `plane-layers build --mode distributed`."""
     beta_sq = _as_beta_sq(beta, ps)
     gi = grid_partition(ps, k, beta_sq)
     try:
         return _assemble(gi)
     except InternalAssertionError as err:
-        err.dump = {"points": ps.to_text(), "k": k,
-                    "betaSq": f"{beta_sq.numerator}/{beta_sq.denominator}"} | err.dump
+        _add_instance(err, gi)
         raise
+
+
+def _add_instance(err: InternalAssertionError, gi: GridIndex) -> None:
+    """Put the instance of the grid `gi` in the dump of `err`: its points,
+    the mode, k and betaSq, which a build replays from."""
+    q = gi.beta_sq
+    err.dump = {"points": gi.ps.to_text(), "mode": "distributed", "k": gi.k,
+                "betaSq": f"{q.numerator}/{q.denominator}"} | err.dump
 
 
 def _assemble(gi: GridIndex) -> LayerSet:
@@ -802,22 +809,28 @@ class Certifier:
 
     def certify(self, p: int) -> LocalityCertificate:
         """p's certificate: its incident edges in each layer, recomputed from
-        local data; raises `[locality]` when they differ from the layer set's."""
+        local data; raises `[locality]` when they differ from the layer set's.
+        That error, and any a replayed box raises, carries the points, the
+        mode, k and betaSq in its dump, as the build's do."""
         n = len(self.grid.ps)
         if not 0 <= p < n:
             raise PreconditionError(f"point id {p} is out of range 0..{n - 1}")
         global_incident = tuple(tuple(sorted(by_end.get(p, ()))) for by_end in self._incident)
-        local_incident = self._local_incident(p)
-        if local_incident != global_incident:
-            raise InternalAssertionError(
-                "locality",
-                f"incident edges of {p} differ between local and global builds",
-                {
-                    "point": p,
-                    "local": [[e.as_pair() for e in l] for l in local_incident],
-                    "global": [[e.as_pair() for e in l] for l in global_incident],
-                },
-            )
+        try:
+            local_incident = self._local_incident(p)
+            if local_incident != global_incident:
+                raise InternalAssertionError(
+                    "locality",
+                    f"incident edges of {p} differ between local and global builds",
+                    {
+                        "point": p,
+                        "local": [[e.as_pair() for e in l] for l in local_incident],
+                        "global": [[e.as_pair() for e in l] for l in global_incident],
+                    },
+                )
+        except InternalAssertionError as err:
+            _add_instance(err, self.grid)
+            raise
         return LocalityCertificate(
             point=p,
             cheby_cells=2,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
@@ -33,13 +32,6 @@ class Orientation(Enum):
     CLOCKWISE = -1
     COLLINEAR = 0
     COUNTERCLOCKWISE = 1
-
-
-@dataclass(frozen=True)
-class Point:
-    id: int
-    x: Fraction
-    y: Fraction
 
 
 class Segment(tuple):
@@ -67,13 +59,6 @@ class Segment(tuple):
     def __getnewargs__(self) -> tuple[int, int]:
         return tuple(self)
 
-    def other(self, v: int) -> int:
-        if v == self.a:
-            return self.b
-        if v == self.b:
-            return self.a
-        raise ValueError(f"{v} is not an endpoint of {self}")
-
     def touches(self, v: int) -> bool:
         return v == self.a or v == self.b
 
@@ -89,7 +74,7 @@ class PointSet:
 
     Internally all coordinates are scaled to a common integer grid; fast
     predicates run on the integer coordinates, exact rationals are exposed
-    through :meth:`x`, :meth:`y` and :meth:`point`.
+    through :meth:`x` and :meth:`y`.
 
     The grid never changes after construction, so `mst.build_emst` keeps the
     tree it computes in the private `_emst` attribute for later calls.
@@ -142,12 +127,6 @@ class PointSet:
 
     def y(self, i: int) -> Fraction:
         return Fraction(self._sy[i], self._scale)
-
-    def point(self, i: int) -> Point:
-        return Point(i, self.x(i), self.y(i))
-
-    def coords(self) -> list[tuple[Fraction, Fraction]]:
-        return [(self.x(i), self.y(i)) for i in self.ids]
 
     def offsets(
         self, ids: Iterable[int], cx: Fraction | int, cy: Fraction | int, den: int | None = None
@@ -329,11 +308,6 @@ def _sign(v) -> int:
 def cross_sign(ax, ay, bx, by, cx, cy) -> int:
     """Sign of the cross product (b - a) x (c - a); works for int or Fraction."""
     return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-
-
-def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Exact orientation of the ordered triple (p, q, r)."""
-    return Orientation(cross_sign(p.x, p.y, q.x, q.y, r.x, r.y))
 
 
 def orientation_ids(ps: PointSet, a: int, b: int, c: int) -> Orientation:

@@ -1,4 +1,4 @@
-"""Euclidean MST construction and rooted-leaf decoration.
+"""Euclidean MST construction, its bottleneck and its adjacency.
 
 The EMST is one Kruskal over candidate edges that provably contain it, from
 one of two sources:
@@ -38,15 +38,15 @@ never changes, the tree is a function of that grid alone, and only
 `build_emst` writes the kept tree, so every caller gets the true EMST of the
 point set it holds, never a beta passed in by a caller.
 
-A rooted tree records levels, parents and grandparents for the two-tree
-colorings.
+`adjacency` gives the tree's neighbour lists, which the two-tree build
+computes once and every coloring stage reads.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -435,29 +435,6 @@ def bottleneck(edges: Sequence[Segment], ps: PointSet) -> BottleneckInfo:
     return BottleneckInfo(math.sqrt(sq), sq, best)
 
 
-@dataclass(frozen=True)
-class RootedMst:
-    """A tree rooted at a leaf, decorated with levels, parents, grandparents.
-
-    `vertices` may be a subset of the point set: the sub-tree constructions
-    root hanging subtrees without re-indexing points.
-    """
-
-    ps: PointSet
-    vertices: frozenset[int]
-    edges: tuple[Segment, ...]
-    root: int
-    level: dict[int, int]
-    parent: dict[int, int]
-    grandparent: dict[int, int]
-    adjacency: dict[int, tuple[int, ...]] = field(repr=False)
-
-    @property
-    def root_child(self) -> int:
-        """The unique neighbor s of the leaf root."""
-        return self.adjacency[self.root][0]
-
-
 def adjacency(edges: Sequence[Segment]) -> dict[int, list[int]]:
     """Neighbour lists of the edge endpoints, in edge order."""
     adj: dict[int, list[int]] = {}
@@ -465,53 +442,3 @@ def adjacency(edges: Sequence[Segment]) -> dict[int, list[int]]:
         adj.setdefault(e.a, []).append(e.b)
         adj.setdefault(e.b, []).append(e.a)
     return adj
-
-
-def root_at_leaf(
-    edges: Sequence[Segment],
-    ps: PointSet,
-    root: int,
-    vertices: Sequence[int] | None = None,
-) -> RootedMst:
-    """Root a tree at a leaf and compute levels/parents/grandparents.
-
-    Raises if the root is not a leaf or the edges do not form a tree on
-    `vertices`.
-    """
-    verts = frozenset(vertices) if vertices is not None else frozenset(ps.ids)
-    for e in edges:
-        if e.a not in verts or e.b not in verts:
-            raise PreconditionError(f"edge {e} leaves the vertex set")
-    adj = adjacency(edges)
-    if root not in verts:
-        raise PreconditionError(f"root {root} not in vertex set")
-    degree = len(adj.get(root, ()))
-    if degree != 1:
-        raise PreconditionError(f"root {root} has degree {degree}, not a leaf")
-    if len(edges) != len(verts) - 1:
-        raise PreconditionError("edge count does not match a spanning tree")
-    level = {root: 0}
-    parent: dict[int, int] = {}
-    order = deque([root])
-    while order:
-        v = order.popleft()
-        for w in adj[v]:
-            if w not in level:
-                level[w] = level[v] + 1
-                parent[w] = v
-                order.append(w)
-    if len(level) != len(verts):
-        raise PreconditionError("edges do not connect the vertex set")
-    grandparent = {
-        v: (parent[parent[v]] if level[v] >= 2 else root) for v in parent
-    }
-    return RootedMst(
-        ps=ps,
-        vertices=verts,
-        edges=tuple(sorted(edges)),
-        root=root,
-        level=level,
-        parent=parent,
-        grandparent=grandparent,
-        adjacency={v: tuple(sorted(adj.get(v, ()))) for v in verts},
-    )

@@ -1,4 +1,10 @@
-"""The square of a tree and the lemmas about it, as test oracles.
+"""A tree rooted at a leaf, its square and the lemmas about it, as test
+oracles.
+
+`root_at_leaf` records each vertex's level, parent and grandparent, and
+`root_edge_coloring` reads the paper's root-edge coloring off them, with
+its side swaps; the tests compare it with `centralized.construction1`,
+which colors the tree in one breadth-first pass.
 
 The square of the tree joins all vertex pairs at tree distance at most two.
 Tree edges are "short"; the distance-two pairs are "long", each with a unique
@@ -11,14 +17,144 @@ properties of an MST, and a small text format for rooted trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Sequence
 
+from plane_layers.centralized import Recoloring
 from plane_layers.errors import GeneralPositionError, PreconditionError, UsageError
-from plane_layers.geometry import PointSet, Segment, ccw_order_around, cross_sign
-from plane_layers.mst import RootedMst
+from plane_layers.geometry import (
+    Orientation,
+    PointSet,
+    Segment,
+    ccw_order_around,
+    cross_sign,
+    orientation_ids,
+)
+from plane_layers.mst import adjacency
+
+
+@dataclass(frozen=True)
+class RootedMst:
+    """A tree rooted at a leaf, decorated with levels, parents, grandparents.
+
+    `vertices` may be a subset of the point set.
+    """
+
+    ps: PointSet
+    vertices: frozenset[int]
+    edges: tuple[Segment, ...]
+    root: int
+    level: dict[int, int]
+    parent: dict[int, int]
+    grandparent: dict[int, int]
+    adjacency: dict[int, tuple[int, ...]] = field(repr=False)
+
+    @property
+    def root_child(self) -> int:
+        """The unique neighbor s of the leaf root."""
+        return self.adjacency[self.root][0]
+
+
+def root_at_leaf(
+    edges: Sequence[Segment],
+    ps: PointSet,
+    root: int,
+    vertices: Sequence[int] | None = None,
+) -> RootedMst:
+    """Root a tree at a leaf and compute levels/parents/grandparents.
+
+    Raises if the root is not a leaf or the edges do not form a tree on
+    `vertices`.
+    """
+    verts = frozenset(vertices) if vertices is not None else frozenset(ps.ids)
+    for e in edges:
+        if e.a not in verts or e.b not in verts:
+            raise PreconditionError(f"edge {e} leaves the vertex set")
+    adj = adjacency(edges)
+    if root not in verts:
+        raise PreconditionError(f"root {root} not in vertex set")
+    degree = len(adj.get(root, ()))
+    if degree != 1:
+        raise PreconditionError(f"root {root} has degree {degree}, not a leaf")
+    if len(edges) != len(verts) - 1:
+        raise PreconditionError("edge count does not match a spanning tree")
+    level = {root: 0}
+    parent: dict[int, int] = {}
+    order = deque([root])
+    while order:
+        v = order.popleft()
+        for w in adj[v]:
+            if w not in level:
+                level[w] = level[v] + 1
+                parent[w] = v
+                order.append(w)
+    if len(level) != len(verts):
+        raise PreconditionError("edges do not connect the vertex set")
+    grandparent = {
+        v: (parent[parent[v]] if level[v] >= 2 else root) for v in parent
+    }
+    return RootedMst(
+        ps=ps,
+        vertices=verts,
+        edges=tuple(sorted(edges)),
+        root=root,
+        level=level,
+        parent=parent,
+        grandparent=grandparent,
+        adjacency={v: tuple(sorted(adj.get(v, ()))) for v in verts},
+    )
+
+
+# The sides of the directed root edge r->s that each recoloring swaps.
+_SWAPPED_SIDES = {
+    Recoloring.ORIGINAL: (),
+    Recoloring.INVERTED: (Orientation.CLOCKWISE, Orientation.COUNTERCLOCKWISE),
+    Recoloring.MINUS_INVERTED: (Orientation.CLOCKWISE,),
+    Recoloring.PLUS_INVERTED: (Orientation.COUNTERCLOCKWISE,),
+}
+
+
+def root_edge_coloring(rm: RootedMst, variant: Recoloring) -> tuple[set[Segment], set[Segment]]:
+    """The red and blue edges of the root-edge coloring of rm.
+
+    A vertex at an odd level puts its parent edge in red and its
+    grandparent edge in blue, one at an even level the opposite, so the root
+    edge, s's parent and grandparent edge at once, is in both.  The side of
+    a branch of s is the turn r, s, w at its top vertex w: clockwise is the
+    minus side, counterclockwise the plus side; every vertex of a swapped
+    side swaps both of its edges.  ORIGINAL swaps nothing and reads no side."""
+    r, s = rm.root, rm.root_child
+    swapped_sides = _SWAPPED_SIDES[variant]
+    swapped = {}  # top vertex of each branch of s -> whether its side swaps
+    for w in rm.adjacency[s]:
+        if w != r and swapped_sides:
+            turn = orientation_ids(rm.ps, r, s, w)
+            if turn is Orientation.COLLINEAR:
+                raise GeneralPositionError(f"{r}, {s}, {w} are collinear")
+            swapped[w] = turn in swapped_sides
+    red, blue = set(), set()
+    for v in rm.vertices - {r}:
+        top = v
+        while rm.level[top] > 2:
+            top = rm.parent[top]
+        pe, ge = Segment(v, rm.parent[v]), Segment(v, rm.grandparent[v])
+        if (rm.level[v] % 2 == 1) == swapped.get(top, False):
+            pe, ge = ge, pe
+        red.add(pe)
+        blue.add(ge)
+    return red, blue
+
+
+def _other(e: Segment, v: int) -> int:
+    """The endpoint of e that is not v."""
+    if v == e.a:
+        return e.b
+    if v == e.b:
+        return e.a
+    raise ValueError(f"{v} is not an endpoint of {e}")
 
 
 def same_ray(d1: tuple, d2: tuple) -> bool:
@@ -87,7 +223,7 @@ def edge_lies_in_wedge(ps: PointSet, long_edge: Mst2Edge, other: Segment) -> boo
         return False
     da = _dir(ps, v, long_edge.wedge[0])
     db = _dir(ps, v, long_edge.wedge[1])
-    d = _dir(ps, v, other.other(v))
+    d = _dir(ps, v, _other(other, v))
     return strictly_inside_cone(da, db, d)
 
 

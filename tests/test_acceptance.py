@@ -11,16 +11,10 @@ import time
 
 import pytest
 
-from plane_layers.centralized import (
-    Recoloring,
-    build_two_disjoint_trees,
-    construction1,
-    recolor,
-    side_split,
-)
+from plane_layers.centralized import Recoloring, build_two_disjoint_trees, construction1
 from plane_layers.distributed import Certifier, build_k_layers, center_point
 from plane_layers.geometry import Segment, properly_cross
-from plane_layers.mst import build_emst, root_at_leaf
+from plane_layers.mst import build_emst
 from plane_layers.verify import (
     counting_lower_bound,
     gen_line_instance,
@@ -34,7 +28,8 @@ from conftest import (
     random_edge_mutation,
     random_point_set,
 )
-from square_graph import lemma_mst2_cross, mst_square
+from rational_points import exact_coords
+from square_graph import lemma_mst2_cross, mst_square, root_at_leaf
 from test_distributed import brute_depth
 
 RATIO_SLACK = 1 + 1e-9
@@ -62,12 +57,13 @@ def test_criterion_1_construction1_suite(uniform_pool):
     t0 = time.time()
     for ps in uniform_pool:
         edges = build_emst(ps)
-        rm = root_at_leaf(edges, ps, _leaf_root(edges))
-        tt = construction1(rm)
+        root = _leaf_root(edges)
+        tt = construction1(ps, root)
         rep = verify_layers(tt.layers(), ps)
         assert rep.all_plane
         assert rep.all_spanning
-        rs = Segment(rm.root, rm.root_child)
+        (s,) = {e.a + e.b - root for e in edges if e.touches(root)}
+        rs = Segment(root, s)
         assert tt.shared == rs
         assert set(tt.red) & set(tt.blue) == {rs}
         assert rep.duplicate_edges == (rs.as_pair(),)
@@ -97,11 +93,9 @@ def test_criterion_3_recoloring_suite():
     rng = random.Random(512)
     for _ in range(100):
         ps = random_point_set(rng, rng.randint(4, 40))
-        edges = build_emst(ps)
-        rm = root_at_leaf(edges, ps, _leaf_root(edges))
-        split = side_split(rm, construction1(rm))
+        root = _leaf_root(build_emst(ps))
         for variant in Recoloring:
-            tt = recolor(split, variant)
+            tt = construction1(ps, root, variant)
             rep = verify_layers(tt.layers(), ps)
             assert rep.all_plane and rep.all_spanning
             assert rep.duplicate_edges == (tt.shared.as_pair(),)
@@ -181,7 +175,7 @@ def test_criterion_8_center_point_oracle():
         m = rng.randint(4, 60)
         ps = random_point_set(rng, m, extent=100)
         cx, cy = center_point(list(ps.ids), ps)
-        assert brute_depth(cx, cy, ps.coords()) >= m // 3
+        assert brute_depth(cx, cy, exact_coords(ps)) >= m // 3
     print("\nPASS criterion 8: 100 center points pass the independent depth check")
 
 

@@ -15,9 +15,10 @@ repair's included, stay within their budget, counted from the kernel rather
 than timed, no Delaunay triangulation runs, and a point set computes its
 tree once however many builds and verifies read it.
 
-The two-tree build computes the MST's adjacency once, roots no tree with
-`root_at_leaf`, and colors the subtrees hanging off the flat vertex in
-passes that read each vertex's neighbours once.
+The two-tree build computes the MST's adjacency once, and colors the
+subtrees hanging off the flat vertex in passes that read each vertex's
+neighbours once; the package has no rooted copy of the tree to fall back
+on.
 
 `angular_order` sorts on a float key in C and certifies the result with one
 pass of its exact comparator over adjacent pairs, so across a k-layer build
@@ -129,7 +130,7 @@ def test_flat_build_reads_each_subtree_vertex_once(monkeypatch, n):
         for (file, _, name), stats in pstats.Stats(prof).stats.items()
         if Path(file).name == "mst.py"
     }
-    assert calls.get("root_at_leaf", 0) == 0
+    assert not hasattr(mst, "root_at_leaf")
     assert calls["adjacency"] == 1
     # the subtrees hang off v and partition the other vertices
     assert sorted(reads) == [u for u in ps.ids if u != v]

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,25 +13,25 @@ from plane_layers.centralized import (
     disjoint_trees_flat,
     disjoint_trees_pointed,
     find_flat_vertex,
-    recolor,
     select_P,
-    side_split,
 )
+from plane_layers.cli import main
 from plane_layers.errors import GeneralPositionError, InternalAssertionError, PreconditionError
 from plane_layers.geometry import PointSet, Segment, properly_cross
-from plane_layers.mst import adjacency, bottleneck, build_emst, root_at_leaf
+from plane_layers.mst import adjacency, bottleneck, build_emst
 from plane_layers.verify import gen_line_instance, verify_layers
 
 import gap_oracle
 from conftest import count_tree_computations, random_point_set
+from rational_points import exact_coords
+from square_graph import root_at_leaf, root_edge_coloring
 from unionfind import UnionFind
 
 
-def rooted_mst(ps, root=None):
-    edges = build_emst(ps)
-    if root is None:
-        root = min(v for v in ps.ids if sum(1 for e in edges if e.touches(v)) == 1)
-    return root_at_leaf(edges, ps, root)
+def leaf_roots(ps):
+    """The leaves of the EMST of ps, in id order."""
+    degree = Counter(v for e in build_emst(ps) for v in e)
+    return [v for v in ps.ids if degree[v] == 1]
 
 
 def check_construction1_properties(tt, ps):
@@ -42,9 +44,14 @@ def check_construction1_properties(tt, ps):
         assert ps.seg_len_sq(e) <= 4 * be_sq
 
 
+def swapped_edges(tt, base):
+    """The edges that tt colors otherwise than base."""
+    return (set(tt.red) - set(base.red)) | (set(tt.blue) - set(base.blue))
+
+
 def test_construction1_three_point_path():
     ps = PointSet([(0, 0), (1, 0), (2, "0.1")])
-    tt = construction1(rooted_mst(ps, 0))
+    tt = construction1(ps, 0)
     assert set(tt.red) == {Segment(0, 1), Segment(0, 2)}
     assert set(tt.blue) == {Segment(0, 1), Segment(1, 2)}
     assert tt.shared == Segment(0, 1)
@@ -52,7 +59,7 @@ def test_construction1_three_point_path():
 
 def test_construction1_two_points():
     ps = PointSet([(0, 0), (1, 1)])
-    tt = construction1(rooted_mst(ps, 0))
+    tt = construction1(ps, 0)
     assert set(tt.red) == set(tt.blue) == {Segment(0, 1)}
     assert tt.shared == Segment(0, 1)
 
@@ -60,68 +67,111 @@ def test_construction1_two_points():
 def test_construction1_properties_random(rng):
     for _ in range(50):
         ps = random_point_set(rng, rng.randint(4, 40))
-        tt = construction1(rooted_mst(ps))
+        root = leaf_roots(ps)[0]
+        tt = construction1(ps, root)
         check_construction1_properties(tt, ps)
         # every edge joins vertices of different levels
-        rm = rooted_mst(ps)
+        rm = root_at_leaf(build_emst(ps), ps, root)
         for e in list(tt.red) + list(tt.blue):
             assert rm.level[e.a] != rm.level[e.b]
 
 
-def test_side_split_one_sided():
-    # chain bends consistently clockwise of the r->s ray: everything minus
+def test_construction1_rejects_a_root_that_is_no_leaf():
+    ps = PointSet([(0, 0), (1, 0), (-1, "0.1"), (0, 1)])  # a star around 0
+    with pytest.raises(PreconditionError, match=r"^root 0 has degree 3, not a leaf$"):
+        construction1(ps, 0)
+    for root in (-1, 4):
+        with pytest.raises(PreconditionError, match=rf"^root {root} not in vertex set$"):
+            construction1(ps, root)
+    with pytest.raises(PreconditionError, match=r"^root 0 has degree 0, not a leaf$"):
+        construction1(PointSet([(0, 0)]), 0)
+
+
+def test_construction1_one_sided_variants():
+    # the chain bends clockwise of the r->s ray: everything below s is minus
     ps = PointSet([(0, 0), (1, 0), (2, "-0.3"), (3, "-0.8")])
-    rm = rooted_mst(ps, 0)
-    tt = construction1(rm)
-    sp = side_split(rm, tt)
-    assert sp.s_plus == {0, 1}
-    assert sp.s_minus == set(ps.ids)
-    assert not sp.e_r_plus and not sp.e_b_plus
-    assert sp.e_r_minus | sp.e_b_minus == (set(tt.red) | set(tt.blue)) - {tt.shared}
+    base = construction1(ps, 0)
+    below = (set(base.red) | set(base.blue)) - {base.shared}
+    assert swapped_edges(construction1(ps, 0, Recoloring.PLUS_INVERTED), base) == set()
+    assert swapped_edges(construction1(ps, 0, Recoloring.MINUS_INVERTED), base) == below
+    assert swapped_edges(construction1(ps, 0, Recoloring.INVERTED), base) == below
 
 
-def test_side_split_two_branches():
-    # s has one branch on each side of the r->s line
+def test_construction1_two_branch_variants():
+    # s has one branch on each side of the r->s line: {4, 5} below, {2, 3} above
     ps = PointSet([(0, 0), (1, 0), (2, 1), (3, 2), (2, -1), (3, -2)])
-    rm = rooted_mst(ps, 0)
-    tt = construction1(rm)
-    sp = side_split(rm, tt)
-    assert sp.s_minus & sp.s_plus == {0, 1}
-    assert sp.s_minus | sp.s_plus == set(ps.ids)
-    assert {4, 5} <= sp.s_minus and {2, 3} <= sp.s_plus
+    base = construction1(ps, 0)
+    minus = swapped_edges(construction1(ps, 0, Recoloring.MINUS_INVERTED), base)
+    plus = swapped_edges(construction1(ps, 0, Recoloring.PLUS_INVERTED), base)
+    assert minus == {e for e in set(base.red) | set(base.blue) if {4, 5} & set(e)}
+    assert plus == {e for e in set(base.red) | set(base.blue) if {2, 3} & set(e)}
 
 
-def test_side_split_invariant_random(rng):
+def test_construction1_sides_partition_the_swap_random(rng):
+    """The minus and plus inversions swap disjoint edge sets, which together
+    are every edge but the root edge: the edges the full inversion swaps."""
     for _ in range(25):
         ps = random_point_set(rng, rng.randint(4, 30))
-        rm = rooted_mst(ps)
-        sp = side_split(rm, construction1(rm))
-        assert sp.s_minus & sp.s_plus == {rm.root, rm.root_child}
-        assert sp.s_minus | sp.s_plus == set(ps.ids)
+        root = leaf_roots(ps)[0]
+        base = construction1(ps, root)
+        minus, plus, both = (swapped_edges(construction1(ps, root, v), base) for v in (
+            Recoloring.MINUS_INVERTED, Recoloring.PLUS_INVERTED, Recoloring.INVERTED))
+        assert not minus & plus
+        assert minus | plus == both == (set(base.red) | set(base.blue)) - {base.shared}
 
 
-def test_recolor_identity_and_swap(rng):
+def test_construction1_variants_identity_and_swap(rng):
     ps = random_point_set(rng, 15)
-    rm = rooted_mst(ps)
-    tt = construction1(rm)
-    sp = side_split(rm, tt)
-    orig = recolor(sp, Recoloring.ORIGINAL)
-    assert set(orig.red) == set(tt.red) and set(orig.blue) == set(tt.blue)
-    inv = recolor(sp, Recoloring.INVERTED)
+    root = leaf_roots(ps)[0]
+    tt = construction1(ps, root)
+    orig = construction1(ps, root, Recoloring.ORIGINAL)
+    assert orig == tt
+    inv = construction1(ps, root, Recoloring.INVERTED)
     assert set(inv.red) == set(tt.blue) and set(inv.blue) == set(tt.red)
 
 
-def test_recolor_all_variants_keep_guarantees(rng):
+def test_construction1_all_variants_keep_guarantees(rng):
     for _ in range(20):
         ps = random_point_set(rng, rng.randint(4, 30))
-        rm = rooted_mst(ps)
-        base = construction1(rm)
+        root = leaf_roots(ps)[0]
+        base = construction1(ps, root)
         pool = set(base.red) | set(base.blue)
-        sp = side_split(rm, base)
         for variant in Recoloring:
-            tt = recolor(sp, variant)
+            tt = construction1(ps, root, variant)
             check_construction1_properties(tt, ps)
             assert set(tt.red) | set(tt.blue) == pool  # recoloring only recolors
+
+
+def test_construction1_matches_the_rooted_tree_coloring():
+    """The breadth-first pass colors every edge as the coloring read off the
+    levels of the rooted tree does, from two leaf roots of each set and with
+    all four variants."""
+    rng = random.Random(1919)
+    both_sides = 0
+    for _ in range(500):
+        ps = random_point_set(rng, rng.randint(2, 40))
+        edges = build_emst(ps)
+        roots = leaf_roots(ps)
+        for root in (roots[0], roots[-1]):
+            rm = root_at_leaf(edges, ps, root)
+            colorings = set()
+            for variant in Recoloring:
+                tt = construction1(ps, root, variant)
+                assert (set(tt.red), set(tt.blue)) == root_edge_coloring(rm, variant)
+                colorings.add((tt.red, tt.blue))
+            both_sides += len(colorings) == 4
+    assert both_sides > 250  # 310 of the 1000 roots: s has branches on both sides
+
+
+def test_construction1_original_reads_no_side():
+    # the child 2 of s = 1 lies on the line of the root edge 0->1
+    ps = PointSet([(0, 0), (1, 0), (2, 0), (2, 1)])
+    tt = construction1(ps, 0)
+    assert [e.as_pair() for e in tt.red] == [(0, 1), (0, 2), (2, 3)]
+    assert [e.as_pair() for e in tt.blue] == [(0, 1), (1, 2), (1, 3)]
+    for variant in (Recoloring.INVERTED, Recoloring.MINUS_INVERTED, Recoloring.PLUS_INVERTED):
+        with pytest.raises(GeneralPositionError, match=r"^0, 1, 2 are collinear$"):
+            construction1(ps, 0, variant)
 
 
 def test_find_flat_vertex_plus_shape():
@@ -674,6 +724,27 @@ def test_final_self_check_faults(monkeypatch, branch, kind):
     assert str(info.value) == f"[{stage}] {label}: {expected[0]}"
 
 
+def test_two_tree_dump_replays_through_the_cli(monkeypatch, tmp_path):
+    """An internal assertion of the two-tree build dumps the points and the
+    mode, also one raised without them, as the select-p checks are: here
+    the case 2a hub, with every clockwise turn read as above pi, looks like
+    case 2b on five points.  A build from the dump through the CLI fails
+    with the same dump."""
+    ps = PointSet([(0, 1), (0, 0), ("0.9063", "0.4226"), ("0.766", "-0.6428"), ("1.4", "-1.2")])
+    monkeypatch.setattr(centralized, "_cw_angle_below_pi", lambda *args: False)
+    with pytest.raises(InternalAssertionError) as info:
+        build_two_disjoint_trees(ps)
+    dump = info.value.dump
+    assert str(info.value) == "[select-p] case 2b with n != 4"
+    assert (dump["points"], dump["mode"]) == (ps.to_text(), "two-tree")
+    points = tmp_path / "points.txt"
+    points.write_text(dump["points"])
+    monkeypatch.setenv("PLANE_LAYERS_DUMP_DIR", str(tmp_path / "dumps"))
+    argv = ["build", str(points), "--mode", dump["mode"], "--out", str(tmp_path / "t.json")]
+    assert main(argv) == 5
+    (replayed,) = (tmp_path / "dumps").iterdir()
+    assert json.loads(replayed.read_text()) == dump
+
 # One pinned instance per hull layout of P: both layouts of case 1 and the
 # two star cases.  Their outputs pin the base coloring each tag gets.
 @pytest.mark.parametrize(
@@ -683,7 +754,7 @@ def test_final_self_check_faults(monkeypatch, branch, kind):
           ("1.03", "-0.115"), ("1.025", "-0.107"), ("1.025", "-0.085")], "1a",
          [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (4, 6)],
          [(0, 4), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)]),
-        (gen_line_instance(6, "0.001").coords(), "1b",
+        (exact_coords(gen_line_instance(6, "0.001")), "1b",
          [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)], [(0, 2), (0, 3), (1, 3), (3, 4), (3, 5)]),
         ([(0, 1), (0, 0), ("0.9063", "0.4226"), ("0.766", "-0.6428"), ("1.4", "-1.2")], "2a",
          [(0, 1), (0, 3), (2, 3), (3, 4)], [(0, 2), (1, 2), (1, 3), (1, 4)]),

@@ -303,6 +303,26 @@ def test_render_two_tree_and_grid(tmp_path):
     assert "#cccccc" in svg2.read_text()  # grid lines present
 
 
+def test_render_grid_needs_a_distributed_file(tmp_path, capsys):
+    """The grid is the distributed build's bucketing, which a two-tree file
+    or a bare layers file does not record: `render --grid` on one is a usage
+    error that writes no picture, as `build` rejects a `--beta` its mode
+    ignores.  Without `--grid` the same files render."""
+    pts, tt, bare = tmp_path / "l.txt", tmp_path / "lt.json", tmp_path / "bare.json"
+    assert run("gen", "--kind", "line", "--n", "100", "--out", str(pts)) == 0
+    assert run("build", str(pts), "--mode", "two-tree", "--out", str(tt)) == 0
+    data = json.loads(tt.read_text())
+    bare.write_text(json.dumps({"layers": [data["red"], data["blue"]]}))
+    svg = tmp_path / "g.svg"
+    for layers in (tt, bare):
+        capsys.readouterr()
+        assert run("render", str(pts), str(layers), "--grid", "--out", str(svg)) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {layers}: --grid applies to distributed layers files only\n")
+        assert not svg.exists()
+        assert run("render", str(pts), str(layers), "--out", str(svg)) == 0
+        svg.unlink()
+
 @pytest.mark.parametrize(
     "beta_sq, message",
     [("-1/1", "'betaSq' must be positive, got '-1/1'"),

@@ -44,6 +44,7 @@ from plane_layers.mst import bottleneck, build_emst
 from plane_layers.verify import verify_layers
 
 from conftest import acceptance_k_layer_instances, count_tree_computations, random_point_set
+from rational_points import exact_coords
 from sector_oracle import clockwise_around, index_star_layers, sector_index, strictly_inside_cw
 from unionfind import UnionFind
 
@@ -406,7 +407,7 @@ def test_tukey_depth_matches_oracles():
         else:
             cx = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
             cy = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-        coords = ps.coords()
+        coords = exact_coords(ps)
         depth = tukey_depth(cx, cy, ids, ps)
         assert depth == probe_depth(cx, cy, coords), (pts, cx, cy)
         if trial % 4 == 0:
@@ -442,7 +443,7 @@ def test_center_point_random_oracle(rng):
     for _ in range(10):
         ps = random_point_set(rng, 30, extent=50)
         cx, cy = center_point(list(ps.ids), ps)
-        assert brute_depth(cx, cy, ps.coords()) >= 10
+        assert brute_depth(cx, cy, exact_coords(ps)) >= 10
 
 
 def test_center_point_no_two_points_per_ray(rng):
@@ -696,7 +697,7 @@ def test_build_k_layers_asserts_plane_layers(monkeypatch):
     assert (dump["k"], dump["layer"]) == (1, 0)
     # the dump alone reproduces the crossing
     replay = PointSet.from_text(dump["points"])
-    assert replay.coords() == ps.coords()
+    assert exact_coords(replay) == exact_coords(ps)
     assert Fraction(dump["betaSq"]) == bottleneck(build_emst(replay), replay).length_sq
     assert properly_cross(Segment(*dump["crossing"][0]), Segment(*dump["crossing"][1]), replay)
 
@@ -1084,19 +1085,19 @@ def test_build_k_layers_asserts_spanning_layers(monkeypatch):
               *BOX_STAGES]
 )
 def test_k_layer_self_check_dumps_reproduce(monkeypatch, stage):
-    """Every internal assertion of the build dumps the points, k and betaSq
-    (and the layer, for the per-layer checks), and a build from the dump
-    fails at the same stage."""
+    """Every internal assertion of the build dumps the points, the mode, k
+    and betaSq (and the layer, for the per-layer checks), and a build from
+    the dump fails at the same stage."""
     ps, k, beta = _k_layer_fault(monkeypatch, stage)
     with pytest.raises(InternalAssertionError) as info:
         build_k_layers(ps, k, beta)
     dump = info.value.dump
     assert info.value.stage == dump["stage"] == stage
-    assert dump["k"] == k
+    assert (dump["mode"], dump["k"]) == ("distributed", k)
     if stage not in BOX_STAGES:
         assert dump["layer"] == (0 if k == 1 else 1)
     replay = PointSet.from_text(dump["points"])
-    assert replay.coords() == ps.coords()
+    assert exact_coords(replay) == exact_coords(ps)
     be_sq = Fraction(beta) ** 2 if beta else bottleneck(build_emst(replay), replay).length_sq
     assert Fraction(dump["betaSq"]) == be_sq
     with pytest.raises(InternalAssertionError) as again:
@@ -1115,12 +1116,45 @@ def test_k_layer_dump_replays_through_the_cli(monkeypatch, tmp_path):
     points = tmp_path / "points.txt"
     points.write_text(dump["points"])
     monkeypatch.setenv("PLANE_LAYERS_DUMP_DIR", str(tmp_path / "dumps"))
-    argv = ["build", str(points), "--mode", "distributed", "--k", str(dump["k"]),
+    argv = ["build", str(points), "--mode", dump["mode"], "--k", str(dump["k"]),
             "--out", str(tmp_path / "layers.json")]
     assert main(argv) == 5
     (replayed,) = (tmp_path / "dumps").iterdir()
     assert json.loads(replayed.read_text()) == dump
 
+
+
+@pytest.mark.parametrize("stage", ["locality", "center-point", "sector", "box-planarity"])
+def test_certifier_dumps_replay(monkeypatch, stage):
+    """A certificate's internal assertion, the locality check or a box the
+    replay rebuilds, dumps the points, the mode, k and betaSq, as the
+    build's do: a build from the dump recomputes the local edges of a
+    `[locality]` dump, and fails a box stage the same way."""
+    ps = random_point_set(random.Random(0), 200)
+    ls = build_k_layers(ps, 1)
+    points = [ls.layers[0][0].a]
+    if stage == "locality":  # the layer set lacks an edge the replay makes
+        ls = replace(ls, layers=(ls.layers[0][1:],))
+    else:  # the fault may show only at some points, such as representatives
+        _inject_box_fault(monkeypatch, stage, ps)
+        points = ps.ids
+    certifier = Certifier(ps, ls)
+    with pytest.raises(InternalAssertionError) as info:
+        for p in points:
+            certifier.certify(p)
+    dump = info.value.dump
+    assert info.value.stage == dump["stage"] == stage
+    assert (dump["mode"], dump["k"]) == ("distributed", 1)
+    replay = PointSet.from_text(dump["points"])
+    assert exact_coords(replay) == exact_coords(ps)
+    assert Fraction(dump["betaSq"]) == bottleneck(build_emst(replay), replay).length_sq
+    if stage == "locality":
+        cert = Certifier(replay, build_k_layers(replay, dump["k"])).certify(dump["point"])
+        assert [[e.as_pair() for e in l] for l in cert.layer_edges] == dump["local"]
+    else:
+        with pytest.raises(InternalAssertionError) as again:
+            build_k_layers(replay, dump["k"])
+        assert again.value.stage == stage
 
 def hulls_intersect_oracle(ps, ha, hb):
     """The hull test with its crossing part as a scan over all edge pairs."""

@@ -11,7 +11,6 @@ from plane_layers import geometry
 from plane_layers.errors import PreconditionError, UsageError
 from plane_layers.geometry import (
     Orientation,
-    Point,
     PointSet,
     Segment,
     _format_ratio,
@@ -23,13 +22,13 @@ from plane_layers.geometry import (
     cross_sign,
     has_crossing,
     id_strictly_inside_polygon,
-    orientation,
     orientation_ids,
     properly_cross,
     read_coord,
 )
 
 from conftest import collinear_triple, random_point_set
+from rational_points import Point, exact_coords, exact_point, orientation
 
 
 def pt(i, x, y):
@@ -75,8 +74,8 @@ def _cross_via_rational_solve(s1, s2, ps):
     parameters on both segments."""
     if s1.shares_endpoint(s2):
         return False
-    p, r = ps.point(s1.a), ps.point(s1.b)
-    q, s = ps.point(s2.a), ps.point(s2.b)
+    p, r = exact_point(ps, s1.a), exact_point(ps, s1.b)
+    q, s = exact_point(ps, s2.a), exact_point(ps, s2.b)
     d1 = (r.x - p.x, r.y - p.y)
     d2 = (s.x - q.x, s.y - q.y)
     den = d1[0] * d2[1] - d1[1] * d2[0]
@@ -116,7 +115,7 @@ def test_sweep_matches_all_pairs_on_small_grids():
         if rng.random() < 0.2:
             edges.append(rng.choice(edges))
         expected = _all_crossing_pairs(edges, ps)
-        assert has_crossing(edges, ps) == bool(expected), (ps.coords(), edges)
+        assert has_crossing(edges, ps) == bool(expected), (exact_coords(ps), edges)
         assert crossing_pairs(edges, ps) == expected
         outcomes[bool(expected)] += 1
     assert min(outcomes.values()) > 5000
@@ -481,7 +480,7 @@ def test_pointset_grid_matches_fraction_constructor():
         assert _outcome(PointSet.to_text, reflected) == _outcome(fraction_to_text, mirror)
         if isinstance(written, str):
             again = PointSet.from_text(written)
-            assert again.scale == ps.scale and again.coords() == ps.coords()
+            assert again.scale == ps.scale and exact_coords(again) == exact_coords(ps)
 
 
 def test_format_coord_matches_fraction_oracle():
@@ -502,7 +501,7 @@ def test_point_file_roundtrip():
     assert len(ps) == 3
     assert ps.x(2) == Fraction(3, 7)
     again = PointSet.from_text(ps.to_text())
-    assert again.coords() == ps.coords()
+    assert exact_coords(again) == exact_coords(ps)
 
 
 def test_point_file_errors():

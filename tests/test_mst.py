@@ -9,7 +9,7 @@ from plane_layers import mst
 from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
-from plane_layers.mst import bottleneck, build_emst, root_at_leaf
+from plane_layers.mst import bottleneck, build_emst
 from plane_layers.verify import gen_line_instance, verify_layers
 
 from conftest import (
@@ -30,6 +30,7 @@ from square_graph import (
     mst_square,
     neighbors_stay_in_wedge,
     parse_tree,
+    root_at_leaf,
 )
 from unionfind import UnionFind
 

@@ -13,7 +13,7 @@ from plane_layers.geometry import (
     collinear_overlap,
     has_crossing,
 )
-from plane_layers.mst import build_emst, root_at_leaf
+from plane_layers.mst import build_emst
 from plane_layers.verify import (
     LayerCount,
     LayerCounts,
@@ -32,7 +32,7 @@ def test_verify_construction1_output(rng):
         ps = random_point_set(rng, rng.randint(4, 25))
         edges = build_emst(ps)
         root = min(v for v in ps.ids if sum(1 for e in edges if e.touches(v)) == 1)
-        tt = construction1(root_at_leaf(edges, ps, root))
+        tt = construction1(ps, root)
         rep = verify_layers(tt.layers(), ps)
         assert rep.all_plane and rep.all_spanning
         assert rep.duplicate_edges == (tt.shared.as_pair(),)
