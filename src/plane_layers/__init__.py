@@ -52,6 +52,7 @@ from .mst import (
 )
 from .verify import (
     CountingBound,
+    Guarantee,
     VerificationReport,
     counting_lower_bound,
     gen_line_instance,

@@ -14,19 +14,20 @@ which neighbor follows which) is read off one ring scan of that vertex,
 the root's neighbor, and the full constructions run it on each hanging
 subtree, with the adjacency the build computes once.
 
-Each assembled tree is checked for planarity with the exact sweep, and a
-crossing raises InternalAssertionError with a reproducer payload, labelled
-with the assembly stage that added the offending edge: the case analysis is
-the likeliest defect site, so it fails loud.  In case 1 blue is swept with
-the three-hop edge v3v0 in it, so a plane blue needs no search for edges
-crossing v3v0; only a crossed v3v0 is scanned and repaired.  The finished
-pair is then checked exactly by `verify.count_layers`, the core of
-`verify_layers`: spanning, disjointness and the length bound.
+Every construction ends with one `verify_layers` call on the caller's
+point set, the check the CLI's `verify` runs, against the `Guarantee` of a
+two-tree file: plane spanning trees of n - 1 edges, the shared edges and
+the length bound.  The first property the report breaks raises
+InternalAssertionError with a reproducer payload: a crossing at the
+assembly stage that added the later edge of the pair (the case analysis is
+the likeliest defect site, so it fails loud), anything else at the
+construction's final stage.  In case 1 blue is checked with the three-hop
+edge v3v0 in it; only when every blue crossing involves v3v0 is that edge
+repaired, and the pair verified again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -42,13 +43,11 @@ from .geometry import (
     Segment,
     ccw_order_around,
     convex_hull,
-    crossing_pairs,
     id_strictly_inside_polygon,
     orientation_ids,
-    properly_cross,
 )
-from .mst import adjacency, bottleneck, build_emst
-from .verify import LayerCounts, count_layers
+from .mst import adjacency, build_emst
+from .verify import Guarantee, verify_layers
 
 
 class Recoloring(Enum):
@@ -90,20 +89,14 @@ class TwoTrees:
         }
 
 
-def _make_two_trees(red, blue, shared, counts: LayerCounts, be_grid: int, bound: int) -> TwoTrees:
-    # each ratio is one int/int division, correctly rounded like the float of the exact ratio
-    ratios = (math.sqrt(c.longest_sq / be_grid) for c in counts.per_layer)
-    return TwoTrees(tuple(sorted(red)), tuple(sorted(blue)), shared, *ratios, bound)
-
-
 def construction1(ps: PointSet, root: int, variant: Recoloring = Recoloring.ORIGINAL) -> TwoTrees:
     """The root-edge construction on the EMST of `ps`, rooted at the leaf
     `root`: every other vertex puts its parent edge in one color and its
     grandparent edge in the other by the parity rule, each side of the
     directed root edge swapped as `variant` says, and the root edge is in
     both.  Both trees are plane and spanning and share exactly the root
-    edge.  The colors are the build's own subtree pass,
-    `_subtree_contribution`, from the root's one neighbor."""
+    edge, as a final `verify_layers` checks.  The colors are the build's own
+    subtree pass, `_subtree_contribution`, from the root's one neighbor."""
     mst_edges = build_emst(ps)
     adj = adjacency(mst_edges)
     if root not in ps.ids:
@@ -113,41 +106,23 @@ def construction1(ps: PointSet, root: int, variant: Recoloring = Recoloring.ORIG
         raise PreconditionError(f"root {root} has degree {degree}, not a leaf")
     s = adj[root][0]
     rs = Segment(root, s)
-    red, blue = _subtree_contribution(ps, adj, s, root, variant, {root})
-    red.append(rs)
-    blue.append(rs)
-    shared = set(red) & set(blue)
-    if shared != {rs}:
-        raise InternalAssertionError(
-            "construction1",
-            f"shared edges {sorted(shared)} != {{{rs}}}",
-            _dump_payload(ps, red=red, blue=blue),
-        )
-    be = bottleneck(mst_edges, ps).edge
-    counts = count_layers([red, blue], ps)
-    return _make_two_trees(red, blue, rs, counts, ps.sdist_sq(be.a, be.b), 2)
+    asm = _Assembler(ps, f"root-edge construction at {root}")
+    asm.red, asm.blue = _subtree_contribution(ps, adj, s, root, variant, {root})
+    asm.red.append(rs)
+    asm.blue.append(rs)  # the one shared edge the guarantee allows
+    return asm.finish(ps, Guarantee.two_tree(2, shared=True), "construction1", 2, shared=rs)
 
 
-def _component(adj: dict[int, list[int]], start: int, blocks: set[int]) -> set[int]:
-    """The vertices reachable from `start` along `adj` without entering
-    `blocks`, found breadth first."""
+def _component(adj: dict[int, list[int]], start: int) -> set[int]:
+    """The vertices reachable from `start` along `adj`, found breadth first."""
     seen = {start}
     order = [start]
     for v in order:  # the loop also visits the vertices appended below
         for w in adj.get(v, ()):
-            if w not in blocks and w not in seen:
+            if w not in seen:
                 seen.add(w)
                 order.append(w)
     return seen
-
-
-# The sides of the directed root edge that each recoloring swaps: (minus, plus).
-_SWAPS = {
-    Recoloring.ORIGINAL: (False, False),
-    Recoloring.INVERTED: (True, True),
-    Recoloring.MINUS_INVERTED: (True, False),
-    Recoloring.PLUS_INVERTED: (False, True),
-}
 
 
 # --- gap analysis -----------------------------------------------------------
@@ -213,33 +188,37 @@ class _Assembler:
             existing.append(e)
             self._stage[e] = stage
 
-    def check_plane(self) -> None:
-        """Fail on the crossing an edge-by-edge check in insertion order would
-        meet first: the pair whose later edge was added earliest, then that
-        edge's earliest partner, reported at the later edge's stage.
+    def finish(self, ps: PointSet, guarantee: Guarantee, stage: str, bound: int,
+               shared: Segment | None = None, pv: dict[int, int] | None = None) -> TwoTrees:
+        """The pair as TwoTrees, once `verify_layers` on the caller's point
+        set `ps` finds that it keeps `guarantee`.  When the deferred edge is
+        in every blue crossing, it is repaired along the path `pv` and the
+        pair verified again.
 
-        Blue is swept with the deferred edge included.  A plane blue shows at
-        once that blue minus that edge is plane and that the edge needs no
-        repair, so it stops being deferred.  Otherwise only the crossings
-        among the other blue edges fail here: the deferred edge is left to
-        its own repair."""
-        for color, edges in (("red", self.red), ("blue", self.blue)):
-            pairs = crossing_pairs(edges, self.ps)
-            if color == "blue" and self.deferred is not None:
-                if pairs:
-                    pairs = [p for p in pairs if self.deferred not in p]
-                else:
-                    self.deferred = None
-            if pairs:
+        A crossing fails where an edge-by-edge check in insertion order would
+        have met it first: the pair whose later edge was added earliest, then
+        that edge's earliest partner, at the later edge's stage (`stage` for
+        an edge added outside `add`); the deferred edge's own crossings are
+        left to its repair.  Any other breach fails at `stage`."""
+        report = verify_layers([self.red, self.blue], ps)
+        crossed = report.per_layer[1].crossings
+        if self.deferred is not None and crossed and all(self.deferred in p for p in crossed):
+            _fix_three_hop_edge(self, self.ps, pv)
+            report = verify_layers([self.red, self.blue], ps)
+        breach = report.breach(guarantee)
+        if breach is not None:
+            prop, j, message = breach
+            if prop == "planarity":
+                edges = (self.red, self.blue)[j]
                 order = {e: i for i, e in enumerate(edges)}
-                f, e = min(pairs, key=lambda p: (order[p[1]], order[p[0]]))
-                self._fail(self._stage[e], f"{color} edges {e} and {f} cross")
-
-    def replace_blue(self, old: Segment, new: Segment, stage: str) -> None:
-        self.blue.remove(old)
-        del self._stage[old]
-        self.add("blue", [new], stage)
-        self.check_plane()
+                later, earlier = min((order[b], order[a]) for a, b in report.per_layer[j].crossings
+                                     if self.deferred not in (a, b))
+                e, f = edges[later], edges[earlier]
+                message = f"{('red', 'blue')[j]} edges {e} and {f} cross"
+                stage = self._stage.get(e, stage)
+            self._fail(stage, message)
+        red, blue = (l.ratio for l in report.per_layer)
+        return TwoTrees(tuple(sorted(self.red)), tuple(sorted(self.blue)), shared, red, blue, bound)
 
     def _fail(self, stage: str, message: str) -> None:
         raise InternalAssertionError(
@@ -254,27 +233,6 @@ def _dump_payload(ps: PointSet, **edge_sets) -> dict:
     for name, edges in edge_sets.items():
         payload[name] = sorted(e.as_pair() for e in edges)
     return payload
-
-
-def _verify_disjoint_pair(asm: _Assembler, be_grid: int, bound: int, stage: str) -> LayerCounts:
-    """Fail unless red and blue are edge-disjoint spanning trees, no edge is
-    above `bound` times the bottleneck and at most bound - 2 above twice it."""
-    counts = count_layers([asm.red, asm.blue], asm.ps)
-    n = len(asm.ps)
-    for name, c in zip(("red", "blue"), counts.per_layer):
-        if c.edges != n - 1:
-            asm._fail(stage, f"{name} has {c.edges} edges, expected {n - 1}")
-        if c.components != 1:
-            asm._fail(stage, f"{name} is not spanning")
-    if counts.repeats:
-        asm._fail(stage, "red and blue share an edge")
-    for c in counts.per_layer:
-        if c.longest_sq > bound * bound * be_grid:
-            asm._fail(stage, f"edge {c.longest} exceeds {bound}x bottleneck")
-    over2 = counts.longer_than(4 * be_grid)
-    if over2 > bound - 2:
-        asm._fail(stage, f"{over2} edges exceed twice the bottleneck")
-    return counts
 
 
 def _subtree_contribution(
@@ -293,12 +251,12 @@ def _subtree_contribution(
     its parent edge yx and grandparent edge y parent(x).  The parity rule
     colors them: at an odd level the parent edge is red and the grandparent
     edge blue, at an even level the opposite, and a swapped side inverts
-    both.  Any inversion reads each child's side once, in sorted order, so
-    a collinear child fails; ORIGINAL reads no side."""
+    both.  A one-sided inversion reads each child's side once, in sorted
+    order, so a collinear child fails; ORIGINAL reads no side, and neither
+    does INVERTED, which is ORIGINAL with red and blue exchanged."""
     kids = [w for w in mst_adj[anchor] if w not in blocks]
-    swap_minus, swap_plus = _SWAPS[variant]
-    if variant is Recoloring.ORIGINAL:
-        groups = [(kids, False)]
+    if variant in (Recoloring.ORIGINAL, Recoloring.INVERTED):
+        groups = [(kids, variant is Recoloring.INVERTED)]
     else:
         minus, plus = [], []
         for w in sorted(kids):
@@ -306,7 +264,8 @@ def _subtree_contribution(
             # edge root->anchor when root, anchor, w turn clockwise, which is
             # when the clockwise angle at anchor from root to w is above pi
             (plus if _cw_angle_below_pi(ps, anchor, root, w) else minus).append(w)
-        groups = [(minus, swap_minus), (plus, swap_plus)]
+        groups = [(minus, variant is Recoloring.MINUS_INVERTED),
+                  (plus, variant is Recoloring.PLUS_INVERTED)]
     red, blue = [], []
     for group, swapped in groups:
         level = 2  # the anchor is at level 1, its children below it
@@ -371,11 +330,7 @@ def disjoint_trees_flat(
         asm.add("red", red, f"flat-subtree-{i + 1}")
         asm.add("blue", blue, f"flat-subtree-{i + 1}")
 
-    asm.check_plane()
-    be = bottleneck(mst_edges, ps).edge
-    be_grid = ps.sdist_sq(be.a, be.b)
-    counts = _verify_disjoint_pair(asm, be_grid, 2, "flat-final")
-    return _make_two_trees(asm.red, asm.blue, None, counts, be_grid, 2)
+    return asm.finish(ps, Guarantee.two_tree(2, shared=False), "flat-final", 2)
 
 
 # --- the all-pointed construction -------------------------------------------
@@ -559,9 +514,8 @@ def disjoint_trees_pointed(
 ) -> TwoTrees:
     """Disjoint pair when every vertex has a gap above pi: base coloring of
     the complete graph on P plus recolored subtree constructions, with the
-    three-hop blue edge swapped for a hull-path edge when crossed."""
-    be = bottleneck(mst_edges, ps).edge
-    be_grid = ps.sdist_sq(be.a, be.b)
+    three-hop blue edge swapped for a hull-path edge when crossed.  The
+    pair is verified on `ps` itself, also when `pc` is mirrored."""
     wps = ps.reflected() if pc.mirrored else ps
     adj = adjacency(mst_edges) if adj is None else adj
     pv = {3: pc.v3, 2: pc.v2, 1: pc.v1, 0: pc.v0}
@@ -578,27 +532,19 @@ def disjoint_trees_pointed(
         red, blue = _subtree_contribution(wps, adj, pv[i], pv[root_idx], variant, rest)
         asm.add("red", red, f"pointed-T{i}")
         asm.add("blue", blue, f"pointed-T{i}")
-    asm.check_plane()
-    _fix_three_hop_edge(asm, wps, pv)
-
-    bound = 3 if pc.tag.startswith("1") else 2
-    counts = _verify_disjoint_pair(asm, be_grid, bound, "pointed-final")
-    return _make_two_trees(asm.red, asm.blue, None, counts, be_grid, 3)
+    # the file records bound 3; case 2 keeps to ratio 2
+    guarantee = Guarantee.two_tree(3 if pc.tag.startswith("1") else 2, shared=False)
+    return asm.finish(ps, guarantee, "pointed-final", 3, pv=pv)
 
 
 def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> None:
-    """Replace the blue v3v0 edge by a hull-path edge when other blue edges
-    cross it.  The replacement connects the two components of blue - v3v0 and
-    is unique along the hull path through the points inside conv(P).  Nothing
-    to do in case 2, or once `check_plane` has found blue plane with v3v0 in
-    it."""
-    if asm.deferred is None:
-        return
+    """Replace the blue v3v0 edge, which other blue edges cross, by a
+    hull-path edge.  The replacement connects the two components of
+    blue - v3v0 and is unique along the hull path through the points inside
+    conv(P).  Only case 1 defers v3v0, and `_Assembler.finish` calls this
+    once its verify has found v3v0 in every blue crossing."""
     e30 = Segment(pv[3], pv[0])
-    crossers = [f for f in asm.blue if f != e30 and properly_cross(e30, f, ps)]
     asm.deferred = None
-    if not crossers:
-        return
     p_ids = [pv[3], pv[2], pv[1], pv[0]]
     hull = convex_hull(p_ids, ps)
     inside = [
@@ -618,7 +564,7 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> No
     # now rep_hull[i3] directly follows rep_hull[i0]; the path through the
     # interior points walks the cycle the long way, from i3 back around to i0
     path = [rep_hull[(i3 + t) % k] for t in range(k)]
-    side3 = _component(adjacency([f for f in asm.blue if f != e30]), pv[3], set())
+    side3 = _component(adjacency([f for f in asm.blue if f != e30]), pv[3])
     joining = [
         Segment(path[t], path[t + 1])
         for t in range(len(path) - 1)
@@ -626,8 +572,10 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> No
     ]
     if len(joining) != 1:
         asm._fail("pointed-replace", f"{len(joining)} hull-path edges join the components")
-    # a red edge fails as added twice; the length is checked with the finished pair
-    asm.replace_blue(e30, joining[0], "pointed-replace")
+    # a red edge fails as added twice; the rest is verified with the finished pair
+    asm.blue.remove(e30)
+    del asm._stage[e30]
+    asm.add("blue", joining, "pointed-replace")
 
 
 def build_two_disjoint_trees(ps: PointSet) -> TwoTrees:

@@ -32,7 +32,7 @@ from .errors import (
 from .geometry import PointSet, Segment
 from .mst import bottleneck, build_emst
 from .render import render_svg
-from .verify import count_layers, gen_line_instance, verify_layers
+from .verify import Guarantee, count_layers, gen_line_instance, verify_layers
 
 
 def _write(path: str, text: str) -> None:
@@ -240,7 +240,8 @@ def cmd_build(args) -> int:
     be_sq = be_sq or ls.beta_sq  # without --beta the build used the MST bottleneck
     # the MST bottleneck is a grid length: be_sq * scale^2 is an integer
     be_grid = be_sq.numerator * ps.scale**2 // be_sq.denominator
-    max_ratio = math.sqrt(max(ls.longest_sq) / be_grid)
+    longest_sq = max(c.longest_sq for c in count_layers(ls.layers, ps).per_layer)
+    max_ratio = math.sqrt(longest_sq / be_grid)
     bound = 12 * math.sqrt(2) * args.k
     print(f"layers={ls.k} maxRatio={max_ratio:.6f} bound={bound:.6f}")
     return 0
@@ -251,29 +252,22 @@ def cmd_verify(args) -> int:
     meta, layers = _load_layers_file(args.layers, len(ps))
     if not layers:
         raise UsageError(f"{args.layers}: the file has no layers")
-    allow_shared = 0
-    bound = max_len_sq = max_over_twice = None
+    guarantee = Guarantee()
     if meta.get("kind") == "two-tree":
-        bound = _positive_int(meta, "bound", default=3)
-        max_over_twice = max(bound - 2, 0)  # bound 3 allows one edge above ratio 2
-        if meta.get("shared"):
-            allow_shared = 1
+        guarantee = Guarantee.two_tree(_positive_int(meta, "bound", default=3),
+                                       shared=bool(meta.get("shared")))
     elif meta.get("kind") == "distributed":
         k = _positive_int(meta, "k")
         if k != len(layers):
             raise UsageError(f"layers file: 'k' is {k} but the file has {len(layers)} layers")
-        max_len_sq = 288 * k * k * _beta_sq(meta)  # (12*sqrt(2)*k*beta)^2
+        guarantee = Guarantee.k_layers(k, _beta_sq(meta))
     report = verify_layers(layers, ps, flag_overlaps=args.flag_overlaps)
-    if bound is not None and report.beta_sq is not None:
-        max_len_sq = bound * bound * report.beta_sq
     if args.out:  # only once the file's metadata has passed its checks
         _dump_json(args.out, report.to_json_dict())
-    ok = report.ok(max_len_sq=max_len_sq, allow_shared=allow_shared,
-                   max_over_twice=max_over_twice)
     print(f"plane={report.all_plane} spanning={report.all_spanning} "
-          f"disjoint={len(report.duplicate_edges) <= allow_shared} "
+          f"disjoint={len(report.duplicate_edges) <= guarantee.shared} "
           f"maxRatio={report.overall_max_ratio:.6f}")
-    return 0 if ok else 4
+    return 0 if report.ok(guarantee) else 4
 
 
 def cmd_render(args) -> int:

@@ -38,7 +38,7 @@ from .geometry import (
     id_strictly_inside_polygon,
 )
 from .mst import bottleneck, build_emst
-from .verify import count_layers
+from .verify import Guarantee, verify_layers
 
 Cell = tuple[int, int]
 
@@ -625,7 +625,6 @@ class LayerSet:
     beta_sq: Fraction
     layers: tuple[tuple[Segment, ...], ...]
     stats: tuple[dict, ...]
-    longest_sq: tuple[int, ...]  # squared grid length of each layer's longest edge; not serialised
 
     def to_json_dict(self) -> dict:
         return {
@@ -641,12 +640,16 @@ class LayerSet:
 def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     """The full pipeline: grid, per-box layers, sparse attachment, box
     connectors.  Asserts hull disjointness and 8-neighbor connectivity, then
-    each layer's edge-length budget 12*sqrt(2)*k*beta, planarity and spanning,
-    then pairwise edge-disjointness.  Every internal assertion raised on the
-    way, these checks and those of the boxes' center points, sectors and
-    connectors alike, carries a dump of the points, the mode, k and betaSq
-    (and the layer, for the per-layer checks) that replays through
-    `plane-layers build --mode distributed`."""
+    ends with one `verify_layers` call on `ps`, the check the CLI's `verify`
+    runs, against the `Guarantee` of a distributed file: per layer the
+    edge-length budget 12*sqrt(2)*k*beta, planarity and spanning, then
+    pairwise edge-disjointness; the first breach raises at its stage
+    (`_STAGES`).  None of these reads the MST bottleneck, so that verify
+    does not measure against it, and a build with an explicit `beta` never
+    computes the EMST.  Every internal assertion raised on the way, these checks and those of
+    the boxes' center points, sectors and connectors alike, carries a dump
+    of the points, the mode, k and betaSq (and the layer, for the per-layer
+    checks) that replays through `plane-layers build --mode distributed`."""
     beta_sq = _as_beta_sq(beta, ps)
     gi = grid_partition(ps, k, beta_sq)
     try:
@@ -676,29 +679,22 @@ def _assemble(gi: GridIndex) -> LayerSet:
         tuple(sorted([e for bl in box_layers for e in bl.layer_edges(j)] + connectors[j]))
         for j in range(k)
     ]
-    counts = count_layers(layers, ps)
-
-    def fail(stage: str, message: str, layer: int, **extra) -> None:
-        raise InternalAssertionError(stage, message, {"layer": layer} | extra)
-
-    # (12*sqrt(2)*k*beta)^2 on the scaled grid, as a fraction num / den
-    limit_sq = 288 * k * k * beta_sq * ps.scale**2
-    for j, (layer, c) in enumerate(zip(layers, counts.per_layer)):
-        if c.longest_sq * limit_sq.denominator > limit_sq.numerator:
-            fail("length-budget", f"edge {c.longest} exceeds 12*sqrt(2)*k*beta in layer {j}", j)
-        bad = crossing_pairs(layer, ps)
-        if bad:
-            a, b = bad[0]
-            fail("layer-planarity", f"layer {j}: edges {a} and {b} cross", j,
-                 crossing=[a.as_pair(), b.as_pair()])
-        if c.components != 1:
-            fail("layer-spanning", f"layer {j} has {c.components} components", j)
-    for e, i, j in counts.repeats[:1]:
-        fail("layer-disjointness", f"edge {e} in layers {i} and {j}", j)
-    stats = tuple({"edges": c.edges, "bottleneck": c.length} for c in counts.per_layer)
-    longest_sq = tuple(c.longest_sq for c in counts.per_layer)
+    report = verify_layers(layers, ps, measure=False)
+    breach = report.breach(Guarantee.k_layers(k, beta_sq))
+    if breach is not None:
+        prop, j, message = breach
+        dump = {"layer": j}
+        if prop == "planarity":
+            dump["crossing"] = list(report.per_layer[j].crossings[0])
+        raise InternalAssertionError(_STAGES[prop], message, dump)
+    stats = tuple({"edges": l.edges, "bottleneck": l.bottleneck} for l in report.per_layer)
     return LayerSet(k=k, beta=math.sqrt(float(beta_sq)), beta_sq=beta_sq, layers=tuple(layers),
-                    stats=stats, longest_sq=longest_sq)
+                    stats=stats)
+
+
+# The stage of each property a k-layer guarantee checks.
+_STAGES = {"length": "length-budget", "planarity": "layer-planarity",
+           "spanning": "layer-spanning", "shared": "layer-disjointness"}
 
 
 def _assert_hulls_disjoint(ps: PointSet, gi: GridIndex) -> None:

@@ -6,11 +6,16 @@ sweep for crossings, listing the pairs only when one exists; `count_layers`
 for spanning, repeated edges and longest edges) and measures them against
 the MST bottleneck of the point set's EMST, which `build_emst` computes once
 per point set and keeps on it, so a verify after a build reuses the build's
-tree.  It reports and never raises on a property failure.  The self-checks
-of both builds call the same `count_layers` and raise on what it finds.
-Edge lengths are compared as squared integers on the point set's grid; each
-reported length or ratio is one int/int division of them, which rounds
-correctly, like the float of the exact fraction.
+tree.  It reports and never raises on a property failure.
+
+What each construction promises is one `Guarantee`, built from the fields
+its layers file records, and the pass/fail rule is one method,
+`VerificationReport.breach`: the CLI's `verify` passes when it finds no
+breach, and both builds end with `verify_layers` on their own output and
+raise on the first breach under their own stage names.  Edge lengths are
+compared as squared integers on the point set's grid; each reported length
+or ratio is one int/int division of them, which rounds correctly, like the
+float of the exact fraction.
 """
 
 from __future__ import annotations
@@ -27,6 +32,36 @@ from .mst import bottleneck, build_emst
 
 
 @dataclass(frozen=True)
+class Guarantee:
+    """What a construction promises of its layers besides each being plane
+    and spanning: no edge longer than sqrt(`ratio_sq`) times beta, where
+    beta^2 is `beta_sq` or, when that is None, the MST bottleneck's square;
+    at most `over_twice` distinct edges longer than twice the bottleneck
+    (None: any number); at most `shared` distinct edges in more than one
+    layer; and, with `trees`, exactly n - 1 edges in every layer.  The
+    default promises nothing more than plane, spanning, disjoint layers."""
+
+    ratio_sq: int | None = None
+    beta_sq: Fraction | None = None
+    over_twice: int | None = None
+    shared: int = 0
+    trees: bool = False
+
+    @classmethod
+    def two_tree(cls, bound: int, shared: bool) -> Guarantee:
+        """Two spanning trees, every edge at most `bound` times the MST
+        bottleneck and at most bound - 2 of them above twice it (bound 3
+        allows one), sharing one edge when `shared`."""
+        return cls(bound * bound, None, max(bound - 2, 0), int(shared), True)
+
+    @classmethod
+    def k_layers(cls, k: int, beta_sq: Fraction) -> Guarantee:
+        """k disjoint layers, every edge at most 12*sqrt(2)*k*beta:
+        (12*sqrt(2)*k)^2 = 288*k^2."""
+        return cls(288 * k * k, beta_sq)
+
+
+@dataclass(frozen=True)
 class LayerReport:
     plane: bool
     crossings: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
@@ -36,6 +71,7 @@ class LayerReport:
     ratio: float
     edges: int
     longest_sq: Fraction  # exact square of `bottleneck`; not serialised
+    longest: Segment | None  # the edge of that length; not serialised
     overlaps: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
 
 
@@ -47,6 +83,9 @@ class VerificationReport:
     overall_max_ratio: float
     over_twice_bottleneck: int
     beta_sq: Fraction | None  # exact squared MST bottleneck; not serialised
+    vertices: int  # not serialised
+    # (edge, first layer, this layer) of the first repeated edge; not serialised
+    first_repeat: tuple[Segment, int, int] | None
 
     @property
     def all_plane(self) -> bool:
@@ -56,25 +95,39 @@ class VerificationReport:
     def all_spanning(self) -> bool:
         return all(l.spanning for l in self.per_layer)
 
-    def ok(
-        self,
-        max_len_sq: Fraction | None = None,
-        allow_shared: int = 0,
-        max_over_twice: int | None = None,
-    ) -> bool:
-        """True when every layer is plane and spanning, at most
-        `allow_shared` distinct edges repeat across layers, no edge is
-        longer than sqrt(`max_len_sq`) (compared exactly, in squares), and at
-        most `max_over_twice` edges exceed twice the MST bottleneck."""
-        if not (self.all_plane and self.all_spanning):
-            return False
-        if len(self.duplicate_edges) > allow_shared:
-            return False
-        if max_len_sq is not None and any(l.longest_sq > max_len_sq for l in self.per_layer):
-            return False
-        if max_over_twice is not None and self.over_twice_bottleneck > max_over_twice:
-            return False
-        return True
+    def breach(self, guarantee: Guarantee = Guarantee()) -> tuple[str, int | None, str] | None:
+        """The first property of `guarantee` the layers break, as (property,
+        layer, message), or None when they keep them all.  Each layer in turn
+        is checked for the length limit ("length"), planarity, spanning and,
+        for trees, n - 1 edges ("tree"); then all layers together for shared
+        edges ("shared", at the layer of the first repeat) and for edges
+        above twice the bottleneck ("over-twice", at no layer)."""
+        g = guarantee
+        beta_sq = self.beta_sq if g.beta_sq is None else g.beta_sq
+        limit_sq = None if g.ratio_sq is None or beta_sq is None else g.ratio_sq * beta_sq
+        n = self.vertices
+        for j, l in enumerate(self.per_layer):
+            if limit_sq is not None and l.longest_sq > limit_sq:
+                return "length", j, f"edge {l.longest} in layer {j} exceeds the length limit"
+            if l.crossings:
+                a, b = l.crossings[0]
+                return "planarity", j, f"layer {j}: edges {Segment(*a)} and {Segment(*b)} cross"
+            if not l.spanning:
+                return "spanning", j, f"layer {j} has {l.components} components"
+            if g.trees and l.edges != n - 1:
+                return "tree", j, f"layer {j} has {l.edges} edges, expected {n - 1}"
+        if len(self.duplicate_edges) > g.shared:
+            e, i, j = self.first_repeat
+            return "shared", j, f"edge {e} in layers {i} and {j}"
+        over = self.over_twice_bottleneck
+        if g.over_twice is not None and over > g.over_twice:
+            return "over-twice", None, f"{over} edges exceed twice the bottleneck"
+        return None
+
+    def ok(self, guarantee: Guarantee = Guarantee()) -> bool:
+        """True when the layers break no property of `guarantee`; by default,
+        when every layer is plane and spanning and no edge repeats."""
+        return self.breach(guarantee) is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,8 +178,8 @@ class LayerCounts:
 
 def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCounts:
     """The spanning, disjointness and length facts of a layer list in one
-    pass, with no EMST and no planarity sweep: each caller (`verify_layers`,
-    the self-checks of both builds) compares them with its own limits.
+    pass, with no EMST and no planarity sweep, for `verify_layers` and the
+    CLI's `stats`.
 
     Components are counted by a list union-find over the point ids, one per
     layer: n minus the unions that joined two components."""
@@ -169,13 +222,16 @@ def verify_layers(
     layers: Sequence[Sequence[Segment]],
     ps: PointSet,
     flag_overlaps: bool = False,
+    measure: bool = True,
 ) -> VerificationReport:
     """Check each layer for planarity and spanning-ness, all layers for
     pairwise edge-disjointness, and measure bottlenecks against the exact
     EMST of `ps` (`build_emst`: computed on the point set's first call and
-    kept on it, so a verify after a build reuses the build's tree)."""
+    kept on it, so a verify after a build reuses the build's tree).  With
+    `measure` False no EMST is read, and the ratios, the over-twice count
+    and `beta_sq` read as for a single point (0.0, 0 and None)."""
     be_sq = be_grid = None
-    if len(ps) >= 2:
+    if measure and len(ps) >= 2:
         be = bottleneck(build_emst(ps), ps)
         be_sq, be_grid = be.length_sq, ps.sdist_sq(be.edge.a, be.edge.b)
     counts = count_layers(layers, ps)
@@ -195,6 +251,7 @@ def verify_layers(
                 ratio=math.sqrt(c.longest_sq / be_grid) if be_grid else 0.0,
                 edges=c.edges,
                 longest_sq=Fraction(c.longest_sq, grid_sq),
+                longest=c.longest,
                 overlaps=_overlapping_pairs(layer, ps) if flag_overlaps else (),
             )
         )
@@ -206,6 +263,8 @@ def verify_layers(
         overall_max_ratio=max((r.ratio for r in reports), default=0.0),
         over_twice_bottleneck=counts.longer_than(4 * be_grid) if be_grid else 0,
         beta_sq=be_sq,
+        vertices=len(ps),
+        first_repeat=counts.repeats[0] if counts.repeats else None,
     )
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from plane_layers import mst
+from plane_layers import geometry, mst
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import PointSet, Segment
 from plane_layers.verify import gen_line_instance
@@ -53,6 +53,21 @@ def count_tree_computations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(mst, "_compute_emst", counted)
     return calls
+
+
+def count_sweeps(monkeypatch) -> list[int]:
+    """Patch the planarity sweep `geometry.has_crossing`, which
+    `crossing_pairs` runs on every edge list it checks, to record the edge
+    count of each call."""
+    sweeps: list[int] = []
+    has_crossing = geometry.has_crossing
+
+    def counted(edges, ps):
+        sweeps.append(len(edges))
+        return has_crossing(edges, ps)
+
+    monkeypatch.setattr(geometry, "has_crossing", counted)
+    return sweeps
 
 
 def grid_checks(ps) -> int:

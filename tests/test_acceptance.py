@@ -16,6 +16,7 @@ from plane_layers.distributed import Certifier, build_k_layers, center_point
 from plane_layers.geometry import Segment, properly_cross
 from plane_layers.mst import build_emst
 from plane_layers.verify import (
+    Guarantee,
     counting_lower_bound,
     gen_line_instance,
     verify_layers,
@@ -185,12 +186,11 @@ def test_criterion_9_mutation_sensitivity():
     for ps in goldens:
         tt = build_two_disjoint_trees(ps)
         base = tt.layers()
-        over = 0 if tt.bound == 2 else 1
+        guarantee = Guarantee.two_tree(tt.bound, shared=False)
         tripped = 0
         for _ in range(100):
             mutated = random_edge_mutation(base, ps, rng)
-            rep = verify_layers(mutated, ps)
-            if not rep.ok(max_len_sq=tt.bound**2 * rep.beta_sq, max_over_twice=over):
+            if not verify_layers(mutated, ps).ok(guarantee):
                 tripped += 1
         assert tripped >= 99
     print("\nPASS criterion 9: >=99/100 mutations tripped on each golden instance")

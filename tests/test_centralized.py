@@ -19,10 +19,10 @@ from plane_layers.cli import main
 from plane_layers.errors import GeneralPositionError, InternalAssertionError, PreconditionError
 from plane_layers.geometry import PointSet, Segment, properly_cross
 from plane_layers.mst import adjacency, bottleneck, build_emst
-from plane_layers.verify import gen_line_instance, verify_layers
+from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
 
 import gap_oracle
-from conftest import count_tree_computations, random_point_set
+from conftest import count_sweeps, count_tree_computations, random_point_set
 from rational_points import exact_coords
 from square_graph import root_at_leaf, root_edge_coloring
 from unionfind import UnionFind
@@ -163,13 +163,17 @@ def test_construction1_matches_the_rooted_tree_coloring():
     assert both_sides > 250  # 310 of the 1000 roots: s has branches on both sides
 
 
-def test_construction1_original_reads_no_side():
-    # the child 2 of s = 1 lies on the line of the root edge 0->1
+def test_construction1_original_and_inverted_read_no_side():
+    # the child 2 of s = 1 lies on the line of the root edge 0->1; INVERTED
+    # is ORIGINAL with red and blue exchanged, so only a one-sided inversion
+    # reads its side
     ps = PointSet([(0, 0), (1, 0), (2, 0), (2, 1)])
-    tt = construction1(ps, 0)
-    assert [e.as_pair() for e in tt.red] == [(0, 1), (0, 2), (2, 3)]
-    assert [e.as_pair() for e in tt.blue] == [(0, 1), (1, 2), (1, 3)]
-    for variant in (Recoloring.INVERTED, Recoloring.MINUS_INVERTED, Recoloring.PLUS_INVERTED):
+    plain = [(0, 1), (0, 2), (2, 3)], [(0, 1), (1, 2), (1, 3)]
+    for variant, (red, blue) in ((Recoloring.ORIGINAL, plain),
+                                 (Recoloring.INVERTED, plain[::-1])):
+        tt = construction1(ps, 0, variant)
+        assert ([e.as_pair() for e in tt.red], [e.as_pair() for e in tt.blue]) == (red, blue)
+    for variant in (Recoloring.MINUS_INVERTED, Recoloring.PLUS_INVERTED):
         with pytest.raises(GeneralPositionError, match=r"^0, 1, 2 are collinear$"):
             construction1(ps, 0, variant)
 
@@ -265,20 +269,18 @@ def test_ring_matches_oracle(rng):
 
 
 def test_component_matches_unionfind(rng):
-    """`_component` is the set a `UnionFind` over the unblocked edges joins
-    to the start, on random forests with blocked vertices."""
+    """`_component` is the set a `UnionFind` over the edges joins to the
+    start, on random forests."""
     isolated = 0
     for _ in range(500):
         n = rng.randint(1, 30)
         edges = [Segment(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8]
-        blocks = set(rng.sample(range(n), rng.randint(0, n // 3)))
-        start = rng.choice([v for v in range(n) if v not in blocks])
+        start = rng.randrange(n)
         uf = UnionFind(range(n))
         for e in edges:
-            if e.a not in blocks and e.b not in blocks:
-                uf.union(e.a, e.b)
-        expected = {u for u in range(n) if u not in blocks and uf.connected(u, start)}
-        assert centralized._component(adjacency(edges), start, blocks) == expected
+            uf.union(e.a, e.b)
+        expected = {u for u in range(n) if uf.connected(u, start)}
+        assert centralized._component(adjacency(edges), start) == expected
         isolated += expected == {start}
     assert 0 < isolated < 250
 
@@ -475,68 +477,56 @@ def test_three_hop_repair_joins_mid_path():
 
 def _repair_star(*extra):
     """The blue edges of the repair test above, v3v0 = 0-3 deferred, with
-    `extra` added at a later stage."""
+    `extra` added at a later stage, beside a plane red spanning tree."""
     ps = PointSet([(0, 0), (0, 10), (10, 10), (10, 0), (3, 2), (7, 2), (5, -3)])
     asm = centralized._Assembler(ps, "sweep")
     asm.deferred = Segment(0, 3)
+    asm.add("red", [Segment(0, 1), Segment(0, 6), Segment(3, 6), Segment(2, 3), Segment(2, 5),
+                    Segment(4, 6)], "pointed-base")
     asm.add("blue", [Segment(0, 3), Segment(0, 4), Segment(1, 4), Segment(1, 2),
                      Segment(3, 5)], "pointed-base")
     asm.add("blue", extra, "extra")
     return asm
 
 
-def test_check_plane_sweeps_blue_with_the_three_hop_edge(monkeypatch):
-    """One blue sweep with v3v0 in it: a plane blue clears the deferred
-    edge, so the repair scans nothing; a crossed v3v0 stays deferred and is
-    scanned and replaced; a crossing between two other blue edges still
-    fails, even beside a crossed v3v0."""
-    scanned = []
-
-    def spy(s1, s2, ps):
-        scanned.append(s2)
-        return properly_cross(s1, s2, ps)
-
-    monkeypatch.setattr(centralized, "properly_cross", spy)
+def test_final_check_repairs_a_crossed_three_hop_edge(monkeypatch):
+    """The final verify finds v3v0 in every blue crossing, so it is repaired,
+    with no search for its crossers, and the pair verified again: four
+    layer sweeps, and the result keeps the guarantee.  A crossing between
+    two other blue edges fails at the stage that added its later edge, even
+    beside a crossed v3v0, and nothing is repaired."""
+    sweeps = count_sweeps(monkeypatch)
     pv = {3: 0, 2: 1, 1: 2, 0: 3}
-    asm = _repair_star(Segment(4, 5))
-    asm.check_plane()
-    assert asm.deferred is None
-    centralized._fix_three_hop_edge(asm, asm.ps, pv)
-    assert scanned == [] and Segment(0, 3) in asm.blue
-
+    guarantee = Guarantee.two_tree(3, shared=False)
     asm = _repair_star(Segment(5, 6))  # 5-6 crosses v3v0
-    asm.check_plane()
-    assert asm.deferred == Segment(0, 3)
-    centralized._fix_three_hop_edge(asm, asm.ps, pv)
-    assert len(scanned) == 5 and Segment(0, 3) not in asm.blue and asm.deferred is None
+    tt = asm.finish(asm.ps, guarantee, "pointed-final", 3, pv=pv)
+    assert Segment(0, 3) not in tt.blue and Segment(4, 5) in tt.blue
+    assert len(sweeps) == 4 and asm.deferred is None
+    assert verify_layers(tt.layers(), asm.ps).ok(guarantee)
+    assert not hasattr(centralized, "properly_cross")
 
     asm = _repair_star(Segment(5, 6), Segment(0, 2))  # 0-2 crosses 1-4
     with pytest.raises(InternalAssertionError) as err:
-        asm.check_plane()
+        asm.finish(asm.ps, guarantee, "pointed-final", 3, pv=pv)
     assert err.value.stage == "extra"
     assert str(err.value).endswith(
         "sweep: blue edges Segment(a=0, b=2) and Segment(a=1, b=4) cross")
+    assert Segment(0, 3) in asm.blue
 
 
 @pytest.mark.parametrize("n", [4, 40, 200, 501])
-def test_case_one_line_build_calls_no_properly_cross(monkeypatch, n):
+def test_case_one_line_build_sweeps_each_tree_once(monkeypatch, n):
     """On the near-line family (case 1b) blue is plane with v3v0 in it, and
-    the build decides that in its planarity sweep, with no crosser scan."""
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return properly_cross(*args)
-
-    monkeypatch.setattr(centralized, "properly_cross", spy)
+    the build decides that in one sweep of each tree, with no repair."""
     ps = gen_line_instance(n, "0.001")
     edges = build_emst(ps)
     assert find_flat_vertex(edges, ps) is None
     pc = select_P(ps, edges)
     assert pc.tag == "1b"
+    sweeps = count_sweeps(monkeypatch)
     tt = build_two_disjoint_trees(ps)
     assert Segment(pc.v3, pc.v0) in tt.blue
-    assert calls == []
+    assert sweeps == [n - 1, n - 1]
 
 
 def test_build_two_disjoint_trees_square():
@@ -568,7 +558,7 @@ def test_one_tree_computation_per_build_and_verify(monkeypatch, rng, make, bound
     trees = build_two_disjoint_trees(ps)
     assert trees.bound == bound
     report = verify_layers(trees.layers(), ps)
-    assert report.ok(max_len_sq=bound * bound * report.beta_sq)
+    assert report.ok(Guarantee.two_tree(bound, shared=False))
     assert calls == [len(ps)]
 
 
@@ -647,7 +637,7 @@ def test_injected_crossing_names_first_crossing_stage(monkeypatch, seed, stage, 
     assert str(info.value) == f"[{stage}] {message}"
 
 
-# --- the final self-checks, each fault injected after the planarity check ---
+# --- the final self-check, each fault injected into the verified pair ---
 
 
 def _swap_across_cut(ps, edges, pool):
@@ -664,29 +654,45 @@ def _swap_across_cut(ps, edges, pool):
 
 
 def _fault(kind, ps, red, blue, be_grid, bound):
-    """The faulty red list of one injection and the message it must raise."""
+    """The faulty red list of one injection and the message it must raise.
+    Only the planarity fault brings in an edge that crosses red, and only
+    the length fault one longer than the bound."""
     n = len(ps)
     pairs = [s for _, s in sorted((ps.sdist_sq(a, b), Segment(a, b))
                                   for a, b in combinations(ps.ids, 2))]
-    fresh = [s for s in pairs if s not in red and s not in blue]
+
+    def plane(s, edges):
+        return not any(properly_cross(s, r, ps) for r in edges)
+
+    unused = [s for s in pairs if s not in red and s not in blue]
+    fresh = [s for s in unused if plane(s, red)]
+    if kind == "planarity":
+        cross = next(s for s in unused if not plane(s, red)
+                     and ps.sdist_sq(s.a, s.b) <= bound * bound * be_grid)
+        partner = next(r for r in red if properly_cross(cross, r, ps))
+        return red + [cross], f"red edges {cross} and {partner} cross"
     if kind == "count":
-        return red + fresh[:1], f"red has {n} edges, expected {n - 1}"
+        return red + fresh[:1], f"layer 0 has {n} edges, expected {n - 1}"
     if kind == "spanning":
         uf = UnionFind(ps.ids)
         for f in red[1:]:
             uf.union(f.a, f.b)
         cycle = next(s for s in fresh if uf.connected(s.a, s.b))
-        return red[1:] + [cycle], "red is not spanning"
+        return red[1:] + [cycle], "layer 0 has 2 components"
     if kind == "share":
-        return _swap_across_cut(ps, red, blue), "red and blue share an edge"
+        faulty = _swap_across_cut(ps, red, [s for s in blue if plane(s, red)])
+        (shared,) = set(faulty) - set(red)
+        return faulty, f"edge {shared} in layers 0 and 1"
     if kind == "over":
-        over = [s for s in fresh if ps.sdist_sq(s.a, s.b) > bound * bound * be_grid]
+        over = [s for s in unused if ps.sdist_sq(s.a, s.b) > bound * bound * be_grid]
         faulty = _swap_across_cut(ps, red, over)
         (long,) = set(faulty) - set(red)
-        return faulty, f"edge {long} exceeds {bound}x bottleneck"
+        return faulty, f"edge {long} in layer 0 exceeds the length limit"
     # "twice": two more edges above twice the bottleneck, none above the bound
     between = [s for s in fresh if 4 * be_grid < ps.sdist_sq(s.a, s.b) <= 9 * be_grid]
-    faulty = _swap_across_cut(ps, _swap_across_cut(ps, red, between), between)
+    faulty = red
+    for _ in range(2):
+        faulty = _swap_across_cut(ps, faulty, [s for s in between if plane(s, faulty)])
     over2 = sum(ps.sdist_sq(e.a, e.b) > 4 * be_grid for e in faulty + blue)
     assert over2 >= 2
     return faulty, f"{over2} edges exceed twice the bottleneck"
@@ -694,12 +700,17 @@ def _fault(kind, ps, red, blue, be_grid, bound):
 
 # With bound 2 the length limit is twice the bottleneck, so the flat branch
 # cannot reach the over-twice count without failing the length check first.
+# The injected crossing edge was added by no stage, so it fails at the final
+# one.
 @pytest.mark.parametrize(
     "branch, kind",
-    [("flat", k) for k in ("count", "spanning", "share", "over")]
-    + [("pointed", k) for k in ("count", "spanning", "share", "over", "twice")],
+    [("flat", k) for k in ("planarity", "count", "spanning", "share", "over")]
+    + [("pointed", k) for k in ("planarity", "count", "spanning", "share", "over", "twice")],
 )
 def test_final_self_check_faults(monkeypatch, branch, kind):
+    """One rule, two callers: the build's final verify raises the fault at
+    its stage, and `verify_layers` on the same layers fails the guarantee
+    of the two-tree file the build would write."""
     if branch == "flat":
         ps = random_point_set(random.Random(2), 30)
         stage, label, bound = "flat-final", "flat construction at 5", 2
@@ -708,20 +719,22 @@ def test_final_self_check_faults(monkeypatch, branch, kind):
         stage, label, bound = "pointed-final", "pointed construction, case 1b", 3
     be = bottleneck(build_emst(ps), ps)
     be_grid = ps.sdist_sq(be.edge.a, be.edge.b)
-    expected = []
-    original = centralized._Assembler.check_plane
+    injected = []
 
-    def check_then_inject(asm):
-        original(asm)
-        faulty, message = _fault(kind, asm.ps, asm.red, asm.blue, be_grid, bound)
-        asm.red[:] = faulty
-        expected.append(message)
+    def inject_then_verify(layers, ps):
+        red, blue = layers
+        faulty, message = _fault(kind, ps, red, blue, be_grid, bound)
+        red[:] = faulty
+        injected.append(([list(red), list(blue)], message))
+        return verify_layers(layers, ps)
 
-    monkeypatch.setattr(centralized._Assembler, "check_plane", check_then_inject)
+    monkeypatch.setattr(centralized, "verify_layers", inject_then_verify)
     with pytest.raises(InternalAssertionError) as info:
         build_two_disjoint_trees(ps)
+    ((layers, message),) = injected
     assert info.value.stage == stage
-    assert str(info.value) == f"[{stage}] {label}: {expected[0]}"
+    assert str(info.value) == f"[{stage}] {label}: {message}"
+    assert not verify_layers(layers, ps).ok(Guarantee.two_tree(bound, shared=False))
 
 
 def test_two_tree_dump_replays_through_the_cli(monkeypatch, tmp_path):
@@ -988,18 +1001,26 @@ FLAT_COLLINEAR = [(0, 9), (1, 1), (3, 4), (3, 9), (4, 6), (5, 2), (6, 8), (7, 0)
 CASE_2A_COLLINEAR = [(1, 2), (3, 3), (4, 0), (6, 3), (7, 3), (7, 5), (8, 5)]
 
 
-@pytest.mark.parametrize(
-    "coords, mirror, message",
-    [(FLAT_COLLINEAR, False, "2, 5, 7 are collinear"),
-     (CASE_2A_COLLINEAR, False, "1, 3, 4 are collinear"),
-     (CASE_2A_COLLINEAR, True, "1, 3, 4 are collinear")],
-    ids=["flat", "2a", "2a-mirror"],
-)
-def test_side_inversion_rejects_a_collinear_child(coords, mirror, message):
-    ps = PointSet(coords).reflected() if mirror else PointSet(coords)
+def test_side_inversion_rejects_a_collinear_child():
     with pytest.raises(GeneralPositionError) as info:
-        build_two_disjoint_trees(ps)
-    assert str(info.value) == message
+        build_two_disjoint_trees(PointSet(FLAT_COLLINEAR))
+    assert str(info.value) == "2, 5, 7 are collinear"
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["2a", "2a-mirror"])
+def test_full_inversion_reads_no_side(mirror):
+    """The full inversion is the plain coloring with red and blue exchanged,
+    so a child collinear with its root edge builds: the same trees on the
+    set and on its mirror image, within ratio 1.61."""
+    ps = PointSet(CASE_2A_COLLINEAR).reflected() if mirror else PointSet(CASE_2A_COLLINEAR)
+    pc = select_P(ps, build_emst(ps))
+    assert (pc.tag, pc.mirrored, pc.path) == ("2a", not mirror, (0, 1, 2, 3))
+    tt = build_two_disjoint_trees(ps)
+    assert [e.as_pair() for e in tt.red] == [(0, 1), (0, 3), (2, 3), (3, 4), (3, 5), (5, 6)]
+    assert [e.as_pair() for e in tt.blue] == [(0, 2), (1, 2), (1, 3), (1, 4), (4, 5), (4, 6)]
+    report = verify_layers(tt.layers(), ps)
+    assert report.ok(Guarantee.two_tree(tt.bound, shared=False))
+    assert round(report.overall_max_ratio, 2) == 1.61
 
 
 # The base colorings as a table keyed by case tag, before it was keyed by

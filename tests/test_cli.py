@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -11,7 +12,8 @@ import pytest
 
 from plane_layers import cli, distributed, mst, verify
 from plane_layers.cli import main
-from plane_layers.geometry import PointSet
+from plane_layers.geometry import PointSet, Segment
+from plane_layers.verify import Guarantee, verify_layers
 
 from conftest import count_tree_computations
 
@@ -264,6 +266,27 @@ def test_verify_catches_bad_layers(tmp_path):
     data["red"][0] = data["red"][1]  # duplicate edge disconnects the red tree
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
+    assert run("verify", str(pts), str(bad)) == 4
+
+
+def test_verify_rejects_a_two_tree_layer_that_is_not_a_tree(tmp_path):
+    """A red layer that stays plane, spanning, short and disjoint from blue
+    but has n edges breaks the two-tree promise of n - 1 edges per tree."""
+    pts = tmp_path / "p.txt"
+    assert run("gen", "--kind", "uniform", "--n", "30", "--seed", "4", "--out", str(pts)) == 0
+    out = tmp_path / "tt.json"
+    assert run("build", str(pts), "--mode", "two-tree", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    ps = PointSet.from_text(pts.read_text())
+    red, blue = ([Segment(*e) for e in data[c]] for c in ("red", "blue"))
+    guarantee = Guarantee.two_tree(data["bound"], shared=False)
+    pairs = (Segment(a, b) for a, b in itertools.combinations(ps.ids, 2))
+    extra = next(e for e in pairs if e not in red and e not in blue
+                 and verify_layers([red + [e], blue], ps).breach(guarantee)[0] == "tree")
+    data["red"].append(list(extra.as_pair()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run("verify", str(pts), str(out)) == 0
     assert run("verify", str(pts), str(bad)) == 4
 
 

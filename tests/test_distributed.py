@@ -41,9 +41,14 @@ from plane_layers.geometry import (
     properly_cross,
 )
 from plane_layers.mst import bottleneck, build_emst
-from plane_layers.verify import verify_layers
+from plane_layers.verify import Guarantee, verify_layers
 
-from conftest import acceptance_k_layer_instances, count_tree_computations, random_point_set
+from conftest import (
+    acceptance_k_layer_instances,
+    count_sweeps,
+    count_tree_computations,
+    random_point_set,
+)
 from rational_points import exact_coords
 from sector_oracle import clockwise_around, index_star_layers, sector_index, strictly_inside_cw
 from unionfind import UnionFind
@@ -900,6 +905,19 @@ def test_one_emst_per_build_and_certificate(monkeypatch, rng):
     assert calls == []  # an explicit beta needs no EMST
 
 
+def test_explicit_beta_build_computes_no_tree(monkeypatch, rng):
+    """The k-layer guarantee reads no MST bottleneck, so the build's final
+    verify does not measure against it: given a beta, a build computes no
+    EMST."""
+    calls = count_tree_computations(monkeypatch)
+    ps = random_point_set(rng, 80)
+    ls = build_k_layers(ps, 1, beta=400)
+    assert calls == []
+    assert verify_layers([list(layer) for layer in ls.layers], ps).ok(
+        Guarantee.k_layers(1, ls.beta_sq))
+    assert calls == [80]
+
+
 def test_one_tree_computation_per_build_verify_and_certificates(monkeypatch, rng):
     calls = count_tree_computations(monkeypatch)
     ps = random_point_set(rng, 80)
@@ -961,8 +979,7 @@ def test_build_k_layers_asserts_length_budget(monkeypatch):
     with pytest.raises(InternalAssertionError) as info:
         build_k_layers(ps, 1)
     assert info.value.stage == "length-budget"
-    assert str(info.value) == (
-        f"[length-budget] edge {far} exceeds 12*sqrt(2)*k*beta in layer 0")
+    assert str(info.value) == f"[length-budget] edge {far} in layer 0 exceeds the length limit"
 
 
 def test_build_k_layers_asserts_disjoint_layers(monkeypatch):
@@ -1106,6 +1123,40 @@ def test_k_layer_self_check_dumps_reproduce(monkeypatch, stage):
     if stage == "hull-disjointness":  # both boxes are named
         assert re.fullmatch(r"\[hull-disjointness\] assigned hulls of \(-?\d+, -?\d+\) "
                             r"and \(-?\d+, -?\d+\) intersect", str(info.value))
+
+
+def test_k_layer_build_sweeps_each_layer_once(monkeypatch):
+    """The final verify sweeps each full layer once, after the box-level
+    sweeps, which each see only a part of one layer."""
+    ps = random_point_set(random.Random(5), 300)
+    sweeps = count_sweeps(monkeypatch)
+    ls = build_k_layers(ps, 2)
+    full = [len(layer) for layer in ls.layers]
+    assert sweeps[-2:] == full
+    assert all(m < min(full) for m in sweeps[:-2])
+
+
+@pytest.mark.parametrize(
+    "stage", ["length-budget", "layer-planarity", "layer-spanning", "layer-disjointness"]
+)
+def test_k_layer_final_check_agrees_with_verify(monkeypatch, stage):
+    """One rule, two callers: the layers the build's final verify rejects at
+    `stage` fail `verify_layers` against the guarantee of the distributed
+    file the build would write."""
+    ps, k, beta = _k_layer_fault(monkeypatch, stage)
+    checked = []
+
+    def recorded(layers, ps, **kwargs):
+        checked.append([list(layer) for layer in layers])
+        return verify_layers(layers, ps, **kwargs)
+
+    monkeypatch.setattr(distributed, "verify_layers", recorded)
+    with pytest.raises(InternalAssertionError) as info:
+        build_k_layers(ps, k, beta)
+    assert info.value.stage == stage
+    (layers,) = checked
+    guarantee = Guarantee.k_layers(k, Fraction(info.value.dump["betaSq"]))
+    assert not verify_layers(layers, ps).ok(guarantee)
 
 
 def test_k_layer_dump_replays_through_the_cli(monkeypatch, tmp_path):

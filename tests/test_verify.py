@@ -15,6 +15,7 @@ from plane_layers.geometry import (
 )
 from plane_layers.mst import build_emst
 from plane_layers.verify import (
+    Guarantee,
     LayerCount,
     LayerCounts,
     count_layers,
@@ -36,7 +37,7 @@ def test_verify_construction1_output(rng):
         rep = verify_layers(tt.layers(), ps)
         assert rep.all_plane and rep.all_spanning
         assert rep.duplicate_edges == (tt.shared.as_pair(),)
-        assert rep.ok(max_len_sq=4 * rep.beta_sq, allow_shared=1)
+        assert rep.ok(Guarantee.two_tree(2, shared=True))
 
 
 def test_verify_detects_corruption(rng):
@@ -114,14 +115,12 @@ def test_mutations_trip_checks(rng):
     ps = gen_line_instance(33, "0.001")
     tt = build_two_disjoint_trees(ps)
     base = tt.layers()
-    over = 0 if tt.bound == 2 else 1
-    rep = verify_layers(base, ps)
-    assert rep.ok(max_len_sq=tt.bound**2 * rep.beta_sq, max_over_twice=over)
+    guarantee = Guarantee.two_tree(tt.bound, shared=False)
+    assert verify_layers(base, ps).ok(guarantee)
     tripped = 0
     for _ in range(100):
         mutated = random_edge_mutation(base, ps, rng)
-        rep = verify_layers(mutated, ps)
-        if not rep.ok(max_len_sq=tt.bound**2 * rep.beta_sq, max_over_twice=over):
+        if not verify_layers(mutated, ps).ok(guarantee):
             tripped += 1
     assert tripped >= 99
 
