@@ -304,20 +304,6 @@ def disjoint_trees_flat(
     ring = ring[start:] + ring[:start]  # v1 = smallest-id neighbor, ccw labels
     k = len(ring)
 
-    hull = convex_hull(ring, ps)
-    if len(hull) != k:
-        raise InternalAssertionError(
-            "flat-base",
-            f"neighbor {sorted(set(ring) - set(hull))} of {v} not on its neighbor hull",
-            _dump_payload(ps),
-        )
-    rot = hull.index(ring[0])
-    hull = hull[rot:] + hull[:rot]
-    if hull != ring:
-        raise InternalAssertionError(
-            "flat-base", "hull order disagrees with angular order", _dump_payload(ps)
-        )
-
     asm = _Assembler(ps, f"flat construction at {v}")
     hull_edges = [Segment(ring[i], ring[(i + 1) % k]) for i in range(k)]
     v1v2 = hull_edges[0]

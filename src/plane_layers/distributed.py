@@ -32,10 +32,7 @@ from .geometry import (
     PointSet,
     Segment,
     angular_order,
-    convex_hull,
     crossing_pairs,
-    has_crossing,
-    id_strictly_inside_polygon,
 )
 from .mst import bottleneck, build_emst
 from .verify import Guarantee, verify_layers
@@ -108,11 +105,11 @@ class GridIndex:
         return self._layers[box]
 
 
-def _as_beta_sq(beta, ps: PointSet | None = None) -> Fraction:
+def _as_beta_sq(beta, ps: PointSet) -> Fraction:
     """Normalize a beta argument to its exact square; None means the MST
     bottleneck of ps."""
     if beta is None:
-        if ps is None or len(ps) < 2:
+        if len(ps) < 2:
             raise PreconditionError("beta default needs a point set with n >= 2")
         return bottleneck(build_emst(ps), ps).length_sq
     if isinstance(beta, float):
@@ -639,23 +636,31 @@ class LayerSet:
 
 def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     """The full pipeline: grid, per-box layers, sparse attachment, box
-    connectors.  Asserts hull disjointness and 8-neighbor connectivity, then
-    ends with one `verify_layers` call on `ps`, the check the CLI's `verify`
-    runs, against the `Guarantee` of a distributed file: per layer the
-    edge-length budget 12*sqrt(2)*k*beta, planarity and spanning, then
-    pairwise edge-disjointness; the first breach raises at its stage
-    (`_STAGES`).  None of these reads the MST bottleneck, so that verify
-    does not measure against it, and a build with an explicit `beta` never
-    computes the EMST.  Every internal assertion raised on the way, these checks and those of
-    the boxes' center points, sectors and connectors alike, carries a dump
-    of the points, the mode, k and betaSq (and the layer, for the per-layer
-    checks) that replays through `plane-layers build --mode distributed`."""
+    connectors.  Asserts 8-neighbor connectivity, then ends with one
+    `verify_layers` call on `ps`, the check the CLI's `verify` runs, against
+    the `Guarantee` of a distributed file: per layer the edge-length budget
+    12*sqrt(2)*k*beta, planarity and spanning, then pairwise
+    edge-disjointness; the first breach raises at its stage (`_STAGES`).
+    None of these reads the MST bottleneck, so that verify does not measure
+    against it, and a build with an explicit `beta` computes the EMST only
+    once it has failed: a `beta` below the MST bottleneck breaks the
+    construction's precondition, so that failure raises `PreconditionError`
+    instead.  Every internal assertion raised on the way, these checks and
+    those of the boxes' center points, sectors and connectors alike, carries
+    a dump of the points, the mode, k and betaSq (and the layer, for the
+    per-layer checks) that replays through `plane-layers build --mode
+    distributed`."""
     beta_sq = _as_beta_sq(beta, ps)
     gi = grid_partition(ps, k, beta_sq)
     try:
         return _assemble(gi)
     except InternalAssertionError as err:
         _add_instance(err, gi)
+        if beta is not None:
+            be = bottleneck(build_emst(ps), ps)
+            if beta_sq < be.length_sq:
+                raise PreconditionError(
+                    f"beta {beta} is below the MST bottleneck {be.length:.6f}") from err
         raise
 
 
@@ -672,7 +677,6 @@ def _assemble(gi: GridIndex) -> LayerSet:
     lists."""
     ps, k, beta_sq = gi.ps, gi.k, gi.beta_sq
     box_layers = [gi.layers(box) for box in sorted(gi.dense)]
-    _assert_hulls_disjoint(ps, gi)
     _assert_eight_neighbor_connected(gi)
     connectors = connect_boxes(gi)
     layers = [
@@ -695,39 +699,6 @@ def _assemble(gi: GridIndex) -> LayerSet:
 # The stage of each property a k-layer guarantee checks.
 _STAGES = {"length": "length-budget", "planarity": "layer-planarity",
            "spanning": "layer-spanning", "shared": "layer-disjointness"}
-
-
-def _assert_hulls_disjoint(ps: PointSet, gi: GridIndex) -> None:
-    """No two boxes' assigned hulls intersect.  A pair whose integer
-    bounding boxes are disjoint is rejected exactly without the hull test."""
-    xs, ys = ps.grid
-    hulls = {}
-    bboxes = {}
-    for box in gi.dense:
-        hull = hulls[box] = convex_hull(gi.assigned_to(box), ps)
-        hx, hy = [xs[p] for p in hull], [ys[p] for p in hull]
-        bboxes[box] = (min(hx), min(hy), max(hx), max(hy))
-    for a, b in combinations(sorted(hulls), 2):
-        ax0, ay0, ax1, ay1 = bboxes[a]
-        bx0, by0, bx1, by1 = bboxes[b]
-        if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
-            continue
-        if _convex_hulls_intersect(ps, hulls[a], hulls[b]):
-            raise InternalAssertionError(
-                "hull-disjointness", f"assigned hulls of {a} and {b} intersect"
-            )
-
-
-def _convex_hulls_intersect(ps: PointSet, ha: list[int], hb: list[int]) -> bool:
-    edges = [Segment(h[i - 1], h[i]) for h in (ha, hb) if len(h) > 1 for i in range(len(h))]
-    if has_crossing(edges, ps):  # the edges of one convex polygon never cross
-        return True
-    for box_pts, other in ((ha, hb), (hb, ha)):
-        if len(other) >= 3:
-            for v in box_pts:
-                if id_strictly_inside_polygon(other, ps, v):
-                    return True
-    return False
 
 
 def _assert_eight_neighbor_connected(gi: GridIndex) -> None:
@@ -758,27 +729,16 @@ class LocalityCertificate:
 
 
 def locality_certificate(
-    ps: PointSet,
-    k: int,
-    point_id: int,
-    beta=None,
-    layer_set: LayerSet | None = None,
+    ps: PointSet, k: int, point_id: int, layer_set: LayerSet
 ) -> LocalityCertificate:
     """Recompute every edge incident to `point_id` from local data only and
-    compare with the global build; a mismatch raises, since locality would
-    be violated.  One point's `Certifier`; to certify many points of one
-    layer set, make one `Certifier` and call `certify` on each.
-
-    With `beta` None, beta is the one `layer_set` was built with, or the MST
-    bottleneck that the build run here computes; an explicit `beta` must
-    equal the layer set's, and `k` its number of layers.
-    """
-    ls = layer_set or build_k_layers(ps, k, beta)
-    if beta is not None and _as_beta_sq(beta) != ls.beta_sq:
-        raise PreconditionError("layer_set was built with a different beta")
-    if k != ls.k:
-        raise PreconditionError(f"layer_set has {ls.k} layers, not k={k}")
-    return Certifier(ps, ls).certify(point_id)
+    compare with `layer_set`, built globally with k layers; a mismatch
+    raises, since locality would be violated.  One point's `Certifier`; to
+    certify many points of one layer set, make one `Certifier` and call
+    `certify` on each."""
+    if k != layer_set.k:
+        raise PreconditionError(f"layer_set has {layer_set.k} layers, not k={k}")
+    return Certifier(ps, layer_set).certify(point_id)
 
 
 class Certifier:

@@ -17,12 +17,17 @@ from plane_layers.centralized import (
 )
 from plane_layers.cli import main
 from plane_layers.errors import GeneralPositionError, InternalAssertionError, PreconditionError
-from plane_layers.geometry import PointSet, Segment, properly_cross
+from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
 from plane_layers.mst import adjacency, bottleneck, build_emst
 from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
 
 import gap_oracle
-from conftest import count_sweeps, count_tree_computations, random_point_set
+from conftest import (
+    acceptance_uniform_pool,
+    count_sweeps,
+    count_tree_computations,
+    random_point_set,
+)
 from rational_points import exact_coords
 from square_graph import root_at_leaf, root_edge_coloring
 from unionfind import UnionFind
@@ -206,6 +211,31 @@ def test_find_flat_vertex_gaps_below_pi(rng):
         assert v == (flat[0] if flat else None)
         found += v is not None
     assert found > 0
+
+
+def test_flat_vertex_neighbors_are_in_convex_position():
+    """The paper's lemma behind the flat base trees, which the build no
+    longer checks: the MST neighbours of a vertex with no gap above pi are
+    the vertices of their convex hull, in the ccw order of `_ring`.  Checked
+    at every such vertex, the one `find_flat_vertex` returns first."""
+    rng = random.Random(9)
+    pool = acceptance_uniform_pool() + [random_point_set(rng, rng.randint(100, 400))
+                                        for _ in range(20)]
+    returned = wide = 0
+    for ps in pool:
+        edges = build_emst(ps)
+        adj = adjacency(edges)
+        flat = [v for v in sorted(adj)
+                if len(adj[v]) >= 3 and centralized._ring(ps, v, adj[v])[1] is None]
+        assert find_flat_vertex(edges, ps, adj=adj) == (flat[0] if flat else None)
+        returned += bool(flat)
+        for v in flat:
+            ring = centralized._ring(ps, v, adj[v])[0]
+            hull = convex_hull(ring, ps)
+            start = hull.index(ring[0]) if ring[0] in hull else 0
+            assert hull[start:] + hull[:start] == ring, (exact_coords(ps), v)
+            wide += len(ring) > 3  # three neighbours around v always are
+    assert returned > 450 and wide > 120
 
 
 def _oracle_ring(ps, v, nbrs):

@@ -734,7 +734,7 @@ def test_locality_certificate_multibox(rng):
     certifier = Certifier(ps, ls)
     for p in ps.ids:
         assert certifier.certify(p).ok
-    assert locality_certificate(ps, 1, len(ps) - 1, beta=1, layer_set=ls).ok
+    assert locality_certificate(ps, 1, len(ps) - 1, layer_set=ls).ok
 
 
 def test_certifier_sees_a_point_two_cells_from_its_box(rng):
@@ -750,20 +750,6 @@ def test_certifier_sees_a_point_two_cells_from_its_box(rng):
         assert certifier.certify(p).ok
     with pytest.raises(PreconditionError, match="no dense box within two cells"):
         build_k_layers(PointSet(rows + [("18.5", "2.0")]), 1, beta=1)
-
-def test_locality_certificate_rejects_a_different_beta(rng):
-    rows = cluster(rng, 6, 1.0, 1.0) + cluster(rng, 6, 7.5, 1.0)
-    ps = PointSet(rows)
-    ls = build_k_layers(ps, 1, beta=1)
-    with pytest.raises(PreconditionError, match="different beta"):
-        locality_certificate(ps, 1, 0, beta=2, layer_set=ls)
-    emst_ls = build_k_layers(ps, 1)
-    assert emst_ls.beta_sq != 1
-    with pytest.raises(PreconditionError, match="different beta"):
-        locality_certificate(ps, 1, 0, beta=1, layer_set=emst_ls)
-    # without an explicit beta the certificate takes the layer set's
-    assert locality_certificate(ps, 1, 0, layer_set=ls).ok
-
 
 
 def test_locality_certificate_rejects_a_different_k(rng):
@@ -866,15 +852,15 @@ def certificate_digest(certs):
 
 
 def test_locality_certificates_match_pinned_digest():
-    """Every certificate on the criterion-7 builds, and one per build made
-    without a layer set, hash as they did when the certificate took beta
-    from an EMST of its own."""
+    """Every certificate on the criterion-7 builds, and each build's
+    `locality_certificate` of its last point, hash as they did when the
+    certificate took beta from an EMST of its own."""
     certs, fresh = [], []
     for ps, k in acceptance_k_layer_instances():
         ls = build_k_layers(ps, k)
         certifier = Certifier(ps, ls)
         certs += [certifier.certify(p) for p in ps.ids]
-        fresh.append(locality_certificate(ps, k, len(ps) - 1))
+        fresh.append(locality_certificate(ps, k, len(ps) - 1, layer_set=ls))
     assert len(certs) == 1449
     assert certificate_digest(certs) == (
         "6d2ad80874e21131edc510cc8d1b59f38e0c9905294dcf2e0f59fb468a9c500d")
@@ -896,12 +882,8 @@ def test_one_emst_per_build_and_certificate(monkeypatch, rng):
         assert locality_certificate(ps, 1, p, layer_set=ls).ok
     assert len(calls) == 1
     calls.clear()
-    assert locality_certificate(ps, 1, 5).ok  # builds its own layer set
-    assert len(calls) == 1
-    calls.clear()
-    beta = math.ceil(ls.beta)
-    ls = build_k_layers(ps, 1, beta=beta)
-    assert locality_certificate(ps, 1, 5, beta=beta, layer_set=ls).ok
+    ls = build_k_layers(ps, 1, beta=math.ceil(ls.beta))
+    assert locality_certificate(ps, 1, 5, layer_set=ls).ok
     assert calls == []  # an explicit beta needs no EMST
 
 
@@ -916,6 +898,36 @@ def test_explicit_beta_build_computes_no_tree(monkeypatch, rng):
     assert verify_layers([list(layer) for layer in ls.layers], ps).ok(
         Guarantee.k_layers(1, ls.beta_sq))
     assert calls == [80]
+
+
+def small_beta_instance(case):
+    """A point set and a beta below its MST bottleneck on which the k=1
+    build fails an internal check."""
+    rng = random.Random(52)
+    if case == "outlier":  # a 100-square and one point far off it
+        return PointSet(cluster(rng, 300, 0.0, 0.0, w=100.0) + [("3000", "3000")]), 200
+    if case.startswith("blobs"):  # two 100-squares 5000 apart
+        rows = cluster(rng, 300, 0.0, 0.0, w=100.0) + cluster(rng, 300, 5100.0, 0.0, w=100.0)
+        return PointSet(rows), int(case.removeprefix("blobs-"))
+    ps = random_point_set(rng, rng.randint(30, 200))
+    return ps, 0.3 * bottleneck(build_emst(ps), ps).length
+
+
+@pytest.mark.parametrize("case, stage", [
+    ("outlier", "length-budget"), ("blobs-5", "eight-neighbor"), ("blobs-20", "eight-neighbor"),
+    ("blobs-100", "eight-neighbor"), ("uniform", "layer-planarity")])
+def test_beta_below_the_bottleneck_is_a_precondition_failure(case, stage):
+    """A build that fails with a caller's beta below the MST bottleneck
+    raises `PreconditionError` (CLI exit 3) naming both, chained from the
+    internal assertion that caught it."""
+    ps, beta = small_beta_instance(case)
+    be = bottleneck(build_emst(ps), ps)
+    assert beta < be.length
+    with pytest.raises(PreconditionError) as info:
+        build_k_layers(ps, 1, beta)
+    assert str(info.value) == f"beta {beta} is below the MST bottleneck {be.length:.6f}"
+    assert isinstance(info.value.__cause__, InternalAssertionError)
+    assert info.value.__cause__.stage == stage
 
 
 def test_one_tree_computation_per_build_verify_and_certificates(monkeypatch, rng):
@@ -1035,18 +1047,12 @@ def test_connector_pairs_match_rule_loop():
                     assert ((a, b) in replayed[a]) == ((a, b) in replayed[b]) == selected
 
 
-BOX_STAGES = ["hull-disjointness", "eight-neighbor", "center-point", "sector", "box-planarity"]
+BOX_STAGES = ["eight-neighbor", "center-point", "sector", "box-planarity"]
 
 
 def _inject_box_fault(monkeypatch, stage, ps):
     """Make the k=1 build of `ps` fail the box-level assertion `stage`."""
-    if stage == "hull-disjointness":  # other boxes' hulls reach into the first box
-        gi = grid_partition(ps, 1, bottleneck(build_emst(ps), ps).length_sq)
-        members = gi.cells[min(gi.dense)]
-        inner = next(p for p in members if p not in convex_hull(members, ps))
-        monkeypatch.setattr(distributed, "convex_hull", lambda ids, ps: convex_hull(
-            ids if inner in ids else [*ids, inner], ps))
-    elif stage == "eight-neighbor":  # no box sees its 8-neighbours
+    if stage == "eight-neighbor":  # no box sees its 8-neighbours
         dense_near = distributed._dense_near
         monkeypatch.setattr(distributed, "_dense_near", lambda dense, cell, radius=2: (
             [] if radius == 1 else dense_near(dense, cell, radius)))
@@ -1075,8 +1081,8 @@ def _k_layer_fault(monkeypatch, stage):
                                                       key=lambda p: ps.sdist_sq(*p))))
         return ps, 1, None
     if stage == "layer-spanning":  # two dense boxes, and no connector between them
-        rng = random.Random(4)
-        ps = PointSet(cluster(rng, 6, 1.0, 1.0) + cluster(rng, 6, 7.5, 1.0))
+        rng = random.Random(4)  # the clusters face each other across the cell side x = 6
+        ps = PointSet(cluster(rng, 6, 5.0, 1.0, w=0.9) + cluster(rng, 6, 6.1, 1.0, w=0.9))
         monkeypatch.setattr(distributed, "connect_boxes", lambda gi: [[]])
         return ps, 1, 1
     ps = random_point_set(random.Random(0), 200)
@@ -1120,20 +1126,15 @@ def test_k_layer_self_check_dumps_reproduce(monkeypatch, stage):
     with pytest.raises(InternalAssertionError) as again:
         build_k_layers(replay, dump["k"], beta)
     assert again.value.stage == stage
-    if stage == "hull-disjointness":  # both boxes are named
-        assert re.fullmatch(r"\[hull-disjointness\] assigned hulls of \(-?\d+, -?\d+\) "
-                            r"and \(-?\d+, -?\d+\) intersect", str(info.value))
 
 
 def test_k_layer_build_sweeps_each_layer_once(monkeypatch):
-    """The final verify sweeps each full layer once, after the box-level
-    sweeps, which each see only a part of one layer."""
+    """The build sweeps each full layer once, in its final verify, and
+    nothing else: this instance has no box with a sector beyond pi."""
     ps = random_point_set(random.Random(5), 300)
     sweeps = count_sweeps(monkeypatch)
     ls = build_k_layers(ps, 2)
-    full = [len(layer) for layer in ls.layers]
-    assert sweeps[-2:] == full
-    assert all(m < min(full) for m in sweeps[:-2])
+    assert sweeps == [len(layer) for layer in ls.layers]
 
 
 @pytest.mark.parametrize(
@@ -1207,8 +1208,10 @@ def test_certifier_dumps_replay(monkeypatch, stage):
             build_k_layers(replay, dump["k"])
         assert again.value.stage == stage
 
+
 def hulls_intersect_oracle(ps, ha, hb):
-    """The hull test with its crossing part as a scan over all edge pairs."""
+    """Whether the convex hulls ha and hb meet: two of their edges cross, or
+    a vertex of one lies strictly inside the other."""
     ea = [Segment(ha[i], ha[(i + 1) % len(ha)]) for i in range(len(ha))] if len(ha) > 1 else []
     eb = [Segment(hb[i], hb[(i + 1) % len(hb)]) for i in range(len(hb))] if len(hb) > 1 else []
     if any(properly_cross(sa, sb, ps) for sa in ea for sb in eb):
@@ -1217,30 +1220,41 @@ def hulls_intersect_oracle(ps, ha, hb):
                for own, other in ((ha, hb), (hb, ha)) if len(other) >= 3 for v in own)
 
 
-def test_convex_hulls_intersect_matches_edge_scan():
-    """Random splits of a small integer point set into two to five boxes: on
-    every pair of box hulls the pairwise test agrees with the oracle,
-    crossing, touching, nested, collinear and apart."""
-    rng = random.Random(77)
-    crossing = nested = 0
-    for _ in range(1500):
-        pts = {(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(rng.randint(2, 16))}
-        if len(pts) < 2:
-            continue
-        ps = PointSet(sorted(pts))
-        ids = list(ps.ids)
-        rng.shuffle(ids)
-        cuts = sorted(rng.sample(range(1, len(ids)), rng.randint(1, min(4, len(ids) - 1))))
-        hulls = [convex_hull(ids[a:b], ps) for a, b in zip([0, *cuts], [*cuts, len(ids)])]
-        for ha, hb in combinations(hulls, 2):
-            expected = hulls_intersect_oracle(ps, ha, hb)
-            assert distributed._convex_hulls_intersect(ps, ha, hb) == expected
-            if expected:
-                crosses = any(
-                    properly_cross(Segment(ha[s - 1], ha[s]), Segment(hb[t - 1], hb[t]), ps)
-                    for s in range(len(ha)) for t in range(len(hb))
-                    if len(ha) > 1 and len(hb) > 1
-                )
-                crossing += crosses
-                nested += not crosses
-    assert crossing > 200 and nested > 50
+def gauss_clusters(rng, n, clusters, sigma):
+    """n distinct points, 6 decimals, around `clusters` centers in [0, 1000]^2."""
+    centers = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(clusters)]
+    pts = set()
+    while len(pts) < n:
+        cx, cy = centers[rng.randrange(clusters)]
+        pts.add((f"{rng.gauss(cx, sigma):.6f}", f"{rng.gauss(cy, sigma):.6f}"))
+    return PointSet(sorted(pts))
+
+
+def jittered_lattice(seed, index):
+    """The 22 x 22 lattice, spacing 10 and jitter 3, that the benchmark's
+    lattice workload draws as instance `index` of `seed`."""
+    rng = random.Random(seed * 1_000_003 + index)
+    return PointSet([(f"{i * 10 + rng.uniform(-3, 3):.6f}", f"{j * 10 + rng.uniform(-3, 3):.6f}")
+                     for i in range(22) for j in range(22)])
+
+
+def test_assigned_hulls_are_disjoint():
+    """The paper's hull lemma, which the build no longer checks: at beta the
+    MST bottleneck, the convex hulls of the points assigned to any two dense
+    boxes do not meet.  It runs on the grid alone, so it also covers the
+    lattices whose builds fail `[layer-planarity]` (seed 1, instances 6 and
+    9 among them)."""
+    rng = random.Random(2100)
+    pool = [(random_point_set(rng, rng.randint(300, 600)), 1 + i % 3) for i in range(9)]
+    pool += [(gauss_clusters(rng, rng.randint(300, 500), 12, 60), 1 + i % 3) for i in range(9)]
+    pool += [(jittered_lattice(seed, index), k) for seed, index in ((1, 6), (1, 9)) for k in (1, 2, 3)]
+    pool += [(jittered_lattice(seed, index), 1) for seed, index in ((5, 2), (8, 10), (10, 13))]
+    pairs = adjacent = 0
+    for ps, k in pool:
+        gi = grid_partition(ps, k, bottleneck(build_emst(ps), ps).length_sq)
+        hulls = {box: convex_hull(gi.assigned_to(box), ps) for box in gi.dense}
+        for a, b in combinations(sorted(hulls), 2):
+            assert not hulls_intersect_oracle(ps, hulls[a], hulls[b]), (exact_coords(ps), k, a, b)
+            pairs += 1
+            adjacent += max(abs(a[0] - b[0]), abs(a[1] - b[1])) == 1
+    assert pairs > 550 and adjacent > 250
