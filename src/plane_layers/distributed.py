@@ -566,28 +566,25 @@ def _pair_selected(pair: tuple[Cell, Cell], dense: frozenset[Cell]) -> bool:
     return False
 
 
-def _pick_connector(
-    ps: PointSet, la: BoxLayers, lb: BoxLayers, j: int, used: Sequence[Segment]
-) -> Segment:
+def _pick_connector(ps: PointSet, la: BoxLayers, lb: BoxLayers, j: int) -> Segment:
     """Layer j's first mutually-contained representative pair in
-    lexicographic scan order, skipping edges already taken by earlier layers
-    of this box pair."""
+    lexicographic scan order.
+
+    Layers have disjoint representatives, so two layers of one box pair
+    never pick the same edge."""
     ra, rb = la.reps[j], lb.reps[j]
     from_a = ps.offsets([*ra, *rb], *la.center)  # a's rays, then b's representatives
     from_b = ps.offsets([*rb, *ra], *lb.center)
     for ia in range(3):
         for ib in range(3):
-            e = Segment(ra[ia], rb[ib])
-            if e in used:
-                continue
             if (
                 _sector(from_b[:3], from_b[3 + ia]) == ib
                 and _sector(from_a[:3], from_a[3 + ib]) == ia
             ):
-                return e
+                return Segment(ra[ia], rb[ib])
     raise InternalAssertionError(
         "connector",
-        f"no unused mutually-contained pair between boxes {la.box} and {lb.box}",
+        f"no mutually-contained pair between boxes {la.box} and {lb.box}",
     )
 
 
@@ -602,12 +599,9 @@ def connect_boxes(gi: GridIndex) -> list[list[Segment]]:
 
 
 def _pair_connectors(gi: GridIndex, a: Cell, b: Cell) -> list[Segment]:
-    """Each layer's connector between boxes a and b, skipping earlier layers'."""
+    """Each layer's connector between boxes a and b."""
     la, lb = gi.layers(a), gi.layers(b)
-    used: list[Segment] = []
-    for j in range(gi.k):
-        used.append(_pick_connector(gi.ps, la, lb, j, used))
-    return used
+    return [_pick_connector(gi.ps, la, lb, j) for j in range(gi.k)]
 
 
 # --- whole-construction entry points ----------------------------------------

@@ -1,14 +1,15 @@
 """Exact planar primitives: orientation, proper crossing, hulls, angular order.
 
 Each point set holds its coordinates exactly on one scaled integer grid
-(scale: the lcm of the coordinates' denominators).  `read_coord` reads plain
-decimals straight onto integers and every other form through Fraction;
-mirroring and printing work on the grid integers.  Every predicate in this
-module is computed with integer or rational arithmetic and is never wrong
-due to rounding.  Lengths are compared as squared grid integers and only
-leave the exact world as squared rationals; square roots appear solely in
-reported float values.  The one other float is the angle `angular_order`
-sorts on, and an exact comparator pass certifies that order.
+(scale: the lcm of the coordinates' denominators).  `read_coord` reads the
+coordinate strings of point files and of `PointSet(...)`: plain decimals
+straight onto integers, every other form through Fraction.  Mirroring and
+printing work on the grid integers.  Every predicate in this module is
+computed with integer or rational arithmetic and is never wrong due to
+rounding.  Lengths are compared as squared grid integers and only leave the
+exact world as squared rationals; square roots appear solely in reported
+float values.  The one other float is the angle `angular_order` sorts on,
+and an exact comparator pass certifies that order.
 """
 
 from __future__ import annotations
@@ -74,13 +75,19 @@ class PointSet:
 
     Internally all coordinates are scaled to a common integer grid; fast
     predicates run on the integer coordinates, exact rationals are exposed
-    through :meth:`x` and :meth:`y`.
+    through :meth:`x` and :meth:`y`.  When every coordinate given to the
+    constructor is a string, each is read by `read_coord`, as a point file's
+    are; otherwise each goes through Fraction.  `to_text` prints a grid whose
+    scale divides a power of ten from one multiplier.
 
     The grid never changes after construction, so `mst.build_emst` keeps the
     tree it computes in the private `_emst` attribute for later calls.
     """
 
     def __init__(self, coords: Sequence[tuple[Fraction | int | str, Fraction | int | str]]):
+        if all(isinstance(c[0], str) and isinstance(c[1], str) for c in coords):
+            self._place([read_coord(c[0]) for c in coords], [read_coord(c[1]) for c in coords])
+            return
         xs = [Fraction(c[0]) for c in coords]
         ys = [Fraction(c[1]) for c in coords]
         self._place([(f.numerator, f.denominator) for f in xs],
@@ -241,11 +248,30 @@ class PointSet:
         return ps
 
     def to_text(self) -> str:
-        scale = self._scale
+        """One `id x y` line per point, each coordinate in its shortest exact
+        form: an integer, a decimal, or `p/q` when no decimal is exact.
 
-        def fmt(v: int) -> str:
-            g = math.gcd(v, scale)
-            return _format_ratio(v // g, scale // g)
+        When the scale divides 10**d, coordinate v is the integer v * (10**d
+        / scale) over 10**d, printed from one divmod with the fraction's
+        trailing zeros stripped; other scales reduce each coordinate."""
+        scale = self._scale
+        digits = _decimal_digits(scale)
+        if digits is None:
+
+            def fmt(v: int) -> str:
+                g = math.gcd(v, scale)
+                return _format_ratio(v // g, scale // g)
+
+        else:
+            # v / scale = v * mult / 10**digits: one multiplier for the grid
+            mult, unit = 10**digits // scale, 10**digits
+
+            def fmt(v: int) -> str:
+                whole, rest = divmod(abs(v) * mult, unit)
+                sign = "-" if v < 0 else ""
+                if not rest:
+                    return f"{sign}{whole}"
+                return f"{sign}{whole}.{str(rest).rjust(digits, '0').rstrip('0')}"
 
         return "".join(
             f"{i} {fmt(x)} {fmt(y)}\n" for i, (x, y) in enumerate(zip(self._sx, self._sy))
@@ -279,22 +305,26 @@ def read_coord(text: str) -> tuple[int, int]:
     return num // g, den // g
 
 
+def _decimal_digits(den: int) -> int | None:
+    """The least d with den dividing 10**d, or None when den (> 0) has a
+    prime factor other than 2 and 5."""
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    return max(twos, fives) if den == 1 else None
+
+
 def _format_ratio(num: int, den: int) -> str:
     """Exact text of the reduced fraction num / den (den > 0): decimal when
     den is 2^a*5^b, else p/q."""
     if den == 1:
         return str(num)
-    twos = fives = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
+    digits = _decimal_digits(den)
+    if digits is None:
         return f"{num}/{den}"
-    digits = max(twos, fives)
     scaled = num * 10**digits // den
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled)).rjust(digits + 1, "0")
@@ -371,9 +401,8 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     The kernel reads the point set's grid-integer lists (`PointSet.grid`)
     and keeps the m segments, left endpoint first, in flat lists of ids and
     coordinates.  An event is the triple (x, y, i) for the end of segment i
-    and (x, y, m + i) for its start.  The crossing test is inlined: with both
-    segments stored left to right, disjoint x-extents are two comparisons,
-    and otherwise two pairs of orientation signs decide.
+    and (x, y, m + i) for its start.  The crossing test is inlined: two
+    pairs of orientation signs decide.
     """
     xs, ys = ps.grid
     m = len(edges)
@@ -399,8 +428,6 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
         if a == c or a == d or b == c or b == d:
             return False
         ax, bx, cx, dx = lx[i], rx[i], lx[j], rx[j]
-        if ax > dx or cx > bx:
-            return False
         ay, by, cy, dy = ly[i], ry[i], ly[j], ry[j]
         ux, uy = bx - ax, by - ay
         if (ux * (cy - ay) - uy * (cx - ax)) * (ux * (dy - ay) - uy * (dx - ax)) >= 0:

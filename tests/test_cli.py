@@ -660,6 +660,26 @@ def test_malformed_coordinates_are_usage_errors(tmp_path, capsys, coord, command
     assert capsys.readouterr().err == f"usage error: line 3: {exc.value}\n"
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("text, message", [
+    ("0 0 0\n1 1 0\n1 1 1\n2 0 1\n", "usage error: line 3: duplicate id 1"),
+    (None, "file error: [Errno 2] No such file or directory: '{pts}'"),
+], ids=["duplicate-id", "missing-file"])
+def test_point_file_errors_exit_2(tmp_path, capsys, command, text, message):
+    """A repeated id and a missing point file exit 2 and leave --out alone."""
+    pts = tmp_path / "p.txt"
+    if text is not None:
+        pts.write_text(text)
+    out = tmp_path / "tt.json"
+    layers = json.dumps({"kind": "two-tree", "red": [], "blue": []})
+    out.write_text(layers)
+    argv = ["build", str(pts), "--out", str(out)] if command == "build" else [
+        "verify", str(pts), str(out)]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == message.format(pts=pts) + "\n"
+    assert out.read_text() == layers
+
+
 def test_coordinate_forms_read_as_their_values(tmp_path):
     """Signs, exponents, fractions, underscores and non-ASCII digits in a
     point file build the same trees as the plain decimals they stand for."""

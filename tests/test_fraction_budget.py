@@ -1,10 +1,13 @@
-"""Regression guard: the two-tree build and verify run on the integer grid.
+"""Regression guard: point sets, the two-tree build and verify run on the
+integer grid.
 
-Coordinates are held exactly as scaled integers, and every length decision
-compares grid integers, so a build plus a verify constructs only a handful
-of `Fraction` objects (the exact squared lengths kept in the reports),
-whatever n is.  A per-point or per-edge Fraction creeping back in shows up
-here as a count that grows with n.
+Plain decimal strings are read straight onto the grid, so building a
+`PointSet` from them constructs no `Fraction` at all.  Coordinates are held
+exactly as scaled integers, and every length decision compares grid
+integers, so a build plus a verify constructs only a handful of `Fraction`
+objects (the exact squared lengths kept in the reports), whatever n is.  A
+per-point or per-edge Fraction creeping back in shows up here as a count
+that grows with n.
 """
 
 import cProfile
@@ -17,6 +20,7 @@ import pytest
 
 from plane_layers.centralized import build_two_disjoint_trees
 from plane_layers.cli import main
+from plane_layers.geometry import PointSet
 from plane_layers.verify import verify_layers
 
 from conftest import random_point_set
@@ -33,6 +37,16 @@ def fraction_constructions(call) -> int:
         for (file, _, name), (_, calls, *_) in pstats.Stats(prof).stats.items()
         if Path(file).name == "fractions.py" and name in ("__new__", "_from_coprime_ints")
     )
+
+
+@pytest.mark.parametrize("n", [100, 400, 1600])
+def test_point_set_from_decimal_strings(n):
+    rng = random.Random(n)
+    pts = [(f"{rng.uniform(-1000, 1000):.6f}", f"{rng.uniform(0, 1000):.{i % 7}f}")
+           for i in range(n)]
+    sets = []
+    assert fraction_constructions(lambda: sets.append(PointSet(pts))) == 0
+    assert len(sets[0]) == n
 
 
 @pytest.mark.parametrize("n", [100, 400, 1600])

@@ -444,13 +444,42 @@ def test_read_coord_matches_fraction_oracle():
             assert math.gcd(*got) == 1 and got[1] > 0, text
 
 
+def assert_grid_as_fraction(coords):
+    """`PointSet(coords)` and the point file of `coords` give the scale,
+    scaled integers, text and mirror image that the `Fraction` path gave."""
+    scale, sx, sy = fraction_grid(coords)
+    text = "".join(f"{i} {str(x).strip()} {str(y).strip()}\n" for i, (x, y) in enumerate(coords))
+    for ps in (PointSet(coords), PointSet.from_text(text)):
+        assert ps.scale == scale
+        assert [ps.scaled(i) for i in ps.ids] == list(zip(sx, sy))
+    written = _outcome(PointSet.to_text, ps)
+    assert written == _outcome(fraction_to_text, coords)
+    mirror = [(x, -Fraction(y)) for x, y in coords]
+    scale, sx, sy = fraction_grid(mirror)
+    reflected = ps.reflected()
+    assert reflected.scale == scale
+    assert [reflected.scaled(i) for i in ps.ids] == list(zip(sx, sy))
+    assert _outcome(PointSet.to_text, reflected) == _outcome(fraction_to_text, mirror)
+    if isinstance(written, str):
+        again = PointSet.from_text(written)
+        assert again.scale == ps.scale and exact_coords(again) == exact_coords(ps)
+
+
+def distinct_coords(values):
+    """Points (v_i, v_{-1-i}) from values of pairwise different value."""
+    vals = list({Fraction(v): v for v in values}.values())
+    return [(vals[i], vals[-1 - i]) for i in range(len(vals))]
+
+
 def test_pointset_grid_matches_fraction_constructor():
     """Scale, scaled integers, text and mirror image as the `Fraction` path
-    gave them, for strings, ints and Fractions mixed."""
+    gave them, for strings, ints and Fractions mixed, and for strings alone:
+    every accepted reader case, on a grid with a factor 3 and on one of
+    decimals only."""
     rng = random.Random(46)
     accepted = [t for t in READER_CASES if not isinstance(_outcome(_fraction_read, t)[0], type)]
     for _ in range(300):
-        values = {}
+        values = []
         for _ in range(rng.randint(1, 12)):
             kind = rng.randrange(5)
             if kind == 0:
@@ -461,26 +490,29 @@ def test_pointset_grid_matches_fraction_constructor():
                 v = Fraction(rng.randint(-999, 999), rng.choice((1, 3, 7, 8, 10**13)))
             else:
                 v = f"{rng.uniform(-1000, 1000):.{rng.randint(0, 8)}f}"
-            values.setdefault(Fraction(v), v)
-        vals = list(values.values())
-        rng.shuffle(vals)
-        coords = [(vals[i], vals[-1 - i]) for i in range(len(vals))]
-        scale, sx, sy = fraction_grid(coords)
-        text = "".join(f"{i} {str(x).strip()} {str(y).strip()}\n" for i, (x, y) in enumerate(coords))
-        for ps in (PointSet(coords), PointSet.from_text(text)):
-            assert ps.scale == scale
-            assert [ps.scaled(i) for i in ps.ids] == list(zip(sx, sy))
-        written = _outcome(PointSet.to_text, ps)
-        assert written == _outcome(fraction_to_text, coords)
-        mirror = [(x, -Fraction(y)) for x, y in coords]
-        scale, sx, sy = fraction_grid(mirror)
-        reflected = ps.reflected()
-        assert reflected.scale == scale
-        assert [reflected.scaled(i) for i in ps.ids] == list(zip(sx, sy))
-        assert _outcome(PointSet.to_text, reflected) == _outcome(fraction_to_text, mirror)
-        if isinstance(written, str):
-            again = PointSet.from_text(written)
-            assert again.scale == ps.scale and exact_coords(again) == exact_coords(ps)
+            values.append(v)
+        rng.shuffle(values)
+        assert_grid_as_fraction(distinct_coords(values))
+    decimal = [t for t in accepted if "/" not in t]
+    assert len(decimal) < len(accepted)
+    for strings in (accepted, decimal, accepted[::-1], decimal[::-1]):
+        coords = distinct_coords(strings)
+        assert all(isinstance(x, str) and isinstance(y, str) for x, y in coords)
+        assert_grid_as_fraction(coords)
+
+
+@pytest.mark.parametrize("digits", [0, 1, 6, 13])
+def test_decimal_grid_text_matches_fraction_oracle(digits):
+    """`to_text` on grids of 13 decimals, of negative values and of integers
+    writes what the `Fraction` formatter wrote."""
+    rng = random.Random(48 + digits)
+    for lo, hi in ((-1000, 1000), (-1000, -1), (0, 10**7)):
+        values = [f"{rng.uniform(lo, hi):.{digits}f}" for _ in range(60)]
+        values += [str(rng.randint(lo, hi)) for _ in range(5)]  # integer-valued points
+        coords = distinct_coords(values)
+        assert_grid_as_fraction(coords)
+        assert_grid_as_fraction([(Fraction(x), Fraction(y)) for x, y in coords])
+        assert PointSet(coords).to_text() == fraction_to_text(coords)  # text, not an error
 
 
 def test_format_coord_matches_fraction_oracle():
@@ -511,6 +543,8 @@ def test_point_file_errors():
         PointSet.from_text("0 1\n")
     with pytest.raises(UsageError):
         PointSet.from_text("")
+    with pytest.raises(UsageError, match=r"^line 3: duplicate id 0$"):
+        PointSet.from_text("0 1 2\n1 3 4\n0 5 6\n")
 
 
 def test_format_coord_exact():
