@@ -12,11 +12,15 @@ are joined through mutually-contained representative pairs.
 beta is typically the MST bottleneck, an irrational square root, yet every
 predicate stays exact and integer-only.  With q = beta^2 = N/M and the point
 set's integer grid of scale S, a cell index is an integer square root of a
-ratio of integers, and the nearer of two dense-cell centers is the sign of
-A*sqrt(N*M) - B for integers A and B, decided by comparing A^2*N*M with B^2.
-Center points, the clockwise walk and sector tests run on integer offsets
-from a rational center (`PointSet.offsets`); Tukey depth is one angular sort
-and a linear sweep.
+ratio of integers, taken once per occupied grid line: the points are walked
+in coordinate order, and the exact start of the next cell, another integer
+square root, tells when a new index is due.  The nearer of two dense-cell
+centers is the sign of A*sqrt(N*M) - B for integers A and B, decided by
+comparing A^2*N*M with B^2.  Center points, the clockwise walk and sector
+tests run on integer offsets from a rational center (`PointSet.offsets`).
+Each candidate center of a box costs one angular sort of the box's assigned
+points; the accepted one's order gives its Tukey depth (a linear sweep), the
+check that no two points share a ray from it, and the clockwise walk.
 """
 
 from __future__ import annotations
@@ -55,9 +59,10 @@ def _cell_index(v: int, scale: int, sm: int, q: Fraction) -> int:
 
 class GridIndex:
     """The cell decomposition of one point set at side 6*k*sqrt(beta_sq):
-    each point's cell, each cell's points in id order, the dense cells (at
+    each point's cell, with one integer square root per occupied column and
+    row (`_bucket`), each cell's points in id order, the dense cells (at
     least 3k points), every point's box, and each dense box's layers, built
-    on first use.
+    on first use with one angular sort per candidate center.
 
     A point in a dense cell belongs to that cell's box: a cell is the Voronoi
     region of its own center among all cell centers, so no dense center is
@@ -139,12 +144,44 @@ def _bucket(
 ) -> tuple[dict[int, Cell], dict[Cell, list[int]], frozenset[Cell]]:
     """Each point's cell, each cell's points in id order, and the dense
     cells: those holding at least 3k points."""
+    xs, ys = ps.grid
+    cols = _axis_cells(xs, ps.scale, 6 * k, q)
+    rows = _axis_cells(ys, ps.scale, 6 * k, q)
     cell_of: dict[int, Cell] = {}
     cells: dict[Cell, list[int]] = {}
-    for p, (x, y) in enumerate(zip(*ps.grid)):
-        c = cell_of[p] = _cell_index(x, ps.scale, 6 * k, q), _cell_index(y, ps.scale, 6 * k, q)
+    for p, c in enumerate(zip(cols, rows)):
+        cell_of[p] = c
         cells.setdefault(c, []).append(p)
     return cell_of, cells, frozenset(c for c, members in cells.items() if len(members) >= 3 * k)
+
+
+def _axis_cells(vs: Sequence[int], scale: int, sm: int, q: Fraction) -> list[int]:
+    """`_cell_index` of every grid coordinate in `vs`, with one such square
+    root per occupied cell: the walk visits the values in ascending order and
+    takes a new index only where a value reaches the start of the next
+    cell."""
+    out = [0] * len(vs)
+    start = -math.inf  # the first value opens a cell
+    for p in sorted(range(len(vs)), key=vs.__getitem__):
+        v = vs[p]
+        if v >= start:
+            index = _cell_index(v, scale, sm, q)
+            start = _cell_start(index + 1, scale, sm, q)
+        out[p] = index
+    return out
+
+
+def _cell_start(i: int, scale: int, sm: int, q: Fraction) -> int:
+    """The least grid integer v with `_cell_index(v, scale, sm, q) >= i`.
+
+    That index is floor(v / (scale * sm * sqrt(q))), so v must reach
+    i * scale * sm * sqrt(q), whose square is r / M for r = i^2 * (scale *
+    sm)^2 * N with q = N / M: v = ceil(sqrt(r / M)) for i > 0, and
+    -floor(sqrt(r / M)) for i <= 0."""
+    r = i * i * (scale * sm) ** 2 * q.numerator
+    if i > 0:
+        return math.isqrt(-(-r // q.denominator) - 1) + 1
+    return -math.isqrt(r // q.denominator)
 
 
 def _dense_near(dense: frozenset[Cell], cell: Cell, radius: int = 2) -> list[Cell]:
@@ -208,23 +245,33 @@ def tukey_depth(
     """Exact Tukey depth of (cx, cy) among the points `ids`: the minimum
     number of them in a closed halfplane bounded by a line through it.
 
-    O(m log m): the nonzero integer offsets from the center are sorted by
-    angle and grouped by ray.  Just past each ray a_i, the open halfplane to
-    the left of the line holds L_i = #offsets in (a_i, a_i + pi], found with a
-    second pointer that only moves forward, and the one to its right holds
-    m' - L_i; every generic line direction is just past some a_i or a_i + pi.
-    Points on the center lie in every closed halfplane, and the closed
-    halfplane minimum is reached at a generic direction, so the depth is
-    #zeros + min_i min(L_i, m' - L_i).  With `stop_below`, the sweep returns
-    as soon as the depth is known to be below it, with a value below it.
-    """
+    O(m log m): one angular sort of the nonzero integer offsets from the
+    center, then `_depth_around`.  Points on the center lie in every closed
+    halfplane, so they add to the depth of the others.  With `stop_below`,
+    the sweep returns as soon as the depth is known to be below it, with a
+    value below it."""
     vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
     zeros = len(ids) - len(vecs)
-    m = len(vecs)
+    stop = None if stop_below is None else stop_below - zeros
+    return zeros + _depth_around([vecs[i] for i in angular_order(vecs)], stop)
+
+
+def _depth_around(ccw: Sequence[tuple[int, int]], stop_below: int | None = None) -> int:
+    """Tukey depth of the origin among the nonzero vectors `ccw`, given in
+    counterclockwise `angular_order`.
+
+    The vectors are grouped by ray.  Just past each ray a_i, the open
+    halfplane to the left of the line holds L_i = #vectors in (a_i, a_i +
+    pi], found with a second pointer that only moves forward, and the one to
+    its right holds m - L_i; every generic line direction is just past some
+    a_i or a_i + pi, and the closed halfplane minimum is reached at a generic
+    direction, so the depth is min_i min(L_i, m - L_i).  With `stop_below`,
+    the sweep returns as soon as the depth is known to be below it, with a
+    value below it."""
+    m = len(ccw)
     rays: list[tuple[int, int]] = []
     counts: list[int] = []
-    for i in angular_order(vecs):
-        v = vecs[i]
+    for v in ccw:
         if rays and rays[-1][0] * v[1] == rays[-1][1] * v[0] and (
             rays[-1][0] * v[0] + rays[-1][1] * v[1] > 0
         ):
@@ -246,13 +293,13 @@ def tukey_depth(
             else:
                 break
         best = min(best, inside, m - inside)
-        if stop_below is not None and zeros + best < stop_below:
+        if stop_below is not None and best < stop_below:
             break
         if end > t + 1:
             inside -= counts[(t + 1) % r]
         else:
             end = t + 2
-    return zeros + best
+    return best
 
 
 def center_point(
@@ -264,7 +311,8 @@ def center_point(
     no two `ray_ids` points (default: the ids) share a ray.  Deterministic:
     for each target depth, the first of the mean, the coordinate-wise median
     and the m spread triples that qualifies, else a point of the exact depth
-    region (`_region_point`).
+    region (`_region_point`).  Each candidate costs one angular sort of the
+    `ray_ids` offsets from it (`_ordered_center`).
 
     The ceiling depth (the classical centerpoint guarantee) makes every
     sector provably convex, so it is tried first.  It can be unachievable
@@ -274,21 +322,45 @@ def center_point(
     then applies and the box construction double-checks planarity wherever a
     sector opens beyond pi.
     """
+    return _ordered_center(ids, ps, ray_ids)[0]
+
+
+def _ordered_center(
+    ids: Sequence[int], ps: PointSet, ray_ids: Sequence[int] | None = None
+) -> tuple[tuple[Fraction, Fraction], list[tuple[int, int]], list[int]]:
+    """`center_point`'s center, with the integer offsets of the `ray_ids`
+    from it and their counterclockwise `angular_order`.
+
+    Each candidate sorts those offsets once.  When the ids are distinct and
+    all among the `ray_ids`, as in a box, its depth is `_depth_around` the
+    ids' offsets filtered out of that order, which keeps it; otherwise it is
+    `tukey_depth`.  Only a candidate deep enough pays the one pass over
+    adjacent pairs that tells whether two offsets share a ray
+    (`_shares_ray`), and a zero offset rejects it before any sort."""
     if len(ids) < 3:
         raise PreconditionError("center point needs at least 3 points")
     m = len(ids)
     ray_ids = ids if ray_ids is None else ray_ids
     if len(set(ray_ids)) < len(ray_ids):  # a repeated id shares a ray from every point
         raise PreconditionError("center point needs distinct ray ids")
+    members = set(ids)
+    inside = [p in members for p in ray_ids]
+    shared = len(members) == m == sum(inside)
     for target in dict.fromkeys(((m + 2) // 3, m // 3)):  # ceiling, then floor
         for cx, cy in _center_candidates(ids, ps):
-            if tukey_depth(cx, cy, ids, ps, stop_below=target) >= target and (
-                not _rays_collide(ps.offsets(ray_ids, cx, cy))
-            ):
-                return (cx, cy)
-        point = _region_point(_depth_region(ids, ps, target), ps, ray_ids)
-        if point is not None:
-            return point
+            vecs = ps.offsets(ray_ids, cx, cy)
+            if (0, 0) in vecs:
+                continue
+            order = angular_order(vecs)
+            if shared:
+                depth = _depth_around([vecs[i] for i in order if inside[i]], target)
+            else:
+                depth = tukey_depth(cx, cy, ids, ps, stop_below=target)
+            if depth >= target and not _shares_ray(vecs, order):
+                return (cx, cy), vecs, order
+        found = _region_point(_depth_region(ids, ps, target), ps, ray_ids)
+        if found is not None:
+            return found
     raise InternalAssertionError("center-point", "no candidate reached the depth bound")
 
 
@@ -316,17 +388,27 @@ def _center_candidates(ids, ps):
 
 def _region_point(poly, ps, ray_ids):
     """A point of the convex polygon `poly` with no two `ray_ids` points on
-    one ray from it, or None.  That is the vertex centroid c, else the first
-    c + s(u - c) + s^2(v - c), s = 1/2, 1/4, ..., for the first vertices u, v
-    spanning a triangle with c.  It lies inside that triangle (weights
-    1 - s - s^2, s, s^2), and the parabola meets each line through two
-    points at most twice, so the scan ends."""
+    one ray from it, as `_ordered_center` returns it, or None.  That is the
+    vertex centroid c, else the first c + s(u - c) + s^2(v - c), s = 1/2,
+    1/4, ..., for the first vertices u, v spanning a triangle with c.  It
+    lies inside that triangle (weights 1 - s - s^2, s, s^2), and the parabola
+    meets each line through two points at most twice, so the scan ends."""
+
+    def ordered(x, y):
+        vecs = ps.offsets(ray_ids, x, y)
+        if (0, 0) not in vecs:
+            order = angular_order(vecs)
+            if not _shares_ray(vecs, order):
+                return (x, y), vecs, order
+        return None
+
     if not poly:
         return None
     cx = sum(x for x, _ in poly) / len(poly)
     cy = sum(y for _, y in poly) / len(poly)
-    if not _rays_collide(ps.offsets(ray_ids, cx, cy)):
-        return (cx, cy)
+    found = ordered(cx, cy)
+    if found is not None:
+        return found
     for (ux, uy), (vx, vy) in combinations(poly, 2):
         ux, uy, vx, vy = ux - cx, uy - cy, vx - cx, vy - cy
         if ux * vy != uy * vx:
@@ -335,9 +417,9 @@ def _region_point(poly, ps, ray_ids):
         return None
     s = Fraction(1, 2)
     while True:
-        x, y = cx + s * ux + s * s * vx, cy + s * uy + s * s * vy
-        if not _rays_collide(ps.offsets(ray_ids, x, y)):
-            return (x, y)
+        found = ordered(cx + s * ux + s * s * vx, cy + s * uy + s * s * vy)
+        if found is not None:
+            return found
         s /= 2
 
 
@@ -417,24 +499,22 @@ def _clip_polygon(poly, ax, ay, dx, dy, keep_left):
     return out
 
 
-def _rays_collide(offsets: Sequence[tuple[int, int]]) -> bool:
-    """True when two of the offset vectors share a ray from the origin, or
-    one is zero: either breaks the clockwise circular order.
+def _shares_ray(vecs: Sequence[tuple[int, int]], order: Sequence[int]) -> bool:
+    """True when two of the nonzero vectors `vecs` share a ray from the
+    origin, which breaks the clockwise circular order.  `order` is their
+    `angular_order`, in which the vectors of one ray are adjacent, so one
+    pass over adjacent pairs decides: two vectors share a ray iff their cross
+    product is 0 and their dot product positive.
 
     Diametrically opposite pairs are allowed: for some inputs (four points in
     convex position, say) every point of sufficient depth lies on a chord, so
     demanding one point per full line would never converge.  A sector bounded
     by opposite rays spans exactly pi and is still convex.
     """
-    seen: set[tuple[int, int]] = set()
-    for dx, dy in offsets:
-        if dx == 0 and dy == 0:
+    for s, t in zip(order, order[1:]):
+        (ax, ay), (bx, by) = vecs[s], vecs[t]
+        if ax * by == ay * bx and ax * bx + ay * by > 0:
             return True
-        g = math.gcd(dx, dy)
-        key = (dx // g, dy // g)  # canonical per ray, sign preserved
-        if key in seen:
-            return True
-        seen.add(key)
     return False
 
 
@@ -488,24 +568,31 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     walk per layer around its center point.
 
     The points assigned to the box are ordered clockwise around the center
-    once.  Layer j takes the in-box points of ranks j, floor(m/3)+j and
-    floor(2m/3)+j in that order as its representatives and walks the order
-    from just past the first: each point joins the current representative,
-    and a representative then becomes the current one.  In-box points give
-    the star and chain edges, the others the attachments.  The walk places
-    every point in its sector exactly, since no two assigned points share a
-    ray from the center (`center_point`).  Where a sector opens beyond pi,
-    the layer's planarity is checked outright.  Of the grid it reads only
-    `ps`, `k`, `gi.cells[box]`, `gi.cell_of` and `gi.assigned_to(box)`."""
+    once: that is the counterclockwise order the accepted center was checked
+    with (`_ordered_center`), read backwards from the +x ray, so the box
+    sorts by angle once per candidate center and never again.  Layer j takes
+    the in-box points of ranks j, floor(m/3)+j and floor(2m/3)+j in that
+    order as its representatives and walks the order from just past the
+    first: each point joins the current representative, and a representative
+    then becomes the current one.  In-box points give the star and chain
+    edges, the others the attachments.  The walk places every point in its
+    sector exactly, since no two assigned points share a ray from the
+    center.  Where a sector opens beyond pi, the layer's planarity is checked
+    outright.  Of the grid it reads only `ps`, `k`, `gi.cells[box]`,
+    `gi.cell_of` and `gi.assigned_to(box)`."""
     ps, k = gi.ps, gi.k
     members = gi.cells[box]
     m = len(members)
     if m < 3 * k:
         raise PreconditionError(f"box {box} holds {m} < 3k points")
     assigned = gi.assigned_to(box)
-    center = center_point(members, ps, ray_ids=assigned)
-    offsets = ps.offsets(assigned, *center)
-    order = angular_order([(dx, -dy) for dx, dy in offsets])  # mirrored: clockwise
+    center, offsets, ccw = _ordered_center(members, ps, ray_ids=assigned)
+    # clockwise from the +x ray: the counterclockwise order read backwards,
+    # its first vector moved to the front when it lies on that ray
+    order = ccw[::-1]
+    first = offsets[ccw[0]]
+    if first[1] == 0 and first[0] > 0:
+        order = [ccw[0], *order[:-1]]
     ids = [assigned[i] for i in order]
     dirs = [offsets[i] for i in order]
     in_box = [gi.cell_of[p] == box for p in ids]

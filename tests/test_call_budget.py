@@ -20,6 +20,11 @@ subtrees hanging off the flat vertex in passes that read each vertex's
 neighbours once; the package has no rooted copy of the tree to fall back
 on.
 
+The grid takes one `_cell_index` square root per occupied column and row,
+and each dense box sorts its assigned points by angle once per candidate
+center it tries: the accepted candidate's sort serves the depth test, the
+ray-distinctness test and the clockwise walk.
+
 `angular_order` sorts on a float key in C and certifies the result with one
 pass of its exact comparator over adjacent pairs, so across a k-layer build
 and a certificate the comparator runs at most once per sorted vector; a
@@ -37,6 +42,7 @@ import pytest
 
 from plane_layers import centralized, distributed, geometry, mst
 from plane_layers.centralized import build_two_disjoint_trees, find_flat_vertex
+from plane_layers.cli import main
 from plane_layers.distributed import build_k_layers, locality_certificate
 from plane_layers.geometry import Segment
 from plane_layers.verify import verify_layers
@@ -163,7 +169,7 @@ def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
 
 
 def test_angular_order_compares_at_most_once_per_vector(monkeypatch):
-    ps = random_point_set(random.Random(300), 300)
+    ps = random_point_set(random.Random(600), 600)
     angular_order = geometry.angular_order
     (cmp,) = (c for c in angular_order.__code__.co_consts
               if isinstance(c, types.CodeType) and c.co_name == "cmp")
@@ -185,3 +191,60 @@ def test_angular_order_compares_at_most_once_per_vector(monkeypatch):
     comparisons = stats.get((cmp.co_filename, cmp.co_firstlineno, "cmp"), (0, 0))[1]
     assert sum(sorted_vectors) > 500
     assert 0 < comparisons <= sum(sorted_vectors)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [300, 2000])
+def test_bucket_takes_one_cell_index_per_occupied_line(monkeypatch, n, k):
+    ps = random_point_set(random.Random(n + k), n)
+    q = mst.bottleneck(mst.build_emst(ps), ps).length_sq
+    calls = []
+    cell_index = distributed._cell_index
+
+    def counted(v, *args):
+        calls.append(v)
+        return cell_index(v, *args)
+
+    monkeypatch.setattr(distributed, "_cell_index", counted)
+    cell_of, _, _ = distributed._bucket(ps, k, q)
+    columns, rows = ({c[axis] for c in cell_of.values()} for axis in (0, 1))
+    assert len(calls) == len(columns) + len(rows) < n
+
+
+def clusters_point_set(tmp_path, n, seed):
+    path = tmp_path / f"clusters-{n}-{seed}.txt"
+    assert main(["gen", "--kind", "clusters", "--n", str(n), "--seed", str(seed),
+                 "--out", str(path)]) == 0
+    return geometry.PointSet.from_text(path.read_text())
+
+
+@pytest.mark.parametrize("kind, k", [("uniform", 1), ("uniform", 2), ("clusters", 3)])
+def test_box_sorts_once_per_tried_candidate(monkeypatch, tmp_path, kind, k):
+    """Each box's layers cost one `angular_order` call per center candidate
+    it tries, and none beyond: the walk reuses the accepted center's sort."""
+    if kind == "uniform":
+        ps = random_point_set(random.Random(300), 300)
+    else:  # one box of 300 points, with many failing candidates
+        ps = clusters_point_set(tmp_path, 300, 1)
+    gi = distributed.grid_partition(ps, k, mst.bottleneck(mst.build_emst(ps), ps).length_sq)
+    sorts, tried = [], []
+    angular_order, candidates = distributed.angular_order, distributed._center_candidates
+
+    def counted_sort(vecs):
+        sorts.append(len(vecs))
+        return angular_order(vecs)
+
+    def counted_candidates(ids, ps):
+        for c in candidates(ids, ps):
+            tried.append(c)
+            yield c
+
+    monkeypatch.setattr(distributed, "angular_order", counted_sort)
+    monkeypatch.setattr(distributed, "_center_candidates", counted_candidates)
+    monkeypatch.setattr(distributed, "_region_point", None)  # every box finds a candidate
+    for box in sorted(gi.dense):
+        sorts.clear()
+        tried.clear()
+        distributed.layers_in_box(box, gi)
+        assert 1 <= len(sorts) <= len(tried)
+        assert set(sorts) == {len(gi.assigned_to(box))}

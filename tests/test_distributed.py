@@ -35,6 +35,7 @@ from plane_layers.errors import InternalAssertionError, PreconditionError
 from plane_layers.geometry import (
     PointSet,
     Segment,
+    angular_order,
     convex_hull,
     crossing_pairs,
     id_strictly_inside_polygon,
@@ -218,6 +219,82 @@ def test_cell_index_matches_quadval_oracle():
         assert _cell_index(v, scale, sm, q) == cell_index_oracle(Fraction(v, scale), sm, q)
         cases += 1
     assert cases > 3000
+
+
+def bucket_oracle(ps, k, q):
+    """`_bucket` from one `_cell_index` per coordinate."""
+    cell_of = {p: (_cell_index(x, ps.scale, 6 * k, q), _cell_index(y, ps.scale, 6 * k, q))
+               for p, (x, y) in enumerate(zip(*ps.grid))}
+    cells = {}
+    for p, c in cell_of.items():
+        cells.setdefault(c, []).append(p)
+    return cell_of, cells, frozenset(c for c, members in cells.items() if len(members) >= 3 * k)
+
+
+def test_bucket_matches_the_per_coordinate_cell_index():
+    """The bucketing walk takes a square root only where a coordinate
+    reaches the next cell's start; that start is exact on random rational
+    sets of both signs, on points exactly on and beside cell boundaries, and
+    at a beta so small that every point has a column of its own."""
+    rng = random.Random(23)
+    cases = []
+    for _ in range(40):
+        den = rng.choice((1, 3, 7, 10**6))
+        pts = {(Fraction(rng.randint(-300 * den, 300 * den), den),
+                Fraction(rng.randint(-300 * den, 300 * den), den))
+               for _ in range(rng.randint(1, 80))}
+        q = Fraction(rng.randint(1, 10**4), rng.randint(1, 10**3))
+        cases += [(PointSet(sorted(pts)), k, q) for k in (1, 2, 3)]
+    for u, w in ((1, 1), (3, 2), (7, 5)):  # beta = u / w, a cell side of 6k * u / w
+        q = Fraction(u * u, w * w)
+        for k in (1, 2, 3):
+            side = Fraction(6 * k * u, w)
+            pts = {(t * side + e, s * side + f)
+                   for t in range(-3, 4) for s in range(-3, 4)
+                   for e, f in ((0, 0), (Fraction(-1, 10**6), 0), (0, Fraction(1, 10**6)))}
+            cases.append((PointSet(sorted(pts)), k, q))
+    alone = 0
+    for q in (Fraction(1, 10**12), Fraction(1, 10**4)):
+        ps = random_point_set(rng, 300)
+        for k in (1, 2, 3):
+            cases.append((ps, k, q))
+            alone += len({x for x, _ in bucket_oracle(ps, k, q)[0].values()}) == len(ps)
+    assert alone >= 3  # beta^2 = 10^-12: every point alone in its column
+    for ps, k, q in cases:
+        assert distributed._bucket(ps, k, q) == bucket_oracle(ps, k, q), (k, q)
+        for i in range(-4, 5):  # each start is the least value of its cell
+            v = distributed._cell_start(i, ps.scale, 6 * k, q)
+            assert _cell_index(v - 1, ps.scale, 6 * k, q) < i <= _cell_index(v, ps.scale, 6 * k, q)
+
+
+def k_layer_outcome(ps, k):
+    """The id lists of the k-layer build of ps, with the breach `verify`
+    reports on them against the build's guarantee, or the stage of the
+    error the build raises."""
+    try:
+        ls = build_k_layers(ps, k)
+    except (PreconditionError, InternalAssertionError) as err:
+        return type(err).__name__, getattr(err, "stage", None)
+    report = verify_layers([list(layer) for layer in ls.layers], ps)
+    return ls.layers, report.ok(), report.breach(Guarantee.k_layers(k, ls.beta_sq))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_layers_are_equivariant_under_positive_scaling(k):
+    """Exact arithmetic makes the grid, the center points and the sectors
+    scale with the points: a positive rational scaling leaves every id list,
+    and verify's verdict, as they are."""
+    rng = random.Random(700 + k)
+    sets = [random_point_set(rng, 150),
+            PointSet(cluster(rng, 60, 0.0, 0.0, w=60.0) + cluster(rng, 60, 150.0, 40.0, w=60.0))]
+    built = 0
+    for ps in sets:
+        expected = k_layer_outcome(ps, k)
+        built += len(expected) == 3
+        for factor in (Fraction(3, 7), Fraction(10**6)):
+            scaled = PointSet([(x * factor, y * factor) for x, y in exact_coords(ps)])
+            assert k_layer_outcome(scaled, k) == expected, factor
+    assert built == len(sets)
 
 
 def test_nearest_center_matches_distance_oracle():
@@ -449,6 +526,12 @@ def test_center_point_random_oracle(rng):
         ps = random_point_set(rng, 30, extent=50)
         cx, cy = center_point(list(ps.ids), ps)
         assert brute_depth(cx, cy, exact_coords(ps)) >= 10
+        # depth ids that are not all ray ids take tukey_depth's own sort
+        ids, ray_ids = list(ps.ids)[:24], list(ps.ids)[12:]
+        cx, cy = center_point(ids, ps, ray_ids=ray_ids)
+        assert brute_depth(cx, cy, exact_coords(ps)[:24]) >= 8
+        rays = {(d[0] // math.gcd(*d), d[1] // math.gcd(*d)) for d in ps.offsets(ray_ids, cx, cy)}
+        assert len(rays) == len(ray_ids)
 
 
 def test_center_point_no_two_points_per_ray(rng):
@@ -469,8 +552,8 @@ def test_center_point_no_two_points_per_ray(rng):
 
 def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
     """The 828-point box of `gen --kind clusters --n 1000 --seed 6` at k=2
-    takes at most one `tukey_depth` call per candidate, m + 2; trying every
-    input point before the spread triples took 834."""
+    takes at most one depth sweep (`_depth_around`) per candidate, m + 2;
+    trying every input point before the spread triples took 834."""
     path = tmp_path / "clusters.txt"
     assert main(["gen", "--kind", "clusters", "--n", "1000", "--seed", "6",
                  "--out", str(path)]) == 0
@@ -480,14 +563,15 @@ def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
     members = list(gi.cells[box])
     assert len(members) == 828
     calls = []
+    depth_around = distributed._depth_around
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return tukey_depth(*args, **kwargs)
+        return depth_around(*args, **kwargs)
 
-    monkeypatch.setattr(distributed, "tukey_depth", counted)
+    monkeypatch.setattr(distributed, "_depth_around", counted)
     cx, cy = center_point(members, ps, ray_ids=gi.assigned_to(box))
-    assert len(calls) <= len(members) + 2
+    assert 0 < len(calls) <= len(members) + 2
     assert tukey_depth(cx, cy, members, ps) >= 276  # ceil(828 / 3)
 
 
@@ -574,7 +658,7 @@ def test_sector_matches_the_per_sector_oracle():
         ps = PointSet(coords)
         reps = clockwise_around(c, [0, 1, 2], ps)
         dirs = ps.offsets(reps, *c)
-        if distributed._rays_collide(dirs):
+        if distributed._shares_ray(dirs, angular_order(dirs)):
             continue
         sectors = list(zip(dirs, dirs[1:] + dirs[:1]))
         # a sector spans beyond pi when the ray opposite its first one lies inside it
@@ -1057,7 +1141,7 @@ def _inject_box_fault(monkeypatch, stage, ps):
         monkeypatch.setattr(distributed, "_dense_near", lambda dense, cell, radius=2: (
             [] if radius == 1 else dense_near(dense, cell, radius)))
     elif stage == "center-point":  # no candidate is deep, and the region is empty
-        monkeypatch.setattr(distributed, "tukey_depth", lambda *args, **kwargs: 0)
+        monkeypatch.setattr(distributed, "_depth_around", lambda *args, **kwargs: 0)
         monkeypatch.setattr(distributed, "_depth_region", lambda *args: [])
     elif stage == "sector":  # every representative seems to lie on its neighbour's center
         sector = distributed._sector
