@@ -401,14 +401,27 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     The kernel reads the point set's grid-integer lists (`PointSet.grid`)
     and keeps the m segments, left endpoint first, in flat lists of ids and
     coordinates.  An event is the triple (x, y, i) for the end of segment i
-    and (x, y, m + i) for its start.  The crossing test is inlined: two
-    pairs of orientation signs decide.
+    and (x, y, m + i) for its start.  The crossing test is inlined; each
+    call names the lower of the two status neighbours first.  After the
+    shared-endpoint test it rejects the pair when the upper segment's lowest
+    y lies above the lower one's highest y: segments whose y-ranges are
+    apart share no point, so the reject is exact in either order, and on a
+    tree layer it spares nearly every pair the orientation products.  Only
+    the pairs left over compare two pairs of orientation signs.
+
+    A start's binary search first probes the status slot of the last
+    insertion or deletion: a point's events are consecutive, so a segment
+    starting where others just left or entered usually belongs next to that
+    slot.  The search finds the same slot whatever it probes first, since
+    before the first crossing the status order is exact, so its predicate
+    is monotone along the status.  An ending event still finds its segment
+    with `list.index`, a scan of the status, so a sweep whose status grows
+    long (the stars of a k-layer build) is not O(m log m) in time.
     """
     xs, ys = ps.grid
     m = len(edges)
     ida, idb = [], []  # left and right endpoint ids of each segment
-    for e in edges:
-        a, b = e.a, e.b
+    for a, b in edges:
         if xs[b] < xs[a] or (xs[b] == xs[a] and ys[b] < ys[a]):
             a, b = b, a
         ida.append(a)
@@ -424,11 +437,14 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     events.sort()
 
     def cross(i: int, j: int) -> bool:
+        # segment i lies below segment j in the status
         a, b, c, d = ida[i], idb[i], ida[j], idb[j]
         if a == c or a == d or b == c or b == d:
             return False
-        ax, bx, cx, dx = lx[i], rx[i], lx[j], rx[j]
         ay, by, cy, dy = ly[i], ry[i], ly[j], ry[j]
+        if (cy if cy < dy else dy) > (ay if ay > by else by):
+            return False  # the y-ranges are apart
+        ax, bx, cx, dx = lx[i], rx[i], lx[j], rx[j]
         ux, uy = bx - ax, by - ay
         if (ux * (cy - ay) - uy * (cx - ax)) * (ux * (dy - ay) - uy * (dx - ax)) >= 0:
             return False
@@ -436,13 +452,14 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
         return (vx * (ay - cy) - vy * (ax - cx)) * (vx * (by - cy) - vy * (bx - cx)) < 0
 
     status: list[int] = []  # active segments, bottom to top
+    slot = 0  # the slot of the last change: below len(status), or status is empty
     for _, _, i in events:
         if i >= m:  # segment i starts
             i -= m
             ex, ey, qx, qy = lx[i], ly[i], rx[i], ry[i]
             lo, hi = 0, len(status)
+            mid = slot
             while lo < hi:
-                mid = (lo + hi) // 2
                 j = status[mid]
                 ax, ay = lx[j], ly[j]
                 ux, uy = rx[j] - ax, ry[j] - ay
@@ -453,16 +470,22 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
                     lo = mid + 1
                 else:
                     hi = mid
+                mid = (lo + hi) // 2
             if lo and cross(status[lo - 1], i):
                 return True
             if lo < len(status) and cross(i, status[lo]):
                 return True
             status.insert(lo, i)
+            slot = lo
         else:
             k = status.index(i)
             del status[k]
-            if 0 < k < len(status) and cross(status[k - 1], status[k]):
-                return True
+            if k < len(status):
+                if k and cross(status[k - 1], status[k]):
+                    return True
+                slot = k
+            else:  # the top segment left
+                slot = k - 1
     return False
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 
 import pytest
 
@@ -89,6 +90,39 @@ def grid_checks(ps) -> int:
     xs, ys = ps.grid
     assert mst._grid_tree([Counted(x) for x in xs], ys) == mst._grid_tree(xs, ys)
     return subtractions - len(ps) - 1
+
+
+def sweep_sign_products(edges, ps) -> int:
+    """The number of orientation sign products `geometry.has_crossing` forms
+    on `edges`, counted from the kernel.  A pair test that gets past the
+    shared-endpoint and y-extent rejects multiplies two orientations, and
+    does so a second time when the first product is negative; the start
+    search forms orientations but never multiplies two.  The grid coordinates
+    go in as an int subclass that records how deep in that arithmetic each
+    value is: a coordinate (0), a difference of two (1), a product of
+    differences (2), an orientation, a difference of products (3)."""
+    products = 0
+
+    class Term(int):
+        def __new__(cls, value, depth):
+            term = int.__new__(cls, value)
+            term.depth = depth
+            return term
+
+        def __sub__(self, other):
+            return Term(int(self) - int(other), self.depth + 1)
+
+        def __mul__(self, other):
+            nonlocal products
+            if self.depth == 3:
+                products += 1
+                return int(self) * int(other)
+            return Term(int(self) * int(other), self.depth + 1)
+
+    xs, ys = ps.grid
+    grid = types.SimpleNamespace(grid=([Term(x, 0) for x in xs], [Term(y, 0) for y in ys]))
+    assert geometry.has_crossing(edges, grid) == geometry.has_crossing(edges, ps)
+    return products
 
 
 def grid_repaired(ps) -> bool:

@@ -29,6 +29,11 @@ ray-distinctness test and the clockwise walk.
 pass of its exact comparator over adjacent pairs, so across a k-layer build
 and a certificate the comparator runs at most once per sorted vector; a
 comparator sort would run it about log m times per vector.
+
+The planarity sweep tests each pair of status neighbours, and on a tree
+layer nearly every such pair either shares an endpoint or has its y-range
+apart from the other's; both are rejected before any orientation product,
+so the sign products, counted from the kernel, stay far below one per edge.
 """
 
 import cProfile
@@ -53,6 +58,7 @@ from conftest import (
     grid_checks,
     grid_repaired,
     random_point_set,
+    sweep_sign_products,
 )
 
 SEGMENT_DUNDERS = (
@@ -166,6 +172,17 @@ def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
     # the uniform set at n = 400 has its longest MST edge at the boundary,
     # beyond the grid radius, and the repair finds it
     assert grid_repaired(ps) == (n == 400)
+
+
+@pytest.mark.parametrize("n", [400, 1600])
+def test_tree_layer_sweeps_reject_pairs_before_the_products(n):
+    """At most m/10 orientation sign products per layer of m edges.  The
+    sweep without the y-extent reject formed about two per edge on these
+    layers (787 and 808 at n = 400, 3421 and 3459 at n = 1600); with it,
+    6 and 9, and 14 and 31."""
+    ps = random_point_set(random.Random(n), n)
+    for layer in build_two_disjoint_trees(ps).layers():
+        assert sweep_sign_products(layer, ps) <= len(layer) / 10
 
 
 def test_angular_order_compares_at_most_once_per_vector(monkeypatch):

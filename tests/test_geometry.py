@@ -139,6 +139,109 @@ def test_sweep_on_plane_sets_plus_one_edge():
         assert has_crossing(edges + [extra], ps) == bool(_all_crossing_pairs(edges + [extra], ps))
 
 
+def _sweep_agrees(edges, ps, outcomes):
+    expected = _all_crossing_pairs(edges, ps)
+    assert has_crossing(edges, ps) == bool(expected), (exact_coords(ps), edges)
+    assert crossing_pairs(edges, ps) == expected
+    outcomes[bool(expected)] += 1
+
+
+def test_sweep_matches_all_pairs_on_stars_and_fans():
+    """Stars and fans of 5-40 spokes on integer grids up to 30x30, so that
+    the status grows long enough for the start search's first probe, at the
+    slot of the last change, to differ from plain bisection.  A fan's spokes
+    all start at its hub; a star's also end there, so its starts follow the
+    deletions at the hub.  Vertical spokes, two spokes along one ray, a
+    segment whose interior passes through the hub (a T-junction at the very
+    point the probe starts from), and one extra edge beside the fan, either
+    joining two angularly adjacent tips or anywhere, vary the verdict."""
+    rng = random.Random(20261019)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1200):
+        g = rng.randint(5, 30)
+        hub = (rng.randrange(g), rng.randrange(g))
+        fan = rng.random() < 0.5  # every spoke leaves the hub rightwards
+        cells = [c for c in ((x, y) for x in range(g) for y in range(g))
+                 if c != hub and (not fan or c > hub)]
+        if len(cells) < 5:
+            continue
+        tips = set(rng.sample(cells, min(len(cells), rng.randint(5, 40))))
+        dx, dy = rng.choice([(0, 1), (1, 0), (1, 1), (1, -1), (2, 1), (1, 2)])
+        ray = [(hub[0] + t * dx, hub[1] + t * dy) for t in (1, 2, -1)]
+        tips.update([c for c in ray if c in cells][:2])  # collinear spokes
+        up = (hub[0], hub[1] + 1)
+        if up in cells and rng.random() < 0.5:  # a vertical spoke
+            tips.add(up)
+        tips = sorted(tips)
+        ps = PointSet([hub] + tips)
+        edges = [Segment(0, t) for t in range(1, len(ps))]
+        rng.shuffle(edges)
+        through = [(hub[0] + dx, hub[1] + dy), (hub[0] - dx, hub[1] - dy)]
+        if all(c in tips for c in through) and rng.random() < 0.5:
+            edges.append(Segment(*(1 + tips.index(c) for c in through)))
+        if rng.random() < 0.5:  # beside the fan: two angularly adjacent tips
+            by_angle = sorted(range(1, len(ps)), key=lambda t: math.atan2(
+                tips[t - 1][1] - hub[1], tips[t - 1][0] - hub[0]))
+            i = rng.randrange(len(by_angle) - 1)
+            edges.append(Segment(by_angle[i], by_angle[i + 1]))
+        else:
+            edges.append(Segment(*rng.sample(range(1, len(ps)), 2)))
+        _sweep_agrees(edges, ps, outcomes)
+    assert min(outcomes.values()) > 300
+
+
+def test_sweep_on_y_ranges_that_touch_or_barely_overlap():
+    """Pairs of segments whose y-ranges meet in exactly one value, or overlap
+    by one grid unit, on small grids and among a few other edges: horizontal
+    segments at a common y, and segments that reach a common y at an
+    endpoint.  The sweep rejects a pair of neighbours without products when
+    the upper one lies wholly above the lower one in y; ranges that only
+    touch hold no proper crossing (a point interior to both at an extreme y
+    of each makes both horizontal, so collinear), and ranges that overlap
+    by one unit can."""
+    # a segment pair and whether it crosses
+    pairs = [
+        (((0, 0), (4, 0)), ((2, 0), (6, 0)), False),  # horizontal, overlapping
+        (((0, 0), (1, 0)), ((2, 0), (3, 0)), False),  # horizontal, apart
+        (((0, 1), (4, 1)), ((2, 1), (3, 3)), False),  # T-junction on a horizontal
+        (((0, 0), (2, 1)), ((1, 1), (3, 2)), False),  # touch at y = 1, apart
+        (((0, 0), (2, 1)), ((2, 1), (3, 2)), False),  # touch at a shared endpoint
+        (((0, 0), (4, 2)), ((1, 3), (3, 1)), True),  # ranges [0, 2] and [1, 3]
+        (((0, 1), (4, 1)), ((2, 0), (2, 2)), True),  # horizontal crossed by a vertical
+    ]
+    for (a, b), (c, d), crosses in pairs:
+        ps = PointSet(sorted({a, b, c, d}))
+        ids = {p: i for i, p in enumerate(sorted({a, b, c, d}))}
+        edges = [Segment(ids[a], ids[b]), Segment(ids[c], ids[d])]
+        for listed in (edges, edges[::-1]):
+            assert has_crossing(listed, ps) == crosses == bool(_all_crossing_pairs(listed, ps))
+    rng = random.Random(20261020)
+    outcomes = {True: 0, False: 0}
+    for _ in range(4000):
+        g = rng.randint(3, 9)
+        y0 = rng.randrange(g)
+        gap = rng.choice([0, 1])  # the ranges touch at y0, or overlap on [y0, y0 + 1]
+        if y0 + gap >= g:
+            continue
+        xs = [rng.randrange(g) for _ in range(4)]
+        lower = [(xs[0], y0 + gap), (xs[1], rng.randint(0, y0 + gap))]
+        upper = [(xs[2], y0), (xs[3], rng.randint(y0, g - 1))]
+        pts = set(lower + upper)
+        pts.update((rng.randrange(g), rng.randrange(g)) for _ in range(rng.randint(0, 4)))
+        if lower[0] == lower[1] or upper[0] == upper[1]:
+            continue
+        order = sorted(pts)
+        ps = PointSet(order)
+        edges = [Segment(*map(order.index, lower)), Segment(*map(order.index, upper))]
+        if gap == 0:
+            assert not _all_crossing_pairs(edges, ps)
+        for _ in range(rng.randint(0, 3)):
+            edges.append(Segment(*rng.sample(range(len(order)), 2)))
+        rng.shuffle(edges)
+        _sweep_agrees(edges, ps, outcomes)
+    assert min(outcomes.values()) > 500
+
+
 def test_convex_hull_square_and_collinear():
     ps = PointSet([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert convex_hull(list(ps.ids), ps) == [0, 1, 2, 3]

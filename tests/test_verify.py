@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from plane_layers.verify import (
 )
 
 from conftest import collinear_triple, random_edge_mutation, random_point_set
+from rational_points import exact_coords
 from unionfind import UnionFind
 
 
@@ -142,6 +144,52 @@ def test_sweep_matches_all_pairs_on_mutated_layers(rng):
                 assert has_crossing(layer, ps) == expected
                 crossing += expected
     assert crossing >= 150
+
+
+# each map of the plane with the factor it scales lengths by
+SIMILARITIES = {
+    "quarter turn": (lambda x, y: (-y, x), 1),
+    "mirror image": (lambda x, y: (-x, y), 1),
+    "translation": (lambda x, y: (x + Fraction(7, 3), y - Fraction(5, 11)), 1),
+    "scaling": (lambda x, y: (x * Fraction(3, 7), y * Fraction(3, 7)), Fraction(3, 7)),
+}
+
+
+def test_verify_reports_are_invariant_under_rigid_motions_and_scaling():
+    """verify decides on exact grid integers, so a quarter turn, a mirror
+    image or a rational translation of the points leaves its report as it
+    is, and a positive rational scaling changes only the absolute longest
+    edge lengths, whose exact squares scale by the factor squared.  A turn
+    or a mirror changes the sweep's event order and which segments become
+    status neighbours, so this checks the sweep's probe and its y-extent
+    reject, on built two-tree and k-layer layers and on mutated copies of
+    them whose crossings verify lists, with no all-pairs scan."""
+    rng = random.Random(2026)
+    cases = [(ps := gen_line_instance(60, "0.001"), build_two_disjoint_trees(ps).layers())]
+    for n in (60, 120):
+        ps = random_point_set(rng, n)
+        cases.append((ps, build_two_disjoint_trees(ps).layers()))
+        cases += [(ps, [list(l) for l in build_k_layers(ps, k).layers]) for k in (1, 2, 3)]
+    crossed = 0
+    for ps, layers in cases:
+        coords = exact_coords(ps)
+        images = [(name, PointSet([f(x, y) for x, y in coords]), factor)
+                  for name, (f, factor) in SIMILARITIES.items()]
+        for listed in [layers] + [random_edge_mutation(layers, ps, rng) for _ in range(3)]:
+            report = verify_layers(listed, ps)
+            crossed += not report.all_plane
+            for name, image, factor in images:
+                moved = verify_layers(listed, image)
+                got, want = moved.to_json_dict(), report.to_json_dict()
+                if factor != 1:
+                    assert moved.beta_sq == factor**2 * report.beta_sq
+                    for a, b in zip(moved.per_layer, report.per_layer):
+                        assert a.longest_sq == factor**2 * b.longest_sq
+                    for d in (got, want):
+                        for layer in d["layers"]:
+                            del layer["bottleneck"]
+                assert got == want, name
+    assert crossed >= 12
 
 
 def test_count_layers_counts_repeats_and_longest_edges():
