@@ -238,10 +238,7 @@ def cmd_build(args) -> int:
     payload["n"] = len(ps)
     _dump_json(args.out, payload)
     be_sq = be_sq or ls.beta_sq  # without --beta the build used the MST bottleneck
-    # the MST bottleneck is a grid length: be_sq * scale^2 is an integer
-    be_grid = be_sq.numerator * ps.scale**2 // be_sq.denominator
-    longest_sq = max(c.longest_sq for c in count_layers(ls.layers, ps).per_layer)
-    max_ratio = math.sqrt(longest_sq / be_grid)
+    max_ratio = math.sqrt(max(ls.longest_sq) / be_sq)
     bound = 12 * math.sqrt(2) * args.k
     print(f"layers={ls.k} maxRatio={max_ratio:.6f} bound={bound:.6f}")
     return 0

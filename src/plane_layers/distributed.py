@@ -696,13 +696,18 @@ def _pair_connectors(gi: GridIndex, a: Cell, b: Cell) -> list[Segment]:
 
 @dataclass(frozen=True)
 class LayerSet:
-    """k edge lists over one point set, each meant to be plane and spanning."""
+    """k edge lists over one point set, each meant to be plane and spanning.
+
+    `longest_sq` holds each layer's exact longest squared edge length, from
+    the build's final `verify_layers` report; the layers file leaves it
+    out."""
 
     k: int
     beta: float
     beta_sq: Fraction
     layers: tuple[tuple[Segment, ...], ...]
     stats: tuple[dict, ...]
+    longest_sq: tuple[Fraction, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -774,7 +779,7 @@ def _assemble(gi: GridIndex) -> LayerSet:
         raise InternalAssertionError(_STAGES[prop], message, dump)
     stats = tuple({"edges": l.edges, "bottleneck": l.bottleneck} for l in report.per_layer)
     return LayerSet(k=k, beta=math.sqrt(float(beta_sq)), beta_sq=beta_sq, layers=tuple(layers),
-                    stats=stats)
+                    stats=stats, longest_sq=tuple(l.longest_sq for l in report.per_layer))
 
 
 # The stage of each property a k-layer guarantee checks.

@@ -81,10 +81,18 @@ class PointSet:
     scale divides a power of ten from one multiplier.
 
     The grid never changes after construction, so `mst.build_emst` keeps the
-    tree it computes in the private `_emst` attribute for later calls.
+    tree it computes in the private `_emst` attribute for later calls, and
+    `lex_order` keeps the lexicographic (x, y) order of the ids, with each
+    id's rank in it, that the planarity sweep `has_crossing` walks: the
+    first sweep computes it.  A mirror image (`reflected`) keeps neither:
+    it computes its own, and mirroring reverses the order within each
+    vertical line.
     """
 
     def __init__(self, coords: Sequence[tuple[Fraction | int | str, Fraction | int | str]]):
+        if not set(map(len, coords)) <= {2}:
+            k = next(k for k, c in enumerate(coords) if len(c) != 2)
+            raise UsageError(f"point {k}: expected an (x, y) pair, got {coords[k]!r}")
         if all(isinstance(c[0], str) and isinstance(c[1], str) for c in coords):
             self._place([read_coord(c[0]) for c in coords], [read_coord(c[1]) for c in coords])
             return
@@ -101,6 +109,7 @@ class PointSet:
         self._sx = [n * (scale // d) for n, d in xs]
         self._sy = [n * (scale // d) for n, d in ys]
         self._emst: tuple[Segment, ...] | None = None
+        self._lex: tuple[list[int], list[int]] | None = None
         seen: dict[tuple[int, int], int] = {}
         for i, key in enumerate(zip(self._sx, self._sy)):
             if key in seen:
@@ -128,6 +137,15 @@ class PointSet:
         """The grid x and y integers of all points, indexed by id: the point
         set's own lists, not copies, so callers must not modify them."""
         return self._sx, self._sy
+
+    def lex_order(self) -> tuple[list[int], list[int]]:
+        """The ids in lexicographic (x, y) order, and each id's rank in that
+        order.  Computed on the first call and kept: as with `grid`, these
+        are the point set's own lists, so callers must not modify them."""
+        if self._lex is None:
+            order = sorted(self.ids, key=list(zip(self._sx, self._sy)).__getitem__)
+            self._lex = order, sorted(range(len(order)), key=order.__getitem__)
+        return self._lex
 
     def x(self, i: int) -> Fraction:
         return Fraction(self._sx[i], self._scale)
@@ -191,6 +209,7 @@ class PointSet:
         mirror._sx = self._sx
         mirror._sy = [-y for y in self._sy]
         mirror._emst = None
+        mirror._lex = None
         return mirror
 
     def perturbed(self, eps: Fraction | None = None) -> "PointSet":
@@ -380,61 +399,87 @@ def _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
 def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     """True iff some pair in the edge list properly crosses (Shamos-Hoey sweep).
 
-    Exact on the scaled integer grid, with O(m log m) orientation tests.
-    Events run in lexicographic (x, y) order: at each event point the
-    segments ending there leave the status first, and every pair of
-    neighbours that becomes adjacent is tested; then the segments starting
-    there enter.  The status lists the active segments bottom to top along a
-    sweep line turned infinitesimally counterclockwise from vertical, so
-    vertical segments need no special case.  A new segment sits above an
-    active one when its left endpoint lies left of that one's directed line,
-    or, with the endpoint on the line, when its right endpoint does; collinear
-    segments tie.  Shared endpoints, T-junctions and collinear overlaps never
-    cross, exactly as in `properly_cross`.
+    Exact on the scaled integer grid.  The sweep visits the segments'
+    endpoints in the lexicographic (x, y) order that the point set keeps
+    (`PointSet.lex_order`), and handles at each such event point v every
+    segment ending or starting there at once (Bentley & Ottmann 1979; de Berg
+    et al., Computational Geometry, section 2.1).  The status lists the
+    active segments bottom to top along a sweep line turned infinitesimally
+    counterclockwise from vertical, so vertical segments need no special
+    case.  Shared endpoints, T-junctions and collinear overlaps never cross,
+    exactly as in `properly_cross`.
 
-    Why nothing is missed: before the lexicographically first crossing point
-    p the status order is exact and the segments through p are consecutive
-    in it.  Once those ending at p have left, two consecutive ones with p
-    inside them and different directions cross at p, and every pair was
-    tested when it became adjacent.
+    Each segment runs from its lower-ranked endpoint to the other one, and
+    is bucketed under both: every point keeps the list of segments starting
+    there, the number ending there and one of those.  The sweep walks the
+    whole kept order and skips the points no segment touches, so an edge
+    list that leaves most points out, such as a box's own edges, still pays
+    O(n) for the walk and the buckets.  At v:
 
-    The kernel reads the point set's grid-integer lists (`PointSet.grid`)
-    and keeps the m segments, left endpoint first, in flat lists of ids and
-    coordinates.  An event is the triple (x, y, i) for the end of segment i
-    and (x, y, m + i) for its start.  The crossing test is inlined; each
-    call names the lower of the two status neighbours first.  After the
-    shared-endpoint test it rejects the pair when the upper segment's lowest
-    y lies above the lower one's highest y: segments whose y-ranges are
-    apart share no point, so the reject is exact in either order, and on a
-    tree layer it spares nearly every pair the orientation products.  Only
-    the pairs left over compare two pairs of orientation signs.
+    - The segments ending at v leave as one slice: `list.index` finds one,
+      and the block widens over its neighbours that also end at v.
+    - With no segment ending at v, one binary search on the side of v of
+      each probed segment's line finds the slot.
+    - v is strict when it lies strictly above the line of the segment below
+      the slot and strictly below the line of the one above.  Then every
+      segment starting at v enters at that slot, as one slice sorted
+      bottom to top by the sign of the cross product of two directions, and
+      only the two boundary pairs are tested: segments starting at v share
+      it and never cross one another.  Two of them on one ray tie, and
+      either order of a tie is exact, as for any collinear overlap.
+    - With no segment starting at v, the pair the removal made adjacent is
+      tested.
 
-    A start's binary search first probes the status slot of the last
-    insertion or deletion: a point's events are consecutive, so a segment
-    starting where others just left or entered usually belongs next to that
-    slot.  The search finds the same slot whatever it probes first, since
-    before the first crossing the status order is exact, so its predicate
-    is monotone along the status.  An ending event still finds its segment
-    with `list.index`, a scan of the status, so a sweep whose status grows
-    long (the stars of a k-layer build) is not O(m log m) in time.
+    Why this is exact: before the lexicographically first crossing point the
+    status order is exact, and the segments through v are consecutive in
+    it.  When v is strict, it lies strictly between its two neighbours on
+    the sweep line, so no active segment passes through v and every segment
+    starting at v belongs in that one slot.  Every pair that becomes adjacent
+    is tested, and at the first crossing point p, once the segments ending
+    at p have left, two adjacent segments through p with different
+    directions cross there.
+
+    Degenerate event points keep per-segment steps: when v lies on a
+    neighbour's line, a side test in the search is zero, or a segment
+    through v separates two that end there.  After testing the pair the
+    removed block left adjacent (or, when the block is split, removing each
+    segment and testing each new neighbour pair), each start enters by its
+    own binary search, which breaks a tie on v by the segment's right
+    endpoint and leaves collinear segments tied, and its two new neighbours
+    are tested.
+
+    The crossing test is inlined; each call names the lower of the two
+    status neighbours first.  After the shared-endpoint test it rejects the
+    pair when the upper segment's lowest y lies above the lower one's
+    highest y: segments whose y-ranges are apart share no point, so the
+    reject is exact in either order, and on a tree layer it spares nearly
+    every pair the orientation products.  Finding an ending segment is still
+    a scan of the status, so a sweep whose status grows long (the stars of a
+    k-layer build) is not O(m log m) in time.
     """
     xs, ys = ps.grid
-    m = len(edges)
+    order, rank = ps.lex_order()
+    n = len(order)
     ida, idb = [], []  # left and right endpoint ids of each segment
-    for a, b in edges:
-        if xs[b] < xs[a] or (xs[b] == xs[a] and ys[b] < ys[a]):
+    starts: list[list[int] | None] = [None] * n  # the segments starting at each point
+    ending = [0] * n  # how many segments end at each point
+    last = [0] * n  # the last of them in the list
+    for i, (a, b) in enumerate(edges):
+        if rank[b] < rank[a]:
             a, b = b, a
         ida.append(a)
         idb.append(b)
+        fan = starts[a]
+        if fan is None:
+            starts[a] = [i]
+        else:
+            fan.append(i)
+        ending[b] += 1
+        last[b] = i
     lx = [xs[a] for a in ida]
     ly = [ys[a] for a in ida]
     rx = [xs[b] for b in idb]
     ry = [ys[b] for b in idb]
-    # (x, y, i) ends segment i at (x, y), (x, y, m + i) starts it: these
-    # sort like (x, y, start, i), so at one point endings come first
-    events = [(rx[i], ry[i], i) for i in range(m)]
-    events += [(lx[i], ly[i], m + i) for i in range(m)]
-    events.sort()
 
     def cross(i: int, j: int) -> bool:
         # segment i lies below segment j in the status
@@ -451,41 +496,110 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
         vx, vy = dx - cx, dy - cy
         return (vx * (ay - cy) - vy * (ax - cx)) * (vx * (by - cy) - vy * (bx - cx)) < 0
 
+    def enter(i: int) -> bool:
+        # the per-segment step: segment i sits above an active one when its
+        # left endpoint lies left of that one's directed line, or, with the
+        # endpoint on the line, when its right endpoint does
+        ex, ey, qx, qy = lx[i], ly[i], rx[i], ry[i]
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            j = status[mid]
+            ax, ay = lx[j], ly[j]
+            ux, uy = rx[j] - ax, ry[j] - ay
+            s = ux * (ey - ay) - uy * (ex - ax)
+            if not s:
+                s = ux * (qy - ay) - uy * (qx - ax)
+            if s > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo and cross(status[lo - 1], i):
+            return True
+        if lo < len(status) and cross(i, status[lo]):
+            return True
+        status.insert(lo, i)
+        return False
+
     status: list[int] = []  # active segments, bottom to top
-    slot = 0  # the slot of the last change: below len(status), or status is empty
-    for _, _, i in events:
-        if i >= m:  # segment i starts
-            i -= m
-            ex, ey, qx, qy = lx[i], ly[i], rx[i], ry[i]
+    for v in order:
+        out, fan = ending[v], starts[v]
+        if out:
+            lo = status.index(last[v])
+            hi, top = lo + 1, len(status)
+            while lo and idb[status[lo - 1]] == v:
+                lo -= 1
+            while hi < top and idb[status[hi]] == v:
+                hi += 1
+            if hi - lo < out:  # a segment through v splits the block
+                for i in [j for j in status if idb[j] == v]:
+                    k = status.index(i)
+                    del status[k]
+                    if k and k < len(status) and cross(status[k - 1], status[k]):
+                        return True
+                slot = -1
+            else:
+                del status[lo:hi]
+                top -= hi - lo
+                slot = lo
+                if fan is not None:
+                    vx, vy = xs[v], ys[v]
+                    if lo:
+                        j = status[lo - 1]
+                        ax, ay = lx[j], ly[j]
+                        if (rx[j] - ax) * (vy - ay) - (ry[j] - ay) * (vx - ax) <= 0:
+                            slot = -1
+                    if slot >= 0 and lo < top:
+                        j = status[lo]
+                        ax, ay = lx[j], ly[j]
+                        if (rx[j] - ax) * (vy - ay) - (ry[j] - ay) * (vx - ax) >= 0:
+                            slot = -1
+                if (fan is None or slot < 0) and lo and lo < top:
+                    if cross(status[lo - 1], status[lo]):
+                        return True
+            if fan is None:
+                continue
+        elif fan is None:
+            continue
+        else:
+            vx, vy = xs[v], ys[v]
             lo, hi = 0, len(status)
-            mid = slot
+            slot = -1
             while lo < hi:
+                mid = (lo + hi) // 2
                 j = status[mid]
                 ax, ay = lx[j], ly[j]
-                ux, uy = rx[j] - ax, ry[j] - ay
-                s = ux * (ey - ay) - uy * (ex - ax)
-                if not s:
-                    s = ux * (qy - ay) - uy * (qx - ax)
-                if s > 0:  # segment i enters above status[mid]
+                s = (rx[j] - ax) * (vy - ay) - (ry[j] - ay) * (vx - ax)
+                if s > 0:
                     lo = mid + 1
-                else:
+                elif s:
                     hi = mid
-                mid = (lo + hi) // 2
-            if lo and cross(status[lo - 1], i):
-                return True
-            if lo < len(status) and cross(i, status[lo]):
-                return True
-            status.insert(lo, i)
-            slot = lo
-        else:
-            k = status.index(i)
-            del status[k]
-            if k < len(status):
-                if k and cross(status[k - 1], status[k]):
+                else:
+                    break
+            else:
+                slot = lo
+        if slot < 0:
+            for i in fan:
+                if enter(i):
                     return True
-                slot = k
-            else:  # the top segment left
-                slot = k - 1
+            continue
+        # bottom to top: segment i enters below j when j's right endpoint
+        # lies left of i's direction; collinear ones tie.  Two spokes, the
+        # common fan on a tree layer, take one compare: sorting them through
+        # cmp_to_key made near-line sweeps about a third slower.
+        if len(fan) == 2:
+            i, j = fan
+            if (rx[i] - vx) * (ry[j] - vy) - (ry[i] - vy) * (rx[j] - vx) < 0:
+                fan.reverse()
+        elif len(fan) > 2:
+            fan.sort(key=cmp_to_key(
+                lambda i, j: (ry[i] - vy) * (rx[j] - vx) - (rx[i] - vx) * (ry[j] - vy)))
+        status[slot:slot] = fan
+        if slot and cross(status[slot - 1], fan[0]):
+            return True
+        hi = slot + len(fan)
+        if hi < len(status) and cross(fan[-1], status[hi]):
+            return True
     return False
 
 

@@ -92,16 +92,21 @@ def grid_checks(ps) -> int:
     return subtractions - len(ps) - 1
 
 
-def sweep_sign_products(edges, ps) -> int:
-    """The number of orientation sign products `geometry.has_crossing` forms
-    on `edges`, counted from the kernel.  A pair test that gets past the
+def sweep_arithmetic(edges, ps) -> tuple[int, int]:
+    """The orientations and the orientation sign products that
+    `geometry.has_crossing` forms on `edges`, counted from the kernel.
+
+    An orientation is a difference of two products of coordinate
+    differences: the side tests of a search, of a strictness check or of a
+    fan's order, and the four of a pair test.  A pair test that gets past the
     shared-endpoint and y-extent rejects multiplies two orientations, and
-    does so a second time when the first product is negative; the start
-    search forms orientations but never multiplies two.  The grid coordinates
-    go in as an int subclass that records how deep in that arithmetic each
-    value is: a coordinate (0), a difference of two (1), a product of
-    differences (2), an orientation, a difference of products (3)."""
-    products = 0
+    does so a second time when the first product is negative; no other step
+    multiplies two.  The grid coordinates go in as an int subclass that
+    records how deep in that arithmetic each value is: a coordinate (0), a
+    difference of two (1), a product of differences (2), an orientation, a
+    difference of products (3).  The sweep reads the point set's own
+    lexicographic order, so the stand-in lends it."""
+    orientations = products = 0
 
     class Term(int):
         def __new__(cls, value, depth):
@@ -110,6 +115,8 @@ def sweep_sign_products(edges, ps) -> int:
             return term
 
         def __sub__(self, other):
+            nonlocal orientations
+            orientations += self.depth == 2
             return Term(int(self) - int(other), self.depth + 1)
 
         def __mul__(self, other):
@@ -120,9 +127,10 @@ def sweep_sign_products(edges, ps) -> int:
             return Term(int(self) * int(other), self.depth + 1)
 
     xs, ys = ps.grid
-    grid = types.SimpleNamespace(grid=([Term(x, 0) for x in xs], [Term(y, 0) for y in ys]))
+    grid = types.SimpleNamespace(grid=([Term(x, 0) for x in xs], [Term(y, 0) for y in ys]),
+                                 lex_order=ps.lex_order)
     assert geometry.has_crossing(edges, grid) == geometry.has_crossing(edges, ps)
-    return products
+    return orientations, products
 
 
 def grid_repaired(ps) -> bool:

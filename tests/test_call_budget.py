@@ -30,10 +30,15 @@ pass of its exact comparator over adjacent pairs, so across a k-layer build
 and a certificate the comparator runs at most once per sorted vector; a
 comparator sort would run it about log m times per vector.
 
+A distributed build through the CLI counts its layers once, in the build's
+final check, and prints its maxRatio from that count.
+
 The planarity sweep tests each pair of status neighbours, and on a tree
 layer nearly every such pair either shares an endpoint or has its y-range
 apart from the other's; both are rejected before any orientation product,
 so the sign products, counted from the kernel, stay far below one per edge.
+It handles all the segments at an event point at once, so the orientations
+it forms, counted the same way, stay below three per edge.
 """
 
 import cProfile
@@ -45,7 +50,7 @@ from pathlib import Path
 
 import pytest
 
-from plane_layers import centralized, distributed, geometry, mst
+from plane_layers import centralized, cli, distributed, geometry, mst, verify
 from plane_layers.centralized import build_two_disjoint_trees, find_flat_vertex
 from plane_layers.cli import main
 from plane_layers.distributed import build_k_layers, locality_certificate
@@ -58,7 +63,7 @@ from conftest import (
     grid_checks,
     grid_repaired,
     random_point_set,
-    sweep_sign_products,
+    sweep_arithmetic,
 )
 
 SEGMENT_DUNDERS = (
@@ -179,10 +184,25 @@ def test_tree_layer_sweeps_reject_pairs_before_the_products(n):
     """At most m/10 orientation sign products per layer of m edges.  The
     sweep without the y-extent reject formed about two per edge on these
     layers (787 and 808 at n = 400, 3421 and 3459 at n = 1600); with it,
-    6 and 9, and 14 and 31."""
+    6 and 9, and 14 and 31; with the segments at an event point entering
+    together, 6 and 5, and 12 and 20."""
     ps = random_point_set(random.Random(n), n)
     for layer in build_two_disjoint_trees(ps).layers():
-        assert sweep_sign_products(layer, ps) <= len(layer) / 10
+        _, products = sweep_arithmetic(layer, ps)
+        assert products <= len(layer) / 10
+
+
+@pytest.mark.parametrize("n", [400, 1600])
+def test_tree_layer_sweeps_form_at_most_three_orientations_per_edge(n):
+    """At most 3m orientations per layer of m edges.  A sweep that inserts
+    each segment by its own binary search formed 3.8 per edge at n = 400
+    and 4.7 at n = 1600, growing with the status; handling every segment at
+    an event point at once forms 2.2 to 2.6: one search or two strictness
+    tests per point, and a fan's order."""
+    ps = random_point_set(random.Random(n), n)
+    for layer in build_two_disjoint_trees(ps).layers():
+        orientations, _ = sweep_arithmetic(layer, ps)
+        assert orientations <= 3 * len(layer)
 
 
 def test_angular_order_compares_at_most_once_per_vector(monkeypatch):
@@ -265,3 +285,28 @@ def test_box_sorts_once_per_tried_candidate(monkeypatch, tmp_path, kind, k):
         distributed.layers_in_box(box, gi)
         assert 1 <= len(sorts) <= len(tried)
         assert set(sorts) == {len(gi.assigned_to(box))}
+
+
+@pytest.mark.parametrize("k, beta", [(1, None), (2, None), (1, "120")])
+def test_distributed_cli_build_counts_its_layers_once(monkeypatch, tmp_path, capsys, k, beta):
+    """The build's final `verify_layers` counts the layers; the console
+    line's maxRatio reads the longest lengths that report found, kept on
+    the `LayerSet`, instead of counting every layer again."""
+    points = tmp_path / "p.txt"
+    assert main(["gen", "--kind", "uniform", "--n", "300", "--seed", "4",
+                 "--out", str(points)]) == 0
+    counted = []
+    count_layers = verify.count_layers
+
+    def counting(layers, ps):
+        counted.append(len(layers))
+        return count_layers(layers, ps)
+
+    monkeypatch.setattr(verify, "count_layers", counting)
+    monkeypatch.setattr(cli, "count_layers", counting)
+    capsys.readouterr()
+    extra = [] if beta is None else ["--beta", beta]  # the MST bottleneck is 90.27
+    assert main(["build", "--mode", "distributed", "--k", str(k), *extra, str(points),
+                 "--out", str(tmp_path / "l.json")]) == 0
+    assert counted == [k]
+    assert capsys.readouterr().out.startswith(f"layers={k} maxRatio=")

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -577,6 +578,36 @@ def test_build_two_disjoint_trees_random(rng):
         ps = random_point_set(rng, rng.randint(4, 48))
         tt = build_two_disjoint_trees(ps)
         check_disjoint(tt, ps, 3)
+
+
+def test_two_trees_are_equivariant_under_translation_scaling_and_quarter_turns():
+    """Exact arithmetic makes the construction depend on the points only up
+    to these motions: a rational translation, a positive rational scaling
+    and each quarter turn leave the red and blue id lists as they are.  A
+    quarter turn reorders the sweep's lexicographic events, so every
+    turned build also checks its layers on another event order.  Perturbed
+    near-line sets take the pointed branch, the uniform ones the flat."""
+    rng = random.Random(20261106)
+    branches = Counter()
+    for s in range(48):
+        n = rng.randint(40, 160)
+        ps = gen_line_instance(n, "0.001") if s % 4 == 3 else random_point_set(rng, n)
+        trees = build_two_disjoint_trees(ps)
+        expected = (trees.red, trees.blue)
+        branches[trees.bound] += 1
+        pts = exact_coords(ps)
+        dx = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999))
+        dy = Fraction(rng.randint(-10**6, 10**6), 7)
+        factor = Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4))
+        moved = [[(x + dx, y + dy) for x, y in pts], [(x * factor, y * factor) for x, y in pts]]
+        turned = pts
+        for _ in range(3):
+            turned = [(-y, x) for x, y in turned]
+            moved.append(turned)
+        for coords in moved:
+            image = build_two_disjoint_trees(PointSet(coords))
+            assert (image.red, image.blue) == expected
+    assert branches[2] >= 30 and branches[3] >= 10
 
 
 @pytest.mark.parametrize("make, bound", [(lambda rng: random_point_set(rng, 90), 2),

@@ -1040,6 +1040,47 @@ def test_near_line_two_layers_build(tmp_path, n):
     build_k_layers(ps, 2)
 
 
+# A 20-point set shrunk from a 12800-point strip: at this beta the box
+# (20, 2) of 7 points has a depth-3 region that is the single input point 4,
+# so its center falls back to depth 2 and one sector opens beyond pi.
+FLOOR_DEPTH_REPRODUCER = """\
+0 9771 980.996683
+1 9843 983.694348
+2 9885 992.278357
+3 9929 942.749164
+4 9930 985.137013
+5 9953 997.729662
+6 9955 884.3966
+7 9999 819.120329
+8 10076 839.470227
+9 10126 893.452882
+10 10149 977.236447
+11 10166 958.791137
+12 10171 982.232908
+13 10196 869.361276
+14 10256 871.146562
+15 10265 987.755219
+16 10299 915.156039
+17 10376 930.636828
+18 10415 986.571131
+19 10439 987.40806
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=InternalAssertionError,
+                   reason="a floor-depth box routes a connector into its reflex sector")
+def test_floor_depth_reproducer_builds():
+    """The layer sweep at the end of the build is the only check that sees
+    this crossing, between the box edge (0, 4) and the connector (1, 18)."""
+    ps = PointSet.from_text(FLOOR_DEPTH_REPRODUCER)
+    try:
+        build_k_layers(ps, 1, Fraction(18142973, 223210))
+    except InternalAssertionError as err:
+        assert err.stage == "layer-planarity"
+        assert err.dump["crossing"] == [(0, 4), (1, 18)]
+        raise
+
+
 @pytest.mark.parametrize("n", [60, 101])
 @pytest.mark.parametrize("k", [1, 3])
 def test_near_line_one_and_three_layers_build(tmp_path, monkeypatch, n, k):

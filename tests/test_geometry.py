@@ -148,13 +148,13 @@ def _sweep_agrees(edges, ps, outcomes):
 
 def test_sweep_matches_all_pairs_on_stars_and_fans():
     """Stars and fans of 5-40 spokes on integer grids up to 30x30, so that
-    the status grows long enough for the start search's first probe, at the
-    slot of the last change, to differ from plain bisection.  A fan's spokes
-    all start at its hub; a star's also end there, so its starts follow the
-    deletions at the hub.  Vertical spokes, two spokes along one ray, a
-    segment whose interior passes through the hub (a T-junction at the very
-    point the probe starts from), and one extra edge beside the fan, either
-    joining two angularly adjacent tips or anywhere, vary the verdict."""
+    many segments leave and enter the status at one event point.  A fan's
+    spokes all start at its hub, and enter as one sorted slice; a star's
+    also end there, and leave as one block first.  Vertical spokes, two
+    spokes along one ray (a tie in the fan's order), a segment whose
+    interior passes through the hub (a T-junction at the hub itself), and
+    one extra edge beside the fan, either joining two angularly adjacent
+    tips or anywhere, vary the verdict."""
     rng = random.Random(20261019)
     outcomes = {True: 0, False: 0}
     for _ in range(1200):
@@ -240,6 +240,136 @@ def test_sweep_on_y_ranges_that_touch_or_barely_overlap():
         rng.shuffle(edges)
         _sweep_agrees(edges, ps, outcomes)
     assert min(outcomes.values()) > 500
+
+
+def _random_edges(rng, ids, count):
+    return [Segment(*rng.sample(ids, 2)) for _ in range(count)]
+
+
+def test_sweep_at_t_junctions_on_event_points():
+    """A point strictly inside a segment is also an endpoint of other edges
+    of the list: segments end there, start there, or both, on either side
+    of the segment through it, so the event point lies on its neighbour's
+    line and the sweep takes its per-segment steps there."""
+    rng = random.Random(20261101)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        g = rng.randint(5, 12)
+        dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (-1, 2)])
+        x0, y0 = rng.randrange(2, g - 2), rng.randrange(2, g - 2)
+        line = [(x0 + t * dx, y0 + t * dy) for t in (-1, 0, 1)]
+        others = {(rng.randrange(g), rng.randrange(g)) for _ in range(rng.randint(3, 9))}
+        pts = sorted(set(line) | others)
+        ps = PointSet(pts)
+        p, mid, q = (pts.index(c) for c in line)
+        rest = [i for i in ps.ids if i not in (p, mid, q)]
+        spokes = [Segment(mid, o) for o in rng.sample(rest, min(len(rest), rng.randint(1, 4)))]
+        edges = [Segment(p, q)] + spokes + _random_edges(rng, list(ps.ids), rng.randint(0, 3))
+        rng.shuffle(edges)
+        _sweep_agrees(edges, ps, outcomes)
+    assert min(outcomes.values()) > 700
+
+
+def test_sweep_at_collinear_fans_and_through_hub_segments():
+    """Spokes along a few rays from one hub, two of them collinear on one
+    ray (a tie in the fan's order), and sometimes a segment whose interior
+    passes through the hub, among which segments end at the hub and start
+    there."""
+    rng = random.Random(20261102)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        g = rng.randint(7, 15)
+        hub = (g // 2, g // 2)
+        rays = rng.sample([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2), (-1, 1),
+                           (-1, 0), (0, -1), (-2, 1), (-1, -1)], rng.randint(2, 5))
+        tips = {(hub[0] + t * dx, hub[1] + t * dy) for dx, dy in rays for t in (1, 2)
+                if rng.random() < 0.7}
+        tips |= {(rng.randrange(g), rng.randrange(g)) for _ in range(rng.randint(1, 4))}
+        tips.discard(hub)
+        if len(tips) < 3:
+            continue
+        pts = [hub] + sorted(tips)
+        ps = PointSet(pts)
+        edges = [Segment(0, t) for t in range(1, len(pts)) if rng.random() < 0.8]
+        dx, dy = rays[0]
+        through = [(hub[0] + dx, hub[1] + dy), (hub[0] - dx, hub[1] - dy)]
+        if all(c in tips for c in through) and rng.random() < 0.6:
+            edges.append(Segment(*(pts.index(c) for c in through)))
+        edges += _random_edges(rng, list(range(1, len(pts))), rng.randint(0, 2))
+        if not edges:
+            continue
+        rng.shuffle(edges)
+        _sweep_agrees(edges, ps, outcomes)
+    assert min(outcomes.values()) > 400
+
+
+def test_sweep_at_vertical_edges_and_two_sided_stars():
+    """Stars whose spokes reach both sides of the hub, so that some end at
+    it and the rest start there, with vertical spokes up and down and
+    vertical edges elsewhere, plus an extra edge or two."""
+    rng = random.Random(20261103)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        g = rng.randint(5, 20)
+        hub = (rng.randrange(1, g - 1), rng.randrange(1, g - 1))
+        tips = {(rng.randrange(g), rng.randrange(g)) for _ in range(rng.randint(3, 15))}
+        tips.update(c for c in ((hub[0], hub[1] + 1), (hub[0], hub[1] - 1),
+                                (hub[0], rng.randrange(g))) if rng.random() < 0.6)
+        tips.discard(hub)
+        pts = [hub] + sorted(tips)
+        if len(pts) < 4:
+            continue
+        ps = PointSet(pts)
+        edges = [Segment(0, t) for t in range(1, len(pts))]
+        columns = {}
+        for i, (x, _) in enumerate(pts[1:], start=1):
+            columns.setdefault(x, []).append(i)
+        verticals = [Segment(*rng.sample(c, 2)) for c in columns.values() if len(c) > 1]
+        edges += rng.sample(verticals, min(len(verticals), rng.randint(0, 2)))
+        edges += _random_edges(rng, list(range(1, len(pts))), rng.randint(0, 2))
+        rng.shuffle(edges)
+        _sweep_agrees(edges, ps, outcomes)
+    assert min(outcomes.values()) > 700
+
+
+def test_sweep_of_edge_subsets_with_isolated_points():
+    """Edge lists that touch only some of the points, from a few edges to
+    as many as the points: the sweep walks the whole order past the
+    untouched ones."""
+    rng = random.Random(20261104)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        g = rng.randint(4, 30)
+        cells = [(x, y) for x in range(g) for y in range(g)]
+        ps = PointSet(rng.sample(cells, rng.randint(4, min(len(cells), 60))))
+        used = rng.sample(list(ps.ids), rng.randint(2, max(2, len(ps) // 2)))
+        edges = _random_edges(rng, used, rng.randint(1, max(1, len(ps) // rng.choice((4, 1)))))
+        assert {v for e in edges for v in e} < set(ps.ids)
+        _sweep_agrees(edges, ps, outcomes)
+    assert min(outcomes.values()) > 700
+
+
+def test_sweep_of_a_mirror_after_its_point_set():
+    """The point set keeps its lexicographic order for the sweep; its
+    mirror image sorts each vertical line the other way, so it must sweep
+    on an order of its own, and leave the original's kept order as it
+    was."""
+    rng = random.Random(20261105)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1500):
+        g = rng.randint(3, 9)
+        cells = [(x, y) for x in range(g) for y in range(g)]
+        ps = PointSet(rng.sample(cells, rng.randint(4, min(len(cells), 16))))
+        edges = _random_edges(rng, list(ps.ids), rng.randint(2, 10))
+        _sweep_agrees(edges, ps, outcomes)
+        kept = copy.deepcopy(ps.lex_order())
+        mirror = ps.reflected()
+        _sweep_agrees(edges, mirror, outcomes)
+        assert ps.lex_order() == kept
+        order, rank = mirror.lex_order()
+        assert order == sorted(ps.ids, key=lambda i: (ps.x(i), -ps.y(i)))
+        assert [rank[i] for i in order] == list(range(len(ps)))
+    assert min(outcomes.values()) > 1000
 
 
 def test_convex_hull_square_and_collinear():
@@ -628,6 +758,15 @@ def test_format_coord_matches_fraction_oracle():
 def test_pointset_rejects_duplicates():
     with pytest.raises(PreconditionError):
         PointSet([(1, 2), ("1.0", "2.00")])
+
+
+def test_pointset_rejects_entries_that_are_not_pairs():
+    with pytest.raises(UsageError, match=r"^point 0: expected an \(x, y\) pair, got \(0, 5, 7\)$"):
+        PointSet([(0, 5, 7), (1, 8, 9)])
+    with pytest.raises(UsageError, match=r"^point 0: expected an \(x, y\) pair, got \(5,\)$"):
+        PointSet([(5,)])
+    with pytest.raises(UsageError, match=r"^point 2: expected an \(x, y\) pair, got \['1', '2', '3'\]$"):
+        PointSet([("0", "0"), ("1", "1"), ["1", "2", "3"]])
 
 
 def test_point_file_roundtrip():
