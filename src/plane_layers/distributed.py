@@ -28,16 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import InternalAssertionError, PreconditionError
-from .geometry import (
-    PointSet,
-    Segment,
-    angular_order,
-    crossing_pairs,
-)
+from .geometry import PointSet, Segment, angular_order
 from .mst import bottleneck, build_emst
 from .verify import Guarantee, verify_layers
 
@@ -238,22 +233,15 @@ def _sign_sqrt_diff(a: int, b: int, r: int) -> int:
 # --- center points ----------------------------------------------------------
 
 
-def tukey_depth(
-    cx: Fraction, cy: Fraction, ids: Sequence[int], ps: PointSet,
-    stop_below: int | None = None,
-) -> int:
+def tukey_depth(cx: Fraction, cy: Fraction, ids: Sequence[int], ps: PointSet) -> int:
     """Exact Tukey depth of (cx, cy) among the points `ids`: the minimum
     number of them in a closed halfplane bounded by a line through it.
 
     O(m log m): one angular sort of the nonzero integer offsets from the
     center, then `_depth_around`.  Points on the center lie in every closed
-    halfplane, so they add to the depth of the others.  With `stop_below`,
-    the sweep returns as soon as the depth is known to be below it, with a
-    value below it."""
+    halfplane, so they add to the depth of the others."""
     vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
-    zeros = len(ids) - len(vecs)
-    stop = None if stop_below is None else stop_below - zeros
-    return zeros + _depth_around([vecs[i] for i in angular_order(vecs)], stop)
+    return len(ids) - len(vecs) + _depth_around([vecs[i] for i in angular_order(vecs)])
 
 
 def _depth_around(ccw: Sequence[tuple[int, int]], stop_below: int | None = None) -> int:
@@ -308,19 +296,21 @@ def center_point(
     ray_ids: Sequence[int] | None = None,
 ) -> tuple[Fraction, Fraction]:
     """A point of Tukey depth >= floor(m/3), aiming for ceil(m/3), from which
-    no two `ray_ids` points (default: the ids) share a ray.  Deterministic:
-    for each target depth, the first of the mean, the coordinate-wise median
-    and the m spread triples that qualifies, else a point of the exact depth
-    region (`_region_point`).  Each candidate costs one angular sort of the
-    `ray_ids` offsets from it (`_ordered_center`).
+    no two `ray_ids` points (default: the ids) share a ray; the ids must be
+    distinct and all among the `ray_ids`, as a box's points are among those
+    assigned to it.  Deterministic: for each target depth, the first of the
+    mean, the coordinate-wise median, the m spread triples and the points of
+    the exact depth region (`_region_points`) that qualifies.  Each candidate
+    costs one angular sort of the `ray_ids` offsets from it
+    (`_ordered_center`).
 
     The ceiling depth (the classical centerpoint guarantee) makes every
     sector provably convex, so it is tried first.  It can be unachievable
     together with orderability: for four points with one inside the triangle
     of the others, the single ceiling-deep point IS the interior point, and a
     center coinciding with an input point cannot order it.  The floor bound
-    then applies and the box construction double-checks planarity wherever a
-    sector opens beyond pi.
+    then applies, and a sector may open beyond pi; the build's final layer
+    check, `verify_layers`, sees any crossing behind it.
     """
     return _ordered_center(ids, ps, ray_ids)[0]
 
@@ -331,12 +321,12 @@ def _ordered_center(
     """`center_point`'s center, with the integer offsets of the `ray_ids`
     from it and their counterclockwise `angular_order`.
 
-    Each candidate sorts those offsets once.  When the ids are distinct and
-    all among the `ray_ids`, as in a box, its depth is `_depth_around` the
-    ids' offsets filtered out of that order, which keeps it; otherwise it is
-    `tukey_depth`.  Only a candidate deep enough pays the one pass over
-    adjacent pairs that tells whether two offsets share a ray
-    (`_shares_ray`), and a zero offset rejects it before any sort."""
+    Each candidate sorts those offsets once, and its depth is `_depth_around`
+    the ids' offsets filtered out of that order, which keeps it.  Only a
+    candidate deep enough pays the one pass over adjacent pairs that tells
+    whether two offsets share a ray (`_shares_ray`), and a zero offset
+    rejects it before any sort.  Points of the depth region are as deep as
+    the target, so the depth test passes them unchanged."""
     if len(ids) < 3:
         raise PreconditionError("center point needs at least 3 points")
     m = len(ids)
@@ -345,22 +335,17 @@ def _ordered_center(
         raise PreconditionError("center point needs distinct ray ids")
     members = set(ids)
     inside = [p in members for p in ray_ids]
-    shared = len(members) == m == sum(inside)
+    if not len(members) == m == sum(inside):
+        raise PreconditionError("center point needs distinct ids among the ray ids")
     for target in dict.fromkeys(((m + 2) // 3, m // 3)):  # ceiling, then floor
-        for cx, cy in _center_candidates(ids, ps):
+        for cx, cy in chain(_center_candidates(ids, ps), _region_points(ids, ps, target)):
             vecs = ps.offsets(ray_ids, cx, cy)
             if (0, 0) in vecs:
                 continue
             order = angular_order(vecs)
-            if shared:
-                depth = _depth_around([vecs[i] for i in order if inside[i]], target)
-            else:
-                depth = tukey_depth(cx, cy, ids, ps, stop_below=target)
+            depth = _depth_around([vecs[i] for i in order if inside[i]], target)
             if depth >= target and not _shares_ray(vecs, order):
                 return (cx, cy), vecs, order
-        found = _region_point(_depth_region(ids, ps, target), ps, ray_ids)
-        if found is not None:
-            return found
     raise InternalAssertionError("center-point", "no candidate reached the depth bound")
 
 
@@ -386,40 +371,30 @@ def _center_candidates(ids, ps):
         )
 
 
-def _region_point(poly, ps, ray_ids):
-    """A point of the convex polygon `poly` with no two `ray_ids` points on
-    one ray from it, as `_ordered_center` returns it, or None.  That is the
-    vertex centroid c, else the first c + s(u - c) + s^2(v - c), s = 1/2,
-    1/4, ..., for the first vertices u, v spanning a triangle with c.  It
-    lies inside that triangle (weights 1 - s - s^2, s, s^2), and the parabola
-    meets each line through two points at most twice, so the scan ends."""
-
-    def ordered(x, y):
-        vecs = ps.offsets(ray_ids, x, y)
-        if (0, 0) not in vecs:
-            order = angular_order(vecs)
-            if not _shares_ray(vecs, order):
-                return (x, y), vecs, order
-        return None
-
+def _region_points(ids, ps, target):
+    """Points of the depth-`target` region of the `ids`, computed
+    (`_depth_region`) only once the generator is advanced: the vertex
+    centroid c, then c + s(u - c) + s^2(v - c), s = 1/2, 1/4, ..., for the
+    first vertices u, v spanning a triangle with c.  Each lies inside that
+    triangle (weights 1 - s - s^2, s, s^2), and the parabola meets each line
+    through two points at most twice, so a caller that stops at the first
+    point from which no two points share a ray stops.  Nothing when the
+    region is empty, and only c when it is a point or a segment."""
+    poly = _depth_region(ids, ps, target)
     if not poly:
-        return None
+        return
     cx = sum(x for x, _ in poly) / len(poly)
     cy = sum(y for _, y in poly) / len(poly)
-    found = ordered(cx, cy)
-    if found is not None:
-        return found
+    yield cx, cy
     for (ux, uy), (vx, vy) in combinations(poly, 2):
         ux, uy, vx, vy = ux - cx, uy - cy, vx - cx, vy - cy
         if ux * vy != uy * vx:
             break
     else:
-        return None
+        return
     s = Fraction(1, 2)
     while True:
-        found = ordered(cx + s * ux + s * s * vx, cy + s * uy + s * s * vy)
-        if found is not None:
-            return found
+        yield cx + s * ux + s * s * vx, cy + s * uy + s * s * vy
         s /= 2
 
 
@@ -556,13 +531,6 @@ def _cw_half(a: tuple[int, int], v: tuple[int, int]) -> int:
     return 0 if c < 0 or (c == 0 and a[0] * v[0] + a[1] * v[1] > 0) else 1
 
 
-def _spans_reflex(dirs: Sequence[tuple[int, int]]) -> bool:
-    """A clockwise sector between consecutive directions of `dirs` opens
-    beyond pi: the clockwise turn from a to b exceeds pi exactly when
-    cross(a, b) > 0."""
-    return any(a[0] * b[1] - a[1] * b[0] > 0 for a, b in zip(dirs, [*dirs[1:], dirs[0]]))
-
-
 def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     """Extract k rotated-sector layers for one dense box in one clockwise
     walk per layer around its center point.
@@ -577,8 +545,7 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     then becomes the current one.  In-box points give the star and chain
     edges, the others the attachments.  The walk places every point in its
     sector exactly, since no two assigned points share a ray from the
-    center.  Where a sector opens beyond pi, the layer's planarity is checked
-    outright.  Of the grid it reads only `ps`, `k`, `gi.cells[box]`,
+    center.  Of the grid it reads only `ps`, `k`, `gi.cells[box]`,
     `gi.cell_of` and `gi.assigned_to(box)`."""
     ps, k = gi.ps, gi.k
     members = gi.cells[box]
@@ -594,7 +561,6 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     if first[1] == 0 and first[0] > 0:
         order = [ccw[0], *order[:-1]]
     ids = [assigned[i] for i in order]
-    dirs = [offsets[i] for i in order]
     in_box = [gi.cell_of[p] == box for p in ids]
     ranks = [t for t, inside in enumerate(in_box) if inside]
     all_reps: list[tuple[int, int, int]] = []
@@ -612,14 +578,6 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
         all_reps.append(reps)
         tree_edges.append(sorted(tree))
         attach_edges.append(sorted(attach))
-        if _spans_reflex([dirs[t] for t in at]):
-            bad = crossing_pairs(tree_edges[j] + attach_edges[j], ps)
-            if bad:
-                raise InternalAssertionError(
-                    "box-planarity",
-                    f"box {box} layer {j}: crossing pairs {bad[:3]} "
-                    "behind a sector spanning above pi",
-                )
     return BoxLayers(box, center, all_reps, tree_edges, attach_edges)
 
 
@@ -722,16 +680,19 @@ class LayerSet:
 
 def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     """The full pipeline: grid, per-box layers, sparse attachment, box
-    connectors.  Asserts 8-neighbor connectivity, then ends with one
-    `verify_layers` call on `ps`, the check the CLI's `verify` runs, against
-    the `Guarantee` of a distributed file: per layer the edge-length budget
-    12*sqrt(2)*k*beta, planarity and spanning, then pairwise
-    edge-disjointness; the first breach raises at its stage (`_STAGES`).
-    None of these reads the MST bottleneck, so that verify does not measure
-    against it, and a build with an explicit `beta` computes the EMST only
-    once it has failed: a `beta` below the MST bottleneck breaks the
-    construction's precondition, so that failure raises `PreconditionError`
-    instead.  Every internal assertion raised on the way, these checks and
+    connectors.  Ends with one `verify_layers` call on `ps`, the check the
+    CLI's `verify` runs, against the `Guarantee` of a distributed file: per
+    layer the edge-length budget 12*sqrt(2)*k*beta, planarity and spanning,
+    then pairwise edge-disjointness; the first breach raises at its stage
+    (`_STAGES`).  It is the build's one check of each property: a box's
+    edges of layer j are part of layer j, so a crossing among them fails
+    its planarity, and dense boxes that are not 8-neighbour connected leave
+    a layer that does not span, since only connectors of 8-neighbour pairs
+    join boxes.  None of these checks reads the MST bottleneck, so that
+    verify does not measure against it, and a build with an explicit `beta`
+    computes the EMST only once it has failed: a `beta` below the MST
+    bottleneck breaks the construction's precondition, so that failure
+    raises `PreconditionError` instead.  Every internal assertion raised on the way, these checks and
     those of the boxes' center points, sectors and connectors alike, carries
     a dump of the points, the mode, k and betaSq (and the layer, for the
     per-layer checks) that replays through `plane-layers build --mode
@@ -763,7 +724,6 @@ def _assemble(gi: GridIndex) -> LayerSet:
     lists."""
     ps, k, beta_sq = gi.ps, gi.k, gi.beta_sq
     box_layers = [gi.layers(box) for box in sorted(gi.dense)]
-    _assert_eight_neighbor_connected(gi)
     connectors = connect_boxes(gi)
     layers = [
         tuple(sorted([e for bl in box_layers for e in bl.layer_edges(j)] + connectors[j]))
@@ -785,21 +745,6 @@ def _assemble(gi: GridIndex) -> LayerSet:
 # The stage of each property a k-layer guarantee checks.
 _STAGES = {"length": "length-budget", "planarity": "layer-planarity",
            "spanning": "layer-spanning", "shared": "layer-disjointness"}
-
-
-def _assert_eight_neighbor_connected(gi: GridIndex) -> None:
-    """A breadth-first search over 8-neighbour dense boxes reaches them all."""
-    reached = [min(gi.dense)]
-    seen = set(reached)
-    for box in reached:  # the list grows while it is read
-        for b in _dense_near(gi.dense, box, radius=1):
-            if b not in seen:
-                seen.add(b)
-                reached.append(b)
-    if len(reached) != len(gi.dense):
-        raise InternalAssertionError(
-            "eight-neighbor", "dense boxes are not 8-neighbor connected"
-        )
 
 
 # --- locality certificate ---------------------------------------------------

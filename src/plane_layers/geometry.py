@@ -77,7 +77,8 @@ class PointSet:
     predicates run on the integer coordinates, exact rationals are exposed
     through :meth:`x` and :meth:`y`.  When every coordinate given to the
     constructor is a string, each is read by `read_coord`, as a point file's
-    are; otherwise each goes through Fraction.  `to_text` prints a grid whose
+    are; otherwise each goes through Fraction.  An entry that is not an (x,
+    y) pair of finite numbers raises `UsageError` naming it.  `to_text` prints a grid whose
     scale divides a power of ten from one multiplier.
 
     The grid never changes after construction, so `mst.build_emst` keeps the
@@ -90,16 +91,23 @@ class PointSet:
     """
 
     def __init__(self, coords: Sequence[tuple[Fraction | int | str, Fraction | int | str]]):
-        if not set(map(len, coords)) <= {2}:
-            k = next(k for k, c in enumerate(coords) if len(c) != 2)
-            raise UsageError(f"point {k}: expected an (x, y) pair, got {coords[k]!r}")
-        if all(isinstance(c[0], str) and isinstance(c[1], str) for c in coords):
-            self._place([read_coord(c[0]) for c in coords], [read_coord(c[1]) for c in coords])
-            return
-        xs = [Fraction(c[0]) for c in coords]
-        ys = [Fraction(c[1]) for c in coords]
-        self._place([(f.numerator, f.denominator) for f in xs],
-                    [(f.numerator, f.denominator) for f in ys])
+        try:
+            if not set(map(len, coords)) <= {2} or any(isinstance(c, (str, bytes)) for c in coords):
+                raise TypeError("an entry is not an (x, y) pair")
+            if all(isinstance(c[0], str) and isinstance(c[1], str) for c in coords):
+                xs = [read_coord(c[0]) for c in coords]
+                ys = [read_coord(c[1]) for c in coords]
+            else:
+                fx = [Fraction(c[0]) for c in coords]
+                fy = [Fraction(c[1]) for c in coords]
+                xs = [(f.numerator, f.denominator) for f in fx]
+                ys = [(f.numerator, f.denominator) for f in fy]
+        except (TypeError, LookupError, ValueError, ArithmeticError) as exc:
+            message = _bad_entry(coords)
+            if message is None:
+                raise
+            raise UsageError(message) from exc
+        self._place(xs, ys)
 
     def _place(self, xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> None:
         """Put reduced (numerator, denominator) coordinates on the grid whose
@@ -304,6 +312,24 @@ _SAFE_DIGITS = 640
 _PLAIN_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
 
 
+def _bad_entry(coords) -> str | None:
+    """A message naming the first entry of `coords` that is not an (x, y)
+    pair of exact finite coordinates, or None when every entry is one."""
+    for k, c in enumerate(coords):
+        try:
+            if isinstance(c, (str, bytes)) or len(c) != 2:
+                raise TypeError
+            pair = c[0], c[1]
+        except (TypeError, LookupError):
+            return f"point {k}: expected an (x, y) pair, got {c!r}"
+        for v in pair:
+            try:
+                Fraction(v)
+            except (TypeError, ValueError, ArithmeticError):
+                return f"point {k}: invalid coordinate {v!r}"
+    return None
+
+
 def read_coord(text: str) -> tuple[int, int]:
     """Exact value of a coordinate string as a reduced (numerator,
     denominator) pair, denominator positive.
@@ -413,8 +439,8 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     is bucketed under both: every point keeps the list of segments starting
     there, the number ending there and one of those.  The sweep walks the
     whole kept order and skips the points no segment touches, so an edge
-    list that leaves most points out, such as a box's own edges, still pays
-    O(n) for the walk and the buckets.  At v:
+    list that leaves most points out still pays O(n) for the walk and the
+    buckets.  At v:
 
     - The segments ending at v leave as one slice: `list.index` finds one,
       and the block widens over its neighbours that also end at v.

@@ -41,6 +41,16 @@ def acceptance_k_layer_instances() -> list[tuple[PointSet, int]]:
     return out
 
 
+def jittered_lattice(seed: int, index: int) -> PointSet:
+    """Instance `index` of `seed` of the benchmark's jittered lattice: 22 x
+    22 points, spacing 10, each coordinate moved by up to +-3, as
+    `perfbench/workloads.py` draws it with `lattice_points(_instance_rng(seed,
+    index), 22, 10, 3)`."""
+    rng = random.Random(seed * 1_000_003 + index)
+    return PointSet([(f"{i * 10 + rng.uniform(-3, 3):.6f}", f"{j * 10 + rng.uniform(-3, 3):.6f}")
+                     for i in range(22) for j in range(22)])
+
+
 def count_tree_computations(monkeypatch) -> list[int]:
     """Patch `mst._compute_emst`, the one function that computes a point
     set's tree (grid pairs or Delaunay edges), to record the point count of

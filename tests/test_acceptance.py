@@ -139,7 +139,7 @@ def test_criterion_6_distributed_suite():
         floor_n = max(12 * k - 3, 60)
         for _ in range(100):
             ps = random_point_set(rng, rng.randint(floor_n, floor_n + 30))
-            ls = build_k_layers(ps, k)  # hull/8-neighbor assertions must not fire
+            ls = build_k_layers(ps, k)  # no internal assertion may fire
             rep = verify_layers([list(l) for l in ls.layers], ps)
             assert len(ls.layers) == k
             assert rep.all_plane and rep.all_spanning and rep.pairwise_disjoint

@@ -276,9 +276,12 @@ def test_box_sorts_once_per_tried_candidate(monkeypatch, tmp_path, kind, k):
             tried.append(c)
             yield c
 
+    def no_region(ids, ps, target):
+        raise AssertionError("a box reached its depth region")
+
     monkeypatch.setattr(distributed, "angular_order", counted_sort)
     monkeypatch.setattr(distributed, "_center_candidates", counted_candidates)
-    monkeypatch.setattr(distributed, "_region_point", None)  # every box finds a candidate
+    monkeypatch.setattr(distributed, "_depth_region", no_region)  # every box finds a candidate
     for box in sorted(gi.dense):
         sorts.clear()
         tried.clear()

@@ -42,12 +42,13 @@ from plane_layers.geometry import (
     properly_cross,
 )
 from plane_layers.mst import bottleneck, build_emst
-from plane_layers.verify import Guarantee, verify_layers
+from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
 
 from conftest import (
     acceptance_k_layer_instances,
     count_sweeps,
     count_tree_computations,
+    jittered_lattice,
     random_point_set,
 )
 from rational_points import exact_coords
@@ -494,12 +495,16 @@ def test_tukey_depth_matches_oracles():
         assert depth == probe_depth(cx, cy, coords), (pts, cx, cy)
         if trial % 4 == 0:
             assert depth == brute_depth(cx, cy, coords)
-        stop = rng.randint(0, m + 1)
-        early = tukey_depth(cx, cy, ids, ps, stop_below=stop)
-        if depth >= stop:
-            assert early == depth
+        # the sweep's early exit, from the depth among the nonzero offsets
+        vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
+        ccw = [vecs[i] for i in angular_order(vecs)]
+        around = depth - (m - len(vecs))
+        stop = rng.randint(0, len(vecs) + 1)
+        early = distributed._depth_around(ccw, stop)
+        if around >= stop:
+            assert early == around
         else:
-            assert depth <= early < stop
+            assert around <= early < stop
 
 
 def test_center_point_triangle_and_hexagon():
@@ -526,12 +531,16 @@ def test_center_point_random_oracle(rng):
         ps = random_point_set(rng, 30, extent=50)
         cx, cy = center_point(list(ps.ids), ps)
         assert brute_depth(cx, cy, exact_coords(ps)) >= 10
-        # depth ids that are not all ray ids take tukey_depth's own sort
-        ids, ray_ids = list(ps.ids)[:24], list(ps.ids)[12:]
+        # depth ids among more ray ids, as a box's points among those assigned to it
+        ids, ray_ids = list(ps.ids)[:24], list(ps.ids)[::-1]
         cx, cy = center_point(ids, ps, ray_ids=ray_ids)
         assert brute_depth(cx, cy, exact_coords(ps)[:24]) >= 8
         rays = {(d[0] // math.gcd(*d), d[1] // math.gcd(*d)) for d in ps.offsets(ray_ids, cx, cy)}
         assert len(rays) == len(ray_ids)
+        # an id outside the ray ids, or a repeated one
+        for bad_ids, bad_rays in ((ids, ids[12:]), (ids, ids[:-1]), ([*ids, 0], list(ps.ids))):
+            with pytest.raises(PreconditionError, match="distinct ids among the ray ids"):
+                center_point(bad_ids, ps, ray_ids=bad_rays)
 
 
 def test_center_point_no_two_points_per_ray(rng):
@@ -636,8 +645,7 @@ def test_sector_matches_the_per_sector_oracle():
     """`_sector` agrees with `sector_index` on random representative triples
     around rational centers: convex triples, a reflex sector, opposite rays,
     directions on a representative's ray or opposite it, and the center
-    itself, which both rules reject with `[sector]`; `_spans_reflex` finds
-    exactly the triples with a sector beyond pi."""
+    itself, which both rules reject with `[sector]`."""
     rng = random.Random(1717)
     kinds = Counter()
     for _ in range(1000):
@@ -663,7 +671,6 @@ def test_sector_matches_the_per_sector_oracle():
         sectors = list(zip(dirs, dirs[1:] + dirs[:1]))
         # a sector spans beyond pi when the ray opposite its first one lies inside it
         reflex = any(strictly_inside_cw(a, b, (-a[0], -a[1])) for a, b in sectors)
-        assert distributed._spans_reflex(dirs) == reflex
         opposite = any(a[0] * b[1] == a[1] * b[0] for a, b in sectors)
         kinds["reflex" if reflex else "opposite" if opposite else "convex"] += 1
         for t in ps.ids:
@@ -695,6 +702,28 @@ def test_box_walk_matches_the_index_star(k):
             assert layers_in_box(box, gi) == index_star_layers(box, gi)
             sparse += len(gi.assigned_to(box)) - len(gi.cells[box])
     assert sparse >= 15
+
+
+def test_builds_with_depth_region_centers_match_pinned_digest(monkeypatch):
+    """k=1 builds of the clustered sets of the k=1 walk test, where nine
+    boxes take their center from the depth region: their layers files hash
+    to a pinned digest, so a change of the region path's output shows."""
+    regions = []
+    depth_region = distributed._depth_region
+
+    def counted(*args):
+        regions.append(args)
+        return depth_region(*args)
+
+    monkeypatch.setattr(distributed, "_depth_region", counted)
+    rng = random.Random(91)
+    digest = hashlib.sha256()
+    for _ in range(15):
+        ls = build_k_layers(clustered_point_set(rng, 200), 1)
+        digest.update(json.dumps(ls.to_json_dict(), sort_keys=True).encode())
+    assert len(regions) == 9
+    assert digest.hexdigest() == (
+        "3826e7118624b5c054c59a9d4155a3ed5d549f26a1d35228b578b3eaaedcbd4d")
 
 
 def test_connect_boxes_horizontal_pair(rng):
@@ -998,8 +1027,8 @@ def small_beta_instance(case):
 
 
 @pytest.mark.parametrize("case, stage", [
-    ("outlier", "length-budget"), ("blobs-5", "eight-neighbor"), ("blobs-20", "eight-neighbor"),
-    ("blobs-100", "eight-neighbor"), ("uniform", "layer-planarity")])
+    ("outlier", "length-budget"), ("blobs-5", "layer-spanning"), ("blobs-20", "layer-spanning"),
+    ("blobs-100", "layer-spanning"), ("uniform", "layer-planarity")])
 def test_beta_below_the_bottleneck_is_a_precondition_failure(case, stage):
     """A build that fails with a caller's beta below the MST bottleneck
     raises `PreconditionError` (CLI exit 3) naming both, chained from the
@@ -1172,24 +1201,17 @@ def test_connector_pairs_match_rule_loop():
                     assert ((a, b) in replayed[a]) == ((a, b) in replayed[b]) == selected
 
 
-BOX_STAGES = ["eight-neighbor", "center-point", "sector", "box-planarity"]
+BOX_STAGES = ["center-point", "sector"]
 
 
-def _inject_box_fault(monkeypatch, stage, ps):
-    """Make the k=1 build of `ps` fail the box-level assertion `stage`."""
-    if stage == "eight-neighbor":  # no box sees its 8-neighbours
-        dense_near = distributed._dense_near
-        monkeypatch.setattr(distributed, "_dense_near", lambda dense, cell, radius=2: (
-            [] if radius == 1 else dense_near(dense, cell, radius)))
-    elif stage == "center-point":  # no candidate is deep, and the region is empty
+def _inject_box_fault(monkeypatch, stage):
+    """Make a k=1 build fail the box-level assertion `stage`."""
+    if stage == "center-point":  # no candidate is deep, and the region is empty
         monkeypatch.setattr(distributed, "_depth_around", lambda *args, **kwargs: 0)
         monkeypatch.setattr(distributed, "_depth_region", lambda *args: [])
     elif stage == "sector":  # every representative seems to lie on its neighbour's center
         sector = distributed._sector
         monkeypatch.setattr(distributed, "_sector", lambda dirs, d: sector(dirs, (0, 0)))
-    elif stage == "box-planarity":  # every sector opens beyond pi over a crossing
-        monkeypatch.setattr(distributed, "_spans_reflex", lambda dirs: True)
-        monkeypatch.setattr(distributed, "crossing_pairs", lambda edges, ps: [tuple(edges[:2])])
 
 
 def _k_layer_fault(monkeypatch, stage):
@@ -1198,7 +1220,7 @@ def _k_layer_fault(monkeypatch, stage):
     of the box-level assertions below them."""
     if stage in BOX_STAGES:
         ps = random_point_set(random.Random(0), 200)
-        _inject_box_fault(monkeypatch, stage, ps)
+        _inject_box_fault(monkeypatch, stage)
         return ps, 1, None
     if stage == "length-budget":
         ps = strip_point_set(0)
@@ -1255,11 +1277,30 @@ def test_k_layer_self_check_dumps_reproduce(monkeypatch, stage):
 
 def test_k_layer_build_sweeps_each_layer_once(monkeypatch):
     """The build sweeps each full layer once, in its final verify, and
-    nothing else: this instance has no box with a sector beyond pi."""
+    nothing else."""
     ps = random_point_set(random.Random(5), 300)
     sweeps = count_sweeps(monkeypatch)
     ls = build_k_layers(ps, 2)
     assert sweeps == [len(layer) for layer in ls.layers]
+
+
+def test_lattice_build_with_a_sector_beyond_pi_sweeps_its_layer_once(monkeypatch):
+    """Instance 3 of lattice seed 1 builds at k=1 with one box whose center
+    falls back to the floor depth, so that one of its sectors opens beyond
+    pi.  The layer is still swept once, in the build's final verify, which
+    sees every crossing a sweep of that box's own edges could find."""
+    ps = jittered_lattice(1, 3)
+    sweeps = count_sweeps(monkeypatch)
+    ls = build_k_layers(ps, 1)
+    assert sweeps == [len(ls.layers[0])] == [489]
+    gi = grid_partition(ps, 1, ls.beta_sq)
+    reflex = []
+    for box in sorted(gi.dense):
+        bl = gi.layers(box)
+        dirs = ps.offsets(bl.reps[0], *bl.center)
+        if any(strictly_inside_cw(a, b, (-a[0], -a[1])) for a, b in zip(dirs, dirs[1:] + dirs[:1])):
+            reflex.append(box)
+    assert len(reflex) == 1
 
 
 @pytest.mark.parametrize(
@@ -1301,7 +1342,7 @@ def test_k_layer_dump_replays_through_the_cli(monkeypatch, tmp_path):
 
 
 
-@pytest.mark.parametrize("stage", ["locality", "center-point", "sector", "box-planarity"])
+@pytest.mark.parametrize("stage", ["locality", *BOX_STAGES])
 def test_certifier_dumps_replay(monkeypatch, stage):
     """A certificate's internal assertion, the locality check or a box the
     replay rebuilds, dumps the points, the mode, k and betaSq, as the
@@ -1313,7 +1354,7 @@ def test_certifier_dumps_replay(monkeypatch, stage):
     if stage == "locality":  # the layer set lacks an edge the replay makes
         ls = replace(ls, layers=(ls.layers[0][1:],))
     else:  # the fault may show only at some points, such as representatives
-        _inject_box_fault(monkeypatch, stage, ps)
+        _inject_box_fault(monkeypatch, stage)
         points = ps.ids
     certifier = Certifier(ps, ls)
     with pytest.raises(InternalAssertionError) as info:
@@ -1355,12 +1396,48 @@ def gauss_clusters(rng, n, clusters, sigma):
     return PointSet(sorted(pts))
 
 
-def jittered_lattice(seed, index):
-    """The 22 x 22 lattice, spacing 10 and jitter 3, that the benchmark's
-    lattice workload draws as instance `index` of `seed`."""
-    rng = random.Random(seed * 1_000_003 + index)
-    return PointSet([(f"{i * 10 + rng.uniform(-3, 3):.6f}", f"{j * 10 + rng.uniform(-3, 3):.6f}")
-                     for i in range(22) for j in range(22)])
+def eight_neighbour_components(dense) -> int:
+    """The number of classes of the dense cells under 8-neighbour adjacency,
+    by breadth-first search."""
+    seen: set = set()
+    components = 0
+    for start in sorted(dense):
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        queue = [start]
+        for i, j in queue:  # the list grows while it is read
+            for cell in ((i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)):
+                if cell in dense and cell not in seen:
+                    seen.add(cell)
+                    queue.append(cell)
+    return components
+
+
+def test_dense_boxes_are_eight_neighbour_connected():
+    """The paper's eight-neighbour lemma, which the build no longer checks:
+    at beta at or above the MST bottleneck the dense boxes are 8-neighbour
+    connected.  Checked on the grid alone, on uniform, clustered, lattice
+    and near-line sets at k=1; a breach would leave a layer that does not
+    span, which the build's final verify rejects as `[layer-spanning]`."""
+    rng = random.Random(2700)
+    pool = [random_point_set(rng, rng.randint(60, 600)) for _ in range(8)]
+    pool += [gauss_clusters(rng, rng.randint(300, 500), 12, 60) for _ in range(6)]
+    pool += [jittered_lattice(seed, index) for seed, index in ((1, 3), (1, 6), (1, 9), (5, 2))]
+    pool += [gen_line_instance(n, "0.001") for n in (60, 101, 300)]
+    boxes = 0
+    for ps in pool:
+        be_sq = bottleneck(build_emst(ps), ps).length_sq
+        for beta_sq in (be_sq, be_sq * Fraction(9, 4)):
+            gi = grid_partition(ps, 1, beta_sq)
+            assert eight_neighbour_components(gi.dense) == 1, (exact_coords(ps), beta_sq)
+            boxes += len(gi.dense)
+    assert boxes > 300
+    # the oracle itself: boxes that touch at a corner are one class, boxes
+    # a cell apart are not
+    assert eight_neighbour_components({(0, 0), (1, 1)}) == 1
+    assert eight_neighbour_components({(0, 0), (2, 0), (0, 2)}) == 3
 
 
 def test_assigned_hulls_are_disjoint():

@@ -767,6 +767,25 @@ def test_pointset_rejects_entries_that_are_not_pairs():
         PointSet([(5,)])
     with pytest.raises(UsageError, match=r"^point 2: expected an \(x, y\) pair, got \['1', '2', '3'\]$"):
         PointSet([("0", "0"), ("1", "1"), ["1", "2", "3"]])
+    # strings and bytes of two characters are not pairs, nor are numbers,
+    # None, mappings or sets; each coordinate must be a finite number
+    for entries, message in (
+        (["12", "34", "56"], "point 0: expected an (x, y) pair, got '12'"),
+        ([(1, 2), b"12"], "point 1: expected an (x, y) pair, got b'12'"),
+        ([5], "point 0: expected an (x, y) pair, got 5"),
+        ([None], "point 0: expected an (x, y) pair, got None"),
+        ([(1, 2), {"x": 1, "y": 2}], "point 1: expected an (x, y) pair, got {'x': 1, 'y': 2}"),
+        ([(0, 0), {1, 2}], "point 1: expected an (x, y) pair, got {1, 2}"),
+        ([(None, 1)], "point 0: invalid coordinate None"),
+        ([("abc", "1")], "point 0: invalid coordinate 'abc'"),
+        ([("1", "2"), ("1/0", "2")], "point 1: invalid coordinate '1/0'"),
+        ([(1, float("inf"))], "point 0: invalid coordinate inf"),
+        ([(float("nan"), 1)], "point 0: invalid coordinate nan"),
+        ([("1", 2), ("x", 3)], "point 1: invalid coordinate 'x'"),
+    ):
+        with pytest.raises(UsageError) as info:
+            PointSet(entries)
+        assert str(info.value) == message
 
 
 def test_point_file_roundtrip():
