@@ -29,8 +29,8 @@ from .errors import (
     UsageError,
     write_dump,
 )
-from .geometry import PointSet, Segment
-from .mst import bottleneck, build_emst
+from .geometry import PointSet, Segment, float_sqrt
+from .mst import bottleneck_length, bottleneck_sq
 from .render import render_svg
 from .verify import Guarantee, count_layers, gen_line_instance, verify_layers
 
@@ -225,20 +225,16 @@ def cmd_build(args) -> int:
         return 0
     if beta is not None and beta <= 0:
         raise PreconditionError("beta must be positive")
-    be_sq = None
-    if beta is not None and len(ps) >= 2:
-        be = bottleneck(build_emst(ps), ps)
-        if beta * beta < be.length_sq:
-            raise PreconditionError(
-                f"--beta {args.beta} is below the MST bottleneck {be.length:.6f}"
-            )
-        be_sq = be.length_sq
+    if beta is not None and len(ps) >= 2 and beta * beta < bottleneck_sq(ps):
+        raise PreconditionError(
+            f"--beta {args.beta} is below the MST bottleneck {bottleneck_length(ps):.6f}"
+        )
     ls = build_k_layers(ps, args.k, beta)
     payload = ls.to_json_dict()
     payload["n"] = len(ps)
     _dump_json(args.out, payload)
-    be_sq = be_sq or ls.beta_sq  # without --beta the build used the MST bottleneck
-    max_ratio = math.sqrt(max(ls.longest_sq) / be_sq)
+    ratio_sq = max(ls.longest_sq) / bottleneck_sq(ps)  # kept on ps by the build or the check
+    max_ratio = float_sqrt(ratio_sq.numerator, ratio_sq.denominator, "the largest ratio")
     bound = 12 * math.sqrt(2) * args.k
     print(f"layers={ls.k} maxRatio={max_ratio:.6f} bound={bound:.6f}")
     return 0
@@ -290,11 +286,10 @@ def cmd_render(args) -> int:
 def cmd_stats(args) -> int:
     ps = _load_points(args.points)
     meta, layers = _load_layers_file(args.layers, len(ps))
-    be = bottleneck(build_emst(ps), ps) if len(ps) >= 2 else None
     stats = {
         "n": len(ps),
         "k": len(layers),
-        "mstBottleneck": be.length if be else 0.0,
+        "mstBottleneck": bottleneck_length(ps) if len(ps) >= 2 else 0.0,
         "layers": [
             {"edges": c.edges, "bottleneck": c.length}
             for c in count_layers(layers, ps).per_layer

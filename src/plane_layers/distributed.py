@@ -32,8 +32,8 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import InternalAssertionError, PreconditionError
-from .geometry import PointSet, Segment, angular_order
-from .mst import bottleneck, build_emst
+from .geometry import PointSet, Segment, angular_order, float_sqrt
+from .mst import bottleneck_length, bottleneck_sq
 from .verify import Guarantee, verify_layers
 
 Cell = tuple[int, int]
@@ -90,7 +90,8 @@ class GridIndex:
 
     @property
     def cell_side(self) -> float:
-        return 6 * self.k * math.sqrt(float(self.beta_sq))
+        q = self.beta_sq
+        return 6 * self.k * float_sqrt(q.numerator, q.denominator, "beta")
 
     def assigned_to(self, box: Cell) -> list[int]:
         """The points assigned to `box`, ascending: the grid's own list, so
@@ -111,7 +112,7 @@ def _as_beta_sq(beta, ps: PointSet) -> Fraction:
     if beta is None:
         if len(ps) < 2:
             raise PreconditionError("beta default needs a point set with n >= 2")
-        return bottleneck(build_emst(ps), ps).length_sq
+        return bottleneck_sq(ps)
     if isinstance(beta, float):
         beta = Fraction(str(beta))
     beta = Fraction(beta)
@@ -690,7 +691,7 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     a layer that does not span, since only connectors of 8-neighbour pairs
     join boxes.  None of these checks reads the MST bottleneck, so that
     verify does not measure against it, and a build with an explicit `beta`
-    computes the EMST only once it has failed: a `beta` below the MST
+    reads the bottleneck only once it has failed: a `beta` below the MST
     bottleneck breaks the construction's precondition, so that failure
     raises `PreconditionError` instead.  Every internal assertion raised on the way, these checks and
     those of the boxes' center points, sectors and connectors alike, carries
@@ -703,11 +704,9 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
         return _assemble(gi)
     except InternalAssertionError as err:
         _add_instance(err, gi)
-        if beta is not None:
-            be = bottleneck(build_emst(ps), ps)
-            if beta_sq < be.length_sq:
-                raise PreconditionError(
-                    f"beta {beta} is below the MST bottleneck {be.length:.6f}") from err
+        if beta is not None and beta_sq < bottleneck_sq(ps):
+            raise PreconditionError(
+                f"beta {beta} is below the MST bottleneck {bottleneck_length(ps):.6f}") from err
         raise
 
 
@@ -738,7 +737,8 @@ def _assemble(gi: GridIndex) -> LayerSet:
             dump["crossing"] = list(report.per_layer[j].crossings[0])
         raise InternalAssertionError(_STAGES[prop], message, dump)
     stats = tuple({"edges": l.edges, "bottleneck": l.bottleneck} for l in report.per_layer)
-    return LayerSet(k=k, beta=math.sqrt(float(beta_sq)), beta_sq=beta_sq, layers=tuple(layers),
+    beta = float_sqrt(beta_sq.numerator, beta_sq.denominator, "beta")
+    return LayerSet(k=k, beta=beta, beta_sq=beta_sq, layers=tuple(layers),
                     stats=stats, longest_sq=tuple(l.longest_sq for l in report.per_layer))
 
 
@@ -792,7 +792,7 @@ class Certifier:
         self.grid = GridIndex(ps, k, q)
         self._incident = [_by_endpoint(layer) for layer in layer_set.layers]
         self._by_box: dict[Cell, list[dict[int, list[Segment]]]] = {}
-        self._radius = 3 * 6 * k * math.sqrt(float(q)) * math.sqrt(2)
+        self._radius = 3 * 6 * k * layer_set.beta * math.sqrt(2)
 
     def certify(self, p: int) -> LocalityCertificate:
         """p's certificate: its incident edges in each layer, recomputed from

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
@@ -81,13 +82,19 @@ class PointSet:
     y) pair of finite numbers raises `UsageError` naming it.  `to_text` prints a grid whose
     scale divides a power of ten from one multiplier.
 
-    The grid never changes after construction, so `mst.build_emst` keeps the
-    tree it computes in the private `_emst` attribute for later calls, and
-    `lex_order` keeps the lexicographic (x, y) order of the ids, with each
-    id's rank in it, that the planarity sweep `has_crossing` walks: the
-    first sweep computes it.  A mirror image (`reflected`) keeps neither:
-    it computes its own, and mirroring reverses the order within each
-    vertical line.
+    A point set keeps its grid (`scale`, `grid`) and, since the grid never
+    changes after construction, three things derived from it alone, each
+    computed on first use:
+
+    - the EMST, in the private `_emst` attribute, by `mst.build_emst`;
+    - the squared MST bottleneck in grid units, in the private `_bottleneck`
+      attribute, by `mst.grid_bottleneck_sq`, read off the kept EMST when
+      there is one and otherwise found without building a tree;
+    - `lex_order`, the lexicographic (x, y) order of the ids with each id's
+      rank in it, which the planarity sweep `has_crossing` walks.
+
+    A mirror image (`reflected`) keeps none of the three: it computes its
+    own, and mirroring reverses the order within each vertical line.
     """
 
     def __init__(self, coords: Sequence[tuple[Fraction | int | str, Fraction | int | str]]):
@@ -113,10 +120,16 @@ class PointSet:
         """Put reduced (numerator, denominator) coordinates on the grid whose
         scale is the lcm of all denominators."""
         scale = math.lcm(*{d for _, d in xs}, *{d for _, d in ys})
+        self._set_grid(scale, [n * (scale // d) for n, d in xs], [n * (scale // d) for n, d in ys])
+
+    def _set_grid(self, scale: int, sx: list[int], sy: list[int]) -> None:
+        """Keep the grid of scale `scale` and integers sx, sy, with nothing
+        derived from it yet, once no two points share coordinates."""
         self._scale = scale
-        self._sx = [n * (scale // d) for n, d in xs]
-        self._sy = [n * (scale // d) for n, d in ys]
+        self._sx = sx
+        self._sy = sy
         self._emst: tuple[Segment, ...] | None = None
+        self._bottleneck: int | None = None
         self._lex: tuple[list[int], list[int]] | None = None
         seen: dict[tuple[int, int], int] = {}
         for i, key in enumerate(zip(self._sx, self._sy)):
@@ -217,6 +230,7 @@ class PointSet:
         mirror._sx = self._sx
         mirror._sy = [-y for y in self._sy]
         mirror._emst = None
+        mirror._bottleneck = None
         mirror._lex = None
         return mirror
 
@@ -249,30 +263,41 @@ class PointSet:
 
     @classmethod
     def from_text(cls, text: str) -> "PointSet":
-        rows: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise UsageError(f"line {lineno}: expected `id x y`, got {raw!r}")
-            try:
-                pid = int(parts[0])
-                x, y = read_coord(parts[1]), read_coord(parts[2])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"line {lineno}: {exc}") from exc
-            if pid in rows:
-                raise UsageError(f"line {lineno}: duplicate id {pid}")
-            rows[pid] = (x, y)
-        if not rows:
-            raise UsageError("empty point file")
-        n = len(rows)
-        if sorted(rows) != list(range(n)):
-            raise UsageError(f"ids must be contiguous 0..{n - 1}")
+        """The points of a point file.  Plain decimal `id x y` lines with the
+        ids 0..n-1 in order, as `to_text` writes them, are read in one pass
+        over the whole text (`_read_plain`); any other text goes line by line
+        (`_read_lines`), which gives every message about a malformed line."""
         ps = cls.__new__(cls)
-        ps._place([rows[i][0] for i in range(n)], [rows[i][1] for i in range(n)])
+        if not ps._read_plain(text):
+            ps._place(*_read_lines(text))
         return ps
+
+    def _read_plain(self, text: str) -> bool:
+        """Put the points of `text` on their grid when it is plain decimal
+        `id x y` lines with the ids 0..n-1 in order; return False, with
+        nothing read, for any other text.
+
+        Each coordinate, with D the longest fraction among them all, is the
+        integer v of its digits scaled to 10**D.  Its reduced denominator is
+        10**D / gcd(v, 10**D), so the lcm of them all, the grid's scale, is
+        10**D / g for the one gcd g of 10**D and every v."""
+        if _PLAIN_FILE.fullmatch(text) is None:
+            return False
+        tokens = text.split()
+        n = len(tokens) // 3
+        coords = tokens[1::3] + tokens[2::3]
+        if tokens[::3] != list(map(str, range(n))) or max(map(len, coords)) > _SAFE_DIGITS:
+            return False
+        parts = [c.partition(".") for c in coords]
+        digits = max(len(f) for _, _, f in parts)
+        unit = 10**digits
+        shift = [unit // 10**d for d in range(digits + 1)]
+        vals = [int(w + f) * shift[len(f)] for w, _, f in parts]
+        g = math.gcd(unit, *vals)
+        if g > 1:
+            vals = [v // g for v in vals]
+        self._set_grid(unit // g, vals[:n], vals[n:])
+        return True
 
     def to_text(self) -> str:
         """One `id x y` line per point, each coordinate in its shortest exact
@@ -310,6 +335,37 @@ class PointSet:
 # path would not.
 _SAFE_DIGITS = 640
 _PLAIN_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
+_PLAIN_FILE = re.compile(r"(?:[0-9]+ -?[0-9]+(?:\.[0-9]+)? -?[0-9]+(?:\.[0-9]+)?(?:\n|\Z))+")
+# the exponent of an exponent form, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _read_lines(text: str) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The reduced x and y coordinates of a point file, by id, read line by
+    line: `#` starts a comment, blank lines are skipped, ids may come in
+    any order but must be 0..n-1 once each."""
+    rows: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise UsageError(f"line {lineno}: expected `id x y`, got {raw!r}")
+        try:
+            pid = int(parts[0])
+            x, y = read_coord(parts[1]), read_coord(parts[2])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"line {lineno}: {exc}") from exc
+        if pid in rows:
+            raise UsageError(f"line {lineno}: duplicate id {pid}")
+        rows[pid] = (x, y)
+    if not rows:
+        raise UsageError("empty point file")
+    n = len(rows)
+    if sorted(rows) != list(range(n)):
+        raise UsageError(f"ids must be contiguous 0..{n - 1}")
+    return [rows[i][0] for i in range(n)], [rows[i][1] for i in range(n)]
 
 
 def _bad_entry(coords) -> str | None:
@@ -324,7 +380,7 @@ def _bad_entry(coords) -> str | None:
             return f"point {k}: expected an (x, y) pair, got {c!r}"
         for v in pair:
             try:
-                Fraction(v)
+                read_coord(v) if isinstance(v, str) else Fraction(v)
             except (TypeError, ValueError, ArithmeticError):
                 return f"point {k}: invalid coordinate {v!r}"
     return None
@@ -337,9 +393,15 @@ def read_coord(text: str) -> tuple[int, int]:
     Plain ASCII decimals (`[-]digits[.digits]`) are read with int(); every
     other form (`p/q`, exponents, a leading `+`, `5.` or `.5`, underscores,
     surrounding spaces, non-ASCII digits, very long strings, malformed text)
-    goes through Fraction, so values, errors and messages are Fraction's."""
+    goes through Fraction, so values, errors and messages are Fraction's.
+    The one exception is an exponent whose power of ten would take too long
+    to build (`_zero_past_exponent_bound`): it raises ValueError first,
+    unless the value is 0."""
     m = _PLAIN_DECIMAL.fullmatch(text)
     if m is None or len(text) > _SAFE_DIGITS:
+        e = _EXPONENT.search(text)
+        if e is not None and _zero_past_exponent_bound(text, e):
+            return 0, 1
         f = Fraction(text)
         return f.numerator, f.denominator
     whole, frac = m.groups()
@@ -348,6 +410,55 @@ def read_coord(text: str) -> tuple[int, int]:
     num, den = int(whole + frac), 10 ** len(frac)
     g = math.gcd(num, den)
     return num // g, den // g
+
+
+def _zero_past_exponent_bound(text: str, e: re.Match) -> bool:
+    """Whether the coordinate `text`, whose exponent `e` asks for a power of
+    ten of more than ten times `sys.get_int_max_str_digits()` digits, is 0;
+    ValueError when it is not, False for an exponent within that bound.
+
+    That is checked before Fraction builds the power: 10**999999999 takes
+    minutes and gigabytes.  Powers within the bound take Fraction a few
+    milliseconds, so coordinates such as 7e20123 keep the value Fraction
+    gives them.  The mantissa goes through Fraction with the exponent
+    replaced by 0, so text that Fraction rejects keeps Fraction's message."""
+    limit = 10 * sys.get_int_max_str_digits()
+    try:
+        exp = int(e.group(1))
+    except ValueError:
+        return False  # Fraction(text) raises the same error before any power
+    if not limit or abs(exp) < limit:
+        return False
+    try:
+        mantissa = Fraction(text[:e.start(1)] + "0" + text[e.end(1):])
+    except (ValueError, ZeroDivisionError):
+        return False  # as above
+    if mantissa:
+        raise ValueError(f"exponent {exp} of {text!r} needs a power of ten of more than "
+                         f"{limit} digits, ten times sys.get_int_max_str_digits()")
+    return True
+
+
+def float_sqrt(num: int, den: int, what: str) -> float:
+    """sqrt(num / den) as a float, for integers num >= 0 and den > 0,
+    without squaring through a float: the square root of the correctly
+    rounded quotient while that is a normal float, as math.sqrt of the exact
+    fraction gives it, and otherwise an integer root of about 60 bits, with
+    a sticky bit for an inexact one, rounded once.  A root beyond float
+    range raises UsageError naming `what`."""
+    try:
+        q = num / den
+    except OverflowError:
+        q = math.inf
+    if sys.float_info.min <= q < math.inf or not num:
+        return math.sqrt(q)
+    s = 60 - (num.bit_length() - den.bit_length()) // 2
+    q, rest = divmod(num << 2 * s, den) if s >= 0 else divmod(num, den << -2 * s)
+    root = math.isqrt(q)
+    try:
+        return math.ldexp(root | (rest > 0 or root * root != q), -s)
+    except OverflowError:
+        raise UsageError(f"{what} is too large for a float") from None
 
 
 def _decimal_digits(den: int) -> int | None:

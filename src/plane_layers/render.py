@@ -30,8 +30,13 @@ def render_svg(
     bucketing grid of side `cell_side` when one is given.  A grid with more
     lines than the picture is wide in pixels is a usage error: it would draw
     nothing legible, and a tiny side would take unbounded time."""
-    minx, miny, maxx, maxy = (float(v) for v in ps.bbox())
+    try:
+        minx, miny, maxx, maxy = (float(v) for v in ps.bbox())
+    except OverflowError:
+        raise UsageError("a coordinate is too large for a float") from None
     span = max(maxx - minx, maxy - miny, 1e-9)
+    if not math.isfinite(1.1 * span):
+        raise UsageError("the points' extent is too large for a float")
     margin = 0.05 * span
     minx -= margin
     miny -= margin

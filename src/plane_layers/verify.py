@@ -4,9 +4,10 @@ bound, and adversarial instance generation.
 verify_layers re-derives every layer property from the edges (an exact
 sweep for crossings, listing the pairs only when one exists; `count_layers`
 for spanning, repeated edges and longest edges) and measures them against
-the MST bottleneck of the point set's EMST, which `build_emst` computes once
-per point set and keeps on it, so a verify after a build reuses the build's
-tree.  It reports and never raises on a property failure.
+the MST bottleneck that `mst.grid_bottleneck_sq` keeps on the point set,
+read off the kept EMST after a two-tree build and found without a tree
+otherwise, so a verify after a build reuses the build's bottleneck.  It
+reports and never raises on a property failure.
 
 What each construction promises is one `Guarantee`, built from the fields
 its layers file records, and the pass/fail rule is one method,
@@ -14,8 +15,9 @@ its layers file records, and the pass/fail rule is one method,
 breach, and both builds end with `verify_layers` on their own output and
 raise on the first breach under their own stage names.  Edge lengths are
 compared as squared integers on the point set's grid; each reported length
-or ratio is one int/int division of them, which rounds correctly, like the
-float of the exact fraction.
+or ratio is the square root of one int/int division of them, which rounds
+correctly, like the float of the exact fraction (`geometry.float_sqrt`,
+which also keeps a square beyond float range out of floats).
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import PreconditionError
-from .geometry import PHI, PointSet, Segment, collinear_overlap, crossing_pairs
-from .mst import bottleneck, build_emst
+from .geometry import PHI, PointSet, Segment, collinear_overlap, crossing_pairs, float_sqrt
+# build_emst is unused here, but perfbench's tracer test wraps this binding
+from .mst import build_emst, grid_bottleneck_sq  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,7 @@ def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCoun
                 joined += 1
             if sq > top or (sq == top and e < longest):
                 top, longest = sq, e
-        length = math.sqrt(top / grid_sq)
+        length = float_sqrt(top, grid_sq, f"the longest edge of layer {j}")
         per_layer.append(LayerCount(len(layer), n - joined, top, longest, length))
     return LayerCounts(tuple(per_layer), tuple(repeats), tuple(lengths))
 
@@ -226,18 +229,22 @@ def verify_layers(
 ) -> VerificationReport:
     """Check each layer for planarity and spanning-ness, all layers for
     pairwise edge-disjointness, and measure bottlenecks against the exact
-    EMST of `ps` (`build_emst`: computed on the point set's first call and
-    kept on it, so a verify after a build reuses the build's tree).  With
-    `measure` False no EMST is read, and the ratios, the over-twice count
-    and `beta_sq` read as for a single point (0.0, 0 and None)."""
+    MST bottleneck of `ps` (`mst.grid_bottleneck_sq`: computed on the point
+    set's first call and kept on it, so a verify after a build reuses the
+    build's).  With `measure` False no bottleneck is read, and the ratios,
+    the over-twice count and `beta_sq` read as for a single point (0.0, 0
+    and None)."""
+    grid_sq = ps.scale * ps.scale
     be_sq = be_grid = None
     if measure and len(ps) >= 2:
-        be = bottleneck(build_emst(ps), ps)
-        be_sq, be_grid = be.length_sq, ps.sdist_sq(be.edge.a, be.edge.b)
+        be_grid = grid_bottleneck_sq(ps)
+        be_sq = Fraction(be_grid, grid_sq)
     counts = count_layers(layers, ps)
-    grid_sq = ps.scale * ps.scale
     reports = []
-    for layer, c in zip(layers, counts.per_layer):
+    for j, (layer, c) in enumerate(zip(layers, counts.per_layer)):
+        ratio = 0.0
+        if be_grid:
+            ratio = float_sqrt(c.longest_sq, be_grid, f"the ratio of layer {j} to the bottleneck")
         crossings = tuple(
             (a.as_pair(), b.as_pair()) for a, b in crossing_pairs(list(layer), ps)
         )
@@ -248,7 +255,7 @@ def verify_layers(
                 spanning=c.components == 1,
                 components=c.components,
                 bottleneck=c.length,
-                ratio=math.sqrt(c.longest_sq / be_grid) if be_grid else 0.0,
+                ratio=ratio,
                 edges=c.edges,
                 longest_sq=Fraction(c.longest_sq, grid_sq),
                 longest=c.longest,

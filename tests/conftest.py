@@ -51,19 +51,32 @@ def jittered_lattice(seed: int, index: int) -> PointSet:
                      for i in range(22) for j in range(22)])
 
 
-def count_tree_computations(monkeypatch) -> list[int]:
-    """Patch `mst._compute_emst`, the one function that computes a point
-    set's tree (grid pairs or Delaunay edges), to record the point count of
-    each call; the returned list grows as the trees are computed."""
+def _count_point_set_calls(monkeypatch, name: str) -> list[int]:
+    """Patch the function `mst.<name>` of one point set to record the point
+    count of each call; the returned list grows as it is called."""
     calls: list[int] = []
-    compute = mst._compute_emst
+    compute = getattr(mst, name)
 
     def counted(ps):
         calls.append(len(ps))
         return compute(ps)
 
-    monkeypatch.setattr(mst, "_compute_emst", counted)
+    monkeypatch.setattr(mst, name, counted)
     return calls
+
+
+def count_tree_computations(monkeypatch) -> list[int]:
+    """Record the point count of every call to `mst._compute_emst`, which
+    computes the tree of a point set with no kept one (grid pairs or
+    Delaunay edges)."""
+    return _count_point_set_calls(monkeypatch, "_compute_emst")
+
+
+def count_bottleneck_computations(monkeypatch) -> list[int]:
+    """Record the point count of every call to `mst._compute_bottleneck`,
+    which finds the MST bottleneck of a point set with no kept one, read off
+    its kept tree or found without one."""
+    return _count_point_set_calls(monkeypatch, "_compute_bottleneck")
 
 
 def count_sweeps(monkeypatch) -> list[int]:

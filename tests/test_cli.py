@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from plane_layers import cli, distributed, mst, verify
+from plane_layers import cli
 from plane_layers.cli import main
 from plane_layers.geometry import PointSet, Segment
 from plane_layers.verify import Guarantee, verify_layers
 
-from conftest import count_tree_computations
+from conftest import count_bottleneck_computations, count_tree_computations
 
 
 def run(*argv):
@@ -592,15 +592,11 @@ def test_verify_length_bound_is_exact(tmp_path, kind):
         assert verify_with(betaSq=f"{below.numerator}/{below.denominator}") == 4
 
 
-def test_one_emst_per_cli_call(tmp_path, monkeypatch):
-    calls = []
-
-    def counted(ps):
-        calls.append(None)
-        return mst.build_emst(ps)
-
-    for module in (cli, distributed, verify):
-        monkeypatch.setattr(module, "build_emst", counted)
+def test_one_bottleneck_and_no_tree_per_k_layer_cli_call(tmp_path, monkeypatch):
+    """A k-layer build, with or without --beta, and its cold verify each
+    find the MST bottleneck once, and none computes a tree."""
+    trees = count_tree_computations(monkeypatch)
+    bottlenecks = count_bottleneck_computations(monkeypatch)
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "4", "--out", str(pts)) == 0
     out = tmp_path / "layers.json"
@@ -608,27 +604,33 @@ def test_one_emst_per_cli_call(tmp_path, monkeypatch):
         for command in (["build", str(pts), "--mode", "distributed", "--k", "1",
                          *extra, "--out", str(out)],
                         ["verify", str(pts), str(out)]):
-            calls.clear()
+            trees.clear()
+            bottlenecks.clear()
             assert run(*command) == 0
-            assert len(calls) == 1, command
+            assert (bottlenecks, trees) == ([60], []), command
 
 
-def test_one_tree_computation_per_cli_command(tmp_path, monkeypatch):
-    calls = count_tree_computations(monkeypatch)
+def test_tree_and_bottleneck_computations_per_cli_command(tmp_path, monkeypatch):
+    """Every command finds the MST bottleneck once; only the two-tree build
+    computes a tree, and its bottleneck is read off that tree."""
+    trees = count_tree_computations(monkeypatch)
+    bottlenecks = count_bottleneck_computations(monkeypatch)
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "4", "--out", str(pts)) == 0
     tt, dist = tmp_path / "tt.json", tmp_path / "layers.json"
-    for command in (["build", str(pts), "--mode", "two-tree", "--out", str(tt)],
-                    ["verify", str(pts), str(tt)],
-                    ["stats", str(pts), str(tt)],
-                    ["build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(dist)],
-                    ["build", str(pts), "--mode", "distributed", "--k", "1", "--beta", "400",
-                     "--out", str(dist)],
-                    ["verify", str(pts), str(dist)],
-                    ["stats", str(pts), str(dist)]):
-        calls.clear()
+    for command, tree_calls in (
+            (["build", str(pts), "--mode", "two-tree", "--out", str(tt)], [60]),
+            (["verify", str(pts), str(tt)], []),
+            (["stats", str(pts), str(tt)], []),
+            (["build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(dist)], []),
+            (["build", str(pts), "--mode", "distributed", "--k", "1", "--beta", "400",
+              "--out", str(dist)], []),
+            (["verify", str(pts), str(dist)], []),
+            (["stats", str(pts), str(dist)], [])):
+        trees.clear()
+        bottlenecks.clear()
         assert run(*command) == 0
-        assert calls == [60], command
+        assert (bottlenecks, trees) == ([60], tree_calls), command
 
 
 @pytest.mark.parametrize("beta", ["-1", "0", "-40", "-0.5"])
@@ -678,6 +680,73 @@ def test_point_file_errors_exit_2(tmp_path, capsys, command, text, message):
     assert run(*argv) == 2
     assert capsys.readouterr().err == message.format(pts=pts) + "\n"
     assert out.read_text() == layers
+
+
+def _no_float_constants(text):
+    """The JSON value of `text`, which must carry no Infinity or NaN."""
+    def refuse(name):
+        raise AssertionError(f"JSON carries {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("mode", ["two-tree", "distributed"])
+def test_coordinates_whose_squares_are_beyond_float_range(tmp_path, capsys, mode):
+    """With a point at x = 1e300, whose squared lengths are beyond float
+    range, build, verify and stats exit 0 and write finite numbers only.
+    With one at 1e400, whose lengths are beyond float range themselves,
+    each exits 2 naming the length, as render does naming the coordinate."""
+    pts = tmp_path / "p.txt"
+    assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "4", "--out", str(pts)) == 0
+    big, huge = tmp_path / "big.txt", tmp_path / "huge.txt"
+    big.write_text(pts.read_text() + "60 1e300 0\n")
+    huge.write_text(pts.read_text() + "60 1e400 0\n")
+    layers, report = tmp_path / "l.json", tmp_path / "r.json"
+    capsys.readouterr()
+    assert run("build", str(big), "--mode", mode, "--k", "1", "--out", str(layers)) == 0
+    assert run("verify", str(big), str(layers), "--out", str(report)) == 0
+    assert run("stats", str(big), str(layers)) == 0
+    out = capsys.readouterr().out
+    _no_float_constants(layers.read_text())
+    assert _no_float_constants(report.read_text())["overallMaxRatio"] == 1.0
+    assert _no_float_constants(out[out.index("{"):])["mstBottleneck"] == 1e300
+    for argv, message in (
+            (["build", str(huge), "--mode", mode, "--k", "1", "--out", str(tmp_path / "h.json")],
+             "the longest edge of layer 0 is too large for a float"),
+            (["verify", str(huge), str(layers)], "the longest edge of layer 0 is too large for a float"),
+            (["stats", str(huge), str(layers)], "the MST bottleneck is too large for a float"),
+            (["render", str(huge), str(layers), "--out", str(tmp_path / "h.svg")],
+             "a coordinate is too large for a float")):
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "h.json").exists() and not (tmp_path / "h.svg").exists()
+
+
+def test_exponents_too_large_to_build_are_usage_errors(tmp_path):
+    """1e999999999 would make Fraction build a power of ten of a billion
+    digits, minutes and gigabytes: build and verify exit 2 at once, and so
+    does `PointSet` on the string; a zero mantissa reads as 0.  Each runs in
+    a subprocess with a timeout, so a regression fails instead of hanging."""
+    pts, layers = tmp_path / "p.txt", tmp_path / "tt.json"
+    pts.write_text("0 0 0\n1 1 0\n2 1 1e999999999\n3 0 1\n")
+    layers.write_text(json.dumps({"kind": "two-tree", "red": [], "blue": []}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    message = ("exponent 999999999 of '1e999999999' needs a power of ten of more than "
+               f"{10 * sys.get_int_max_str_digits()} digits, ten times "
+               "sys.get_int_max_str_digits()")
+    for argv in (["build", str(pts), "--out", str(tmp_path / "out.json")],
+                 ["verify", str(pts), str(layers)]):
+        proc = subprocess.run([sys.executable, "-m", "plane_layers.cli", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stderr) == (2, f"usage error: line 3: {message}\n")
+    script = ("from plane_layers.geometry import PointSet, read_coord\n"
+              "assert read_coord('-0.0e-999999999') == (0, 1)\n"
+              "try:\n"
+              "    PointSet([('0', '0'), ('1', '1E+999999999')])\n"
+              "except Exception as exc:\n"
+              "    print(type(exc).__name__, exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.stdout == "UsageError point 1: invalid coordinate '1E+999999999'\n", proc.stderr
 
 
 def test_coordinate_forms_read_as_their_values(tmp_path):

@@ -46,6 +46,7 @@ from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
 
 from conftest import (
     acceptance_k_layer_instances,
+    count_bottleneck_computations,
     count_sweeps,
     count_tree_computations,
     jittered_lattice,
@@ -981,36 +982,33 @@ def test_locality_certificates_match_pinned_digest():
         "7a4ea92a99db0721c90831be787598485ef4ca9d4820e90c85c94c357ed92309")
 
 
-def test_one_emst_per_build_and_certificate(monkeypatch, rng):
-    calls = []
-
-    def counted(ps):
-        calls.append(ps)
-        return build_emst(ps)
-
-    monkeypatch.setattr(distributed, "build_emst", counted)
+def test_one_bottleneck_and_no_tree_per_build_and_certificate(monkeypatch, rng):
+    trees = count_tree_computations(monkeypatch)
+    bottlenecks = count_bottleneck_computations(monkeypatch)
     ps = random_point_set(rng, 80)
     ls = build_k_layers(ps, 1)
     for p in (0, 40, 79):
         assert locality_certificate(ps, 1, p, layer_set=ls).ok
-    assert len(calls) == 1
-    calls.clear()
-    ls = build_k_layers(ps, 1, beta=math.ceil(ls.beta))
-    assert locality_certificate(ps, 1, 5, layer_set=ls).ok
-    assert calls == []  # an explicit beta needs no EMST
+    assert (bottlenecks, trees) == ([80], [])
+    bottlenecks.clear()
+    fresh = PointSet.from_text(ps.to_text())
+    ls = build_k_layers(fresh, 1, beta=math.ceil(ls.beta))
+    assert locality_certificate(fresh, 1, 5, layer_set=ls).ok
+    assert (bottlenecks, trees) == ([], [])  # an explicit beta needs no bottleneck
 
 
 def test_explicit_beta_build_computes_no_tree(monkeypatch, rng):
     """The k-layer guarantee reads no MST bottleneck, so the build's final
-    verify does not measure against it: given a beta, a build computes no
-    EMST."""
-    calls = count_tree_computations(monkeypatch)
+    verify does not measure against it: given a beta, a build finds no
+    bottleneck, and a verify after it finds the bottleneck without a tree."""
+    trees = count_tree_computations(monkeypatch)
+    bottlenecks = count_bottleneck_computations(monkeypatch)
     ps = random_point_set(rng, 80)
     ls = build_k_layers(ps, 1, beta=400)
-    assert calls == []
+    assert (bottlenecks, trees) == ([], [])
     assert verify_layers([list(layer) for layer in ls.layers], ps).ok(
         Guarantee.k_layers(1, ls.beta_sq))
-    assert calls == [80]
+    assert (bottlenecks, trees) == ([80], [])
 
 
 def small_beta_instance(case):
@@ -1043,15 +1041,18 @@ def test_beta_below_the_bottleneck_is_a_precondition_failure(case, stage):
     assert info.value.__cause__.stage == stage
 
 
-def test_one_tree_computation_per_build_verify_and_certificates(monkeypatch, rng):
-    calls = count_tree_computations(monkeypatch)
+def test_one_bottleneck_per_build_verify_and_certificates(monkeypatch, rng):
+    """A k-layer build, its verify and its certificates share one MST
+    bottleneck, found without a tree."""
+    trees = count_tree_computations(monkeypatch)
+    bottlenecks = count_bottleneck_computations(monkeypatch)
     ps = random_point_set(rng, 80)
     ls = build_k_layers(ps, 1)
     report = verify_layers([list(layer) for layer in ls.layers], ps)
     assert report.beta_sq == ls.beta_sq
     for p in (0, 40, 79):
         assert locality_certificate(ps, 1, p, layer_set=ls).ok
-    assert calls == [80]
+    assert (bottlenecks, trees) == ([80], [])
 
 
 def _cli_line_points(tmp_path, n):

@@ -2,12 +2,14 @@ import copy
 import math
 import pickle
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
 
 from plane_layers import geometry
+from plane_layers.cli import main
 from plane_layers.errors import PreconditionError, UsageError
 from plane_layers.geometry import (
     Orientation,
@@ -798,14 +800,95 @@ def test_point_file_roundtrip():
 
 
 def test_point_file_errors():
-    with pytest.raises(UsageError):
-        PointSet.from_text("0 1 2\n2 3 4\n")  # gap in ids
-    with pytest.raises(UsageError):
-        PointSet.from_text("0 1\n")
-    with pytest.raises(UsageError):
-        PointSet.from_text("")
-    with pytest.raises(UsageError, match=r"^line 3: duplicate id 0$"):
-        PointSet.from_text("0 1 2\n1 3 4\n0 5 6\n")
+    """Plain decimal lines and any other text give the per-line reader's
+    messages, and a repeated point the grid's."""
+    for text, error, message in (
+        ("0 1 2\n2 3 4\n", UsageError, "ids must be contiguous 0..1"),
+        ("0 1\n", UsageError, "line 1: expected `id x y`, got '0 1'"),
+        ("", UsageError, "empty point file"),
+        ("# nothing\n\n", UsageError, "empty point file"),
+        ("0 1 2\n1 3 4\n0 5 6\n", UsageError, "line 3: duplicate id 0"),
+        ("0 1 2\n1 3 4 5\n", UsageError, "line 2: expected `id x y`, got '1 3 4 5'"),
+        ("0 1 2\n1 3 x\n", UsageError, "line 2: Invalid literal for Fraction: 'x'"),
+        ("0 1 2\n1 3 1.2.3\n", UsageError, "line 2: Invalid literal for Fraction: '1.2.3'"),
+        ("0 1 2\n1 3 1/0\n", UsageError, "line 2: Fraction(1, 0)"),
+        ("0 1 2\nx 3 4\n", UsageError, "line 2: invalid literal for int() with base 10: 'x'"),
+        ("0 1 2\n1 1.0 2.00\n", PreconditionError, "points 0 and 1 share coordinates 1, 2"),
+        ("0 1 2\r\n1 1 2\r\n", PreconditionError, "points 0 and 1 share coordinates 1, 2"),
+    ):
+        with pytest.raises(error) as info:
+            PointSet.from_text(text)
+        assert str(info.value) == message, text
+
+
+def _read_by_lines(text):
+    ps = PointSet.__new__(PointSet)
+    ps._place(*geometry._read_lines(text))
+    return ps
+
+
+def test_one_pass_reader_matches_the_line_reader(tmp_path):
+    """Every point file of `gen`, and `to_text` of decimal grids with
+    negative, integer and long values, reads in one pass to the scale and
+    grid the per-line reader gives; text in any other form takes the
+    per-line reader and reads to the same grid as its plain twin."""
+    texts = []
+    for kind in ("uniform", "clusters", "line"):
+        for seed in range(4):
+            path = tmp_path / f"{kind}{seed}.txt"
+            assert main(["gen", "--kind", kind, "--n", str(20 + 60 * seed), "--seed", str(seed),
+                         "--out", str(path)]) == 0
+            texts.append(path.read_text())
+    rng = random.Random(49)
+    for _ in range(200):
+        values = [f"{rng.uniform(-10**rng.randint(0, 9), 10**9):.{rng.randint(0, 15)}f}"
+                  for _ in range(rng.randint(1, 40))]
+        values += [str(rng.randint(-10**30, 10**30)), "-0.5", "0.000001", "1" + "0" * 600]
+        texts.append(PointSet(distinct_coords(values)).to_text())
+    texts.append("0 0 0\n1 3 4")  # no final line break
+    for text in texts:
+        fast = PointSet.__new__(PointSet)
+        assert fast._read_plain(text), text
+        slow = _read_by_lines(text)
+        assert (fast.scale, fast.grid) == (slow.scale, slow.grid)
+        assert PointSet.from_text(text).grid == slow.grid
+    twins = [
+        ("0 0.5 1\n1 -2 0.25\n2 3 3\n", "# a comment\n0 0.5 1 # trailing\n\n1 -2 0.25\n2 3 3\n"),
+        ("0 0.5 1\n1 -2 0.25\n2 3 3\n", "0 0.5 1\r\n1 -2 0.25\r\n2 3 3\r\n"),
+        ("0 0.5 1\n1 -2 0.25\n2 3 3\n", "0 1/2 1\n1 -2 1/4\n2 3e0 30e-1\n"),
+        ("0 0.5 1\n1 -2 0.25\n2 3 3\n", "0 +0.5 1\n2 3 3\n1 -2 .25\n"),
+        ("0 0.5 1\n1 -2 0.25\n2 3 3\n", "00 0.5 1\n1\t-2 0.25\n2 3  3 \n"),
+        ("0 0.5 1\n1 1" + "0" * 700 + " 2\n", "0 0.5 1\n1 1e700 2\n"),
+    ]
+    for plain, other in twins:
+        fast = PointSet.__new__(PointSet)
+        assert not fast._read_plain(other), other
+        read = PointSet.from_text(other)
+        assert (read.scale, read.grid) == (PointSet.from_text(plain).scale,
+                                           PointSet.from_text(plain).grid)
+
+
+def test_float_sqrt_matches_math_sqrt_and_reaches_beyond_float_squares():
+    """sqrt(num / den) is the float math.sqrt gives for the exact fraction
+    whenever that is a normal float; beyond float range, either way, it is
+    the correctly rounded exact root, and a root too
+    large for a float raises `UsageError` naming the length."""
+    rng = random.Random(50)
+    for _ in range(3000):
+        num = rng.getrandbits(rng.randint(0, 300))
+        den = rng.getrandbits(rng.randint(0, 300)) or 1
+        assert geometry.float_sqrt(num, den, "x") == math.sqrt(Fraction(num, den)), (num, den)
+    ctx = Context(prec=60)
+    for _ in range(2000):
+        exp = rng.choice((1, -1)) * rng.randint(308, 580)
+        num = rng.randint(1, 10**30) * 10 ** max(exp, 0)
+        den = rng.randint(1, 10**30) * 10 ** max(-exp, 0)
+        want = float(ctx.sqrt(ctx.divide(Decimal(num), Decimal(den))))
+        assert geometry.float_sqrt(num, den, "x") == want, (num, den)
+    assert geometry.float_sqrt(10**600, 1, "x") == 1e300
+    assert geometry.float_sqrt(1, 10**800, "x") == 0.0  # the root underflows
+    with pytest.raises(UsageError, match="^the length is too large for a float$"):
+        geometry.float_sqrt(10**617, 1, "the length")
 
 
 def test_format_coord_exact():

@@ -15,6 +15,7 @@ from plane_layers.verify import gen_line_instance, verify_layers
 from conftest import (
     acceptance_line_pool,
     acceptance_uniform_pool,
+    count_bottleneck_computations,
     count_tree_computations,
     grid_check_budget,
     grid_checks,
@@ -210,14 +211,44 @@ def _shuffled(rng, coords):
 
 def each_source_is_prim(ps) -> bool:
     """Assert that `build_emst`, the Delaunay source and the grid source (when
-    it accepts) each return exactly `prim_emst`; True iff the grid accepted."""
+    it accepts) each return exactly `prim_emst`, and that the bottleneck
+    found without a tree is its longest edge; True iff the grid accepted."""
     want = prim_emst(ps)
     xs, ys = ps.grid
     assert list(mst._delaunay_tree(xs, ys)) == want
     grid = mst._grid_tree(xs, ys)
     assert grid is None or list(grid) == want
+    if len(ps) > 1:
+        assert treeless_bottleneck_sq(ps) == (max(ps.sdist_sq(*e) for e in want), grid is None)
     assert build_emst(ps) == want
     return grid is not None
+
+
+def treeless_bottleneck_sq(ps) -> tuple[int, bool]:
+    """`mst.grid_bottleneck_sq` of a new point set on the grid of `ps`, and
+    whether it kept a tree, which it does only where the grid declines."""
+    fresh = PointSet.from_text(ps.to_text())
+    assert fresh.grid == ps.grid
+    return mst.grid_bottleneck_sq(fresh), fresh._emst is not None
+
+
+def _nearest_first_passes(ps) -> int:
+    """The `_kruskal` calls of the grid's bottleneck on `ps`: 1 when the
+    pairs up to the longest nearest-neighbour distance span, 2 when the
+    sorted Kruskal continues over the longer pairs, 3 with the repair."""
+    passes = []
+    kruskal = mst._kruskal
+
+    def counted(*args):
+        passes.append(None)
+        return kruskal(*args)
+
+    mst._kruskal = counted
+    try:
+        assert mst._grid_forest(*ps.grid, nearest_first=True) is not None
+    finally:
+        mst._kruskal = kruskal
+    return len(passes)
 
 
 def test_emst_equals_prim_on_acceptance_pools():
@@ -461,6 +492,58 @@ def test_delaunay_triangles_have_empty_circumcircles():
         assert area2 == hull_area2
         if tris:
             assert {v for tri in tris for v in tri} == set(ps.ids)
+
+
+def test_bottleneck_without_a_tree_equals_the_trees(rng):
+    """`grid_bottleneck_sq` on a point set with no kept tree equals the
+    longest edge of `build_emst` and of the Prim reference: on uniform sets
+    whose nearest-neighbour pairs span, need the sorted continuation or need
+    the repair; on clustered sets, where the grid declines and the Delaunay
+    tree is kept; on near-line sets, jittered and exact lattices (ties),
+    all-collinear sets, and every set of n = 2 to 5 points."""
+    def check(ps, declines=False):
+        want = max(ps.sdist_sq(*e) for e in prim_emst(ps))
+        assert treeless_bottleneck_sq(ps) == (want, declines)
+        assert ps.sdist_sq(*bottleneck(build_emst(ps), ps).edge) == want
+        assert mst.grid_bottleneck_sq(ps) == want  # now read off the kept tree
+
+    passes = []
+    for ps in acceptance_uniform_pool()[:200]:
+        accepted = mst._grid_tree(*ps.grid) is not None
+        if accepted:
+            passes.append(_nearest_first_passes(ps))
+        check(ps, declines=not accepted)
+    assert {passes.count(k) > 0 for k in (1, 2, 3)} == {True}
+    for _ in range(3):
+        check(_clusters(rng, 300), declines=True)
+    for n in (2, 3, 4, 5, 60, 501):
+        check(gen_line_instance(n, "0.001"))
+    for ps in _jittered_lattices():
+        check(ps)
+    for k in (2, 5, 9):
+        check(_shuffled(random.Random(k), [(x, y) for x in range(k) for y in range(k)]))
+    for n in (2, 3, 7, 40):
+        check(_shuffled(rng, [(t, 3 * t - 1) for t in rng.sample(range(-50, 50), n)]))
+    for n in range(2, 6):
+        for _ in range(40):
+            cells = rng.sample([(x, y) for x in range(4) for y in range(4)], n)
+            check(PointSet(cells), declines=mst._grid_tree(*PointSet(cells).grid) is None)
+
+
+def test_bottleneck_kept_per_point_set_and_reset_on_a_mirror(monkeypatch, rng):
+    """One bottleneck computation per point set, read off the kept tree
+    after `build_emst`; a mirror image finds its own."""
+    bottlenecks = count_bottleneck_computations(monkeypatch)
+    trees = count_tree_computations(monkeypatch)
+    ps = random_point_set(rng, 60)
+    be = mst.grid_bottleneck_sq(ps)
+    assert mst.grid_bottleneck_sq(ps) == be and (bottlenecks, trees) == ([60], [])
+    mirror = ps.reflected()
+    build_emst(mirror)
+    assert mst.grid_bottleneck_sq(mirror) == be
+    assert (bottlenecks, trees) == ([60, 60], [60])
+    with pytest.raises(PreconditionError):
+        mst.grid_bottleneck_sq(PointSet([(1, 2)]))
 
 
 def test_emst_kept_per_point_set_and_returned_as_a_new_list(monkeypatch, rng):
