@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import InternalAssertionError, PreconditionError
 from .geometry import PointSet, Segment, angular_order, float_sqrt
-from .mst import bottleneck_length, bottleneck_sq
+from .mst import bottleneck_length, bottleneck_sq, build_emst
 from .verify import Guarantee, verify_layers
 
 Cell = tuple[int, int]
@@ -108,10 +108,11 @@ class GridIndex:
 
 def _as_beta_sq(beta, ps: PointSet) -> Fraction:
     """Normalize a beta argument to its exact square; None means the MST
-    bottleneck of ps."""
+    bottleneck of ps, read off its EMST, which `build_emst` keeps on ps."""
     if beta is None:
         if len(ps) < 2:
             raise PreconditionError("beta default needs a point set with n >= 2")
+        build_emst(ps)
         return bottleneck_sq(ps)
     if isinstance(beta, float):
         beta = Fraction(str(beta))

@@ -89,7 +89,8 @@ class PointSet:
     - the EMST, in the private `_emst` attribute, by `mst.build_emst`;
     - the squared MST bottleneck in grid units, in the private `_bottleneck`
       attribute, by `mst.grid_bottleneck_sq`, read off the kept EMST when
-      there is one and otherwise found without building a tree;
+      there is one and otherwise found without building a tree wherever the
+      grid's short pairs span;
     - `lex_order`, the lexicographic (x, y) order of the ids with each id's
       rank in it, which the planarity sweep `has_crossing` walks.
 

@@ -31,21 +31,17 @@ sorts one int per edge, len^2 * n^2 + a*n + b, which orders exactly like
 which keeps the flips linear on convex position (see `_triangulate`).
 
 The tree is computed once per point set: `build_emst` keeps it on the
-`PointSet` and returns a copy on every call, so the two-tree build, its
-`verify` and each CLI command on it share one tree.
+`PointSet` and returns a copy on every call.  The two-tree build colours the
+tree, and the k-layer build reads its default beta off it.
 
-Most callers need only the tree's longest edge, the bottleneck beta: the
-k-layer build's default beta, `verify`'s ratios and the CLI's `--beta`
-check and `stats`.  `grid_bottleneck_sq` keeps its square on the point set,
-read off the kept tree when there is one, else taken from the grid's short
-pairs with no tree built.  Every point's tree edges are at least as long as
-its nearest neighbour, so no pair up to the longest nearest-neighbour
-distance L is longer than beta; the pairs up to L are joined in any order,
-and a sorted Kruskal over the longer ones continues until the points
-connect, its last join being beta.  On random points the longest tree edge
-is often the longest nearest-neighbour link (Penrose 1997), and then no pair
-is sorted at all.  The grid's budget, repair and Delaunay decline are
-the tree's own; a declined point set keeps the Delaunay tree it then needs.
+Other callers need only the tree's longest edge, the bottleneck beta:
+`verify`'s ratios and the CLI's `--beta` check and `stats`.
+`grid_bottleneck_sq` keeps its square on the point set, read off the kept
+tree when there is one, else taken as the last join of the grid's Kruskal
+(`_grid_forest`) with no `Segment` tree built; where the grid declines,
+`build_emst` computes and keeps the Delaunay tree.  So a build and its
+`verify` share one tree or one bottleneck, and a cold `verify` builds no
+tree on spread-out points.
 
 Both values stay exact, not merely consistent with the build: the grid of a
 point set never changes, the tree and beta are functions of that grid
@@ -225,11 +221,10 @@ def build_emst(ps: PointSet) -> list[Segment]:
     points in lexicographic order.  The O(n^2) Prim scan over the complete
     graph is kept as the reference in the tests.
 
-    The tree is computed on the first call for a point set only, unless
-    `grid_bottleneck_sq` has kept the Delaunay tree, and kept on it as a
-    tuple; every call returns a new list, so a caller that edits its list
-    changes no later result.  A point set's grid is immutable, so the kept
-    tree is still exactly the EMST of the points `ps` holds.
+    The tree is computed on the first call for a point set only and kept on
+    it as a tuple; every call returns a new list, so a caller that edits its
+    list changes no later result.  A point set's grid is immutable, so the
+    kept tree is still exactly the EMST of the points `ps` holds.
     """
     tree = ps._emst
     if tree is None:
@@ -248,21 +243,21 @@ def _compute_emst(ps: PointSet) -> tuple[Segment, ...]:
 
 
 def _kruskal(keys: list[int], n: int, parent: list[int], tree: list[int]) -> None:
-    """Grow the spanning forest `tree` by the candidate edges `keys`, taken
-    in their list order: Kruskal when the caller has sorted them.
+    """Grow the minimum spanning forest `tree` by the candidate edges `keys`.
 
     A candidate a-b with a < b is the one int len^2 * n^2 + a*n + b for its
     grid squared length: since a*n + b < n^2, these ints sort exactly like
-    the tuples (len^2, a, b).  `tree` holds the keys of the forest edges
+    the tuples (len^2, a, b).  `tree` holds the a*n + b of the forest edges
     taken so far and `parent` their union-find, a list over the points; a
     later call with candidates all longer than the earlier ones continues
     the same Kruskal.  The forest spans the points iff it has n - 1 edges.
     """
+    keys.sort()
     nn = n * n
     for key in keys:
-        ab = key % nn
-        ra = ab // n
-        rb = ab - ra * n
+        key %= nn
+        ra = key // n
+        rb = key - ra * n
         while parent[ra] != ra:
             parent[ra] = ra = parent[parent[ra]]
         while parent[rb] != rb:
@@ -282,9 +277,8 @@ def _find(parent: list[int], a: int) -> int:
 
 
 def _forest_edges(tree: list[int], n: int) -> tuple[Segment, ...]:
-    """The sorted `Segment`s of the forest edge keys of `_kruskal`."""
-    nn = n * n
-    return tuple(Segment(*divmod(ab, n)) for ab in sorted(key % nn for key in tree))
+    """The sorted `Segment`s of the forest edges a*n + b of `_kruskal`."""
+    return tuple(Segment(*divmod(key, n)) for key in sorted(tree))
 
 
 def _delaunay_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...]:
@@ -307,7 +301,6 @@ def _delaunay_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...]:
                 continue
         dx, dy = xs[a] - xs[b], ys[a] - ys[b]
         keys.append((dx * dx + dy * dy) * nn + key)
-    keys.sort()
     tree: list[int] = []
     _kruskal(keys, n, list(range(n)), tree)
     return _forest_edges(tree, n)
@@ -329,13 +322,12 @@ def _grid_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...] | None:
     return None if tree is None else _forest_edges(tree, len(xs))
 
 
-def _grid_forest(xs: list[int], ys: list[int], nearest_first: bool = False) -> list[int] | None:
-    """The `_kruskal` keys of a spanning tree of the n >= 1 grid points
-    (xs[i], ys[i]) over every pair of squared length <= s2, repaired when
-    those pairs do not span; None when the repair does not span either, or
-    when the pairs take more than GRID_CHECK_BUDGET * n * (ln n +
-    GRID_LOG_SLACK) / pi checks to find.  The tree is the EMST, or with
-    `nearest_first` a spanning tree with the EMST's longest edge length.
+def _grid_forest(xs: list[int], ys: list[int]) -> list[int] | None:
+    """The EMST edges a*n + b of `_kruskal` on the n >= 1 grid points (xs[i],
+    ys[i]) in join order, as Kruskal over every pair of squared length <= s2,
+    repaired when those pairs do not span; None when the repair does not span
+    either, or when the pairs take more than GRID_CHECK_BUDGET * n * (ln n +
+    GRID_LOG_SLACK) / pi checks to find.
 
     For n uniform points in area A the longest MST edge has squared length
     about A * (ln n + O(1)) / (pi n) (Penrose 1997), so s2 is that with
@@ -362,16 +354,6 @@ def _grid_forest(xs: list[int], ys: list[int], nearest_first: bool = False) -> l
     property, the tree's edge across any cut is no longer than the forest's.
     The repair's checks count against the same budget, again before any
     distance.
-
-    With `nearest_first`, the pairs up to the longest nearest-neighbour
-    distance L among them are joined unsorted first.  Each point has a tree
-    edge no shorter than its nearest neighbour, so L is at most the
-    bottleneck beta^2; the sorted Kruskal over the longer pairs then joins
-    exactly where the EMST's Kruskal would join above L, and its last join,
-    the longest edge of the tree, is beta^2.  A point with no pair within s2
-    has no nearest neighbour among them: then the pairs cannot span, all of
-    them are joined unsorted, and the repair's sorted pairs, all longer than
-    s2, hold beta^2.
     """
     n = len(xs)
     xmin = min(xs)
@@ -426,22 +408,7 @@ def _grid_forest(xs: list[int], ys: list[int], nearest_first: bool = False) -> l
                     keys.append(d * nn + (i * n + j if i < j else j * n + i))
     parent = list(range(n))
     tree: list[int] = []
-    if nearest_first:
-        nearest = [(s2 + 1) * nn] * n  # above every key
-        for key in keys:
-            ab = key % nn
-            a = ab // n
-            b = ab - a * n
-            if key < nearest[a]:
-                nearest[a] = key
-            if key < nearest[b]:
-                nearest[b] = key
-        cut = (max(nearest) // nn + 1) * nn  # the keys below it are the pairs up to L
-        _kruskal([key for key in keys if key < cut], n, parent, tree)
-        keys = [key for key in keys if key >= cut]
-    if len(tree) < n - 1:
-        keys.sort()
-        _kruskal(keys, n, parent, tree)
+    _kruskal(keys, n, parent, tree)
     if len(tree) < n - 1:
         roots = [_find(parent, i) for i in range(n)]
         largest = Counter(roots).most_common(1)[0][0]
@@ -465,7 +432,6 @@ def _grid_forest(xs: list[int], ys: list[int], nearest_first: bool = False) -> l
                 d = dx * dx + dy * dy
                 if s2 < d <= r2:
                     keys.append(d * nn + (i * n + j if i < j else j * n + i))
-        keys.sort()
         _kruskal(keys, n, parent, tree)
     return tree if len(tree) == n - 1 else None
 
@@ -475,10 +441,9 @@ def grid_bottleneck_sq(ps: PointSet) -> int:
     units, ps.scale**2 to the squared unit.
 
     Computed on the first call for a point set and kept on it: read off the
-    kept tree when `build_emst` has computed one, else from the grid's short
-    pairs without building a tree (`_grid_forest` with `nearest_first`).
-    Where the grid declines, the Delaunay tree is computed and kept, as
-    `build_emst` would keep it."""
+    kept tree when `build_emst` has computed one, else the last join of the
+    grid's Kruskal (`_grid_forest`) without building a tree.  Where the grid
+    declines, `build_emst` computes and keeps the tree."""
     be = ps._bottleneck
     if be is None:
         be = ps._bottleneck = _compute_bottleneck(ps)
@@ -505,11 +470,10 @@ def _compute_bottleneck(ps: PointSet) -> int:
     if n < 2:
         raise PreconditionError("the MST bottleneck needs n >= 2")
     if ps._emst is None:
-        tree = _grid_forest(xs, ys, nearest_first=True)
+        tree = _grid_forest(xs, ys)
         if tree is not None:
-            return max(tree) // (n * n)
-        ps._emst = _delaunay_tree(xs, ys)
-    return _longest(ps._emst, xs, ys)[0]
+            return ps.sdist_sq(*divmod(tree[-1], n))  # Kruskal's last join
+    return _longest(build_emst(ps), xs, ys)[0]
 
 
 def _longest(edges: Sequence[Segment], xs: list[int], ys: list[int]) -> tuple[int, Segment]:

@@ -592,27 +592,29 @@ def test_verify_length_bound_is_exact(tmp_path, kind):
         assert verify_with(betaSq=f"{below.numerator}/{below.denominator}") == 4
 
 
-def test_one_bottleneck_and_no_tree_per_k_layer_cli_call(tmp_path, monkeypatch):
+def test_one_bottleneck_per_k_layer_cli_call(tmp_path, monkeypatch):
     """A k-layer build, with or without --beta, and its cold verify each
-    find the MST bottleneck once, and none computes a tree."""
+    find the MST bottleneck once.  Only the build without --beta computes a
+    tree, for its default beta; the others find the bottleneck without one."""
     trees = count_tree_computations(monkeypatch)
     bottlenecks = count_bottleneck_computations(monkeypatch)
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "4", "--out", str(pts)) == 0
     out = tmp_path / "layers.json"
     for extra in ([], ["--beta", "400"]):
-        for command in (["build", str(pts), "--mode", "distributed", "--k", "1",
-                         *extra, "--out", str(out)],
-                        ["verify", str(pts), str(out)]):
+        for command, tree_calls in ((["build", str(pts), "--mode", "distributed", "--k", "1",
+                                      *extra, "--out", str(out)], [] if extra else [60]),
+                                    (["verify", str(pts), str(out)], [])):
             trees.clear()
             bottlenecks.clear()
             assert run(*command) == 0
-            assert (bottlenecks, trees) == ([60], []), command
+            assert (bottlenecks, trees) == ([60], tree_calls), command
 
 
 def test_tree_and_bottleneck_computations_per_cli_command(tmp_path, monkeypatch):
-    """Every command finds the MST bottleneck once; only the two-tree build
-    computes a tree, and its bottleneck is read off that tree."""
+    """Every command finds the MST bottleneck once.  Only the builds that
+    need the tree compute it, the two-tree build and the k-layer build for
+    its default beta, and their bottleneck is read off that tree."""
     trees = count_tree_computations(monkeypatch)
     bottlenecks = count_bottleneck_computations(monkeypatch)
     pts = tmp_path / "p.txt"
@@ -622,7 +624,7 @@ def test_tree_and_bottleneck_computations_per_cli_command(tmp_path, monkeypatch)
             (["build", str(pts), "--mode", "two-tree", "--out", str(tt)], [60]),
             (["verify", str(pts), str(tt)], []),
             (["stats", str(pts), str(tt)], []),
-            (["build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(dist)], []),
+            (["build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(dist)], [60]),
             (["build", str(pts), "--mode", "distributed", "--k", "1", "--beta", "400",
               "--out", str(dist)], []),
             (["verify", str(pts), str(dist)], []),

@@ -982,15 +982,18 @@ def test_locality_certificates_match_pinned_digest():
         "7a4ea92a99db0721c90831be787598485ef4ca9d4820e90c85c94c357ed92309")
 
 
-def test_one_bottleneck_and_no_tree_per_build_and_certificate(monkeypatch, rng):
+def test_one_tree_per_build_and_certificate(monkeypatch, rng):
+    """The default beta is read off the kept tree, once; an explicit beta
+    needs neither a tree nor a bottleneck."""
     trees = count_tree_computations(monkeypatch)
     bottlenecks = count_bottleneck_computations(monkeypatch)
     ps = random_point_set(rng, 80)
     ls = build_k_layers(ps, 1)
     for p in (0, 40, 79):
         assert locality_certificate(ps, 1, p, layer_set=ls).ok
-    assert (bottlenecks, trees) == ([80], [])
+    assert (bottlenecks, trees) == ([80], [80])
     bottlenecks.clear()
+    trees.clear()
     fresh = PointSet.from_text(ps.to_text())
     ls = build_k_layers(fresh, 1, beta=math.ceil(ls.beta))
     assert locality_certificate(fresh, 1, 5, layer_set=ls).ok
@@ -1041,9 +1044,9 @@ def test_beta_below_the_bottleneck_is_a_precondition_failure(case, stage):
     assert info.value.__cause__.stage == stage
 
 
-def test_one_bottleneck_per_build_verify_and_certificates(monkeypatch, rng):
-    """A k-layer build, its verify and its certificates share one MST
-    bottleneck, found without a tree."""
+def test_one_tree_and_bottleneck_per_build_verify_and_certificates(monkeypatch, rng):
+    """A k-layer build, its verify and its certificates share one tree and
+    one MST bottleneck, read off that tree."""
     trees = count_tree_computations(monkeypatch)
     bottlenecks = count_bottleneck_computations(monkeypatch)
     ps = random_point_set(rng, 80)
@@ -1052,7 +1055,7 @@ def test_one_bottleneck_per_build_verify_and_certificates(monkeypatch, rng):
     assert report.beta_sq == ls.beta_sq
     for p in (0, 40, 79):
         assert locality_certificate(ps, 1, p, layer_set=ls).ok
-    assert (bottlenecks, trees) == ([80], [])
+    assert (bottlenecks, trees) == ([80], [80])
 
 
 def _cli_line_points(tmp_path, n):

@@ -232,25 +232,6 @@ def treeless_bottleneck_sq(ps) -> tuple[int, bool]:
     return mst.grid_bottleneck_sq(fresh), fresh._emst is not None
 
 
-def _nearest_first_passes(ps) -> int:
-    """The `_kruskal` calls of the grid's bottleneck on `ps`: 1 when the
-    pairs up to the longest nearest-neighbour distance span, 2 when the
-    sorted Kruskal continues over the longer pairs, 3 with the repair."""
-    passes = []
-    kruskal = mst._kruskal
-
-    def counted(*args):
-        passes.append(None)
-        return kruskal(*args)
-
-    mst._kruskal = counted
-    try:
-        assert mst._grid_forest(*ps.grid, nearest_first=True) is not None
-    finally:
-        mst._kruskal = kruskal
-    return len(passes)
-
-
 def test_emst_equals_prim_on_acceptance_pools():
     pool = acceptance_uniform_pool()
     accepted = [each_source_is_prim(ps) for ps in pool]
@@ -497,8 +478,7 @@ def test_delaunay_triangles_have_empty_circumcircles():
 def test_bottleneck_without_a_tree_equals_the_trees(rng):
     """`grid_bottleneck_sq` on a point set with no kept tree equals the
     longest edge of `build_emst` and of the Prim reference: on uniform sets
-    whose nearest-neighbour pairs span, need the sorted continuation or need
-    the repair; on clustered sets, where the grid declines and the Delaunay
+    whose short pairs span and those that need the repair; on clustered sets, where the grid declines and the Delaunay
     tree is kept; on near-line sets, jittered and exact lattices (ties),
     all-collinear sets, and every set of n = 2 to 5 points."""
     def check(ps, declines=False):
@@ -507,13 +487,13 @@ def test_bottleneck_without_a_tree_equals_the_trees(rng):
         assert ps.sdist_sq(*bottleneck(build_emst(ps), ps).edge) == want
         assert mst.grid_bottleneck_sq(ps) == want  # now read off the kept tree
 
-    passes = []
+    repaired = []
     for ps in acceptance_uniform_pool()[:200]:
         accepted = mst._grid_tree(*ps.grid) is not None
         if accepted:
-            passes.append(_nearest_first_passes(ps))
+            repaired.append(grid_repaired(ps))
         check(ps, declines=not accepted)
-    assert {passes.count(k) > 0 for k in (1, 2, 3)} == {True}
+    assert set(repaired) == {False, True}
     for _ in range(3):
         check(_clusters(rng, 300), declines=True)
     for n in (2, 3, 4, 5, 60, 501):
