@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
     write_dump,
 )
-from .geometry import PointSet, Segment, float_sqrt
+from .geometry import PointSet, Segment, float_sqrt, read_coord
 from .mst import bottleneck_length, bottleneck_sq
 from .render import render_svg
 from .verify import Guarantee, count_layers, gen_line_instance, verify_layers
@@ -147,8 +147,10 @@ def _beta_sq(meta: dict) -> Fraction:
 
 
 def _number_arg(flag: str, text: str) -> Fraction:
+    """The exact value of a number option, read as a point file's coordinates
+    are (`read_coord`), so an exponent too large to build fails at once."""
     try:
-        return Fraction(text)
+        return Fraction(*read_coord(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{flag} must be a number, got {text!r}") from exc
 

@@ -108,10 +108,12 @@ class GridIndex:
 
 def _as_beta_sq(beta, ps: PointSet) -> Fraction:
     """Normalize a beta argument to its exact square; None means the MST
-    bottleneck of ps, read off its EMST, which `build_emst` keeps on ps."""
+    bottleneck of ps, the last join of the EMST join order kept on ps."""
     if beta is None:
         if len(ps) < 2:
             raise PreconditionError("beta default needs a point set with n >= 2")
+        # the tree goes unused; the call stays while perfbench/test_perfbench.py
+        # asserts it (test_call_counts_repeat), until ROADMAP item 7
         build_emst(ps)
         return bottleneck_sq(ps)
     if isinstance(beta, float):

@@ -83,19 +83,19 @@ class PointSet:
     scale divides a power of ten from one multiplier.
 
     A point set keeps its grid (`scale`, `grid`) and, since the grid never
-    changes after construction, three things derived from it alone, each
+    changes after construction, two things derived from it alone, each
     computed on first use:
 
-    - the EMST, in the private `_emst` attribute, by `mst.build_emst`;
-    - the squared MST bottleneck in grid units, in the private `_bottleneck`
-      attribute, by `mst.grid_bottleneck_sq`, read off the kept EMST when
-      there is one and otherwise found without building a tree wherever the
-      grid's short pairs span;
+    - the EMST as its edges a*n + b in Kruskal's join order, in the private
+      `_mst` attribute, by `mst._mst`: `mst.build_emst` returns it as a
+      sorted `Segment` list, and `mst.grid_bottleneck_sq` reads the MST
+      bottleneck off its last join;
     - `lex_order`, the lexicographic (x, y) order of the ids with each id's
-      rank in it, which the planarity sweep `has_crossing` walks.
+      rank in it, which the planarity sweep `has_crossing` walks and the
+      Delaunay triangulation of `mst` inserts points in.
 
-    A mirror image (`reflected`) keeps none of the three: it computes its
-    own, and mirroring reverses the order within each vertical line.
+    A mirror image (`reflected`) keeps neither: it computes its own, and
+    mirroring reverses the order within each vertical line.
     """
 
     def __init__(self, coords: Sequence[tuple[Fraction | int | str, Fraction | int | str]]):
@@ -129,8 +129,7 @@ class PointSet:
         self._scale = scale
         self._sx = sx
         self._sy = sy
-        self._emst: tuple[Segment, ...] | None = None
-        self._bottleneck: int | None = None
+        self._mst: tuple[int, ...] | None = None
         self._lex: tuple[list[int], list[int]] | None = None
         seen: dict[tuple[int, int], int] = {}
         for i, key in enumerate(zip(self._sx, self._sy)):
@@ -230,8 +229,7 @@ class PointSet:
         mirror._scale = self._scale
         mirror._sx = self._sx
         mirror._sy = [-y for y in self._sy]
-        mirror._emst = None
-        mirror._bottleneck = None
+        mirror._mst = None
         mirror._lex = None
         return mirror
 

@@ -3,7 +3,7 @@
 The EMST is one Kruskal over candidate edges that provably contain it, from
 one of two sources:
 
-- the grid's short pairs (`_grid_tree`), tried first: every pair no longer
+- the grid's short pairs (`_grid_forest`), tried first: every pair no longer
   than a radius s set by the bounding box and n, found by bucketing the
   points into cells of side about s and checking each cell against itself
   and its neighbours.  On spread-out points, such as uniform sensor fields,
@@ -14,7 +14,7 @@ one of two sources:
   exact whenever the repaired pairs span.  The grid declines when even they
   do not span, or when the cell counts alone show more checks, repair
   included, than a budget of O(log n) per point, as in clustered input;
-- the edges of an exact Delaunay triangulation (`_delaunay_tree`): always
+- the edges of an exact Delaunay triangulation (`_delaunay_forest`): always
   O(n) edges, found in O(n log n) on spread-out inputs.
 
 Both run on the grid integers of the point set, so no rounding can change an
@@ -30,24 +30,19 @@ sorts one int per edge, len^2 * n^2 + a*n + b, which orders exactly like
 (len^2, a, b) since a*n + b < n^2.  The insertion order stays lexicographic,
 which keeps the flips linear on convex position (see `_triangulate`).
 
-The tree is computed once per point set: `build_emst` keeps it on the
-`PointSet` and returns a copy on every call.  The two-tree build colours the
-tree, and the k-layer build reads its default beta off it.
+A point set keeps one value derived from its EMST, computed once by `_mst`
+with the grid tried first: the tree edges a*n + b in Kruskal's join order.
+`build_emst` returns the tree as a new sorted `Segment` list, which the
+two-tree build colours.  `grid_bottleneck_sq` reads the bottleneck beta off
+the last join, since Kruskal joins edges in order of length (Kruskal 1956);
+`verify`'s ratios, the k-layer build's default beta, and the CLI's `--beta`
+check and `stats` read it with no `Segment` tree built.  So a build and its
+`verify` share one computation, and the grid runs at most once per point set.
 
-Other callers need only the tree's longest edge, the bottleneck beta:
-`verify`'s ratios and the CLI's `--beta` check and `stats`.
-`grid_bottleneck_sq` keeps its square on the point set, read off the kept
-tree when there is one, else taken as the last join of the grid's Kruskal
-(`_grid_forest`) with no `Segment` tree built; where the grid declines,
-`build_emst` computes and keeps the Delaunay tree.  So a build and its
-`verify` share one tree or one bottleneck, and a cold `verify` builds no
-tree on spread-out points.
-
-Both values stay exact, not merely consistent with the build: the grid of a
-point set never changes, the tree and beta are functions of that grid
-alone, and only this module writes them, so every caller gets the true EMST
-and bottleneck of the point set it holds, never a beta passed in by a
-caller.
+The join order stays exact, not merely consistent with the build: the grid
+of a point set never changes, the tree is a function of that grid alone,
+and only this module writes it, so every caller gets the true EMST and
+bottleneck of the point set it holds, never a beta passed in by a caller.
 
 `adjacency` gives the tree's neighbour lists, which the two-tree build
 computes once and every coloring stage reads.
@@ -75,24 +70,24 @@ class BottleneckInfo:
     edge: Segment
 
 
-def _triangulate(xs: list[int], ys: list[int]) -> dict[int, int]:
+def _triangulate(xs: list[int], ys: list[int], order: list[int]) -> dict[int, int]:
     """The exact Delaunay triangulation of the grid points (xs[i], ys[i]) as
     a map from the directed edge u->v, keyed u*n + v, to the third vertex of
     its ccw triangle; {} when there are fewer than three points or all are
     collinear.  Its edges are the EMST candidates wherever the grid's short
     pairs decline (see `build_emst`).
 
-    Points are inserted in lexicographic (x, y) order, so each new point
-    lies strictly outside the hull of the earlier ones and sees the previous
+    Points are inserted in `order`, their lexicographic (x, y) order, which
+    the point set keeps (`PointSet.lex_order`), so each new point lies
+    strictly outside the hull of the earlier ones and sees the previous
     point: the hull edges it sees are found by walking the ccw hull ring out
     from there, with no point location.  Lawson flips then restore the
     empty-circumcircle property, flipping only when the new point is
     strictly inside (incircle determinant > 0).  Both predicates are inlined
-    as integer arithmetic.  The sort costs O(n log n) and the hull walks
-    O(n) in all; the flips are O(n^2) in the worst case.  Measured per
-    point: none on the parabola (i, i^2), 4.6 at uniform n=500 rising to 10
-    at n=51200 (about log n), and about 0.47*sqrt(n) on a full
-    sqrt(n) x sqrt(n) lattice (38 at 80 x 80).
+    as integer arithmetic.  The hull walks cost O(n) in all; the flips are
+    O(n^2) in the worst case.  Measured per point: none on the parabola (i,
+    i^2), 4.6 at uniform n=500 rising to 10 at n=51200 (about log n), and
+    about 0.47*sqrt(n) on a full sqrt(n) x sqrt(n) lattice (38 at 80 x 80).
 
     The insertion stays lexicographic because of points in convex
     position.  A prototype that inserted by distance from a seed point
@@ -103,7 +98,6 @@ def _triangulate(xs: list[int], ys: list[int]) -> dict[int, int]:
     n = len(xs)
     if n < 3:
         return {}
-    order = sorted(range(n), key=list(zip(xs, ys)).__getitem__)
     x0, y0 = xs[order[0]], ys[order[0]]
     ux, uy = xs[order[1]] - x0, ys[order[1]] - y0
     k = 2
@@ -202,8 +196,8 @@ def _triangulate(xs: list[int], ys: list[int]) -> dict[int, int]:
 
 def build_emst(ps: PointSet) -> list[Segment]:
     """Euclidean MST: one Kruskal over candidate edges that contain it, the
-    grid's short pairs (`_grid_tree`) on spread-out points and the O(n)
-    edges of the exact Delaunay triangulation (`_triangulate`)
+    grid's short pairs (`_grid_forest`) on spread-out points and the O(n)
+    edges of the exact Delaunay triangulation (`_delaunay_forest`)
     wherever the grid declines.
 
     Edges are ordered by (squared length, min id, max id), a strict total
@@ -211,7 +205,7 @@ def build_emst(ps: PointSet) -> list[Segment]:
     Kruskal over any edge set that holds that tree returns it.  The grid's
     pairs hold it when they connect the points: each MST edge is then no
     longer than the longest edge of a spanning tree among them.  So do the
-    repaired pairs when they connect them (see `_grid_tree`).  The Delaunay
+    repaired pairs when they connect them (see `_grid_forest`).  The Delaunay
     edges always hold it.  Each MST edge uv has an empty closed
     diametral disk: a point w in that disk has |uw|^2 + |wv|^2 <= |uv|^2, so
     uv would be strictly the longest edge of the cycle u-w-v and not in the
@@ -221,25 +215,29 @@ def build_emst(ps: PointSet) -> list[Segment]:
     points in lexicographic order.  The O(n^2) Prim scan over the complete
     graph is kept as the reference in the tests.
 
-    The tree is computed on the first call for a point set only and kept on
-    it as a tuple; every call returns a new list, so a caller that edits its
-    list changes no later result.  A point set's grid is immutable, so the
-    kept tree is still exactly the EMST of the points `ps` holds.
+    The tree is the point set's kept join order (`_mst`), computed on the
+    first call for a point set only; every call returns a new list, so a
+    caller that edits its list changes no later result.
     """
-    tree = ps._emst
-    if tree is None:
-        tree = ps._emst = _compute_emst(ps)
-    return list(tree)
+    n = len(ps)
+    return [Segment(*divmod(key, n)) for key in sorted(_mst(ps))]
 
 
-def _compute_emst(ps: PointSet) -> tuple[Segment, ...]:
-    """The sorted EMST edges of `ps`: the grid's tree when its short pairs
-    span the points within budget, else the Delaunay tree; see `build_emst`."""
-    xs, ys = ps.grid
-    if not xs:
-        raise PreconditionError("empty point set")
-    tree = _grid_tree(xs, ys)
-    return _delaunay_tree(xs, ys) if tree is None else tree
+def _mst(ps: PointSet) -> tuple[int, ...]:
+    """The EMST edges a*n + b (a < b) of `ps` in Kruskal's join order, by
+    (squared length, a, b): the grid's forest when its short pairs span the
+    points within budget, else the Delaunay one (see `build_emst`).
+    Computed on the first call for a point set and kept on it."""
+    joins = ps._mst
+    if joins is None:
+        xs, ys = ps.grid
+        if not xs:
+            raise PreconditionError("empty point set")
+        forest = _grid_forest(xs, ys)
+        if forest is None:
+            forest = _delaunay_forest(xs, ys, ps.lex_order()[0])
+        joins = ps._mst = tuple(forest)
+    return joins
 
 
 def _kruskal(keys: list[int], n: int, parent: list[int], tree: list[int]) -> None:
@@ -276,34 +274,27 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _forest_edges(tree: list[int], n: int) -> tuple[Segment, ...]:
-    """The sorted `Segment`s of the forest edges a*n + b of `_kruskal`."""
-    return tuple(Segment(*divmod(key, n)) for key in sorted(tree))
-
-
-def _delaunay_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...]:
-    """The sorted EMST of the n >= 1 grid points (xs[i], ys[i]): Kruskal
-    over the edges of `_triangulate`, or the lexicographic path when all
-    points are collinear."""
+def _delaunay_forest(xs: list[int], ys: list[int], order: list[int]) -> list[int]:
+    """The EMST edges a*n + b of `_kruskal` on the n >= 1 grid points (xs[i],
+    ys[i]) in join order, as Kruskal over the edges of `_triangulate`; when
+    all points are collinear, over the path through `order`, their
+    lexicographic order, which is then the tree."""
     n = len(xs)
-    opp = _triangulate(xs, ys)
-    if not opp:
-        order = sorted(range(n), key=list(zip(xs, ys)).__getitem__)
-        return tuple(sorted(Segment(a, b) for a, b in zip(order, order[1:])))
+    edges = _triangulate(xs, ys, order) or {a * n + b for a, b in zip(order, order[1:])}
     nn = n * n
     keys = []
-    for key in opp:
+    for key in edges:
         a = key // n
         b = key - a * n
-        if a > b:  # an interior edge also has b->a; a hull edge only a->b
+        if a > b:  # an interior edge also has b->a; a hull or path edge only a->b
             key = b * n + a
-            if key in opp:
+            if key in edges:
                 continue
         dx, dy = xs[a] - xs[b], ys[a] - ys[b]
         keys.append((dx * dx + dy * dy) * nn + key)
     tree: list[int] = []
     _kruskal(keys, n, list(range(n)), tree)
-    return _forest_edges(tree, n)
+    return tree
 
 
 # The grid's squared radius is at least area * (ln n + GRID_LOG_SLACK) / (pi n),
@@ -312,14 +303,6 @@ def _delaunay_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...]:
 GRID_LOG_SLACK = 6
 GRID_CHECK_BUDGET = 5
 _FIXED_POINT = 1 << 20
-
-
-def _grid_tree(xs: list[int], ys: list[int]) -> tuple[Segment, ...] | None:
-    """The sorted EMST of the n >= 1 grid points (xs[i], ys[i]) as Kruskal
-    over every pair of squared length <= s2, repaired when those pairs do
-    not span; None when the grid declines (see `_grid_forest`)."""
-    tree = _grid_forest(xs, ys)
-    return None if tree is None else _forest_edges(tree, len(xs))
 
 
 def _grid_forest(xs: list[int], ys: list[int]) -> list[int] | None:
@@ -438,16 +421,12 @@ def _grid_forest(xs: list[int], ys: list[int]) -> list[int] | None:
 
 def grid_bottleneck_sq(ps: PointSet) -> int:
     """The squared length of the longest EMST edge of `ps` (n >= 2) in grid
-    units, ps.scale**2 to the squared unit.
-
-    Computed on the first call for a point set and kept on it: read off the
-    kept tree when `build_emst` has computed one, else the last join of the
-    grid's Kruskal (`_grid_forest`) without building a tree.  Where the grid
-    declines, `build_emst` computes and keeps the tree."""
-    be = ps._bottleneck
-    if be is None:
-        be = ps._bottleneck = _compute_bottleneck(ps)
-    return be
+    units, ps.scale**2 to the squared unit: Kruskal's last join in the kept
+    join order (`_mst`), with no `Segment` tree built."""
+    n = len(ps)
+    if n < 2:
+        raise PreconditionError("the MST bottleneck needs n >= 2")
+    return ps.sdist_sq(*divmod(_mst(ps)[-1], n))
 
 
 def bottleneck_sq(ps: PointSet) -> Fraction:
@@ -462,23 +441,12 @@ def bottleneck_length(ps: PointSet) -> float:
     return float_sqrt(grid_bottleneck_sq(ps), ps.scale * ps.scale, "the MST bottleneck")
 
 
-def _compute_bottleneck(ps: PointSet) -> int:
-    """The squared EMST bottleneck of `ps` in grid units; see
-    `grid_bottleneck_sq`."""
+def bottleneck(edges: Sequence[Segment], ps: PointSet) -> BottleneckInfo:
+    """Max edge length with a deterministic witnessing edge: the longest
+    squared grid length, ties to the smallest edge."""
+    if not edges:
+        raise PreconditionError("bottleneck of empty edge list")
     xs, ys = ps.grid
-    n = len(xs)
-    if n < 2:
-        raise PreconditionError("the MST bottleneck needs n >= 2")
-    if ps._emst is None:
-        tree = _grid_forest(xs, ys)
-        if tree is not None:
-            return ps.sdist_sq(*divmod(tree[-1], n))  # Kruskal's last join
-    return _longest(build_emst(ps), xs, ys)[0]
-
-
-def _longest(edges: Sequence[Segment], xs: list[int], ys: list[int]) -> tuple[int, Segment]:
-    """The longest squared grid length among `edges` and the smallest edge
-    of that length."""
     best, best_d = None, -1
     for e in edges:
         a, b = e
@@ -487,15 +455,6 @@ def _longest(edges: Sequence[Segment], xs: list[int], ys: list[int]) -> tuple[in
         d = dx * dx + dy * dy
         if d > best_d or (d == best_d and e < best):
             best, best_d = e, d
-    return best_d, best
-
-
-def bottleneck(edges: Sequence[Segment], ps: PointSet) -> BottleneckInfo:
-    """Max edge length with a deterministic witnessing edge: the longest
-    squared grid length, ties to the smallest edge."""
-    if not edges:
-        raise PreconditionError("bottleneck of empty edge list")
-    best_d, best = _longest(edges, *ps.grid)
     grid_sq = ps.scale * ps.scale
     return BottleneckInfo(float_sqrt(best_d, grid_sq, f"the length of edge {best}"),
                           Fraction(best_d, grid_sq), best)

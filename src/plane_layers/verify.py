@@ -4,10 +4,10 @@ bound, and adversarial instance generation.
 verify_layers re-derives every layer property from the edges (an exact
 sweep for crossings, listing the pairs only when one exists; `count_layers`
 for spanning, repeated edges and longest edges) and measures them against
-the MST bottleneck that `mst.grid_bottleneck_sq` keeps on the point set,
-read off the kept EMST after a two-tree build and found without a tree
-otherwise, so a verify after a build reuses the build's bottleneck.  It
-reports and never raises on a property failure.
+the MST bottleneck, which `mst.grid_bottleneck_sq` reads off the last join
+of the EMST join order the point set keeps, with no `Segment` tree built; a
+verify after a build reuses the build's join order.  It reports and never
+raises on a property failure.
 
 What each construction promises is one `Guarantee`, built from the fields
 its layers file records, and the pass/fail rule is one method,
@@ -30,7 +30,8 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .geometry import PHI, PointSet, Segment, collinear_overlap, crossing_pairs, float_sqrt
-# build_emst is unused here, but perfbench's tracer test wraps this binding
+# build_emst is unused here; the import stays while perfbench/test_perfbench.py
+# asserts this binding, until ROADMAP item 7
 from .mst import build_emst, grid_bottleneck_sq  # noqa: F401
 
 
@@ -229,9 +230,9 @@ def verify_layers(
 ) -> VerificationReport:
     """Check each layer for planarity and spanning-ness, all layers for
     pairwise edge-disjointness, and measure bottlenecks against the exact
-    MST bottleneck of `ps` (`mst.grid_bottleneck_sq`: computed on the point
-    set's first call and kept on it, so a verify after a build reuses the
-    build's).  With `measure` False no bottleneck is read, and the ratios,
+    MST bottleneck of `ps` (`mst.grid_bottleneck_sq`: the last join of the
+    EMST join order the point set keeps, so a verify after a build reuses
+    the build's).  With `measure` False no bottleneck is read, and the ratios,
     the over-twice count and `beta_sq` read as for a single point (0.0, 0
     and None)."""
     grid_sq = ps.scale * ps.scale

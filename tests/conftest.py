@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from plane_layers import geometry, mst
+from plane_layers import centralized, distributed, geometry, mst
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import PointSet, Segment
 from plane_layers.verify import gen_line_instance
@@ -51,32 +51,36 @@ def jittered_lattice(seed: int, index: int) -> PointSet:
                      for i in range(22) for j in range(22)])
 
 
-def _count_point_set_calls(monkeypatch, name: str) -> list[int]:
-    """Patch the function `mst.<name>` of one point set to record the point
-    count of each call; the returned list grows as it is called."""
+def count_mst_computations(monkeypatch) -> list[int]:
+    """Record the point count each time `mst._mst` computes a point set's
+    EMST join order, which it keeps, so only on the first call for a point
+    set (grid pairs or Delaunay edges).  `mst.build_emst` and
+    `mst.grid_bottleneck_sq` both read that join order."""
     calls: list[int] = []
-    compute = getattr(mst, name)
+    compute = mst._mst
 
     def counted(ps):
-        calls.append(len(ps))
+        if ps._mst is None:
+            calls.append(len(ps))
         return compute(ps)
 
-    monkeypatch.setattr(mst, name, counted)
+    monkeypatch.setattr(mst, "_mst", counted)
     return calls
 
 
-def count_tree_computations(monkeypatch) -> list[int]:
-    """Record the point count of every call to `mst._compute_emst`, which
-    computes the tree of a point set with no kept one (grid pairs or
-    Delaunay edges)."""
-    return _count_point_set_calls(monkeypatch, "_compute_emst")
+def count_emst_trees(monkeypatch) -> list[int]:
+    """Record the point count of every `Segment` tree that `mst.build_emst`
+    returns, through the binding of each module that calls it."""
+    trees: list[int] = []
+    build = mst.build_emst
 
+    def counted(ps):
+        trees.append(len(ps))
+        return build(ps)
 
-def count_bottleneck_computations(monkeypatch) -> list[int]:
-    """Record the point count of every call to `mst._compute_bottleneck`,
-    which finds the MST bottleneck of a point set with no kept one, read off
-    its kept tree or found without one."""
-    return _count_point_set_calls(monkeypatch, "_compute_bottleneck")
+    for module in (mst, centralized, distributed):
+        monkeypatch.setattr(module, "build_emst", counted)
+    return trees
 
 
 def count_sweeps(monkeypatch) -> list[int]:
@@ -95,7 +99,7 @@ def count_sweeps(monkeypatch) -> list[int]:
 
 
 def grid_checks(ps) -> int:
-    """The number of pair checks `mst._grid_tree` makes on `ps`, counted
+    """The number of pair checks `mst._grid_forest` makes on `ps`, counted
     from the kernel: each check subtracts two x coordinates once, and the
     kernel subtracts x otherwise only to measure the width and to bucket the
     points, n + 1 times.  The x coordinates go in as an int subclass that
@@ -111,7 +115,7 @@ def grid_checks(ps) -> int:
             return int(self) - other
 
     xs, ys = ps.grid
-    assert mst._grid_tree([Counted(x) for x in xs], ys) == mst._grid_tree(xs, ys)
+    assert mst._grid_forest([Counted(x) for x in xs], ys) == mst._grid_forest(xs, ys)
     return subtractions - len(ps) - 1
 
 
@@ -157,7 +161,7 @@ def sweep_arithmetic(edges, ps) -> tuple[int, int]:
 
 
 def grid_repaired(ps) -> bool:
-    """Whether `mst._grid_tree` needs its repair to span `ps`: it then runs
+    """Whether `mst._grid_forest` needs its repair to span `ps`: it then runs
     Kruskal a second time, over the pairs the repair finds, and accepts.
     Told apart by counting the calls to `mst._kruskal`."""
     passes = []
@@ -169,7 +173,7 @@ def grid_repaired(ps) -> bool:
 
     mst._kruskal = counted
     try:
-        tree = mst._grid_tree(*ps.grid)
+        tree = mst._grid_forest(*ps.grid)
     finally:
         mst._kruskal = kruskal
     return tree is not None and len(passes) == 2

@@ -58,7 +58,7 @@ from plane_layers.geometry import Segment
 from plane_layers.verify import verify_layers
 
 from conftest import (
-    count_tree_computations,
+    count_mst_computations,
     grid_check_budget,
     grid_checks,
     grid_repaired,
@@ -159,19 +159,19 @@ def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
     ps = random_point_set(random.Random(n), n)
     checks = grid_checks(ps)
     assert 0 < checks <= grid_check_budget(n)
-    accepted = mst._grid_tree(*ps.grid) is not None
+    accepted = mst._grid_forest(*ps.grid) is not None
     triangulations = []
     triangulate = mst._triangulate
 
-    def counted(xs, ys):
+    def counted(xs, ys, order):
         triangulations.append(len(xs))
-        return triangulate(xs, ys)
+        return triangulate(xs, ys, order)
 
     monkeypatch.setattr(mst, "_triangulate", counted)
-    trees = count_tree_computations(monkeypatch)
+    computations = count_mst_computations(monkeypatch)
     assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok()
     assert verify_layers([list(layer) for layer in build_k_layers(ps, 1).layers], ps).ok()
-    assert trees == [n]
+    assert computations == [n]
     assert accepted
     assert triangulations == []
     # the uniform set at n = 400 has its longest MST edge at the boundary,

@@ -25,8 +25,9 @@ from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
 import gap_oracle
 from conftest import (
     acceptance_uniform_pool,
+    count_emst_trees,
+    count_mst_computations,
     count_sweeps,
-    count_tree_computations,
     random_point_set,
 )
 from rational_points import exact_coords
@@ -614,13 +615,17 @@ def test_two_trees_are_equivariant_under_translation_scaling_and_quarter_turns()
                                          (lambda rng: gen_line_instance(40, "0.001"), 3)],
                          ids=["flat", "pointed"])
 def test_one_tree_computation_per_build_and_verify(monkeypatch, rng, make, bound):
-    calls = count_tree_computations(monkeypatch)
+    """The build and its verify compute the MST once: the build takes its
+    tree once, and the verify reads the bottleneck off the same join
+    order."""
+    computations = count_mst_computations(monkeypatch)
+    emst_trees = count_emst_trees(monkeypatch)
     ps = make(rng)
     trees = build_two_disjoint_trees(ps)
     assert trees.bound == bound
     report = verify_layers(trees.layers(), ps)
     assert report.ok(Guarantee.two_tree(bound, shared=False))
-    assert calls == [len(ps)]
+    assert (computations, emst_trees) == ([len(ps)], [len(ps)])
 
 
 def test_outputs_stay_in_mst_square(rng):

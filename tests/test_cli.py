@@ -15,7 +15,7 @@ from plane_layers.cli import main
 from plane_layers.geometry import PointSet, Segment
 from plane_layers.verify import Guarantee, verify_layers
 
-from conftest import count_bottleneck_computations, count_tree_computations
+from conftest import count_emst_trees, count_mst_computations
 
 
 def run(*argv):
@@ -594,10 +594,11 @@ def test_verify_length_bound_is_exact(tmp_path, kind):
 
 def test_one_bottleneck_per_k_layer_cli_call(tmp_path, monkeypatch):
     """A k-layer build, with or without --beta, and its cold verify each
-    find the MST bottleneck once.  Only the build without --beta computes a
-    tree, for its default beta; the others find the bottleneck without one."""
-    trees = count_tree_computations(monkeypatch)
-    bottlenecks = count_bottleneck_computations(monkeypatch)
+    compute the MST once, for its bottleneck.  Only the build without --beta
+    takes a tree, the call that perfbench's call counts assert; the others
+    read the bottleneck with none."""
+    computations = count_mst_computations(monkeypatch)
+    trees = count_emst_trees(monkeypatch)
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "4", "--out", str(pts)) == 0
     out = tmp_path / "layers.json"
@@ -605,18 +606,18 @@ def test_one_bottleneck_per_k_layer_cli_call(tmp_path, monkeypatch):
         for command, tree_calls in ((["build", str(pts), "--mode", "distributed", "--k", "1",
                                       *extra, "--out", str(out)], [] if extra else [60]),
                                     (["verify", str(pts), str(out)], [])):
+            computations.clear()
             trees.clear()
-            bottlenecks.clear()
             assert run(*command) == 0
-            assert (bottlenecks, trees) == ([60], tree_calls), command
+            assert (computations, trees) == ([60], tree_calls), command
 
 
 def test_tree_and_bottleneck_computations_per_cli_command(tmp_path, monkeypatch):
-    """Every command finds the MST bottleneck once.  Only the builds that
-    need the tree compute it, the two-tree build and the k-layer build for
-    its default beta, and their bottleneck is read off that tree."""
-    trees = count_tree_computations(monkeypatch)
-    bottlenecks = count_bottleneck_computations(monkeypatch)
+    """Every command computes the MST once and reads the bottleneck off its
+    last join.  Only the two-tree build and the k-layer build without --beta
+    take the tree as well, once; a cold verify or stats takes none."""
+    computations = count_mst_computations(monkeypatch)
+    trees = count_emst_trees(monkeypatch)
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "60", "--seed", "4", "--out", str(pts)) == 0
     tt, dist = tmp_path / "tt.json", tmp_path / "layers.json"
@@ -629,10 +630,10 @@ def test_tree_and_bottleneck_computations_per_cli_command(tmp_path, monkeypatch)
               "--out", str(dist)], []),
             (["verify", str(pts), str(dist)], []),
             (["stats", str(pts), str(dist)], [])):
+        computations.clear()
         trees.clear()
-        bottlenecks.clear()
         assert run(*command) == 0
-        assert (bottlenecks, trees) == ([60], tree_calls), command
+        assert (computations, trees) == ([60], tree_calls), command
 
 
 @pytest.mark.parametrize("beta", ["-1", "0", "-40", "-0.5"])
@@ -726,8 +727,10 @@ def test_coordinates_whose_squares_are_beyond_float_range(tmp_path, capsys, mode
 def test_exponents_too_large_to_build_are_usage_errors(tmp_path):
     """1e999999999 would make Fraction build a power of ten of a billion
     digits, minutes and gigabytes: build and verify exit 2 at once, and so
-    does `PointSet` on the string; a zero mantissa reads as 0.  Each runs in
-    a subprocess with a timeout, so a regression fails instead of hanging."""
+    does `PointSet` on the string; a zero mantissa reads as 0.  The number
+    options --beta, --perturb and gen's --eps read their text the same way,
+    and exit 2 naming the option with no output file.  Each runs in a
+    subprocess with a timeout, so a regression fails instead of hanging."""
     pts, layers = tmp_path / "p.txt", tmp_path / "tt.json"
     pts.write_text("0 0 0\n1 1 0\n2 1 1e999999999\n3 0 1\n")
     layers.write_text(json.dumps({"kind": "two-tree", "red": [], "blue": []}))
@@ -735,11 +738,24 @@ def test_exponents_too_large_to_build_are_usage_errors(tmp_path):
     message = ("exponent 999999999 of '1e999999999' needs a power of ten of more than "
                f"{10 * sys.get_int_max_str_digits()} digits, ten times "
                "sys.get_int_max_str_digits()")
-    for argv in (["build", str(pts), "--out", str(tmp_path / "out.json")],
+    out = tmp_path / "out.json"
+    for argv in (["build", str(pts), "--out", str(out)],
                  ["verify", str(pts), str(layers)]):
         proc = subprocess.run([sys.executable, "-m", "plane_layers.cli", *argv],
                               capture_output=True, text=True, timeout=60, env=env)
         assert (proc.returncode, proc.stderr) == (2, f"usage error: line 3: {message}\n")
+    square = tmp_path / "sq.txt"
+    square.write_text("0 0 0\n1 1 0\n2 1 1\n3 0 1\n")
+    for flag, value, argv in (
+            ("--beta", "1e99999999", ["build", str(square), "--mode", "distributed"]),
+            ("--perturb", "1e-99999999", ["build", str(square)]),
+            ("--eps", "1e-99999999", ["gen", "--kind", "line", "--n", "10"])):
+        proc = subprocess.run([sys.executable, "-m", "plane_layers.cli", *argv, flag, value,
+                               "--out", str(out)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"usage error: {flag} must be a number, got {value!r}\n")
+        assert not out.exists()
     script = ("from plane_layers.geometry import PointSet, read_coord\n"
               "assert read_coord('-0.0e-999999999') == (0, 1)\n"
               "try:\n"

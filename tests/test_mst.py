@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from plane_layers import mst
+from plane_layers.centralized import build_two_disjoint_trees
 from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
@@ -15,8 +16,8 @@ from plane_layers.verify import gen_line_instance, verify_layers
 from conftest import (
     acceptance_line_pool,
     acceptance_uniform_pool,
-    count_bottleneck_computations,
-    count_tree_computations,
+    count_emst_trees,
+    count_mst_computations,
     grid_check_budget,
     grid_checks,
     grid_repaired,
@@ -41,7 +42,7 @@ def delaunay_triangles(ps):
     triples starting at their smallest id, sorted; [] when there are fewer
     than three points or all are collinear."""
     n = len(ps)
-    return sorted((a, b, c) for key, c in mst._triangulate(*ps.grid).items()
+    return sorted((a, b, c) for key, c in mst._triangulate(*ps.grid, ps.lex_order()[0]).items()
                   for a, b in [divmod(key, n)] if a < b and a < c)
 
 
@@ -211,25 +212,27 @@ def _shuffled(rng, coords):
 
 def each_source_is_prim(ps) -> bool:
     """Assert that `build_emst`, the Delaunay source and the grid source (when
-    it accepts) each return exactly `prim_emst`, and that the bottleneck
-    found without a tree is its longest edge; True iff the grid accepted."""
+    it accepts) each give exactly `prim_emst`, the sources in Kruskal's join
+    order, and that the bottleneck is its longest edge; True iff the grid
+    accepted."""
     want = prim_emst(ps)
     xs, ys = ps.grid
-    assert list(mst._delaunay_tree(xs, ys)) == want
-    grid = mst._grid_tree(xs, ys)
-    assert grid is None or list(grid) == want
+    assert joined_tree(ps, mst._delaunay_forest(xs, ys, ps.lex_order()[0])) == want
+    grid = mst._grid_forest(xs, ys)
+    assert grid is None or joined_tree(ps, grid) == want
     if len(ps) > 1:
-        assert treeless_bottleneck_sq(ps) == (max(ps.sdist_sq(*e) for e in want), grid is None)
+        assert mst.grid_bottleneck_sq(ps) == max(ps.sdist_sq(*e) for e in want)
     assert build_emst(ps) == want
     return grid is not None
 
 
-def treeless_bottleneck_sq(ps) -> tuple[int, bool]:
-    """`mst.grid_bottleneck_sq` of a new point set on the grid of `ps`, and
-    whether it kept a tree, which it does only where the grid declines."""
-    fresh = PointSet.from_text(ps.to_text())
-    assert fresh.grid == ps.grid
-    return mst.grid_bottleneck_sq(fresh), fresh._emst is not None
+def joined_tree(ps, joins) -> list[Segment]:
+    """The sorted tree of the EMST edges a*n + b `joins` of `ps`, once they
+    are asserted to be in Kruskal's join order, by (squared length, a, b),
+    whose last join `mst.grid_bottleneck_sq` reads as the bottleneck."""
+    n = len(ps)
+    assert joins == sorted(joins, key=lambda key: (ps.sdist_sq(*divmod(key, n)), key))
+    return sorted(Segment(*divmod(key, n)) for key in joins)
 
 
 def test_emst_equals_prim_on_acceptance_pools():
@@ -365,22 +368,52 @@ def test_grid_declines_clusters_and_gapped_sets_and_accepts_uniform(rng):
     accepted = []
     for _ in range(10):
         ps = random_point_set(rng, 500)
-        tree = mst._grid_tree(*ps.grid)
-        if tree is not None:
-            assert tree == mst._delaunay_tree(*ps.grid)
+        grid = mst._grid_forest(*ps.grid)
+        if grid is not None:
+            assert grid == mst._delaunay_forest(*ps.grid, ps.lex_order()[0])
             accepted.append(ps)
     assert len(accepted) == 10
     assert each_source_is_prim(accepted[0])
 
 
+# two groups whose closest pair is longer than twice the grid radius
+GAP_BEYOND_TWICE_THE_RADIUS = [(45, 19), (48, 29), (57, 1), (66, 10), (68, 7), (75, 16),
+                               (78, 29), (156, 2), (181, 19), (187, 16), (192, 29)]
+
+
 def test_grid_repair_declines_a_gap_beyond_twice_the_radius():
-    """Two groups whose closest pair is longer than twice the grid radius:
-    the repair finds no pair across the gap and declines.  A repair that
+    """The repair finds no pair across the gap and declines.  A repair that
     took pairs up to three radii within its two-cell window joined the
     groups here by a longer pair than the tree's."""
-    ps = PointSet([(45, 19), (48, 29), (57, 1), (66, 10), (68, 7), (75, 16), (78, 29),
-                   (156, 2), (181, 19), (187, 16), (192, 29)])
-    assert each_source_is_prim(ps) is False
+    assert each_source_is_prim(PointSet(GAP_BEYOND_TWICE_THE_RADIUS)) is False
+
+
+def test_grid_runs_once_per_point_set(monkeypatch, rng):
+    """Where the grid declines, by its budget on clustered points and by its
+    repair across a gap, a cold verify, the tree and a two-tree build of
+    one point set try the grid once between them: the Delaunay join order
+    taken on the decline is kept for both the bottleneck and the tree."""
+    clustered, gapped = _clusters(rng, 300), PointSet(GAP_BEYOND_TWICE_THE_RADIUS)
+    for ps in (clustered, gapped):
+        assert mst._grid_forest(*ps.grid) is None
+    # the budget declines before any distance, the repair after some
+    assert grid_checks(clustered) == 0 < grid_checks(gapped)
+    grid_forest = mst._grid_forest
+    calls = []
+
+    def counted(xs, ys):
+        calls.append(len(xs))
+        return grid_forest(xs, ys)
+
+    monkeypatch.setattr(mst, "_grid_forest", counted)
+    for ps in (clustered, gapped):
+        calls.clear()
+        star = [Segment(0, i) for i in range(1, len(ps))]
+        want = prim_emst(ps)
+        assert verify_layers([star], ps).beta_sq == bottleneck(want, ps).length_sq
+        assert build_emst(ps) == want
+        assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok()
+        assert calls == [len(ps)]
 
 
 def test_emst_of_300_digit_coordinates():
@@ -397,8 +430,9 @@ def test_emst_of_300_digit_coordinates():
     xs, ys = ps.grid
     with pytest.raises(OverflowError):
         float((max(xs) - min(xs)) * (max(ys) - min(ys)))
-    assert mst._grid_tree(xs, ys) is not None
-    assert tuple(build_emst(ps)) == mst._delaunay_tree(xs, ys)
+    grid = mst._grid_forest(xs, ys)
+    assert grid is not None
+    assert grid == mst._delaunay_forest(xs, ys, ps.lex_order()[0])
 
 
 def test_emst_far_from_the_origin_with_negative_coordinates():
@@ -409,8 +443,9 @@ def test_emst_far_from_the_origin_with_negative_coordinates():
     }))
     xs, ys = ps.grid
     assert max(xs) < 0 and max(ys) < 0
-    assert mst._grid_tree(xs, ys) is not None
-    assert tuple(build_emst(ps)) == mst._delaunay_tree(xs, ys)
+    grid = mst._grid_forest(xs, ys)
+    assert grid is not None
+    assert grid == mst._delaunay_forest(xs, ys, ps.lex_order()[0])
 
 
 @pytest.mark.parametrize("family", ["pools", "small-grids", "lattices", "line", "jittered",
@@ -476,26 +511,26 @@ def test_delaunay_triangles_have_empty_circumcircles():
 
 
 def test_bottleneck_without_a_tree_equals_the_trees(rng):
-    """`grid_bottleneck_sq` on a point set with no kept tree equals the
-    longest edge of `build_emst` and of the Prim reference: on uniform sets
-    whose short pairs span and those that need the repair; on clustered sets, where the grid declines and the Delaunay
-    tree is kept; on near-line sets, jittered and exact lattices (ties),
-    all-collinear sets, and every set of n = 2 to 5 points."""
-    def check(ps, declines=False):
+    """`grid_bottleneck_sq` on a point set with nothing kept, read off the
+    last join with no `Segment` tree built, equals the longest edge of
+    `build_emst` and of the Prim reference: on uniform sets whose short
+    pairs span and those that need the repair; on clustered sets, where the
+    grid declines to the Delaunay edges; on near-line sets, jittered and
+    exact lattices (ties), all-collinear sets, and every set of n = 2 to 5
+    points."""
+    def check(ps):
         want = max(ps.sdist_sq(*e) for e in prim_emst(ps))
-        assert treeless_bottleneck_sq(ps) == (want, declines)
+        assert mst.grid_bottleneck_sq(ps) == want
         assert ps.sdist_sq(*bottleneck(build_emst(ps), ps).edge) == want
-        assert mst.grid_bottleneck_sq(ps) == want  # now read off the kept tree
 
     repaired = []
     for ps in acceptance_uniform_pool()[:200]:
-        accepted = mst._grid_tree(*ps.grid) is not None
-        if accepted:
+        if mst._grid_forest(*ps.grid) is not None:
             repaired.append(grid_repaired(ps))
-        check(ps, declines=not accepted)
+        check(ps)
     assert set(repaired) == {False, True}
     for _ in range(3):
-        check(_clusters(rng, 300), declines=True)
+        check(_clusters(rng, 300))
     for n in (2, 3, 4, 5, 60, 501):
         check(gen_line_instance(n, "0.001"))
     for ps in _jittered_lattices():
@@ -507,27 +542,28 @@ def test_bottleneck_without_a_tree_equals_the_trees(rng):
     for n in range(2, 6):
         for _ in range(40):
             cells = rng.sample([(x, y) for x in range(4) for y in range(4)], n)
-            check(PointSet(cells), declines=mst._grid_tree(*PointSet(cells).grid) is None)
+            check(PointSet(cells))
 
 
 def test_bottleneck_kept_per_point_set_and_reset_on_a_mirror(monkeypatch, rng):
-    """One bottleneck computation per point set, read off the kept tree
-    after `build_emst`; a mirror image finds its own."""
-    bottlenecks = count_bottleneck_computations(monkeypatch)
-    trees = count_tree_computations(monkeypatch)
+    """One MST computation per point set, whose join order gives both the
+    bottleneck and the tree; a mirror image computes its own."""
+    computations = count_mst_computations(monkeypatch)
+    trees = count_emst_trees(monkeypatch)
     ps = random_point_set(rng, 60)
     be = mst.grid_bottleneck_sq(ps)
-    assert mst.grid_bottleneck_sq(ps) == be and (bottlenecks, trees) == ([60], [])
+    assert mst.grid_bottleneck_sq(ps) == be and (computations, trees) == ([60], [])
+    mst.build_emst(ps)
     mirror = ps.reflected()
-    build_emst(mirror)
+    mst.build_emst(mirror)
     assert mst.grid_bottleneck_sq(mirror) == be
-    assert (bottlenecks, trees) == ([60, 60], [60])
+    assert (computations, trees) == ([60, 60], [60, 60])
     with pytest.raises(PreconditionError):
         mst.grid_bottleneck_sq(PointSet([(1, 2)]))
 
 
 def test_emst_kept_per_point_set_and_returned_as_a_new_list(monkeypatch, rng):
-    calls = count_tree_computations(monkeypatch)
+    calls = count_mst_computations(monkeypatch)
     ps = random_point_set(rng, 60)
     edges = build_emst(ps)
     want = list(edges)
@@ -544,7 +580,7 @@ def test_emst_kept_per_point_set_and_returned_as_a_new_list(monkeypatch, rng):
 
 
 def test_perturbed_and_reflected_sets_get_their_own_emst(monkeypatch):
-    calls = count_tree_computations(monkeypatch)
+    calls = count_mst_computations(monkeypatch)
     # a full lattice: every MST edge ties in length, so the perturbation
     # breaks the ties in another order than the ids do
     ps = PointSet([(x, y) for x in range(6) for y in range(6)])
