@@ -550,39 +550,38 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     there, the number ending there and one of those.  The sweep walks the
     whole kept order and skips the points no segment touches, so an edge
     list that leaves most points out still pays O(n) for the walk and the
-    buckets.  At v:
+    buckets.  At v, one block step (the event step of Bentley & Ottmann):
 
-    - The segments ending at v leave as one slice: `list.index` finds one,
-      and the block widens over its neighbours that also end at v.
-    - With no segment ending at v, one binary search on the side of v of
-      each probed segment's line finds the slot.
-    - v is strict when it lies strictly above the line of the segment below
-      the slot and strictly below the line of the one above.  Then every
-      segment starting at v enters at that slot, as one slice sorted
-      bottom to top by the sign of the cross product of two directions, and
-      only the two boundary pairs are tested: segments starting at v share
-      it and never cross one another.  Two of them on one ray tie, and
-      either order of a tie is exact, as for any collinear overlap.
-    - With no segment starting at v, the pair the removal made adjacent is
-      tested.
+    - Find the block: the slice of the status holding every active segment
+      through v.  When segments end at v, `list.index` finds one and the
+      block widens over its neighbours that also end at v; with nothing
+      starting at v and that block whole, it leaves as one slice and the
+      pair it leaves adjacent is tested.  Otherwise the block widens further
+      over the neighbours whose line passes through v.  With no segment
+      ending at v, one binary search on the side of v of each probed
+      segment's line finds the slot, and the block widens upward from it
+      only when v lies on the line of the segment there.
+    - Test the through segments: the block's segments that do not end at v
+      pass through it, and each adjacent pair of them, in their old order,
+      is tested.  Two on different lines cross at v.
+    - Reorder: the through segments and the segments starting at v replace
+      the block, sorted bottom to top by the sign of the cross product of
+      their directions from v.  Segments on one ray tie, and either order
+      of a tie is exact, as for any collinear overlap.  The two boundary
+      pairs are tested, or, when the block is left empty, the pair the
+      removal made adjacent.
 
     Why this is exact: before the lexicographically first crossing point the
     status order is exact, and the segments through v are consecutive in
-    it.  When v is strict, it lies strictly between its two neighbours on
-    the sweep line, so no active segment passes through v and every segment
-    starting at v belongs in that one slot.  Every pair that becomes adjacent
-    is tested, and at the first crossing point p, once the segments ending
-    at p have left, two adjacent segments through p with different
-    directions cross there.
-
-    Degenerate event points keep per-segment steps: when v lies on a
-    neighbour's line, a side test in the search is zero, or a segment
-    through v separates two that end there.  After testing the pair the
-    removed block left adjacent (or, when the block is split, removing each
-    segment and testing each new neighbour pair), each start enters by its
-    own binary search, which breaks a tie on v by the segment's right
-    endpoint and leaves collinear segments tied, and its two new neighbours
-    are tested.
+    it, since every other active segment passes strictly above or below v.
+    No new pair inside the block is tested, and none can cross: two
+    segments starting at v share it, a through segment meets one starting
+    at v only at that endpoint, and through segments that got past their
+    test lie on one line.  Every other pair that becomes adjacent is tested.
+    So at the first crossing point p, leaving out the segments that end
+    there, two segments through p on different lines lie next to each
+    other, and that pair is tested: when it became adjacent in the status,
+    or, at an event point, by the test of the through segments.
 
     The crossing test is inlined; each call names the lower of the two
     status neighbours first.  After the shared-endpoint test it rejects the
@@ -632,31 +631,6 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
         vx, vy = dx - cx, dy - cy
         return (vx * (ay - cy) - vy * (ax - cx)) * (vx * (by - cy) - vy * (bx - cx)) < 0
 
-    def enter(i: int) -> bool:
-        # the per-segment step: segment i sits above an active one when its
-        # left endpoint lies left of that one's directed line, or, with the
-        # endpoint on the line, when its right endpoint does
-        ex, ey, qx, qy = lx[i], ly[i], rx[i], ry[i]
-        lo, hi = 0, len(status)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            j = status[mid]
-            ax, ay = lx[j], ly[j]
-            ux, uy = rx[j] - ax, ry[j] - ay
-            s = ux * (ey - ay) - uy * (ex - ax)
-            if not s:
-                s = ux * (qy - ay) - uy * (qx - ax)
-            if s > 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo and cross(status[lo - 1], i):
-            return True
-        if lo < len(status) and cross(i, status[lo]):
-            return True
-        status.insert(lo, i)
-        return False
-
     status: list[int] = []  # active segments, bottom to top
     for v in order:
         out, fan = ending[v], starts[v]
@@ -667,74 +641,64 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
                 lo -= 1
             while hi < top and idb[status[hi]] == v:
                 hi += 1
-            if hi - lo < out:  # a segment through v splits the block
-                for i in [j for j in status if idb[j] == v]:
-                    k = status.index(i)
-                    del status[k]
-                    if k and k < len(status) and cross(status[k - 1], status[k]):
-                        return True
-                slot = -1
-            else:
+            if fan is None and hi - lo == out:
                 del status[lo:hi]
-                top -= hi - lo
-                slot = lo
-                if fan is not None:
-                    vx, vy = xs[v], ys[v]
-                    if lo:
-                        j = status[lo - 1]
-                        ax, ay = lx[j], ly[j]
-                        if (rx[j] - ax) * (vy - ay) - (ry[j] - ay) * (vx - ax) <= 0:
-                            slot = -1
-                    if slot >= 0 and lo < top:
-                        j = status[lo]
-                        ax, ay = lx[j], ly[j]
-                        if (rx[j] - ax) * (vy - ay) - (ry[j] - ay) * (vx - ax) >= 0:
-                            slot = -1
-                if (fan is None or slot < 0) and lo and lo < top:
-                    if cross(status[lo - 1], status[lo]):
-                        return True
-            if fan is None:
+                if lo and hi < top and cross(status[lo - 1], status[lo]):
+                    return True
                 continue
+            vx, vy = xs[v], ys[v]
+            while lo:  # widen over the neighbours whose line passes through v
+                j = status[lo - 1]
+                if (rx[j] - lx[j]) * (vy - ly[j]) - (ry[j] - ly[j]) * (vx - lx[j]):
+                    break
+                lo -= 1
         elif fan is None:
             continue
         else:
             vx, vy = xs[v], ys[v]
-            lo, hi = 0, len(status)
-            slot = -1
+            lo, hi, top, s = 0, len(status), 0, 1
             while lo < hi:
                 mid = (lo + hi) // 2
                 j = status[mid]
-                ax, ay = lx[j], ly[j]
-                s = (rx[j] - ax) * (vy - ay) - (ry[j] - ay) * (vx - ax)
-                if s > 0:
+                t = (rx[j] - lx[j]) * (vy - ly[j]) - (ry[j] - ly[j]) * (vx - lx[j])
+                if t > 0:
                     lo = mid + 1
-                elif s:
-                    hi = mid
                 else:
-                    break
-            else:
-                slot = lo
-        if slot < 0:
-            for i in fan:
-                if enter(i):
+                    hi, s = mid, t
+            if not s:  # status[lo] passes through v; else top = 0 widens nothing
+                hi, top = lo + 1, len(status)
+        while hi < top:  # widen upward the same way
+            j = status[hi]
+            if (rx[j] - lx[j]) * (vy - ly[j]) - (ry[j] - ly[j]) * (vx - lx[j]):
+                break
+            hi += 1
+        # status[lo:hi] is every active segment through v; those that do
+        # not end at v pass through it, and two on different lines cross
+        if hi - lo > out:
+            block = [i for i in status[lo:hi] if idb[i] != v]
+            for k in range(1, len(block)):
+                if cross(block[k - 1], block[k]):
                     return True
-            continue
-        # bottom to top: segment i enters below j when j's right endpoint
-        # lies left of i's direction; collinear ones tie.  Two spokes, the
-        # common fan on a tree layer, take one compare: sorting them through
-        # cmp_to_key made near-line sweeps about a third slower.
-        if len(fan) == 2:
-            i, j = fan
+            if fan is not None:
+                block += fan
+        else:
+            block = fan
+        # bottom to top: segment i goes below j when j's right endpoint
+        # lies left of i's direction; collinear ones tie.  Two segments,
+        # the common fan on a tree layer, take one compare: sorting them
+        # through cmp_to_key made near-line sweeps about a third slower.
+        if len(block) == 2:
+            i, j = block
             if (rx[i] - vx) * (ry[j] - vy) - (ry[i] - vy) * (rx[j] - vx) < 0:
-                fan.reverse()
-        elif len(fan) > 2:
-            fan.sort(key=cmp_to_key(
+                block.reverse()
+        elif len(block) > 2:
+            block.sort(key=cmp_to_key(
                 lambda i, j: (ry[i] - vy) * (rx[j] - vx) - (rx[i] - vx) * (ry[j] - vy)))
-        status[slot:slot] = fan
-        if slot and cross(status[slot - 1], fan[0]):
+        status[lo:hi] = block
+        hi = lo + len(block)
+        if lo and lo < len(status) and cross(status[lo - 1], status[lo]):
             return True
-        hi = slot + len(fan)
-        if hi < len(status) and cross(fan[-1], status[hi]):
+        if block and hi < len(status) and cross(status[hi - 1], status[hi]):
             return True
     return False
 

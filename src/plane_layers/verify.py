@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -234,10 +235,18 @@ def verify_layers(
     EMST join order the point set keeps, so a verify after a build reuses
     the build's).  With `measure` False no bottleneck is read, and the ratios,
     the over-twice count and `beta_sq` read as for a single point (0.0, 0
-    and None)."""
+    and None).  An edge with an id outside 0..n-1 raises `PreconditionError`
+    naming its layer."""
+    n = len(ps)
+    for j, layer in enumerate(layers):
+        # a Segment is (a, b) with a < b, so the least a and the largest b
+        # bound every id of the layer
+        if layer and (min(layer)[0] < 0 or max(layer, key=itemgetter(1))[1] >= n):
+            e = next(e for e in layer if e[0] < 0 or e[1] >= n)
+            raise PreconditionError(f"layer {j}: edge {e.as_pair()} has an id outside 0..{n - 1}")
     grid_sq = ps.scale * ps.scale
     be_sq = be_grid = None
-    if measure and len(ps) >= 2:
+    if measure and n >= 2:
         be_grid = grid_bottleneck_sq(ps)
         be_sq = Fraction(be_grid, grid_sq)
     counts = count_layers(layers, ps)

@@ -124,8 +124,9 @@ def sweep_arithmetic(edges, ps) -> tuple[int, int]:
     `geometry.has_crossing` forms on `edges`, counted from the kernel.
 
     An orientation is a difference of two products of coordinate
-    differences: the side tests of a search, of a strictness check or of a
-    fan's order, and the four of a pair test.  A pair test that gets past the
+    differences: the side tests of a search, of the widening of a block
+    over the neighbours through an event point or of a block's order, and
+    the four of a pair test.  A pair test that gets past the
     shared-endpoint and y-extent rejects multiplies two orientations, and
     does so a second time when the first product is negative; no other step
     multiplies two.  The grid coordinates go in as an int subclass that

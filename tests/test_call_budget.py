@@ -184,8 +184,8 @@ def test_tree_layer_sweeps_reject_pairs_before_the_products(n):
     """At most m/10 orientation sign products per layer of m edges.  The
     sweep without the y-extent reject formed about two per edge on these
     layers (787 and 808 at n = 400, 3421 and 3459 at n = 1600); with it,
-    6 and 9, and 14 and 31; with the segments at an event point entering
-    together, 6 and 5, and 12 and 20."""
+    6 and 9, and 14 and 31; with one block step per event point, 6 and 5,
+    and 12 and 20."""
     ps = random_point_set(random.Random(n), n)
     for layer in build_two_disjoint_trees(ps).layers():
         _, products = sweep_arithmetic(layer, ps)
@@ -196,9 +196,10 @@ def test_tree_layer_sweeps_reject_pairs_before_the_products(n):
 def test_tree_layer_sweeps_form_at_most_three_orientations_per_edge(n):
     """At most 3m orientations per layer of m edges.  A sweep that inserts
     each segment by its own binary search formed 3.8 per edge at n = 400
-    and 4.7 at n = 1600, growing with the status; handling every segment at
-    an event point at once forms 2.2 to 2.6: one search or two strictness
-    tests per point, and a fan's order."""
+    and 4.7 at n = 1600, growing with the status; one block step per event
+    point forms 2.2 to 2.6: a search, or two side tests that find no
+    neighbour through the point, and the order of the segments starting
+    there."""
     ps = random_point_set(random.Random(n), n)
     for layer in build_two_disjoint_trees(ps).layers():
         orientations, _ = sweep_arithmetic(layer, ps)

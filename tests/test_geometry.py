@@ -244,6 +244,38 @@ def test_sweep_on_y_ranges_that_touch_or_barely_overlap():
     assert min(outcomes.values()) > 500
 
 
+def test_sweep_block_step_at_an_event_point():
+    """The cases the block step at an event point v = (2, 2) decides: the
+    segments ending at v leave, the segments passing through v are tested
+    pairwise in their old order (two on different lines cross at v), and
+    they and the segments starting at v take their place sorted by
+    direction.  An edge ending or starting between two segments that cross
+    at v must not hide the crossing, and a segment through v between edges
+    that end there must not count as crossing them."""
+    v = (2, 2)
+    diagonal, anti = ((0, 0), (4, 4)), ((0, 4), (4, 0))  # they cross at v
+    spoke, end = (v, (4, 2)), ((0, 2), v)  # a segment starting at v, one ending there
+    split = [((0, 3), v), ((1, 0), v)]  # end at v above and below the diagonal
+    cases = [
+        ([diagonal, anti, spoke], True),  # the spoke starts between them by direction
+        ([diagonal, anti, end], True),  # the edge ends between them
+        ([diagonal, anti, end, spoke], True),
+        # nothing ends at v: the spoke leaves v above the diagonal, and an
+        # edge that starts later crosses the spoke alone
+        ([diagonal, (v, (4, 8)), ((3, 7), (4, 4))], True),
+        ([diagonal, *split], False),  # the diagonal splits the edges ending at v
+        ([diagonal, *split, spoke], False),
+        ([diagonal, (v, (4, 4))], False),  # a through segment and a spoke on one ray
+        ([diagonal, (v, (4, 4)), end], False),
+    ]
+    coords = sorted({c for segments, _ in cases for segment in segments for c in segment})
+    ps = PointSet(coords)
+    for segments, crosses in cases:
+        edges = [Segment(coords.index(a), coords.index(b)) for a, b in segments]
+        for listed in (edges, edges[::-1]):
+            assert has_crossing(listed, ps) == crosses == bool(_all_crossing_pairs(listed, ps))
+
+
 def _random_edges(rng, ids, count):
     return [Segment(*rng.sample(ids, 2)) for _ in range(count)]
 
@@ -251,8 +283,8 @@ def _random_edges(rng, ids, count):
 def test_sweep_at_t_junctions_on_event_points():
     """A point strictly inside a segment is also an endpoint of other edges
     of the list: segments end there, start there, or both, on either side
-    of the segment through it, so the event point lies on its neighbour's
-    line and the sweep takes its per-segment steps there."""
+    of the segment through it, so the block of segments through the event
+    point holds a segment that passes through it."""
     rng = random.Random(20261101)
     outcomes = {True: 0, False: 0}
     for _ in range(3000):

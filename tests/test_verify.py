@@ -60,6 +60,19 @@ def test_verify_empty_layer_single_point():
     assert rep.overall_max_ratio == 0.0
 
 
+def test_verify_rejects_ids_outside_the_point_set():
+    """An id outside 0..n-1 is a precondition error naming the layer and
+    the first such edge, not a read of another point (-1 is the last one)
+    or an IndexError."""
+    ps = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
+    tree = [Segment(0, 1), Segment(1, 2), Segment(2, 3)]
+    with pytest.raises(PreconditionError, match=r"^layer 0: edge \(-1, 0\) has an id outside 0\.\.3$"):
+        verify_layers([[Segment(-1, 0), Segment(0, 1), Segment(1, 2)]], ps)
+    with pytest.raises(PreconditionError, match=r"^layer 1: edge \(0, 7\) has an id outside 0\.\.3$"):
+        verify_layers([tree, [Segment(1, 2), Segment(0, 7), Segment(-1, 9)]], ps)
+    assert verify_layers([tree], ps).per_layer[0].spanning
+
+
 def test_verify_flags_overlaps_only_on_request():
     # points 0-(2,0) and 2-(3,0) give segments (0,1) and (2,3) overlapping on
     # the x axis
