@@ -12,7 +12,10 @@ which neighbor follows which) is read off one ring scan of that vertex,
 `_ring`.  One breadth-first pass over the MST adjacency,
 `_subtree_contribution`, states the coloring: `construction1` runs it from
 the root's neighbor, and the full constructions run it on each hanging
-subtree, with the adjacency the build computes once.
+subtree.  `build_two_disjoint_trees` computes the MST adjacency once and
+passes it to each of its four stages, which all take `(ps, adj, ...)`:
+`find_flat_vertex`, then `disjoint_trees_flat` or `select_P` and
+`disjoint_trees_pointed`.
 
 Every construction ends with one `verify_layers` call on the caller's
 point set, the check the CLI's `verify` runs, against the `Guarantee` of a
@@ -72,7 +75,7 @@ class TwoTrees:
     shared: Segment | None
     max_ratio_red: float
     max_ratio_blue: float
-    bound: int = 2
+    bound: int
 
     def layers(self) -> list[list[Segment]]:
         return [list(self.red), list(self.blue)]
@@ -89,7 +92,7 @@ class TwoTrees:
         }
 
 
-def construction1(ps: PointSet, root: int, variant: Recoloring = Recoloring.ORIGINAL) -> TwoTrees:
+def construction1(ps: PointSet, root: int, variant: Recoloring) -> TwoTrees:
     """The root-edge construction on the EMST of `ps`, rooted at the leaf
     `root`: every other vertex puts its parent edge in one color and its
     grandparent edge in the other by the parity rule, each side of the
@@ -97,8 +100,7 @@ def construction1(ps: PointSet, root: int, variant: Recoloring = Recoloring.ORIG
     both.  Both trees are plane and spanning and share exactly the root
     edge, as a final `verify_layers` checks.  The colors are the build's own
     subtree pass, `_subtree_contribution`, from the root's one neighbor."""
-    mst_edges = build_emst(ps)
-    adj = adjacency(mst_edges)
+    adj = adjacency(build_emst(ps))
     if root not in ps.ids:
         raise PreconditionError(f"root {root} not in vertex set")
     degree = len(adj.get(root, ()))
@@ -153,13 +155,10 @@ def _ring(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[list[int], int | N
     return ring, big
 
 
-def find_flat_vertex(
-    edges: Sequence[Segment], ps: PointSet, *, adj: dict[int, list[int]] | None = None
-) -> int | None:
-    """Smallest-id vertex whose consecutive incident-edge gaps are all below
-    pi, or None when every vertex has a gap above pi.  `adj`, when given, is
-    `adjacency(edges)`, as for the other stages of the two-tree build."""
-    adj = adjacency(edges) if adj is None else adj
+def find_flat_vertex(ps: PointSet, adj: dict[int, list[int]]) -> int | None:
+    """Smallest-id vertex of the MST adjacency `adj` whose consecutive
+    incident-edge gaps are all below pi, or None when every vertex has a gap
+    above pi."""
     for v in sorted(adj):
         # one or two incident edges always leave a gap >= pi
         if len(adj[v]) >= 3 and _ring(ps, v, adj[v])[1] is None:
@@ -284,16 +283,10 @@ def _subtree_contribution(
     return sorted(red), sorted(blue)
 
 
-def disjoint_trees_flat(
-    ps: PointSet,
-    mst_edges: Sequence[Segment],
-    v: int,
-    *,
-    adj: dict[int, list[int]] | None = None,
-) -> TwoTrees:
-    """Disjoint pair around a vertex with no gap above pi: spoke/hull base
-    trees on the neighbors of v, plus recolored subtree constructions."""
-    adj = adjacency(mst_edges) if adj is None else adj
+def disjoint_trees_flat(ps: PointSet, adj: dict[int, list[int]], v: int) -> TwoTrees:
+    """Disjoint pair around a vertex v of the MST adjacency `adj` with no
+    gap above pi: spoke/hull base trees on the neighbors of v, plus
+    recolored subtree constructions."""
     nbrs = adj.get(v, [])
     if len(nbrs) < 3:
         raise PreconditionError(f"vertex {v} has degree {len(nbrs)} < 3")
@@ -354,15 +347,12 @@ def _cw_angle_below_pi(ps: PointSet, apex: int, frm: int, to: int) -> bool:
     return o is Orientation.CLOCKWISE
 
 
-def select_P(
-    ps: PointSet, mst_edges: Sequence[Segment], *, adj: dict[int, list[int]] | None = None
-) -> PCase:
-    """Choose the path v3,v2,v1,v0 and its case tag for the all-pointed
-    construction, mirroring the point set when the canonical clockwise
-    conventions require it."""
+def select_P(ps: PointSet, adj: dict[int, list[int]]) -> PCase:
+    """Choose the path v3,v2,v1,v0 of the MST adjacency `adj` and its case
+    tag for the all-pointed construction, mirroring the point set when the
+    canonical clockwise conventions require it."""
     if len(ps) < 4:
         raise PreconditionError("the all-pointed construction needs n >= 4")
-    adj = adjacency(mst_edges) if adj is None else adj
     try:
         v3, v2, v1, v0, tag = _select_oriented(ps, adj)
         return PCase(v3, v2, v1, v0, tag, mirrored=False)
@@ -491,19 +481,13 @@ _SUBTREES: dict[str, list[tuple[int, int, Recoloring]]] = {
 }
 
 
-def disjoint_trees_pointed(
-    ps: PointSet,
-    mst_edges: Sequence[Segment],
-    pc: PCase,
-    *,
-    adj: dict[int, list[int]] | None = None,
-) -> TwoTrees:
-    """Disjoint pair when every vertex has a gap above pi: base coloring of
-    the complete graph on P plus recolored subtree constructions, with the
-    three-hop blue edge swapped for a hull-path edge when crossed.  The
-    pair is verified on `ps` itself, also when `pc` is mirrored."""
+def disjoint_trees_pointed(ps: PointSet, adj: dict[int, list[int]], pc: PCase) -> TwoTrees:
+    """Disjoint pair when every vertex of the MST adjacency `adj` has a gap
+    above pi: base coloring of the complete graph on P plus recolored
+    subtree constructions, with the three-hop blue edge swapped for a
+    hull-path edge when crossed.  The pair is verified on `ps` itself, also
+    when `pc` is mirrored."""
     wps = ps.reflected() if pc.mirrored else ps
-    adj = adjacency(mst_edges) if adj is None else adj
     pv = {3: pc.v3, 2: pc.v2, 1: pc.v1, 0: pc.v0}
 
     red_pairs, blue_pairs = _BASE_COLORINGS[_hull_layout(pc.tag)]
@@ -576,14 +560,12 @@ def build_two_disjoint_trees(ps: PointSet) -> TwoTrees:
         raise PreconditionError(
             f"two disjoint spanning trees need 2(n-1) <= n(n-1)/2 edges; impossible for n={n}"
         )
-    mst_edges = build_emst(ps)
-    adj = adjacency(mst_edges)
+    adj = adjacency(build_emst(ps))
     try:
-        v = find_flat_vertex(mst_edges, ps, adj=adj)
+        v = find_flat_vertex(ps, adj)
         if v is not None:
-            return disjoint_trees_flat(ps, mst_edges, v, adj=adj)
-        pc = select_P(ps, mst_edges, adj=adj)
-        return disjoint_trees_pointed(ps, mst_edges, pc, adj=adj)
+            return disjoint_trees_flat(ps, adj, v)
+        return disjoint_trees_pointed(ps, adj, select_P(ps, adj))
     except InternalAssertionError as err:
         err.dump = {"points": ps.to_text(), "mode": "two-tree"} | err.dump
         raise

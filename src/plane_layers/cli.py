@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .centralized import build_two_disjoint_trees
-from .distributed import build_k_layers
+from .distributed import build_k_layers, grid_cell_side
 from .errors import (
     InternalAssertionError,
     PlaneLayersError,
@@ -274,12 +274,9 @@ def cmd_render(args) -> int:
             raise UsageError(f"{args.layers}: --grid applies to distributed layers files only")
         k, beta_sq = _positive_int(meta, "k"), _beta_sq(meta)
         try:
-            cell = 6 * k * math.sqrt(beta_sq)
-        except OverflowError:
-            cell = math.inf
-        if not math.isfinite(cell):
-            raise UsageError("layers file: the grid's cell side 6*k*sqrt(betaSq) "
-                             "is too large for a float")
+            cell = grid_cell_side(k, beta_sq)
+        except UsageError as err:
+            raise UsageError(f"layers file: {err}") from None
     svg = render_svg(ps, layers, cell_side=cell)
     _write(args.out, svg)
     return 0

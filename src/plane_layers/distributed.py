@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Sequence
 
-from .errors import InternalAssertionError, PreconditionError
+from .errors import InternalAssertionError, PreconditionError, UsageError
 from .geometry import PointSet, Segment, angular_order, float_sqrt
 from .mst import bottleneck_length, bottleneck_sq, build_emst
 from .verify import Guarantee, verify_layers
@@ -90,8 +90,7 @@ class GridIndex:
 
     @property
     def cell_side(self) -> float:
-        q = self.beta_sq
-        return 6 * self.k * float_sqrt(q.numerator, q.denominator, "beta")
+        return grid_cell_side(self.k, self.beta_sq)
 
     def assigned_to(self, box: Cell) -> list[int]:
         """The points assigned to `box`, ascending: the grid's own list, so
@@ -104,6 +103,17 @@ class GridIndex:
         if box not in self._layers:
             self._layers[box] = layers_in_box(box, self)
         return self._layers[box]
+
+
+def grid_cell_side(k: int, beta_sq: Fraction) -> float:
+    """The grid's cell side 6*k*sqrt(beta_sq) as a float, for `GridIndex`
+    and the CLI's `render --grid`.  A side beyond float range raises
+    UsageError."""
+    what = "the grid's cell side 6*k*sqrt(betaSq)"
+    side = 6 * k * float_sqrt(beta_sq.numerator, beta_sq.denominator, what)
+    if side == math.inf:
+        raise UsageError(f"{what} is too large for a float")
+    return side
 
 
 def _as_beta_sq(beta, ps: PointSet) -> Fraction:
@@ -316,11 +326,11 @@ def center_point(
     then applies, and a sector may open beyond pi; the build's final layer
     check, `verify_layers`, sees any crossing behind it.
     """
-    return _ordered_center(ids, ps, ray_ids)[0]
+    return _ordered_center(ids, ps, ids if ray_ids is None else ray_ids)[0]
 
 
 def _ordered_center(
-    ids: Sequence[int], ps: PointSet, ray_ids: Sequence[int] | None = None
+    ids: Sequence[int], ps: PointSet, ray_ids: Sequence[int]
 ) -> tuple[tuple[Fraction, Fraction], list[tuple[int, int]], list[int]]:
     """`center_point`'s center, with the integer offsets of the `ray_ids`
     from it and their counterclockwise `angular_order`.
@@ -334,7 +344,6 @@ def _ordered_center(
     if len(ids) < 3:
         raise PreconditionError("center point needs at least 3 points")
     m = len(ids)
-    ray_ids = ids if ray_ids is None else ray_ids
     if len(set(ray_ids)) < len(ray_ids):  # a repeated id shares a ray from every point
         raise PreconditionError("center point needs distinct ray ids")
     members = set(ids)
@@ -557,7 +566,7 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     if m < 3 * k:
         raise PreconditionError(f"box {box} holds {m} < 3k points")
     assigned = gi.assigned_to(box)
-    center, offsets, ccw = _ordered_center(members, ps, ray_ids=assigned)
+    center, offsets, ccw = _ordered_center(members, ps, assigned)
     # clockwise from the +x ray: the counterclockwise order read backwards,
     # its first vector moved to the front when it lies on that ray
     order = ccw[::-1]

@@ -233,10 +233,10 @@ class PointSet:
         mirror._lex = None
         return mirror
 
-    def perturbed(self, eps: Fraction | None = None) -> "PointSet":
+    def perturbed(self, eps: Fraction | None) -> "PointSet":
         """Deterministic general-position perturbation: point i moves by
-        eps*((i*PHI) mod 1, (i*PHI^2) mod 1).  Default eps is 1e-7 times the
-        larger bbox side.
+        eps*((i*PHI) mod 1, (i*PHI^2) mod 1).  An eps of None means 1e-7
+        times the larger bbox side.
 
         This does not guarantee general position.  PHI is the rational
         0.6180339887, so both offsets are affine in i along any run of i
@@ -532,14 +532,25 @@ def _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
     return d3 * d4 < 0
 
 
+def id_outside(edges: Sequence[Segment], n: int) -> Segment | None:
+    """The first edge of `edges` with an id outside 0..n-1, or None.  A
+    Segment is (a, b) with a < b, so the least a and the largest b bound
+    every id: C-level `min` and `max` find them, and only a list that breaks
+    the bound is scanned in Python."""
+    if edges and (min(edges)[0] < 0 or max(edges, key=itemgetter(1))[1] >= n):
+        return next(e for e in edges if e[0] < 0 or e[1] >= n)
+    return None
+
+
 def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     """True iff some pair in the edge list properly crosses (Shamos-Hoey sweep).
 
-    Exact on the scaled integer grid.  The sweep visits the segments'
-    endpoints in the lexicographic (x, y) order that the point set keeps
-    (`PointSet.lex_order`), and handles at each such event point v every
-    segment ending or starting there at once (Bentley & Ottmann 1979; de Berg
-    et al., Computational Geometry, section 2.1).  The status lists the
+    Exact on the scaled integer grid; an edge with an id outside 0..n-1
+    raises `PreconditionError` before the sweep.  The sweep visits the
+    segments' endpoints in the lexicographic (x, y) order that the point set
+    keeps (`PointSet.lex_order`), and handles at each such event point v
+    every segment ending or starting there at once (Bentley & Ottmann 1979;
+    de Berg et al., Computational Geometry, section 2.1).  The status lists the
     active segments bottom to top along a sweep line turned infinitesimally
     counterclockwise from vertical, so vertical segments need no special
     case.  Shared endpoints, T-junctions and collinear overlaps never cross,
@@ -595,6 +606,9 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     xs, ys = ps.grid
     order, rank = ps.lex_order()
     n = len(order)
+    bad = id_outside(edges, n)
+    if bad is not None:
+        raise PreconditionError(f"edge {tuple(bad)} has an id outside 0..{n - 1}")
     ida, idb = [], []  # left and right endpoint ids of each segment
     starts: list[list[int] | None] = [None] * n  # the segments starting at each point
     ending = [0] * n  # how many segments end at each point

@@ -18,18 +18,17 @@ PALETTE = [
     "#17becf",
     "#bcbd22",
 ]
+WIDTH = 800  # the picture's side in pixels
 
 
 def render_svg(
-    ps: PointSet,
-    layers: Sequence[Sequence[Segment]],
-    cell_side: float | None = None,
-    width: int = 800,
+    ps: PointSet, layers: Sequence[Sequence[Segment]], cell_side: float | None = None
 ) -> str:
     """The points and each layer's edges in its palette colour, over the
-    bucketing grid of side `cell_side` when one is given.  A grid with more
-    lines than the picture is wide in pixels is a usage error: it would draw
-    nothing legible, and a tiny side would take unbounded time."""
+    bucketing grid of side `cell_side` when one is given, on a square of
+    WIDTH pixels.  A grid with more lines than the picture is wide in pixels
+    is a usage error: it would draw nothing legible, and a tiny side would
+    take unbounded time."""
     try:
         minx, miny, maxx, maxy = (float(v) for v in ps.bbox())
     except OverflowError:
@@ -41,39 +40,39 @@ def render_svg(
     minx -= margin
     miny -= margin
     span += 2 * margin
-    scale = width / span
+    scale = WIDTH / span
 
     def tx(x: float) -> float:
         return (x - minx) * scale
 
     def ty(y: float) -> float:
-        return width - (y - miny) * scale  # svg y axis points down
+        return WIDTH - (y - miny) * scale  # svg y axis points down
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{width}" '
-        f'viewBox="0 0 {width} {width}">',
-        f'<rect width="{width}" height="{width}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{WIDTH}" '
+        f'viewBox="0 0 {WIDTH} {WIDTH}">',
+        f'<rect width="{WIDTH}" height="{WIDTH}" fill="white"/>',
     ]
     if cell_side is not None:
-        if not span <= width * cell_side:
+        if not span <= WIDTH * cell_side:
             raise UsageError(f"the grid's cell side {cell_side:.6g} draws more lines "
-                             f"than the {width}-pixel picture is wide")
+                             f"than the {WIDTH}-pixel picture is wide")
         i0 = math.floor(minx / cell_side)
         i1 = math.ceil((minx + span) / cell_side)
         for i in range(i0, i1 + 1):
             u = tx(i * cell_side)
-            if 0 <= u <= width:
+            if 0 <= u <= WIDTH:
                 parts.append(
-                    f'<line x1="{u:.3f}" y1="0" x2="{u:.3f}" y2="{width}" '
+                    f'<line x1="{u:.3f}" y1="0" x2="{u:.3f}" y2="{WIDTH}" '
                     'stroke="#cccccc" stroke-width="0.5"/>'
                 )
         j0 = math.floor(miny / cell_side)
         j1 = math.ceil((miny + span) / cell_side)
         for j in range(j0, j1 + 1):
             v = ty(j * cell_side)
-            if 0 <= v <= width:
+            if 0 <= v <= WIDTH:
                 parts.append(
-                    f'<line x1="0" y1="{v:.3f}" x2="{width}" y2="{v:.3f}" '
+                    f'<line x1="0" y1="{v:.3f}" x2="{WIDTH}" y2="{v:.3f}" '
                     'stroke="#cccccc" stroke-width="0.5"/>'
                 )
     for li, layer in enumerate(layers):
@@ -85,9 +84,8 @@ def render_svg(
                 f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
                 f'stroke="{color}" stroke-width="1.2"/>'
             )
-    r = max(2.0, width / 400)
     for i in ps.ids:
         cx, cy = tx(float(ps.x(i))), ty(float(ps.y(i)))
-        parts.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{r:.2f}" fill="#222222"/>')
+        parts.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="2.00" fill="#222222"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -26,11 +26,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import PreconditionError
-from .geometry import PHI, PointSet, Segment, collinear_overlap, crossing_pairs, float_sqrt
+from .geometry import (
+    PHI,
+    PointSet,
+    Segment,
+    collinear_overlap,
+    crossing_pairs,
+    float_sqrt,
+    id_outside,
+)
 # build_emst is unused here; the import stays while perfbench/test_perfbench.py
 # asserts this binding, until ROADMAP item 7
 from .mst import build_emst, grid_bottleneck_sq  # noqa: F401
@@ -77,7 +84,7 @@ class LayerReport:
     edges: int
     longest_sq: Fraction  # exact square of `bottleneck`; not serialised
     longest: Segment | None  # the edge of that length; not serialised
-    overlaps: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
+    overlaps: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ class VerificationReport:
     def all_spanning(self) -> bool:
         return all(l.spanning for l in self.per_layer)
 
-    def breach(self, guarantee: Guarantee = Guarantee()) -> tuple[str, int | None, str] | None:
+    def breach(self, guarantee: Guarantee) -> tuple[str, int | None, str] | None:
         """The first property of `guarantee` the layers break, as (property,
         layer, message), or None when they keep them all.  Each layer in turn
         is checked for the length limit ("length"), planarity, spanning and,
@@ -129,9 +136,10 @@ class VerificationReport:
             return "over-twice", None, f"{over} edges exceed twice the bottleneck"
         return None
 
-    def ok(self, guarantee: Guarantee = Guarantee()) -> bool:
-        """True when the layers break no property of `guarantee`; by default,
-        when every layer is plane and spanning and no edge repeats."""
+    def ok(self, guarantee: Guarantee) -> bool:
+        """True when the layers break no property of `guarantee`; for
+        `Guarantee()`, when every layer is plane and spanning and no edge
+        repeats."""
         return self.breach(guarantee) is None
 
     def to_json_dict(self) -> dict:
@@ -184,7 +192,8 @@ class LayerCounts:
 def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCounts:
     """The spanning, disjointness and length facts of a layer list in one
     pass, with no EMST and no planarity sweep, for `verify_layers` and the
-    CLI's `stats`.
+    CLI's `stats`.  An edge with an id outside 0..n-1 raises
+    `PreconditionError` naming its layer.
 
     Components are counted by a list union-find over the point ids, one per
     layer: n minus the unions that joined two components."""
@@ -195,6 +204,10 @@ def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCoun
     repeats = []
     per_layer = []
     grid_sq = ps.scale * ps.scale
+    for j, layer in enumerate(layers):
+        bad = id_outside(layer, n)
+        if bad is not None:
+            raise PreconditionError(f"layer {j}: edge {tuple(bad)} has an id outside 0..{n - 1}")
     for j, layer in enumerate(layers):
         parent = list(range(n))
         joined = 0
@@ -236,20 +249,13 @@ def verify_layers(
     the build's).  With `measure` False no bottleneck is read, and the ratios,
     the over-twice count and `beta_sq` read as for a single point (0.0, 0
     and None).  An edge with an id outside 0..n-1 raises `PreconditionError`
-    naming its layer."""
-    n = len(ps)
-    for j, layer in enumerate(layers):
-        # a Segment is (a, b) with a < b, so the least a and the largest b
-        # bound every id of the layer
-        if layer and (min(layer)[0] < 0 or max(layer, key=itemgetter(1))[1] >= n):
-            e = next(e for e in layer if e[0] < 0 or e[1] >= n)
-            raise PreconditionError(f"layer {j}: edge {e.as_pair()} has an id outside 0..{n - 1}")
+    naming its layer, from `count_layers`, before the bottleneck is read."""
+    counts = count_layers(layers, ps)
     grid_sq = ps.scale * ps.scale
     be_sq = be_grid = None
-    if measure and n >= 2:
+    if measure and len(ps) >= 2:
         be_grid = grid_bottleneck_sq(ps)
         be_sq = Fraction(be_grid, grid_sq)
-    counts = count_layers(layers, ps)
     reports = []
     for j, (layer, c) in enumerate(zip(layers, counts.per_layer)):
         ratio = 0.0

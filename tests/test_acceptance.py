@@ -59,7 +59,7 @@ def test_criterion_1_construction1_suite(uniform_pool):
     for ps in uniform_pool:
         edges = build_emst(ps)
         root = _leaf_root(edges)
-        tt = construction1(ps, root)
+        tt = construction1(ps, root, Recoloring.ORIGINAL)
         rep = verify_layers(tt.layers(), ps)
         assert rep.all_plane
         assert rep.all_spanning

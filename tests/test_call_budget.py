@@ -55,7 +55,7 @@ from plane_layers.centralized import build_two_disjoint_trees, find_flat_vertex
 from plane_layers.cli import main
 from plane_layers.distributed import build_k_layers, locality_certificate
 from plane_layers.geometry import Segment
-from plane_layers.verify import verify_layers
+from plane_layers.verify import Guarantee, verify_layers
 
 from conftest import (
     count_mst_computations,
@@ -87,7 +87,7 @@ def test_library_build_and_verify_keep_edges_in_c(n):
 
     def build_and_verify():
         trees.append(build_two_disjoint_trees(ps))
-        assert verify_layers(trees[0].layers(), ps).ok()
+        assert verify_layers(trees[0].layers(), ps).ok(Guarantee())
 
     prof = cProfile.Profile()
     prof.runcall(build_and_verify)
@@ -130,7 +130,7 @@ class CountingAdjacency(dict):
 @pytest.mark.parametrize("n", [100, 400, 1600])
 def test_flat_build_reads_each_subtree_vertex_once(monkeypatch, n):
     ps = random_point_set(random.Random(n), n)
-    v = find_flat_vertex(mst.build_emst(ps), ps)
+    v = find_flat_vertex(ps, mst.adjacency(mst.build_emst(ps)))
     assert v is not None
     reads = Counter()
     contribution = centralized._subtree_contribution
@@ -169,8 +169,8 @@ def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
 
     monkeypatch.setattr(mst, "_triangulate", counted)
     computations = count_mst_computations(monkeypatch)
-    assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok()
-    assert verify_layers([list(layer) for layer in build_k_layers(ps, 1).layers], ps).ok()
+    assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok(Guarantee())
+    assert verify_layers([list(layer) for layer in build_k_layers(ps, 1).layers], ps).ok(Guarantee())
     assert computations == [n]
     assert accepted
     assert triangulations == []

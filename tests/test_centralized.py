@@ -58,7 +58,7 @@ def swapped_edges(tt, base):
 
 def test_construction1_three_point_path():
     ps = PointSet([(0, 0), (1, 0), (2, "0.1")])
-    tt = construction1(ps, 0)
+    tt = construction1(ps, 0, Recoloring.ORIGINAL)
     assert set(tt.red) == {Segment(0, 1), Segment(0, 2)}
     assert set(tt.blue) == {Segment(0, 1), Segment(1, 2)}
     assert tt.shared == Segment(0, 1)
@@ -66,7 +66,7 @@ def test_construction1_three_point_path():
 
 def test_construction1_two_points():
     ps = PointSet([(0, 0), (1, 1)])
-    tt = construction1(ps, 0)
+    tt = construction1(ps, 0, Recoloring.ORIGINAL)
     assert set(tt.red) == set(tt.blue) == {Segment(0, 1)}
     assert tt.shared == Segment(0, 1)
 
@@ -75,7 +75,7 @@ def test_construction1_properties_random(rng):
     for _ in range(50):
         ps = random_point_set(rng, rng.randint(4, 40))
         root = leaf_roots(ps)[0]
-        tt = construction1(ps, root)
+        tt = construction1(ps, root, Recoloring.ORIGINAL)
         check_construction1_properties(tt, ps)
         # every edge joins vertices of different levels
         rm = root_at_leaf(build_emst(ps), ps, root)
@@ -86,18 +86,18 @@ def test_construction1_properties_random(rng):
 def test_construction1_rejects_a_root_that_is_no_leaf():
     ps = PointSet([(0, 0), (1, 0), (-1, "0.1"), (0, 1)])  # a star around 0
     with pytest.raises(PreconditionError, match=r"^root 0 has degree 3, not a leaf$"):
-        construction1(ps, 0)
+        construction1(ps, 0, Recoloring.ORIGINAL)
     for root in (-1, 4):
         with pytest.raises(PreconditionError, match=rf"^root {root} not in vertex set$"):
-            construction1(ps, root)
+            construction1(ps, root, Recoloring.ORIGINAL)
     with pytest.raises(PreconditionError, match=r"^root 0 has degree 0, not a leaf$"):
-        construction1(PointSet([(0, 0)]), 0)
+        construction1(PointSet([(0, 0)]), 0, Recoloring.ORIGINAL)
 
 
 def test_construction1_one_sided_variants():
     # the chain bends clockwise of the r->s ray: everything below s is minus
     ps = PointSet([(0, 0), (1, 0), (2, "-0.3"), (3, "-0.8")])
-    base = construction1(ps, 0)
+    base = construction1(ps, 0, Recoloring.ORIGINAL)
     below = (set(base.red) | set(base.blue)) - {base.shared}
     assert swapped_edges(construction1(ps, 0, Recoloring.PLUS_INVERTED), base) == set()
     assert swapped_edges(construction1(ps, 0, Recoloring.MINUS_INVERTED), base) == below
@@ -107,7 +107,7 @@ def test_construction1_one_sided_variants():
 def test_construction1_two_branch_variants():
     # s has one branch on each side of the r->s line: {4, 5} below, {2, 3} above
     ps = PointSet([(0, 0), (1, 0), (2, 1), (3, 2), (2, -1), (3, -2)])
-    base = construction1(ps, 0)
+    base = construction1(ps, 0, Recoloring.ORIGINAL)
     minus = swapped_edges(construction1(ps, 0, Recoloring.MINUS_INVERTED), base)
     plus = swapped_edges(construction1(ps, 0, Recoloring.PLUS_INVERTED), base)
     assert minus == {e for e in set(base.red) | set(base.blue) if {4, 5} & set(e)}
@@ -120,7 +120,7 @@ def test_construction1_sides_partition_the_swap_random(rng):
     for _ in range(25):
         ps = random_point_set(rng, rng.randint(4, 30))
         root = leaf_roots(ps)[0]
-        base = construction1(ps, root)
+        base = construction1(ps, root, Recoloring.ORIGINAL)
         minus, plus, both = (swapped_edges(construction1(ps, root, v), base) for v in (
             Recoloring.MINUS_INVERTED, Recoloring.PLUS_INVERTED, Recoloring.INVERTED))
         assert not minus & plus
@@ -130,9 +130,7 @@ def test_construction1_sides_partition_the_swap_random(rng):
 def test_construction1_variants_identity_and_swap(rng):
     ps = random_point_set(rng, 15)
     root = leaf_roots(ps)[0]
-    tt = construction1(ps, root)
-    orig = construction1(ps, root, Recoloring.ORIGINAL)
-    assert orig == tt
+    tt = construction1(ps, root, Recoloring.ORIGINAL)
     inv = construction1(ps, root, Recoloring.INVERTED)
     assert set(inv.red) == set(tt.blue) and set(inv.blue) == set(tt.red)
 
@@ -141,7 +139,7 @@ def test_construction1_all_variants_keep_guarantees(rng):
     for _ in range(20):
         ps = random_point_set(rng, rng.randint(4, 30))
         root = leaf_roots(ps)[0]
-        base = construction1(ps, root)
+        base = construction1(ps, root, Recoloring.ORIGINAL)
         pool = set(base.red) | set(base.blue)
         for variant in Recoloring:
             tt = construction1(ps, root, variant)
@@ -188,12 +186,12 @@ def test_construction1_original_and_inverted_read_no_side():
 def test_find_flat_vertex_plus_shape():
     ps = PointSet([(0, 0), (1, 0), (0, 1), (-1, "0.1"), ("0.1", -1)])
     edges = build_emst(ps)
-    assert find_flat_vertex(edges, ps) == 0
+    assert find_flat_vertex(ps, adjacency(edges)) == 0
 
 
 def test_find_flat_vertex_absent_on_line():
     ps = gen_line_instance(7, "0.001")
-    assert find_flat_vertex(build_emst(ps), ps) is None
+    assert find_flat_vertex(ps, adjacency(build_emst(ps))) is None
 
 
 def test_find_flat_vertex_gaps_below_pi(rng):
@@ -209,7 +207,7 @@ def test_find_flat_vertex_gaps_below_pi(rng):
             if len(adj[v]) >= 3
             and all(s > 0 for s in gap_oracle.gap_signs(ps, v, gap_oracle.ccw_ring(ps, v, adj[v])))
         ]
-        v = find_flat_vertex(edges, ps)
+        v = find_flat_vertex(ps, adjacency(edges))
         assert v == (flat[0] if flat else None)
         found += v is not None
     assert found > 0
@@ -229,7 +227,7 @@ def test_flat_vertex_neighbors_are_in_convex_position():
         adj = adjacency(edges)
         flat = [v for v in sorted(adj)
                 if len(adj[v]) >= 3 and centralized._ring(ps, v, adj[v])[1] is None]
-        assert find_flat_vertex(edges, ps, adj=adj) == (flat[0] if flat else None)
+        assert find_flat_vertex(ps, adj) == (flat[0] if flat else None)
         returned += bool(flat)
         for v in flat:
             ring = centralized._ring(ps, v, adj[v])[0]
@@ -335,7 +333,7 @@ def test_disjoint_flat_star():
     # one hull edge, blue takes the other hull edges plus the remaining spoke
     ps = PointSet([(0, 0), (1, 0), (0, 1), (-1, "0.1"), ("0.1", -1)])
     edges = build_emst(ps)
-    tt = disjoint_trees_flat(ps, edges, 0)
+    tt = disjoint_trees_flat(ps, adjacency(edges), 0)
     spokes = {e for e in tt.red if e.touches(0)}
     assert len(spokes) == 3
     assert len([e for e in tt.blue if e.touches(0)]) == 1
@@ -357,7 +355,7 @@ def test_disjoint_flat_star_with_chain():
     )
     edges = build_emst(ps)
     assert Segment(3, 5) in edges  # the chain hangs off a spoke end
-    tt = disjoint_trees_flat(ps, edges, 0)
+    tt = disjoint_trees_flat(ps, adjacency(edges), 0)
     check_disjoint(tt, ps, 2)
 
 
@@ -366,10 +364,10 @@ def test_disjoint_flat_random(rng):
     while done < 40:
         ps = random_point_set(rng, rng.randint(6, 40))
         edges = build_emst(ps)
-        v = find_flat_vertex(edges, ps)
+        v = find_flat_vertex(ps, adjacency(edges))
         if v is None:
             continue
-        tt = disjoint_trees_flat(ps, edges, v)
+        tt = disjoint_trees_flat(ps, adjacency(edges), v)
         check_disjoint(tt, ps, 2)
         done += 1
 
@@ -378,12 +376,12 @@ def test_disjoint_flat_rejects_pointed_vertex():
     ps = gen_line_instance(6, "0.001")
     edges = build_emst(ps)
     with pytest.raises(PreconditionError):
-        disjoint_trees_flat(ps, edges, 2)
+        disjoint_trees_flat(ps, adjacency(edges), 2)
 
 
 def test_select_p_perturbed_line():
     ps = gen_line_instance(5, "0.001")
-    pc = select_P(ps, build_emst(ps))
+    pc = select_P(ps, adjacency(build_emst(ps)))
     assert pc.path == (0, 1, 2, 3)
     assert pc.tag.startswith("1")
 
@@ -400,11 +398,11 @@ def test_select_p_case_2b():
     )
     edges = build_emst(ps)
     assert len(edges) == 3 and all(e.touches(1) for e in edges)
-    pc = select_P(ps, edges)
+    pc = select_P(ps, adjacency(edges))
     assert pc.tag == "2b"
     assert pc.v3 == 0 and pc.v2 == 1
     assert {pc.v1, pc.v0} == {2, 3}
-    tt = disjoint_trees_pointed(ps, edges, pc)
+    tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
     check_disjoint(tt, ps, 2)
 
 
@@ -422,10 +420,10 @@ def test_select_p_case_2a():
     )
     edges = build_emst(ps)
     assert Segment(3, 4) in edges
-    pc = select_P(ps, edges)
+    pc = select_P(ps, adjacency(edges))
     assert pc.tag == "2a"
     assert pc.v1 == 2 and pc.v0 == 3
-    tt = disjoint_trees_pointed(ps, edges, pc)
+    tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
     check_disjoint(tt, ps, 3)
 
 
@@ -438,9 +436,9 @@ def test_select_p_tag_predicates_recomputed(rng):
         trials += 1
         ps = random_point_set(rng, rng.randint(4, 12))
         edges = build_emst(ps)
-        if find_flat_vertex(edges, ps) is not None:
+        if find_flat_vertex(ps, adjacency(edges)) is not None:
             continue
-        pc = select_P(ps, edges)
+        pc = select_P(ps, adjacency(edges))
         wps = ps.reflected() if pc.mirrored else ps
         adj = adjacency(edges)
         # the canonical conventions hold in the working orientation
@@ -461,8 +459,8 @@ def test_disjoint_pointed_perturbed_lines():
     for n in range(4, 20):
         ps = gen_line_instance(n, "0.001")
         edges = build_emst(ps)
-        pc = select_P(ps, edges)
-        tt = disjoint_trees_pointed(ps, edges, pc)
+        pc = select_P(ps, adjacency(edges))
+        tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
         check_disjoint(tt, ps, 3)
 
 
@@ -482,10 +480,10 @@ def test_disjoint_pointed_replacement_instance():
     ps = PointSet(coords)
     edges = build_emst(ps)
     assert {e.as_pair() for e in edges} == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}
-    assert find_flat_vertex(edges, ps) is None
-    pc = select_P(ps, edges)
+    assert find_flat_vertex(ps, adjacency(edges)) is None
+    pc = select_P(ps, adjacency(edges))
     assert pc.tag == "1a" and pc.path == (0, 1, 2, 3)
-    tt = disjoint_trees_pointed(ps, edges, pc)
+    tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
     all_edges = set(tt.red) | set(tt.blue)
     assert Segment(0, 3) not in all_edges  # v3v0 was replaced
     assert Segment(0, 4) in tt.blue  # by the hull-path edge through X
@@ -552,8 +550,8 @@ def test_case_one_line_build_sweeps_each_tree_once(monkeypatch, n):
     the build decides that in one sweep of each tree, with no repair."""
     ps = gen_line_instance(n, "0.001")
     edges = build_emst(ps)
-    assert find_flat_vertex(edges, ps) is None
-    pc = select_P(ps, edges)
+    assert find_flat_vertex(ps, adjacency(edges)) is None
+    pc = select_P(ps, adjacency(edges))
     assert pc.tag == "1b"
     sweeps = count_sweeps(monkeypatch)
     tt = build_two_disjoint_trees(ps)
@@ -844,9 +842,9 @@ def test_two_tree_dump_replays_through_the_cli(monkeypatch, tmp_path):
 def test_pointed_output_per_hull_layout(coords, tag, red, blue):
     ps = PointSet(coords)
     edges = build_emst(ps)
-    pc = select_P(ps, edges)
+    pc = select_P(ps, adjacency(edges))
     assert pc.tag == tag and pc.path == (0, 1, 2, 3)
-    tt = disjoint_trees_pointed(ps, edges, pc)
+    tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
     assert [e.as_pair() for e in tt.red] == red
     assert [e.as_pair() for e in tt.blue] == blue
 
@@ -1015,12 +1013,15 @@ BRANCH_GOLDENS = [
     ids=[f"{g[0]}{'-mirrored' if g[1] else ''}" for g in BRANCH_GOLDENS],
 )
 def test_pointed_output_per_branch(tag, mirrored, path, coords, red, blue):
+    """The build's output on each branch, which its stages give too when
+    called one by one on the MST adjacency."""
     ps = PointSet(coords)
-    edges = build_emst(ps)
-    assert find_flat_vertex(edges, ps) is None
-    pc = select_P(ps, edges)
+    adj = adjacency(build_emst(ps))
+    assert find_flat_vertex(ps, adj) is None
+    pc = select_P(ps, adj)
     assert (pc.tag, pc.mirrored, pc.path) == (tag, mirrored, path)
     tt = build_two_disjoint_trees(ps)
+    assert disjoint_trees_pointed(ps, adj, pc) == tt
     assert [e.as_pair() for e in tt.red] == red
     assert [e.as_pair() for e in tt.blue] == blue
 
@@ -1052,9 +1053,13 @@ FLAT_GOLDEN_BLUE = [
 
 
 def test_flat_output_pinned():
+    """The build's flat output, which its stages give too when called one
+    by one on the MST adjacency."""
     ps = PointSet(FLAT_GOLDEN_COORDS)
-    assert find_flat_vertex(build_emst(ps), ps) == 5
+    adj = adjacency(build_emst(ps))
+    assert find_flat_vertex(ps, adj) == 5
     tt = build_two_disjoint_trees(ps)
+    assert disjoint_trees_flat(ps, adj, 5) == tt
     assert [e.as_pair() for e in tt.red] == FLAT_GOLDEN_RED
     assert [e.as_pair() for e in tt.blue] == FLAT_GOLDEN_BLUE
 
@@ -1079,7 +1084,7 @@ def test_full_inversion_reads_no_side(mirror):
     so a child collinear with its root edge builds: the same trees on the
     set and on its mirror image, within ratio 1.61."""
     ps = PointSet(CASE_2A_COLLINEAR).reflected() if mirror else PointSet(CASE_2A_COLLINEAR)
-    pc = select_P(ps, build_emst(ps))
+    pc = select_P(ps, adjacency(build_emst(ps)))
     assert (pc.tag, pc.mirrored, pc.path) == ("2a", not mirror, (0, 1, 2, 3))
     tt = build_two_disjoint_trees(ps)
     assert [e.as_pair() for e in tt.red] == [(0, 1), (0, 3), (2, 3), (3, 4), (3, 5), (5, 6)]

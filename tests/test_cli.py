@@ -350,13 +350,15 @@ def test_render_grid_needs_a_distributed_file(tmp_path, capsys):
     "beta_sq, message",
     [("-1/1", "'betaSq' must be positive, got '-1/1'"),
      ("0/1", "'betaSq' must be positive, got '0/1'"),
-     (f"{10**400}/1", "the grid's cell side 6*k*sqrt(betaSq) is too large for a float")],
-    ids=["negative", "zero", "huge"],
+     (f"{10**700}/1", "the grid's cell side 6*k*sqrt(betaSq) is too large for a float"),
+     (f"{10**400}/1", None)],
+    ids=["negative", "zero", "huge", "square-beyond-float"],
 )
 def test_malformed_beta_sq_is_a_usage_error(tmp_path, capsys, beta_sq, message):
     """A betaSq of zero or below fails `verify` and `render --grid` with exit
-    2, as one too large for the grid's float cell side fails `render --grid`;
-    `stats` ignores betaSq."""
+    2, as one whose cell side 6*k*sqrt(betaSq) is too large for a float
+    fails `render --grid`; `stats` ignores betaSq.  A betaSq beyond float
+    range whose cell side is a float (10^400: 6e200) renders its grid."""
     pts, layers = tmp_path / "p.txt", tmp_path / "l.json"
     assert run("gen", "--kind", "uniform", "--n", "300", "--seed", "1", "--out", str(pts)) == 0
     assert run("build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(layers)) == 0
@@ -364,21 +366,27 @@ def test_malformed_beta_sq_is_a_usage_error(tmp_path, capsys, beta_sq, message):
     data["betaSq"] = beta_sq
     layers.write_text(json.dumps(data))
     capsys.readouterr()
-    render = ["render", str(pts), str(layers), "--grid", "--out", str(tmp_path / "x.svg")]
-    for argv, code in ((["verify", str(pts), str(layers)], 0 if "float" in message else 2),
-                       (render, 2), (["stats", str(pts), str(layers)], 0)):
+    svg = tmp_path / "x.svg"
+    render = ["render", str(pts), str(layers), "--grid", "--out", str(svg)]
+    positive = message is None or "float" in message
+    for argv, code in ((["verify", str(pts), str(layers)], 0 if positive else 2),
+                       (render, 2 if message else 0), (["stats", str(pts), str(layers)], 0)):
         assert run(*argv) == code
         err = capsys.readouterr().err
         assert err == (f"usage error: layers file: {message}\n" if code else "")
-    assert not (tmp_path / "x.svg").exists()
+    assert svg.exists() == (message is None)
+    if message is None:
+        assert "#cccccc" in svg.read_text()
 
 
-@pytest.mark.parametrize("exponent, side", [(300, "6e-150"), (400, "0")],
-                         ids=["tiny", "underflow"])
+@pytest.mark.parametrize("exponent, side", [(300, "6e-150"), (400, "6e-200"), (700, "0")],
+                         ids=["tiny", "square-below-float", "underflow"])
 def test_render_grid_finer_than_a_pixel_is_a_usage_error(tmp_path, exponent, side):
     """A betaSq so small that the grid would draw more lines than the SVG is
-    wide fails `render --grid` with exit 2 at once, also when the cell side
-    underflows to 0.0; the same file renders without `--grid`.  The render
+    wide fails `render --grid` with exit 2 at once, also when betaSq is
+    below float range (10^-400: its cell side 6e-200 is a float) and when
+    the cell side underflows to 0.0; the same file renders without
+    `--grid`.  The render
     runs in a subprocess with a timeout, since drawing such a grid line by
     line would not finish."""
     pts, layers = tmp_path / "p.txt", tmp_path / "l.json"

@@ -278,7 +278,7 @@ def k_layer_outcome(ps, k):
     except (PreconditionError, InternalAssertionError) as err:
         return type(err).__name__, getattr(err, "stage", None)
     report = verify_layers([list(layer) for layer in ls.layers], ps)
-    return ls.layers, report.ok(), report.breach(Guarantee.k_layers(k, ls.beta_sq))
+    return ls.layers, report.ok(Guarantee()), report.breach(Guarantee.k_layers(k, ls.beta_sq))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

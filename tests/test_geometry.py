@@ -935,7 +935,7 @@ def test_format_coord_exact():
 def test_perturbation_removes_collinearity():
     ps = PointSet([(0, 0), (1, 0), (2, 0), (3, 0)])
     assert collinear_triple(ps) is not None
-    moved = ps.perturbed()
+    moved = ps.perturbed(None)
     assert collinear_triple(moved) is None
     assert len(moved) == 4
 

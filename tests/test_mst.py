@@ -11,7 +11,7 @@ from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
 from plane_layers.mst import bottleneck, build_emst
-from plane_layers.verify import gen_line_instance, verify_layers
+from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
 
 from conftest import (
     acceptance_line_pool,
@@ -412,7 +412,7 @@ def test_grid_runs_once_per_point_set(monkeypatch, rng):
         want = prim_emst(ps)
         assert verify_layers([star], ps).beta_sq == bottleneck(want, ps).length_sq
         assert build_emst(ps) == want
-        assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok()
+        assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok(Guarantee())
         assert calls == [len(ps)]
 
 
@@ -585,7 +585,7 @@ def test_perturbed_and_reflected_sets_get_their_own_emst(monkeypatch):
     # breaks the ties in another order than the ids do
     ps = PointSet([(x, y) for x in range(6) for y in range(6)])
     tree = build_emst(ps)
-    moved = ps.perturbed()
+    moved = ps.perturbed(None)
     assert build_emst(moved) == prim_emst(moved) != tree
     skew = PointSet([(0, 0), (3, 1), (4, 5), (9, 2), (7, 7), (2, 8)])
     build_emst(skew)

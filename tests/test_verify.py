@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from plane_layers.centralized import build_two_disjoint_trees, construction1
+from plane_layers.centralized import Recoloring, build_two_disjoint_trees, construction1
 from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import (
@@ -12,6 +12,7 @@ from plane_layers.geometry import (
     Segment,
     _all_crossing_pairs,
     collinear_overlap,
+    crossing_pairs,
     has_crossing,
 )
 from plane_layers.mst import build_emst
@@ -35,7 +36,7 @@ def test_verify_construction1_output(rng):
         ps = random_point_set(rng, rng.randint(4, 25))
         edges = build_emst(ps)
         root = min(v for v in ps.ids if sum(1 for e in edges if e.touches(v)) == 1)
-        tt = construction1(ps, root)
+        tt = construction1(ps, root, Recoloring.ORIGINAL)
         rep = verify_layers(tt.layers(), ps)
         assert rep.all_plane and rep.all_spanning
         assert rep.duplicate_edges == (tt.shared.as_pair(),)
@@ -61,16 +62,26 @@ def test_verify_empty_layer_single_point():
 
 
 def test_verify_rejects_ids_outside_the_point_set():
-    """An id outside 0..n-1 is a precondition error naming the layer and
-    the first such edge, not a read of another point (-1 is the last one)
-    or an IndexError."""
-    ps = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
+    """An id outside 0..n-1 is a precondition error naming the first such
+    edge, not a read of another point (-1 is the last one) or an IndexError:
+    in `verify_layers` and `count_layers` with its layer, in `crossing_pairs`
+    and `has_crossing` without one."""
+    ps = PointSet([(0, 0), (4, 0), (0, 4), (4, 4)])
     tree = [Segment(0, 1), Segment(1, 2), Segment(2, 3)]
-    with pytest.raises(PreconditionError, match=r"^layer 0: edge \(-1, 0\) has an id outside 0\.\.3$"):
-        verify_layers([[Segment(-1, 0), Segment(0, 1), Segment(1, 2)]], ps)
-    with pytest.raises(PreconditionError, match=r"^layer 1: edge \(0, 7\) has an id outside 0\.\.3$"):
-        verify_layers([tree, [Segment(1, 2), Segment(0, 7), Segment(-1, 9)]], ps)
+    for check in (verify_layers, count_layers):
+        with pytest.raises(PreconditionError, match=r"^layer 0: edge \(-1, 0\) has an id outside 0\.\.3$"):
+            check([[Segment(-1, 0), Segment(0, 1), Segment(1, 2)]], ps)
+        with pytest.raises(PreconditionError, match=r"^layer 0: edge \(0, 7\) has an id outside 0\.\.3$"):
+            check([[Segment(0, 7)]], ps)
+        with pytest.raises(PreconditionError, match=r"^layer 1: edge \(0, 7\) has an id outside 0\.\.3$"):
+            check([tree, [Segment(1, 2), Segment(0, 7), Segment(-1, 9)]], ps)
+    for check in (crossing_pairs, has_crossing):
+        with pytest.raises(PreconditionError, match=r"^edge \(-1, 0\) has an id outside 0\.\.3$"):
+            check([Segment(-1, 0), Segment(1, 2)], ps)
+        with pytest.raises(PreconditionError, match=r"^edge \(0, 7\) has an id outside 0\.\.3$"):
+            check([Segment(0, 7)], ps)
     assert verify_layers([tree], ps).per_layer[0].spanning
+    assert count_layers([tree], ps).per_layer[0].components == 1
 
 
 def test_verify_flags_overlaps_only_on_request():
