@@ -84,8 +84,8 @@ class TwoTrees:
         return {
             "kind": "two-tree",
             "k": 2,
-            "red": [list(e.as_pair()) for e in self.red],
-            "blue": [list(e.as_pair()) for e in self.blue],
+            "red": list(map(list, self.red)),
+            "blue": list(map(list, self.blue)),
             "shared": list(self.shared.as_pair()) if self.shared else None,
             "ratios": {"red": self.max_ratio_red, "blue": self.max_ratio_blue},
             "bound": self.bound,

@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
     write_dump,
 )
-from .geometry import PointSet, Segment, float_sqrt, read_coord
+from .geometry import PointSet, Segment, float_sqrt, read_number
 from .mst import bottleneck_length, bottleneck_sq
 from .render import render_svg
 from .verify import Guarantee, count_layers, gen_line_instance, verify_layers
@@ -53,7 +53,9 @@ def _json_text(value, newline: str = "\n") -> str:
     """The text of `json.dumps(value, indent=2, sort_keys=True)`; `newline`
     is the line break plus the indent of the level `value` sits at.
 
-    Lists of plain ints, and lists of such lists, are joined directly; every
+    Lists of plain ints are joined directly, and each row of a list of such
+    lists fills one `%d` template per row width; a bool is not a plain int,
+    so a row holding one takes the general path and prints `true`.  Every
     other scalar and every key is left to `json.dumps`.  Keys must be str:
     json would convert other keys and sort them after converting, which this
     writer does not copy."""
@@ -79,7 +81,9 @@ def _json_text(value, newline: str = "\n") -> str:
         ) == {int}:
             # rows of plain ints, such as the edges of a layer
             start, sep, end = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-            items = [start + sep.join(map(str, row)) + end for row in value]
+            widths = list(map(len, value))
+            template = {w: start + sep.join(["%d"] * w) + end for w in set(widths)}
+            items = map(str.__mod__, map(template.__getitem__, widths), map(tuple, value))
         else:
             items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -148,11 +152,8 @@ def _beta_sq(meta: dict) -> Fraction:
 
 def _number_arg(flag: str, text: str) -> Fraction:
     """The exact value of a number option, read as a point file's coordinates
-    are (`read_coord`), so an exponent too large to build fails at once."""
-    try:
-        return Fraction(*read_coord(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag} must be a number, got {text!r}") from exc
+    are (`read_number`), so an exponent too large to build fails at once."""
+    return Fraction(*read_number(text, flag))
 
 
 def cmd_gen(args) -> int:

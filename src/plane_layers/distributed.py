@@ -686,7 +686,7 @@ class LayerSet:
             "k": self.k,
             "beta": self.beta,
             "betaSq": f"{self.beta_sq.numerator}/{self.beta_sq.denominator}",
-            "layers": [[list(e.as_pair()) for e in layer] for layer in self.layers],
+            "layers": [list(map(list, layer)) for layer in self.layers],
             "stats": list(self.stats),
         }
 

@@ -233,10 +233,10 @@ class PointSet:
         mirror._lex = None
         return mirror
 
-    def perturbed(self, eps: Fraction | None) -> "PointSet":
+    def perturbed(self, eps: Fraction | str | None) -> "PointSet":
         """Deterministic general-position perturbation: point i moves by
         eps*((i*PHI) mod 1, (i*PHI^2) mod 1).  An eps of None means 1e-7
-        times the larger bbox side.
+        times the larger bbox side; a string eps is read by `read_number`.
 
         This does not guarantee general position.  PHI is the rational
         0.6180339887, so both offsets are affine in i along any run of i
@@ -248,6 +248,8 @@ class PointSet:
             minx, miny, maxx, maxy = self.bbox()
             extent = max(maxx - minx, maxy - miny, Fraction(1))
             eps = extent / 10**7
+        elif isinstance(eps, str):
+            eps = Fraction(*read_number(eps, "eps"))
         else:
             eps = Fraction(eps)
         phi2 = PHI * PHI
@@ -409,6 +411,15 @@ def read_coord(text: str) -> tuple[int, int]:
     num, den = int(whole + frac), 10 ** len(frac)
     g = math.gcd(num, den)
     return num // g, den // g
+
+
+def read_number(text: str, what: str) -> tuple[int, int]:
+    """`read_coord` of a number given as text, such as an epsilon or a CLI
+    option, with a `UsageError` naming `what` for text it rejects."""
+    try:
+        return read_coord(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{what} must be a number, got {text!r}") from exc
 
 
 def _zero_past_exponent_bound(text: str, e: re.Match) -> bool:

@@ -37,6 +37,7 @@ from .geometry import (
     crossing_pairs,
     float_sqrt,
     id_outside,
+    read_number,
 )
 # build_emst is unused here; the import stays while perfbench/test_perfbench.py
 # asserts this binding, until ROADMAP item 7
@@ -336,15 +337,22 @@ def gen_line_instance(n: int, epsilon) -> PointSet:
     position: PHI is the rational 0.6180339887, so (i*PHI) mod 1 is affine in
     i along any run of i where it does not wrap, and the points of such a run
     are exactly collinear (n=60, eps=1/1000 has 1320 collinear triples).
-    eps must be positive.
+    eps must be positive; a string eps is read by `read_number`, a float by
+    its shortest repr.
+
+    Each point is computed from integer residues: with PHI = p/q and eps =
+    a/b, y_i = a*(2*((i*p) mod q) - q) / (2*q*b), one Fraction per point,
+    and x_i is the int i.
     """
     if n < 2:
         raise PreconditionError("line instance needs n >= 2")
-    eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
-    if eps <= 0:
+    if isinstance(epsilon, str):
+        a, b = read_number(epsilon, "epsilon")
+    else:
+        eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
+        a, b = eps.numerator, eps.denominator
+    if a <= 0:
         raise PreconditionError("epsilon must be positive")
-    pts = []
-    for i in range(n):
-        frac = (i * PHI) % 1
-        pts.append((Fraction(i), eps * (frac - Fraction(1, 2))))
-    return PointSet(pts)
+    p, q = PHI.numerator, PHI.denominator
+    den = 2 * q * b
+    return PointSet([(i, Fraction(a * (2 * (i * p % q) - q), den)) for i in range(n)])

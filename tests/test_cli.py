@@ -138,8 +138,16 @@ def _random_json_value(rng, depth):
     if kind == 6:
         return [rng.randint(-1000, 10 ** 20) for _ in range(rng.randint(0, 5))]
     if kind == 7:
-        return [[rng.randint(0, 99) for _ in range(rng.randint(1, 3))]
+        # int rows of mixed widths, negative and beyond 2**64, now and then
+        # with a bool in a row
+        rows = [[rng.choice([rng.randint(0, 99), rng.randint(-99, -1),
+                             rng.choice([-1, 1]) * rng.randrange(2 ** 64, 2 ** 200)])
+                 for _ in range(rng.randint(1, 4))]
                 for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))] = rng.choice([True, False])
+        return rows
     if kind in (8, 9):
         return [_random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
     return {_random_json_text(rng): _random_json_value(rng, depth + 1)
@@ -157,6 +165,8 @@ def test_json_text_matches_json_dumps():
         {}, [], [[]], [[], [1]], [1, True], [[1, 2], [3, False]], [[1, 2], (3, 4)],
         {"a": [[0, 1], [2, 3]], "b": {"c": None}}, (1, 2), [1, 2.0], [[1, None]],
         [-(10 ** 40), 0, 10 ** 40], "é\n", 7, 0.1, float("nan"), None,
+        [[1], [2, -3], [4, 5, 6], [-7, 2 ** 64, -(2 ** 70), 9]], [[0, 1], [2, True]],
+        {"a": [[False, 1]], "b": [(1, 2, 3), [4]]},
     ]
     payloads = fixed + [_random_json_value(rng, 0) for _ in range(2000)]
     for value in payloads:
@@ -773,6 +783,26 @@ def test_exponents_too_large_to_build_are_usage_errors(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.stdout == "UsageError point 1: invalid coordinate '1E+999999999'\n", proc.stderr
+
+
+def test_library_epsilon_with_huge_exponent_is_a_usage_error():
+    """A string epsilon given to the library is read as a coordinate is, so
+    1e-99999999 fails at once instead of building a power of ten of a
+    hundred million digits.  Run in a subprocess with a timeout, so a
+    regression fails instead of hanging."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    script = ("from plane_layers.geometry import PointSet\n"
+              "from plane_layers.verify import gen_line_instance\n"
+              "for make in (lambda: gen_line_instance(5, '1e-99999999'),\n"
+              "             lambda: PointSet([(0, 0), (1, 1)]).perturbed('1e-99999999')):\n"
+              "    try:\n"
+              "        make()\n"
+              "    except Exception as exc:\n"
+              "        print(type(exc).__name__, exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.stdout == ("UsageError epsilon must be a number, got '1e-99999999'\n"
+                           "UsageError eps must be a number, got '1e-99999999'\n"), proc.stderr
 
 
 def test_coordinate_forms_read_as_their_values(tmp_path):

@@ -21,7 +21,7 @@ import pytest
 from plane_layers.centralized import build_two_disjoint_trees
 from plane_layers.cli import main
 from plane_layers.geometry import PointSet
-from plane_layers.verify import verify_layers
+from plane_layers.verify import gen_line_instance, verify_layers
 
 from conftest import random_point_set
 
@@ -46,6 +46,16 @@ def test_point_set_from_decimal_strings(n):
            for i in range(n)]
     sets = []
     assert fraction_constructions(lambda: sets.append(PointSet(pts))) == 0
+    assert len(sets[0]) == n
+
+
+@pytest.mark.parametrize("n", [100, 400, 1600])
+def test_line_instance_one_fraction_per_coordinate(n):
+    """The near-line generator computes each y from integer residues, one
+    Fraction per point; `PointSet` reads each (int, Fraction) pair through
+    Fraction, two more."""
+    sets = []
+    assert fraction_constructions(lambda: sets.append(gen_line_instance(n, "0.001"))) <= 3 * n + 1
     assert len(sets[0]) == n
 
 

@@ -8,6 +8,7 @@ from plane_layers.centralized import Recoloring, build_two_disjoint_trees, const
 from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
 from plane_layers.geometry import (
+    PHI,
     PointSet,
     Segment,
     _all_crossing_pairs,
@@ -128,10 +129,25 @@ def test_gen_line_instance_shape():
     # constructions never orient exactly those triples (verified at scale in
     # the acceptance suite)
     assert collinear_triple(gen_line_instance(8, "0.001")) is not None
-    with pytest.raises(PreconditionError):
-        gen_line_instance(4, 0)
-    with pytest.raises(PreconditionError):
-        gen_line_instance(1, "0.001")
+    for n, epsilon in [(4, 0), (4, "0"), (4, "-0.001"), (4, -0.5), (4, Fraction(-1, 3)),
+                       (1, "0.001"), (0, "0.001"), (-3, "0.001")]:
+        with pytest.raises(PreconditionError):
+            gen_line_instance(n, epsilon)
+
+
+def phi_formula_line_instance(n, epsilon):
+    """The near-line adversary by its defining formula, (i, eps*((i*PHI)
+    mod 1 - 1/2)) in Fractions: the oracle for `gen_line_instance`."""
+    eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
+    return PointSet([(Fraction(i), eps * ((i * PHI) % 1 - Fraction(1, 2))) for i in range(n)])
+
+
+@pytest.mark.parametrize("epsilon", ["0.001", "1/3", "7", "2.5e-9", 0.001, Fraction(1, 10**30)])
+def test_gen_line_instance_matches_the_phi_formula(epsilon):
+    for n in [*range(2, 65), 500, 1000]:
+        got, want = gen_line_instance(n, epsilon), phi_formula_line_instance(n, epsilon)
+        assert got.to_text() == want.to_text(), n
+        assert (got.scale, got.grid) == (want.scale, want.grid), n
 
 
 def test_mutations_trip_checks(rng):
