@@ -38,12 +38,9 @@ from .errors import (
     UsageError,
 )
 from .geometry import (
-    Orientation,
     PointSet,
     Segment,
-    ccw_order_around,
     convex_hull,
-    properly_cross,
 )
 from .mst import (
     BottleneckInfo,

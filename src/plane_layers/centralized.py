@@ -41,13 +41,11 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import (
-    Orientation,
     PointSet,
     Segment,
-    ccw_order_around,
+    angular_order,
     convex_hull,
     id_strictly_inside_polygon,
-    orientation_ids,
 )
 from .mst import adjacency, build_emst
 from .verify import Guarantee, verify_layers
@@ -136,13 +134,16 @@ def _ring(ps: PointSet, v: int, nbrs: Sequence[int]) -> tuple[list[int], int | N
     pi.  The gaps sum to 2pi, so at most one is above pi; a single neighbor
     leaves one gap of 2pi.
 
-    A gap is above pi when its cross product is negative.  A zero cross
-    product, two neighbors on one ray or an exact-pi gap, violates general
-    position."""
+    The neighbors' grid offsets from v are taken once: `angular_order`
+    sorts them, and a gap is above pi when the cross product of its two
+    offsets is negative.  A zero cross product, two neighbors on one ray or
+    an exact-pi gap, violates general position."""
     if len(nbrs) == 1:
         return list(nbrs), 0
-    ring = ccw_order_around(v, nbrs, ps)
-    dirs = ps.offsets(ring, *ps.scaled(v), ps.scale)
+    offsets = ps.offsets(nbrs, *ps.scaled(v), ps.scale)
+    order = angular_order(offsets)
+    ring = [nbrs[k] for k in order]
+    dirs = [offsets[k] for k in order]
     big = None
     for i, ((ax, ay), (bx, by)) in enumerate(zip(dirs, dirs[1:] + dirs[:1])):
         c = ax * by - ay * bx
@@ -330,21 +331,19 @@ class PCase:
     tag: str
     mirrored: bool
 
-    @property
-    def path(self) -> tuple[int, int, int, int]:
-        return (self.v3, self.v2, self.v1, self.v0)
-
 
 class _WlogViolation(Exception):
     """Selection ran against the canonical orientation; mirror and retry."""
 
 
 def _cw_angle_below_pi(ps: PointSet, apex: int, frm: int, to: int) -> bool:
-    """Clockwise angle from ray apex->frm to ray apex->to below pi."""
-    o = orientation_ids(ps, apex, frm, to)
-    if o is Orientation.COLLINEAR:
+    """Clockwise angle from ray apex->frm to ray apex->to below pi: the
+    cross product of the two rays' grid offsets is negative."""
+    (px, py), (ax, ay), (bx, by) = ps.scaled(apex), ps.scaled(frm), ps.scaled(to)
+    c = (ax - px) * (by - py) - (ay - py) * (bx - px)
+    if c == 0:
         raise GeneralPositionError(f"{frm}, {apex}, {to} are collinear")
-    return o is Orientation.CLOCKWISE
+    return c < 0
 
 
 def select_P(ps: PointSet, adj: dict[int, list[int]]) -> PCase:

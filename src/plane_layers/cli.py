@@ -150,12 +150,6 @@ def _beta_sq(meta: dict) -> Fraction:
     return value
 
 
-def _number_arg(flag: str, text: str) -> Fraction:
-    """The exact value of a number option, read as a point file's coordinates
-    are (`read_number`), so an exponent too large to build fails at once."""
-    return Fraction(*read_number(text, flag))
-
-
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise UsageError("n must be >= 1")
@@ -173,7 +167,7 @@ def cmd_gen(args) -> int:
             return (rng.gauss(cx, args.sigma), rng.gauss(cy, args.sigma))
         pts = _distinct_points(args.n, sample)
     else:  # line
-        ps = gen_line_instance(args.n, _number_arg("--eps", args.eps)) if args.n >= 2 else None
+        ps = gen_line_instance(args.n, read_number(args.eps, "--eps")) if args.n >= 2 else None
         if ps is None:
             raise UsageError("line instances need n >= 2")
         _write(args.out, ps.to_text())
@@ -212,11 +206,11 @@ def cmd_build(args) -> int:
     ps = _load_points(args.input)
     beta = None
     if args.beta is not None and (args.beta or args.mode == "distributed"):
-        beta = _number_arg("--beta", args.beta)  # a malformed number before a misplaced one
+        beta = read_number(args.beta, "--beta")  # a malformed number before a misplaced one
     if args.mode == "two-tree" and args.beta is not None:
         raise UsageError("--beta applies to --mode distributed only")
     if args.perturb is not None:
-        eps = _number_arg("--perturb", args.perturb) if args.perturb else None
+        eps = read_number(args.perturb, "--perturb") if args.perturb else None
         ps = ps.perturbed(eps)
     if args.mode == "two-tree":
         trees = build_two_disjoint_trees(ps)

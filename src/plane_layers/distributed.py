@@ -32,7 +32,7 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import InternalAssertionError, PreconditionError, UsageError
-from .geometry import PointSet, Segment, angular_order, float_sqrt
+from .geometry import PointSet, Segment, angular_order, float_sqrt, read_number
 from .mst import bottleneck_length, bottleneck_sq, build_emst
 from .verify import Guarantee, verify_layers
 
@@ -118,7 +118,8 @@ def grid_cell_side(k: int, beta_sq: Fraction) -> float:
 
 def _as_beta_sq(beta, ps: PointSet) -> Fraction:
     """Normalize a beta argument to its exact square; None means the MST
-    bottleneck of ps, the last join of the EMST join order kept on ps."""
+    bottleneck of ps, the last join of the EMST join order kept on ps, and
+    any other beta is read by `read_number`."""
     if beta is None:
         if len(ps) < 2:
             raise PreconditionError("beta default needs a point set with n >= 2")
@@ -126,9 +127,7 @@ def _as_beta_sq(beta, ps: PointSet) -> Fraction:
         # asserts it (test_call_counts_repeat), until ROADMAP item 7
         build_emst(ps)
         return bottleneck_sq(ps)
-    if isinstance(beta, float):
-        beta = Fraction(str(beta))
-    beta = Fraction(beta)
+    beta = read_number(beta, "beta")
     if beta <= 0:
         raise PreconditionError("beta must be positive")
     return beta * beta
@@ -136,13 +135,16 @@ def _as_beta_sq(beta, ps: PointSet) -> Fraction:
 
 def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
     """The `GridIndex` of ps at cell side 6*k*sqrt(beta_sq), once k, n and
-    beta_sq meet the construction's preconditions."""
+    beta_sq meet the construction's preconditions.  k must be an int (a
+    bool would be written as true), and beta_sq is read by `read_number`."""
     n = len(ps)
+    if type(k) is not int:
+        raise UsageError(f"k must be an int, got {k!r}")
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if n < 12 * k - 3:
         raise PreconditionError(f"n={n} below the required 4*(3k-1)+1 = {12 * k - 3}")
-    q = Fraction(beta_sq)
+    q = read_number(beta_sq, "beta_sq")
     if q <= 0:
         raise PreconditionError("beta^2 must be positive")
     return GridIndex(ps, k, q)

@@ -1,4 +1,4 @@
-"""Exact planar primitives: orientation, proper crossing, hulls, angular order.
+"""Exact planar primitives: crossing sweep, hulls, angular order.
 
 Each point set holds its coordinates exactly on one scaled integer grid
 (scale: the lcm of the coordinates' denominators).  `read_coord` reads the
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 from math import atan2, tau
@@ -28,12 +27,6 @@ from .errors import PreconditionError, UsageError
 
 # Rational stand-in for 1/phi used by the deterministic perturbation.
 PHI = Fraction("0.6180339887")
-
-
-class Orientation(Enum):
-    CLOCKWISE = -1
-    COLLINEAR = 0
-    COUNTERCLOCKWISE = 1
 
 
 class Segment(tuple):
@@ -76,11 +69,12 @@ class PointSet:
 
     Internally all coordinates are scaled to a common integer grid; fast
     predicates run on the integer coordinates, exact rationals are exposed
-    through :meth:`x` and :meth:`y`.  When every coordinate given to the
-    constructor is a string, each is read by `read_coord`, as a point file's
-    are; otherwise each goes through Fraction.  An entry that is not an (x,
-    y) pair of finite numbers raises `UsageError` naming it.  `to_text` prints a grid whose
-    scale divides a power of ten from one multiplier.
+    through :meth:`x` and :meth:`y`.  A string coordinate is read by
+    `read_coord`, as a point file's are, also among numbers; any other goes
+    through Fraction, so a float keeps its exact binary value.  An entry that
+    is not an (x, y) pair of finite numbers raises `UsageError` naming it.
+    `to_text` prints a grid whose scale divides a power of ten from one
+    multiplier.
 
     A point set keeps its grid (`scale`, `grid`) and, since the grid never
     changes after construction, two things derived from it alone, each
@@ -106,8 +100,10 @@ class PointSet:
                 xs = [read_coord(c[0]) for c in coords]
                 ys = [read_coord(c[1]) for c in coords]
             else:
-                fx = [Fraction(c[0]) for c in coords]
-                fy = [Fraction(c[1]) for c in coords]
+                fx = [Fraction(*read_coord(c[0])) if isinstance(c[0], str) else Fraction(c[0])
+                      for c in coords]
+                fy = [Fraction(*read_coord(c[1])) if isinstance(c[1], str) else Fraction(c[1])
+                      for c in coords]
                 xs = [(f.numerator, f.denominator) for f in fx]
                 ys = [(f.numerator, f.denominator) for f in fy]
         except (TypeError, LookupError, ValueError, ArithmeticError) as exc:
@@ -233,10 +229,12 @@ class PointSet:
         mirror._lex = None
         return mirror
 
-    def perturbed(self, eps: Fraction | str | None) -> "PointSet":
+    def perturbed(self, eps: Fraction | int | float | str | None) -> "PointSet":
         """Deterministic general-position perturbation: point i moves by
         eps*((i*PHI) mod 1, (i*PHI^2) mod 1).  An eps of None means 1e-7
-        times the larger bbox side; a string eps is read by `read_number`.
+        times the larger bbox side; any other eps is read by `read_number`,
+        so a float is read by its shortest repr: 0.1 moves the points as
+        "0.1" does.
 
         This does not guarantee general position.  PHI is the rational
         0.6180339887, so both offsets are affine in i along any run of i
@@ -248,10 +246,8 @@ class PointSet:
             minx, miny, maxx, maxy = self.bbox()
             extent = max(maxx - minx, maxy - miny, Fraction(1))
             eps = extent / 10**7
-        elif isinstance(eps, str):
-            eps = Fraction(*read_number(eps, "eps"))
         else:
-            eps = Fraction(eps)
+            eps = read_number(eps, "eps")
         phi2 = PHI * PHI
         return PointSet(
             [
@@ -413,13 +409,22 @@ def read_coord(text: str) -> tuple[int, int]:
     return num // g, den // g
 
 
-def read_number(text: str, what: str) -> tuple[int, int]:
-    """`read_coord` of a number given as text, such as an epsilon or a CLI
-    option, with a `UsageError` naming `what` for text it rejects."""
-    try:
-        return read_coord(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{what} must be a number, got {text!r}") from exc
+def read_number(value: str | float | int | Fraction, what: str) -> Fraction:
+    """The exact value of a number argument, such as an epsilon, a beta or a
+    CLI option.  A str is read by `read_coord`, as a point file's
+    coordinates are, so an exponent too large to build fails at once; a
+    float is read by its shortest repr (`float.__repr__`), so 0.1 is 1/10;
+    an int or a Fraction is taken as it is.  Text that `read_coord` rejects
+    and a value of any other type raise `UsageError` naming `what`."""
+    text = repr(value) if isinstance(value, float) else value
+    if isinstance(text, str):
+        try:
+            return Fraction(*read_coord(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"{what} must be a number, got {value!r}") from exc
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise UsageError(f"{what} must be a number, got {value!r}")
 
 
 def _zero_past_exponent_bound(text: str, e: re.Match) -> bool:
@@ -506,28 +511,6 @@ def cross_sign(ax, ay, bx, by, cx, cy) -> int:
     return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
-def orientation_ids(ps: PointSet, a: int, b: int, c: int) -> Orientation:
-    ax, ay = ps.scaled(a)
-    bx, by = ps.scaled(b)
-    cx, cy = ps.scaled(c)
-    return Orientation(cross_sign(ax, ay, bx, by, cx, cy))
-
-
-def properly_cross(s1: Segment, s2: Segment, ps: PointSet) -> bool:
-    """True iff the open segments meet in exactly one point and share no
-    endpoint.  Collinear overlaps and endpoint contacts count as non-crossing."""
-    for v in (s1.a, s1.b, s2.a, s2.b):
-        if v not in ps.ids:
-            raise PreconditionError(f"segment endpoint {v} not in point set")
-    if s1.shares_endpoint(s2):
-        return False
-    ax, ay = ps.scaled(s1.a)
-    bx, by = ps.scaled(s1.b)
-    cx, cy = ps.scaled(s2.a)
-    dx, dy = ps.scaled(s2.b)
-    return _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy)
-
-
 def _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
     # Bounding-box reject keeps the all-pairs planarity checks cheap.
     if min(ax, bx) > max(cx, dx) or min(cx, dx) > max(ax, bx):
@@ -564,8 +547,8 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     de Berg et al., Computational Geometry, section 2.1).  The status lists the
     active segments bottom to top along a sweep line turned infinitesimally
     counterclockwise from vertical, so vertical segments need no special
-    case.  Shared endpoints, T-junctions and collinear overlaps never cross,
-    exactly as in `properly_cross`.
+    case.  Shared endpoints, T-junctions and collinear overlaps never cross:
+    a pair crosses when its open segments meet in exactly one point.
 
     Each segment runs from its lower-ranked endpoint to the other one, and
     is bucketed under both: every point keeps the list of segments starting
@@ -754,28 +737,6 @@ def _all_crossing_pairs(edges: Sequence[Segment], ps: PointSet) -> list[tuple[Se
     return out
 
 
-def collinear_overlap(s1: Segment, s2: Segment, ps: PointSet) -> bool:
-    """True iff the segments are collinear and overlap in more than one point.
-
-    Such pairs are non-crossing by convention; verification can optionally
-    flag them.
-    """
-    ax, ay = ps.scaled(s1.a)
-    bx, by = ps.scaled(s1.b)
-    cx, cy = ps.scaled(s2.a)
-    dx, dy = ps.scaled(s2.b)
-    if cross_sign(ax, ay, bx, by, cx, cy) or cross_sign(ax, ay, bx, by, dx, dy):
-        return False
-    # Project on the dominant axis of s1.
-    if abs(bx - ax) >= abs(by - ay):
-        lo1, hi1 = sorted((ax, bx))
-        lo2, hi2 = sorted((cx, dx))
-    else:
-        lo1, hi1 = sorted((ay, by))
-        lo2, hi2 = sorted((cy, dy))
-    return max(lo1, lo2) < min(hi1, hi2)
-
-
 def convex_hull(ids: Sequence[int], ps: PointSet) -> list[int]:
     """Counterclockwise hull of the given ids; collinear mid-edge points are
     dropped; the walk starts at the lowest-y (then lowest-x) vertex.
@@ -861,13 +822,4 @@ def angular_order(vecs: Sequence[tuple[int, int]]) -> list[int]:
         if cmp(order[t - 1], order[t]) > 0:
             return sorted(order, key=cmp_to_key(cmp))
     return order
-
-
-def ccw_order_around(pivot: int, ids: Sequence[int], ps: PointSet) -> list[int]:
-    """Ids sorted counterclockwise by angle from the positive x-axis at the
-    point `pivot` of the set."""
-    if pivot in ids:
-        raise PreconditionError(f"pivot coincides with point {pivot}")
-    vecs = ps.offsets(ids, *ps.scaled(pivot), ps.scale)
-    return [ids[k] for k in angular_order(vecs)]
 

@@ -28,12 +28,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, UsageError
 from .geometry import (
     PHI,
     PointSet,
     Segment,
-    collinear_overlap,
     crossing_pairs,
     float_sqrt,
     id_outside,
@@ -295,17 +294,21 @@ def verify_layers(
 def _overlapping_pairs(layer: Sequence[Segment], ps: PointSet) -> tuple:
     """Collinear pairs overlapping in more than one point, ordered by index
     pair (i, j), i < j.  Only edges on one supporting line are compared: the
-    key is the reduced direction, sign fixed, and its cross with a point."""
-    lines: dict[tuple[int, int, int], list[int]] = {}
+    key is the reduced direction (dx, dy), sign fixed, and its cross with a
+    point.  Each edge keeps its interval dx*x + dy*y along that line, and
+    two intervals overlap when the larger low end is below the smaller high."""
+    lines: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     for i, e in enumerate(layer):
         (ax, ay), (bx, by) = ps.scaled(e.a), ps.scaled(e.b)
         g = math.gcd(bx - ax, by - ay)
         dx, dy = (bx - ax) // g, (by - ay) // g
         if dy < 0 or (dy == 0 and dx < 0):
             dx, dy = -dx, -dy
-        lines.setdefault((dx, dy, dx * ay - dy * ax), []).append(i)
-    found = sorted((i, j) for group in lines.values() for i, j in combinations(group, 2)
-                   if collinear_overlap(layer[i], layer[j], ps))
+        s, t = dx * ax + dy * ay, dx * bx + dy * by
+        lines.setdefault((dx, dy, dx * ay - dy * ax), []).append((i, min(s, t), max(s, t)))
+    found = sorted((i, j) for group in lines.values()
+                   for (i, lo, hi), (j, lo2, hi2) in combinations(group, 2)
+                   if max(lo, lo2) < min(hi, hi2))
     return tuple((layer[i].as_pair(), layer[j].as_pair()) for i, j in found)
 
 
@@ -337,20 +340,19 @@ def gen_line_instance(n: int, epsilon) -> PointSet:
     position: PHI is the rational 0.6180339887, so (i*PHI) mod 1 is affine in
     i along any run of i where it does not wrap, and the points of such a run
     are exactly collinear (n=60, eps=1/1000 has 1320 collinear triples).
-    eps must be positive; a string eps is read by `read_number`, a float by
-    its shortest repr.
+    n must be an int of at least 2, not a bool, and eps, read by
+    `read_number` (a float by its shortest repr), must be positive.
 
     Each point is computed from integer residues: with PHI = p/q and eps =
     a/b, y_i = a*(2*((i*p) mod q) - q) / (2*q*b), one Fraction per point,
     and x_i is the int i.
     """
+    if type(n) is not int:
+        raise UsageError(f"n must be an int, got {n!r}")
     if n < 2:
         raise PreconditionError("line instance needs n >= 2")
-    if isinstance(epsilon, str):
-        a, b = read_number(epsilon, "epsilon")
-    else:
-        eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
-        a, b = eps.numerator, eps.denominator
+    eps = read_number(epsilon, "epsilon")
+    a, b = eps.numerator, eps.denominator
     if a <= 0:
         raise PreconditionError("epsilon must be positive")
     p, q = PHI.numerator, PHI.denominator

@@ -14,7 +14,9 @@ from typing import Sequence
 
 from plane_layers import centralized
 from plane_layers.errors import GeneralPositionError, InternalAssertionError
-from plane_layers.geometry import Orientation, PointSet, ccw_order_around, orientation_ids
+from plane_layers.geometry import PointSet
+
+from predicates import Orientation, ccw_order_around, orientation_ids
 
 
 def ccw_ring(ps: PointSet, v: int, nbrs: Sequence[int]) -> list[int]:

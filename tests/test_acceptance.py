@@ -13,7 +13,7 @@ import pytest
 
 from plane_layers.centralized import Recoloring, build_two_disjoint_trees, construction1
 from plane_layers.distributed import Certifier, build_k_layers, center_point
-from plane_layers.geometry import Segment, properly_cross
+from plane_layers.geometry import Segment
 from plane_layers.mst import build_emst
 from plane_layers.verify import (
     Guarantee,
@@ -29,6 +29,7 @@ from conftest import (
     random_edge_mutation,
     random_point_set,
 )
+from predicates import properly_cross
 from rational_points import exact_coords
 from square_graph import lemma_mst2_cross, mst_square, root_at_leaf
 from test_distributed import brute_depth

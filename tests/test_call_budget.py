@@ -4,8 +4,9 @@ verify, and the EMST of uniform points keeps to the grid's check budget.
 `Segment` is a tuple, so sorting, hashing and comparing edges run in C, and
 `count_layers` counts components with a list union-find over the point ids.
 A build plus a verify then calls no Python-level `Segment` comparison, hash
-or initialiser, no `UnionFind` from `count_layers`, and `ccw_order_around`
-only for the few vertices the construction fans around, whatever n is.  A
+or initialiser, no `UnionFind` from `count_layers`, and the ring scan
+`centralized._ring` only for the few vertices the construction fans around,
+whatever n is.  A
 per-edge Python dunder or a per-vertex angular sort creeping back shows up
 here as a count above zero or one that grows with n.
 
@@ -106,7 +107,7 @@ def test_library_build_and_verify_keep_edges_in_c(n):
     ccw = sum(
         calls
         for (file, _, name), (_, calls, *_) in stats.items()
-        if Path(file).name == "geometry.py" and name == "ccw_order_around"
+        if Path(file).name == "centralized.py" and name == "_ring"
     )
     assert ccw <= CCW_BUDGET
 

@@ -18,7 +18,7 @@ from plane_layers.centralized import (
 )
 from plane_layers.cli import main
 from plane_layers.errors import GeneralPositionError, InternalAssertionError, PreconditionError
-from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
+from plane_layers.geometry import PointSet, Segment, convex_hull
 from plane_layers.mst import adjacency, bottleneck, build_emst
 from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
 
@@ -30,6 +30,7 @@ from conftest import (
     count_sweeps,
     random_point_set,
 )
+from predicates import properly_cross
 from rational_points import exact_coords
 from square_graph import root_at_leaf, root_edge_coloring
 from unionfind import UnionFind
@@ -382,7 +383,7 @@ def test_disjoint_flat_rejects_pointed_vertex():
 def test_select_p_perturbed_line():
     ps = gen_line_instance(5, "0.001")
     pc = select_P(ps, adjacency(build_emst(ps)))
-    assert pc.path == (0, 1, 2, 3)
+    assert (pc.v3, pc.v2, pc.v1, pc.v0) == (0, 1, 2, 3)
     assert pc.tag.startswith("1")
 
 
@@ -482,7 +483,7 @@ def test_disjoint_pointed_replacement_instance():
     assert {e.as_pair() for e in edges} == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}
     assert find_flat_vertex(ps, adjacency(edges)) is None
     pc = select_P(ps, adjacency(edges))
-    assert pc.tag == "1a" and pc.path == (0, 1, 2, 3)
+    assert pc.tag == "1a" and (pc.v3, pc.v2, pc.v1, pc.v0) == (0, 1, 2, 3)
     tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
     all_edges = set(tt.red) | set(tt.blue)
     assert Segment(0, 3) not in all_edges  # v3v0 was replaced
@@ -843,7 +844,7 @@ def test_pointed_output_per_hull_layout(coords, tag, red, blue):
     ps = PointSet(coords)
     edges = build_emst(ps)
     pc = select_P(ps, adjacency(edges))
-    assert pc.tag == tag and pc.path == (0, 1, 2, 3)
+    assert pc.tag == tag and (pc.v3, pc.v2, pc.v1, pc.v0) == (0, 1, 2, 3)
     tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
     assert [e.as_pair() for e in tt.red] == red
     assert [e.as_pair() for e in tt.blue] == blue
@@ -1019,7 +1020,7 @@ def test_pointed_output_per_branch(tag, mirrored, path, coords, red, blue):
     adj = adjacency(build_emst(ps))
     assert find_flat_vertex(ps, adj) is None
     pc = select_P(ps, adj)
-    assert (pc.tag, pc.mirrored, pc.path) == (tag, mirrored, path)
+    assert (pc.tag, pc.mirrored, (pc.v3, pc.v2, pc.v1, pc.v0)) == (tag, mirrored, path)
     tt = build_two_disjoint_trees(ps)
     assert disjoint_trees_pointed(ps, adj, pc) == tt
     assert [e.as_pair() for e in tt.red] == red
@@ -1085,7 +1086,7 @@ def test_full_inversion_reads_no_side(mirror):
     set and on its mirror image, within ratio 1.61."""
     ps = PointSet(CASE_2A_COLLINEAR).reflected() if mirror else PointSet(CASE_2A_COLLINEAR)
     pc = select_P(ps, adjacency(build_emst(ps)))
-    assert (pc.tag, pc.mirrored, pc.path) == ("2a", not mirror, (0, 1, 2, 3))
+    assert (pc.tag, pc.mirrored, (pc.v3, pc.v2, pc.v1, pc.v0)) == ("2a", not mirror, (0, 1, 2, 3))
     tt = build_two_disjoint_trees(ps)
     assert [e.as_pair() for e in tt.red] == [(0, 1), (0, 3), (2, 3), (3, 4), (3, 5), (5, 6)]
     assert [e.as_pair() for e in tt.blue] == [(0, 2), (1, 2), (1, 3), (1, 4), (4, 5), (4, 6)]

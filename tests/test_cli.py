@@ -805,6 +805,28 @@ def test_library_epsilon_with_huge_exponent_is_a_usage_error():
                            "UsageError eps must be a number, got '1e-99999999'\n"), proc.stderr
 
 
+def test_library_numbers_with_huge_exponents_are_usage_errors():
+    """A beta, a betaSq and a string coordinate among numbers are read as a
+    point file's coordinates are, so an exponent too large to build fails at
+    once.  Run in a subprocess with a timeout, as above."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    script = ("from plane_layers.distributed import build_k_layers, grid_partition\n"
+              "from plane_layers.geometry import PointSet\n"
+              "ps = PointSet([(i, i * i) for i in range(9)])\n"
+              "for make in (lambda: build_k_layers(ps, 1, '1e99999999'),\n"
+              "             lambda: grid_partition(ps, 1, '1e99999999'),\n"
+              "             lambda: PointSet([(0, 0), (1, '1e999999999')])):\n"
+              "    try:\n"
+              "        make()\n"
+              "    except Exception as exc:\n"
+              "        print(type(exc).__name__, exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.stdout == ("UsageError beta must be a number, got '1e99999999'\n"
+                           "UsageError beta_sq must be a number, got '1e99999999'\n"
+                           "UsageError point 1: invalid coordinate '1e999999999'\n"), proc.stderr
+
+
 def test_coordinate_forms_read_as_their_values(tmp_path):
     """Signs, exponents, fractions, underscores and non-ASCII digits in a
     point file build the same trees as the plain decimals they stand for."""

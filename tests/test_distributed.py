@@ -31,7 +31,7 @@ from plane_layers.distributed import (
     locality_certificate,
     tukey_depth,
 )
-from plane_layers.errors import InternalAssertionError, PreconditionError
+from plane_layers.errors import InternalAssertionError, PreconditionError, UsageError
 from plane_layers.geometry import (
     PointSet,
     Segment,
@@ -39,7 +39,6 @@ from plane_layers.geometry import (
     convex_hull,
     crossing_pairs,
     id_strictly_inside_polygon,
-    properly_cross,
 )
 from plane_layers.mst import bottleneck, build_emst
 from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
@@ -52,6 +51,7 @@ from conftest import (
     jittered_lattice,
     random_point_set,
 )
+from predicates import properly_cross
 from rational_points import exact_coords
 from sector_oracle import clockwise_around, index_star_layers, sector_index, strictly_inside_cw
 from unionfind import UnionFind
@@ -346,6 +346,29 @@ def test_grid_partition_preconditions(rng):
         grid_partition(ps, 1, Fraction(1, 10**12))  # no dense box possible
     with pytest.raises(PreconditionError):
         grid_partition(ps, 2, Fraction(1))  # n below 12k-3
+
+
+def test_k_and_beta_of_the_wrong_type_are_usage_errors(rng):
+    """k must be an int, and beta or betaSq a number that `read_number`
+    reads; a k below 1 stays a precondition failure."""
+    ps = PointSet(cluster(rng, 30, 0, 0))
+    for k, beta, message in [(1.5, None, "k must be an int, got 1.5"),
+                             ("2", None, "k must be an int, got '2'"),
+                             (True, None, "k must be an int, got True"),
+                             (1, "abc", "beta must be a number, got 'abc'"),
+                             (1, "1/0", "beta must be a number, got '1/0'"),
+                             (1, [1], "beta must be a number, got [1]")]:
+        with pytest.raises(UsageError) as info:
+            build_k_layers(ps, k, beta)
+        assert str(info.value) == message
+    for beta_sq in ("abc", "1/0", None):
+        with pytest.raises(UsageError) as info:
+            grid_partition(ps, 1, beta_sq)
+        assert str(info.value) == f"beta_sq must be a number, got {beta_sq!r}"
+    for beta_sq in ("1/4", 0.25, Fraction(1, 4)):
+        assert grid_partition(ps, 1, beta_sq).beta_sq == Fraction(1, 4)
+    with pytest.raises(PreconditionError, match=r"^k must be >= 1$"):
+        build_k_layers(ps, 0)
 
 
 def clustered_point_set(rng, n, extent=100.0):

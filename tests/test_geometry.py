@@ -12,24 +12,26 @@ from plane_layers import geometry
 from plane_layers.cli import main
 from plane_layers.errors import PreconditionError, UsageError
 from plane_layers.geometry import (
-    Orientation,
     PointSet,
     Segment,
     _format_ratio,
-    ccw_order_around,
-    collinear_overlap,
     convex_hull,
     _all_crossing_pairs,
     crossing_pairs,
     cross_sign,
     has_crossing,
     id_strictly_inside_polygon,
-    orientation_ids,
-    properly_cross,
     read_coord,
 )
 
 from conftest import collinear_triple, random_point_set
+from predicates import (
+    Orientation,
+    ccw_order_around,
+    collinear_overlap,
+    orientation_ids,
+    properly_cross,
+)
 from rational_points import Point, exact_coords, exact_point, orientation
 
 
@@ -938,6 +940,35 @@ def test_perturbation_removes_collinearity():
     moved = ps.perturbed(None)
     assert collinear_triple(moved) is None
     assert len(moved) == 4
+
+
+def test_read_number_takes_text_floats_ints_and_fractions():
+    assert geometry.read_number("1e-3", "eps") == Fraction(1, 1000)
+    assert geometry.read_number(0.1, "eps") == Fraction(1, 10)  # by its shortest repr
+    assert geometry.read_number(7, "eps") == 7
+    assert geometry.read_number(Fraction(2, 3), "eps") == Fraction(2, 3)
+    for value in ("abc", "1/0", float("nan"), float("inf"), None, Decimal("0.1"), [1]):
+        with pytest.raises(UsageError) as info:
+            geometry.read_number(value, "eps")
+        assert str(info.value) == f"eps must be a number, got {value!r}"
+
+
+def test_perturbed_reads_a_float_eps_as_its_text():
+    ps = PointSet([(0, 0), (1, 0), (1, 1), (0, 1)])
+    by_float, by_text = ps.perturbed(0.1), ps.perturbed("0.1")
+    assert (by_float.scale, by_float.grid) == (by_text.scale, by_text.grid)
+    assert by_float.x(1) == Fraction(106180339887, 10**11)
+    with pytest.raises(UsageError, match=r"^eps must be a number, got 'abc'$"):
+        ps.perturbed("abc")
+
+
+def test_pointset_reads_strings_among_numbers_as_coordinates():
+    """A string coordinate in mixed input goes through `read_coord`, as in
+    all-string input; a float coordinate keeps its exact binary value."""
+    mixed = PointSet([(0, "1/3"), ("0.5", 2), (0.1, "2.5e-1")])
+    text = PointSet([("0", "1/3"), ("0.5", "2"), (str(Fraction(0.1)), "0.25")])
+    assert (mixed.scale, mixed.grid) == (text.scale, text.grid)
+    assert mixed.x(2) == Fraction(0.1) != Fraction(1, 10)
 
 
 def test_reflected_flips_orientation():

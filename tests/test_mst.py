@@ -9,7 +9,7 @@ from plane_layers import mst
 from plane_layers.centralized import build_two_disjoint_trees
 from plane_layers.distributed import build_k_layers
 from plane_layers.errors import PreconditionError
-from plane_layers.geometry import PointSet, Segment, convex_hull, properly_cross
+from plane_layers.geometry import PointSet, Segment, convex_hull
 from plane_layers.mst import bottleneck, build_emst
 from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
 
@@ -23,6 +23,7 @@ from conftest import (
     grid_repaired,
     random_point_set,
 )
+from predicates import properly_cross
 from square_graph import (
     Mst2Kind,
     adjacent_edges_at_least_sixty_degrees,

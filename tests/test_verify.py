@@ -6,13 +6,12 @@ import pytest
 
 from plane_layers.centralized import Recoloring, build_two_disjoint_trees, construction1
 from plane_layers.distributed import build_k_layers
-from plane_layers.errors import PreconditionError
+from plane_layers.errors import PreconditionError, UsageError
 from plane_layers.geometry import (
     PHI,
     PointSet,
     Segment,
     _all_crossing_pairs,
-    collinear_overlap,
     crossing_pairs,
     has_crossing,
 )
@@ -28,6 +27,7 @@ from plane_layers.verify import (
 )
 
 from conftest import collinear_triple, random_edge_mutation, random_point_set
+from predicates import collinear_overlap
 from rational_points import exact_coords
 from unionfind import UnionFind
 
@@ -133,6 +133,18 @@ def test_gen_line_instance_shape():
                        (1, "0.001"), (0, "0.001"), (-3, "0.001")]:
         with pytest.raises(PreconditionError):
             gen_line_instance(n, epsilon)
+
+
+def test_gen_line_instance_rejects_a_non_int_n_and_a_malformed_eps():
+    for n, epsilon, message in [(2.5, "0.001", "n must be an int, got 2.5"),
+                                ("4", "0.001", "n must be an int, got '4'"),
+                                (True, "0.001", "n must be an int, got True"),
+                                (4, "abc", "epsilon must be a number, got 'abc'"),
+                                (4, "1/0", "epsilon must be a number, got '1/0'"),
+                                (4, None, "epsilon must be a number, got None")]:
+        with pytest.raises(UsageError) as info:
+            gen_line_instance(n, epsilon)
+        assert str(info.value) == message
 
 
 def phi_formula_line_instance(n, epsilon):
