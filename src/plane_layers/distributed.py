@@ -133,13 +133,19 @@ def _as_beta_sq(beta, ps: PointSet) -> Fraction:
     return beta * beta
 
 
-def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
-    """The `GridIndex` of ps at cell side 6*k*sqrt(beta_sq), once k, n and
-    beta_sq meet the construction's preconditions.  k must be an int (a
-    bool would be written as true), and beta_sq is read by `read_number`."""
-    n = len(ps)
+def _require_int(k) -> None:
+    """Raise `UsageError` unless k is an int; a bool is not one, since it
+    would be written as true."""
     if type(k) is not int:
         raise UsageError(f"k must be an int, got {k!r}")
+
+
+def grid_partition(ps: PointSet, k: int, beta_sq: Fraction) -> GridIndex:
+    """The `GridIndex` of ps at cell side 6*k*sqrt(beta_sq), once k, n and
+    beta_sq meet the construction's preconditions.  k must be an int
+    (`_require_int`), and beta_sq is read by `read_number`."""
+    n = len(ps)
+    _require_int(k)
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if n < 12 * k - 3:
@@ -780,7 +786,8 @@ def locality_certificate(
     compare with `layer_set`, built globally with k layers; a mismatch
     raises, since locality would be violated.  One point's `Certifier`; to
     certify many points of one layer set, make one `Certifier` and call
-    `certify` on each."""
+    `certify` on each.  k must be an int, as for `build_k_layers`."""
+    _require_int(k)
     if k != layer_set.k:
         raise PreconditionError(f"layer_set has {layer_set.k} layers, not k={k}")
     return Certifier(ps, layer_set).certify(point_id)

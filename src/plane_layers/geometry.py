@@ -1,15 +1,17 @@
 """Exact planar primitives: crossing sweep, hulls, angular order.
 
 Each point set holds its coordinates exactly on one scaled integer grid
-(scale: the lcm of the coordinates' denominators).  `read_coord` reads the
-coordinate strings of point files and of `PointSet(...)`: plain decimals
-straight onto integers, every other form through Fraction.  Mirroring and
-printing work on the grid integers.  Every predicate in this module is
-computed with integer or rational arithmetic and is never wrong due to
-rounding.  Lengths are compared as squared grid integers and only leave the
-exact world as squared rationals; square roots appear solely in reported
-float values.  The one other float is the angle `angular_order` sorts on,
-and an exact comparator pass certifies that order.
+(scale: the lcm of the coordinates' denominators).  Coordinate strings
+that are all plain decimals, in a point file or passed to `PointSet(...)`,
+go onto the grid in one pass (`_decimal_grid`); any other coordinate string
+is read by `read_coord`: a plain decimal straight onto integers, every
+other form through Fraction.  Mirroring and printing work on the grid
+integers.  Every predicate in this module is computed with integer or
+rational arithmetic and is never wrong due to rounding.  Lengths are
+compared as squared grid integers and only leave the exact world as squared
+rationals; square roots appear solely in reported float values.  The one
+other float is the angle `angular_order` sorts on, and an exact comparator
+pass certifies that order.
 """
 
 from __future__ import annotations
@@ -69,12 +71,14 @@ class PointSet:
 
     Internally all coordinates are scaled to a common integer grid; fast
     predicates run on the integer coordinates, exact rationals are exposed
-    through :meth:`x` and :meth:`y`.  A string coordinate is read by
-    `read_coord`, as a point file's are, also among numbers; any other goes
-    through Fraction, so a float keeps its exact binary value.  An entry that
-    is not an (x, y) pair of finite numbers raises `UsageError` naming it.
-    `to_text` prints a grid whose scale divides a power of ten from one
-    multiplier.
+    through :meth:`x` and :meth:`y`.  When every coordinate is a plain ASCII
+    decimal string, they all go onto the grid in one pass, by the reader of
+    plain point files (`_decimal_grid`).  Otherwise a string coordinate is
+    read by `read_coord`, as a point file's are, also among numbers, and any
+    other goes through Fraction, so a float keeps its exact binary value;
+    both readers give the same grid.  An entry that is not an (x, y) pair of
+    finite numbers raises `UsageError` naming it.  `to_text` prints a grid
+    whose scale divides a power of ten from one multiplier.
 
     A point set keeps its grid (`scale`, `grid`) and, since the grid never
     changes after construction, two things derived from it alone, each
@@ -85,7 +89,7 @@ class PointSet:
       sorted `Segment` list, and `mst.grid_bottleneck_sq` reads the MST
       bottleneck off its last join;
     - `lex_order`, the lexicographic (x, y) order of the ids with each id's
-      rank in it, which the planarity sweep `has_crossing` walks and the
+      rank in it, which the planarity sweep `_sweep` walks and the
       Delaunay triangulation of `mst` inserts points in.
 
     A mirror image (`reflected`) keeps neither: it computes its own, and
@@ -96,22 +100,28 @@ class PointSet:
         try:
             if not set(map(len, coords)) <= {2} or any(isinstance(c, (str, bytes)) for c in coords):
                 raise TypeError("an entry is not an (x, y) pair")
-            if all(isinstance(c[0], str) and isinstance(c[1], str) for c in coords):
-                xs = [read_coord(c[0]) for c in coords]
-                ys = [read_coord(c[1]) for c in coords]
-            else:
-                fx = [Fraction(*read_coord(c[0])) if isinstance(c[0], str) else Fraction(c[0])
-                      for c in coords]
-                fy = [Fraction(*read_coord(c[1])) if isinstance(c[1], str) else Fraction(c[1])
-                      for c in coords]
-                xs = [(f.numerator, f.denominator) for f in fx]
-                ys = [(f.numerator, f.denominator) for f in fy]
+            column = [c[0] for c in coords] + [c[1] for c in coords]
+            grid = _plain_column_grid(column)
+            if grid is None:
+                if all(isinstance(v, str) for v in column):
+                    pairs = [read_coord(v) for v in column]
+                else:
+                    # numbers keep their list of Fractions until they are
+                    # placed: peak_rss_mb counts what the collector frees
+                    # (ROADMAP item 7)
+                    fs = [Fraction(*read_coord(v)) if isinstance(v, str) else Fraction(v)
+                          for v in column]
+                    pairs = [(f.numerator, f.denominator) for f in fs]
         except (TypeError, LookupError, ValueError, ArithmeticError) as exc:
             message = _bad_entry(coords)
             if message is None:
                 raise
             raise UsageError(message) from exc
-        self._place(xs, ys)
+        n = len(column) // 2
+        if grid is None:
+            self._place(pairs[:n], pairs[n:])
+        else:
+            self._set_grid(grid[0], grid[1][:n], grid[1][n:])
 
     def _place(self, xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> None:
         """Put reduced (numerator, denominator) coordinates on the grid whose
@@ -121,14 +131,18 @@ class PointSet:
 
     def _set_grid(self, scale: int, sx: list[int], sy: list[int]) -> None:
         """Keep the grid of scale `scale` and integers sx, sy, with nothing
-        derived from it yet, once no two points share coordinates."""
+        derived from it yet, once no two points share coordinates: one set
+        of the (x, y) pairs decides that, and only when two do share them
+        does a scan find the first such pair to name."""
         self._scale = scale
         self._sx = sx
         self._sy = sy
         self._mst: tuple[int, ...] | None = None
         self._lex: tuple[list[int], list[int]] | None = None
+        if len(set(zip(sx, sy))) == len(sx):
+            return
         seen: dict[tuple[int, int], int] = {}
-        for i, key in enumerate(zip(self._sx, self._sy)):
+        for i, key in enumerate(zip(sx, sy)):
             if key in seen:
                 raise PreconditionError(
                     f"points {seen[key]} and {i} share coordinates {self.x(i)}, {self.y(i)}"
@@ -270,30 +284,20 @@ class PointSet:
         return ps
 
     def _read_plain(self, text: str) -> bool:
-        """Put the points of `text` on their grid when it is plain decimal
-        `id x y` lines with the ids 0..n-1 in order; return False, with
-        nothing read, for any other text.
-
-        Each coordinate, with D the longest fraction among them all, is the
-        integer v of its digits scaled to 10**D.  Its reduced denominator is
-        10**D / gcd(v, 10**D), so the lcm of them all, the grid's scale, is
-        10**D / g for the one gcd g of 10**D and every v."""
+        """Put the points of `text` on their grid (`_decimal_grid`) when it
+        is plain decimal `id x y` lines with the ids 0..n-1 in order, no
+        coordinate longer than `_SAFE_DIGITS`; return False, with nothing
+        read, for any other text."""
         if _PLAIN_FILE.fullmatch(text) is None:
             return False
         tokens = text.split()
         n = len(tokens) // 3
-        coords = tokens[1::3] + tokens[2::3]
-        if tokens[::3] != list(map(str, range(n))) or max(map(len, coords)) > _SAFE_DIGITS:
+        if tokens[::3] != list(map(str, range(n))):
             return False
-        parts = [c.partition(".") for c in coords]
-        digits = max(len(f) for _, _, f in parts)
-        unit = 10**digits
-        shift = [unit // 10**d for d in range(digits + 1)]
-        vals = [int(w + f) * shift[len(f)] for w, _, f in parts]
-        g = math.gcd(unit, *vals)
-        if g > 1:
-            vals = [v // g for v in vals]
-        self._set_grid(unit // g, vals[:n], vals[n:])
+        grid = _decimal_grid(tokens[1::3] + tokens[2::3])
+        if grid is None:
+            return False
+        self._set_grid(grid[0], grid[1][:n], grid[1][n:])
         return True
 
     def to_text(self) -> str:
@@ -332,9 +336,49 @@ class PointSet:
 # path would not.
 _SAFE_DIGITS = 640
 _PLAIN_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
-_PLAIN_FILE = re.compile(r"(?:[0-9]+ -?[0-9]+(?:\.[0-9]+)? -?[0-9]+(?:\.[0-9]+)?(?:\n|\Z))+")
+_DECIMAL = r"-?[0-9]+(?:\.[0-9]+)?"
+_PLAIN_FILE = re.compile(rf"(?:[0-9]+ {_DECIMAL} {_DECIMAL}(?:\n|\Z))+")
+# plain decimals joined by commas, as `_plain_column_grid` joins them
+_PLAIN_COLUMN = re.compile(rf"(?:{_DECIMAL},)*{_DECIMAL}")
 # the exponent of an exponent form, as Fraction reads it
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _decimal_grid(coords: list[str]) -> tuple[int, list[int]] | None:
+    """The grid of the plain ASCII decimals `coords` (`[-]digits[.digits]`):
+    its scale and each coordinate's grid integer, in order; None, with
+    nothing read, when one is longer than `_SAFE_DIGITS`.
+
+    Each coordinate, with D the longest fraction among them all, is the
+    integer v of its digits scaled to 10**D.  Its reduced denominator is
+    10**D / gcd(v, 10**D), so the lcm of them all, the grid's scale, is
+    10**D / g for the one gcd g of 10**D and every v."""
+    if max(map(len, coords)) > _SAFE_DIGITS:
+        return None
+    parts = [c.partition(".") for c in coords]
+    digits = max(len(f) for _, _, f in parts)
+    unit = 10**digits
+    shift = [unit // 10**d for d in range(digits + 1)]
+    vals = [int(w + f) * shift[len(f)] for w, _, f in parts]
+    g = math.gcd(unit, *vals)
+    if g > 1:
+        vals = [v // g for v in vals]
+    return unit // g, vals
+
+
+def _plain_column_grid(column: list) -> tuple[int, list[int]] | None:
+    """`_decimal_grid` of `column` when every entry is a plain ASCII decimal
+    string, checked by one match of them all joined by commas; None for any
+    other column, an empty one included.  An entry holding a comma can pass
+    that match, but int() then raises ValueError on it, as `read_coord`
+    does."""
+    try:
+        text = ",".join(column)
+    except TypeError:  # an entry that is not a str
+        return None
+    if _PLAIN_COLUMN.fullmatch(text) is None:
+        return None
+    return _decimal_grid(column)
 
 
 def _read_lines(text: str) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -537,10 +581,26 @@ def id_outside(edges: Sequence[Segment], n: int) -> Segment | None:
 
 
 def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
-    """True iff some pair in the edge list properly crosses (Shamos-Hoey sweep).
+    """True iff some pair in the edge list properly crosses, by the exact
+    sweep `_sweep`; an edge with an id outside 0..n-1 raises
+    `PreconditionError` before the sweep."""
+    _require_ids(edges, len(ps))
+    return _sweep(edges, ps)
 
-    Exact on the scaled integer grid; an edge with an id outside 0..n-1
-    raises `PreconditionError` before the sweep.  The sweep visits the
+
+def _require_ids(edges: Sequence[Segment], n: int) -> None:
+    """Raise `PreconditionError` naming the first edge with an id outside
+    0..n-1 (`id_outside`)."""
+    bad = id_outside(edges, n)
+    if bad is not None:
+        raise PreconditionError(f"edge {tuple(bad)} has an id outside 0..{n - 1}")
+
+
+def _sweep(edges: Sequence[Segment], ps: PointSet) -> bool:
+    """`has_crossing` of edges whose ids are known to lie in 0..n-1: true
+    iff some pair in the edge list properly crosses (Shamos-Hoey sweep).
+
+    Exact on the scaled integer grid.  The sweep visits the
     segments' endpoints in the lexicographic (x, y) order that the point set
     keeps (`PointSet.lex_order`), and handles at each such event point v
     every segment ending or starting there at once (Bentley & Ottmann 1979;
@@ -600,9 +660,6 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
     xs, ys = ps.grid
     order, rank = ps.lex_order()
     n = len(order)
-    bad = id_outside(edges, n)
-    if bad is not None:
-        raise PreconditionError(f"edge {tuple(bad)} has an id outside 0..{n - 1}")
     ida, idb = [], []  # left and right endpoint ids of each segment
     starts: list[list[int] | None] = [None] * n  # the segments starting at each point
     ending = [0] * n  # how many segments end at each point
@@ -712,11 +769,17 @@ def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
 
 
 def crossing_pairs(edges: Sequence[Segment], ps: PointSet) -> list[tuple[Segment, Segment]]:
-    """All properly crossing pairs within one edge list, in list order.
+    """All properly crossing pairs within one edge list, in list order; an
+    edge with an id outside 0..n-1 raises `PreconditionError` first."""
+    _require_ids(edges, len(ps))
+    return _crossings(edges, ps)
 
-    The sweep decides whether any pair crosses; only then does the exact
-    all-pairs scan run to list them."""
-    if not has_crossing(edges, ps):
+
+def _crossings(edges: Sequence[Segment], ps: PointSet) -> list[tuple[Segment, Segment]]:
+    """`crossing_pairs` of edges whose ids are known to lie in 0..n-1, as
+    `verify.count_layers` checks them.  The sweep decides whether any pair
+    crosses; only then does the exact all-pairs scan run to list them."""
+    if not _sweep(edges, ps):
         return []
     return _all_crossing_pairs(edges, ps)
 

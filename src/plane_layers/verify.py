@@ -33,7 +33,7 @@ from .geometry import (
     PHI,
     PointSet,
     Segment,
-    crossing_pairs,
+    _crossings,
     float_sqrt,
     id_outside,
     read_number,
@@ -261,9 +261,8 @@ def verify_layers(
         ratio = 0.0
         if be_grid:
             ratio = float_sqrt(c.longest_sq, be_grid, f"the ratio of layer {j} to the bottleneck")
-        crossings = tuple(
-            (a.as_pair(), b.as_pair()) for a, b in crossing_pairs(list(layer), ps)
-        )
+        # count_layers has checked every id, so the sweep runs unchecked
+        crossings = tuple((a.as_pair(), b.as_pair()) for a, b in _crossings(list(layer), ps))
         reports.append(
             LayerReport(
                 plane=not crossings,

@@ -84,17 +84,17 @@ def count_emst_trees(monkeypatch) -> list[int]:
 
 
 def count_sweeps(monkeypatch) -> list[int]:
-    """Patch the planarity sweep `geometry.has_crossing`, which
-    `crossing_pairs` runs on every edge list it checks, to record the edge
-    count of each call."""
+    """Patch the planarity sweep `geometry._sweep`, which `has_crossing`,
+    `crossing_pairs` and `verify_layers` run on every edge list they check,
+    to record the edge count of each call."""
     sweeps: list[int] = []
-    has_crossing = geometry.has_crossing
+    sweep = geometry._sweep
 
     def counted(edges, ps):
         sweeps.append(len(edges))
-        return has_crossing(edges, ps)
+        return sweep(edges, ps)
 
-    monkeypatch.setattr(geometry, "has_crossing", counted)
+    monkeypatch.setattr(geometry, "_sweep", counted)
     return sweeps
 
 
@@ -120,8 +120,9 @@ def grid_checks(ps) -> int:
 
 
 def sweep_arithmetic(edges, ps) -> tuple[int, int]:
-    """The orientations and the orientation sign products that
-    `geometry.has_crossing` forms on `edges`, counted from the kernel.
+    """The orientations and the orientation sign products that the
+    planarity sweep `geometry._sweep` forms on `edges`, counted from the
+    kernel.
 
     An orientation is a difference of two products of coordinate
     differences: the side tests of a search, of the widening of a block
@@ -157,7 +158,7 @@ def sweep_arithmetic(edges, ps) -> tuple[int, int]:
     xs, ys = ps.grid
     grid = types.SimpleNamespace(grid=([Term(x, 0) for x in xs], [Term(y, 0) for y in ys]),
                                  lex_order=ps.lex_order)
-    assert geometry.has_crossing(edges, grid) == geometry.has_crossing(edges, ps)
+    assert geometry._sweep(edges, grid) == geometry._sweep(edges, ps)
     return orientations, products
 
 

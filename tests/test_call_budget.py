@@ -34,6 +34,9 @@ comparator sort would run it about log m times per vector.
 A distributed build through the CLI counts its layers once, in the build's
 final check, and prints its maxRatio from that count.
 
+A `PointSet` of plain decimal strings goes onto its grid in one pass, as a
+plain point file does, with no `read_coord` call per coordinate.
+
 The planarity sweep tests each pair of status neighbours, and on a tree
 layer nearly every such pair either shares an endpoint or has its y-range
 apart from the other's; both are rejected before any orientation product,
@@ -315,3 +318,24 @@ def test_distributed_cli_build_counts_its_layers_once(monkeypatch, tmp_path, cap
                  "--out", str(tmp_path / "l.json")]) == 0
     assert counted == [k]
     assert capsys.readouterr().out.startswith(f"layers={k} maxRatio=")
+
+
+def test_plain_decimal_strings_take_no_per_coordinate_reads(monkeypatch):
+    """1600 pairs of plain decimals call `read_coord` 0 times; one `p/q`
+    coordinate among them sends every coordinate through it."""
+    rng = random.Random(1600)
+    pts = [(f"{rng.uniform(-1000, 1000):.6f}", f"{rng.uniform(0, 1000):.{i % 7}f}")
+           for i in range(1600)]
+    reads = []
+    read_coord = geometry.read_coord
+
+    def counted(text):
+        reads.append(text)
+        return read_coord(text)
+
+    monkeypatch.setattr(geometry, "read_coord", counted)
+    assert len(geometry.PointSet(pts)) == 1600
+    assert reads == []
+    pts[0] = ("1/3", pts[0][1])
+    assert len(geometry.PointSet(pts)) == 1600
+    assert len(reads) == 3200

@@ -371,6 +371,21 @@ def test_k_and_beta_of_the_wrong_type_are_usage_errors(rng):
         build_k_layers(ps, 0)
 
 
+def test_locality_certificate_checks_the_type_of_k(rng):
+    """`locality_certificate` reads k as `build_k_layers` does: a k that is
+    not an int, a bool included, is a usage error, and only an int k other
+    than the layer set's is a precondition failure."""
+    ps = PointSet(cluster(rng, 30, 0, 0))
+    ls = build_k_layers(ps, 1)
+    for k in (1.5, True, "1"):
+        with pytest.raises(UsageError) as info:
+            locality_certificate(ps, k, 0, ls)
+        assert str(info.value) == f"k must be an int, got {k!r}"
+    with pytest.raises(PreconditionError, match=r"^layer_set has 1 layers, not k=2$"):
+        locality_certificate(ps, 2, 0, ls)
+    assert locality_certificate(ps, 1, 0, ls).ok
+
+
 def clustered_point_set(rng, n, extent=100.0):
     """Four Gaussian clusters over a uniform background, 6 decimals."""
     centers = [(rng.uniform(0, extent), rng.uniform(0, extent)) for _ in range(4)]

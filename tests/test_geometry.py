@@ -791,9 +791,105 @@ def test_format_coord_matches_fraction_oracle():
         assert _format_ratio(f.numerator, f.denominator) == fraction_format_coord(f)
 
 
+def _grid_by_coordinate(coords):
+    """The per-coordinate reader that `PointSet` used for strings before the
+    one-pass reader: each string coordinate through `read_coord`, any other
+    through Fraction, placed on the lcm grid by `_place`."""
+    read = lambda v: read_coord(v) if isinstance(v, str) else Fraction(v).as_integer_ratio()  # noqa: E731
+    ps = PointSet.__new__(PointSet)
+    ps._place([read(x) for x, _ in coords], [read(y) for _, y in coords])
+    return ps
+
+
+def _random_decimal(rng):
+    """A plain decimal string: a sign or none, leading zeros or none, an
+    integer part of up to 12 digits and 0 to 12 decimals."""
+    text = rng.choice(("", "-")) + "0" * rng.randint(0, 2)
+    text += str(rng.randint(0, 10 ** rng.randint(0, 12)))
+    decimals = rng.randint(0, 12)
+    if decimals:
+        text += "." + "".join(rng.choice("0123456789") for _ in range(decimals))
+    return text
+
+
+# coordinates that `read_coord` accepts but that are not plain decimals, so
+# that `PointSet` reads them, and every other coordinate beside them, one at a
+# time: the 641-character ones are one beyond `_SAFE_DIGITS`, and the last
+# one's 4400 digits are beyond int()'s limit, which its two parts are not
+NOT_PLAIN = ["1/3", "-6/4", "1e3", "2.5E-2", "+1.5", "5.", ".5", "-.5", " 1.5", "1.5\t",
+             "1_000", "٣", "-１２", "9" * 641, "-" + "9" * 638 + ".5", "1" * 2200 + "." + "1" * 2200]
+
+
+def test_pointset_of_decimal_strings_matches_the_per_coordinate_reader():
+    """Strings that are all plain decimals take the one-pass reader, and any
+    other input the per-coordinate one; either way the scale, the grid and
+    the text are those of the per-coordinate reader, for negatives, -0,
+    leading zeros, integers, 0 to 12 decimals and coordinates of exactly
+    `_SAFE_DIGITS` characters, with each non-plain form, and with numbers,
+    in the mix."""
+    assert geometry._SAFE_DIGITS == 640
+    rng = random.Random(49)
+    long_values = ["9" * 640, "-" + "1" * 300 + "." + "7" * 338, "0." + "0" * 637 + "1"]
+    assert {len(v) for v in long_values} == {640}
+    sets = []
+    for _ in range(300):
+        values = [_random_decimal(rng) for _ in range(rng.randint(2, 40))]
+        values += rng.sample(["-0", "-0.000", "007", "-007.50", "0"], 2)
+        sets.append(distinct_coords(values))
+    sets.append(distinct_coords(long_values + ["1", "-2.5"]))
+    plain = sets[0]
+    for form in NOT_PLAIN + [3, -2, Fraction(1, 3), 0.1, 2.5]:
+        for k in (0, len(plain) - 1):
+            coords = list(plain)
+            coords[k] = (coords[k][0], form)
+            sets.append(coords)
+    for coords in sets:
+        by_coordinate = _grid_by_coordinate(coords)
+        ps = PointSet(coords)
+        assert (ps.scale, ps.grid) == (by_coordinate.scale, by_coordinate.grid), coords
+        assert ps.to_text() == by_coordinate.to_text()
+    empty = PointSet([])
+    assert (len(empty), empty.scale, empty.to_text()) == (0, 1, "")
+
+
+def test_pointset_names_a_malformed_string_entry_as_before():
+    """Malformed entries among plain decimal strings keep the messages of the
+    per-coordinate reader: a coordinate holding a space, a newline or a
+    comma, an empty one, and every other text it rejects."""
+    for entries, message in (
+        ([("1", "2"), ("1 2", "3")], "point 1: invalid coordinate '1 2'"),
+        ([("1", "1\n2")], "point 0: invalid coordinate '1\\n2'"),
+        ([("", "1")], "point 0: invalid coordinate ''"),
+        ([("1", "2"), ("0.5", "")], "point 1: invalid coordinate ''"),
+        ([("1", "2"), ("1,5", "3")], "point 1: invalid coordinate '1,5'"),
+        ([("1", "2"), ("3", "1.2.3")], "point 1: invalid coordinate '1.2.3'"),
+        ([("1", "2"), ("3", "1/0")], "point 1: invalid coordinate '1/0'"),
+        ([("1", "2"), ("3", "1e999999999")], "point 1: invalid coordinate '1e999999999'"),
+        ([("1", "2"), ("-", "3")], "point 1: invalid coordinate '-'"),
+        ([("1", "2"), ("nan", "3")], "point 1: invalid coordinate 'nan'"),
+        ([("1", "2"), ("x", 3)], "point 1: invalid coordinate 'x'"),
+        ([("1", "2"), (None, "3")], "point 1: invalid coordinate None"),
+        ([("1", "2"), (b"1", "3")], "point 1: invalid coordinate b'1'"),
+        ([("1", "2"), ("3", "4", "5")], "point 1: expected an (x, y) pair, got ('3', '4', '5')"),
+        ([("1", "2"), "34"], "point 1: expected an (x, y) pair, got '34'"),
+    ):
+        with pytest.raises(UsageError) as info:
+            PointSet(entries)
+        assert str(info.value) == message
+
+
 def test_pointset_rejects_duplicates():
     with pytest.raises(PreconditionError):
         PointSet([(1, 2), ("1.0", "2.00")])
+    # decimal strings name the first repeated pair, as a point file does
+    for entries, message in (
+        ([("1.5", "2"), ("3", "4"), ("1.50", "2.0"), ("3.0", "4")],
+         "points 0 and 2 share coordinates 3/2, 2"),
+        ([("-0", "7"), ("0.000", "7.0")], "points 0 and 1 share coordinates 0, 7"),
+    ):
+        with pytest.raises(PreconditionError) as info:
+            PointSet(entries)
+        assert str(info.value) == message
 
 
 def test_pointset_rejects_entries_that_are_not_pairs():
