@@ -178,15 +178,13 @@ class _Assembler:
         self.blue: list[Segment] = []
         # blue edge whose crossings are repaired after assembly (v3v0)
         self.deferred: Segment | None = None
+        # the stage that added each edge; a crossing fails at its later edge's
         self._stage: dict[Segment, str] = {}
 
     def add(self, color: str, new_edges: Iterable[Segment], stage: str) -> None:
-        existing = self.red if color == "red" else self.blue
-        for e in sorted(new_edges):
-            if e in self._stage:
-                self._fail(stage, f"edge {e} added twice ({color})")
-            existing.append(e)
-            self._stage[e] = stage
+        edges = sorted(new_edges)
+        (self.red if color == "red" else self.blue).extend(edges)
+        self._stage.update(dict.fromkeys(edges, stage))
 
     def finish(self, ps: PointSet, guarantee: Guarantee, stage: str, bound: int,
                shared: Segment | None = None, pv: dict[int, int] | None = None) -> TwoTrees:
@@ -541,9 +539,8 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> No
     ]
     if len(joining) != 1:
         asm._fail("pointed-replace", f"{len(joining)} hull-path edges join the components")
-    # a red edge fails as added twice; the rest is verified with the finished pair
+    # `finish` verifies the pair again with the joining edge in it
     asm.blue.remove(e30)
-    del asm._stage[e30]
     asm.add("blue", joining, "pointed-replace")
 
 

@@ -114,21 +114,23 @@ def _load_layers_file(path: str, n: int) -> tuple[dict, list[list[Segment]]]:
         layers = data.get("layers", [])
     if not isinstance(layers, list) or not all(isinstance(l, list) for l in layers):
         raise UsageError(f"{path}: layers must be lists of [u, v] id pairs")
-    segs = []
-    for j, layer in enumerate(layers):
-        edges = []
-        for entry in layer:
-            if not (type(entry) is list and len(entry) == 2
-                    and type(entry[0]) is int and type(entry[1]) is int):
-                raise UsageError(f"{path}: layer {j}: {entry!r} is not a pair of point ids")
-            u, v = entry
-            if not (0 <= u < n and 0 <= v < n):
-                raise UsageError(f"{path}: layer {j}: edge {entry} has an id outside 0..{n - 1}")
-            if u == v:
-                raise UsageError(f"{path}: layer {j}: edge {entry} is a self-loop")
-            edges.append(Segment(u, v))
-        segs.append(edges)
-    return data, segs
+    return data, [_edges(layer, n, f"{path}: layer {j}") for j, layer in enumerate(layers)]
+
+
+def _edges(entries: list, n: int, where: str) -> list[Segment]:
+    """The Segments of [u, v] entries of distinct ids in 0..n-1, else a usage error at `where`."""
+    edges = []
+    for entry in entries:
+        if not (type(entry) is list and len(entry) == 2
+                and type(entry[0]) is int and type(entry[1]) is int):
+            raise UsageError(f"{where}: {entry!r} is not a pair of point ids")
+        u, v = entry
+        if not (0 <= u < n and 0 <= v < n):
+            raise UsageError(f"{where}: edge {entry} has an id outside 0..{n - 1}")
+        if u == v:
+            raise UsageError(f"{where}: edge {entry} is a self-loop")
+        edges.append(Segment(u, v))
+    return edges
 
 
 def _positive_int(meta: dict, key: str, default=None) -> int:
@@ -167,10 +169,9 @@ def cmd_gen(args) -> int:
             return (rng.gauss(cx, args.sigma), rng.gauss(cy, args.sigma))
         pts = _distinct_points(args.n, sample)
     else:  # line
-        ps = gen_line_instance(args.n, read_number(args.eps, "--eps")) if args.n >= 2 else None
-        if ps is None:
+        if args.n < 2:
             raise UsageError("line instances need n >= 2")
-        _write(args.out, ps.to_text())
+        _write(args.out, gen_line_instance(args.n, read_number(args.eps, "--eps")).to_text())
         return 0
     ps = PointSet(pts)
     _write(args.out, ps.to_text())
@@ -244,8 +245,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"{args.layers}: the file has no layers")
     guarantee = Guarantee()
     if meta.get("kind") == "two-tree":
+        shared = meta.get("shared")  # null, or the one edge red and blue may share
+        _edges([] if shared is None else [shared], len(ps), "layers file: 'shared'")
         guarantee = Guarantee.two_tree(_positive_int(meta, "bound", default=3),
-                                       shared=bool(meta.get("shared")))
+                                       shared=shared is not None)
     elif meta.get("kind") == "distributed":
         k = _positive_int(meta, "k")
         if k != len(layers):

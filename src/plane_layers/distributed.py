@@ -263,10 +263,10 @@ def tukey_depth(cx: Fraction, cy: Fraction, ids: Sequence[int], ps: PointSet) ->
     center, then `_depth_around`.  Points on the center lie in every closed
     halfplane, so they add to the depth of the others."""
     vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
-    return len(ids) - len(vecs) + _depth_around([vecs[i] for i in angular_order(vecs)])
+    return len(ids) - len(vecs) + _depth_around([vecs[i] for i in angular_order(vecs)], 0)
 
 
-def _depth_around(ccw: Sequence[tuple[int, int]], stop_below: int | None = None) -> int:
+def _depth_around(ccw: Sequence[tuple[int, int]], stop_below: int) -> int:
     """Tukey depth of the origin among the nonzero vectors `ccw`, given in
     counterclockwise `angular_order`.
 
@@ -275,9 +275,9 @@ def _depth_around(ccw: Sequence[tuple[int, int]], stop_below: int | None = None)
     pi], found with a second pointer that only moves forward, and the one to
     its right holds m - L_i; every generic line direction is just past some
     a_i or a_i + pi, and the closed halfplane minimum is reached at a generic
-    direction, so the depth is min_i min(L_i, m - L_i).  With `stop_below`,
-    the sweep returns as soon as the depth is known to be below it, with a
-    value below it."""
+    direction, so the depth is min_i min(L_i, m - L_i).  The sweep returns
+    as soon as the depth is known to be below `stop_below`, with a value
+    below it; a `stop_below` of 0 gives the depth itself."""
     m = len(ccw)
     rays: list[tuple[int, int]] = []
     counts: list[int] = []
@@ -303,7 +303,7 @@ def _depth_around(ccw: Sequence[tuple[int, int]], stop_below: int | None = None)
             else:
                 break
         best = min(best, inside, m - inside)
-        if stop_below is not None and best < stop_below:
+        if best < stop_below:
             break
         if end > t + 1:
             inside -= counts[(t + 1) % r]
@@ -312,19 +312,14 @@ def _depth_around(ccw: Sequence[tuple[int, int]], stop_below: int | None = None)
     return best
 
 
-def center_point(
-    ids: Sequence[int],
-    ps: PointSet,
-    ray_ids: Sequence[int] | None = None,
-) -> tuple[Fraction, Fraction]:
-    """A point of Tukey depth >= floor(m/3), aiming for ceil(m/3), from which
-    no two `ray_ids` points (default: the ids) share a ray; the ids must be
-    distinct and all among the `ray_ids`, as a box's points are among those
-    assigned to it.  Deterministic: for each target depth, the first of the
-    mean, the coordinate-wise median, the m spread triples and the points of
-    the exact depth region (`_region_points`) that qualifies.  Each candidate
-    costs one angular sort of the `ray_ids` offsets from it
-    (`_ordered_center`).
+def center_point(ids: Sequence[int], ps: PointSet) -> tuple[Fraction, Fraction]:
+    """A point of Tukey depth >= floor(m/3) among the m distinct `ids`,
+    aiming for ceil(m/3), from which no two of them share a ray.
+    Deterministic: for each target depth, the first of the mean, the
+    coordinate-wise median, the m spread triples and the points of the exact
+    depth region (`_region_points`) that qualifies.  Each candidate costs
+    one angular sort of the offsets from it (`_ordered_center`, which a box
+    calls with the points assigned to it as the ray ids).
 
     The ceiling depth (the classical centerpoint guarantee) makes every
     sector provably convex, so it is tried first.  It can be unachievable
@@ -334,14 +329,16 @@ def center_point(
     then applies, and a sector may open beyond pi; the build's final layer
     check, `verify_layers`, sees any crossing behind it.
     """
-    return _ordered_center(ids, ps, ids if ray_ids is None else ray_ids)[0]
+    return _ordered_center(ids, ps, ids)[0]
 
 
 def _ordered_center(
     ids: Sequence[int], ps: PointSet, ray_ids: Sequence[int]
 ) -> tuple[tuple[Fraction, Fraction], list[tuple[int, int]], list[int]]:
-    """`center_point`'s center, with the integer offsets of the `ray_ids`
-    from it and their counterclockwise `angular_order`.
+    """`center_point`'s center, from which no two `ray_ids` points share a
+    ray, with their integer offsets from it and the counterclockwise
+    `angular_order` of those; the distinct ids must all be among the
+    `ray_ids`, as a box's points are among those assigned to it.
 
     Each candidate sorts those offsets once, and its depth is `_depth_around`
     the ids' offsets filtered out of that order, which keeps it.  Only a

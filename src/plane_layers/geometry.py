@@ -207,11 +207,6 @@ class PointSet:
         sx, sy = self._sx, self._sy
         return [(sx[i] * f - ox, sy[i] * f - oy) for i in ids]
 
-    def dist_sq(self, i: int, j: int) -> Fraction:
-        dx = self._sx[i] - self._sx[j]
-        dy = self._sy[i] - self._sy[j]
-        return Fraction(dx * dx + dy * dy, self._scale * self._scale)
-
     def sdist_sq(self, i: int, j: int) -> int:
         """Squared distance on the internal integer grid (scale**2 units)."""
         dx = self._sx[i] - self._sx[j]
@@ -219,7 +214,7 @@ class PointSet:
         return dx * dx + dy * dy
 
     def seg_len_sq(self, s: Segment) -> Fraction:
-        return self.dist_sq(s.a, s.b)
+        return Fraction(self.sdist_sq(s.a, s.b), self._scale * self._scale)
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         if not len(self):
@@ -546,28 +541,18 @@ def _format_ratio(num: int, den: int) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
-def cross_sign(ax, ay, bx, by, cx, cy) -> int:
-    """Sign of the cross product (b - a) x (c - a); works for int or Fraction."""
-    return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-
-
 def _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
-    # Bounding-box reject keeps the all-pairs planarity checks cheap.
+    """Whether ab and cd properly cross, on grid integers: a bounding-box
+    reject, then products of raw cross products, as in the sweep's test."""
     if min(ax, bx) > max(cx, dx) or min(cx, dx) > max(ax, bx):
         return False
     if min(ay, by) > max(cy, dy) or min(cy, dy) > max(ay, by):
         return False
-    d1 = cross_sign(ax, ay, bx, by, cx, cy)
-    d2 = cross_sign(ax, ay, bx, by, dx, dy)
-    if d1 * d2 >= 0:
+    ux, uy = bx - ax, by - ay
+    if (ux * (cy - ay) - uy * (cx - ax)) * (ux * (dy - ay) - uy * (dx - ax)) >= 0:
         return False
-    d3 = cross_sign(cx, cy, dx, dy, ax, ay)
-    d4 = cross_sign(cx, cy, dx, dy, bx, by)
-    return d3 * d4 < 0
+    vx, vy = dx - cx, dy - cy
+    return (vx * (ay - cy) - vy * (ax - cx)) * (vx * (by - cy) - vy * (bx - cx)) < 0
 
 
 def id_outside(edges: Sequence[Segment], n: int) -> Segment | None:
@@ -580,25 +565,10 @@ def id_outside(edges: Sequence[Segment], n: int) -> Segment | None:
     return None
 
 
-def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
-    """True iff some pair in the edge list properly crosses, by the exact
-    sweep `_sweep`; an edge with an id outside 0..n-1 raises
-    `PreconditionError` before the sweep."""
-    _require_ids(edges, len(ps))
-    return _sweep(edges, ps)
-
-
-def _require_ids(edges: Sequence[Segment], n: int) -> None:
-    """Raise `PreconditionError` naming the first edge with an id outside
-    0..n-1 (`id_outside`)."""
-    bad = id_outside(edges, n)
-    if bad is not None:
-        raise PreconditionError(f"edge {tuple(bad)} has an id outside 0..{n - 1}")
-
-
 def _sweep(edges: Sequence[Segment], ps: PointSet) -> bool:
-    """`has_crossing` of edges whose ids are known to lie in 0..n-1: true
-    iff some pair in the edge list properly crosses (Shamos-Hoey sweep).
+    """Whether some pair in the edge list properly crosses, for edges whose
+    ids are known to lie in 0..n-1 (Shamos-Hoey sweep).  This decides
+    planarity for `verify_layers` and `crossing_pairs`.
 
     Exact on the scaled integer grid.  The sweep visits the
     segments' endpoints in the lexicographic (x, y) order that the point set
@@ -770,8 +740,11 @@ def _sweep(edges: Sequence[Segment], ps: PointSet) -> bool:
 
 def crossing_pairs(edges: Sequence[Segment], ps: PointSet) -> list[tuple[Segment, Segment]]:
     """All properly crossing pairs within one edge list, in list order; an
-    edge with an id outside 0..n-1 raises `PreconditionError` first."""
-    _require_ids(edges, len(ps))
+    edge with an id outside 0..n-1 (`id_outside`) raises `PreconditionError`
+    first."""
+    bad = id_outside(edges, len(ps))
+    if bad is not None:
+        raise PreconditionError(f"edge {tuple(bad)} has an id outside 0..{len(ps) - 1}")
     return _crossings(edges, ps)
 
 

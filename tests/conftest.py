@@ -84,9 +84,9 @@ def count_emst_trees(monkeypatch) -> list[int]:
 
 
 def count_sweeps(monkeypatch) -> list[int]:
-    """Patch the planarity sweep `geometry._sweep`, which `has_crossing`,
-    `crossing_pairs` and `verify_layers` run on every edge list they check,
-    to record the edge count of each call."""
+    """Patch the planarity sweep `geometry._sweep`, which `crossing_pairs`,
+    `verify_layers` and the tests' `predicates.has_crossing` run on every
+    edge list they check, to record the edge count of each call."""
     sweeps: list[int] = []
     sweep = geometry._sweep
 

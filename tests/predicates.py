@@ -4,9 +4,11 @@ The package states each rule where it runs on the grid integers: the
 two-tree build reads the side of a ray and the gaps around a vertex off one
 cross product of grid offsets (`centralized._cw_angle_below_pi`,
 `centralized._ring`), the planarity checks test crossings inside the sweep
-and its quadratic scan, and `verify._overlapping_pairs` compares intervals
-along a shared line.  These helpers ask the same questions one pair or one
-triple at a time, on the ids of a point set.
+`geometry._sweep` and its quadratic scan (`geometry._proper_cross_scaled`),
+and `verify._overlapping_pairs` compares intervals along a shared line.
+These helpers ask the same questions one pair or one triple at a time, on
+the ids of a point set, through the sign of each cross product
+(`cross_sign`), so the oracles share no code with what they check.
 """
 
 from __future__ import annotations
@@ -14,8 +16,42 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence
 
+from plane_layers import geometry
 from plane_layers.errors import PreconditionError
-from plane_layers.geometry import PointSet, Segment, _proper_cross_scaled, angular_order, cross_sign
+from plane_layers.geometry import PointSet, Segment, angular_order
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def cross_sign(ax, ay, bx, by, cx, cy) -> int:
+    """Sign of the cross product (b - a) x (c - a); works for int or Fraction."""
+    return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+
+def proper_cross_signs(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
+    """Whether the segments ab and cd properly cross, from the signs of the
+    four orientations: c and d strictly on opposite sides of the line ab,
+    and a and b strictly on opposite sides of the line cd."""
+    if min(ax, bx) > max(cx, dx) or min(cx, dx) > max(ax, bx):
+        return False
+    if min(ay, by) > max(cy, dy) or min(cy, dy) > max(ay, by):
+        return False
+    d1 = cross_sign(ax, ay, bx, by, cx, cy)
+    d2 = cross_sign(ax, ay, bx, by, dx, dy)
+    if d1 * d2 >= 0:
+        return False
+    d3 = cross_sign(cx, cy, dx, dy, ax, ay)
+    d4 = cross_sign(cx, cy, dx, dy, bx, by)
+    return d3 * d4 < 0
+
+
+def has_crossing(edges: Sequence[Segment], ps: PointSet) -> bool:
+    """Whether some pair of `edges`, whose ids lie in 0..n-1, properly
+    crosses, by the sweep `geometry._sweep`, looked up at each call so that
+    `conftest.count_sweeps` counts it."""
+    return geometry._sweep(edges, ps)
 
 
 class Orientation(Enum):
@@ -43,7 +79,7 @@ def properly_cross(s1: Segment, s2: Segment, ps: PointSet) -> bool:
     bx, by = ps.scaled(s1.b)
     cx, cy = ps.scaled(s2.a)
     dx, dy = ps.scaled(s2.b)
-    return _proper_cross_scaled(ax, ay, bx, by, cx, cy, dx, dy)
+    return proper_cross_signs(ax, ay, bx, by, cx, cy, dx, dy)
 
 
 def collinear_overlap(s1: Segment, s2: Segment, ps: PointSet) -> bool:

@@ -1,7 +1,7 @@
 """The points of a set as exact rationals, and the orientation test on them.
 
-The package computes every predicate on the grid integers of a point set
-(`cross_sign`; `predicates.orientation_ids` on ids).  These helpers read the points
+The package computes every predicate on the grid integers of a point set, as
+the tests' `predicates.orientation_ids` does on ids.  These helpers read the points
 back as `Fraction` pairs, so the tests can compare the grid with the
 rationals it was built from and check the integer predicates against a
 `Fraction` one.
@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from plane_layers.geometry import PointSet, cross_sign
+from plane_layers.geometry import PointSet
 
-from predicates import Orientation
+from predicates import Orientation, cross_sign
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from plane_layers.distributed import BoxLayers, center_point
+from plane_layers.distributed import BoxLayers, _ordered_center
 from plane_layers.errors import GeneralPositionError, InternalAssertionError
 from plane_layers.geometry import Segment
 
@@ -80,7 +80,7 @@ def index_star_layers(box, gi) -> BoxLayers:
     members = list(gi.cells[box])
     m = len(members)
     assigned = gi.assigned_to(box)
-    center = center_point(members, ps, ray_ids=assigned)
+    center = _ordered_center(members, ps, assigned)[0]
     order = clockwise_around(center, members, ps)
     in_box = set(members)
     sparse = [p for p in assigned if p not in in_box]

@@ -25,10 +25,10 @@ from typing import Sequence
 
 from plane_layers.centralized import Recoloring
 from plane_layers.errors import GeneralPositionError, PreconditionError, UsageError
-from plane_layers.geometry import PointSet, Segment, cross_sign
+from plane_layers.geometry import PointSet, Segment
 from plane_layers.mst import adjacency
 
-from predicates import Orientation, ccw_order_around, orientation_ids
+from predicates import Orientation, ccw_order_around, cross_sign, orientation_ids
 
 
 @dataclass(frozen=True)

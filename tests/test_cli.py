@@ -12,7 +12,9 @@ import pytest
 
 from plane_layers import cli
 from plane_layers.cli import main
+from plane_layers.centralized import Recoloring, construction1
 from plane_layers.geometry import PointSet, Segment
+from plane_layers.mst import build_emst
 from plane_layers.verify import Guarantee, verify_layers
 
 from conftest import count_emst_trees, count_mst_computations
@@ -68,6 +70,18 @@ def test_gen_rejects_bad_arguments(tmp_path, flags):
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
     assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("n, eps, message", [
+    ("1", "0.001", "line instances need n >= 2"),
+    ("1", "abc", "line instances need n >= 2"),  # n is checked before --eps is read
+    ("0", "0.001", "n must be >= 1"),
+])
+def test_gen_line_needs_two_points(tmp_path, capsys, n, eps, message):
+    out = tmp_path / "p.txt"
+    assert run("gen", "--kind", "line", "--n", n, "--eps", eps, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -300,6 +314,62 @@ def test_verify_rejects_a_two_tree_layer_that_is_not_a_tree(tmp_path):
     assert run("verify", str(pts), str(bad)) == 4
 
 
+@pytest.mark.parametrize(
+    "shared, message",
+    [
+        ("garbage", "'garbage' is not a pair of point ids"),
+        (True, "True is not a pair of point ids"),
+        ([0], "[0] is not a pair of point ids"),
+        ([0, True], "[0, True] is not a pair of point ids"),
+        ([3, 3], "edge [3, 3] is a self-loop"),
+        ([0, 30], "edge [0, 30] has an id outside 0..29"),
+        ([-1, 3], "edge [-1, 3] has an id outside 0..29"),
+    ],
+)
+def test_verify_rejects_a_malformed_shared_field(tmp_path, capsys, shared, message):
+    """A two-tree file's 'shared' is null or a pair of distinct point ids,
+    checked as layer entries are; anything else is a usage error naming the
+    field, also on a file whose trees share an edge."""
+    pts = tmp_path / "p.txt"
+    assert run("gen", "--kind", "uniform", "--n", "30", "--out", str(pts)) == 0
+    out = tmp_path / "tt.json"
+    assert run("build", str(pts), "--mode", "two-tree", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    data["blue"][0] = data["red"][0]
+    data["shared"] = shared
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("verify", str(pts), str(bad)) == 2
+    assert capsys.readouterr().err == f"usage error: layers file: 'shared': {message}\n"
+
+
+def test_verify_reads_a_recorded_shared_edge(tmp_path):
+    """Red and blue may share one edge only when the file records one: a
+    built file with 'shared' null passes and fails once blue repeats a red
+    edge, which passes with that edge recorded; a root-edge construction's
+    file records the edge its trees share and passes."""
+    pts = tmp_path / "p.txt"
+    assert run("gen", "--kind", "uniform", "--n", "30", "--out", str(pts)) == 0
+    out = tmp_path / "tt.json"
+    assert run("build", str(pts), "--mode", "two-tree", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert data["shared"] is None
+    assert run("verify", str(pts), str(out)) == 0
+    data["blue"][0] = data["red"][0]
+    for shared, code in ((None, 4), (data["red"][0], 0)):
+        data["shared"] = shared
+        out.write_text(json.dumps(data))
+        assert run("verify", str(pts), str(out)) == code
+    ps = PointSet.from_text(pts.read_text())
+    edges = build_emst(ps)
+    root = min(v for v in ps.ids if sum(e.touches(v) for e in edges) == 1)
+    tt = construction1(ps, root, Recoloring.ORIGINAL)
+    out.write_text(json.dumps({**tt.to_json_dict(), "n": len(ps)}))
+    assert json.loads(out.read_text())["shared"] == list(tt.shared.as_pair())
+    assert run("verify", str(pts), str(out)) == 0
+
+
 def test_verify_allows_one_edge_above_twice_the_bottleneck(tmp_path, capsys):
     """A bound-3 two-tree file may hold one edge longer than twice the MST
     bottleneck, not two."""
@@ -496,6 +566,7 @@ def test_malformed_layer_files_are_usage_errors(tmp_path, capsys, content, comma
     "meta, message",
     [
         ({"kind": "two-tree", "bound": "2", "red": [], "blue": []}, "'bound' must be"),
+        ({"kind": "two-tree", "shared": [0, 0], "red": [], "blue": []}, "'shared': edge [0, 0]"),
         ({"kind": "distributed", "k": 1, "betaSq": "1/0", "layers": [[[0, 1]]]}, "betaSq"),
         ({"kind": "distributed", "k": 1, "betaSq": 0.5, "layers": [[[0, 1]]]}, "betaSq"),
         ({"kind": "distributed", "betaSq": "1/1", "layers": [[[0, 1]]]}, "'k' must be"),

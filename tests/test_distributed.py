@@ -22,6 +22,7 @@ from plane_layers.distributed import (
     _connector_pairs,
     _dense_near,
     _nearest_center,
+    _ordered_center,
     _pair_selected,
     build_k_layers,
     center_point,
@@ -560,9 +561,10 @@ def test_center_point_triangle_and_hexagon():
 def test_center_point_rejects_repeated_ray_ids():
     """A repeated id shares a ray from every point, so no center exists."""
     ps = PointSet([(0, 0), (4, 0), (0, 4), (4, 4)])
-    for ids, ray_ids in (([0, 1, 2, 0], None), ([0, 1, 2, 3], [0, 1, 1])):
-        with pytest.raises(PreconditionError, match="distinct ray ids"):
-            center_point(ids, ps, ray_ids=ray_ids)
+    with pytest.raises(PreconditionError, match="distinct ray ids"):
+        center_point([0, 1, 2, 0], ps)
+    with pytest.raises(PreconditionError, match="distinct ray ids"):
+        _ordered_center([0, 1, 2, 3], ps, [0, 1, 1])
 
 
 def test_center_point_random_oracle(rng):
@@ -572,14 +574,14 @@ def test_center_point_random_oracle(rng):
         assert brute_depth(cx, cy, exact_coords(ps)) >= 10
         # depth ids among more ray ids, as a box's points among those assigned to it
         ids, ray_ids = list(ps.ids)[:24], list(ps.ids)[::-1]
-        cx, cy = center_point(ids, ps, ray_ids=ray_ids)
+        (cx, cy), _, _ = _ordered_center(ids, ps, ray_ids)
         assert brute_depth(cx, cy, exact_coords(ps)[:24]) >= 8
         rays = {(d[0] // math.gcd(*d), d[1] // math.gcd(*d)) for d in ps.offsets(ray_ids, cx, cy)}
         assert len(rays) == len(ray_ids)
         # an id outside the ray ids, or a repeated one
         for bad_ids, bad_rays in ((ids, ids[12:]), (ids, ids[:-1]), ([*ids, 0], list(ps.ids))):
             with pytest.raises(PreconditionError, match="distinct ids among the ray ids"):
-                center_point(bad_ids, ps, ray_ids=bad_rays)
+                _ordered_center(bad_ids, ps, bad_rays)
 
 
 def test_center_point_no_two_points_per_ray(rng):
@@ -618,7 +620,7 @@ def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
         return depth_around(*args, **kwargs)
 
     monkeypatch.setattr(distributed, "_depth_around", counted)
-    cx, cy = center_point(members, ps, ray_ids=gi.assigned_to(box))
+    (cx, cy), _, _ = _ordered_center(members, ps, gi.assigned_to(box))
     assert 0 < len(calls) <= len(members) + 2
     assert tukey_depth(cx, cy, members, ps) >= 276  # ceil(828 / 3)
 

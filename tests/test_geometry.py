@@ -2,9 +2,11 @@ import copy
 import math
 import pickle
 import random
+from collections import Counter
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations, product
 
 import pytest
 
@@ -18,8 +20,6 @@ from plane_layers.geometry import (
     convex_hull,
     _all_crossing_pairs,
     crossing_pairs,
-    cross_sign,
-    has_crossing,
     id_strictly_inside_polygon,
     read_coord,
 )
@@ -29,7 +29,10 @@ from predicates import (
     Orientation,
     ccw_order_around,
     collinear_overlap,
+    cross_sign,
+    has_crossing,
     orientation_ids,
+    proper_cross_signs,
     properly_cross,
 )
 from rational_points import Point, exact_coords, exact_point, orientation
@@ -71,6 +74,43 @@ def test_properly_cross_symmetric(rng):
         a, b, c, d = rng.sample(range(len(ps)), 4)
         s1, s2 = Segment(a, b), Segment(c, d)
         assert properly_cross(s1, s2, ps) == properly_cross(s2, s1, ps)
+
+
+def test_proper_cross_scaled_matches_the_sign_form():
+    """The all-pairs scan's test multiplies raw cross products, the oracle
+    `proper_cross_signs` their signs.  They agree on random pairs whose
+    coordinates reach 10**160, so that the products leave float range, and
+    on every pair of segments of a 4 x 4 grid, as it is and scaled by
+    10**160 off the origin: collinear, touching and shared-endpoint pairs
+    among them give zero cross products."""
+    rng = random.Random(160)
+    big = 10**160
+    crossed = 0
+    for _ in range(4000):
+        coords = [rng.randint(-big, big) for _ in range(8)]
+        got = geometry._proper_cross_scaled(*coords)
+        assert got == proper_cross_signs(*coords), coords
+        crossed += got
+    assert 500 < crossed < 3500
+    def on_segment(p, q, r):
+        return cross_sign(*q, *r, *p) == 0 and all(
+            min(u, w) <= v <= max(u, w) for v, u, w in zip(p, q, r))
+
+    cells = [(x, y) for x in range(4) for y in range(4)]
+    kinds = Counter()
+    for (a, b), (c, d) in product(combinations(cells, 2), repeat=2):
+        for scale, shift in ((1, 0), (big, big // 7)):
+            coords = [v * scale + shift for p in (a, b, c, d) for v in p]
+            got = geometry._proper_cross_scaled(*coords)
+            assert got == proper_cross_signs(*coords), coords
+        if {a, b} & {c, d}:
+            kinds["shared endpoint"] += 1
+        elif cross_sign(*a, *b, *c) == cross_sign(*a, *b, *d) == 0:
+            kinds["collinear"] += 1
+        elif on_segment(a, c, d) or on_segment(b, c, d) or on_segment(c, a, b) or on_segment(d, a, b):
+            kinds["touching"] += 1
+        kinds["crossing"] += got
+    assert all(kinds[k] for k in ("shared endpoint", "collinear", "touching", "crossing")), kinds
 
 
 def _cross_via_rational_solve(s1, s2, ps):
@@ -1084,7 +1124,7 @@ def test_segment_normalizes_and_rejects_loops():
 def test_segment_repr_names_both_fields():
     s = Segment(7, 3)
     assert repr(s) == str(s) == f"{s}" == "Segment(a=3, b=7)"
-    assert f"edge {s} added twice" == "edge Segment(a=3, b=7) added twice"
+    assert f"red edges {s} and" == "red edges Segment(a=3, b=7) and"
 
 
 def test_segment_order_hash_and_equality_follow_its_pair(rng):

@@ -176,7 +176,7 @@ def tuple_delaunay_triangles(ps):
 def kruskal_weight(ps):
     """Independent oracle: exact total weight of a minimum spanning tree."""
     pairs = sorted(
-        ((ps.dist_sq(i, j), i, j) for i, j in combinations(ps.ids, 2)),
+        ((ps.seg_len_sq(Segment(i, j)), i, j) for i, j in combinations(ps.ids, 2)),
     )
     uf = UnionFind(ps.ids)
     total = Fraction(0)

@@ -13,7 +13,6 @@ from plane_layers.geometry import (
     Segment,
     _all_crossing_pairs,
     crossing_pairs,
-    has_crossing,
 )
 from plane_layers.mst import build_emst
 from plane_layers.verify import (
@@ -27,7 +26,7 @@ from plane_layers.verify import (
 )
 
 from conftest import collinear_triple, random_edge_mutation, random_point_set
-from predicates import collinear_overlap
+from predicates import collinear_overlap, has_crossing
 from rational_points import exact_coords
 from unionfind import UnionFind
 
@@ -66,7 +65,7 @@ def test_verify_rejects_ids_outside_the_point_set():
     """An id outside 0..n-1 is a precondition error naming the first such
     edge, not a read of another point (-1 is the last one) or an IndexError:
     in `verify_layers` and `count_layers` with its layer, in `crossing_pairs`
-    and `has_crossing` without one."""
+    without one."""
     ps = PointSet([(0, 0), (4, 0), (0, 4), (4, 4)])
     tree = [Segment(0, 1), Segment(1, 2), Segment(2, 3)]
     for check in (verify_layers, count_layers):
@@ -76,11 +75,10 @@ def test_verify_rejects_ids_outside_the_point_set():
             check([[Segment(0, 7)]], ps)
         with pytest.raises(PreconditionError, match=r"^layer 1: edge \(0, 7\) has an id outside 0\.\.3$"):
             check([tree, [Segment(1, 2), Segment(0, 7), Segment(-1, 9)]], ps)
-    for check in (crossing_pairs, has_crossing):
-        with pytest.raises(PreconditionError, match=r"^edge \(-1, 0\) has an id outside 0\.\.3$"):
-            check([Segment(-1, 0), Segment(1, 2)], ps)
-        with pytest.raises(PreconditionError, match=r"^edge \(0, 7\) has an id outside 0\.\.3$"):
-            check([Segment(0, 7)], ps)
+    with pytest.raises(PreconditionError, match=r"^edge \(-1, 0\) has an id outside 0\.\.3$"):
+        crossing_pairs([Segment(-1, 0), Segment(1, 2)], ps)
+    with pytest.raises(PreconditionError, match=r"^edge \(0, 7\) has an id outside 0\.\.3$"):
+        crossing_pairs([Segment(0, 7)], ps)
     assert verify_layers([tree], ps).per_layer[0].spanning
     assert count_layers([tree], ps).per_layer[0].components == 1
 
