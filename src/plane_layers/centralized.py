@@ -110,7 +110,7 @@ def construction1(ps: PointSet, root: int, variant: Recoloring) -> TwoTrees:
     asm.red, asm.blue = _subtree_contribution(ps, adj, s, root, variant, {root})
     asm.red.append(rs)
     asm.blue.append(rs)  # the one shared edge the guarantee allows
-    return asm.finish(ps, Guarantee.two_tree(2, shared=True), "construction1", 2, shared=rs)
+    return asm.finish(ps, Guarantee.two_tree(2, rs), "construction1", 2)
 
 
 def _component(adj: dict[int, list[int]], start: int) -> set[int]:
@@ -187,11 +187,11 @@ class _Assembler:
         self._stage.update(dict.fromkeys(edges, stage))
 
     def finish(self, ps: PointSet, guarantee: Guarantee, stage: str, bound: int,
-               shared: Segment | None = None, pv: dict[int, int] | None = None) -> TwoTrees:
-        """The pair as TwoTrees, once `verify_layers` on the caller's point
-        set `ps` finds that it keeps `guarantee`.  When the deferred edge is
-        in every blue crossing, it is repaired along the path `pv` and the
-        pair verified again.
+               pv: dict[int, int] | None = None) -> TwoTrees:
+        """The pair as TwoTrees, sharing `guarantee.shared`, once
+        `verify_layers` on the caller's point set `ps` finds that it keeps
+        `guarantee`.  When the deferred edge is in every blue crossing, it is
+        repaired along the path `pv` and the pair verified again.
 
         A crossing fails where an edge-by-edge check in insertion order would
         have met it first: the pair whose later edge was added earliest, then
@@ -216,7 +216,8 @@ class _Assembler:
                 stage = self._stage.get(e, stage)
             self._fail(stage, message)
         red, blue = (l.ratio for l in report.per_layer)
-        return TwoTrees(tuple(sorted(self.red)), tuple(sorted(self.blue)), shared, red, blue, bound)
+        return TwoTrees(tuple(sorted(self.red)), tuple(sorted(self.blue)), guarantee.shared,
+                        red, blue, bound)
 
     def _fail(self, stage: str, message: str) -> None:
         raise InternalAssertionError(
@@ -308,7 +309,7 @@ def disjoint_trees_flat(ps: PointSet, adj: dict[int, list[int]], v: int) -> TwoT
         asm.add("red", red, f"flat-subtree-{i + 1}")
         asm.add("blue", blue, f"flat-subtree-{i + 1}")
 
-    return asm.finish(ps, Guarantee.two_tree(2, shared=False), "flat-final", 2)
+    return asm.finish(ps, Guarantee.two_tree(2, None), "flat-final", 2)
 
 
 # --- the all-pointed construction -------------------------------------------
@@ -500,7 +501,7 @@ def disjoint_trees_pointed(ps: PointSet, adj: dict[int, list[int]], pc: PCase) -
         asm.add("red", red, f"pointed-T{i}")
         asm.add("blue", blue, f"pointed-T{i}")
     # the file records bound 3; case 2 keeps to ratio 2
-    guarantee = Guarantee.two_tree(3 if pc.tag.startswith("1") else 2, shared=False)
+    guarantee = Guarantee.two_tree(3 if pc.tag.startswith("1") else 2, None)
     return asm.finish(ps, guarantee, "pointed-final", 3, pv=pv)
 
 

@@ -246,9 +246,8 @@ def cmd_verify(args) -> int:
     guarantee = Guarantee()
     if meta.get("kind") == "two-tree":
         shared = meta.get("shared")  # null, or the one edge red and blue may share
-        _edges([] if shared is None else [shared], len(ps), "layers file: 'shared'")
-        guarantee = Guarantee.two_tree(_positive_int(meta, "bound", default=3),
-                                       shared=shared is not None)
+        shared = None if shared is None else _edges([shared], len(ps), "layers file: 'shared'")[0]
+        guarantee = Guarantee.two_tree(_positive_int(meta, "bound", default=3), shared)
     elif meta.get("kind") == "distributed":
         k = _positive_int(meta, "k")
         if k != len(layers):
@@ -258,7 +257,7 @@ def cmd_verify(args) -> int:
     if args.out:  # only once the file's metadata has passed its checks
         _dump_json(args.out, report.to_json_dict())
     print(f"plane={report.all_plane} spanning={report.all_spanning} "
-          f"disjoint={len(report.duplicate_edges) <= guarantee.shared} "
+          f"disjoint={report.unshared_repeat(guarantee.shared) is None} "
           f"maxRatio={report.overall_max_ratio:.6f}")
     return 0 if report.ok(guarantee) else 4
 

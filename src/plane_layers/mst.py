@@ -5,15 +5,19 @@ one of two sources:
 
 - the grid's short pairs (`_grid_forest`), tried first: every pair no longer
   than a radius s set by the bounding box and n, found by bucketing the
-  points into cells of side about s and checking each cell against itself
-  and its neighbours.  On spread-out points, such as uniform sensor fields,
-  these pairs number about 5.6 per point at n = 500 and span on about nine
-  sets in ten.  Where they do not, the longest tree edges lie near the
-  boundary, and a repair checks each point outside the largest component of
-  their forest against every point within twice the radius; the tree is
-  exact whenever the repaired pairs span.  The grid declines when even they
-  do not span, or when the cell counts alone show more checks, repair
-  included, than a budget of O(log n) per point, as in clustered input;
+  points into cells of side s, each holding about 2.5 points when the points
+  are spread evenly, and checking each cell against itself and its
+  neighbours.  On spread-out points, such as uniform sensor fields, these
+  pairs number about 3.6 per point whatever n is, but often do not span:
+  the longest tree edges lie near the boundary and grow with log n.  So a
+  repair, the common path, checks each point outside the largest component
+  of their forest against every point of another component within twice
+  the radius, and again within twice that while the forest does not span;
+  the tree is exact whenever it spans.  The grid declines once its checks,
+  each counted before the distance it leads to, the repair's included,
+  pass a budget of O(log n) per point: on clustered input the cell counts
+  alone pass it before any distance.  Uniform points take about 11 checks
+  per point;
 - the edges of an exact Delaunay triangulation (`_delaunay_forest`): always
   O(n) edges, found in O(n log n) on spread-out inputs.
 
@@ -21,7 +25,7 @@ Both run on the grid integers of the point set, so no rounding can change an
 edge or an edge order, and both give exactly the tree that an O(n^2) Prim
 scan over the complete graph returns (see `build_emst`); that scan is kept in
 the tests as the reference.  On uniform points at n = 300 to 12800 the
-grid's tree costs 0.3-0.5x the Delaunay one.
+grid's tree costs 0.15-0.4x the Delaunay one.
 
 The kernels are flat integer loops over the two coordinate lists of
 `PointSet.grid`: the triangulation keys each directed edge u->v by the int
@@ -297,9 +301,12 @@ def _delaunay_forest(xs: list[int], ys: list[int], order: list[int]) -> list[int
     return tree
 
 
-# The grid's squared radius is at least area * (ln n + GRID_LOG_SLACK) / (pi n),
-# so a cell of uniform points holds about (ln n + GRID_LOG_SLACK) / pi of them;
-# the grid declines above GRID_CHECK_BUDGET times that many checks per point.
+# The grid's squared radius is at least area * GRID_CELL_POINTS / n, so a cell
+# of uniform points holds about GRID_CELL_POINTS of them whatever n is.  The
+# budget still follows ln n: the grid declines above GRID_CHECK_BUDGET * (ln n
+# + GRID_LOG_SLACK) / pi checks per point, GRID_CHECK_BUDGET times the points
+# expected within the longest MST edge of uniform points (Penrose 1997).
+GRID_CELL_POINTS = 2.5
 GRID_LOG_SLACK = 6
 GRID_CHECK_BUDGET = 5
 _FIXED_POINT = 1 << 20
@@ -308,54 +315,71 @@ _FIXED_POINT = 1 << 20
 def _grid_forest(xs: list[int], ys: list[int]) -> list[int] | None:
     """The EMST edges a*n + b of `_kruskal` on the n >= 1 grid points (xs[i],
     ys[i]) in join order, as Kruskal over every pair of squared length <= s2,
-    repaired when those pairs do not span; None when the repair does not span
-    either, or when the pairs take more than GRID_CHECK_BUDGET * n * (ln n +
-    GRID_LOG_SLACK) / pi checks to find.
+    repaired until the forest spans; None when the pairs, repair included,
+    take more than GRID_CHECK_BUDGET * n * (ln n + GRID_LOG_SLACK) / pi
+    checks to find.
 
-    For n uniform points in area A the longest MST edge has squared length
-    about A * (ln n + O(1)) / (pi n) (Penrose 1997), so s2 is that with
-    GRID_LOG_SLACK as the O(1), computed in integers because grid integers
-    can have hundreds of digits; it is at least (2 * max(w, h) // n + 1)^2
-    for the w x h bounding box, which covers thin sets such as the near-line
-    instances.  s2 sets only the speed and the chance of a decline, never
-    the tree.  The points go into square cells of side ceil(sqrt(s2)), so a
-    pair within sqrt(s2) lies in one cell or in two neighbouring ones; each
-    cell is checked against itself and its four forward neighbours.  The
-    number of checks follows from the cell counts alone and is compared
-    with the budget before any distance is computed, so clustered input,
-    where these pairs are dense, declines after O(n) work.
+    s2 is the squared side of a square holding GRID_CELL_POINTS of n points
+    spread evenly over the w x h bounding box, computed in integers because
+    grid integers can have hundreds of digits; it is at least (2 * max(w, h)
+    // n + 1)^2, which covers thin sets such as the near-line instances.  s2
+    sets only the speed and the chance of a decline, never the tree.  The
+    points go into square cells of side ceil(sqrt(s2)), so a pair within
+    sqrt(s2) lies in one cell or in two neighbouring ones; each cell is
+    checked against itself and its four forward neighbours, about 11 checks
+    per uniform point whatever n is.  The number of checks follows from the
+    cell counts alone and is compared with the budget before any distance is
+    computed, so clustered input, where these pairs are dense, declines after
+    O(n) work.
 
-    The repair: on uniform points the longest MST edges lie near the
-    boundary, where a point has half the neighbours the radius assumes, and
-    one of them can exceed sqrt(s2).  Then each point outside the largest
-    component of the forest is checked against every point within 2 sqrt(s2),
-    two cells each way, and Kruskal continues over those longer pairs.  A
-    tree edge above sqrt(s2) never joins two points of one component (it
-    would be the longest edge of a cycle), so one of its ends is outside the
-    largest component and the repair finds it if it is within 2 sqrt(s2).
-    And if the repaired forest spans, no tree edge is longer: by the cut
-    property, the tree's edge across any cut is no longer than the forest's.
-    The repair's checks count against the same budget, again before any
-    distance.
+    The repair is the common path.  The longest MST edges of uniform points
+    lie near the boundary, where a point has half the neighbours, and for n
+    of them in area A the longest edge has squared length about A * (ln n +
+    O(1)) / (pi n) (Penrose 1997), which outgrows s2; so on most uniform
+    sets some tree edges are longer than sqrt(s2).  A round of the repair
+    with radius R = 2^k sqrt(s2), k = 1, 2, ..., checks each point outside
+    the largest component of the forest against every point of another
+    component in its window, the cells up to 2^k away each way, and Kruskal
+    continues over the pairs longer than R/2 and no longer than R; rounds
+    go on while the forest does not span.  A tree edge longer than R/2
+    never joins two points of one component of the forest (it would be the
+    longest edge of a cycle of pairs no longer than R/2), so one of its ends
+    is outside the largest component and the round finds it if it is within
+    R.  And once the forest spans, no tree edge is longer than the last
+    round's R: by the cut property, the tree's edge across any cut is no
+    longer than the forest's.
+
+    The repair's work counts against the same budget, checked at each
+    point.  A round groups the points of each cell that holds a point
+    outside the largest component by component, which counts each of those
+    points once, so a point skips its own component's points at one step
+    per cell.  Each point outside the largest component then counts its
+    window's cells or the points of other components it reads there,
+    whichever are more, and the cells before it reads any.  So the grid
+    declines within one window of the budget, and two far-apart uniform
+    fields decline in the first round.  Finding the components costs O(n) a
+    round, and the rounds stop once R passes the diameter, after O(log n)
+    of them.  On uniform points the first round nearly always spans, after
+    a few checks per point outside the largest component, which holds a
+    small share of the points.
     """
     n = len(xs)
     xmin = min(xs)
     ymin = min(ys)
     w = max(xs) - xmin
     h = max(ys) - ymin
-    per_cell = round((math.log(n) + GRID_LOG_SLACK) / math.pi * _FIXED_POINT)
-    budget = GRID_CHECK_BUDGET * n * per_cell
+    budget = GRID_CHECK_BUDGET * n * round((math.log(n) + GRID_LOG_SLACK) / math.pi * _FIXED_POINT)
+    per_cell = round(GRID_CELL_POINTS * _FIXED_POINT)
     s2 = max(-(-w * h * per_cell // (n * _FIXED_POINT)), (2 * max(w, h) // n + 1) ** 2)
     side = math.isqrt(s2 - 1) + 1
-    # cell (cx, cy) is cx * rows + cy + 2; the two rows at either end of a
-    # column are always empty, so a cell's neighbours up to two rows away
-    # never wrap into the next column
-    rows = h // side + 5
+    # cell (cx, cy) is cx * rows + cy + 1; the row at either end of a column
+    # is always empty, so a forward neighbour never wraps into the next column
+    rows = h // side + 3
     forward = (rows - 1, rows, rows + 1, 1)
     cells: dict[int, list[int]] = {}
     where = []
     for i, (x, y) in enumerate(zip(xs, ys)):
-        key = (x - xmin) // side * rows + (y - ymin) // side + 2
+        key = (x - xmin) // side * rows + (y - ymin) // side + 1
         where.append(key)
         cell = cells.get(key)
         if cell is None:
@@ -392,31 +416,59 @@ def _grid_forest(xs: list[int], ys: list[int]) -> list[int] | None:
     parent = list(range(n))
     tree: list[int] = []
     _kruskal(keys, n, parent, tree)
-    if len(tree) < n - 1:
+    cols = w // side + 1
+    top = h // side
+    reach, lo = 1, s2
+    while len(tree) < n - 1:
+        reach *= 2
+        hi = 4 * lo
         roots = [_find(parent, i) for i in range(n)]
         largest = Counter(roots).most_common(1)[0][0]
-        window = [dx * rows + dy for dx in range(-2, 3) for dy in range(-2, 3)]
-        repair = []
-        for i, root in enumerate(roots):
-            if root != largest:
-                near = [j for step in window for j in cells.get(where[i] + step, ()) if j != i]
-                checks += len(near)
-                repair.append((i, near))
-        if checks * _FIXED_POINT > budget:
-            return None
-        r2 = 4 * s2
+        # the points of each cell that holds a point outside the largest
+        # component, grouped by component
+        groups: dict[int, dict[int, list[int]]] = {}
+        for key, root in zip(where, roots):
+            if root != largest and key not in groups:
+                groups[key] = by_root = {}
+                for j in cells[key]:
+                    by_root.setdefault(roots[j], []).append(j)
+                checks += len(cells[key])
         keys = []
-        for i, near in repair:
+        for i, root in enumerate(roots):
+            if root == largest:
+                continue
+            cx, cy = divmod(where[i] - 1, rows)
+            x0, x1 = max(cx - reach, 0), min(cx + reach, cols - 1)
+            y0, y1 = max(cy - reach, 0), min(cy + reach, top)
+            # i is checked against the points of its window outside its own
+            # component; they or the window's cells, whichever are more,
+            # count as checks, the cells before the window is read
+            area = (x1 - x0 + 1) * (y1 - y0 + 1)
+            if (checks + area) * _FIXED_POINT > budget:
+                return None
+            near = []
+            for column in range(x0 * rows + y0 + 1, x1 * rows + rows, rows):
+                for key in range(column, column + y1 - y0 + 1):
+                    if key in groups:
+                        for r, group in groups[key].items():
+                            if r != root:
+                                near += group
+                    elif key in cells:
+                        near += cells[key]
+            checks += max(area, len(near))
+            if checks * _FIXED_POINT > budget:
+                return None
             xi = xs[i]
             yi = ys[i]
             for j in near:
                 dx = xi - xs[j]
                 dy = yi - ys[j]
                 d = dx * dx + dy * dy
-                if s2 < d <= r2:
+                if lo < d <= hi:
                     keys.append(d * nn + (i * n + j if i < j else j * n + i))
         _kruskal(keys, n, parent, tree)
-    return tree if len(tree) == n - 1 else None
+        lo = hi
+    return tree
 
 
 def grid_bottleneck_sq(ps: PointSet) -> int:

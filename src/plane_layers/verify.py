@@ -49,22 +49,22 @@ class Guarantee:
     and spanning: no edge longer than sqrt(`ratio_sq`) times beta, where
     beta^2 is `beta_sq` or, when that is None, the MST bottleneck's square;
     at most `over_twice` distinct edges longer than twice the bottleneck
-    (None: any number); at most `shared` distinct edges in more than one
+    (None: any number); no edge but `shared` (None: none) in more than one
     layer; and, with `trees`, exactly n - 1 edges in every layer.  The
     default promises nothing more than plane, spanning, disjoint layers."""
 
     ratio_sq: int | None = None
     beta_sq: Fraction | None = None
     over_twice: int | None = None
-    shared: int = 0
+    shared: Segment | None = None
     trees: bool = False
 
     @classmethod
-    def two_tree(cls, bound: int, shared: bool) -> Guarantee:
+    def two_tree(cls, bound: int, shared: Segment | None) -> Guarantee:
         """Two spanning trees, every edge at most `bound` times the MST
         bottleneck and at most bound - 2 of them above twice it (bound 3
-        allows one), sharing one edge when `shared`."""
-        return cls(bound * bound, None, max(bound - 2, 0), int(shared), True)
+        allows one), sharing no edge but `shared`."""
+        return cls(bound * bound, None, max(bound - 2, 0), shared, True)
 
     @classmethod
     def k_layers(cls, k: int, beta_sq: Fraction) -> Guarantee:
@@ -90,14 +90,22 @@ class LayerReport:
 @dataclass(frozen=True)
 class VerificationReport:
     per_layer: tuple[LayerReport, ...]
-    pairwise_disjoint: bool
-    duplicate_edges: tuple[tuple[int, int], ...]
     overall_max_ratio: float
     over_twice_bottleneck: int
     beta_sq: Fraction | None  # exact squared MST bottleneck; not serialised
     vertices: int  # not serialised
-    # (edge, first layer, this layer) of the first repeated edge; not serialised
-    first_repeat: tuple[Segment, int, int] | None
+    # (edge, first layer, this layer) per repeated occurrence, in scan order;
+    # serialised as the distinct edges (`duplicate_edges`)
+    repeats: tuple[tuple[Segment, int, int], ...]
+
+    @property
+    def pairwise_disjoint(self) -> bool:
+        return not self.repeats
+
+    @property
+    def duplicate_edges(self) -> tuple[tuple[int, int], ...]:
+        """The distinct repeated edges as sorted id pairs."""
+        return tuple(sorted({e.as_pair() for e, _, _ in self.repeats}))
 
     @property
     def all_plane(self) -> bool:
@@ -111,9 +119,10 @@ class VerificationReport:
         """The first property of `guarantee` the layers break, as (property,
         layer, message), or None when they keep them all.  Each layer in turn
         is checked for the length limit ("length"), planarity, spanning and,
-        for trees, n - 1 edges ("tree"); then all layers together for shared
-        edges ("shared", at the layer of the first repeat) and for edges
-        above twice the bottleneck ("over-twice", at no layer)."""
+        for trees, n - 1 edges ("tree"); then all layers together for an edge
+        other than `guarantee.shared` in more than one layer ("shared", at
+        the layer of its first repeat) and for edges above twice the
+        bottleneck ("over-twice", at no layer)."""
         g = guarantee
         beta_sq = self.beta_sq if g.beta_sq is None else g.beta_sq
         limit_sq = None if g.ratio_sq is None or beta_sq is None else g.ratio_sq * beta_sq
@@ -128,13 +137,22 @@ class VerificationReport:
                 return "spanning", j, f"layer {j} has {l.components} components"
             if g.trees and l.edges != n - 1:
                 return "tree", j, f"layer {j} has {l.edges} edges, expected {n - 1}"
-        if len(self.duplicate_edges) > g.shared:
-            e, i, j = self.first_repeat
-            return "shared", j, f"edge {e} in layers {i} and {j}"
+        repeat = self.unshared_repeat(g.shared)
+        if repeat is not None:
+            e, i, j = repeat
+            message = f"edge {e} in layers {i} and {j}"
+            if g.shared is not None:
+                message += f", not the shared edge {g.shared}"
+            return "shared", j, message
         over = self.over_twice_bottleneck
         if g.over_twice is not None and over > g.over_twice:
             return "over-twice", None, f"{over} edges exceed twice the bottleneck"
         return None
+
+    def unshared_repeat(self, shared: Segment | None) -> tuple[Segment, int, int] | None:
+        """The first repeated occurrence of an edge other than `shared`, as
+        (edge, first layer, this layer), or None when only `shared` repeats."""
+        return next((r for r in self.repeats if r[0] != shared), None)
 
     def ok(self, guarantee: Guarantee) -> bool:
         """True when the layers break no property of `guarantee`; for
@@ -277,16 +295,13 @@ def verify_layers(
                 overlaps=_overlapping_pairs(layer, ps) if flag_overlaps else (),
             )
         )
-    dups = sorted({e.as_pair() for e, _, _ in counts.repeats})
     return VerificationReport(
         per_layer=tuple(reports),
-        pairwise_disjoint=not dups,
-        duplicate_edges=tuple(dups),
         overall_max_ratio=max((r.ratio for r in reports), default=0.0),
         over_twice_bottleneck=counts.longer_than(4 * be_grid) if be_grid else 0,
         beta_sq=be_sq,
         vertices=len(ps),
-        first_repeat=counts.repeats[0] if counts.repeats else None,
+        repeats=counts.repeats,
     )
 
 

@@ -162,10 +162,10 @@ def sweep_arithmetic(edges, ps) -> tuple[int, int]:
     return orientations, products
 
 
-def grid_repaired(ps) -> bool:
-    """Whether `mst._grid_forest` needs its repair to span `ps`: it then runs
-    Kruskal a second time, over the pairs the repair finds, and accepts.
-    Told apart by counting the calls to `mst._kruskal`."""
+def grid_repair_rounds(ps) -> int | None:
+    """The repair rounds `mst._grid_forest` takes to span `ps`, or None when
+    it declines: each round runs Kruskal again, over the pairs it finds, so
+    the rounds are the calls to `mst._kruskal` after the first."""
     passes = []
     kruskal = mst._kruskal
 
@@ -178,7 +178,11 @@ def grid_repaired(ps) -> bool:
         tree = mst._grid_forest(*ps.grid)
     finally:
         mst._kruskal = kruskal
-    return tree is not None and len(passes) == 2
+    return None if tree is None else len(passes) - 1
+
+
+def grid_repaired(ps) -> bool:
+    return bool(grid_repair_rounds(ps))
 
 
 def grid_check_budget(n: int) -> float:

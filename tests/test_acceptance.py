@@ -187,7 +187,7 @@ def test_criterion_9_mutation_sensitivity():
     for ps in goldens:
         tt = build_two_disjoint_trees(ps)
         base = tt.layers()
-        guarantee = Guarantee.two_tree(tt.bound, shared=False)
+        guarantee = Guarantee.two_tree(tt.bound, shared=None)
         tripped = 0
         for _ in range(100):
             mutated = random_edge_mutation(base, ps, rng)

@@ -11,10 +11,11 @@ per-edge Python dunder or a per-vertex angular sort creeping back shows up
 here as a count above zero or one that grows with n.
 
 On uniform points the grid's short pairs give the EMST, repaired where the
-longest tree edge lies beyond the grid's radius: its pair checks, the
-repair's included, stay within their budget, counted from the kernel rather
-than timed, no Delaunay triangulation runs, and a point set computes its
-tree once however many builds and verifies read it.
+longest tree edges lie beyond the grid's radius: its pair checks, the
+repair's included, stay within their budget and at a constant per point,
+counted from the kernel rather than timed, no Delaunay triangulation runs,
+and a point set computes its tree once however many builds and verifies
+read it.
 
 The two-tree build computes the MST's adjacency once, and colors the
 subtrees hanging off the flat vertex in passes that read each vertex's
@@ -48,6 +49,7 @@ it forms, counted the same way, stay below three per edge.
 import cProfile
 import pstats
 import random
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -58,7 +60,7 @@ from plane_layers import centralized, cli, distributed, geometry, mst, verify
 from plane_layers.centralized import build_two_disjoint_trees, find_flat_vertex
 from plane_layers.cli import main
 from plane_layers.distributed import build_k_layers, locality_certificate
-from plane_layers.geometry import Segment
+from plane_layers.geometry import PointSet, Segment
 from plane_layers.verify import Guarantee, verify_layers
 
 from conftest import (
@@ -178,9 +180,71 @@ def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
     assert computations == [n]
     assert accepted
     assert triangulations == []
-    # the uniform set at n = 400 has its longest MST edge at the boundary,
-    # beyond the grid radius, and the repair finds it
-    assert grid_repaired(ps) == (n == 400)
+    # at about 2.5 points per cell some points of each set lie outside the
+    # largest component of the short pairs, and the repair joins them
+    assert grid_repaired(ps)
+
+
+@pytest.mark.parametrize("n", [400, 1600, 6400])
+def test_uniform_grid_checks_per_point_stay_constant(n):
+    """O(1) pair checks per point, the repair's included: a point meets
+    about half of its own cell and all of four neighbouring cells at about
+    2.5 points each, 11.25 checks in all, whatever n is."""
+    ps = random_point_set(random.Random(n), n)
+    assert grid_checks(ps) < 12 * n
+
+
+def _bytecodes(f, *args) -> int:
+    """The bytecodes that f(*args) executes, counted by a trace function;
+    a tracer set before, such as a coverage tool's, is put back after."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return local
+
+    def start(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(start)
+    try:
+        f(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("n", [800, 1600])
+def test_grid_declines_two_far_fields_within_its_budget(monkeypatch, n):
+    """Two uniform fields of n/2 points, a field's width apart.  The short
+    pairs keep to the budget and leave one field outside the largest
+    component; the repair counts the window cells it reads or the points
+    of other components there, whichever are more, and declines in its
+    first round, so the
+    kernel runs fewer than 150 bytecodes per check of the budget (about 60
+    here), where a repair that read windows without counting them would
+    run its rounds until they cross the gap."""
+    rng = random.Random(n)
+    pts = set()
+    while len(pts) < n:
+        x = rng.uniform(0, 1000) + 2000 * (len(pts) % 2)
+        pts.add((f"{x:.6f}", f"{rng.uniform(0, 1000):.6f}"))
+    ps = PointSet(sorted(pts))
+    assert 0 < grid_checks(ps) <= grid_check_budget(n)
+    kruskal = mst._kruskal
+    passes = []
+
+    def counted(*args):
+        passes.append(None)
+        return kruskal(*args)
+
+    monkeypatch.setattr(mst, "_kruskal", counted)
+    assert mst._grid_forest(*ps.grid) is None
+    assert len(passes) == 1
+    assert _bytecodes(mst._grid_forest, *ps.grid) < 150 * grid_check_budget(n)
 
 
 @pytest.mark.parametrize("n", [400, 1600])

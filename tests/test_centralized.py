@@ -528,7 +528,7 @@ def test_final_check_repairs_a_crossed_three_hop_edge(monkeypatch):
     beside a crossed v3v0, and nothing is repaired."""
     sweeps = count_sweeps(monkeypatch)
     pv = {3: 0, 2: 1, 1: 2, 0: 3}
-    guarantee = Guarantee.two_tree(3, shared=False)
+    guarantee = Guarantee.two_tree(3, shared=None)
     asm = _repair_star(Segment(5, 6))  # 5-6 crosses v3v0
     tt = asm.finish(asm.ps, guarantee, "pointed-final", 3, pv=pv)
     assert Segment(0, 3) not in tt.blue and Segment(4, 5) in tt.blue
@@ -623,7 +623,7 @@ def test_one_tree_computation_per_build_and_verify(monkeypatch, rng, make, bound
     trees = build_two_disjoint_trees(ps)
     assert trees.bound == bound
     report = verify_layers(trees.layers(), ps)
-    assert report.ok(Guarantee.two_tree(bound, shared=False))
+    assert report.ok(Guarantee.two_tree(bound, shared=None))
     assert (computations, emst_trees) == ([len(ps)], [len(ps)])
 
 
@@ -799,7 +799,7 @@ def test_final_self_check_faults(monkeypatch, branch, kind):
     ((layers, message),) = injected
     assert info.value.stage == stage
     assert str(info.value) == f"[{stage}] {label}: {message}"
-    assert not verify_layers(layers, ps).ok(Guarantee.two_tree(bound, shared=False))
+    assert not verify_layers(layers, ps).ok(Guarantee.two_tree(bound, shared=None))
 
 
 def test_two_tree_dump_replays_through_the_cli(monkeypatch, tmp_path):
@@ -1091,7 +1091,7 @@ def test_full_inversion_reads_no_side(mirror):
     assert [e.as_pair() for e in tt.red] == [(0, 1), (0, 3), (2, 3), (3, 4), (3, 5), (5, 6)]
     assert [e.as_pair() for e in tt.blue] == [(0, 2), (1, 2), (1, 3), (1, 4), (4, 5), (4, 6)]
     report = verify_layers(tt.layers(), ps)
-    assert report.ok(Guarantee.two_tree(tt.bound, shared=False))
+    assert report.ok(Guarantee.two_tree(tt.bound, shared=None))
     assert round(report.overall_max_ratio, 2) == 1.61
 
 

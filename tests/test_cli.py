@@ -303,7 +303,7 @@ def test_verify_rejects_a_two_tree_layer_that_is_not_a_tree(tmp_path):
     data = json.loads(out.read_text())
     ps = PointSet.from_text(pts.read_text())
     red, blue = ([Segment(*e) for e in data[c]] for c in ("red", "blue"))
-    guarantee = Guarantee.two_tree(data["bound"], shared=False)
+    guarantee = Guarantee.two_tree(data["bound"], shared=None)
     pairs = (Segment(a, b) for a, b in itertools.combinations(ps.ids, 2))
     extra = next(e for e in pairs if e not in red and e not in blue
                  and verify_layers([red + [e], blue], ps).breach(guarantee)[0] == "tree")
@@ -368,6 +368,30 @@ def test_verify_reads_a_recorded_shared_edge(tmp_path):
     out.write_text(json.dumps({**tt.to_json_dict(), "n": len(ps)}))
     assert json.loads(out.read_text())["shared"] == list(tt.shared.as_pair())
     assert run("verify", str(pts), str(out)) == 0
+
+
+def test_verify_rejects_a_repeat_other_than_the_recorded_shared_edge(tmp_path, capsys):
+    """A two-tree file whose trees repeat an edge other than the one its
+    'shared' records fails with a 'shared' breach naming both edges, and
+    the file that records the repeated edge passes."""
+    pts = tmp_path / "p.txt"
+    assert run("gen", "--kind", "uniform", "--n", "30", "--out", str(pts)) == 0
+    out = tmp_path / "tt.json"
+    assert run("build", str(pts), "--mode", "two-tree", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    data["blue"][0] = data["red"][0]
+    assert data["red"][0] == [0, 9]
+    for shared, code in (([0, 1], 4), ([9, 0], 0)):
+        data["shared"] = shared
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", str(pts), str(out)) == code
+        assert f"disjoint={code == 0} " in capsys.readouterr().out
+    ps = PointSet.from_text(pts.read_text())
+    report = verify_layers([[Segment(*e) for e in data[c]] for c in ("red", "blue")], ps)
+    assert report.breach(Guarantee.two_tree(data["bound"], Segment(0, 1))) == (
+        "shared", 1, f"edge {Segment(0, 9)} in layers 0 and 1, not the shared edge {Segment(0, 1)}")
+    assert report.breach(Guarantee.two_tree(data["bound"], Segment(0, 9))) is None
 
 
 def test_verify_allows_one_edge_above_twice_the_bottleneck(tmp_path, capsys):

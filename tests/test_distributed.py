@@ -1157,6 +1157,34 @@ def test_floor_depth_reproducer_builds():
         raise
 
 
+# 17 points, no three collinear, whose box {0, 7, 11, 16} (m = 4) finds no
+# center of depth 2 and falls back to depth 1 at the default beta.
+GENERAL_POSITION_REPRODUCER = [
+    (32, 179), (122, 101), (159, 182), (76, 126), (138, 120), (157, 159), (41, 156),
+    (151, 192), (96, 111), (106, 80), (164, 119), (14, 196), (165, 137), (63, 146),
+    (119, 83), (92, 97), (0, 199),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a floor-depth box routes a connector into its reflex sector")
+def test_general_position_reproducer_builds(monkeypatch, tmp_path, capsys):
+    """`build --mode distributed --k 1` exits 5 here: the final layer sweep
+    finds the edges (0, 11) and (5, 16) crossing.  Any other failure fails
+    the test outright."""
+    points = tmp_path / "points.txt"
+    points.write_text("".join(f"{i} {x} {y}\n" for i, (x, y) in enumerate(GENERAL_POSITION_REPRODUCER)))
+    monkeypatch.setenv("PLANE_LAYERS_DUMP_DIR", str(tmp_path / "dumps"))
+    code = main(["build", str(points), "--mode", "distributed", "--k", "1",
+                 "--out", str(tmp_path / "layers.json")])
+    err = capsys.readouterr().err
+    pinned = ("internal assertion: [layer-planarity] layer 0: edges "
+              f"{Segment(0, 11)} and {Segment(5, 16)} cross\n")
+    if code != 0 and not (code == 5 and err.startswith(pinned)):
+        pytest.fail(f"exit {code}: {err}")
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("n", [60, 101])
 @pytest.mark.parametrize("k", [1, 3])
 def test_near_line_one_and_three_layers_build(tmp_path, monkeypatch, n, k):

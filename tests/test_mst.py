@@ -20,6 +20,7 @@ from conftest import (
     count_mst_computations,
     grid_check_budget,
     grid_checks,
+    grid_repair_rounds,
     grid_repaired,
     random_point_set,
 )
@@ -240,8 +241,8 @@ def test_emst_equals_prim_on_acceptance_pools():
     pool = acceptance_uniform_pool()
     accepted = [each_source_is_prim(ps) for ps in pool]
     # at n = 4-64 the boundary holds the longest edges: the repair completes
-    # the grid's tree on about a third of the uniform sets, and a few still
-    # decline, so both sources and the repair run
+    # the grid's tree on more than half of the uniform sets (286 of 500),
+    # and two still decline, so both sources and the repair run
     assert 0 < sum(accepted) < len(accepted)
     assert 0 < sum(map(grid_repaired, pool)) < sum(accepted)
     assert all(each_source_is_prim(ps) for ps in acceptance_line_pool())
@@ -354,7 +355,7 @@ def test_grid_declines_clusters_and_gapped_sets_and_accepts_uniform(rng):
         ps = _clusters(rng, 300)
         assert each_source_is_prim(ps) is False
         assert grid_checks(ps) == 0  # over budget, declined before any distance
-    # two uniform bands 100 apart, wider than the grid radius of about 88
+    # two uniform bands 100 apart, wider than the grid radius of about 71
     # that a 1000 x 1000 bounding box gives n = 500
     pts = set()
     while len(pts) < 500:
@@ -364,7 +365,8 @@ def test_grid_declines_clusters_and_gapped_sets_and_accepts_uniform(rng):
     assert bottleneck(prim_emst(ps), ps).length_sq >= 100**2
     assert each_source_is_prim(ps) is False
     # the pairs within the radius keep to the budget but do not span, and
-    # the repair, every point of one band against 25 cells, would exceed it
+    # the repair, every point of one band against its 25 cells, would
+    # exceed it
     assert 0 < grid_checks(ps) <= grid_check_budget(500)
     accepted = []
     for _ in range(10):
@@ -377,28 +379,52 @@ def test_grid_declines_clusters_and_gapped_sets_and_accepts_uniform(rng):
     assert each_source_is_prim(accepted[0])
 
 
+def _spot_lattice():
+    """Six uniform points in a 2 x 2 square about each point of a 6 x 6
+    lattice, 100 apart, under two grid radii."""
+    rng = random.Random(78)
+    return PointSet([(f"{100 * i + rng.uniform(0, 2):.6f}", f"{100 * j + rng.uniform(0, 2):.6f}")
+                     for i in range(6) for j in range(6) for _ in range(6)])
+
+
+def test_grid_equals_delaunay_on_a_uniform_set_at_scale():
+    """At n = 12800, with about 2.5 points per cell, the repair runs and
+    the grid's join order equals the Delaunay one."""
+    ps = random_point_set(random.Random(12800), 12800)
+    xs, ys = ps.grid
+    grid = mst._grid_forest(xs, ys)
+    assert grid is not None and grid_repaired(ps)
+    assert grid == mst._delaunay_forest(xs, ys, ps.lex_order()[0])
+
+
 # two groups whose closest pair is longer than twice the grid radius
 GAP_BEYOND_TWICE_THE_RADIUS = [(45, 19), (48, 29), (57, 1), (66, 10), (68, 7), (75, 16),
                                (78, 29), (156, 2), (181, 19), (187, 16), (192, 29)]
 
 
-def test_grid_repair_declines_a_gap_beyond_twice_the_radius():
-    """The repair finds no pair across the gap and declines.  A repair that
-    took pairs up to three radii within its two-cell window joined the
-    groups here by a longer pair than the tree's."""
-    assert each_source_is_prim(PointSet(GAP_BEYOND_TWICE_THE_RADIUS)) is False
+def test_grid_repair_bridges_a_gap_beyond_twice_the_radius():
+    """Each repair round doubles the radius, so the pairs across the gap,
+    beyond the first round's two radii, join the groups in the second round,
+    and with the second group 100 further off, in the third; both trees are
+    Prim's.  A repair that took pairs up to three radii within its two-cell
+    window joined the groups here by a longer pair than the tree's."""
+    gapped = PointSet(GAP_BEYOND_TWICE_THE_RADIUS)
+    wider = PointSet([(x + 100 if x > 100 else x, y) for x, y in GAP_BEYOND_TWICE_THE_RADIUS])
+    assert [grid_repair_rounds(ps) for ps in (gapped, wider)] == [2, 3]
+    assert each_source_is_prim(gapped) and each_source_is_prim(wider)
 
 
 def test_grid_runs_once_per_point_set(monkeypatch, rng):
     """Where the grid declines, by its budget on clustered points and by its
-    repair across a gap, a cold verify, the tree and a two-tree build of
-    one point set try the grid once between them: the Delaunay join order
-    taken on the decline is kept for both the bottleneck and the tree."""
-    clustered, gapped = _clusters(rng, 300), PointSet(GAP_BEYOND_TWICE_THE_RADIUS)
-    for ps in (clustered, gapped):
+    repair's on the spot lattice, a cold verify, the tree and a two-tree
+    build of one point set try the grid once between them: the Delaunay
+    join order taken on the decline is kept for both the bottleneck and the
+    tree."""
+    clustered, spots = _clusters(rng, 300), _spot_lattice()
+    for ps in (clustered, spots):
         assert mst._grid_forest(*ps.grid) is None
-    # the budget declines before any distance, the repair after some
-    assert grid_checks(clustered) == 0 < grid_checks(gapped)
+    # the budget declines before any distance, the repair's after some
+    assert grid_checks(clustered) == 0 < grid_checks(spots)
     grid_forest = mst._grid_forest
     calls = []
 
@@ -407,7 +433,7 @@ def test_grid_runs_once_per_point_set(monkeypatch, rng):
         return grid_forest(xs, ys)
 
     monkeypatch.setattr(mst, "_grid_forest", counted)
-    for ps in (clustered, gapped):
+    for ps in (clustered, spots):
         calls.clear()
         star = [Segment(0, i) for i in range(1, len(ps))]
         want = prim_emst(ps)

@@ -40,7 +40,7 @@ def test_verify_construction1_output(rng):
         rep = verify_layers(tt.layers(), ps)
         assert rep.all_plane and rep.all_spanning
         assert rep.duplicate_edges == (tt.shared.as_pair(),)
-        assert rep.ok(Guarantee.two_tree(2, shared=True))
+        assert rep.ok(Guarantee.two_tree(2, shared=tt.shared))
 
 
 def test_verify_detects_corruption(rng):
@@ -167,7 +167,7 @@ def test_mutations_trip_checks(rng):
     ps = gen_line_instance(33, "0.001")
     tt = build_two_disjoint_trees(ps)
     base = tt.layers()
-    guarantee = Guarantee.two_tree(tt.bound, shared=False)
+    guarantee = Guarantee.two_tree(tt.bound, shared=None)
     assert verify_layers(base, ps).ok(guarantee)
     tripped = 0
     for _ in range(100):
