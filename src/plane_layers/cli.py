@@ -53,11 +53,11 @@ def _json_text(value, newline: str = "\n") -> str:
     """The text of `json.dumps(value, indent=2, sort_keys=True)`; `newline`
     is the line break plus the indent of the level `value` sits at.
 
-    Lists of plain ints are joined directly, and each row of a list of such
-    lists fills one `%d` template per row width; a bool is not a plain int,
-    so a row holding one takes the general path and prints `true`.  Every
-    other scalar and every key is left to `json.dumps`.  Keys must be str:
-    json would convert other keys and sort them after converting, which this
+    Each row of a list of lists of plain ints, such as a layer's edges,
+    fills one `%d` template per row width; a bool is not a plain int, so a
+    row holding one takes the general path and prints `true`.  Every other
+    scalar and every key is left to `json.dumps`.  Keys must be str: json
+    would convert other keys and sort them after converting, which this
     writer does not copy."""
     if isinstance(value, dict):
         if not value:
@@ -73,10 +73,7 @@ def _json_text(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        types = set(map(type, value))
-        if types == {int}:
-            items = map(str, value)
-        elif types <= {list, tuple} and all(value) and set(
+        if set(map(type, value)) <= {list, tuple} and all(value) and set(
             map(type, chain.from_iterable(value))
         ) == {int}:
             # rows of plain ints, such as the edges of a layer
@@ -259,7 +256,12 @@ def cmd_verify(args) -> int:
     print(f"plane={report.all_plane} spanning={report.all_spanning} "
           f"disjoint={report.unshared_repeat(guarantee.shared) is None} "
           f"maxRatio={report.overall_max_ratio:.6f}")
-    return 0 if report.ok(guarantee) else 4
+    breach = report.breach(guarantee)
+    if breach is None:
+        return 0
+    prop, _, message = breach
+    print(f"breach [{prop}]: {message}", file=sys.stderr)
+    return 4
 
 
 def cmd_render(args) -> int:

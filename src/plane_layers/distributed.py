@@ -519,11 +519,7 @@ class BoxLayers:
     box: Cell
     center: tuple[Fraction, Fraction]
     reps: list[tuple[int, int, int]]  # per layer, the sector anchors clockwise
-    tree_edges: list[list[Segment]]  # per layer, in-box star/chain edges
-    attach_edges: list[list[Segment]]  # per layer, assigned outside points
-
-    def layer_edges(self, j: int) -> list[Segment]:
-        return self.tree_edges[j] + self.attach_edges[j]
+    layer_edges: list[list[Segment]]  # per layer, sorted
 
 
 def _sector(dirs: Sequence[tuple[int, int]], d: tuple[int, int]) -> int:
@@ -561,10 +557,10 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     order as its representatives and walks the order from just past the
     first: each point joins the current representative, and a representative
     then becomes the current one.  In-box points give the star and chain
-    edges, the others the attachments.  The walk places every point in its
-    sector exactly, since no two assigned points share a ray from the
-    center.  Of the grid it reads only `ps`, `k`, `gi.cells[box]`,
-    `gi.cell_of` and `gi.assigned_to(box)`."""
+    edges, the others the attachments, in one sorted list per layer.  The
+    walk places every point in its sector exactly, since no two assigned
+    points share a ray from the center.  Of the grid it reads only `ps`,
+    `k`, `gi.cells[box]`, `gi.cell_of` and `gi.assigned_to(box)`."""
     ps, k = gi.ps, gi.k
     members = gi.cells[box]
     m = len(members)
@@ -579,24 +575,21 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     if first[1] == 0 and first[0] > 0:
         order = [ccw[0], *order[:-1]]
     ids = [assigned[i] for i in order]
-    in_box = [gi.cell_of[p] == box for p in ids]
-    ranks = [t for t, inside in enumerate(in_box) if inside]
+    ranks = [t for t, p in enumerate(ids) if gi.cell_of[p] == box]
     all_reps: list[tuple[int, int, int]] = []
-    tree_edges: list[list[Segment]] = []
-    attach_edges: list[list[Segment]] = []
+    layer_edges: list[list[Segment]] = []
     for j in range(k):
         at = (ranks[j], ranks[m // 3 + j], ranks[(2 * m) // 3 + j])
         reps = tuple(ids[t] for t in at)
-        tree, attach = [], []
+        edges = []
         current = reps[0]
         for t in [*range(at[0] + 1, len(ids)), *range(at[0])]:
-            (tree if in_box[t] else attach).append(Segment(ids[t], current))
+            edges.append(Segment(ids[t], current))
             if t in at:
                 current = ids[t]
         all_reps.append(reps)
-        tree_edges.append(sorted(tree))
-        attach_edges.append(sorted(attach))
-    return BoxLayers(box, center, all_reps, tree_edges, attach_edges)
+        layer_edges.append(sorted(edges))
+    return BoxLayers(box, center, all_reps, layer_edges)
 
 
 # --- connectors -------------------------------------------------------------
@@ -742,7 +735,7 @@ def _assemble(gi: GridIndex) -> LayerSet:
     box_layers = [gi.layers(box) for box in sorted(gi.dense)]
     connectors = connect_boxes(gi)
     layers = [
-        tuple(sorted([e for bl in box_layers for e in bl.layer_edges(j)] + connectors[j]))
+        tuple(sorted([e for bl in box_layers for e in bl.layer_edges[j]] + connectors[j]))
         for j in range(k)
     ]
     report = verify_layers(layers, ps, measure=False)
@@ -850,7 +843,7 @@ class Certifier:
         if box not in self._by_box:
             box_layers = self.grid.layers(box)
             self._by_box[box] = [
-                _by_endpoint(box_layers.layer_edges(j)) for j in range(self.grid.k)
+                _by_endpoint(box_layers.layer_edges[j]) for j in range(self.grid.k)
             ]
         return self._by_box[box]
 

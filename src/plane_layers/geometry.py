@@ -103,15 +103,11 @@ class PointSet:
             column = [c[0] for c in coords] + [c[1] for c in coords]
             grid = _plain_column_grid(column)
             if grid is None:
-                if all(isinstance(v, str) for v in column):
-                    pairs = [read_coord(v) for v in column]
-                else:
-                    # numbers keep their list of Fractions until they are
-                    # placed: peak_rss_mb counts what the collector frees
-                    # (ROADMAP item 7)
-                    fs = [Fraction(*read_coord(v)) if isinstance(v, str) else Fraction(v)
-                          for v in column]
-                    pairs = [(f.numerator, f.denominator) for f in fs]
+                # numbers keep their list of Fractions until they are placed:
+                # peak_rss_mb counts what the collector frees (ROADMAP item 7)
+                fs = [Fraction(*read_coord(v)) if isinstance(v, str) else Fraction(v)
+                      for v in column]
+                pairs = [(f.numerator, f.denominator) for f in fs]
         except (TypeError, LookupError, ValueError, ArithmeticError) as exc:
             message = _bad_entry(coords)
             if message is None:

@@ -11,13 +11,12 @@ one of two sources:
   pairs number about 3.6 per point whatever n is, but often do not span:
   the longest tree edges lie near the boundary and grow with log n.  So a
   repair, the common path, checks each point outside the largest component
-  of their forest against every point of another component within twice
-  the radius, and again within twice that while the forest does not span;
-  the tree is exact whenever it spans.  The grid declines once its checks,
-  each counted before the distance it leads to, the repair's included,
-  pass a budget of O(log n) per point: on clustered input the cell counts
-  alone pass it before any distance.  Uniform points take about 11 checks
-  per point;
+  of their forest against every point within twice the radius, and again
+  within twice that while the forest does not span; the tree is exact
+  whenever it spans.  The grid declines once its checks, each counted
+  before the distance it leads to, the repair's included, pass a budget of
+  O(log n) per point: on clustered input the cell counts alone pass it
+  before any distance.  Uniform points take about 11 checks per point;
 - the edges of an exact Delaunay triangulation (`_delaunay_forest`): always
   O(n) edges, found in O(n log n) on spread-out inputs.
 
@@ -338,26 +337,23 @@ def _grid_forest(xs: list[int], ys: list[int]) -> list[int] | None:
     O(1)) / (pi n) (Penrose 1997), which outgrows s2; so on most uniform
     sets some tree edges are longer than sqrt(s2).  A round of the repair
     with radius R = 2^k sqrt(s2), k = 1, 2, ..., checks each point outside
-    the largest component of the forest against every point of another
-    component in its window, the cells up to 2^k away each way, and Kruskal
-    continues over the pairs longer than R/2 and no longer than R; rounds
-    go on while the forest does not span.  A tree edge longer than R/2
-    never joins two points of one component of the forest (it would be the
-    longest edge of a cycle of pairs no longer than R/2), so one of its ends
-    is outside the largest component and the round finds it if it is within
-    R.  And once the forest spans, no tree edge is longer than the last
-    round's R: by the cut property, the tree's edge across any cut is no
-    longer than the forest's.
+    the largest component of the forest against every point in its window,
+    the cells up to 2^k away each way, and Kruskal continues over the pairs
+    longer than R/2 and no longer than R, skipping those within one
+    component; rounds go on while the forest does not span.  A tree edge
+    longer than R/2 never joins two points of one component of the forest
+    (it would be the longest edge of a cycle of pairs no longer than R/2),
+    so one of its ends is outside the largest component and the round finds
+    it if it is within R.  And once the forest spans, no tree edge is
+    longer than the last round's R: by the cut property, the tree's edge
+    across any cut is no longer than the forest's.
 
     The repair's work counts against the same budget, checked at each
-    point.  A round groups the points of each cell that holds a point
-    outside the largest component by component, which counts each of those
-    points once, so a point skips its own component's points at one step
-    per cell.  Each point outside the largest component then counts its
-    window's cells or the points of other components it reads there,
-    whichever are more, and the cells before it reads any.  So the grid
-    declines within one window of the budget, and two far-apart uniform
-    fields decline in the first round.  Finding the components costs O(n) a
+    point.  Each point outside the largest component counts its window's
+    cells before it reads them, then those cells or the points it reads
+    there, whichever are more, before any distance.  So the grid declines
+    within one window of the budget, and two far-apart uniform fields
+    decline in the first round.  Finding the components costs O(n) a
     round, and the rounds stop once R passes the diameter, after O(log n)
     of them.  On uniform points the first round nearly always spans, after
     a few checks per point outside the largest component, which holds a
@@ -424,15 +420,6 @@ def _grid_forest(xs: list[int], ys: list[int]) -> list[int] | None:
         hi = 4 * lo
         roots = [_find(parent, i) for i in range(n)]
         largest = Counter(roots).most_common(1)[0][0]
-        # the points of each cell that holds a point outside the largest
-        # component, grouped by component
-        groups: dict[int, dict[int, list[int]]] = {}
-        for key, root in zip(where, roots):
-            if root != largest and key not in groups:
-                groups[key] = by_root = {}
-                for j in cells[key]:
-                    by_root.setdefault(roots[j], []).append(j)
-                checks += len(cells[key])
         keys = []
         for i, root in enumerate(roots):
             if root == largest:
@@ -440,20 +427,14 @@ def _grid_forest(xs: list[int], ys: list[int]) -> list[int] | None:
             cx, cy = divmod(where[i] - 1, rows)
             x0, x1 = max(cx - reach, 0), min(cx + reach, cols - 1)
             y0, y1 = max(cy - reach, 0), min(cy + reach, top)
-            # i is checked against the points of its window outside its own
-            # component; they or the window's cells, whichever are more,
-            # count as checks, the cells before the window is read
+            # every cell and point read counts before the distances it leads to
             area = (x1 - x0 + 1) * (y1 - y0 + 1)
             if (checks + area) * _FIXED_POINT > budget:
                 return None
             near = []
             for column in range(x0 * rows + y0 + 1, x1 * rows + rows, rows):
                 for key in range(column, column + y1 - y0 + 1):
-                    if key in groups:
-                        for r, group in groups[key].items():
-                            if r != root:
-                                near += group
-                    elif key in cells:
+                    if key in cells:
                         near += cells[key]
             checks += max(area, len(near))
             if checks * _FIXED_POINT > budget:

@@ -85,7 +85,7 @@ def index_star_layers(box, gi) -> BoxLayers:
     in_box = set(members)
     sparse = [p for p in assigned if p not in in_box]
     third, two_thirds = m // 3, (2 * m) // 3
-    all_reps, tree_edges, attach_edges = [], [], []
+    all_reps, layer_edges = [], []
     for j in range(gi.k):
         reps = (order[j % m], order[(third + j) % m], order[(two_thirds + j) % m])
         all_reps.append(reps)
@@ -93,7 +93,6 @@ def index_star_layers(box, gi) -> BoxLayers:
         for t in range(1, m):
             anchor = reps[0] if t <= third else reps[1] if t <= two_thirds else reps[2]
             edges.append(Segment(order[(j + t) % m], anchor))
-        tree_edges.append(sorted(edges))
-        attach_edges.append(sorted(
-            Segment(q, reps[sector_index(ps, center, reps, q)]) for q in sparse))
-    return BoxLayers(box, center, all_reps, tree_edges, attach_edges)
+        edges += [Segment(q, reps[sector_index(ps, center, reps, q)]) for q in sparse]
+        layer_edges.append(sorted(edges))
+    return BoxLayers(box, center, all_reps, layer_edges)

@@ -222,8 +222,7 @@ def test_grid_declines_two_far_fields_within_its_budget(monkeypatch, n):
     """Two uniform fields of n/2 points, a field's width apart.  The short
     pairs keep to the budget and leave one field outside the largest
     component; the repair counts the window cells it reads or the points
-    of other components there, whichever are more, and declines in its
-    first round, so the
+    there, whichever are more, and declines in its first round, so the
     kernel runs fewer than 150 bytecodes per check of the budget (about 60
     here), where a repair that read windows without counting them would
     run its rounds until they cross the gap."""

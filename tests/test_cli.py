@@ -373,7 +373,8 @@ def test_verify_reads_a_recorded_shared_edge(tmp_path):
 def test_verify_rejects_a_repeat_other_than_the_recorded_shared_edge(tmp_path, capsys):
     """A two-tree file whose trees repeat an edge other than the one its
     'shared' records fails with a 'shared' breach naming both edges, and
-    the file that records the repeated edge passes."""
+    the file that records the repeated edge passes, with nothing on
+    stderr."""
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "30", "--out", str(pts)) == 0
     out = tmp_path / "tt.json"
@@ -386,7 +387,10 @@ def test_verify_rejects_a_repeat_other_than_the_recorded_shared_edge(tmp_path, c
         out.write_text(json.dumps(data))
         capsys.readouterr()
         assert run("verify", str(pts), str(out)) == code
-        assert f"disjoint={code == 0} " in capsys.readouterr().out
+        stdout, stderr = capsys.readouterr()
+        assert f"disjoint={code == 0} " in stdout
+        assert stderr == ("" if code == 0 else "breach [shared]: edge Segment(a=0, b=9) in "
+                          "layers 0 and 1, not the shared edge Segment(a=0, b=1)\n")
     ps = PointSet.from_text(pts.read_text())
     report = verify_layers([[Segment(*e) for e in data[c]] for c in ("red", "blue")], ps)
     assert report.breach(Guarantee.two_tree(data["bound"], Segment(0, 1))) == (
@@ -411,6 +415,40 @@ def test_verify_allows_one_edge_above_twice_the_bottleneck(tmp_path, capsys):
 
     assert verify_with([[0, 3], [0, 2], [2, 4], [1, 3]]) == (0, 1)
     assert verify_with([[0, 3], [1, 4], [0, 2], [2, 4]]) == (4, 2)
+
+
+SQUARE = "0 0 0\n1 1 0\n2 1 1\n3 0 1\n"
+ON_A_LINE = "".join(f"{i} {i} 0\n" for i in range(5))
+
+
+@pytest.mark.parametrize("points, layers, line", [
+    (SQUARE, {"layers": [[[0, 2], [1, 3], [0, 1]]]},
+     "breach [planarity]: layer 0: edges Segment(a=0, b=2) and Segment(a=1, b=3) cross"),
+    (SQUARE, {"layers": [[[0, 1], [2, 3]]]},
+     "breach [spanning]: layer 0 has 2 components"),
+    (SQUARE, {"kind": "two-tree", "shared": None, "bound": 3,
+              "red": [[0, 1], [1, 2], [2, 3], [0, 3]], "blue": [[0, 2], [1, 2], [2, 3]]},
+     "breach [tree]: layer 0 has 4 edges, expected 3"),
+    (SQUARE, {"kind": "distributed", "k": 1, "betaSq": "1/1000", "layers": [[[0, 1], [1, 2], [2, 3]]]},
+     "breach [length]: edge Segment(a=0, b=1) in layer 0 exceeds the length limit"),
+    (SQUARE, {"kind": "two-tree", "shared": None, "bound": 3,
+              "red": [[0, 1], [1, 2], [2, 3]], "blue": [[0, 1], [0, 3], [0, 2]]},
+     "breach [shared]: edge Segment(a=0, b=1) in layers 0 and 1"),
+    (ON_A_LINE, {"kind": "two-tree", "shared": None, "bound": 3,
+                 "red": [[0, 1], [1, 2], [2, 3], [3, 4]], "blue": [[0, 3], [1, 4], [0, 2], [2, 4]]},
+     "breach [over-twice]: 2 edges exceed twice the bottleneck"),
+], ids=["planarity", "spanning", "tree", "length", "shared", "over-twice"])
+def test_failing_verify_names_the_broken_promise(tmp_path, capsys, points, layers, line):
+    """Exit 4 prints the first breach as one stderr line; stdout keeps its
+    one summary line."""
+    pts, path = tmp_path / "p.txt", tmp_path / "layers.json"
+    pts.write_text(points)
+    path.write_text(json.dumps(layers))
+    capsys.readouterr()
+    assert run("verify", str(pts), str(path)) == 4
+    out, err = capsys.readouterr()
+    assert out.startswith("plane=") and out.count("\n") == 1
+    assert err == line + "\n"
 
 
 def test_render_two_tree_and_grid(tmp_path):

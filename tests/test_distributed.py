@@ -638,8 +638,8 @@ def test_layers_in_box_minimal():
     ps = PointSet([(1, 1), (2, "1.1"), ("1.4", "2.2")])
     gi = hand_grid(ps, 1)
     bl = layers_in_box((0, 0), gi)
-    assert len(bl.tree_edges[0]) == 2  # a two-edge path over three points
-    rep = verify_layers([bl.layer_edges(0)], ps)
+    assert len(bl.layer_edges[0]) == 2  # a two-edge path over three points
+    rep = verify_layers([bl.layer_edges[0]], ps)
     assert rep.per_layer[0].plane
 
 
@@ -648,8 +648,8 @@ def test_layers_in_box_hexagon_two_layers():
     ps = PointSet(pts)
     gi = hand_grid(ps, 2)
     bl = layers_in_box((0, 0), gi)  # needs m >= 6
-    e0 = set(bl.layer_edges(0))
-    e1 = set(bl.layer_edges(1))
+    e0 = set(bl.layer_edges[0])
+    e1 = set(bl.layer_edges[1])
     assert not (e0 & e1)
     reps0 = set(bl.reps[0])
     reps1 = set(bl.reps[1])
@@ -671,7 +671,7 @@ def test_layers_in_box_random_dense(rng):
     bl = layers_in_box(box, gi)
     seen = set()
     for j in range(3):
-        edges = bl.layer_edges(j)
+        edges = bl.layer_edges[j]
         assert not crossing_pairs(edges, ps)
         uf = UnionFind(ps.ids)
         for e in edges:
@@ -979,7 +979,7 @@ def test_certifier_box_index_matches_the_edge_scan(rng):
             assert certifier._box_index(box) is index and len(index) == k
             box_layers = certifier.grid.layers(box)
             for j, by_end in enumerate(index):
-                edges = box_layers.layer_edges(j)
+                edges = box_layers.layer_edges[j]
                 assert set(by_end) <= set(ps.ids)
                 for p in ps.ids:
                     assert by_end.get(p, []) == [e for e in edges if e.touches(p)]
@@ -1154,6 +1154,25 @@ def test_floor_depth_reproducer_builds():
     except InternalAssertionError as err:
         assert err.stage == "layer-planarity"
         assert err.dump["crossing"] == [(0, 4), (1, 18)]
+        raise
+
+
+@pytest.mark.xfail(strict=True, raises=InternalAssertionError,
+                   reason="a floor-depth box routes a connector into its reflex sector")
+@pytest.mark.parametrize("seed, index, crossing", [
+    (1, 6, [(9, 11), (10, 53)]),
+    (1, 9, [(6, 10), (9, 76)]),
+    (5, 2, [(88, 286), (110, 132)]),
+], ids=["1-6", "1-9", "5-2"])
+def test_lattice_reproducer_builds(seed, index, crossing):
+    """Three of the benchmark's jittered lattices whose k = 1 build fails
+    its final layer sweep at the default beta, each on one pinned pair of
+    crossing edges."""
+    try:
+        build_k_layers(jittered_lattice(seed, index), 1)
+    except InternalAssertionError as err:
+        assert err.stage == "layer-planarity"
+        assert err.dump["crossing"] == crossing
         raise
 
 
