@@ -12,10 +12,16 @@ which neighbor follows which) is read off one ring scan of that vertex,
 `_ring`.  One breadth-first pass over the MST adjacency,
 `_subtree_contribution`, states the coloring: `construction1` runs it from
 the root's neighbor, and the full constructions run it on each hanging
-subtree.  `build_two_disjoint_trees` computes the MST adjacency once and
-passes it to each of its four stages, which all take `(ps, adj, ...)`:
+subtree.  `build_two_disjoint_trees` computes the MST adjacency once, from
+the EMST keys the point set keeps (`mst.emst_adjacency`), and passes it to
+each of its four stages, which all take `(ps, adj, ...)`:
 `find_flat_vertex`, then `disjoint_trees_flat` or `select_P` and
 `disjoint_trees_pointed`.
+
+Inside a construction every edge is its int key a*n + b with a < b, the
+form the EMST keeps: the subtree passes emit keys and `_Assembler` holds
+them.  Each edge becomes a `Segment` once, in bulk (`mst.segments`), when
+`_Assembler.finish` hands the pair to `verify_layers` and `TwoTrees`.
 
 Every construction ends with one `verify_layers` call on the caller's
 point set, the check the CLI's `verify` runs, against the `Guarantee` of a
@@ -47,7 +53,10 @@ from .geometry import (
     convex_hull,
     id_strictly_inside_polygon,
 )
-from .mst import adjacency, build_emst
+# build_emst is unused here; the import stays while perfbench/test_perfbench.py
+# asserts this binding (test_originals_restored_and_every_binding_wrapped),
+# until ROADMAP item 7
+from .mst import adjacency, build_emst, emst_adjacency, segments  # noqa: F401
 from .verify import Guarantee, verify_layers
 
 
@@ -98,19 +107,24 @@ def construction1(ps: PointSet, root: int, variant: Recoloring) -> TwoTrees:
     both.  Both trees are plane and spanning and share exactly the root
     edge, as a final `verify_layers` checks.  The colors are the build's own
     subtree pass, `_subtree_contribution`, from the root's one neighbor."""
-    adj = adjacency(build_emst(ps))
+    adj = emst_adjacency(ps)
     if root not in ps.ids:
         raise PreconditionError(f"root {root} not in vertex set")
     degree = len(adj.get(root, ()))
     if degree != 1:
         raise PreconditionError(f"root {root} has degree {degree}, not a leaf")
     s = adj[root][0]
-    rs = Segment(root, s)
     asm = _Assembler(ps, f"root-edge construction at {root}")
     asm.red, asm.blue = _subtree_contribution(ps, adj, s, root, variant, {root})
+    rs = _key(len(ps), root, s)
     asm.red.append(rs)
     asm.blue.append(rs)  # the one shared edge the guarantee allows
-    return asm.finish(ps, Guarantee.two_tree(2, rs), "construction1", 2)
+    return asm.finish(ps, Guarantee.two_tree(2, Segment(root, s)), "construction1", 2)
+
+
+def _key(n: int, a: int, b: int) -> int:
+    """The key of the edge a-b (a != b): a*n + b with the smaller id as a."""
+    return a * n + b if a < b else b * n + a
 
 
 def _component(adj: dict[int, list[int]], start: int) -> set[int]:
@@ -171,20 +185,28 @@ def find_flat_vertex(ps: PointSet, adj: dict[int, list[int]]) -> int | None:
 
 
 class _Assembler:
+    """The red and blue edges of a construction as keys a*n + b (a < b), in
+    insertion order, with the stage that added each."""
+
     def __init__(self, ps: PointSet, label: str):
         self.ps = ps
         self.label = label
-        self.red: list[Segment] = []
-        self.blue: list[Segment] = []
+        self.red: list[int] = []
+        self.blue: list[int] = []
         # blue edge whose crossings are repaired after assembly (v3v0)
-        self.deferred: Segment | None = None
+        self.deferred: int | None = None
         # the stage that added each edge; a crossing fails at its later edge's
-        self._stage: dict[Segment, str] = {}
+        self._stage: dict[int, str] = {}
 
-    def add(self, color: str, new_edges: Iterable[Segment], stage: str) -> None:
+    def add(self, color: str, new_edges: Iterable[int], stage: str) -> None:
         edges = sorted(new_edges)
         (self.red if color == "red" else self.blue).extend(edges)
         self._stage.update(dict.fromkeys(edges, stage))
+
+    def _layers(self) -> list[list[Segment]]:
+        """Red and blue as `Segment` lists, in insertion order."""
+        n = len(self.ps)
+        return [segments(self.red, n), segments(self.blue, n)]
 
     def finish(self, ps: PointSet, guarantee: Guarantee, stage: str, bound: int,
                pv: dict[int, int] | None = None) -> TwoTrees:
@@ -197,33 +219,41 @@ class _Assembler:
         have met it first: the pair whose later edge was added earliest, then
         that edge's earliest partner, at the later edge's stage (`stage` for
         an edge added outside `add`); the deferred edge's own crossings are
-        left to its repair.  Any other breach fails at `stage`."""
-        report = verify_layers([self.red, self.blue], ps)
+        left to its repair.  Any other breach fails at `stage`.  The
+        message, the stage and the dump all read the `Segment` lists that
+        were verified."""
+        n = len(ps)
+        layers = self._layers()
+        report = verify_layers(layers, ps)
+        deferred = None if self.deferred is None else divmod(self.deferred, n)
         crossed = report.per_layer[1].crossings
-        if self.deferred is not None and crossed and all(self.deferred in p for p in crossed):
+        if deferred is not None and crossed and all(deferred in p for p in crossed):
             _fix_three_hop_edge(self, self.ps, pv)
-            report = verify_layers([self.red, self.blue], ps)
+            deferred = None
+            layers = self._layers()
+            report = verify_layers(layers, ps)
         breach = report.breach(guarantee)
         if breach is not None:
             prop, j, message = breach
             if prop == "planarity":
-                edges = (self.red, self.blue)[j]
+                edges = layers[j]
                 order = {e: i for i, e in enumerate(edges)}
                 later, earlier = min((order[b], order[a]) for a, b in report.per_layer[j].crossings
-                                     if self.deferred not in (a, b))
+                                     if deferred not in (a, b))
                 e, f = edges[later], edges[earlier]
                 message = f"{('red', 'blue')[j]} edges {e} and {f} cross"
-                stage = self._stage.get(e, stage)
-            self._fail(stage, message)
+                stage = self._stage.get(e[0] * n + e[1], stage)
+            self._fail(stage, message, layers)
         red, blue = (l.ratio for l in report.per_layer)
-        return TwoTrees(tuple(sorted(self.red)), tuple(sorted(self.blue)), guarantee.shared,
+        return TwoTrees(tuple(sorted(layers[0])), tuple(sorted(layers[1])), guarantee.shared,
                         red, blue, bound)
 
-    def _fail(self, stage: str, message: str) -> None:
+    def _fail(self, stage: str, message: str, layers: list[list[Segment]]) -> None:
+        red, blue = layers
         raise InternalAssertionError(
             stage,
             f"{self.label}: {message}",
-            _dump_payload(self.ps, red=self.red, blue=self.blue),
+            _dump_payload(self.ps, red=red, blue=blue),
         )
 
 
@@ -241,8 +271,8 @@ def _subtree_contribution(
     root: int,
     variant: Recoloring,
     blocks: set[int],
-) -> tuple[list[Segment], list[Segment]]:
-    """The sorted red and blue edges that the component of `anchor`, cut at
+) -> tuple[list[int], list[int]]:
+    """The sorted red and blue edge keys that the component of `anchor`, cut at
     `blocks` (which hold `root`), adds when rooted at `root`: the root-edge
     coloring with the side inversion `variant`, less the doubled root edge.
 
@@ -265,6 +295,7 @@ def _subtree_contribution(
             (plus if _cw_angle_below_pi(ps, anchor, root, w) else minus).append(w)
         groups = [(minus, variant is Recoloring.MINUS_INVERTED),
                   (plus, variant is Recoloring.PLUS_INVERTED)]
+    n = len(ps)
     red, blue = [], []
     for group, swapped in groups:
         level = 2  # the anchor is at level 1, its children below it
@@ -273,8 +304,8 @@ def _subtree_contribution(
             pe, ge = (red, blue) if (level % 2 == 1) != swapped else (blue, red)
             below = []
             for y, x, g in layer:
-                pe.append(Segment(y, x))
-                ge.append(Segment(y, g))
+                pe.append(y * n + x if y < x else x * n + y)
+                ge.append(y * n + g if y < g else g * n + y)
                 for z in mst_adj[y]:
                     if z != x and z not in blocks:
                         below.append((z, y, x))
@@ -297,11 +328,12 @@ def disjoint_trees_flat(ps: PointSet, adj: dict[int, list[int]], v: int) -> TwoT
     ring = ring[start:] + ring[:start]  # v1 = smallest-id neighbor, ccw labels
     k = len(ring)
 
+    n = len(ps)
     asm = _Assembler(ps, f"flat construction at {v}")
-    hull_edges = [Segment(ring[i], ring[(i + 1) % k]) for i in range(k)]
+    hull_edges = [_key(n, ring[i], ring[(i + 1) % k]) for i in range(k)]
     v1v2 = hull_edges[0]
-    asm.add("red", [Segment(v, ring[i]) for i in range(1, k)] + [v1v2], "flat-base")
-    asm.add("blue", hull_edges[1:] + [Segment(v, ring[0])], "flat-base")
+    asm.add("red", [_key(n, v, ring[i]) for i in range(1, k)] + [v1v2], "flat-base")
+    asm.add("blue", hull_edges[1:] + [_key(n, v, ring[0])], "flat-base")
 
     variants = [Recoloring.PLUS_INVERTED, Recoloring.MINUS_INVERTED] + [Recoloring.ORIGINAL] * k
     for i, (vi, variant) in enumerate(zip(ring, variants)):
@@ -488,13 +520,14 @@ def disjoint_trees_pointed(ps: PointSet, adj: dict[int, list[int]], pc: PCase) -
     wps = ps.reflected() if pc.mirrored else ps
     pv = {3: pc.v3, 2: pc.v2, 1: pc.v1, 0: pc.v0}
 
+    n = len(ps)
     red_pairs, blue_pairs = _BASE_COLORINGS[_hull_layout(pc.tag)]
     asm = _Assembler(wps, f"pointed construction, case {pc.tag}")
-    asm.add("red", [Segment(pv[a], pv[b]) for a, b in red_pairs], "pointed-base")
-    asm.add("blue", [Segment(pv[a], pv[b]) for a, b in blue_pairs], "pointed-base")
+    asm.add("red", [_key(n, pv[a], pv[b]) for a, b in red_pairs], "pointed-base")
+    asm.add("blue", [_key(n, pv[a], pv[b]) for a, b in blue_pairs], "pointed-base")
 
     if pc.tag.startswith("1"):
-        asm.deferred = Segment(pv[3], pv[0])  # repaired by _fix_three_hop_edge
+        asm.deferred = _key(n, pv[3], pv[0])  # repaired by _fix_three_hop_edge
     for i, root_idx, variant in _SUBTREES[pc.tag]:
         rest = {pv[j] for j in pv if j != i}
         red, blue = _subtree_contribution(wps, adj, pv[i], pv[root_idx], variant, rest)
@@ -511,7 +544,8 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> No
     blue - v3v0 and is unique along the hull path through the points inside
     conv(P).  Only case 1 defers v3v0, and `_Assembler.finish` calls this
     once its verify has found v3v0 in every blue crossing."""
-    e30 = Segment(pv[3], pv[0])
+    n = len(ps)
+    e30 = _key(n, pv[3], pv[0])
     asm.deferred = None
     p_ids = [pv[3], pv[2], pv[1], pv[0]]
     hull = convex_hull(p_ids, ps)
@@ -521,25 +555,26 @@ def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> No
         if q not in p_ids and id_strictly_inside_polygon(hull, ps, q)
     ]
     if not inside:
-        asm._fail("pointed-replace", "v3v0 crossed but conv(P) holds no points")
+        asm._fail("pointed-replace", "v3v0 crossed but conv(P) holds no points", asm._layers())
     rep_hull = convex_hull(inside + [pv[0], pv[3]], ps)
     i0, i3 = rep_hull.index(pv[0]), rep_hull.index(pv[3])
     k = len(rep_hull)
     if (i0 + 1) % k != i3 and (i3 + 1) % k != i0:
-        asm._fail("pointed-replace", "v0 and v3 are not hull-adjacent")
+        asm._fail("pointed-replace", "v0 and v3 are not hull-adjacent", asm._layers())
     if (i3 + 1) % k == i0:
         i0, i3 = i3, i0
     # now rep_hull[i3] directly follows rep_hull[i0]; the path through the
     # interior points walks the cycle the long way, from i3 back around to i0
     path = [rep_hull[(i3 + t) % k] for t in range(k)]
-    side3 = _component(adjacency([f for f in asm.blue if f != e30]), pv[3])
+    side3 = _component(adjacency([f for f in asm.blue if f != e30], n), pv[3])
     joining = [
-        Segment(path[t], path[t + 1])
+        _key(n, path[t], path[t + 1])
         for t in range(len(path) - 1)
         if (path[t] in side3) != (path[t + 1] in side3)
     ]
     if len(joining) != 1:
-        asm._fail("pointed-replace", f"{len(joining)} hull-path edges join the components")
+        asm._fail("pointed-replace", f"{len(joining)} hull-path edges join the components",
+                  asm._layers())
     # `finish` verifies the pair again with the joining edge in it
     asm.blue.remove(e30)
     asm.add("blue", joining, "pointed-replace")
@@ -557,7 +592,7 @@ def build_two_disjoint_trees(ps: PointSet) -> TwoTrees:
         raise PreconditionError(
             f"two disjoint spanning trees need 2(n-1) <= n(n-1)/2 edges; impossible for n={n}"
         )
-    adj = adjacency(build_emst(ps))
+    adj = emst_adjacency(ps)
     try:
         v = find_flat_vertex(ps, adj)
         if v is not None:

@@ -519,7 +519,7 @@ class BoxLayers:
     box: Cell
     center: tuple[Fraction, Fraction]
     reps: list[tuple[int, int, int]]  # per layer, the sector anchors clockwise
-    layer_edges: list[list[Segment]]  # per layer, sorted
+    layer_edges: list[list[Segment]]  # per layer, in walk order
 
 
 def _sector(dirs: Sequence[tuple[int, int]], d: tuple[int, int]) -> int:
@@ -557,10 +557,12 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     order as its representatives and walks the order from just past the
     first: each point joins the current representative, and a representative
     then becomes the current one.  In-box points give the star and chain
-    edges, the others the attachments, in one sorted list per layer.  The
-    walk places every point in its sector exactly, since no two assigned
-    points share a ray from the center.  Of the grid it reads only `ps`,
-    `k`, `gi.cells[box]`, `gi.cell_of` and `gi.assigned_to(box)`."""
+    edges, the others the attachments, in one list per layer, in walk order
+    (`_assemble` sorts each whole layer, and the `Certifier` indexes the
+    edges by endpoint).  The walk places every point in its sector exactly,
+    since no two assigned points share a ray from the center.  Of the grid
+    it reads only `ps`, `k`, `gi.cells[box]`, `gi.cell_of` and
+    `gi.assigned_to(box)`."""
     ps, k = gi.ps, gi.k
     members = gi.cells[box]
     m = len(members)
@@ -588,7 +590,7 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
             if t in at:
                 current = ids[t]
         all_reps.append(reps)
-        layer_edges.append(sorted(edges))
+        layer_edges.append(edges)
     return BoxLayers(box, center, all_reps, layer_edges)
 
 

@@ -35,9 +35,13 @@ which keeps the flips linear on convex position (see `_triangulate`).
 
 A point set keeps one value derived from its EMST, computed once by `_mst`
 with the grid tried first: the tree edges a*n + b in Kruskal's join order.
-`build_emst` returns the tree as a new sorted `Segment` list, which the
-two-tree build colours.  `grid_bottleneck_sq` reads the bottleneck beta off
-the last join, since Kruskal joins edges in order of length (Kruskal 1956);
+The two-tree build colours those keys: `emst_adjacency` gives the tree's
+neighbour lists straight from them, the build keeps every edge it colours
+as such a key, and `segments` turns its two trees into `Segment` lists
+once, in bulk, for their final check.  `build_emst` returns the tree as a
+new sorted `Segment` list through the same helper.  `grid_bottleneck_sq`
+reads the bottleneck beta off the last join, since Kruskal joins edges in
+order of length (Kruskal 1956);
 `verify`'s ratios, the k-layer build's default beta, and the CLI's `--beta`
 check and `stats` read it with no `Segment` tree built.  So a build and its
 `verify` share one computation, and the grid runs at most once per point set.
@@ -47,8 +51,9 @@ of a point set never changes, the tree is a function of that grid alone,
 and only this module writes it, so every caller gets the true EMST and
 bottleneck of the point set it holds, never a beta passed in by a caller.
 
-`adjacency` gives the tree's neighbour lists, which the two-tree build
-computes once and every coloring stage reads.
+`adjacency` gives the neighbour lists of edges keyed a*n + b; the two-tree
+build computes the tree's once (`emst_adjacency`), and every coloring stage
+reads them.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .geometry import PointSet, Segment, float_sqrt
@@ -222,8 +228,14 @@ def build_emst(ps: PointSet) -> list[Segment]:
     first call for a point set only; every call returns a new list, so a
     caller that edits its list changes no later result.
     """
-    n = len(ps)
-    return [Segment(*divmod(key, n)) for key in sorted(_mst(ps))]
+    return segments(sorted(_mst(ps)), len(ps))
+
+
+def segments(keys: Iterable[int], n: int) -> list[Segment]:
+    """The edges a*n + b of `keys`, each with a < b, as `Segment`s in key
+    order, made in bulk: each (a, b) is already in a Segment's order, so the
+    tuples are made directly, with no per-edge check in `Segment.__new__`."""
+    return list(map(tuple.__new__, repeat(Segment), map(divmod, keys, repeat(n))))
 
 
 def _mst(ps: PointSet) -> tuple[int, ...]:
@@ -493,10 +505,20 @@ def bottleneck(edges: Sequence[Segment], ps: PointSet) -> BottleneckInfo:
                           Fraction(best_d, grid_sq), best)
 
 
-def adjacency(edges: Sequence[Segment]) -> dict[int, list[int]]:
-    """Neighbour lists of the edge endpoints, in edge order."""
+def adjacency(keys: Iterable[int], n: int) -> dict[int, list[int]]:
+    """Neighbour lists of the endpoints of the edges a*n + b in `keys`, in
+    key order."""
     adj: dict[int, list[int]] = {}
-    for e in edges:
-        adj.setdefault(e.a, []).append(e.b)
-        adj.setdefault(e.b, []).append(e.a)
+    for key in keys:
+        a, b = divmod(key, n)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
     return adj
+
+
+def emst_adjacency(ps: PointSet) -> dict[int, list[int]]:
+    """The neighbour lists of the EMST of `ps`, straight from its kept join
+    order (`_mst`) with no `Segment` tree built: the keys in increasing
+    order, so each list is ascending, as those of the sorted `build_emst`
+    list are."""
+    return adjacency(sorted(_mst(ps)), len(ps))

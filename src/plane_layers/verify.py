@@ -154,12 +154,6 @@ class VerificationReport:
         (edge, first layer, this layer), or None when only `shared` repeats."""
         return next((r for r in self.repeats if r[0] != shared), None)
 
-    def ok(self, guarantee: Guarantee) -> bool:
-        """True when the layers break no property of `guarantee`; for
-        `Guarantee()`, when every layer is plane and spanning and no edge
-        repeats."""
-        return self.breach(guarantee) is None
-
     def to_json_dict(self) -> dict:
         return {
             "layers": [

@@ -68,7 +68,7 @@ def root_at_leaf(
     for e in edges:
         if e.a not in verts or e.b not in verts:
             raise PreconditionError(f"edge {e} leaves the vertex set")
-    adj = adjacency(edges)
+    adj = adjacency([a * len(ps) + b for a, b in edges], len(ps))
     if root not in verts:
         raise PreconditionError(f"root {root} not in vertex set")
     degree = len(adj.get(root, ()))

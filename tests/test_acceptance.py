@@ -191,7 +191,7 @@ def test_criterion_9_mutation_sensitivity():
         tripped = 0
         for _ in range(100):
             mutated = random_edge_mutation(base, ps, rng)
-            if not verify_layers(mutated, ps).ok(guarantee):
+            if verify_layers(mutated, ps).breach(guarantee) is not None:
                 tripped += 1
         assert tripped >= 99
     print("\nPASS criterion 9: >=99/100 mutations tripped on each golden instance")

@@ -44,9 +44,13 @@ apart from the other's; both are rejected before any orientation product,
 so the sign products, counted from the kernel, stay far below one per edge.
 It handles all the segments at an event point at once, so the orientations
 it forms, counted the same way, stay below three per edge.
+
+The library's builds, verify and certificates leave no cyclic garbage: with
+the collector off, everything they allocate is freed by reference counting.
 """
 
 import cProfile
+import gc
 import pstats
 import random
 import sys
@@ -93,7 +97,7 @@ def test_library_build_and_verify_keep_edges_in_c(n):
 
     def build_and_verify():
         trees.append(build_two_disjoint_trees(ps))
-        assert verify_layers(trees[0].layers(), ps).ok(Guarantee())
+        assert verify_layers(trees[0].layers(), ps).breach(Guarantee()) is None
 
     prof = cProfile.Profile()
     prof.runcall(build_and_verify)
@@ -136,7 +140,7 @@ class CountingAdjacency(dict):
 @pytest.mark.parametrize("n", [100, 400, 1600])
 def test_flat_build_reads_each_subtree_vertex_once(monkeypatch, n):
     ps = random_point_set(random.Random(n), n)
-    v = find_flat_vertex(ps, mst.adjacency(mst.build_emst(ps)))
+    v = find_flat_vertex(ps, mst.emst_adjacency(ps))
     assert v is not None
     reads = Counter()
     contribution = centralized._subtree_contribution
@@ -154,7 +158,7 @@ def test_flat_build_reads_each_subtree_vertex_once(monkeypatch, n):
         if Path(file).name == "mst.py"
     }
     assert not hasattr(mst, "root_at_leaf")
-    assert calls["adjacency"] == 1
+    assert calls["emst_adjacency"] == 1
     # the subtrees hang off v and partition the other vertices
     assert sorted(reads) == [u for u in ps.ids if u != v]
     assert set(reads.values()) == {1}
@@ -175,8 +179,9 @@ def test_uniform_emst_keeps_to_the_grid_budget(monkeypatch, n):
 
     monkeypatch.setattr(mst, "_triangulate", counted)
     computations = count_mst_computations(monkeypatch)
-    assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok(Guarantee())
-    assert verify_layers([list(layer) for layer in build_k_layers(ps, 1).layers], ps).ok(Guarantee())
+    assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).breach(Guarantee()) is None
+    layers = [list(layer) for layer in build_k_layers(ps, 1).layers]
+    assert verify_layers(layers, ps).breach(Guarantee()) is None
     assert computations == [n]
     assert accepted
     assert triangulations == []
@@ -402,3 +407,24 @@ def test_plain_decimal_strings_take_no_per_coordinate_reads(monkeypatch):
     pts[0] = ("1/3", pts[0][1])
     assert len(geometry.PointSet(pts)) == 1600
     assert len(reads) == 3200
+
+
+def test_library_calls_leave_no_cyclic_garbage():
+    """A two-tree build and its verify at n=500, then a k=1 build, its
+    verify and a certificate at n=300, all with the collector off: a
+    collection afterwards finds nothing unreachable."""
+    two_tree = random_point_set(random.Random(500), 500)
+    k_layer = random_point_set(random.Random(300), 300)
+    gc.collect()
+    gc.disable()
+    try:
+        trees = build_two_disjoint_trees(two_tree)
+        assert verify_layers(trees.layers(), two_tree).breach(
+            Guarantee.two_tree(trees.bound, None)) is None
+        ls = build_k_layers(k_layer, 1)
+        assert verify_layers([list(layer) for layer in ls.layers], k_layer).breach(
+            Guarantee.k_layers(1, ls.beta_sq)) is None
+        assert locality_certificate(k_layer, 1, 0, ls).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -19,7 +19,7 @@ from plane_layers.centralized import (
 from plane_layers.cli import main
 from plane_layers.errors import GeneralPositionError, InternalAssertionError, PreconditionError
 from plane_layers.geometry import PointSet, Segment, convex_hull
-from plane_layers.mst import adjacency, bottleneck, build_emst
+from plane_layers.mst import adjacency, bottleneck, build_emst, emst_adjacency
 from plane_layers.verify import Guarantee, gen_line_instance, verify_layers
 
 import gap_oracle
@@ -186,13 +186,12 @@ def test_construction1_original_and_inverted_read_no_side():
 
 def test_find_flat_vertex_plus_shape():
     ps = PointSet([(0, 0), (1, 0), (0, 1), (-1, "0.1"), ("0.1", -1)])
-    edges = build_emst(ps)
-    assert find_flat_vertex(ps, adjacency(edges)) == 0
+    assert find_flat_vertex(ps, emst_adjacency(ps)) == 0
 
 
 def test_find_flat_vertex_absent_on_line():
     ps = gen_line_instance(7, "0.001")
-    assert find_flat_vertex(ps, adjacency(build_emst(ps))) is None
+    assert find_flat_vertex(ps, emst_adjacency(ps)) is None
 
 
 def test_find_flat_vertex_gaps_below_pi(rng):
@@ -201,14 +200,13 @@ def test_find_flat_vertex_gaps_below_pi(rng):
     found = 0
     for _ in range(20):
         ps = random_point_set(rng, 40)
-        edges = build_emst(ps)
-        adj = adjacency(edges)
+        adj = emst_adjacency(ps)
         flat = [
             v for v in sorted(adj)
             if len(adj[v]) >= 3
             and all(s > 0 for s in gap_oracle.gap_signs(ps, v, gap_oracle.ccw_ring(ps, v, adj[v])))
         ]
-        v = find_flat_vertex(ps, adjacency(edges))
+        v = find_flat_vertex(ps, emst_adjacency(ps))
         assert v == (flat[0] if flat else None)
         found += v is not None
     assert found > 0
@@ -224,8 +222,7 @@ def test_flat_vertex_neighbors_are_in_convex_position():
                                         for _ in range(20)]
     returned = wide = 0
     for ps in pool:
-        edges = build_emst(ps)
-        adj = adjacency(edges)
+        adj = emst_adjacency(ps)
         flat = [v for v in sorted(adj)
                 if len(adj[v]) >= 3 and centralized._ring(ps, v, adj[v])[1] is None]
         assert find_flat_vertex(ps, adj) == (flat[0] if flat else None)
@@ -311,7 +308,8 @@ def test_component_matches_unionfind(rng):
         for e in edges:
             uf.union(e.a, e.b)
         expected = {u for u in range(n) if uf.connected(u, start)}
-        assert centralized._component(adjacency(edges), start) == expected
+        adj = adjacency([a * n + b for a, b in edges], n)
+        assert centralized._component(adj, start) == expected
         isolated += expected == {start}
     assert 0 < isolated < 250
 
@@ -333,8 +331,7 @@ def test_disjoint_flat_star():
     # center with four leaves in convex position: red keeps three spokes plus
     # one hull edge, blue takes the other hull edges plus the remaining spoke
     ps = PointSet([(0, 0), (1, 0), (0, 1), (-1, "0.1"), ("0.1", -1)])
-    edges = build_emst(ps)
-    tt = disjoint_trees_flat(ps, adjacency(edges), 0)
+    tt = disjoint_trees_flat(ps, emst_adjacency(ps), 0)
     spokes = {e for e in tt.red if e.touches(0)}
     assert len(spokes) == 3
     assert len([e for e in tt.blue if e.touches(0)]) == 1
@@ -356,7 +353,7 @@ def test_disjoint_flat_star_with_chain():
     )
     edges = build_emst(ps)
     assert Segment(3, 5) in edges  # the chain hangs off a spoke end
-    tt = disjoint_trees_flat(ps, adjacency(edges), 0)
+    tt = disjoint_trees_flat(ps, emst_adjacency(ps), 0)
     check_disjoint(tt, ps, 2)
 
 
@@ -364,25 +361,23 @@ def test_disjoint_flat_random(rng):
     done = 0
     while done < 40:
         ps = random_point_set(rng, rng.randint(6, 40))
-        edges = build_emst(ps)
-        v = find_flat_vertex(ps, adjacency(edges))
+        v = find_flat_vertex(ps, emst_adjacency(ps))
         if v is None:
             continue
-        tt = disjoint_trees_flat(ps, adjacency(edges), v)
+        tt = disjoint_trees_flat(ps, emst_adjacency(ps), v)
         check_disjoint(tt, ps, 2)
         done += 1
 
 
 def test_disjoint_flat_rejects_pointed_vertex():
     ps = gen_line_instance(6, "0.001")
-    edges = build_emst(ps)
     with pytest.raises(PreconditionError):
-        disjoint_trees_flat(ps, adjacency(edges), 2)
+        disjoint_trees_flat(ps, emst_adjacency(ps), 2)
 
 
 def test_select_p_perturbed_line():
     ps = gen_line_instance(5, "0.001")
-    pc = select_P(ps, adjacency(build_emst(ps)))
+    pc = select_P(ps, emst_adjacency(ps))
     assert (pc.v3, pc.v2, pc.v1, pc.v0) == (0, 1, 2, 3)
     assert pc.tag.startswith("1")
 
@@ -399,11 +394,11 @@ def test_select_p_case_2b():
     )
     edges = build_emst(ps)
     assert len(edges) == 3 and all(e.touches(1) for e in edges)
-    pc = select_P(ps, adjacency(edges))
+    pc = select_P(ps, emst_adjacency(ps))
     assert pc.tag == "2b"
     assert pc.v3 == 0 and pc.v2 == 1
     assert {pc.v1, pc.v0} == {2, 3}
-    tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
+    tt = disjoint_trees_pointed(ps, emst_adjacency(ps), pc)
     check_disjoint(tt, ps, 2)
 
 
@@ -421,10 +416,10 @@ def test_select_p_case_2a():
     )
     edges = build_emst(ps)
     assert Segment(3, 4) in edges
-    pc = select_P(ps, adjacency(edges))
+    pc = select_P(ps, emst_adjacency(ps))
     assert pc.tag == "2a"
     assert pc.v1 == 2 and pc.v0 == 3
-    tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
+    tt = disjoint_trees_pointed(ps, emst_adjacency(ps), pc)
     check_disjoint(tt, ps, 3)
 
 
@@ -436,12 +431,11 @@ def test_select_p_tag_predicates_recomputed(rng):
     while done < 25 and trials < 4000:
         trials += 1
         ps = random_point_set(rng, rng.randint(4, 12))
-        edges = build_emst(ps)
-        if find_flat_vertex(ps, adjacency(edges)) is not None:
+        if find_flat_vertex(ps, emst_adjacency(ps)) is not None:
             continue
-        pc = select_P(ps, adjacency(edges))
+        pc = select_P(ps, emst_adjacency(ps))
         wps = ps.reflected() if pc.mirrored else ps
-        adj = adjacency(edges)
+        adj = emst_adjacency(ps)
         # the canonical conventions hold in the working orientation
         assert _cw_angle_below_pi(wps, pc.v2, pc.v3, pc.v1)
         if pc.tag.startswith("1"):
@@ -459,9 +453,8 @@ def test_select_p_tag_predicates_recomputed(rng):
 def test_disjoint_pointed_perturbed_lines():
     for n in range(4, 20):
         ps = gen_line_instance(n, "0.001")
-        edges = build_emst(ps)
-        pc = select_P(ps, adjacency(edges))
-        tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
+        pc = select_P(ps, emst_adjacency(ps))
+        tt = disjoint_trees_pointed(ps, emst_adjacency(ps), pc)
         check_disjoint(tt, ps, 3)
 
 
@@ -481,14 +474,20 @@ def test_disjoint_pointed_replacement_instance():
     ps = PointSet(coords)
     edges = build_emst(ps)
     assert {e.as_pair() for e in edges} == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}
-    assert find_flat_vertex(ps, adjacency(edges)) is None
-    pc = select_P(ps, adjacency(edges))
+    assert find_flat_vertex(ps, emst_adjacency(ps)) is None
+    pc = select_P(ps, emst_adjacency(ps))
     assert pc.tag == "1a" and (pc.v3, pc.v2, pc.v1, pc.v0) == (0, 1, 2, 3)
-    tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
+    tt = disjoint_trees_pointed(ps, emst_adjacency(ps), pc)
     all_edges = set(tt.red) | set(tt.blue)
     assert Segment(0, 3) not in all_edges  # v3v0 was replaced
     assert Segment(0, 4) in tt.blue  # by the hull-path edge through X
     check_disjoint(tt, ps, 3)
+
+
+def _star_key(a, b):
+    """The `_Assembler` key a*n + b (a < b) of the edge a-b of the seven
+    points of the repair tests below."""
+    return a * 7 + b
 
 
 def test_three_hop_repair_joins_mid_path():
@@ -498,25 +497,27 @@ def test_three_hop_repair_joins_mid_path():
     # v3, v2, v1, v0, then a and b inside conv(P), and c below v3v0
     ps = PointSet([(0, 0), (0, 10), (10, 10), (10, 0), (3, 2), (7, 2), (5, -3)])
     asm = centralized._Assembler(ps, "repair")
-    e30 = asm.deferred = Segment(0, 3)
-    asm.add("blue", [e30, Segment(0, 4), Segment(1, 4), Segment(1, 2), Segment(3, 5),
-                     Segment(5, 6)], "pointed-base")  # 5-6 crosses v3v0
+    e30 = asm.deferred = _star_key(0, 3)
+    asm.add("blue", [e30] + [_star_key(a, b) for a, b in ((0, 4), (1, 4), (1, 2), (3, 5),
+                                                           (5, 6))],
+            "pointed-base")  # 5-6 crosses v3v0
     centralized._fix_three_hop_edge(asm, ps, {3: 0, 2: 1, 1: 2, 0: 3})
-    assert e30 not in asm.blue and Segment(4, 5) in asm.blue
+    assert e30 not in asm.blue and _star_key(4, 5) in asm.blue
     assert asm.deferred is None
 
 
 def _repair_star(*extra):
     """The blue edges of the repair test above, v3v0 = 0-3 deferred, with
-    `extra` added at a later stage, beside a plane red spanning tree."""
+    the edges `extra`, id pairs, added at a later stage, beside a plane red
+    spanning tree."""
     ps = PointSet([(0, 0), (0, 10), (10, 10), (10, 0), (3, 2), (7, 2), (5, -3)])
     asm = centralized._Assembler(ps, "sweep")
-    asm.deferred = Segment(0, 3)
-    asm.add("red", [Segment(0, 1), Segment(0, 6), Segment(3, 6), Segment(2, 3), Segment(2, 5),
-                    Segment(4, 6)], "pointed-base")
-    asm.add("blue", [Segment(0, 3), Segment(0, 4), Segment(1, 4), Segment(1, 2),
-                     Segment(3, 5)], "pointed-base")
-    asm.add("blue", extra, "extra")
+    asm.deferred = _star_key(0, 3)
+    asm.add("red", [_star_key(a, b) for a, b in ((0, 1), (0, 6), (3, 6), (2, 3), (2, 5),
+                                                 (4, 6))], "pointed-base")
+    asm.add("blue", [_star_key(a, b) for a, b in ((0, 3), (0, 4), (1, 4), (1, 2), (3, 5))],
+            "pointed-base")
+    asm.add("blue", [_star_key(a, b) for a, b in extra], "extra")
     return asm
 
 
@@ -529,20 +530,20 @@ def test_final_check_repairs_a_crossed_three_hop_edge(monkeypatch):
     sweeps = count_sweeps(monkeypatch)
     pv = {3: 0, 2: 1, 1: 2, 0: 3}
     guarantee = Guarantee.two_tree(3, shared=None)
-    asm = _repair_star(Segment(5, 6))  # 5-6 crosses v3v0
+    asm = _repair_star((5, 6))  # 5-6 crosses v3v0
     tt = asm.finish(asm.ps, guarantee, "pointed-final", 3, pv=pv)
     assert Segment(0, 3) not in tt.blue and Segment(4, 5) in tt.blue
     assert len(sweeps) == 4 and asm.deferred is None
-    assert verify_layers(tt.layers(), asm.ps).ok(guarantee)
+    assert verify_layers(tt.layers(), asm.ps).breach(guarantee) is None
     assert not hasattr(centralized, "properly_cross")
 
-    asm = _repair_star(Segment(5, 6), Segment(0, 2))  # 0-2 crosses 1-4
+    asm = _repair_star((5, 6), (0, 2))  # 0-2 crosses 1-4
     with pytest.raises(InternalAssertionError) as err:
         asm.finish(asm.ps, guarantee, "pointed-final", 3, pv=pv)
     assert err.value.stage == "extra"
     assert str(err.value).endswith(
         "sweep: blue edges Segment(a=0, b=2) and Segment(a=1, b=4) cross")
-    assert Segment(0, 3) in asm.blue
+    assert _star_key(0, 3) in asm.blue
 
 
 @pytest.mark.parametrize("n", [4, 40, 200, 501])
@@ -550,9 +551,8 @@ def test_case_one_line_build_sweeps_each_tree_once(monkeypatch, n):
     """On the near-line family (case 1b) blue is plane with v3v0 in it, and
     the build decides that in one sweep of each tree, with no repair."""
     ps = gen_line_instance(n, "0.001")
-    edges = build_emst(ps)
-    assert find_flat_vertex(ps, adjacency(edges)) is None
-    pc = select_P(ps, adjacency(edges))
+    assert find_flat_vertex(ps, emst_adjacency(ps)) is None
+    pc = select_P(ps, emst_adjacency(ps))
     assert pc.tag == "1b"
     sweeps = count_sweeps(monkeypatch)
     tt = build_two_disjoint_trees(ps)
@@ -614,17 +614,17 @@ def test_two_trees_are_equivariant_under_translation_scaling_and_quarter_turns()
                                          (lambda rng: gen_line_instance(40, "0.001"), 3)],
                          ids=["flat", "pointed"])
 def test_one_tree_computation_per_build_and_verify(monkeypatch, rng, make, bound):
-    """The build and its verify compute the MST once: the build takes its
-    tree once, and the verify reads the bottleneck off the same join
-    order."""
+    """The build and its verify compute the MST once: the build colours the
+    join order the point set keeps, with no `Segment` tree built, and the
+    verify reads the bottleneck off the same join order."""
     computations = count_mst_computations(monkeypatch)
     emst_trees = count_emst_trees(monkeypatch)
     ps = make(rng)
     trees = build_two_disjoint_trees(ps)
     assert trees.bound == bound
     report = verify_layers(trees.layers(), ps)
-    assert report.ok(Guarantee.two_tree(bound, shared=None))
-    assert (computations, emst_trees) == ([len(ps)], [len(ps)])
+    assert report.breach(Guarantee.two_tree(bound, shared=None)) is None
+    assert (computations, emst_trees) == ([len(ps)], [])
 
 
 def test_outputs_stay_in_mst_square(rng):
@@ -693,7 +693,7 @@ def test_injected_crossing_names_first_crossing_stage(monkeypatch, seed, stage, 
     def with_injection(*args, **kwargs):
         red, blue = original(*args, **kwargs)
         calls.append(None)
-        return (red + [inject] if len(calls) == 2 else red), blue
+        return (red + [inject.a * len(ps) + inject.b] if len(calls) == 2 else red), blue
 
     monkeypatch.setattr(centralized, "_subtree_contribution", with_injection)
     with pytest.raises(InternalAssertionError) as info:
@@ -799,7 +799,7 @@ def test_final_self_check_faults(monkeypatch, branch, kind):
     ((layers, message),) = injected
     assert info.value.stage == stage
     assert str(info.value) == f"[{stage}] {label}: {message}"
-    assert not verify_layers(layers, ps).ok(Guarantee.two_tree(bound, shared=None))
+    assert verify_layers(layers, ps).breach(Guarantee.two_tree(bound, shared=None)) is not None
 
 
 def test_two_tree_dump_replays_through_the_cli(monkeypatch, tmp_path):
@@ -842,10 +842,9 @@ def test_two_tree_dump_replays_through_the_cli(monkeypatch, tmp_path):
 )
 def test_pointed_output_per_hull_layout(coords, tag, red, blue):
     ps = PointSet(coords)
-    edges = build_emst(ps)
-    pc = select_P(ps, adjacency(edges))
+    pc = select_P(ps, emst_adjacency(ps))
     assert pc.tag == tag and (pc.v3, pc.v2, pc.v1, pc.v0) == (0, 1, 2, 3)
-    tt = disjoint_trees_pointed(ps, adjacency(edges), pc)
+    tt = disjoint_trees_pointed(ps, emst_adjacency(ps), pc)
     assert [e.as_pair() for e in tt.red] == red
     assert [e.as_pair() for e in tt.blue] == blue
 
@@ -1017,7 +1016,7 @@ def test_pointed_output_per_branch(tag, mirrored, path, coords, red, blue):
     """The build's output on each branch, which its stages give too when
     called one by one on the MST adjacency."""
     ps = PointSet(coords)
-    adj = adjacency(build_emst(ps))
+    adj = emst_adjacency(ps)
     assert find_flat_vertex(ps, adj) is None
     pc = select_P(ps, adj)
     assert (pc.tag, pc.mirrored, (pc.v3, pc.v2, pc.v1, pc.v0)) == (tag, mirrored, path)
@@ -1057,7 +1056,7 @@ def test_flat_output_pinned():
     """The build's flat output, which its stages give too when called one
     by one on the MST adjacency."""
     ps = PointSet(FLAT_GOLDEN_COORDS)
-    adj = adjacency(build_emst(ps))
+    adj = emst_adjacency(ps)
     assert find_flat_vertex(ps, adj) == 5
     tt = build_two_disjoint_trees(ps)
     assert disjoint_trees_flat(ps, adj, 5) == tt
@@ -1085,13 +1084,13 @@ def test_full_inversion_reads_no_side(mirror):
     so a child collinear with its root edge builds: the same trees on the
     set and on its mirror image, within ratio 1.61."""
     ps = PointSet(CASE_2A_COLLINEAR).reflected() if mirror else PointSet(CASE_2A_COLLINEAR)
-    pc = select_P(ps, adjacency(build_emst(ps)))
+    pc = select_P(ps, emst_adjacency(ps))
     assert (pc.tag, pc.mirrored, (pc.v3, pc.v2, pc.v1, pc.v0)) == ("2a", not mirror, (0, 1, 2, 3))
     tt = build_two_disjoint_trees(ps)
     assert [e.as_pair() for e in tt.red] == [(0, 1), (0, 3), (2, 3), (3, 4), (3, 5), (5, 6)]
     assert [e.as_pair() for e in tt.blue] == [(0, 2), (1, 2), (1, 3), (1, 4), (4, 5), (4, 6)]
     report = verify_layers(tt.layers(), ps)
-    assert report.ok(Guarantee.two_tree(tt.bound, shared=None))
+    assert report.breach(Guarantee.two_tree(tt.bound, shared=None)) is None
     assert round(report.overall_max_ratio, 2) == 1.61
 
 

@@ -279,7 +279,8 @@ def k_layer_outcome(ps, k):
     except (PreconditionError, InternalAssertionError) as err:
         return type(err).__name__, getattr(err, "stage", None)
     report = verify_layers([list(layer) for layer in ls.layers], ps)
-    return ls.layers, report.ok(Guarantee()), report.breach(Guarantee.k_layers(k, ls.beta_sq))
+    return (ls.layers, report.breach(Guarantee()) is None,
+            report.breach(Guarantee.k_layers(k, ls.beta_sq)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -733,14 +734,17 @@ def test_sector_matches_the_per_sector_oracle():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_box_walk_matches_the_index_star(k):
     """Every box of clustered sets, with its points outside the box: the
-    walk gives the index-based star and the per-point attachments."""
+    walk gives the index-based star and the per-point attachments, each
+    layer's edges in any order."""
     rng = random.Random(90 + k)
     sparse = 0
     for _ in range(15):
         ps = clustered_point_set(rng, 200)
         gi = grid_partition(ps, k, bottleneck(build_emst(ps), ps).length_sq)
         for box in sorted(gi.dense):
-            assert layers_in_box(box, gi) == index_star_layers(box, gi)
+            walked, star = layers_in_box(box, gi), index_star_layers(box, gi)
+            assert (walked.box, walked.center, walked.reps) == (star.box, star.center, star.reps)
+            assert [sorted(edges) for edges in walked.layer_edges] == star.layer_edges
             sparse += len(gi.assigned_to(box)) - len(gi.cells[box])
     assert sparse >= 15
 
@@ -1051,8 +1055,8 @@ def test_explicit_beta_build_computes_no_tree(monkeypatch, rng):
     ps = random_point_set(rng, 80)
     ls = build_k_layers(ps, 1, beta=400)
     assert (computations, trees) == ([], [])
-    assert verify_layers([list(layer) for layer in ls.layers], ps).ok(
-        Guarantee.k_layers(1, ls.beta_sq))
+    assert verify_layers([list(layer) for layer in ls.layers], ps).breach(
+        Guarantee.k_layers(1, ls.beta_sq)) is None
     assert (computations, trees) == ([80], [])
 
 
@@ -1417,7 +1421,7 @@ def test_k_layer_final_check_agrees_with_verify(monkeypatch, stage):
     assert info.value.stage == stage
     (layers,) = checked
     guarantee = Guarantee.k_layers(k, Fraction(info.value.dump["betaSq"]))
-    assert not verify_layers(layers, ps).ok(guarantee)
+    assert verify_layers(layers, ps).breach(guarantee) is not None
 
 
 def test_k_layer_dump_replays_through_the_cli(monkeypatch, tmp_path):

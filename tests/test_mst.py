@@ -439,7 +439,7 @@ def test_grid_runs_once_per_point_set(monkeypatch, rng):
         want = prim_emst(ps)
         assert verify_layers([star], ps).beta_sq == bottleneck(want, ps).length_sq
         assert build_emst(ps) == want
-        assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).ok(Guarantee())
+        assert verify_layers(build_two_disjoint_trees(ps).layers(), ps).breach(Guarantee()) is None
         assert calls == [len(ps)]
 
 
@@ -604,6 +604,34 @@ def test_emst_kept_per_point_set_and_returned_as_a_new_list(monkeypatch, rng):
     layers = [want[: len(want) // 2], want[len(want) // 2:]]
     assert verify_layers(layers, ps).beta_sq == bottleneck(want, ps).length_sq
     assert calls == [60]
+
+
+def test_segments_made_in_bulk_equal_checked_segments(rng):
+    """`mst.segments` makes, without `Segment.__new__`'s check, the edges the
+    check makes from the same keys: equal element by element, with the same
+    ends and repr, and each of type `Segment`, in key order.  `build_emst`
+    returns them, and `emst_adjacency` gives the neighbour lists of its
+    list, in the same order."""
+    cases = [(n, sorted(mst._mst(ps)), ps)
+             for n in (2, 3, 60, 500) for ps in [random_point_set(rng, n)]]
+    keys = [a * 50 + b for a, b in combinations(range(50), 2)]
+    rng.shuffle(keys)
+    cases.append((50, keys, None))
+    for n, keys, ps in cases:
+        made = mst.segments(keys, n)
+        want = [Segment(*divmod(key, n)) for key in keys]
+        assert len(made) == len(want)
+        for e, f in zip(made, want):
+            assert type(e) is Segment
+            assert e == f and (e.a, e.b) == (f.a, f.b) and repr(e) == repr(f)
+        if ps is not None:
+            assert build_emst(ps) == want
+            adj = {}
+            for e in want:
+                adj.setdefault(e.a, []).append(e.b)
+                adj.setdefault(e.b, []).append(e.a)
+            assert list(mst.emst_adjacency(ps).items()) == list(adj.items())
+            assert all(nbrs == sorted(nbrs) for nbrs in adj.values())
 
 
 def test_perturbed_and_reflected_sets_get_their_own_emst(monkeypatch):

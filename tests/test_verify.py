@@ -40,7 +40,7 @@ def test_verify_construction1_output(rng):
         rep = verify_layers(tt.layers(), ps)
         assert rep.all_plane and rep.all_spanning
         assert rep.duplicate_edges == (tt.shared.as_pair(),)
-        assert rep.ok(Guarantee.two_tree(2, shared=tt.shared))
+        assert rep.breach(Guarantee.two_tree(2, shared=tt.shared)) is None
 
 
 def test_verify_detects_corruption(rng):
@@ -168,11 +168,11 @@ def test_mutations_trip_checks(rng):
     tt = build_two_disjoint_trees(ps)
     base = tt.layers()
     guarantee = Guarantee.two_tree(tt.bound, shared=None)
-    assert verify_layers(base, ps).ok(guarantee)
+    assert verify_layers(base, ps).breach(guarantee) is None
     tripped = 0
     for _ in range(100):
         mutated = random_edge_mutation(base, ps, rng)
-        if not verify_layers(mutated, ps).ok(guarantee):
+        if verify_layers(mutated, ps).breach(guarantee) is not None:
             tripped += 1
     assert tripped >= 99
 
