@@ -19,8 +19,9 @@ centers is the sign of A*sqrt(N*M) - B for integers A and B, decided by
 comparing A^2*N*M with B^2.  Center points, the clockwise walk and sector
 tests run on integer offsets from a rational center (`PointSet.offsets`).
 Each candidate center of a box costs one angular sort of the box's assigned
-points; the accepted one's order gives its Tukey depth (a linear sweep), the
-check that no two points share a ray from it, and the clockwise walk.
+points, whose order gives the check that no two share a ray from it, then
+their Tukey depth (a linear sweep over distinct rays) and, once accepted,
+the clockwise walk, whose edges stay keys a*n + b until the layers' sort.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import Sequence
 
 from .errors import InternalAssertionError, PreconditionError, UsageError
 from .geometry import PointSet, Segment, angular_order, float_sqrt, read_number
-from .mst import bottleneck_length, bottleneck_sq, build_emst
+from .mst import bottleneck_length, bottleneck_sq, build_emst, segments
 from .verify import Guarantee, verify_layers
 
 Cell = tuple[int, int]
@@ -73,19 +74,22 @@ class GridIndex:
             raise PreconditionError(
                 "no dense box: beta is below the MST bottleneck or n is too small"
             )
-        self.assignment: dict[int, Cell] = {}
-        self._assigned: dict[Cell, list[int]] = {}
-        for p, cell in self.cell_of.items():  # ascending ids
-            if cell not in self.dense:
-                candidates = _dense_near(self.dense, cell)
-                if not candidates:
-                    raise PreconditionError(
-                        f"point {p} has no dense box within two cells; "
-                        "beta below the MST bottleneck breaks the adjacency guarantee"
-                    )
-                cell = _nearest_center(ps, p, candidates, 6 * k, beta_sq)
-            self.assignment[p] = cell
-            self._assigned.setdefault(cell, []).append(p)
+        self.assignment = dict(self.cell_of)  # ascending ids
+        self._assigned = {box: self.cells[box][:] for box in self.dense}
+        for cell, members in self.cells.items():  # in order of their smallest ids
+            if cell in self.dense:
+                continue
+            candidates = _dense_near(self.dense, cell)
+            if not candidates:
+                raise PreconditionError(
+                    f"point {members[0]} has no dense box within two cells; "
+                    "beta below the MST bottleneck breaks the adjacency guarantee"
+                )
+            for p in members:
+                box = self.assignment[p] = _nearest_center(ps, p, candidates, 6 * k, beta_sq)
+                self._assigned[box].append(p)
+        for assigned in self._assigned.values():
+            assigned.sort()
         self._layers: dict[Cell, BoxLayers] = {}
 
     @property
@@ -164,10 +168,9 @@ def _bucket(
     xs, ys = ps.grid
     cols = _axis_cells(xs, ps.scale, 6 * k, q)
     rows = _axis_cells(ys, ps.scale, 6 * k, q)
-    cell_of: dict[int, Cell] = {}
+    cell_of = dict(enumerate(zip(cols, rows)))
     cells: dict[Cell, list[int]] = {}
-    for p, c in enumerate(zip(cols, rows)):
-        cell_of[p] = c
+    for p, c in cell_of.items():
         cells.setdefault(c, []).append(p)
     return cell_of, cells, frozenset(c for c, members in cells.items() if len(members) >= 3 * k)
 
@@ -260,55 +263,55 @@ def tukey_depth(cx: Fraction, cy: Fraction, ids: Sequence[int], ps: PointSet) ->
     number of them in a closed halfplane bounded by a line through it.
 
     O(m log m): one angular sort of the nonzero integer offsets from the
-    center, then `_depth_around`.  Points on the center lie in every closed
-    halfplane, so they add to the depth of the others."""
+    center, grouped by ray, then `_depth_around`.  Points on the center lie
+    in every closed halfplane, so they add to the depth of the others."""
     vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
-    return len(ids) - len(vecs) + _depth_around([vecs[i] for i in angular_order(vecs)], 0)
-
-
-def _depth_around(ccw: Sequence[tuple[int, int]], stop_below: int) -> int:
-    """Tukey depth of the origin among the nonzero vectors `ccw`, given in
-    counterclockwise `angular_order`.
-
-    The vectors are grouped by ray.  Just past each ray a_i, the open
-    halfplane to the left of the line holds L_i = #vectors in (a_i, a_i +
-    pi], found with a second pointer that only moves forward, and the one to
-    its right holds m - L_i; every generic line direction is just past some
-    a_i or a_i + pi, and the closed halfplane minimum is reached at a generic
-    direction, so the depth is min_i min(L_i, m - L_i).  The sweep returns
-    as soon as the depth is known to be below `stop_below`, with a value
-    below it; a `stop_below` of 0 gives the depth itself."""
-    m = len(ccw)
-    rays: list[tuple[int, int]] = []
-    counts: list[int] = []
-    for v in ccw:
-        if rays and rays[-1][0] * v[1] == rays[-1][1] * v[0] and (
-            rays[-1][0] * v[0] + rays[-1][1] * v[1] > 0
-        ):
+    rays, counts = [], []
+    for i in angular_order(vecs):
+        (ax, ay), (bx, by) = rays[-1] if rays else (0, 0), vecs[i]  # (0, 0) opens a ray
+        if ax * by == ay * bx and ax * bx + ay * by > 0:
             counts[-1] += 1
         else:
-            rays.append(v)
+            rays.append(vecs[i])
             counts.append(1)
+    return len(ids) - len(vecs) + _depth_around(rays, counts, 0)
+
+
+def _depth_around(rays: Sequence[tuple[int, int]], counts: Sequence[int], stop_below: int) -> int:
+    """Tukey depth of the origin among nonzero vectors on the distinct
+    `rays`, in counterclockwise `angular_order`, `counts[t]` on ray t.
+
+    Just past ray a_t, the open halfplane left of the line holds L_t =
+    #vectors in (a_t, a_t + pi]: those on the rays after t up to a pointer
+    that only moves forward, counted by prefix sums; the one to its right
+    holds m - L_t.  Every generic line direction is just past some a_t or
+    a_t + pi, and the closed halfplane minimum is reached at a generic
+    direction, so the depth is min_t min(L_t, m - L_t).  The sweep returns
+    as soon as the depth is known to be below `stop_below`, with a value
+    below it; a `stop_below` of 0 gives the depth itself."""
     r = len(rays)
-    best = m
-    end, inside = 1, 0  # rays t+1 .. end-1 (mod r) lie in (a_t, a_t + pi]
+    twice = [*rays, *rays]
+    before = [0, *accumulate(counts * 2)]  # before[i]: vectors on twice[:i]
+    m = best = before[r]
+    end = 1
     for t in range(r):
-        ux, uy = rays[t]
+        ux, uy = twice[t]
+        if end <= t:
+            end = t + 1
         while end < t + r:
-            wx, wy = rays[end % r]
+            wx, wy = twice[end]
             c = ux * wy - uy * wx
             if c > 0 or (c == 0 and ux * wx + uy * wy < 0):
-                inside += counts[end % r]
                 end += 1
             else:
                 break
-        best = min(best, inside, m - inside)
+        inside = before[end] - before[t + 1]
+        if inside < best:
+            best = inside
+        if m - inside < best:
+            best = m - inside
         if best < stop_below:
             break
-        if end > t + 1:
-            inside -= counts[(t + 1) % r]
-        else:
-            end = t + 2
     return best
 
 
@@ -340,12 +343,13 @@ def _ordered_center(
     `angular_order` of those; the distinct ids must all be among the
     `ray_ids`, as a box's points are among those assigned to it.
 
-    Each candidate sorts those offsets once, and its depth is `_depth_around`
-    the ids' offsets filtered out of that order, which keeps it.  Only a
-    candidate deep enough pays the one pass over adjacent pairs that tells
-    whether two offsets share a ray (`_shares_ray`), and a zero offset
-    rejects it before any sort.  Points of the depth region are as deep as
-    the target, so the depth test passes them unchanged."""
+    Each candidate sorts those offsets once, unless a zero offset rejects
+    it.  One pass over adjacent pairs of that order tells whether two share
+    a ray (`_shares_ray`); only a candidate with none pays the depth sweep
+    (`_depth_around`) on the ids' offsets filtered out of the order, one per
+    ray.  Either order of the two tests accepts the same candidate.  Points
+    of the depth region are as deep as the target, so the depth test passes
+    them unchanged."""
     if len(ids) < 3:
         raise PreconditionError("center point needs at least 3 points")
     m = len(ids)
@@ -355,14 +359,16 @@ def _ordered_center(
     inside = [p in members for p in ray_ids]
     if not len(members) == m == sum(inside):
         raise PreconditionError("center point needs distinct ids among the ray ids")
+    ones = [1] * m
     for target in dict.fromkeys(((m + 2) // 3, m // 3)):  # ceiling, then floor
         for cx, cy in chain(_center_candidates(ids, ps), _region_points(ids, ps, target)):
             vecs = ps.offsets(ray_ids, cx, cy)
             if (0, 0) in vecs:
                 continue
             order = angular_order(vecs)
-            depth = _depth_around([vecs[i] for i in order if inside[i]], target)
-            if depth >= target and not _shares_ray(vecs, order):
+            if _shares_ray(vecs, order):
+                continue
+            if _depth_around([vecs[i] for i in order if inside[i]], ones, target) >= target:
                 return (cx, cy), vecs, order
     raise InternalAssertionError("center-point", "no candidate reached the depth bound")
 
@@ -372,21 +378,14 @@ def _center_candidates(ids, ps):
     of the points t, t + floor(m/3) and t + floor(2m/3) (indices mod m),
     which reaches deep points early.  Exact rationals, formed on the point
     set's integer grid."""
-    m = len(ids)
-    sc = ps.scale
-    xs, ys = zip(*(ps.scaled(i) for i in ids))
-    yield (Fraction(sum(xs), m * sc), Fraction(sum(ys), m * sc))
-    yield (
-        Fraction(sorted(xs)[(m - 1) // 2], sc),
-        Fraction(sorted(ys)[(m - 1) // 2], sc),
-    )
+    m, sc, (gx, gy) = len(ids), ps.scale, ps.grid
+    xs, ys = [gx[i] for i in ids], [gy[i] for i in ids]
+    yield Fraction(sum(xs), m * sc), Fraction(sum(ys), m * sc)
+    yield Fraction(sorted(xs)[(m - 1) // 2], sc), Fraction(sorted(ys)[(m - 1) // 2], sc)
     third, two_thirds = m // 3, (2 * m) // 3
     for t in range(m):
-        i, j, l = t, (third + t) % m, (two_thirds + t) % m
-        yield (
-            Fraction(xs[i] + xs[j] + xs[l], 3 * sc),
-            Fraction(ys[i] + ys[j] + ys[l], 3 * sc),
-        )
+        j, l = (third + t) % m, (two_thirds + t) % m
+        yield Fraction(xs[t] + xs[j] + xs[l], 3 * sc), Fraction(ys[t] + ys[j] + ys[l], 3 * sc)
 
 
 def _region_points(ids, ps, target):
@@ -519,7 +518,7 @@ class BoxLayers:
     box: Cell
     center: tuple[Fraction, Fraction]
     reps: list[tuple[int, int, int]]  # per layer, the sector anchors clockwise
-    layer_edges: list[list[Segment]]  # per layer, in walk order
+    layer_edges: list[list[int]]  # per layer, keys a*n + b (a < b) in walk order
 
 
 def _sector(dirs: Sequence[tuple[int, int]], d: tuple[int, int]) -> int:
@@ -549,21 +548,17 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     """Extract k rotated-sector layers for one dense box in one clockwise
     walk per layer around its center point.
 
-    The points assigned to the box are ordered clockwise around the center
-    once: that is the counterclockwise order the accepted center was checked
-    with (`_ordered_center`), read backwards from the +x ray, so the box
-    sorts by angle once per candidate center and never again.  Layer j takes
-    the in-box points of ranks j, floor(m/3)+j and floor(2m/3)+j in that
-    order as its representatives and walks the order from just past the
-    first: each point joins the current representative, and a representative
-    then becomes the current one.  In-box points give the star and chain
-    edges, the others the attachments, in one list per layer, in walk order
-    (`_assemble` sorts each whole layer, and the `Certifier` indexes the
-    edges by endpoint).  The walk places every point in its sector exactly,
-    since no two assigned points share a ray from the center.  Of the grid
-    it reads only `ps`, `k`, `gi.cells[box]`, `gi.cell_of` and
-    `gi.assigned_to(box)`."""
-    ps, k = gi.ps, gi.k
+    The clockwise order is the counterclockwise one `_ordered_center`
+    checked the accepted center with, read backwards from the +x ray, so a
+    box sorts by angle once per candidate center.  Layer j's
+    representatives are the in-box points of ranks j, floor(m/3)+j and
+    floor(2m/3)+j in that order; each joins the slice after it up to and
+    including the next (the third wrapping round): star, chain and
+    attachment edges, each point in its sector exactly, as no two assigned
+    points share a ray from the center.  Each layer is a list of keys
+    a*n + b (a < b) in walk order.  Of the grid it reads only `ps`, `k`,
+    `gi.cells[box]`, `gi.cell_of` and `gi.assigned_to(box)`."""
+    ps, k, n = gi.ps, gi.k, len(gi.ps)
     members = gi.cells[box]
     m = len(members)
     if m < 3 * k:
@@ -579,18 +574,16 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     ids = [assigned[i] for i in order]
     ranks = [t for t, p in enumerate(ids) if gi.cell_of[p] == box]
     all_reps: list[tuple[int, int, int]] = []
-    layer_edges: list[list[Segment]] = []
+    layer_edges: list[list[int]] = []
     for j in range(k):
-        at = (ranks[j], ranks[m // 3 + j], ranks[(2 * m) // 3 + j])
-        reps = tuple(ids[t] for t in at)
-        edges = []
-        current = reps[0]
-        for t in [*range(at[0] + 1, len(ids)), *range(at[0])]:
-            edges.append(Segment(ids[t], current))
-            if t in at:
-                current = ids[t]
+        r0, r1, r2 = ranks[j], ranks[m // 3 + j], ranks[(2 * m) // 3 + j]
+        reps = ids[r0], ids[r1], ids[r2]
+        keys = []
+        for c, run in zip(reps, (ids[r0 + 1:r1 + 1], ids[r1 + 1:r2 + 1], ids[r2 + 1:] + ids[:r0])):
+            cn = c * n
+            keys += [p * n + c if p < c else cn + p for p in run]
         all_reps.append(reps)
-        layer_edges.append(edges)
+        layer_edges.append(keys)
     return BoxLayers(box, center, all_reps, layer_edges)
 
 
@@ -697,19 +690,17 @@ def build_k_layers(ps: PointSet, k: int, beta=None) -> LayerSet:
     CLI's `verify` runs, against the `Guarantee` of a distributed file: per
     layer the edge-length budget 12*sqrt(2)*k*beta, planarity and spanning,
     then pairwise edge-disjointness; the first breach raises at its stage
-    (`_STAGES`).  It is the build's one check of each property: a box's
-    edges of layer j are part of layer j, so a crossing among them fails
-    its planarity, and dense boxes that are not 8-neighbour connected leave
-    a layer that does not span, since only connectors of 8-neighbour pairs
-    join boxes.  None of these checks reads the MST bottleneck, so that
-    verify does not measure against it, and a build with an explicit `beta`
-    reads the bottleneck only once it has failed: a `beta` below the MST
-    bottleneck breaks the construction's precondition, so that failure
-    raises `PreconditionError` instead.  Every internal assertion raised on the way, these checks and
-    those of the boxes' center points, sectors and connectors alike, carries
-    a dump of the points, the mode, k and betaSq (and the layer, for the
-    per-layer checks) that replays through `plane-layers build --mode
-    distributed`."""
+    (`_STAGES`).  It is the build's one check of each property: a crossing
+    among a box's edges fails its layer's planarity, and dense boxes that
+    are not 8-neighbour connected leave a layer that does not span.  None of
+    these checks reads the MST bottleneck, and a build with an explicit
+    `beta` reads it only once it has failed: a `beta` below the bottleneck
+    breaks the construction's precondition, so that failure raises
+    `PreconditionError` instead.  Every internal assertion on the way, these
+    checks and those of the boxes' center points, sectors and connectors
+    alike, carries a dump of the points, the mode, k and betaSq (and the
+    layer, for the per-layer checks) that replays through `plane-layers
+    build --mode distributed`."""
     beta_sq = _as_beta_sq(beta, ps)
     gi = grid_partition(ps, k, beta_sq)
     try:
@@ -733,11 +724,12 @@ def _add_instance(err: InternalAssertionError, gi: GridIndex) -> None:
 def _assemble(gi: GridIndex) -> LayerSet:
     """The layer set of the grid `gi`, after the checks `build_k_layers`
     lists."""
-    ps, k, beta_sq = gi.ps, gi.k, gi.beta_sq
+    ps, k, beta_sq, n = gi.ps, gi.k, gi.beta_sq, len(gi.ps)
     box_layers = [gi.layers(box) for box in sorted(gi.dense)]
     connectors = connect_boxes(gi)
     layers = [
-        tuple(sorted([e for bl in box_layers for e in bl.layer_edges[j]] + connectors[j]))
+        tuple(segments(sorted(chain(*(bl.layer_edges[j] for bl in box_layers),
+                                    (a * n + b for a, b in connectors[j]))), n))
         for j in range(k)
     ]
     report = verify_layers(layers, ps, measure=False)
@@ -831,21 +823,16 @@ class Certifier:
         except InternalAssertionError as err:
             _add_instance(err, self.grid)
             raise
-        return LocalityCertificate(
-            point=p,
-            cheby_cells=2,
-            euclid_radius=self._radius,
-            layer_edges=global_incident,
-            ok=True,
-        )
+        return LocalityCertificate(point=p, cheby_cells=2, euclid_radius=self._radius,
+                                   layer_edges=global_incident, ok=True)
 
     def _box_index(self, box: Cell) -> list[dict[int, list[Segment]]]:
-        """Per layer, the edges of `box`'s replayed layers by endpoint,
-        indexed once per box."""
+        """Per layer, the edges of `box`'s replayed layers by endpoint, as
+        `Segment`s decoded from the box's keys, indexed once per box."""
         if box not in self._by_box:
-            box_layers = self.grid.layers(box)
+            n = len(self.grid.ps)
             self._by_box[box] = [
-                _by_endpoint(box_layers.layer_edges[j]) for j in range(self.grid.k)
+                _by_endpoint(segments(keys, n)) for keys in self.grid.layers(box).layer_edges
             ]
         return self._by_box[box]
 

@@ -6,7 +6,10 @@ representatives' rays and then strictly inside; `index_star_layers` numbers
 the in-box points clockwise, joins them to their representatives by index
 range and attaches every other assigned point through `sector_index`.  The
 clockwise order here comes from a comparator on exact `Fraction`
-differences, not from `angular_order`.
+differences, not from `angular_order`.  Its edges are keys a*n + b with
+a < b, the form `layers_in_box` emits.  `segment_walk` is the walk as it
+stood before the keys: one checked `Segment` per walked point, and a
+membership test of each place against the representatives'.
 """
 
 from __future__ import annotations
@@ -94,5 +97,30 @@ def index_star_layers(box, gi) -> BoxLayers:
             anchor = reps[0] if t <= third else reps[1] if t <= two_thirds else reps[2]
             edges.append(Segment(order[(j + t) % m], anchor))
         edges += [Segment(q, reps[sector_index(ps, center, reps, q)]) for q in sparse]
-        layer_edges.append(sorted(edges))
+        layer_edges.append(sorted(a * len(ps) + b for a, b in edges))
     return BoxLayers(box, center, all_reps, layer_edges)
+
+
+def segment_walk(box, gi) -> list[list[Segment]]:
+    """Each layer's edges as `Segment`s in walk order: the clockwise order
+    read off `_ordered_center`, walked from just past the first
+    representative, each point joining the current representative, and a
+    point at a representative's place becoming the current one."""
+    assigned = gi.assigned_to(box)
+    _, offsets, ccw = _ordered_center(gi.cells[box], gi.ps, assigned)
+    order = ccw[::-1]
+    if offsets[ccw[0]][1] == 0 and offsets[ccw[0]][0] > 0:
+        order = [ccw[0], *order[:-1]]
+    ids = [assigned[i] for i in order]
+    ranks = [t for t, p in enumerate(ids) if gi.cell_of[p] == box]
+    m = len(ranks)
+    layer_edges = []
+    for j in range(gi.k):
+        at = (ranks[j], ranks[m // 3 + j], ranks[(2 * m) // 3 + j])
+        edges, current = [], ids[at[0]]
+        for t in [*range(at[0] + 1, len(ids)), *range(at[0])]:
+            edges.append(Segment(ids[t], current))
+            if t in at:
+                current = ids[t]
+        layer_edges.append(edges)
+    return layer_edges

@@ -54,7 +54,13 @@ from conftest import (
 )
 from predicates import properly_cross
 from rational_points import exact_coords
-from sector_oracle import clockwise_around, index_star_layers, sector_index, strictly_inside_cw
+from sector_oracle import (
+    clockwise_around,
+    index_star_layers,
+    sector_index,
+    segment_walk,
+    strictly_inside_cw,
+)
 from unionfind import UnionFind
 
 
@@ -538,14 +544,56 @@ def test_tukey_depth_matches_oracles():
             assert depth == brute_depth(cx, cy, coords)
         # the sweep's early exit, from the depth among the nonzero offsets
         vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
-        ccw = [vecs[i] for i in angular_order(vecs)]
+        rays, counts = rays_with_counts(vecs)
         around = depth - (m - len(vecs))
         stop = rng.randint(0, len(vecs) + 1)
-        early = distributed._depth_around(ccw, stop)
+        early = distributed._depth_around(rays, counts, stop)
         if around >= stop:
             assert early == around
         else:
             assert around <= early < stop
+
+
+def rays_with_counts(vecs):
+    """The distinct rays of the nonzero integer vectors `vecs`, each as its
+    first vector in counterclockwise `angular_order`, and how many vectors
+    lie on each; the rays are told apart by gcd-reduced direction."""
+    rays, counts = {}, Counter()
+    for i in angular_order(vecs):
+        g = math.gcd(*vecs[i])
+        direction = (vecs[i][0] // g, vecs[i][1] // g)
+        rays.setdefault(direction, vecs[i])
+        counts[direction] += 1
+    return list(rays.values()), [counts[d] for d in rays]
+
+
+def test_depth_around_matches_oracles():
+    """The sweep on rays with their counts against `probe_depth` and
+    `brute_depth`: shared rays with counts above one (what `tukey_depth`
+    passes), distinct rays with a count of one each (what a box passes),
+    and centers on an input point, whose points on the center add to the
+    depth of the others."""
+    rng = random.Random(544)
+    grid = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    kinds = Counter()
+    for trial in range(2000):
+        ps = PointSet(rng.sample(grid, rng.randint(1, 14)))
+        ids, coords = list(ps.ids), exact_coords(ps)
+        if trial % 3 == 0:
+            cx, cy = coords[rng.randrange(len(ids))]
+        else:
+            cx = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+            cy = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+        vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
+        rays, counts = rays_with_counts(vecs)
+        depth = len(ids) - len(vecs) + distributed._depth_around(rays, counts, 0)
+        assert depth == probe_depth(cx, cy, coords) == brute_depth(cx, cy, coords)
+        kinds["on a point" if len(vecs) < len(ids) else "shared" if len(rays) < len(vecs)
+              else "distinct"] += 1
+        if len(rays) == len(vecs):  # the box's call: the vectors in order, a count of one each
+            ccw = [vecs[i] for i in angular_order(vecs)]
+            assert distributed._depth_around(ccw, [1] * len(ccw), 0) == depth - len(ids) + len(vecs)
+    assert min(kinds.values()) > 200, kinds
 
 
 def test_center_point_triangle_and_hexagon():
@@ -603,8 +651,10 @@ def test_center_point_no_two_points_per_ray(rng):
 
 def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
     """The 828-point box of `gen --kind clusters --n 1000 --seed 6` at k=2
-    takes at most one depth sweep (`_depth_around`) per candidate, m + 2;
-    trying every input point before the spread triples took 834."""
+    tries at most m + 2 candidates, each with one ray check (`_shares_ray`)
+    on its sorted offsets, and takes at most one depth sweep
+    (`_depth_around`) per candidate that passes it; trying every input
+    point before the spread triples took 834 sweeps."""
     path = tmp_path / "clusters.txt"
     assert main(["gen", "--kind", "clusters", "--n", "1000", "--seed", "6",
                  "--out", str(path)]) == 0
@@ -613,16 +663,22 @@ def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
     box = max(gi.dense, key=lambda b: len(gi.cells[b]))
     members = list(gi.cells[box])
     assert len(members) == 828
-    calls = []
-    depth_around = distributed._depth_around
+    checks, sweeps = [], []
+    shares_ray, depth_around = distributed._shares_ray, distributed._depth_around
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return depth_around(*args, **kwargs)
+    def counted_check(vecs, order):
+        checks.append(shares_ray(vecs, order))
+        return checks[-1]
 
-    monkeypatch.setattr(distributed, "_depth_around", counted)
+    def counted_sweep(rays, counts, stop_below):
+        sweeps.append(len(rays))
+        return depth_around(rays, counts, stop_below)
+
+    monkeypatch.setattr(distributed, "_shares_ray", counted_check)
+    monkeypatch.setattr(distributed, "_depth_around", counted_sweep)
     (cx, cy), _, _ = _ordered_center(members, ps, gi.assigned_to(box))
-    assert 0 < len(calls) <= len(members) + 2
+    assert 0 < len(checks) <= len(members) + 2
+    assert 0 < len(sweeps) == checks.count(False) and set(sweeps) == {len(members)}
     assert tukey_depth(cx, cy, members, ps) >= 276  # ceil(828 / 3)
 
 
@@ -635,12 +691,23 @@ def hand_grid(ps, k):
     return gi
 
 
+def box_segments(bl, n):
+    """Each layer of the `BoxLayers` bl as `Segment`s, decoded from its keys
+    a*n + b, each with a < b, in the keys' order."""
+    layers = []
+    for keys in bl.layer_edges:
+        pairs = [divmod(key, n) for key in keys]
+        assert all(a < b for a, b in pairs), pairs
+        layers.append([Segment(a, b) for a, b in pairs])
+    return layers
+
+
 def test_layers_in_box_minimal():
     ps = PointSet([(1, 1), (2, "1.1"), ("1.4", "2.2")])
     gi = hand_grid(ps, 1)
-    bl = layers_in_box((0, 0), gi)
-    assert len(bl.layer_edges[0]) == 2  # a two-edge path over three points
-    rep = verify_layers([bl.layer_edges[0]], ps)
+    (edges,) = box_segments(layers_in_box((0, 0), gi), len(ps))
+    assert len(edges) == 2  # a two-edge path over three points
+    rep = verify_layers([edges], ps)
     assert rep.per_layer[0].plane
 
 
@@ -649,8 +716,7 @@ def test_layers_in_box_hexagon_two_layers():
     ps = PointSet(pts)
     gi = hand_grid(ps, 2)
     bl = layers_in_box((0, 0), gi)  # needs m >= 6
-    e0 = set(bl.layer_edges[0])
-    e1 = set(bl.layer_edges[1])
+    e0, e1 = map(set, box_segments(bl, len(ps)))
     assert not (e0 & e1)
     reps0 = set(bl.reps[0])
     reps1 = set(bl.reps[1])
@@ -669,10 +735,9 @@ def test_layers_in_box_random_dense(rng):
     gi = grid_partition(ps, 3, Fraction(1))
     box = next(iter(gi.dense))
     assert gi.dense == {box}
-    bl = layers_in_box(box, gi)
+    layers = box_segments(layers_in_box(box, gi), len(ps))
     seen = set()
-    for j in range(3):
-        edges = bl.layer_edges[j]
+    for edges in layers:
         assert not crossing_pairs(edges, ps)
         uf = UnionFind(ps.ids)
         for e in edges:
@@ -734,8 +799,9 @@ def test_sector_matches_the_per_sector_oracle():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_box_walk_matches_the_index_star(k):
     """Every box of clustered sets, with its points outside the box: the
-    walk gives the index-based star and the per-point attachments, each
-    layer's edges in any order."""
+    walk's keys give the index-based star and the per-point attachments,
+    each layer's edges in any order, and decoded, they are the edges of the
+    walk on `Segment`s (`segment_walk`) in its order."""
     rng = random.Random(90 + k)
     sparse = 0
     for _ in range(15):
@@ -744,7 +810,8 @@ def test_box_walk_matches_the_index_star(k):
         for box in sorted(gi.dense):
             walked, star = layers_in_box(box, gi), index_star_layers(box, gi)
             assert (walked.box, walked.center, walked.reps) == (star.box, star.center, star.reps)
-            assert [sorted(edges) for edges in walked.layer_edges] == star.layer_edges
+            assert [sorted(keys) for keys in walked.layer_edges] == star.layer_edges
+            assert box_segments(walked, len(ps)) == segment_walk(box, gi)
             sparse += len(gi.assigned_to(box)) - len(gi.cells[box])
     assert sparse >= 15
 
@@ -910,6 +977,26 @@ def test_certifier_sees_a_point_two_cells_from_its_box(rng):
         build_k_layers(PointSet(rows + [("18.5", "2.0")]), 1, beta=1)
 
 
+@pytest.mark.parametrize("far", [100, -100])
+def test_stranded_point_message_names_the_smallest_id(rng, far):
+    """Cells have side 6 at k=1, beta=1.  Point 1 lies in a stranded cell
+    beyond the dense cell (0, 0), points 2 and 11 in one mirrored through
+    it, so a scan in cell order would meet point 2 first for one sign of
+    `far`: the build names point 1, the smallest stranded id, in the exact
+    message."""
+    near = cluster(rng, 9, 1.0, 1.0)
+    ps = PointSet([near[0], (far, far), (-far, -far), *near[1:], (1 - far, -far)])
+    cell_of, cells, dense = distributed._bucket(ps, 1, Fraction(1))
+    assert dense == {(0, 0)} and len(cells) == 3 and cell_of[2] == cell_of[11]
+    assert (cell_of[1] < cell_of[2]) == (far < 0)
+    with pytest.raises(PreconditionError) as info:
+        build_k_layers(ps, 1, beta=1)
+    assert str(info.value) == (
+        "point 1 has no dense box within two cells; "
+        "beta below the MST bottleneck breaks the adjacency guarantee"
+    )
+
+
 def test_locality_certificate_rejects_a_different_k(rng):
     ps = random_point_set(rng, 60)
     ls = build_k_layers(ps, 1)
@@ -981,9 +1068,8 @@ def test_certifier_box_index_matches_the_edge_scan(rng):
         for box in sorted(certifier.grid.dense):
             index = certifier._box_index(box)
             assert certifier._box_index(box) is index and len(index) == k
-            box_layers = certifier.grid.layers(box)
-            for j, by_end in enumerate(index):
-                edges = box_layers.layer_edges[j]
+            layers = box_segments(certifier.grid.layers(box), len(ps))
+            for by_end, edges in zip(index, layers):
                 assert set(by_end) <= set(ps.ids)
                 for p in ps.ids:
                     assert by_end.get(p, []) == [e for e in edges if e.touches(p)]
@@ -1305,7 +1391,7 @@ BOX_STAGES = ["center-point", "sector"]
 def _inject_box_fault(monkeypatch, stage):
     """Make a k=1 build fail the box-level assertion `stage`."""
     if stage == "center-point":  # no candidate is deep, and the region is empty
-        monkeypatch.setattr(distributed, "_depth_around", lambda *args, **kwargs: 0)
+        monkeypatch.setattr(distributed, "_depth_around", lambda rays, counts, stop_below: 0)
         monkeypatch.setattr(distributed, "_depth_region", lambda *args: [])
     elif stage == "sector":  # every representative seems to lie on its neighbour's center
         sector = distributed._sector
