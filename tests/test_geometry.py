@@ -234,6 +234,49 @@ def test_sweep_matches_all_pairs_on_stars_and_fans():
     assert min(outcomes.values()) > 300
 
 
+def _tip_near_far_diagonal(rng):
+    # the slopes (10**17 + b) / (10**17 + a) round to 1 or a neighbouring double
+    return 10**17 + rng.randrange(12), 10**17 + rng.randrange(12)
+
+
+def _tip_on_a_ray(rng):
+    # up to three tips on each ray, so that spokes overlap along it
+    t, (dx, dy) = rng.randint(1, 3), rng.choice(
+        [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -3), (3, 2)])
+    return t * dx, t * dy
+
+
+def _tip_past_float_range(rng):
+    # slopes of about 10**400 overflow a float
+    return rng.randint(1, 6), 10**400 * rng.randint(1, 6) + rng.randrange(4)
+
+
+@pytest.mark.parametrize("tip", [_tip_near_far_diagonal, _tip_on_a_ray, _tip_past_float_range])
+def test_sweep_matches_all_pairs_on_long_fans(tip):
+    """Fans of at least `geometry._KEYED_FAN` spokes from a hub at the
+    origin, in shuffled order, plus one edge between two more points drawn
+    as the tips are.  The sweep sorts such a fan on each spoke's slope as a
+    float, then certifies the order with one pass of the exact comparison,
+    and sorts by the comparison alone when that pass finds a misorder or a
+    slope overflows a float: the distinct slopes of tips near (10**17,
+    10**17) round to a few doubles, spokes along one ray tie, and slopes
+    near 10**400 overflow."""
+    rng = random.Random(20261020)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        count = rng.randint(geometry._KEYED_FAN, 2 * geometry._KEYED_FAN)
+        pts = {tip(rng) for _ in range(4 * count)}
+        if len(pts) < count + 2:
+            continue
+        pts = rng.sample(sorted(pts), count + 2)
+        ps = PointSet([(0, 0)] + pts)
+        edges = [Segment(0, t) for t in range(1, count + 1)]
+        rng.shuffle(edges)
+        edges.append(Segment(count + 1, count + 2))
+        _sweep_agrees(edges, ps, outcomes)
+    assert min(outcomes.values()) > 50
+
+
 def test_sweep_on_y_ranges_that_touch_or_barely_overlap():
     """Pairs of segments whose y-ranges meet in exactly one value, or overlap
     by one grid unit, on small grids and among a few other edges: horizontal
@@ -252,6 +295,8 @@ def test_sweep_on_y_ranges_that_touch_or_barely_overlap():
         (((0, 0), (2, 1)), ((2, 1), (3, 2)), False),  # touch at a shared endpoint
         (((0, 0), (4, 2)), ((1, 3), (3, 1)), True),  # ranges [0, 2] and [1, 3]
         (((0, 1), (4, 1)), ((2, 0), (2, 2)), True),  # horizontal crossed by a vertical
+        (((0, 1), (4, 1)), ((2, 1), (2, 3)), False),  # a vertical standing on a horizontal
+        (((0, 1), (4, 1)), ((2, 0), (2, 1)), False),  # a vertical hanging from one
     ]
     for (a, b), (c, d), crosses in pairs:
         ps = PointSet(sorted({a, b, c, d}))
@@ -284,6 +329,34 @@ def test_sweep_on_y_ranges_that_touch_or_barely_overlap():
         rng.shuffle(edges)
         _sweep_agrees(edges, ps, outcomes)
     assert min(outcomes.values()) > 500
+    # Event points at the y of a horizontal segment, on it (T-junctions) or
+    # beside it, with edges leaving them up and down, vertical ones among
+    # them.  The sweep decides by y alone that an event point lies above a
+    # probed or neighbouring segment whose endpoints both lie below it, or
+    # below one whose endpoints both lie above; a horizontal segment at the
+    # event point's own y is neither, and a vertical one ending there is
+    # not active.
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        g = rng.randint(4, 9)
+        y0 = rng.randrange(1, g - 1)
+        x0, x1 = sorted(rng.sample(range(g), 2))
+        level = [(x, y0) for x in range(x0, x1 + 1)]
+        stops = rng.sample(level, min(len(level), rng.randint(1, 3)))
+        pts = set(level)
+        pts.update((rng.randrange(g), rng.randrange(g)) for _ in range(rng.randint(2, 6)))
+        pts.update((x, rng.randrange(g)) for x, _ in stops)  # vertical edges at the stops
+        order = sorted(pts)
+        ps = PointSet(order)
+        edges = [Segment(order.index((x0, y0)), order.index((x1, y0)))]
+        for stop in stops:
+            others = [i for i, c in enumerate(order) if c[1] != y0]
+            edges += [Segment(order.index(stop), i)
+                      for i in rng.sample(others, min(len(others), rng.randint(1, 3)))]
+        edges += _random_edges(rng, list(ps.ids), rng.randint(0, 2))
+        rng.shuffle(edges)
+        _sweep_agrees(edges, ps, outcomes)
+    assert min(outcomes.values()) > 500
 
 
 def test_sweep_block_step_at_an_event_point():
@@ -298,6 +371,7 @@ def test_sweep_block_step_at_an_event_point():
     diagonal, anti = ((0, 0), (4, 4)), ((0, 4), (4, 0))  # they cross at v
     spoke, end = (v, (4, 2)), ((0, 2), v)  # a segment starting at v, one ending there
     split = [((0, 3), v), ((1, 0), v)]  # end at v above and below the diagonal
+    level = ((0, 2), (4, 2))  # a horizontal segment through v
     cases = [
         ([diagonal, anti, spoke], True),  # the spoke starts between them by direction
         ([diagonal, anti, end], True),  # the edge ends between them
@@ -309,6 +383,20 @@ def test_sweep_block_step_at_an_event_point():
         ([diagonal, *split, spoke], False),
         ([diagonal, (v, (4, 4))], False),  # a through segment and a spoke on one ray
         ([diagonal, (v, (4, 4)), end], False),
+        # v is a T-junction on a horizontal segment, whose endpoint ys both
+        # equal v's: it passes through v, neither above nor below it
+        ([level, ((0, 0), v), ((0, 3), v)], False),  # edges end at v on both sides
+        ([level, (v, (4, 0)), (v, (4, 3))], False),  # spokes leave v on both sides
+        ([level, ((0, 0), v), (v, (3, 4))], False),
+        # another T-junction on the horizontal at (1, 2), where edges start
+        ([level, ((0, 0), v), ((1, 2), (3, 0))], True),
+        ([level, ((0, 3), v), ((1, 2), (3, 4))], True),
+        ([level, ((2, 0), (2, 4)), (v, (4, 3))], True),  # crossed by a vertical at v
+        ([level, ((2, 0), v), (v, (2, 4))], False),  # a vertical ends at v, one leaves it
+        # a segment whose top y is v's, beside v: v lies above it at v's x
+        ([((1, 0), (3, 2)), (v, (4, 1))], True),
+        ([((1, 0), (3, 2)), (v, (4, 3))], False),
+        ([((1, 3), (3, 2)), (v, (4, 1))], False),  # whose bottom y is v's
     ]
     coords = sorted({c for segments, _ in cases for segment in segments for c in segment})
     ps = PointSet(coords)
