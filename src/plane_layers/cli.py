@@ -24,7 +24,6 @@ from .centralized import build_two_disjoint_trees
 from .distributed import build_k_layers, grid_cell_side
 from .errors import (
     InternalAssertionError,
-    PlaneLayersError,
     PreconditionError,
     UsageError,
     write_dump,
@@ -218,9 +217,8 @@ def cmd_build(args) -> int:
         max_ratio = max(trees.max_ratio_red, trees.max_ratio_blue)
         print(f"layers=2 maxRatio={max_ratio:.6f} bound={trees.bound}")
         return 0
-    if beta is not None and beta <= 0:
-        raise PreconditionError("beta must be positive")
-    if beta is not None and len(ps) >= 2 and beta * beta < bottleneck_sq(ps):
+    # build_k_layers itself rejects a beta of 0 or below
+    if beta is not None and beta > 0 and len(ps) >= 2 and beta * beta < bottleneck_sq(ps):
         raise PreconditionError(
             f"--beta {args.beta} is below the MST bottleneck {bottleneck_length(ps):.6f}"
         )
@@ -370,9 +368,6 @@ def main(argv=None) -> int:
         path = write_dump(exc)
         print(f"internal assertion: {exc}\nreproducer dump: {path}", file=sys.stderr)
         return 5
-    except PlaneLayersError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2

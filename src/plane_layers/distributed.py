@@ -18,10 +18,11 @@ square root, tells when a new index is due.  The nearer of two dense-cell
 centers is the sign of A*sqrt(N*M) - B for integers A and B, decided by
 comparing A^2*N*M with B^2.  Center points, the clockwise walk and sector
 tests run on integer offsets from a rational center (`PointSet.offsets`).
-Each candidate center of a box costs one angular sort of the box's assigned
-points, whose order gives the check that no two share a ray from it, then
-their Tukey depth (a linear sweep over distinct rays) and, once accepted,
-the clockwise walk, whose edges stay keys a*n + b until the layers' sort.
+Each candidate center a box's `center_point` tries costs one angular sort of
+the box's assigned points, whose order gives the check that no two share a
+ray from it, then the Tukey depth of its in-box points (`tukey_depth`, a
+linear sweep over distinct rays) and, once accepted, the clockwise walk,
+whose edges stay keys a*n + b until the layers' sort.
 """
 
 from __future__ import annotations
@@ -258,26 +259,7 @@ def _sign_sqrt_diff(a: int, b: int, r: int) -> int:
 # --- center points ----------------------------------------------------------
 
 
-def tukey_depth(cx: Fraction, cy: Fraction, ids: Sequence[int], ps: PointSet) -> int:
-    """Exact Tukey depth of (cx, cy) among the points `ids`: the minimum
-    number of them in a closed halfplane bounded by a line through it.
-
-    O(m log m): one angular sort of the nonzero integer offsets from the
-    center, grouped by ray, then `_depth_around`.  Points on the center lie
-    in every closed halfplane, so they add to the depth of the others."""
-    vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
-    rays, counts = [], []
-    for i in angular_order(vecs):
-        (ax, ay), (bx, by) = rays[-1] if rays else (0, 0), vecs[i]  # (0, 0) opens a ray
-        if ax * by == ay * bx and ax * bx + ay * by > 0:
-            counts[-1] += 1
-        else:
-            rays.append(vecs[i])
-            counts.append(1)
-    return len(ids) - len(vecs) + _depth_around(rays, counts, 0)
-
-
-def _depth_around(rays: Sequence[tuple[int, int]], counts: Sequence[int], stop_below: int) -> int:
+def tukey_depth(rays: Sequence[tuple[int, int]], counts: Sequence[int], stop_below: int) -> int:
     """Tukey depth of the origin among nonzero vectors on the distinct
     `rays`, in counterclockwise `angular_order`, `counts[t]` on ray t.
 
@@ -315,14 +297,25 @@ def _depth_around(rays: Sequence[tuple[int, int]], counts: Sequence[int], stop_b
     return best
 
 
-def center_point(ids: Sequence[int], ps: PointSet) -> tuple[Fraction, Fraction]:
+def center_point(
+    ids: Sequence[int], ps: PointSet, ray_ids: Sequence[int]
+) -> tuple[tuple[Fraction, Fraction], list[tuple[int, int]], list[int]]:
     """A point of Tukey depth >= floor(m/3) among the m distinct `ids`,
-    aiming for ceil(m/3), from which no two of them share a ray.
+    aiming for ceil(m/3), from which no two `ray_ids` points share a ray,
+    with their integer offsets from it and the counterclockwise
+    `angular_order` of those.  The ids must all be among the distinct
+    `ray_ids`, as a box's points are among those assigned to it.
     Deterministic: for each target depth, the first of the mean, the
     coordinate-wise median, the m spread triples and the points of the exact
-    depth region (`_region_points`) that qualifies.  Each candidate costs
-    one angular sort of the offsets from it (`_ordered_center`, which a box
-    calls with the points assigned to it as the ray ids).
+    depth region (`_region_points`) that qualifies.
+
+    Each candidate sorts the offsets once, unless a zero offset rejects it.
+    One pass over adjacent pairs of that order tells whether two share a ray
+    (`_shares_ray`); only a candidate with none pays the depth sweep
+    (`tukey_depth`) on the ids' offsets filtered out of the order, one per
+    ray.  Either order of the two tests accepts the same candidate.  Points
+    of the depth region are as deep as the target, so the depth test passes
+    them unchanged.
 
     The ceiling depth (the classical centerpoint guarantee) makes every
     sector provably convex, so it is tried first.  It can be unachievable
@@ -332,24 +325,6 @@ def center_point(ids: Sequence[int], ps: PointSet) -> tuple[Fraction, Fraction]:
     then applies, and a sector may open beyond pi; the build's final layer
     check, `verify_layers`, sees any crossing behind it.
     """
-    return _ordered_center(ids, ps, ids)[0]
-
-
-def _ordered_center(
-    ids: Sequence[int], ps: PointSet, ray_ids: Sequence[int]
-) -> tuple[tuple[Fraction, Fraction], list[tuple[int, int]], list[int]]:
-    """`center_point`'s center, from which no two `ray_ids` points share a
-    ray, with their integer offsets from it and the counterclockwise
-    `angular_order` of those; the distinct ids must all be among the
-    `ray_ids`, as a box's points are among those assigned to it.
-
-    Each candidate sorts those offsets once, unless a zero offset rejects
-    it.  One pass over adjacent pairs of that order tells whether two share
-    a ray (`_shares_ray`); only a candidate with none pays the depth sweep
-    (`_depth_around`) on the ids' offsets filtered out of the order, one per
-    ray.  Either order of the two tests accepts the same candidate.  Points
-    of the depth region are as deep as the target, so the depth test passes
-    them unchanged."""
     if len(ids) < 3:
         raise PreconditionError("center point needs at least 3 points")
     m = len(ids)
@@ -368,7 +343,7 @@ def _ordered_center(
             order = angular_order(vecs)
             if _shares_ray(vecs, order):
                 continue
-            if _depth_around([vecs[i] for i in order if inside[i]], ones, target) >= target:
+            if tukey_depth([vecs[i] for i in order if inside[i]], ones, target) >= target:
                 return (cx, cy), vecs, order
     raise InternalAssertionError("center-point", "no candidate reached the depth bound")
 
@@ -548,7 +523,7 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     """Extract k rotated-sector layers for one dense box in one clockwise
     walk per layer around its center point.
 
-    The clockwise order is the counterclockwise one `_ordered_center`
+    The clockwise order is the counterclockwise one `center_point`
     checked the accepted center with, read backwards from the +x ray, so a
     box sorts by angle once per candidate center.  Layer j's
     representatives are the in-box points of ranks j, floor(m/3)+j and
@@ -564,7 +539,7 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
     if m < 3 * k:
         raise PreconditionError(f"box {box} holds {m} < 3k points")
     assigned = gi.assigned_to(box)
-    center, offsets, ccw = _ordered_center(members, ps, assigned)
+    center, offsets, ccw = center_point(members, ps, assigned)
     # clockwise from the +x ray: the counterclockwise order read backwards,
     # its first vector moved to the front when it lies on that ray
     order = ccw[::-1]
@@ -779,22 +754,23 @@ def locality_certificate(
 
 class Certifier:
     """Replays, point by point, the computations that decide a point's
-    incident edges, from local data only, and compares them with one layer
-    set built globally.
+    incident edges, on a grid of its own over the whole point set, and
+    compares them with one layer set built globally.
 
     Each deciding party (a point choosing its box, a box building its
     sectors) sees only the cells within Chebyshev distance 2 of itself; a
     representative's incident set therefore draws on its neighbors'
     2-neighborhoods as well, exactly like the per-node computation it
-    models.  The replay runs on a `GridIndex` of its own, which shares the
-    build's code and none of its state: every box choice and box layer set
-    there is a function of data within distance 2 of its owner, since a
-    cell's population and hence its density is intrinsic to the cell.
+    models.  The replay runs on a `GridIndex` of its own (`grid_partition`),
+    which shares the build's code and none of its state: every box choice
+    and box layer set there is a function of data within distance 2 of its
+    owner, since a cell's population and hence its density is intrinsic to
+    the cell.
     """
 
     def __init__(self, ps: PointSet, layer_set: LayerSet):
-        k, q = layer_set.k, layer_set.beta_sq
-        self.grid = GridIndex(ps, k, q)
+        k = layer_set.k
+        self.grid = grid_partition(ps, k, layer_set.beta_sq)
         self._incident = [_by_endpoint(layer) for layer in layer_set.layers]
         self._by_box: dict[Cell, list[dict[int, list[Segment]]]] = {}
         self._radius = 3 * 6 * k * layer_set.beta * math.sqrt(2)

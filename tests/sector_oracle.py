@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from plane_layers.distributed import BoxLayers, _ordered_center
+from plane_layers.distributed import BoxLayers, center_point
 from plane_layers.errors import GeneralPositionError, InternalAssertionError
 from plane_layers.geometry import Segment
 
@@ -83,7 +83,7 @@ def index_star_layers(box, gi) -> BoxLayers:
     members = list(gi.cells[box])
     m = len(members)
     assigned = gi.assigned_to(box)
-    center = _ordered_center(members, ps, assigned)[0]
+    center = center_point(members, ps, assigned)[0]
     order = clockwise_around(center, members, ps)
     in_box = set(members)
     sparse = [p for p in assigned if p not in in_box]
@@ -103,11 +103,11 @@ def index_star_layers(box, gi) -> BoxLayers:
 
 def segment_walk(box, gi) -> list[list[Segment]]:
     """Each layer's edges as `Segment`s in walk order: the clockwise order
-    read off `_ordered_center`, walked from just past the first
+    read off `center_point`, walked from just past the first
     representative, each point joining the current representative, and a
     point at a representative's place becoming the current one."""
     assigned = gi.assigned_to(box)
-    _, offsets, ccw = _ordered_center(gi.cells[box], gi.ps, assigned)
+    _, offsets, ccw = center_point(gi.cells[box], gi.ps, assigned)
     order = ccw[::-1]
     if offsets[ccw[0]][1] == 0 and offsets[ccw[0]][0] > 0:
         order = [ccw[0], *order[:-1]]

@@ -176,7 +176,7 @@ def test_criterion_8_center_point_oracle():
     for _ in range(100):
         m = rng.randint(4, 60)
         ps = random_point_set(rng, m, extent=100)
-        cx, cy = center_point(list(ps.ids), ps)
+        cx, cy = center_point(list(ps.ids), ps, list(ps.ids))[0]
         assert brute_depth(cx, cy, exact_coords(ps)) >= m // 3
     print("\nPASS criterion 8: 100 center points pass the independent depth check")
 

@@ -22,7 +22,6 @@ from plane_layers.distributed import (
     _connector_pairs,
     _dense_near,
     _nearest_center,
-    _ordered_center,
     _pair_selected,
     build_k_layers,
     center_point,
@@ -518,6 +517,23 @@ def brute_depth(cx, cy, pts):
     return best
 
 
+def point_depth(cx, cy, ids, ps):
+    """Exact Tukey depth of (cx, cy) among the points `ids` by the package's
+    sweep: one angular sort of the nonzero integer offsets from the center,
+    grouped by ray, then `tukey_depth`.  Points on the center lie in every
+    closed halfplane, so they add to the depth of the others."""
+    vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
+    rays, counts = [], []
+    for i in angular_order(vecs):
+        (ax, ay), (bx, by) = rays[-1] if rays else (0, 0), vecs[i]  # (0, 0) opens a ray
+        if ax * by == ay * bx and ax * bx + ay * by > 0:
+            counts[-1] += 1
+        else:
+            rays.append(vecs[i])
+            counts.append(1)
+    return len(ids) - len(vecs) + tukey_depth(rays, counts, 0)
+
+
 def test_tukey_depth_matches_oracles():
     """The sweep against the probe scan and `brute_depth` on small integer
     sets full of repeated rays, collinear runs and points on the center."""
@@ -538,7 +554,7 @@ def test_tukey_depth_matches_oracles():
             cx = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
             cy = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         coords = exact_coords(ps)
-        depth = tukey_depth(cx, cy, ids, ps)
+        depth = point_depth(cx, cy, ids, ps)
         assert depth == probe_depth(cx, cy, coords), (pts, cx, cy)
         if trial % 4 == 0:
             assert depth == brute_depth(cx, cy, coords)
@@ -547,7 +563,7 @@ def test_tukey_depth_matches_oracles():
         rays, counts = rays_with_counts(vecs)
         around = depth - (m - len(vecs))
         stop = rng.randint(0, len(vecs) + 1)
-        early = distributed._depth_around(rays, counts, stop)
+        early = tukey_depth(rays, counts, stop)
         if around >= stop:
             assert early == around
         else:
@@ -567,9 +583,9 @@ def rays_with_counts(vecs):
     return list(rays.values()), [counts[d] for d in rays]
 
 
-def test_depth_around_matches_oracles():
+def test_tukey_depth_on_rays_matches_oracles():
     """The sweep on rays with their counts against `probe_depth` and
-    `brute_depth`: shared rays with counts above one (what `tukey_depth`
+    `brute_depth`: shared rays with counts above one (what `point_depth`
     passes), distinct rays with a count of one each (what a box passes),
     and centers on an input point, whose points on the center add to the
     depth of the others."""
@@ -586,56 +602,56 @@ def test_depth_around_matches_oracles():
             cy = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
         vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
         rays, counts = rays_with_counts(vecs)
-        depth = len(ids) - len(vecs) + distributed._depth_around(rays, counts, 0)
+        depth = len(ids) - len(vecs) + tukey_depth(rays, counts, 0)
         assert depth == probe_depth(cx, cy, coords) == brute_depth(cx, cy, coords)
         kinds["on a point" if len(vecs) < len(ids) else "shared" if len(rays) < len(vecs)
               else "distinct"] += 1
         if len(rays) == len(vecs):  # the box's call: the vectors in order, a count of one each
             ccw = [vecs[i] for i in angular_order(vecs)]
-            assert distributed._depth_around(ccw, [1] * len(ccw), 0) == depth - len(ids) + len(vecs)
+            assert tukey_depth(ccw, [1] * len(ccw), 0) == depth - len(ids) + len(vecs)
     assert min(kinds.values()) > 200, kinds
 
 
 def test_center_point_triangle_and_hexagon():
     tri = PointSet([(0, 0), (4, 0), (0, 4)])
-    cx, cy = center_point([0, 1, 2], tri)
-    assert tukey_depth(cx, cy, [0, 1, 2], tri) >= 1
+    cx, cy = center_point([0, 1, 2], tri, [0, 1, 2])[0]
+    assert point_depth(cx, cy, [0, 1, 2], tri) >= 1
     hexa = PointSet(
         [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
     )
-    cx, cy = center_point(list(hexa.ids), hexa)
-    assert tukey_depth(cx, cy, list(hexa.ids), hexa) >= 2
+    cx, cy = center_point(list(hexa.ids), hexa, list(hexa.ids))[0]
+    assert point_depth(cx, cy, list(hexa.ids), hexa) >= 2
 
 
 def test_center_point_rejects_repeated_ray_ids():
     """A repeated id shares a ray from every point, so no center exists."""
     ps = PointSet([(0, 0), (4, 0), (0, 4), (4, 4)])
     with pytest.raises(PreconditionError, match="distinct ray ids"):
-        center_point([0, 1, 2, 0], ps)
+        center_point([0, 1, 2, 0], ps, [0, 1, 2, 0])
     with pytest.raises(PreconditionError, match="distinct ray ids"):
-        _ordered_center([0, 1, 2, 3], ps, [0, 1, 1])
+        center_point([0, 1, 2, 3], ps, [0, 1, 1])
 
 
 def test_center_point_random_oracle(rng):
     for _ in range(10):
         ps = random_point_set(rng, 30, extent=50)
-        cx, cy = center_point(list(ps.ids), ps)
+        cx, cy = center_point(list(ps.ids), ps, list(ps.ids))[0]
         assert brute_depth(cx, cy, exact_coords(ps)) >= 10
         # depth ids among more ray ids, as a box's points among those assigned to it
         ids, ray_ids = list(ps.ids)[:24], list(ps.ids)[::-1]
-        (cx, cy), _, _ = _ordered_center(ids, ps, ray_ids)
+        (cx, cy), _, _ = center_point(ids, ps, ray_ids)
         assert brute_depth(cx, cy, exact_coords(ps)[:24]) >= 8
         rays = {(d[0] // math.gcd(*d), d[1] // math.gcd(*d)) for d in ps.offsets(ray_ids, cx, cy)}
         assert len(rays) == len(ray_ids)
         # an id outside the ray ids, or a repeated one
         for bad_ids, bad_rays in ((ids, ids[12:]), (ids, ids[:-1]), ([*ids, 0], list(ps.ids))):
             with pytest.raises(PreconditionError, match="distinct ids among the ray ids"):
-                _ordered_center(bad_ids, ps, bad_rays)
+                center_point(bad_ids, ps, bad_rays)
 
 
 def test_center_point_no_two_points_per_ray(rng):
     ps = PointSet([(0, 0), (2, 0), (4, 0), (0, 2), (0, 4), (2, 2), (4, 4), (2, 4), (4, 2)])
-    cx, cy = center_point(list(ps.ids), ps)
+    cx, cy = center_point(list(ps.ids), ps, list(ps.ids))[0]
     seen = set()
     for i in ps.ids:
         dx, dy = ps.x(i) - cx, ps.y(i) - cy
@@ -646,14 +662,14 @@ def test_center_point_no_two_points_per_ray(rng):
         seen.add(key)
     # the region's centroid (2, 2) is an input point, so this is a point on
     # the curve inside the depth-3 region
-    assert tukey_depth(cx, cy, list(ps.ids), ps) >= 3
+    assert point_depth(cx, cy, list(ps.ids), ps) >= 3
 
 
 def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
     """The 828-point box of `gen --kind clusters --n 1000 --seed 6` at k=2
     tries at most m + 2 candidates, each with one ray check (`_shares_ray`)
     on its sorted offsets, and takes at most one depth sweep
-    (`_depth_around`) per candidate that passes it; trying every input
+    (`tukey_depth`) per candidate that passes it; trying every input
     point before the spread triples took 834 sweeps."""
     path = tmp_path / "clusters.txt"
     assert main(["gen", "--kind", "clusters", "--n", "1000", "--seed", "6",
@@ -664,7 +680,7 @@ def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
     members = list(gi.cells[box])
     assert len(members) == 828
     checks, sweeps = [], []
-    shares_ray, depth_around = distributed._shares_ray, distributed._depth_around
+    shares_ray, sweep = distributed._shares_ray, distributed.tukey_depth
 
     def counted_check(vecs, order):
         checks.append(shares_ray(vecs, order))
@@ -672,14 +688,35 @@ def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
 
     def counted_sweep(rays, counts, stop_below):
         sweeps.append(len(rays))
-        return depth_around(rays, counts, stop_below)
+        return sweep(rays, counts, stop_below)
 
     monkeypatch.setattr(distributed, "_shares_ray", counted_check)
-    monkeypatch.setattr(distributed, "_depth_around", counted_sweep)
-    (cx, cy), _, _ = _ordered_center(members, ps, gi.assigned_to(box))
+    monkeypatch.setattr(distributed, "tukey_depth", counted_sweep)
+    (cx, cy), _, _ = center_point(members, ps, gi.assigned_to(box))
     assert 0 < len(checks) <= len(members) + 2
     assert 0 < len(sweeps) == checks.count(False) and set(sweeps) == {len(members)}
-    assert tukey_depth(cx, cy, members, ps) >= 276  # ceil(828 / 3)
+    assert point_depth(cx, cy, members, ps) >= 276  # ceil(828 / 3)
+
+
+def test_build_runs_center_point_and_tukey_depth(monkeypatch):
+    """A build finds each box's center with the module's `center_point`, and
+    that with its `tukey_depth`: wrapping those attributes sees both run, as
+    a trace of the build's stages does."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(distributed, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    ps = random_point_set(random.Random(3), 120)
+    for name in ("center_point", "tukey_depth"):
+        monkeypatch.setattr(distributed, name, counted(name))
+    build_k_layers(ps, 1)
+    assert calls["center_point"] > 0 and calls["tukey_depth"] >= calls["center_point"], calls
 
 
 def hand_grid(ps, k):
@@ -1391,7 +1428,7 @@ BOX_STAGES = ["center-point", "sector"]
 def _inject_box_fault(monkeypatch, stage):
     """Make a k=1 build fail the box-level assertion `stage`."""
     if stage == "center-point":  # no candidate is deep, and the region is empty
-        monkeypatch.setattr(distributed, "_depth_around", lambda rays, counts, stop_below: 0)
+        monkeypatch.setattr(distributed, "tukey_depth", lambda rays, counts, stop_below: 0)
         monkeypatch.setattr(distributed, "_depth_region", lambda *args: [])
     elif stage == "sector":  # every representative seems to lie on its neighbour's center
         sector = distributed._sector
