@@ -11,15 +11,9 @@ import random
 import sys
 from pathlib import Path
 
-from plane_layers import (
-    PointSet,
-    bottleneck,
-    build_emst,
-    build_k_layers,
-    grid_partition,
-    locality_certificate,
-    verify_layers,
-)
+from plane_layers import PointSet, build_k_layers, locality_certificate, verify_layers
+from plane_layers.distributed import grid_cell_side, grid_partition
+from plane_layers.mst import bottleneck, build_emst
 from plane_layers.render import render_svg
 
 outdir = Path(sys.argv[1] if len(sys.argv) > 1 else "demo-out")
@@ -34,7 +28,8 @@ be = bottleneck(build_emst(ps), ps)
 print(f"n={len(ps)}, k={k}, MST bottleneck = {be.length:.3f}")
 
 gi = grid_partition(ps, k, be.length_sq)
-print(f"grid: cell side = {gi.cell_side:.3f}, dense boxes = {sorted(gi.dense)}")
+side = grid_cell_side(k, be.length_sq)
+print(f"grid: cell side = {side:.3f}, dense boxes = {sorted(gi.dense)}")
 
 ls = build_k_layers(ps, k)
 rep = verify_layers([list(l) for l in ls.layers], ps)
@@ -52,6 +47,6 @@ print(f"locality certificate for point {probe}: ok={cert.ok}, "
       f"{deg} incident edges reproduced from data within "
       f"{cert.cheby_cells} cells (euclidean {cert.euclid_radius:.1f})")
 
-svg = render_svg(ps, [list(l) for l in ls.layers], cell_side=gi.cell_side)
+svg = render_svg(ps, [list(l) for l in ls.layers], cell_side=side)
 (outdir / "k_layers.svg").write_text(svg)
 print(f"wrote {outdir / 'k_layers.svg'}")

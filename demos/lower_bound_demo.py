@@ -8,8 +8,12 @@ approaches its factor-3 bound on exactly this family.
 Run:  python3 demos/lower_bound_demo.py
 """
 
-from plane_layers import build_two_disjoint_trees, counting_lower_bound, verify_layers
-from plane_layers.verify import gen_line_instance
+from plane_layers import (
+    build_two_disjoint_trees,
+    counting_lower_bound,
+    gen_line_instance,
+    verify_layers,
+)
 
 print("counting bound on the unit-spaced line (needed = k(n-1)):")
 print(f"{'n':>4} {'k':>3} {'short':>6} {'needed':>6} feasible")

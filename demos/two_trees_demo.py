@@ -12,13 +12,13 @@ import sys
 from pathlib import Path
 
 from plane_layers import (
-    build_emst,
     build_two_disjoint_trees,
     construction1,
     verify_layers,
     Recoloring,
     PointSet,
 )
+from plane_layers.mst import build_emst
 from plane_layers.render import render_svg
 
 outdir = Path(sys.argv[1] if len(sys.argv) > 1 else "demo-out")

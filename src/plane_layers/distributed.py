@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import InternalAssertionError, PreconditionError, UsageError
@@ -93,10 +93,6 @@ class GridIndex:
             assigned.sort()
         self._layers: dict[Cell, BoxLayers] = {}
 
-    @property
-    def cell_side(self) -> float:
-        return grid_cell_side(self.k, self.beta_sq)
-
     def assigned_to(self, box: Cell) -> list[int]:
         """The points assigned to `box`, ascending: the grid's own list, so
         callers must not modify it.  All lie in the 5x5 cells around `box`,
@@ -111,9 +107,8 @@ class GridIndex:
 
 
 def grid_cell_side(k: int, beta_sq: Fraction) -> float:
-    """The grid's cell side 6*k*sqrt(beta_sq) as a float, for `GridIndex`
-    and the CLI's `render --grid`.  A side beyond float range raises
-    UsageError."""
+    """The grid's cell side 6*k*sqrt(beta_sq) as a float, for the CLI's
+    `render --grid`.  A side beyond float range raises UsageError."""
     what = "the grid's cell side 6*k*sqrt(betaSq)"
     side = 6 * k * float_sqrt(beta_sq.numerator, beta_sq.denominator, what)
     if side == math.inf:
@@ -259,35 +254,33 @@ def _sign_sqrt_diff(a: int, b: int, r: int) -> int:
 # --- center points ----------------------------------------------------------
 
 
-def tukey_depth(rays: Sequence[tuple[int, int]], counts: Sequence[int], stop_below: int) -> int:
+def tukey_depth(rays: Sequence[tuple[int, int]], stop_below: int) -> int:
     """Tukey depth of the origin among nonzero vectors on the distinct
-    `rays`, in counterclockwise `angular_order`, `counts[t]` on ray t.
+    `rays`, one vector each, in counterclockwise `angular_order`.
 
     Just past ray a_t, the open halfplane left of the line holds L_t =
-    #vectors in (a_t, a_t + pi]: those on the rays after t up to a pointer
-    that only moves forward, counted by prefix sums; the one to its right
-    holds m - L_t.  Every generic line direction is just past some a_t or
-    a_t + pi, and the closed halfplane minimum is reached at a generic
-    direction, so the depth is min_t min(L_t, m - L_t).  The sweep returns
-    as soon as the depth is known to be below `stop_below`, with a value
-    below it; a `stop_below` of 0 gives the depth itself."""
-    r = len(rays)
+    #rays in (a_t, a_t + pi]: those after t up to a pointer that only moves
+    forward; the one to its right holds m - L_t.  Every generic line
+    direction is just past some a_t or a_t + pi, and the closed halfplane
+    minimum is reached at a generic direction, so the depth is
+    min_t min(L_t, m - L_t).  The sweep returns as soon as the depth is
+    known to be below `stop_below`, with a value below it; a `stop_below` of
+    0 gives the depth itself."""
+    m = best = len(rays)
     twice = [*rays, *rays]
-    before = [0, *accumulate(counts * 2)]  # before[i]: vectors on twice[:i]
-    m = best = before[r]
     end = 1
-    for t in range(r):
+    for t in range(m):
         ux, uy = twice[t]
         if end <= t:
             end = t + 1
-        while end < t + r:
+        while end < t + m:
             wx, wy = twice[end]
             c = ux * wy - uy * wx
             if c > 0 or (c == 0 and ux * wx + uy * wy < 0):
                 end += 1
             else:
                 break
-        inside = before[end] - before[t + 1]
+        inside = end - t - 1
         if inside < best:
             best = inside
         if m - inside < best:
@@ -334,7 +327,6 @@ def center_point(
     inside = [p in members for p in ray_ids]
     if not len(members) == m == sum(inside):
         raise PreconditionError("center point needs distinct ids among the ray ids")
-    ones = [1] * m
     for target in dict.fromkeys(((m + 2) // 3, m // 3)):  # ceiling, then floor
         for cx, cy in chain(_center_candidates(ids, ps), _region_points(ids, ps, target)):
             vecs = ps.offsets(ray_ids, cx, cy)
@@ -343,7 +335,7 @@ def center_point(
             order = angular_order(vecs)
             if _shares_ray(vecs, order):
                 continue
-            if tukey_depth([vecs[i] for i in order if inside[i]], ones, target) >= target:
+            if tukey_depth([vecs[i] for i in order if inside[i]], target) >= target:
                 return (cx, cy), vecs, order
     raise InternalAssertionError("center-point", "no candidate reached the depth bound")
 

@@ -487,22 +487,16 @@ def bottleneck_length(ps: PointSet) -> float:
 
 
 def bottleneck(edges: Sequence[Segment], ps: PointSet) -> BottleneckInfo:
-    """Max edge length with a deterministic witnessing edge: the longest
-    squared grid length, ties to the smallest edge."""
+    """Max edge length with a deterministic witnessing edge: `edges` as the
+    one layer of `verify.count_layers`, so the longest squared grid length,
+    ties to the smallest edge, and an id outside 0..n-1 raises
+    `PreconditionError`."""
+    from .verify import count_layers  # verify imports this module
+
     if not edges:
         raise PreconditionError("bottleneck of empty edge list")
-    xs, ys = ps.grid
-    best, best_d = None, -1
-    for e in edges:
-        a, b = e
-        dx = xs[a] - xs[b]
-        dy = ys[a] - ys[b]
-        d = dx * dx + dy * dy
-        if d > best_d or (d == best_d and e < best):
-            best, best_d = e, d
-    grid_sq = ps.scale * ps.scale
-    return BottleneckInfo(float_sqrt(best_d, grid_sq, f"the length of edge {best}"),
-                          Fraction(best_d, grid_sq), best)
+    c = count_layers([edges], ps).per_layer[0]
+    return BottleneckInfo(c.length, Fraction(c.longest_sq, ps.scale * ps.scale), c.longest)
 
 
 def adjacency(keys: Iterable[int], n: int) -> dict[int, list[int]]:

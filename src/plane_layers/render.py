@@ -57,24 +57,14 @@ def render_svg(
         if not span <= WIDTH * cell_side:
             raise UsageError(f"the grid's cell side {cell_side:.6g} draws more lines "
                              f"than the {WIDTH}-pixel picture is wide")
-        i0 = math.floor(minx / cell_side)
-        i1 = math.ceil((minx + span) / cell_side)
-        for i in range(i0, i1 + 1):
-            u = tx(i * cell_side)
-            if 0 <= u <= WIDTH:
-                parts.append(
-                    f'<line x1="{u:.3f}" y1="0" x2="{u:.3f}" y2="{WIDTH}" '
-                    'stroke="#cccccc" stroke-width="0.5"/>'
-                )
-        j0 = math.floor(miny / cell_side)
-        j1 = math.ceil((miny + span) / cell_side)
-        for j in range(j0, j1 + 1):
-            v = ty(j * cell_side)
-            if 0 <= v <= WIDTH:
-                parts.append(
-                    f'<line x1="0" y1="{v:.3f}" x2="{WIDTH}" y2="{v:.3f}" '
-                    'stroke="#cccccc" stroke-width="0.5"/>'
-                )
+        # the x grid lines (vertical), then the y ones (horizontal)
+        for lo, to_px, line in ((minx, tx, '<line x1="{0}" y1="0" x2="{0}" y2="{1}" '),
+                                (miny, ty, '<line x1="0" y1="{0}" x2="{1}" y2="{0}" ')):
+            for i in range(math.floor(lo / cell_side), math.ceil((lo + span) / cell_side) + 1):
+                u = to_px(i * cell_side)
+                if 0 <= u <= WIDTH:
+                    parts.append(line.format(f"{u:.3f}", WIDTH)
+                                 + 'stroke="#cccccc" stroke-width="0.5"/>')
     for li, layer in enumerate(layers):
         color = PALETTE[li % len(PALETTE)]
         for e in sorted(layer):

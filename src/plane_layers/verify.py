@@ -203,8 +203,8 @@ class LayerCounts:
 
 def count_layers(layers: Sequence[Sequence[Segment]], ps: PointSet) -> LayerCounts:
     """The spanning, disjointness and length facts of a layer list in one
-    pass, with no EMST and no planarity sweep, for `verify_layers` and the
-    CLI's `stats`.  An edge with an id outside 0..n-1 raises
+    pass, with no EMST and no planarity sweep, for `verify_layers`, the
+    CLI's `stats` and `mst.bottleneck`.  An edge with an id outside 0..n-1 raises
     `PreconditionError` naming its layer.
 
     Components are counted by a list union-find over the point ids, one per

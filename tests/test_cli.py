@@ -468,6 +468,26 @@ def test_render_two_tree_and_grid(tmp_path):
     assert "#cccccc" in svg2.read_text()  # grid lines present
 
 
+def test_render_grid_bytes_pinned(tmp_path):
+    """`render --grid` keeps its bytes: the grid lines of x, then those of
+    y, over the layers, on a k=1 file and on the same file with betaSq a
+    hundredth, whose grid of twenty lines a side the picture's edges cut."""
+    pts, layers, fine = tmp_path / "p.txt", tmp_path / "l.json", tmp_path / "fine.json"
+    assert run("gen", "--kind", "uniform", "--n", "300", "--seed", "4", "--out", str(pts)) == 0
+    assert run("build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(layers)) == 0
+    d = json.loads(layers.read_text())
+    q = Fraction(d["betaSq"]) / 100
+    d["betaSq"] = f"{q.numerator}/{q.denominator}"
+    fine.write_text(json.dumps(d))
+    got = []
+    for f in (layers, fine):
+        svg = tmp_path / f"{f.stem}.svg"
+        assert run("render", str(pts), str(f), "--grid", "--out", str(svg)) == 0
+        got.append(hashlib.sha256(svg.read_bytes()).hexdigest())
+    assert got == ["4884481c36dfdd9837a8fe92ca07f2b0629911f4890f9e7c8942e5a5ca9c290a",
+                   "d0ceff4784743d4e765a8850670404f4dc3d26a55c4db623ec9ee96977fed4ae"]
+
+
 def test_render_grid_needs_a_distributed_file(tmp_path, capsys):
     """The grid is the distributed build's bucketing, which a two-tree file
     or a bare layers file does not record: `render --grid` on one is a usage

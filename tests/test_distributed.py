@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import pytest
 
@@ -348,11 +348,17 @@ def test_grid_partition_single_dense_box(rng):
 
 
 def test_grid_partition_preconditions(rng):
-    ps = PointSet(cluster(rng, 8, 0, 0))
-    with pytest.raises(PreconditionError):
-        grid_partition(ps, 1, Fraction(1, 10**12))  # no dense box possible
-    with pytest.raises(PreconditionError):
-        grid_partition(ps, 2, Fraction(1))  # n below 12k-3
+    """Too few points for k, each case with its message; then 12k - 3
+    points with a beta so small that no cell holds 3k of them."""
+    rows = cluster(rng, 9, 0, 0)
+    few = PointSet(rows[:8])
+    for k, need in ((1, 9), (2, 21)):
+        with pytest.raises(PreconditionError,
+                           match=rf"^n=8 below the required 4\*\(3k-1\)\+1 = {need}$"):
+            grid_partition(few, k, Fraction(1))
+    with pytest.raises(PreconditionError, match=r"^no dense box: beta is below the MST "
+                       r"bottleneck or n is too small$"):
+        grid_partition(PointSet(rows), 1, Fraction(1, 10**12))
 
 
 def test_k_and_beta_of_the_wrong_type_are_usage_errors(rng):
@@ -517,28 +523,22 @@ def brute_depth(cx, cy, pts):
     return best
 
 
-def point_depth(cx, cy, ids, ps):
-    """Exact Tukey depth of (cx, cy) among the points `ids` by the package's
-    sweep: one angular sort of the nonzero integer offsets from the center,
-    grouped by ray, then `tukey_depth`.  Points on the center lie in every
-    closed halfplane, so they add to the depth of the others."""
-    vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
-    rays, counts = [], []
-    for i in angular_order(vecs):
-        (ax, ay), (bx, by) = rays[-1] if rays else (0, 0), vecs[i]  # (0, 0) opens a ray
-        if ax * by == ay * bx and ax * bx + ay * by > 0:
-            counts[-1] += 1
-        else:
-            rays.append(vecs[i])
-            counts.append(1)
-    return len(ids) - len(vecs) + tukey_depth(rays, counts, 0)
+def distinct_rays(vecs):
+    """Whether no two of the nonzero integer vectors `vecs` lie on one ray
+    from the origin, told apart by gcd-reduced direction: the rays a box
+    passes to `tukey_depth`."""
+    return len({(x // math.gcd(x, y), y // math.gcd(x, y)) for x, y in vecs}) == len(vecs)
 
 
 def test_tukey_depth_matches_oracles():
     """The sweep against the probe scan and `brute_depth` on small integer
-    sets full of repeated rays, collinear runs and points on the center."""
+    sets full of collinear runs and points on the center.  Where no two
+    nonzero offsets share a ray, the sweep runs on them in counterclockwise
+    order, with its early exit; where some do (a box never passes such
+    rays), the two oracles are checked against each other on every set."""
     rng = random.Random(43)
     grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    kinds = Counter()
     for trial in range(3000):
         m = rng.randint(1, 12)
         if trial % 5 == 0:  # collinear set
@@ -554,41 +554,34 @@ def test_tukey_depth_matches_oracles():
             cx = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
             cy = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         coords = exact_coords(ps)
-        depth = point_depth(cx, cy, ids, ps)
-        assert depth == probe_depth(cx, cy, coords), (pts, cx, cy)
+        depth = probe_depth(cx, cy, coords)
+        vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
+        stop = rng.randint(0, len(vecs) + 1)
+        if not distinct_rays(vecs):
+            kinds["shared"] += 1
+            assert depth == brute_depth(cx, cy, coords)
+            continue
+        kinds["distinct"] += 1
         if trial % 4 == 0:
             assert depth == brute_depth(cx, cy, coords)
-        # the sweep's early exit, from the depth among the nonzero offsets
-        vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
-        rays, counts = rays_with_counts(vecs)
+        # points on the center lie in every closed halfplane, so they add to
+        # the depth among the nonzero offsets
+        ccw = [vecs[i] for i in angular_order(vecs)]
         around = depth - (m - len(vecs))
-        stop = rng.randint(0, len(vecs) + 1)
-        early = tukey_depth(rays, counts, stop)
+        assert tukey_depth(ccw, 0) == around, (pts, cx, cy)
+        early = tukey_depth(ccw, stop)
         if around >= stop:
             assert early == around
         else:
             assert around <= early < stop
-
-
-def rays_with_counts(vecs):
-    """The distinct rays of the nonzero integer vectors `vecs`, each as its
-    first vector in counterclockwise `angular_order`, and how many vectors
-    lie on each; the rays are told apart by gcd-reduced direction."""
-    rays, counts = {}, Counter()
-    for i in angular_order(vecs):
-        g = math.gcd(*vecs[i])
-        direction = (vecs[i][0] // g, vecs[i][1] // g)
-        rays.setdefault(direction, vecs[i])
-        counts[direction] += 1
-    return list(rays.values()), [counts[d] for d in rays]
+    assert min(kinds.values()) > 500, kinds
 
 
 def test_tukey_depth_on_rays_matches_oracles():
-    """The sweep on rays with their counts against `probe_depth` and
-    `brute_depth`: shared rays with counts above one (what `point_depth`
-    passes), distinct rays with a count of one each (what a box passes),
-    and centers on an input point, whose points on the center add to the
-    depth of the others."""
+    """The sweep on distinct rays in counterclockwise order, as a box passes
+    them, against `probe_depth` and `brute_depth`, also with centers on an
+    input point, whose points on the center add to the depth of the others;
+    on shared rays the two oracles against each other."""
     rng = random.Random(544)
     grid = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
     kinds = Counter()
@@ -601,26 +594,68 @@ def test_tukey_depth_on_rays_matches_oracles():
             cx = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
             cy = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
         vecs = [v for v in ps.offsets(ids, cx, cy) if v != (0, 0)]
-        rays, counts = rays_with_counts(vecs)
-        depth = len(ids) - len(vecs) + tukey_depth(rays, counts, 0)
-        assert depth == probe_depth(cx, cy, coords) == brute_depth(cx, cy, coords)
-        kinds["on a point" if len(vecs) < len(ids) else "shared" if len(rays) < len(vecs)
-              else "distinct"] += 1
-        if len(rays) == len(vecs):  # the box's call: the vectors in order, a count of one each
-            ccw = [vecs[i] for i in angular_order(vecs)]
-            assert tukey_depth(ccw, [1] * len(ccw), 0) == depth - len(ids) + len(vecs)
+        depth = probe_depth(cx, cy, coords)
+        assert depth == brute_depth(cx, cy, coords)
+        if not distinct_rays(vecs):
+            kinds["shared"] += 1
+            continue
+        kinds["on a point" if len(vecs) < len(ids) else "distinct"] += 1
+        ccw = [vecs[i] for i in angular_order(vecs)]
+        assert len(ids) - len(vecs) + tukey_depth(ccw, 0) == depth
     assert min(kinds.values()) > 200, kinds
+
+
+def test_depth_region_above_the_deepest_point_is_empty():
+    """No point of m has Tukey depth above ceil(m/2): a generic line through
+    it leaves at most floor(m/2) points, or floor((m-1)/2) besides itself,
+    in its smaller open side.  A target one above that clips the region
+    away, and `_region_points` yields nothing, on the in-box points of each
+    dense box of a build and on a hexagon, whose center has depth 3."""
+    hexa = PointSet([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
+    cases = [(list(hexa.ids), hexa)]
+    ps = clustered_point_set(random.Random(7), 200)
+    gi = grid_partition(ps, 1, bottleneck(build_emst(ps), ps).length_sq)
+    cases += [(gi.cells[box], ps) for box in sorted(gi.dense)]
+    assert len(cases) == 6
+    for ids, points in cases:
+        target = (len(ids) + 1) // 2 + 1
+        assert distributed._depth_region(ids, points, target) == []
+        assert list(distributed._region_points(ids, points, target)) == []
+    # the hexagon's depth-3 region is its center alone
+    assert set(distributed._depth_region(list(hexa.ids), hexa, 3)) == {(0, 0)}
+
+
+def test_region_points_past_the_centroid(rng):
+    """Past the region's vertex centroid, `_region_points` walks a parabola
+    s -> c + s(u - c) + s^2(v - c), s = 1/2, 1/4, ...: each point lies
+    strictly inside the depth region and reaches the target depth, no two
+    coincide, and no line through two data points holds three of them."""
+    for m in (7, 12, 20):
+        ps = random_point_set(rng, m, extent=50)
+        ids, coords = list(ps.ids), exact_coords(ps)
+        target = (m + 2) // 3
+        poly = distributed._depth_region(ids, ps, target)
+        points = list(islice(distributed._region_points(ids, ps, target), 8))
+        assert len(points) == 8 and len(set(points)) == 8
+        # the clipped polygon keeps the bounding box's counterclockwise turn
+        for x, y in points:
+            assert all((bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0
+                       for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]))
+            assert probe_depth(x, y, coords) >= target
+        for (ax, ay), (bx, by) in combinations(coords, 2):
+            on_line = sum((bx - ax) * (y - ay) == (by - ay) * (x - ax) for x, y in points)
+            assert on_line <= 2
 
 
 def test_center_point_triangle_and_hexagon():
     tri = PointSet([(0, 0), (4, 0), (0, 4)])
     cx, cy = center_point([0, 1, 2], tri, [0, 1, 2])[0]
-    assert point_depth(cx, cy, [0, 1, 2], tri) >= 1
+    assert probe_depth(cx, cy, exact_coords(tri)) >= 1
     hexa = PointSet(
         [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
     )
     cx, cy = center_point(list(hexa.ids), hexa, list(hexa.ids))[0]
-    assert point_depth(cx, cy, list(hexa.ids), hexa) >= 2
+    assert probe_depth(cx, cy, exact_coords(hexa)) >= 2
 
 
 def test_center_point_rejects_repeated_ray_ids():
@@ -641,8 +676,7 @@ def test_center_point_random_oracle(rng):
         ids, ray_ids = list(ps.ids)[:24], list(ps.ids)[::-1]
         (cx, cy), _, _ = center_point(ids, ps, ray_ids)
         assert brute_depth(cx, cy, exact_coords(ps)[:24]) >= 8
-        rays = {(d[0] // math.gcd(*d), d[1] // math.gcd(*d)) for d in ps.offsets(ray_ids, cx, cy)}
-        assert len(rays) == len(ray_ids)
+        assert distinct_rays(ps.offsets(ray_ids, cx, cy))
         # an id outside the ray ids, or a repeated one
         for bad_ids, bad_rays in ((ids, ids[12:]), (ids, ids[:-1]), ([*ids, 0], list(ps.ids))):
             with pytest.raises(PreconditionError, match="distinct ids among the ray ids"):
@@ -662,7 +696,7 @@ def test_center_point_no_two_points_per_ray(rng):
         seen.add(key)
     # the region's centroid (2, 2) is an input point, so this is a point on
     # the curve inside the depth-3 region
-    assert point_depth(cx, cy, list(ps.ids), ps) >= 3
+    assert probe_depth(cx, cy, exact_coords(ps)) >= 3
 
 
 def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
@@ -686,16 +720,17 @@ def test_center_point_depth_calls_on_a_dense_cluster_box(tmp_path, monkeypatch):
         checks.append(shares_ray(vecs, order))
         return checks[-1]
 
-    def counted_sweep(rays, counts, stop_below):
+    def counted_sweep(rays, stop_below):
         sweeps.append(len(rays))
-        return sweep(rays, counts, stop_below)
+        return sweep(rays, stop_below)
 
     monkeypatch.setattr(distributed, "_shares_ray", counted_check)
     monkeypatch.setattr(distributed, "tukey_depth", counted_sweep)
     (cx, cy), _, _ = center_point(members, ps, gi.assigned_to(box))
     assert 0 < len(checks) <= len(members) + 2
     assert 0 < len(sweeps) == checks.count(False) and set(sweeps) == {len(members)}
-    assert point_depth(cx, cy, members, ps) >= 276  # ceil(828 / 3)
+    coords = exact_coords(ps)
+    assert probe_depth(cx, cy, [coords[p] for p in members]) >= 276  # ceil(828 / 3)
 
 
 def test_build_runs_center_point_and_tukey_depth(monkeypatch):
@@ -1428,7 +1463,7 @@ BOX_STAGES = ["center-point", "sector"]
 def _inject_box_fault(monkeypatch, stage):
     """Make a k=1 build fail the box-level assertion `stage`."""
     if stage == "center-point":  # no candidate is deep, and the region is empty
-        monkeypatch.setattr(distributed, "tukey_depth", lambda rays, counts, stop_below: 0)
+        monkeypatch.setattr(distributed, "tukey_depth", lambda rays, stop_below: 0)
         monkeypatch.setattr(distributed, "_depth_region", lambda *args: [])
     elif stage == "sector":  # every representative seems to lie on its neighbour's center
         sector = distributed._sector

@@ -14,7 +14,7 @@ from plane_layers.geometry import (
     _all_crossing_pairs,
     crossing_pairs,
 )
-from plane_layers.mst import build_emst
+from plane_layers.mst import bottleneck, build_emst
 from plane_layers.verify import (
     Guarantee,
     LayerCount,
@@ -64,8 +64,8 @@ def test_verify_empty_layer_single_point():
 def test_verify_rejects_ids_outside_the_point_set():
     """An id outside 0..n-1 is a precondition error naming the first such
     edge, not a read of another point (-1 is the last one) or an IndexError:
-    in `verify_layers` and `count_layers` with its layer, in `crossing_pairs`
-    without one."""
+    in `verify_layers` and `count_layers` with its layer, in `mst.bottleneck`
+    as that of its one layer, in `crossing_pairs` without one."""
     ps = PointSet([(0, 0), (4, 0), (0, 4), (4, 4)])
     tree = [Segment(0, 1), Segment(1, 2), Segment(2, 3)]
     for check in (verify_layers, count_layers):
@@ -75,12 +75,17 @@ def test_verify_rejects_ids_outside_the_point_set():
             check([[Segment(0, 7)]], ps)
         with pytest.raises(PreconditionError, match=r"^layer 1: edge \(0, 7\) has an id outside 0\.\.3$"):
             check([tree, [Segment(1, 2), Segment(0, 7), Segment(-1, 9)]], ps)
+    for bad in ((-1, 1), (0, 4)):
+        with pytest.raises(PreconditionError,
+                           match=rf"^layer 0: edge \({bad[0]}, {bad[1]}\) has an id outside 0\.\.3$"):
+            bottleneck([*tree, Segment(*bad)], ps)
     with pytest.raises(PreconditionError, match=r"^edge \(-1, 0\) has an id outside 0\.\.3$"):
         crossing_pairs([Segment(-1, 0), Segment(1, 2)], ps)
     with pytest.raises(PreconditionError, match=r"^edge \(0, 7\) has an id outside 0\.\.3$"):
         crossing_pairs([Segment(0, 7)], ps)
     assert verify_layers([tree], ps).per_layer[0].spanning
     assert count_layers([tree], ps).per_layer[0].components == 1
+    assert bottleneck(tree, ps).length_sq == 32  # edge (1, 2), the diagonal
 
 
 def test_verify_flags_overlaps_only_on_request():
