@@ -52,12 +52,13 @@ def _json_text(value, newline: str = "\n") -> str:
     """The text of `json.dumps(value, indent=2, sort_keys=True)`; `newline`
     is the line break plus the indent of the level `value` sits at.
 
-    Each row of a list of lists of plain ints, such as a layer's edges,
-    fills one `%d` template per row width; a bool is not a plain int, so a
-    row holding one takes the general path and prints `true`.  Every other
-    scalar and every key is left to `json.dumps`.  Keys must be str: json
-    would convert other keys and sort them after converting, which this
-    writer does not copy."""
+    A list of rows of plain ints that all have one width, such as a layer's
+    edges, fills one `%d` template over its flattened values.  A bool is not
+    a plain int, so a list with a row holding one takes the general path
+    and prints `true`, as do rows of mixed widths and an empty row.  Every
+    other scalar and every key is left to `json.dumps`.  Keys must be str:
+    json would convert other keys and sort them after converting, which
+    this writer does not copy."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -72,17 +73,15 @@ def _json_text(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        if set(map(type, value)) <= {list, tuple} and all(value) and set(
-            map(type, chain.from_iterable(value))
-        ) == {int}:
-            # rows of plain ints, such as the edges of a layer
-            start, sep, end = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-            widths = list(map(len, value))
-            template = {w: start + sep.join(["%d"] * w) + end for w in set(widths)}
-            items = map(str.__mod__, map(template.__getitem__, widths), map(tuple, value))
+        if (set(map(type, value)) <= {list, tuple} and len(set(map(len, value))) == 1
+                and value[0] and set(map(type, chain.from_iterable(value))) == {int}):
+            # rows of plain ints of one width, such as the edges of a layer
+            cell = inner + "  "
+            row = "[" + cell + ("," + cell).join(["%d"] * len(value[0])) + inner + "]"
+            text = ("," + inner).join([row] * len(value)) % tuple(chain.from_iterable(value))
         else:
-            items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            text = ("," + inner).join([_json_text(v, inner) for v in value])
+        return "[" + inner + text + newline + "]"
     return json.dumps(value)
 
 
@@ -90,10 +89,15 @@ def _dump_json(path: str, payload: dict) -> None:
     _write(path, _json_text(payload) + "\n")
 
 
-def _load_layers_file(path: str, n: int) -> tuple[dict, list[list[Segment]]]:
-    """Read a layers file against a set of n points: a recorded 'n' must be
-    n, and every edge a pair of distinct ids in 0..n-1, checked entry by
-    entry in one pass; anything else is a usage error."""
+def _load_layers_file(path: str, n: int) -> tuple[list[list[Segment]], Guarantee]:
+    """The layers of a layers file read against n points, and the `Guarantee`
+    they promise: the one reader of the format.  A recorded 'n' must be n;
+    'red' and 'blue' come as a pair; every edge is a pair of distinct ids in
+    0..n-1.  The file is 'kind' 'two-tree' with 'red' and 'blue' (promising
+    'bound', default 3, and 'shared'), 'kind' 'distributed' with 'layers'
+    ('k' and 'betaSq'), or 'layers' with no kind (plane, spanning, disjoint
+    layers only); it holds at least one layer, and a recorded 'k' counts
+    them.  Anything else is a usage error."""
     try:
         data = json.loads(_read(path))
     except ValueError as exc:
@@ -102,15 +106,29 @@ def _load_layers_file(path: str, n: int) -> tuple[dict, list[list[Segment]]]:
         raise UsageError(f"{path}: expected a JSON object")
     if "n" in data and (type(data["n"]) is not int or data["n"] != n):
         raise UsageError(f"{path}: 'n' is {data['n']!r} but the point file has {n} points")
-    if ("red" in data) != ("blue" in data):
+    two_tree = "red" in data
+    if two_tree != ("blue" in data):
         raise UsageError(f"{path}: a two-tree file needs both 'red' and 'blue'")
-    if "red" in data:
-        layers = [data["red"], data["blue"]]
-    else:
-        layers = data.get("layers", [])
+    layers = [data["red"], data["blue"]] if two_tree else data.get("layers", [])
     if not isinstance(layers, list) or not all(isinstance(l, list) for l in layers):
         raise UsageError(f"{path}: layers must be lists of [u, v] id pairs")
-    return data, [_edges(layer, n, f"{path}: layer {j}") for j, layer in enumerate(layers)]
+    layers = [_edges(layer, n, f"{path}: layer {j}") for j, layer in enumerate(layers)]
+    kind = data.get("kind")
+    if (kind not in ("two-tree", "distributed", None) or (kind == "two-tree") != two_tree
+            or two_tree and "layers" in data):
+        raise UsageError(f"{path}: expected 'kind' 'two-tree' with 'red' and 'blue', "
+                         "or 'layers' with 'kind' 'distributed' or no 'kind'")
+    if not layers:
+        raise UsageError(f"{path}: the file has no layers")
+    if "k" in data and _positive_int(data, "k") != len(layers):
+        raise UsageError(f"layers file: 'k' is {data['k']} but the file has {len(layers)} layers")
+    if kind == "two-tree":
+        shared = data.get("shared")  # null, or the one edge red and blue may share
+        shared = None if shared is None else _edges([shared], n, "layers file: 'shared'")[0]
+        return layers, Guarantee.two_tree(_positive_int(data, "bound", default=3), shared)
+    if kind == "distributed":
+        return layers, Guarantee.k_layers(_positive_int(data, "k"), _beta_sq(data))
+    return layers, Guarantee()
 
 
 def _edges(entries: list, n: int, where: str) -> list[Segment]:
@@ -235,19 +253,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     ps = _load_points(args.points)
-    meta, layers = _load_layers_file(args.layers, len(ps))
-    if not layers:
-        raise UsageError(f"{args.layers}: the file has no layers")
-    guarantee = Guarantee()
-    if meta.get("kind") == "two-tree":
-        shared = meta.get("shared")  # null, or the one edge red and blue may share
-        shared = None if shared is None else _edges([shared], len(ps), "layers file: 'shared'")[0]
-        guarantee = Guarantee.two_tree(_positive_int(meta, "bound", default=3), shared)
-    elif meta.get("kind") == "distributed":
-        k = _positive_int(meta, "k")
-        if k != len(layers):
-            raise UsageError(f"layers file: 'k' is {k} but the file has {len(layers)} layers")
-        guarantee = Guarantee.k_layers(k, _beta_sq(meta))
+    layers, guarantee = _load_layers_file(args.layers, len(ps))
     report = verify_layers(layers, ps, flag_overlaps=args.flag_overlaps)
     if args.out:  # only once the file's metadata has passed its checks
         _dump_json(args.out, report.to_json_dict())
@@ -264,14 +270,13 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     ps = _load_points(args.points)
-    meta, layers = _load_layers_file(args.layers, len(ps))
+    layers, guarantee = _load_layers_file(args.layers, len(ps))
     cell = None
     if args.grid:
-        if meta.get("kind") != "distributed":
+        if guarantee.beta_sq is None:
             raise UsageError(f"{args.layers}: --grid applies to distributed layers files only")
-        k, beta_sq = _positive_int(meta, "k"), _beta_sq(meta)
         try:
-            cell = grid_cell_side(k, beta_sq)
+            cell = grid_cell_side(len(layers), guarantee.beta_sq)
         except UsageError as err:
             raise UsageError(f"layers file: {err}") from None
     svg = render_svg(ps, layers, cell_side=cell)
@@ -281,7 +286,7 @@ def cmd_render(args) -> int:
 
 def cmd_stats(args) -> int:
     ps = _load_points(args.points)
-    meta, layers = _load_layers_file(args.layers, len(ps))
+    layers, _ = _load_layers_file(args.layers, len(ps))
     stats = {
         "n": len(ps),
         "k": len(layers),
@@ -310,7 +315,6 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--sigma", type=float, default=30.0)
     g.add_argument("--eps", default="0.001", help="line-kind perturbation amplitude")
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
 
     b = sub.add_parser("build", help="construct layers from a point file")
     b.add_argument("input")
@@ -326,7 +330,6 @@ def _parser() -> argparse.ArgumentParser:
         help="apply the deterministic perturbation first (optional epsilon)",
     )
     b.add_argument("--out", required=True)
-    b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="verify a layers file against its points")
     v.add_argument("points")
@@ -334,7 +337,6 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None, help="write the JSON report here")
     v.add_argument("--flag-overlaps", action="store_true",
                    help="also report collinear overlapping same-layer pairs")
-    v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("render", help="render points and layers to SVG")
     r.add_argument("points")
@@ -342,12 +344,10 @@ def _parser() -> argparse.ArgumentParser:
     r.add_argument("--grid", action="store_true",
                    help="overlay the bucketing grid (distributed layers files only)")
     r.add_argument("--out", required=True)
-    r.set_defaults(func=cmd_render)
 
     s = sub.add_parser("stats", help="summarize a layers file")
     s.add_argument("points")
     s.add_argument("layers")
-    s.set_defaults(func=cmd_stats)
     return p
 
 
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

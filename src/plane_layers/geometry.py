@@ -870,8 +870,6 @@ def convex_hull(ids: Sequence[int], ps: PointSet) -> list[int]:
     lower = build(pts)
     upper = build(reversed(pts))
     hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear: keep the two extremes
-        hull = [pts[0], pts[-1]]
     start = min(range(len(hull)), key=lambda k: (ys[hull[k]], xs[hull[k]]))
     return hull[start:] + hull[:start]
 

@@ -12,10 +12,17 @@ import pytest
 
 from plane_layers import cli
 from plane_layers.cli import main
-from plane_layers.centralized import Recoloring, construction1
+from plane_layers.centralized import (
+    Recoloring,
+    build_two_disjoint_trees,
+    construction1,
+    find_flat_vertex,
+    select_P,
+)
+from plane_layers.distributed import build_k_layers
 from plane_layers.geometry import PointSet, Segment
-from plane_layers.mst import build_emst
-from plane_layers.verify import Guarantee, verify_layers
+from plane_layers.mst import build_emst, emst_adjacency
+from plane_layers.verify import Guarantee, VerificationReport, gen_line_instance, verify_layers
 
 from conftest import count_emst_trees, count_mst_computations
 
@@ -183,6 +190,17 @@ def test_json_text_matches_json_dumps():
         {"a": [[False, 1]], "b": [(1, 2, 3), [4]]},
     ]
     payloads = fixed + [_random_json_value(rng, 0) for _ in range(2000)]
+    for width in (1, 2, 3):
+        # 500 and more rows of one width, negative and beyond 2**64, fill
+        # one template; with one odd row each, the general path
+        rows = [[rng.choice((-1, 1)) * rng.randrange(2 ** rng.choice((8, 64, 70)))
+                 for _ in range(width)] for _ in range(rng.randint(500, 700))]
+        assert min(map(min, rows)) < 0 and max(map(max, rows)) > 2 ** 64
+        payloads.append({"layers": [rows, rows[:3]]})
+        for odd in ([7] * (width + 1), [True] + [0] * (width - 1), [0.5] * width, [],
+                    tuple(rows[0])):
+            i = rng.randrange(len(rows))
+            payloads.append(rows[:i] + [odd] + rows[i:])
     for value in payloads:
         assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
     kinds = {type(v) for v in payloads}
@@ -517,10 +535,10 @@ def test_render_grid_needs_a_distributed_file(tmp_path, capsys):
     ids=["negative", "zero", "huge", "square-beyond-float"],
 )
 def test_malformed_beta_sq_is_a_usage_error(tmp_path, capsys, beta_sq, message):
-    """A betaSq of zero or below fails `verify` and `render --grid` with exit
-    2, as one whose cell side 6*k*sqrt(betaSq) is too large for a float
-    fails `render --grid`; `stats` ignores betaSq.  A betaSq beyond float
-    range whose cell side is a float (10^400: 6e200) renders its grid."""
+    """A betaSq of zero or below fails `verify`, `render --grid` and `stats`
+    alike with exit 2, as one whose cell side 6*k*sqrt(betaSq) is too large
+    for a float fails `render --grid`.  A betaSq beyond float range whose
+    cell side is a float (10^400: 6e200) renders its grid."""
     pts, layers = tmp_path / "p.txt", tmp_path / "l.json"
     assert run("gen", "--kind", "uniform", "--n", "300", "--seed", "1", "--out", str(pts)) == 0
     assert run("build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(layers)) == 0
@@ -532,7 +550,8 @@ def test_malformed_beta_sq_is_a_usage_error(tmp_path, capsys, beta_sq, message):
     render = ["render", str(pts), str(layers), "--grid", "--out", str(svg)]
     positive = message is None or "float" in message
     for argv, code in ((["verify", str(pts), str(layers)], 0 if positive else 2),
-                       (render, 2 if message else 0), (["stats", str(pts), str(layers)], 0)):
+                       (render, 2 if message else 0),
+                       (["stats", str(pts), str(layers)], 0 if positive else 2)):
         assert run(*argv) == code
         err = capsys.readouterr().err
         assert err == (f"usage error: layers file: {message}\n" if code else "")
@@ -573,13 +592,15 @@ def test_render_grid_finer_than_a_pixel_is_a_usage_error(tmp_path, exponent, sid
 
 
 def test_render_empty_layers(tmp_path):
+    """A layer with no edges draws the points alone."""
     pts = tmp_path / "p.txt"
     pts.write_text("0 0 0\n1 1 0\n")
     empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"kind": "distributed", "k": 0, "layers": []}))
+    empty.write_text(json.dumps({"layers": [[]]}))
     svg = tmp_path / "c.svg"
     assert run("render", str(pts), str(empty), "--out", str(svg)) == 0
-    assert "circle" in svg.read_text()
+    body = svg.read_text()
+    assert body.count("<circle") == 2 and "<line" not in body
 
 
 def test_stats_runs(tmp_path, capsys):
@@ -710,6 +731,89 @@ def test_layer_file_messages(tmp_path, capsys, content, message):
     assert run("stats", str(pts), str(bad)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"usage error: {bad}: {message}\n"
+
+
+SHAPE = ("expected 'kind' 'two-tree' with 'red' and 'blue', "
+         "or 'layers' with 'kind' 'distributed' or no 'kind'")
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda tt, dl: {**tt, "kind": "two_tree", "bound": 1}, SHAPE),
+    (lambda tt, dl: {**dl, "kind": "k-layers"}, SHAPE),
+    (lambda tt, dl: {**tt, "layers": dl["layers"]}, SHAPE),
+    (lambda tt, dl: {**dl, "kind": "two-tree"}, SHAPE),
+    (lambda tt, dl: {**tt, "kind": "distributed"}, SHAPE),
+    (lambda tt, dl: {k: v for k, v in tt.items() if k != "kind"}, SHAPE),
+    (lambda tt, dl: {**dl, "k": 2}, "layers file: 'k' is 2 but the file has 1 layers"),
+    (lambda tt, dl: {"k": 3, "layers": dl["layers"]},
+     "layers file: 'k' is 3 but the file has 1 layers"),
+    (lambda tt, dl: {**tt, "k": 1}, "layers file: 'k' is 1 but the file has 2 layers"),
+    (lambda tt, dl: {"kind": "distributed", "k": 0, "layers": []}, "the file has no layers"),
+    (lambda tt, dl: {**dl, "layers": []}, "the file has no layers"),
+], ids=["misspelt-kind", "unknown-kind", "red-blue-beside-layers",
+        "two-tree-kind-with-layers", "distributed-kind-with-red-blue", "kind-less-red-blue",
+        "k-not-the-layer-count", "kind-less-k", "two-tree-k", "no-layers",
+        "distributed-without-layers"])
+@pytest.mark.parametrize("command", ["verify", "render", "stats"])
+def test_every_command_rejects_a_misshapen_layers_file(tmp_path, capsys, change, message, command):
+    """A layers file is 'kind' 'two-tree' with 'red' and 'blue', 'kind'
+    'distributed' with 'layers', or 'layers' with no kind, with a layer and
+    a recorded 'k' that counts them.  Built files changed into any other
+    shape exit 2 from `verify`, `render` and `stats` alike, naming the file
+    (as 'layers file' for a wrong 'k') and writing no output: a misspelt
+    kind no longer reads as a kind-less file that promises nothing."""
+    pts, tt, dl = tmp_path / "p.txt", tmp_path / "tt.json", tmp_path / "dl.json"
+    assert run("gen", "--kind", "uniform", "--n", "30", "--seed", "5", "--out", str(pts)) == 0
+    assert run("build", str(pts), "--out", str(tt)) == 0
+    assert run("build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(dl)) == 0
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(json.dumps(change(json.loads(tt.read_text()), json.loads(dl.read_text()))))
+    argv = [command, str(pts), str(bad)] + (["--out", str(out)] if command != "stats" else [])
+    capsys.readouterr()
+    assert run(*argv) == 2
+    named = message if message.startswith("layers file:") else f"{bad}: {message}"
+    assert capsys.readouterr() == ("", f"usage error: {named}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("build", ["flat", "pointed-1b", "construction1", "k=1", "k=2", "k=3"])
+def test_layers_file_reads_back_the_guarantee_the_build_checked(tmp_path, monkeypatch, build):
+    """A construction's layers file, written as `build` writes it, reads
+    back its layers and the `Guarantee` the construction's final check
+    applied: the flat branch's ratio 2, pointed case 1b's ratio 3,
+    `construction1`'s ratio 2 with its root edge shared, and the length
+    budget of k = 1, 2 and 3 layers."""
+    checked = []
+    breach = VerificationReport.breach
+
+    def recorded(report, guarantee):
+        checked.append(guarantee)
+        return breach(report, guarantee)
+
+    monkeypatch.setattr(VerificationReport, "breach", recorded)
+    if build == "pointed-1b":
+        ps = gen_line_instance(60, "0.001")
+        assert select_P(ps, emst_adjacency(ps)).tag == "1b"
+    else:
+        rng = random.Random(8)
+        ps = PointSet([(rng.randrange(10 ** 6), rng.randrange(10 ** 6)) for _ in range(60)])
+    adj = emst_adjacency(ps)
+    if build.startswith("k="):
+        built = build_k_layers(ps, int(build[2:]))
+        expected = [list(layer) for layer in built.layers]
+    else:
+        if build == "construction1":
+            root = min(v for v in ps.ids if len(adj[v]) == 1)
+            built = construction1(ps, root, Recoloring.ORIGINAL)
+            assert built.shared is not None
+        else:
+            assert (find_flat_vertex(ps, adj) is None) == (build == "pointed-1b")
+            built = build_two_disjoint_trees(ps)
+        expected = built.layers()
+    assert checked
+    path = tmp_path / "layers.json"
+    cli._dump_json(str(path), {**built.to_json_dict(), "n": len(ps)})
+    assert cli._load_layers_file(str(path), len(ps)) == (expected, checked[-1])
 
 
 @pytest.mark.parametrize("mode", ["two-tree", "distributed"])

@@ -537,12 +537,26 @@ def test_sweep_of_a_mirror_after_its_point_set():
 
 
 def test_convex_hull_square_and_collinear():
+    """Collinear ids, in any order, give the two extreme points, the lowest
+    (by y, then x) first: each monotone chain keeps its first and last
+    point, so the hull never holds fewer than two."""
     ps = PointSet([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert convex_hull(list(ps.ids), ps) == [0, 1, 2, 3]
     ps2 = PointSet([(0, 0), (1, 0), (2, 0)])
     assert convex_hull([0, 1, 2], ps2) == [0, 2]
     ps3 = PointSet([(5, 5)])
     assert convex_hull([0], ps3) == [0]
+    rng = random.Random(3)
+    for pts, hull in (([(i, 0) for i in range(6)], [0, 5]),
+                      ([(0, i) for i in range(6)], [0, 5]),
+                      ([(i, 5 - i) for i in range(6)], [5, 0]),
+                      ([(-2 * i, 3 * i) for i in range(6)], [0, 5]),
+                      ([(i, 2 * i) for i in range(2)], [0, 1])):
+        ids = list(PointSet(pts).ids)
+        for _ in range(5):
+            rng.shuffle(ids)
+            assert convex_hull(ids, PointSet(pts)) == hull
+    assert convex_hull([6, 2, 4, 3], PointSet([(i, 2 * i) for i in range(8)])) == [2, 6]
 
 
 def _brute_hull_edges(ids, ps):
