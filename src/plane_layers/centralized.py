@@ -193,8 +193,6 @@ class _Assembler:
         self.label = label
         self.red: list[int] = []
         self.blue: list[int] = []
-        # blue edge whose crossings are repaired after assembly (v3v0)
-        self.deferred: int | None = None
         # the stage that added each edge; a crossing fails at its later edge's
         self._stage: dict[int, str] = {}
 
@@ -212,8 +210,10 @@ class _Assembler:
                pv: dict[int, int] | None = None) -> TwoTrees:
         """The pair as TwoTrees, sharing `guarantee.shared`, once
         `verify_layers` on the caller's point set `ps` finds that it keeps
-        `guarantee`.  When the deferred edge is in every blue crossing, it is
-        repaired along the path `pv` and the pair verified again.
+        `guarantee`.  Given the path `pv`, which only the pointed case 1
+        passes, the three-hop blue edge v3v0 is deferred: when it is in
+        every blue crossing, it is repaired along `pv` and the pair verified
+        again.
 
         A crossing fails where an edge-by-edge check in insertion order would
         have met it first: the pair whose later edge was added earliest, then
@@ -225,10 +225,10 @@ class _Assembler:
         n = len(ps)
         layers = self._layers()
         report = verify_layers(layers, ps)
-        deferred = None if self.deferred is None else divmod(self.deferred, n)
+        deferred = None if pv is None else Segment(pv[3], pv[0])
         crossed = report.per_layer[1].crossings
         if deferred is not None and crossed and all(deferred in p for p in crossed):
-            _fix_three_hop_edge(self, self.ps, pv)
+            _fix_three_hop_edge(self, pv)
             deferred = None
             layers = self._layers()
             report = verify_layers(layers, ps)
@@ -526,27 +526,27 @@ def disjoint_trees_pointed(ps: PointSet, adj: dict[int, list[int]], pc: PCase) -
     asm.add("red", [_key(n, pv[a], pv[b]) for a, b in red_pairs], "pointed-base")
     asm.add("blue", [_key(n, pv[a], pv[b]) for a, b in blue_pairs], "pointed-base")
 
-    if pc.tag.startswith("1"):
-        asm.deferred = _key(n, pv[3], pv[0])  # repaired by _fix_three_hop_edge
     for i, root_idx, variant in _SUBTREES[pc.tag]:
         rest = {pv[j] for j in pv if j != i}
         red, blue = _subtree_contribution(wps, adj, pv[i], pv[root_idx], variant, rest)
         asm.add("red", red, f"pointed-T{i}")
         asm.add("blue", blue, f"pointed-T{i}")
-    # the file records bound 3; case 2 keeps to ratio 2
-    guarantee = Guarantee.two_tree(3 if pc.tag.startswith("1") else 2, None)
-    return asm.finish(ps, guarantee, "pointed-final", 3, pv=pv)
+    # the file records bound 3; case 2 keeps to ratio 2, and only case 1
+    # defers v3v0 to `_fix_three_hop_edge`
+    case1 = pc.tag.startswith("1")
+    return asm.finish(ps, Guarantee.two_tree(3 if case1 else 2, None), "pointed-final", 3,
+                      pv=pv if case1 else None)
 
 
-def _fix_three_hop_edge(asm: _Assembler, ps: PointSet, pv: dict[int, int]) -> None:
+def _fix_three_hop_edge(asm: _Assembler, pv: dict[int, int]) -> None:
     """Replace the blue v3v0 edge, which other blue edges cross, by a
     hull-path edge.  The replacement connects the two components of
     blue - v3v0 and is unique along the hull path through the points inside
     conv(P).  Only case 1 defers v3v0, and `_Assembler.finish` calls this
     once its verify has found v3v0 in every blue crossing."""
+    ps = asm.ps
     n = len(ps)
     e30 = _key(n, pv[3], pv[0])
-    asm.deferred = None
     p_ids = [pv[3], pv[2], pv[1], pv[0]]
     hull = convex_hull(p_ids, ps)
     inside = [

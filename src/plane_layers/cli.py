@@ -96,8 +96,9 @@ def _load_layers_file(path: str, n: int) -> tuple[list[list[Segment]], Guarantee
     0..n-1.  The file is 'kind' 'two-tree' with 'red' and 'blue' (promising
     'bound', default 3, and 'shared'), 'kind' 'distributed' with 'layers'
     ('k' and 'betaSq'), or 'layers' with no kind (plane, spanning, disjoint
-    layers only); it holds at least one layer, and a recorded 'k' counts
-    them.  Anything else is a usage error."""
+    layers only, so it records none of 'bound', 'shared' and 'betaSq'); it
+    holds at least one layer, and a recorded 'k' counts them.  Anything else
+    is a usage error, whose message starts with `path`."""
     try:
         data = json.loads(_read(path))
     except ValueError as exc:
@@ -120,14 +121,17 @@ def _load_layers_file(path: str, n: int) -> tuple[list[list[Segment]], Guarantee
                          "or 'layers' with 'kind' 'distributed' or no 'kind'")
     if not layers:
         raise UsageError(f"{path}: the file has no layers")
-    if "k" in data and _positive_int(data, "k") != len(layers):
-        raise UsageError(f"layers file: 'k' is {data['k']} but the file has {len(layers)} layers")
+    if "k" in data and _positive_int(data, "k", path) != len(layers):
+        raise UsageError(f"{path}: 'k' is {data['k']} but the file has {len(layers)} layers")
     if kind == "two-tree":
         shared = data.get("shared")  # null, or the one edge red and blue may share
-        shared = None if shared is None else _edges([shared], n, "layers file: 'shared'")[0]
-        return layers, Guarantee.two_tree(_positive_int(data, "bound", default=3), shared)
+        shared = None if shared is None else _edges([shared], n, f"{path}: 'shared'")[0]
+        return layers, Guarantee.two_tree(_positive_int(data, "bound", path, default=3), shared)
     if kind == "distributed":
-        return layers, Guarantee.k_layers(_positive_int(data, "k"), _beta_sq(data))
+        return layers, Guarantee.k_layers(_positive_int(data, "k", path), _beta_sq(data, path))
+    promised = [key for key in ("bound", "shared", "betaSq") if key in data]
+    if promised:
+        raise UsageError(f"{path}: {promised[0]!r} needs a 'kind' that promises it")
     return layers, Guarantee()
 
 
@@ -147,22 +151,22 @@ def _edges(entries: list, n: int, where: str) -> list[Segment]:
     return edges
 
 
-def _positive_int(meta: dict, key: str, default=None) -> int:
+def _positive_int(meta: dict, key: str, path: str, default=None) -> int:
     value = meta.get(key, default)
     if type(value) is not int or value < 1:
-        raise UsageError(f"layers file: {key!r} must be a positive integer, got {value!r}")
+        raise UsageError(f"{path}: {key!r} must be a positive integer, got {value!r}")
     return value
 
 
-def _beta_sq(meta: dict) -> Fraction:
+def _beta_sq(meta: dict, path: str) -> Fraction:
     text = meta.get("betaSq")
     try:
         num, den = map(int, text.split("/"))
         value = Fraction(num, den)
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"layers file: 'betaSq' must be 'num/den', got {text!r}") from exc
+        raise UsageError(f"{path}: 'betaSq' must be 'num/den', got {text!r}") from exc
     if value <= 0:
-        raise UsageError(f"layers file: 'betaSq' must be positive, got {text!r}")
+        raise UsageError(f"{path}: 'betaSq' must be positive, got {text!r}")
     return value
 
 
@@ -278,7 +282,7 @@ def cmd_render(args) -> int:
         try:
             cell = grid_cell_side(len(layers), guarantee.beta_sq)
         except UsageError as err:
-            raise UsageError(f"layers file: {err}") from None
+            raise UsageError(f"{args.layers}: {err}") from None
     svg = render_svg(ps, layers, cell_side=cell)
     _write(args.out, svg)
     return 0

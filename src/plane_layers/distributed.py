@@ -200,13 +200,13 @@ def _cell_start(i: int, scale: int, sm: int, q: Fraction) -> int:
     return -math.isqrt(r // q.denominator)
 
 
-def _dense_near(dense: frozenset[Cell], cell: Cell, radius: int = 2) -> list[Cell]:
-    """Dense cells within Chebyshev distance `radius` of `cell`, ascending."""
+def _dense_near(dense: frozenset[Cell], cell: Cell) -> list[Cell]:
+    """Dense cells within Chebyshev distance 2 of `cell`, ascending."""
     ci, cj = cell
     return [
         (ci + di, cj + dj)
-        for di in range(-radius, radius + 1)
-        for dj in range(-radius, radius + 1)
+        for di in range(-2, 3)
+        for dj in range(-2, 3)
         if (ci + di, cj + dj) in dense
     ]
 
@@ -558,30 +558,21 @@ def layers_in_box(box: Cell, gi: GridIndex) -> BoxLayers:
 
 
 def _connector_pairs(dense: frozenset[Cell]) -> list[tuple[Cell, Cell]]:
-    """The 8-neighbour dense box pairs the connection rules select, sorted."""
-    return sorted(
-        (a, b)
-        for a in dense
-        for b in _dense_near(dense, a, radius=1)
-        if a < b and _pair_selected((a, b), dense)
-    )
-
-
-def _pair_selected(pair: tuple[Cell, Cell], dense: frozenset[Cell]) -> bool:
-    """The four connection rules for two 8-neighbour dense boxes: a box joins
-    the box below it and the box left of it, and the box diagonally
-    below-left (above-left) of it when neither box between them is dense.
-    They read only cells adjacent to the pair."""
-    a, b = pair
-    for (i, j), other in ((a, b), (b, a)):
-        below, left, above = (i, j - 1), (i - 1, j), (i, j + 1)
-        if other == below or other == left:
-            return True
-        if other == (i - 1, j - 1) and below not in dense and left not in dense:
-            return True
-        if other == (i - 1, j + 1) and above not in dense and left not in dense:
-            return True
-    return False
+    """The box pairs the four connection rules select, sorted: each dense
+    box joins the dense box below it and the one left of it, and the dense
+    box diagonally below-left (above-left) of it when neither box between
+    them is dense.  Each joined box is the smaller of its pair, so every
+    pair is found once, from its larger box."""
+    pairs = []
+    for i, j in dense:
+        below, left = (i, j - 1), (i - 1, j)
+        joined = [below, left]
+        if below not in dense and left not in dense:
+            joined.append((i - 1, j - 1))
+        if (i, j + 1) not in dense and left not in dense:
+            joined.append((i - 1, j + 1))
+        pairs += [(c, (i, j)) for c in joined if c in dense]
+    return sorted(pairs)
 
 
 def _pick_connector(ps: PointSet, la: BoxLayers, lb: BoxLayers, j: int) -> Segment:

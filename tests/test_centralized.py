@@ -458,20 +458,22 @@ def test_disjoint_pointed_perturbed_lines():
         check_disjoint(tt, ps, 3)
 
 
+# hand-built so a deep blue subtree edge crosses the three-hop blue edge:
+# the construction must swap v3v0 for the hull-path edge through the
+# interior points
+REPAIR_COORDS = [
+    ("0", "0"),
+    ("1", "-0.22"),
+    ("1.0985", "-0.2026"),
+    ("1.0811", "-0.1041"),
+    ("1.03", "-0.115"),
+    ("1.025", "-0.107"),
+    ("1.025", "-0.085"),
+]
+
+
 def test_disjoint_pointed_replacement_instance():
-    # hand-built so a deep blue subtree edge crosses the three-hop blue edge:
-    # the construction must swap v3v0 for the hull-path edge through the
-    # interior points
-    coords = [
-        ("0", "0"),
-        ("1", "-0.22"),
-        ("1.0985", "-0.2026"),
-        ("1.0811", "-0.1041"),
-        ("1.03", "-0.115"),
-        ("1.025", "-0.107"),
-        ("1.025", "-0.085"),
-    ]
-    ps = PointSet(coords)
+    ps = PointSet(REPAIR_COORDS)
     edges = build_emst(ps)
     assert {e.as_pair() for e in edges} == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}
     assert find_flat_vertex(ps, emst_adjacency(ps)) is None
@@ -497,22 +499,20 @@ def test_three_hop_repair_joins_mid_path():
     # v3, v2, v1, v0, then a and b inside conv(P), and c below v3v0
     ps = PointSet([(0, 0), (0, 10), (10, 10), (10, 0), (3, 2), (7, 2), (5, -3)])
     asm = centralized._Assembler(ps, "repair")
-    e30 = asm.deferred = _star_key(0, 3)
+    e30 = _star_key(0, 3)
     asm.add("blue", [e30] + [_star_key(a, b) for a, b in ((0, 4), (1, 4), (1, 2), (3, 5),
                                                            (5, 6))],
             "pointed-base")  # 5-6 crosses v3v0
-    centralized._fix_three_hop_edge(asm, ps, {3: 0, 2: 1, 1: 2, 0: 3})
+    centralized._fix_three_hop_edge(asm, {3: 0, 2: 1, 1: 2, 0: 3})
     assert e30 not in asm.blue and _star_key(4, 5) in asm.blue
-    assert asm.deferred is None
 
 
 def _repair_star(*extra):
-    """The blue edges of the repair test above, v3v0 = 0-3 deferred, with
-    the edges `extra`, id pairs, added at a later stage, beside a plane red
-    spanning tree."""
+    """The blue edges of the repair test above, v3v0 = 0-3 among them (a
+    `finish` given the path defers it), with the edges `extra`, id pairs,
+    added at a later stage, beside a plane red spanning tree."""
     ps = PointSet([(0, 0), (0, 10), (10, 10), (10, 0), (3, 2), (7, 2), (5, -3)])
     asm = centralized._Assembler(ps, "sweep")
-    asm.deferred = _star_key(0, 3)
     asm.add("red", [_star_key(a, b) for a, b in ((0, 1), (0, 6), (3, 6), (2, 3), (2, 5),
                                                  (4, 6))], "pointed-base")
     asm.add("blue", [_star_key(a, b) for a, b in ((0, 3), (0, 4), (1, 4), (1, 2), (3, 5))],
@@ -533,7 +533,7 @@ def test_final_check_repairs_a_crossed_three_hop_edge(monkeypatch):
     asm = _repair_star((5, 6))  # 5-6 crosses v3v0
     tt = asm.finish(asm.ps, guarantee, "pointed-final", 3, pv=pv)
     assert Segment(0, 3) not in tt.blue and Segment(4, 5) in tt.blue
-    assert len(sweeps) == 4 and asm.deferred is None
+    assert len(sweeps) == 4
     assert verify_layers(tt.layers(), asm.ps).breach(guarantee) is None
     assert not hasattr(centralized, "properly_cross")
 
@@ -544,6 +544,41 @@ def test_final_check_repairs_a_crossed_three_hop_edge(monkeypatch):
     assert str(err.value).endswith(
         "sweep: blue edges Segment(a=0, b=2) and Segment(a=1, b=4) cross")
     assert _star_key(0, 3) in asm.blue
+
+
+# One fault per check of `_fix_three_hop_edge` on the repair instance above,
+# where case 1a's v3v0 = 0-3 is crossed and conv(P) holds points 4 and 5:
+# the module name patched, its stand-in and the check's message.
+REPAIR_FAULTS = {
+    "nothing-inside": ("id_strictly_inside_polygon", lambda hull, ps, q: False,
+                       "v3v0 crossed but conv(P) holds no points"),
+    # a hull of 4, 5, v0 and v3 that keeps the interior 5, between v3 and v0
+    "apart-on-hull": ("convex_hull", lambda ids, ps: [4, 3, 5, 0] if 5 in ids
+                      else convex_hull(ids, ps), "v0 and v3 are not hull-adjacent"),
+    "no-joining-edge": ("_component", lambda adj, start: set(),
+                        "0 hull-path edges join the components"),
+}
+
+
+@pytest.mark.parametrize("fault", list(REPAIR_FAULTS))
+def test_three_hop_repair_dumps_reproduce(monkeypatch, fault):
+    """Each check of the three-hop repair raises at `pointed-replace` with
+    the points and the mode in its dump, and a build from the dump fails at
+    the same stage."""
+    name, stand_in, message = REPAIR_FAULTS[fault]
+    monkeypatch.setattr(centralized, name, stand_in)
+    ps = PointSet(REPAIR_COORDS)
+    with pytest.raises(InternalAssertionError) as info:
+        build_two_disjoint_trees(ps)
+    dump = info.value.dump
+    assert info.value.stage == dump["stage"] == "pointed-replace"
+    assert str(info.value) == f"[pointed-replace] pointed construction, case 1a: {message}"
+    assert dump["mode"] == "two-tree"
+    replay = PointSet.from_text(dump["points"])
+    assert exact_coords(replay) == exact_coords(ps)
+    with pytest.raises(InternalAssertionError) as again:
+        build_two_disjoint_trees(replay)
+    assert again.value.stage == "pointed-replace"
 
 
 @pytest.mark.parametrize("n", [4, 40, 200, 501])
@@ -828,8 +863,7 @@ def test_two_tree_dump_replays_through_the_cli(monkeypatch, tmp_path):
 @pytest.mark.parametrize(
     "coords, tag, red, blue",
     [
-        ([("0", "0"), ("1", "-0.22"), ("1.0985", "-0.2026"), ("1.0811", "-0.1041"),
-          ("1.03", "-0.115"), ("1.025", "-0.107"), ("1.025", "-0.085")], "1a",
+        (REPAIR_COORDS, "1a",
          [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (4, 6)],
          [(0, 4), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)]),
         (exact_coords(gen_line_instance(6, "0.001")), "1b",

@@ -79,6 +79,26 @@ def test_gen_rejects_bad_arguments(tmp_path, flags):
     assert not (tmp_path / "p.txt").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--clusters", "0"], "--clusters must be >= 1"),
+    (["--sigma", "0"], "--sigma must be finite and positive, got 0.0"),
+    (["--sigma", "-1"], "--sigma must be finite and positive, got -1.0"),
+    (["--sigma", "inf"], "--sigma must be finite and positive, got inf"),
+    (["--sigma", "nan"], "--sigma must be finite and positive, got nan"),
+    # every draw rounds to the one center: gen gives up after _MAX_STALE_DRAWS
+    (["--clusters", "1", "--sigma", "1e-9", "--n", "3"],
+     "found only 1 distinct points at 6 decimals, not n=3"),
+])
+def test_gen_clusters_messages(tmp_path, capsys, flags, message):
+    """Each usage error of `gen --kind clusters`, word for word, with no
+    point file written."""
+    out = tmp_path / "p.txt"
+    argv = ["gen", "--kind", "clusters", "--n", "10", *flags, "--out", str(out)]
+    assert run(*argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n, eps, message", [
     ("1", "0.001", "line instances need n >= 2"),
     ("1", "abc", "line instances need n >= 2"),  # n is checked before --eps is read
@@ -359,7 +379,7 @@ def test_verify_rejects_a_malformed_shared_field(tmp_path, capsys, shared, messa
     bad.write_text(json.dumps(data))
     capsys.readouterr()
     assert run("verify", str(pts), str(bad)) == 2
-    assert capsys.readouterr().err == f"usage error: layers file: 'shared': {message}\n"
+    assert capsys.readouterr().err == f"usage error: {bad}: 'shared': {message}\n"
 
 
 def test_verify_reads_a_recorded_shared_edge(tmp_path):
@@ -554,7 +574,7 @@ def test_malformed_beta_sq_is_a_usage_error(tmp_path, capsys, beta_sq, message):
                        (["stats", str(pts), str(layers)], 0 if positive else 2)):
         assert run(*argv) == code
         err = capsys.readouterr().err
-        assert err == (f"usage error: layers file: {message}\n" if code else "")
+        assert err == (f"usage error: {layers}: {message}\n" if code else "")
     assert svg.exists() == (message is None)
     if message is None:
         assert "#cccccc" in svg.read_text()
@@ -562,14 +582,13 @@ def test_malformed_beta_sq_is_a_usage_error(tmp_path, capsys, beta_sq, message):
 
 @pytest.mark.parametrize("exponent, side", [(300, "6e-150"), (400, "6e-200"), (700, "0")],
                          ids=["tiny", "square-below-float", "underflow"])
-def test_render_grid_finer_than_a_pixel_is_a_usage_error(tmp_path, exponent, side):
+def test_render_grid_finer_than_a_pixel_is_a_usage_error(tmp_path, capsys, exponent, side):
     """A betaSq so small that the grid would draw more lines than the SVG is
     wide fails `render --grid` with exit 2 at once, also when betaSq is
     below float range (10^-400: its cell side 6e-200 is a float) and when
     the cell side underflows to 0.0; the same file renders without
-    `--grid`.  The render
-    runs in a subprocess with a timeout, since drawing such a grid line by
-    line would not finish."""
+    `--grid`.  The render runs first in a subprocess with a timeout, since
+    drawing such a grid line by line would not finish, then in process."""
     pts, layers = tmp_path / "p.txt", tmp_path / "l.json"
     assert run("gen", "--kind", "uniform", "--n", "300", "--seed", "1", "--out", str(pts)) == 0
     assert run("build", str(pts), "--mode", "distributed", "--k", "1", "--out", str(layers)) == 0
@@ -583,9 +602,13 @@ def test_render_grid_finer_than_a_pixel_is_a_usage_error(tmp_path, exponent, sid
          "--out", str(svg)],
         capture_output=True, text=True, timeout=60, env=env,
     )
-    assert proc.returncode == 2
-    assert proc.stderr == (f"usage error: the grid's cell side {side} draws more "
-                           "lines than the 800-pixel picture is wide\n")
+    message = (f"usage error: the grid's cell side {side} draws more "
+               "lines than the 800-pixel picture is wide\n")
+    assert (proc.returncode, proc.stderr) == (2, message)
+    assert not svg.exists()
+    capsys.readouterr()
+    assert run("render", str(pts), str(layers), "--grid", "--out", str(svg)) == 2
+    assert capsys.readouterr() == ("", message)
     assert not svg.exists()
     assert run("render", str(pts), str(layers), "--out", str(svg)) == 0
     assert "#cccccc" not in svg.read_text()
@@ -735,6 +758,7 @@ def test_layer_file_messages(tmp_path, capsys, content, message):
 
 SHAPE = ("expected 'kind' 'two-tree' with 'red' and 'blue', "
          "or 'layers' with 'kind' 'distributed' or no 'kind'")
+KINDLESS = "%s needs a 'kind' that promises it"
 
 
 @pytest.mark.parametrize("change, message", [
@@ -744,24 +768,33 @@ SHAPE = ("expected 'kind' 'two-tree' with 'red' and 'blue', "
     (lambda tt, dl: {**dl, "kind": "two-tree"}, SHAPE),
     (lambda tt, dl: {**tt, "kind": "distributed"}, SHAPE),
     (lambda tt, dl: {k: v for k, v in tt.items() if k != "kind"}, SHAPE),
-    (lambda tt, dl: {**dl, "k": 2}, "layers file: 'k' is 2 but the file has 1 layers"),
-    (lambda tt, dl: {"k": 3, "layers": dl["layers"]},
-     "layers file: 'k' is 3 but the file has 1 layers"),
-    (lambda tt, dl: {**tt, "k": 1}, "layers file: 'k' is 1 but the file has 2 layers"),
+    (lambda tt, dl: {**dl, "k": 2}, "'k' is 2 but the file has 1 layers"),
+    (lambda tt, dl: {"k": 3, "layers": dl["layers"]}, "'k' is 3 but the file has 1 layers"),
+    (lambda tt, dl: {**tt, "k": 1}, "'k' is 1 but the file has 2 layers"),
     (lambda tt, dl: {"kind": "distributed", "k": 0, "layers": []}, "the file has no layers"),
     (lambda tt, dl: {**dl, "layers": []}, "the file has no layers"),
+    # six more zeros in the denominator: betaSq divided by 10^6, a budget
+    # the layers break, which a kind-less file would leave unchecked
+    (lambda tt, dl: {**{k: v for k, v in dl.items() if k != "kind"},
+                     "betaSq": dl["betaSq"] + "000000"}, KINDLESS % "'betaSq'"),
+    (lambda tt, dl: {"kind": None, "layers": dl["layers"], "shared": None},
+     KINDLESS % "'shared'"),
+    (lambda tt, dl: {"k": 1, "layers": dl["layers"], "bound": 1}, KINDLESS % "'bound'"),
 ], ids=["misspelt-kind", "unknown-kind", "red-blue-beside-layers",
         "two-tree-kind-with-layers", "distributed-kind-with-red-blue", "kind-less-red-blue",
         "k-not-the-layer-count", "kind-less-k", "two-tree-k", "no-layers",
-        "distributed-without-layers"])
+        "distributed-without-layers", "kind-less-beta-sq", "null-kind-shared",
+        "kind-less-bound"])
 @pytest.mark.parametrize("command", ["verify", "render", "stats"])
 def test_every_command_rejects_a_misshapen_layers_file(tmp_path, capsys, change, message, command):
     """A layers file is 'kind' 'two-tree' with 'red' and 'blue', 'kind'
     'distributed' with 'layers', or 'layers' with no kind, with a layer and
     a recorded 'k' that counts them.  Built files changed into any other
     shape exit 2 from `verify`, `render` and `stats` alike, naming the file
-    (as 'layers file' for a wrong 'k') and writing no output: a misspelt
-    kind no longer reads as a kind-less file that promises nothing."""
+    and writing no output: a misspelt kind no longer reads as a kind-less
+    file that promises nothing, and a kind-less file records no promise
+    ('bound', 'shared' or 'betaSq') that its layers would go unchecked
+    against."""
     pts, tt, dl = tmp_path / "p.txt", tmp_path / "tt.json", tmp_path / "dl.json"
     assert run("gen", "--kind", "uniform", "--n", "30", "--seed", "5", "--out", str(pts)) == 0
     assert run("build", str(pts), "--out", str(tt)) == 0
@@ -771,8 +804,7 @@ def test_every_command_rejects_a_misshapen_layers_file(tmp_path, capsys, change,
     argv = [command, str(pts), str(bad)] + (["--out", str(out)] if command != "stats" else [])
     capsys.readouterr()
     assert run(*argv) == 2
-    named = message if message.startswith("layers file:") else f"{bad}: {message}"
-    assert capsys.readouterr() == ("", f"usage error: {named}\n")
+    assert capsys.readouterr() == ("", f"usage error: {bad}: {message}\n")
     assert not out.exists()
 
 

@@ -22,7 +22,6 @@ from plane_layers.distributed import (
     _connector_pairs,
     _dense_near,
     _nearest_center,
-    _pair_selected,
     build_k_layers,
     center_point,
     connect_boxes,
@@ -1448,16 +1447,12 @@ def test_connector_pairs_match_rule_loop():
         expected = connector_pairs_oracle(dense)
         assert _connector_pairs(dense) == expected
         # the replay sees the dense cells within two of the representative's box
-        replayed = {home: _connector_pairs(frozenset(_dense_near(dense, home))) for home in dense}
-        for a in dense:
-            for b in _dense_near(dense, a, radius=1):
-                if a < b:
-                    selected = (a, b) in expected
-                    assert _pair_selected((a, b), dense) == selected
-                    assert ((a, b) in replayed[a]) == ((a, b) in replayed[b]) == selected
+        for home in dense:
+            replayed = _connector_pairs(frozenset(_dense_near(dense, home)))
+            assert [p for p in replayed if home in p] == [p for p in expected if home in p]
 
 
-BOX_STAGES = ["center-point", "sector"]
+BOX_STAGES = ["center-point", "sector", "connector"]
 
 
 def _inject_box_fault(monkeypatch, stage):
@@ -1468,6 +1463,8 @@ def _inject_box_fault(monkeypatch, stage):
     elif stage == "sector":  # every representative seems to lie on its neighbour's center
         sector = distributed._sector
         monkeypatch.setattr(distributed, "_sector", lambda dirs, d: sector(dirs, (0, 0)))
+    elif stage == "connector":  # no representative lies in any sector of the other box
+        monkeypatch.setattr(distributed, "_sector", lambda dirs, d: 3)
 
 
 def _k_layer_fault(monkeypatch, stage):

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from plane_layers.centralized import select_P
-from plane_layers.distributed import build_k_layers, center_point, grid_partition, layers_in_box
+from plane_layers.distributed import (
+    build_k_layers,
+    center_point,
+    grid_cell_side,
+    grid_partition,
+    layers_in_box,
+)
 from plane_layers.errors import (
     DUMP_DIR_ENV,
     InternalAssertionError,
@@ -61,6 +67,9 @@ def _two_cells():
     (lambda: counting_lower_bound(1, 1), PreconditionError, "counting bound needs n > 1, k >= 1"),
     (lambda: render_svg(PointSet([("-1e308", "0"), ("1e308", "0")]), []), UsageError,
      "the points' extent is too large for a float"),
+    # sqrt(betaSq) = 1e308 is a float, six times it is not
+    (lambda: grid_cell_side(1, Fraction(10**616)), UsageError,
+     "the grid's cell side 6*k*sqrt(betaSq) is too large for a float"),
 ])
 def test_precondition_messages(call, exc_type, message):
     """Each library precondition raises its own exception type with its
