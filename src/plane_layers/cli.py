@@ -13,6 +13,7 @@ size is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -89,6 +90,11 @@ def _dump_json(path: str, payload: dict) -> None:
     _write(path, _json_text(payload) + "\n")
 
 
+# the promise fields a layers file of each kind may record; a kind-less file
+# promises plane, spanning, disjoint layers only
+_PROMISES = {"two-tree": ("bound", "shared"), "distributed": ("betaSq",), None: ()}
+
+
 def _load_layers_file(path: str, n: int) -> tuple[list[list[Segment]], Guarantee]:
     """The layers of a layers file read against n points, and the `Guarantee`
     they promise: the one reader of the format.  A recorded 'n' must be n;
@@ -96,9 +102,9 @@ def _load_layers_file(path: str, n: int) -> tuple[list[list[Segment]], Guarantee
     0..n-1.  The file is 'kind' 'two-tree' with 'red' and 'blue' (promising
     'bound', default 3, and 'shared'), 'kind' 'distributed' with 'layers'
     ('k' and 'betaSq'), or 'layers' with no kind (plane, spanning, disjoint
-    layers only, so it records none of 'bound', 'shared' and 'betaSq'); it
-    holds at least one layer, and a recorded 'k' counts them.  Anything else
-    is a usage error, whose message starts with `path`."""
+    layers only); it holds at least one layer, and a recorded 'k' counts
+    them.  It records no promise field of another kind (`_PROMISES`).
+    Anything else is a usage error, whose message starts with `path`."""
     try:
         data = json.loads(_read(path))
     except ValueError as exc:
@@ -115,7 +121,7 @@ def _load_layers_file(path: str, n: int) -> tuple[list[list[Segment]], Guarantee
         raise UsageError(f"{path}: layers must be lists of [u, v] id pairs")
     layers = [_edges(layer, n, f"{path}: layer {j}") for j, layer in enumerate(layers)]
     kind = data.get("kind")
-    if (kind not in ("two-tree", "distributed", None) or (kind == "two-tree") != two_tree
+    if (kind not in _PROMISES or (kind == "two-tree") != two_tree
             or two_tree and "layers" in data):
         raise UsageError(f"{path}: expected 'kind' 'two-tree' with 'red' and 'blue', "
                          "or 'layers' with 'kind' 'distributed' or no 'kind'")
@@ -123,15 +129,16 @@ def _load_layers_file(path: str, n: int) -> tuple[list[list[Segment]], Guarantee
         raise UsageError(f"{path}: the file has no layers")
     if "k" in data and _positive_int(data, "k", path) != len(layers):
         raise UsageError(f"{path}: 'k' is {data['k']} but the file has {len(layers)} layers")
+    foreign = [key for key in chain.from_iterable(_PROMISES.values())
+               if key in data and key not in _PROMISES[kind]]
+    if foreign:
+        raise UsageError(f"{path}: {foreign[0]!r} needs a 'kind' that promises it")
     if kind == "two-tree":
         shared = data.get("shared")  # null, or the one edge red and blue may share
         shared = None if shared is None else _edges([shared], n, f"{path}: 'shared'")[0]
         return layers, Guarantee.two_tree(_positive_int(data, "bound", path, default=3), shared)
     if kind == "distributed":
         return layers, Guarantee.k_layers(_positive_int(data, "k", path), _beta_sq(data, path))
-    promised = [key for key in ("bound", "shared", "betaSq") if key in data]
-    if promised:
-        raise UsageError(f"{path}: {promised[0]!r} needs a 'kind' that promises it")
     return layers, Guarantee()
 
 
@@ -173,18 +180,24 @@ def _beta_sq(meta: dict, path: str) -> Fraction:
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise UsageError("n must be >= 1")
+    if args.kind != "clusters":
+        for option in ("clusters", "sigma"):
+            if getattr(args, option) is not None:
+                raise UsageError(f"--{option} applies to --kind clusters only")
     rng = random.Random(args.seed)
     if args.kind == "uniform":
         pts = _distinct_points(args.n, lambda: (rng.uniform(0, 1000), rng.uniform(0, 1000)))
     elif args.kind == "clusters":
-        if args.clusters < 1:
+        clusters = 3 if args.clusters is None else args.clusters
+        sigma = 30.0 if args.sigma is None else args.sigma
+        if clusters < 1:
             raise UsageError("--clusters must be >= 1")
-        if not (math.isfinite(args.sigma) and args.sigma > 0):
-            raise UsageError(f"--sigma must be finite and positive, got {args.sigma!r}")
-        centers = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(args.clusters)]
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise UsageError(f"--sigma must be finite and positive, got {sigma!r}")
+        centers = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(clusters)]
         def sample():
             cx, cy = centers[rng.randrange(len(centers))]
-            return (rng.gauss(cx, args.sigma), rng.gauss(cy, args.sigma))
+            return (rng.gauss(cx, sigma), rng.gauss(cy, sigma))
         pts = _distinct_points(args.n, sample)
     else:  # line
         if args.n < 2:
@@ -304,7 +317,10 @@ def cmd_stats(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The `plane-layers` parser, built once per process: parsing only reads
+    it, and each call gets a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="plane-layers",
         description="Edge-disjoint plane spanning layers with bounded bottleneck edge.",
@@ -315,8 +331,8 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", choices=["uniform", "clusters", "line"], default="uniform")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--clusters", type=int, default=3)
-    g.add_argument("--sigma", type=float, default=30.0)
+    g.add_argument("--clusters", type=int, help="clusters kind only (default: 3)")
+    g.add_argument("--sigma", type=float, help="clusters kind only (default: 30.0)")
     g.add_argument("--eps", default="0.001", help="line-kind perturbation amplitude")
     g.add_argument("--out", required=True)
 

@@ -428,3 +428,24 @@ def test_library_calls_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_cli_calls_leave_no_cyclic_garbage(tmp_path):
+    """After one warm-up call, a two-tree and a k=1 build and verify, a
+    `stats` and a `render` through `cli.main`, all with the collector off:
+    a collection afterwards finds nothing unreachable.  The parser, built
+    once per process, is the one cyclic structure the CLI makes."""
+    pts, trees, layers = (str(tmp_path / name) for name in ("p.txt", "t.json", "l.json"))
+    assert main(["gen", "--n", "300", "--seed", "4", "--out", pts]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["build", pts, "--out", trees]) == 0
+        assert main(["verify", pts, trees]) == 0
+        assert main(["build", pts, "--mode", "distributed", "--k", "1", "--out", layers]) == 0
+        assert main(["verify", pts, layers, "--out", str(tmp_path / "r.json")]) == 0
+        assert main(["stats", pts, layers]) == 0
+        assert main(["render", pts, layers, "--grid", "--out", str(tmp_path / "l.svg")]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

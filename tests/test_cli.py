@@ -99,6 +99,23 @@ def test_gen_clusters_messages(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--clusters", "0", "--sigma", "-1"], "--clusters applies to --kind clusters only"),
+    (["--clusters", "3"], "--clusters applies to --kind clusters only"),
+    (["--kind", "uniform", "--sigma", "30"], "--sigma applies to --kind clusters only"),
+    (["--kind", "line", "--clusters", "2"], "--clusters applies to --kind clusters only"),
+    (["--kind", "line", "--sigma", "1"], "--sigma applies to --kind clusters only"),
+])
+def test_gen_rejects_cluster_options_for_other_kinds(tmp_path, capsys, flags, message):
+    """`--clusters` and `--sigma` shape clustered points only: given with
+    another kind, even at their defaults, either one is a usage error that
+    names it, with no point file written."""
+    out = tmp_path / "p.txt"
+    assert run("gen", "--n", "5", *flags, "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n, eps, message", [
     ("1", "0.001", "line instances need n >= 2"),
     ("1", "abc", "line instances need n >= 2"),  # n is checked before --eps is read
@@ -643,6 +660,44 @@ def test_usage_error_exit_code(tmp_path):
     assert run("nonsense") == 2
 
 
+def test_cached_parser_carries_no_state(tmp_path, capsys, monkeypatch):
+    """`main` parses with one parser per process.  A distributed build with
+    its own --beta, then a plain build and its verify, help texts and a
+    missing argument give the same exit codes, stdout, stderr and output
+    bytes as calls that each build a fresh parser: no option of one call
+    reaches the next."""
+    pts = tmp_path / "p.txt"
+    assert run("gen", "--n", "40", "--seed", "2", "--out", str(pts)) == 0
+    assert cli._parser() is cli._parser()
+
+    def calls(out):
+        out.mkdir()
+        argvs = [["build", str(pts), "--mode", "distributed", "--k", "1", "--beta", "500",
+                  "--out", str(out / "k1.json")],
+                 ["build", str(pts), "--out", str(out / "tt.json")],
+                 ["verify", str(pts), str(out / "tt.json"), "--out", str(out / "r.json")],
+                 ["--help"], *([command, "--help"] for command in
+                               ("gen", "build", "verify", "render", "stats")),
+                 ["build", str(pts)]]
+        got = []
+        for argv in argvs:
+            code = main(argv)
+            got.append((code, *capsys.readouterr()))
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        return got, files
+
+    cached = calls(tmp_path / "cached")
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    fresh = calls(tmp_path / "fresh")
+    assert cached == fresh
+    got, files = cached
+    assert [code for code, _, _ in got] == [0] * 9 + [2]
+    assert sorted(files) == ["k1.json", "r.json", "tt.json"]
+    assert json.loads(files["k1.json"])["beta"] == 500
+    assert got[1][1].startswith("layers=2 ") and got[2][1].startswith("plane=True ")
+    assert got[-1][2].endswith("error: the following arguments are required: --out\n")
+
+
 def test_build_outputs_byte_identical(tmp_path):
     pts = tmp_path / "p.txt"
     assert run("gen", "--kind", "uniform", "--n", "64", "--seed", "9", "--out", str(pts)) == 0
@@ -780,11 +835,14 @@ KINDLESS = "%s needs a 'kind' that promises it"
     (lambda tt, dl: {"kind": None, "layers": dl["layers"], "shared": None},
      KINDLESS % "'shared'"),
     (lambda tt, dl: {"k": 1, "layers": dl["layers"], "bound": 1}, KINDLESS % "'bound'"),
+    # the other kind's promise, which the file's own kind would leave unread
+    (lambda tt, dl: {**dl, "bound": 1}, KINDLESS % "'bound'"),
+    (lambda tt, dl: {**tt, "betaSq": dl["betaSq"] + "000000"}, KINDLESS % "'betaSq'"),
 ], ids=["misspelt-kind", "unknown-kind", "red-blue-beside-layers",
         "two-tree-kind-with-layers", "distributed-kind-with-red-blue", "kind-less-red-blue",
         "k-not-the-layer-count", "kind-less-k", "two-tree-k", "no-layers",
         "distributed-without-layers", "kind-less-beta-sq", "null-kind-shared",
-        "kind-less-bound"])
+        "kind-less-bound", "distributed-bound", "two-tree-beta-sq"])
 @pytest.mark.parametrize("command", ["verify", "render", "stats"])
 def test_every_command_rejects_a_misshapen_layers_file(tmp_path, capsys, change, message, command):
     """A layers file is 'kind' 'two-tree' with 'red' and 'blue', 'kind'
@@ -792,9 +850,9 @@ def test_every_command_rejects_a_misshapen_layers_file(tmp_path, capsys, change,
     a recorded 'k' that counts them.  Built files changed into any other
     shape exit 2 from `verify`, `render` and `stats` alike, naming the file
     and writing no output: a misspelt kind no longer reads as a kind-less
-    file that promises nothing, and a kind-less file records no promise
-    ('bound', 'shared' or 'betaSq') that its layers would go unchecked
-    against."""
+    file that promises nothing, and no file records a promise ('bound',
+    'shared' or 'betaSq') its kind does not make, which its layers would go
+    unchecked against."""
     pts, tt, dl = tmp_path / "p.txt", tmp_path / "tt.json", tmp_path / "dl.json"
     assert run("gen", "--kind", "uniform", "--n", "30", "--seed", "5", "--out", str(pts)) == 0
     assert run("build", str(pts), "--out", str(tt)) == 0
