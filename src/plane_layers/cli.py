@@ -121,8 +121,8 @@ def _load_layers_file(path: str, n: int) -> tuple[list[list[Segment]], Guarantee
         raise UsageError(f"{path}: layers must be lists of [u, v] id pairs")
     layers = [_edges(layer, n, f"{path}: layer {j}") for j, layer in enumerate(layers)]
     kind = data.get("kind")
-    if (kind not in _PROMISES or (kind == "two-tree") != two_tree
-            or two_tree and "layers" in data):
+    if (not (kind is None or isinstance(kind, str)) or kind not in _PROMISES
+            or (kind == "two-tree") != two_tree or two_tree and "layers" in data):
         raise UsageError(f"{path}: expected 'kind' 'two-tree' with 'red' and 'blue', "
                          "or 'layers' with 'kind' 'distributed' or no 'kind'")
     if not layers:
@@ -177,6 +177,11 @@ def _beta_sq(meta: dict, path: str) -> Fraction:
     return value
 
 
+# `gen --kind clusters` defaults
+_CLUSTERS = 3
+_SIGMA = 30.0
+
+
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise UsageError("n must be >= 1")
@@ -188,8 +193,8 @@ def cmd_gen(args) -> int:
     if args.kind == "uniform":
         pts = _distinct_points(args.n, lambda: (rng.uniform(0, 1000), rng.uniform(0, 1000)))
     elif args.kind == "clusters":
-        clusters = 3 if args.clusters is None else args.clusters
-        sigma = 30.0 if args.sigma is None else args.sigma
+        clusters = _CLUSTERS if args.clusters is None else args.clusters
+        sigma = _SIGMA if args.sigma is None else args.sigma
         if clusters < 1:
             raise UsageError("--clusters must be >= 1")
         if not (math.isfinite(sigma) and sigma > 0):
@@ -331,8 +336,8 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", choices=["uniform", "clusters", "line"], default="uniform")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--clusters", type=int, help="clusters kind only (default: 3)")
-    g.add_argument("--sigma", type=float, help="clusters kind only (default: 30.0)")
+    g.add_argument("--clusters", type=int, help=f"clusters kind only (default: {_CLUSTERS})")
+    g.add_argument("--sigma", type=float, help=f"clusters kind only (default: {_SIGMA})")
     g.add_argument("--eps", default="0.001", help="line-kind perturbation amplitude")
     g.add_argument("--out", required=True)
 

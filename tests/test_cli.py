@@ -819,6 +819,8 @@ KINDLESS = "%s needs a 'kind' that promises it"
 @pytest.mark.parametrize("change, message", [
     (lambda tt, dl: {**tt, "kind": "two_tree", "bound": 1}, SHAPE),
     (lambda tt, dl: {**dl, "kind": "k-layers"}, SHAPE),
+    (lambda tt, dl: {**dl, "kind": []}, SHAPE),
+    (lambda tt, dl: {**tt, "kind": {"two-tree": 1}}, SHAPE),
     (lambda tt, dl: {**tt, "layers": dl["layers"]}, SHAPE),
     (lambda tt, dl: {**dl, "kind": "two-tree"}, SHAPE),
     (lambda tt, dl: {**tt, "kind": "distributed"}, SHAPE),
@@ -838,7 +840,7 @@ KINDLESS = "%s needs a 'kind' that promises it"
     # the other kind's promise, which the file's own kind would leave unread
     (lambda tt, dl: {**dl, "bound": 1}, KINDLESS % "'bound'"),
     (lambda tt, dl: {**tt, "betaSq": dl["betaSq"] + "000000"}, KINDLESS % "'betaSq'"),
-], ids=["misspelt-kind", "unknown-kind", "red-blue-beside-layers",
+], ids=["misspelt-kind", "unknown-kind", "list-kind", "object-kind", "red-blue-beside-layers",
         "two-tree-kind-with-layers", "distributed-kind-with-red-blue", "kind-less-red-blue",
         "k-not-the-layer-count", "kind-less-k", "two-tree-k", "no-layers",
         "distributed-without-layers", "kind-less-beta-sq", "null-kind-shared",
